@@ -1,7 +1,6 @@
 # Developer entry points; CI runs the same steps (see .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-baseline bench-wal bench-cluster \
-	bench-e2e bench-all cover recovery-smoke failover-smoke fmt vet \
+.PHONY: build test race bench cover recovery-smoke failover-smoke fmt vet \
 	litmusvet lint lint-tools
 
 build:
@@ -13,36 +12,10 @@ test:
 race:
 	go test -race -shuffle=on ./...
 
-# One-pass sanity run of every benchmark.
+# The repository's benchmark of the billing path (BENCHMARK.json; metric
+# definitions and arguments in bench/README.md).
 bench:
-	go test -run '^$$' -bench . -benchtime=1x ./...
-
-# Record the ledger/ingest perf baseline as BENCH_ledger.json (see
-# scripts/bench-ledger.sh; BENCHTIME overrides the default 1000x).
-bench-baseline:
-	./scripts/bench-ledger.sh BENCH_ledger.json
-
-# Record the durable-ledger baseline as BENCH_wal.json: WAL append
-# throughput per fsync mode, recovery replay rate, snapshot cost (see
-# scripts/bench-wal.sh; BENCHTIME overrides the default 200x).
-bench-wal:
-	./scripts/bench-wal.sh BENCH_wal.json
-
-# Record the cluster-mode baseline as BENCH_cluster.json: ring lookup,
-# ring-aware client and router stream throughput, follower catch-up rate
-# (see scripts/bench-cluster.sh; BENCHTIME overrides the default 20x).
-bench-cluster:
-	./scripts/bench-cluster.sh BENCH_cluster.json
-
-# Record the end-to-end latency baseline as BENCH_e2e.json: cmd/loadgen
-# drives a live pricingd open-loop at each arrival rate per fsync mode and
-# records client-observed quantiles (see scripts/bench-e2e.sh; RATES,
-# DURATION and FSYNC_MODES override the defaults).
-bench-e2e:
-	./scripts/bench-e2e.sh BENCH_e2e.json
-
-# Refresh every committed benchmark baseline in one go.
-bench-all: bench-baseline bench-wal bench-cluster bench-e2e
+	bash bench/run.sh
 
 # Coverage gate for the billing subsystem: every test in internal/ledger/...
 # (unit, durability, crash harness) counts toward internal/ledger coverage,

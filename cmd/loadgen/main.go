@@ -16,8 +16,7 @@
 // streaming (with unique idempotency keys, so every record bills exactly
 // once), single quotes, tenant-page listings and statement reads — in
 // -mix proportions. Output is a human latency table or, with -format
-// json, a one-line machine report; scripts/bench-e2e.sh aggregates those
-// into the committed BENCH_e2e.json baseline. With -search the generator
+// json, a one-line machine report. With -search the generator
 // bisects [-min-rate, -max-rate] for the highest arrival rate whose probe
 // run still meets the -slo-p99 / -max-error-rate objective.
 package main

@@ -9,17 +9,15 @@
 // It serves:
 //
 //	GET  /healthz                     — liveness + ledger saturation counters
-//	GET  /v1/tables                   — the calibration tables (legacy)
-//	POST /v1/quote                    — price one invocation (legacy)
 //	POST /v2/quote                    — price one invocation (named pricer,
 //	                                    optional tenant ledger accrual)
 //	POST /v2/quotes                   — batch quoting
-//	POST /v2/meter                    — usage batch into the tenant ledger
 //	GET  /v2/pricers                  — the named pricer registry
 //	GET|POST /v2/tables               — read / hot-swap the tables
 //	GET  /v2/tenants/{tenant}/summary — per-tenant billing ledger
-//	POST /v3/usage                    — streaming NDJSON usage ingest with
-//	                                    idempotent retries
+//	POST /v3/usage                    — streaming usage ingest (NDJSON or
+//	                                    binary frames) with idempotent
+//	                                    retries; one serial loop per stream
 //	GET  /v3/tenants                  — paginated, sorted tenant listing
 //	GET  /v3/tenants/{tenant}/statement — windowed per-tenant bill
 //	GET  /v3/tenants/{tenant}/forecast — admission forecast (with

@@ -100,7 +100,7 @@ func TestServerWiring(t *testing.T) {
 		t.Errorf("statement = %+v", stmt)
 	}
 
-	for _, path := range []string{"/v1/quote", "/v2/quote"} {
+	for _, path := range []string{"/v2/quote"} {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)

@@ -7,16 +7,16 @@
 //
 //   - the ledger subsystem itself (repro/internal/ledger and its
 //     subpackages — WAL replay and the differential/crash harnesses);
-//   - api.(*Server).priceAndAccrue, the one function that prices a request
-//     and bills the result (PR 3 made it the single accrual path);
+//   - api.(*Server).bill, the one accrual funnel of the API: /v2 quotes
+//     bill one entry through it, the /v3 stream collector a batch, and the
+//     standby gate lives inside it;
 //   - _test.go files, which exercise the ledger directly by design;
-//   - call sites annotated //litmus:allow-accrue <why> (the api stream
-//     collector's batched flush carries one: it is priceAndAccrue's
-//     batched delegate, same entries, same standby gate).
+//   - call sites annotated //litmus:allow-accrue <why> (none in the api
+//     package; the benchmark's stage replay carries some).
 //
 // Calls to (*ledger.Ledger).ApplyReplica — the replication side door that
 // applies a primary's already-decided outcomes — are gated the same way,
-// minus the priceAndAccrue sanction: only the ledger subsystem, test files,
+// minus the bill sanction: only the ledger subsystem, test files,
 // and annotated sites (the cluster follower's tail loop carries one) may
 // call it. A standby that both replicated and priced would double-bill.
 //
@@ -53,7 +53,7 @@ var Analyzer = &analysis.Analyzer{
 // which every escape hatch is closed.
 const (
 	ledgerPath     = "repro/internal/ledger"
-	sanctionedFunc = "priceAndAccrue"
+	sanctionedFunc = "bill"
 	admissionPath  = "repro/internal/admission"
 )
 
@@ -94,8 +94,8 @@ func run(pass *analysis.Pass) error {
 				if method != "Accrue" && method != "AccrueBatch" && method != "ApplyReplica" {
 					return true
 				}
-				// priceAndAccrue sanctions pricing, not replication: a path
-				// that both prices and replicates would double-bill.
+				// bill sanctions pricing, not replication: a path that both
+				// prices and replicates would double-bill.
 				if (method == "Accrue" || method == "AccrueBatch") && inSanctioned {
 					return true
 				}

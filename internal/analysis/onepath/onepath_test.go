@@ -14,8 +14,7 @@ func TestOnepath(t *testing.T) {
 // TestOnepathAdmissionHardDeny runs the analyzer over a golden package
 // whose import path ends in internal/admission: every accrual call must be
 // reported there, including the ones a normal package could sanction with
-// annotations, suppression comments, test files, or the priceAndAccrue
-// name.
+// annotations, suppression comments, test files, or the bill name.
 func TestOnepathAdmissionHardDeny(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), onepath.Analyzer, "internal/admission")
 }

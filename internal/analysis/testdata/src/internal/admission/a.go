@@ -1,6 +1,6 @@
 // Package admission is golden input for the onepath analyzer's hard-deny
 // rule: its import path ends in internal/admission, so NO escape hatch —
-// annotation, suppression comment, test file, or the priceAndAccrue name —
+// annotation, suppression comment, test file, or the bill name —
 // may let it accrue.
 package admission
 
@@ -23,9 +23,9 @@ func suppressedSite(l *ledger.Ledger, e ledger.Entry) {
 	l.Accrue(e) // want `ledger\.Accrue from the admission layer`
 }
 
-// priceAndAccrue matches the sanctioned function's NAME, but the sanction
+// bill matches the sanctioned function's NAME, but the sanction
 // does not extend into the admission layer.
-func priceAndAccrue(l *ledger.Ledger, e ledger.Entry, rec ledger.WALRecord) {
+func bill(l *ledger.Ledger, e ledger.Entry, rec ledger.WALRecord) {
 	l.Accrue(e)         // want `ledger\.Accrue from the admission layer`
 	l.ApplyReplica(rec) // want `ledger\.ApplyReplica from the admission layer`
 }

@@ -11,7 +11,7 @@ func sideDoorBatch(l *ledger.Ledger, e ledger.Entry, res []ledger.AccrualResult)
 	l.AccrueBatch([]ledger.Entry{e}, res) // want `ledger\.AccrueBatch outside the sanctioned pricing path`
 }
 
-func priceAndAccrue(l *ledger.Ledger, e ledger.Entry, rec ledger.WALRecord, res []ledger.AccrualResult) {
+func bill(l *ledger.Ledger, e ledger.Entry, rec ledger.WALRecord, res []ledger.AccrualResult) {
 	l.Accrue(e)                           // the sanctioned path is matched by name
 	l.AccrueBatch([]ledger.Entry{e}, res) // the batched form is sanctioned the same way
 	l.ApplyReplica(rec)                   // want `ledger\.ApplyReplica outside the replication path`

@@ -6,16 +6,10 @@
 // Versioned endpoints:
 //
 //	GET  /healthz                    — liveness + ledger saturation counters
-//	POST /v1/quote                   — legacy single quote (wire-compatible
-//	                                   with the original pricingd)
-//	GET  /v1/tables                  — legacy calibration dump
 //	POST /v2/quote                   — single quote; named pricer, optional
 //	                                   tenant ledger accrual
-//	POST /v2/quotes                  — batch quote, priced concurrently,
-//	                                   response order matches request order
-//	POST /v2/meter                   — buffered usage batch into the tenant
-//	                                   ledger (partial batches accrue; bad
-//	                                   records come back as per-item errors)
+//	POST /v2/quotes                  — batch quote, priced and accrued in
+//	                                   request order
 //	GET  /v2/pricers                 — the named pricer registry
 //	GET  /v2/tables                  — current calibration tables
 //	POST /v2/tables                  — hot-swap calibration tables
@@ -37,16 +31,19 @@
 //	GET  /v3/tenants/{tenant}/statement — windowed bill (?from=&to= trace
 //	                                    minutes), commercial-vs-charged per
 //	                                    window with one line per pricer
+//	GET  /v3/tenants/{tenant}/forecast — the admission controller's
+//	                                    next-window view of one tenant
 //	GET  /v3/tables                   — tables + ETag (If-None-Match → 304)
 //	PUT  /v3/tables                   — swap tables; If-Match makes
 //	                                    concurrent swaps lost-update-safe
 //	                                    (mismatch → 412)
 //
-// All three versions bill through the same ledger: a record metered via
-// /v2/meter and the same record streamed via /v3/usage produce identical
-// statements. v2/v3 errors are structured:
-// {"error":{"status":400,"message":"…"}}. The v1 endpoints keep the legacy
-// flat {"error":"…"} shape.
+// Both versions bill through one funnel (Server.bill): a record quoted via
+// /v2/quotes and the same record streamed via /v3/usage produce identical
+// statements. A usage stream is one serial loop per request — read, price,
+// admit, bill in stream order behind the RecordSource seam (source.go) the
+// cluster router shares; parallelism is across streams and ledger shards.
+// Errors are structured: {"error":{"status":400,"message":"…"}}.
 package api
 
 import (
@@ -172,35 +169,6 @@ type BatchItem struct {
 // BatchResponse is the wire format of the /v2/quotes reply.
 type BatchResponse struct {
 	Quotes []BatchItem `json:"quotes"`
-}
-
-// MeterRequest is the wire format of POST /v2/meter: a usage batch an
-// external platform streams into the tenant ledger. Every record must name
-// a tenant (metering is accrual; an un-attributed record cannot accrue).
-type MeterRequest struct {
-	Records []QuoteRequest `json:"records"`
-}
-
-// MeterItem is one metered record's outcome: either the accrued prices or
-// the error that rejected it. Item i answers record i.
-type MeterItem struct {
-	Tenant     string  `json:"tenant,omitempty"`
-	Pricer     string  `json:"pricer,omitempty"`
-	Commercial float64 `json:"commercial,omitempty"`
-	Price      float64 `json:"price,omitempty"`
-	Error      *Error  `json:"error,omitempty"`
-}
-
-// MeterResponse is the wire format of the /v2/meter reply. Partial batches
-// succeed: rejected records come back as per-item errors while the rest
-// accrue.
-type MeterResponse struct {
-	Accepted int         `json:"accepted"`
-	Rejected int         `json:"rejected"`
-	Items    []MeterItem `json:"items"`
-	// Tenants holds the post-accrual ledger summaries of every tenant the
-	// batch touched, sorted by name.
-	Tenants []TenantSummary `json:"tenants"`
 }
 
 // PricerInfo describes one registry entry (GET /v2/pricers).

@@ -3,7 +3,11 @@
 // code, kept out of _test files so several packages can import it.
 package apitest
 
-import "repro/internal/core"
+import (
+	"io"
+
+	"repro/internal/core"
+)
 
 // SoloTPrivate / SoloTShared / SoloL3 are the fixture's solo startup
 // baselines; tests fabricate probe readings as multiples of these.
@@ -70,4 +74,21 @@ func Calibration() *core.Calibration {
 			{Kind: "MB-Gen", Rows: mkRows(true)},
 		},
 	}
+}
+
+// FailAfter returns a reader that yields everything r holds and then err
+// instead of io.EOF: a connection that died at a record boundary.
+func FailAfter(r io.Reader, err error) io.Reader { return &failAfter{r: r, err: err} }
+
+type failAfter struct {
+	r   io.Reader
+	err error
+}
+
+func (f *failAfter) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	if err == io.EOF {
+		err = f.err
+	}
+	return n, err
 }

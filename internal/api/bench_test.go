@@ -109,8 +109,7 @@ func benchFrameBody(lines, tenants int) []byte {
 
 // BenchmarkUsageStreamBinary measures the binary-frame /v3/usage ingest loop
 // over the same records as BenchmarkUsageStream: the NDJSON-vs-binary delta
-// is the wire format's, nothing else. The ≥2M records/s fast-path target in
-// BENCH_ledger.json comes from this benchmark.
+// is the wire format's, nothing else.
 func BenchmarkUsageStreamBinary(b *testing.B) {
 	srv := benchServer(b)
 	const lines = 512

@@ -15,7 +15,7 @@ import (
 	"repro/internal/core"
 )
 
-// Client is a typed client for the pricing service's /v2 API.
+// Client is a typed client for the pricing service's /v2 and /v3 API.
 type Client struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -171,13 +171,8 @@ func (c *Client) doRaw(ctx context.Context, method, path string, headers map[str
 			}
 			return resp.Header, apiErr
 		}
-		// Legacy flat {"error":"…"} shape (v1) or non-JSON bodies.
-		var flat struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &flat) == nil && flat.Error != "" {
-			return resp.Header, &Error{Status: resp.StatusCode, Message: flat.Error}
-		}
+		// Not the service's envelope (a proxy's page, a torn body): surface
+		// the text as it came.
 		return resp.Header, &Error{Status: resp.StatusCode, Message: strings.TrimSpace(string(data))}
 	}
 	if out == nil {
@@ -213,22 +208,6 @@ func (c *Client) QuoteBatch(ctx context.Context, reqs []QuoteRequest) ([]BatchIt
 		return nil, fmt.Errorf("api: batch answered %d of %d quotes", len(resp.Quotes), len(reqs))
 	}
 	return resp.Quotes, nil
-}
-
-// Meter streams a usage batch into the tenant ledger (POST /v2/meter).
-// Every record must name a tenant. Item i of the response answers record i;
-// rejected records come back as MeterItem.Error while the rest of the batch
-// accrues (the response counts both sides), so a non-nil call error only
-// means the batch as a whole did not reach the ledger.
-func (c *Client) Meter(ctx context.Context, records []QuoteRequest) (MeterResponse, error) {
-	var resp MeterResponse
-	if err := c.do(ctx, http.MethodPost, "/v2/meter", MeterRequest{Records: records}, &resp); err != nil {
-		return MeterResponse{}, err
-	}
-	if len(resp.Items) != len(records) {
-		return MeterResponse{}, fmt.Errorf("api: meter answered %d of %d records", len(resp.Items), len(records))
-	}
-	return resp, nil
 }
 
 // Pricers lists the service's named pricer registry (GET /v2/pricers).

@@ -154,48 +154,6 @@ func TestClientPricersAndTables(t *testing.T) {
 	}
 }
 
-func TestClientMeterPartialBatch(t *testing.T) {
-	c, _ := newClientPair(t)
-	ctx := context.Background()
-
-	resp, err := c.Meter(ctx, []QuoteRequest{
-		{Usage: usageAt("pager-py", 512, 1.3, 1.9, 1.2e7), Tenant: "acme"},
-		{Usage: usageAt("bad-py", 0, 1.3, 1.9, 1.2e7), Tenant: "acme"}, // invalid memory
-		{Usage: usageAt("pager-py", 512, 1.3, 1.9, 1.2e7)},             // missing tenant
-		{Usage: usageAt("pager-py", 256, 1.1, 1.2, 2e5), Tenant: "zeta", Pricer: "commercial"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Accepted != 2 || resp.Rejected != 2 {
-		t.Fatalf("accepted %d rejected %d, want 2/2: %+v", resp.Accepted, resp.Rejected, resp)
-	}
-	if resp.Items[0].Error != nil || resp.Items[0].Price <= 0 {
-		t.Errorf("item 0 = %+v", resp.Items[0])
-	}
-	if resp.Items[1].Error == nil || resp.Items[1].Error.Status != http.StatusBadRequest {
-		t.Errorf("item 1 = %+v", resp.Items[1])
-	}
-	if resp.Items[2].Error == nil {
-		t.Errorf("item 2 (no tenant) = %+v", resp.Items[2])
-	}
-	if resp.Items[3].Error != nil || resp.Items[3].Pricer != "commercial" {
-		t.Errorf("item 3 = %+v", resp.Items[3])
-	}
-	if len(resp.Tenants) != 2 || resp.Tenants[0].Tenant != "acme" || resp.Tenants[1].Tenant != "zeta" {
-		t.Fatalf("touched tenants = %+v", resp.Tenants)
-	}
-
-	// The accrued records are queryable through the summary endpoint.
-	sum, err := c.TenantSummary(ctx, "acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Invocations != 1 {
-		t.Errorf("acme accrued %d invocations, want 1", sum.Invocations)
-	}
-}
-
 func TestClientStreamUsageAndStatement(t *testing.T) {
 	c, _ := newClientPair(t)
 	ctx := context.Background()
@@ -389,8 +347,8 @@ func TestClientServerClosedConnection(t *testing.T) {
 		conn.Close()
 	}))
 	t.Cleanup(truncated.Close)
-	_, err := NewClient(truncated.URL).Meter(context.Background(), []QuoteRequest{
-		{Usage: usageAt("a", 128, 1.3, 1.9, 1.2e7), Tenant: "t"},
+	_, err := NewClient(truncated.URL).StreamUsage(context.Background(), "", []UsageRecord{
+		{QuoteRequest: QuoteRequest{Usage: usageAt("a", 128, 1.3, 1.9, 1.2e7), Tenant: "t"}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "decoding response") {
 		t.Errorf("truncated body err = %v, want decode failure", err)
@@ -444,30 +402,5 @@ func TestClientStatementConnectionDrop(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "decoding response") {
 		t.Errorf("err = %v, want decode failure", err)
-	}
-}
-
-func TestClientMeterBatchErrors(t *testing.T) {
-	c, _ := newClientPair(t)
-	ctx := context.Background()
-
-	// An empty batch is a call-level error, not a partial batch.
-	_, err := c.Meter(ctx, nil)
-	var apiErr *Error
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("empty batch error = %v", err)
-	}
-
-	// A server that answers with the wrong item count is rejected.
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"accepted": 1, "items": []}`))
-	}))
-	t.Cleanup(bad.Close)
-	_, err = NewClient(bad.URL).Meter(ctx, []QuoteRequest{
-		{Usage: usageAt("pager-py", 512, 1.3, 1.9, 1.2e7), Tenant: "t"},
-	})
-	if err == nil {
-		t.Fatal("mismatched item count accepted")
 	}
 }

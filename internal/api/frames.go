@@ -253,8 +253,8 @@ func NewFrameReader(r io.Reader, maxPayload int64) *FrameReader {
 }
 
 // Reset prepares the reader for a new stream, keeping its buffered window
-// and spill buffer (FrameReaders are pooled per server — the 64KB window is
-// the ingest path's largest allocation).
+// and spill buffer (the frame source pools its reader — the 64KB window is
+// the ingest path's largest allocation). Reset(nil) detaches it.
 func (fr *FrameReader) Reset(r io.Reader) {
 	fr.br.Reset(r)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,10 +121,6 @@ type Server struct {
 	//litmus:unguarded frozen by New before the server is shared
 	admission *admission.Controller
 
-	// framePool recycles FrameReaders (binary /v3/usage): their bufio
-	// window is sized from cfg.MaxBodyBytes, so the pool is per-server.
-	framePool sync.Pool
-
 	// metrics is the per-route request accounting /healthz reports; the map
 	// is frozen by New, the values are atomics.
 	//
@@ -212,11 +207,8 @@ func New(cfg Config) (*Server, error) {
 		mux.HandleFunc(pattern, s.metrics.instrument(pattern, h))
 	}
 	handle("/healthz", s.handleHealth)
-	handle("/v1/tables", s.handleV1Tables)
-	handle("/v1/quote", s.handleV1Quote)
 	handle("/v2/quote", s.handleQuote)
 	handle("/v2/quotes", s.handleQuoteBatch)
-	handle("/v2/meter", s.handleMeter)
 	handle("/v2/pricers", s.handlePricers)
 	handle("/v2/tables", s.handleTables)
 	handle("/v2/tenants/{tenant}/summary", s.handleTenantSummary)
@@ -525,21 +517,10 @@ func (s *Server) snapshot() map[string]core.Pricer {
 
 // priceOne prices one request through the given registry snapshot — pure
 // pricing, no accrual. It returns a structured error instead of writing, so
-// the batch and stream handlers can embed failures inline.
+// the batch handler can embed failures inline.
 func (s *Server) priceOne(pricers map[string]core.Pricer, req QuoteRequest) (*QuoteResponse, *Error) {
-	resp := new(QuoteResponse)
-	if apiErr := s.priceOneInto(pricers, req, resp); apiErr != nil {
-		return nil, apiErr
-	}
-	return resp, nil
-}
-
-// priceOneInto prices into a caller-owned response so the stream collectors
-// can pool and reuse QuoteResponse values. Every field is overwritten on
-// success; on error the response contents are undefined.
-func (s *Server) priceOneInto(pricers map[string]core.Pricer, req QuoteRequest, out *QuoteResponse) *Error {
 	if err := req.Usage.Validate(); err != nil {
-		return &Error{Status: http.StatusBadRequest, Message: err.Error()}
+		return nil, &Error{Status: http.StatusBadRequest, Message: err.Error()}
 	}
 	name := req.Pricer
 	if name == "" {
@@ -547,13 +528,13 @@ func (s *Server) priceOneInto(pricers map[string]core.Pricer, req QuoteRequest, 
 	}
 	pricer, ok := pricers[name]
 	if !ok {
-		return &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("unknown pricer %q", name)}
+		return nil, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("unknown pricer %q", name)}
 	}
 	q, err := pricer.Quote(req.Usage)
 	if err != nil {
-		return &Error{Status: http.StatusBadRequest, Message: err.Error()}
+		return nil, &Error{Status: http.StatusBadRequest, Message: err.Error()}
 	}
-	*out = QuoteResponse{
+	return &QuoteResponse{
 		Abbr:       q.Abbr,
 		Tenant:     req.Tenant,
 		Pricer:     name,
@@ -570,15 +551,14 @@ func (s *Server) priceOneInto(pricers map[string]core.Pricer, req QuoteRequest, 
 			TotalSlow:  q.Estimate.TotalSlow,
 			Weight:     q.Estimate.Weight,
 		},
-	}
-	return nil
+	}, nil
 }
 
-// pricerMemo caches the last registry hit for one stream (or one pipeline
-// worker): nearly every record in a stream names the same pricer — usually
-// none at all, meaning DefaultPricer — so the per-record map probe collapses
-// to a string compare. Only valid against a single pricers snapshot; never
-// share one memo across snapshots.
+// pricerMemo caches the last registry hit for one stream: nearly every
+// record in a stream names the same pricer — usually none at all, meaning
+// DefaultPricer — so the per-record map probe collapses to a string
+// compare. Only valid against a single pricers snapshot; never share one
+// memo across snapshots.
 type pricerMemo struct {
 	name   string
 	pricer core.Pricer
@@ -586,8 +566,8 @@ type pricerMemo struct {
 
 // priceForStream prices one usage record without materialising a
 // QuoteResponse: the stream response reports counters and tenant summaries,
-// never per-line quotes, so the collectors only need what the ledger entry
-// carries. Validation and pricing are exactly priceOneInto's — same order,
+// never per-line quotes, so the collector only needs what the ledger entry
+// carries. Validation and pricing are exactly priceOne's — same order,
 // same error wording — minus the response assembly.
 func (s *Server) priceForStream(pricers map[string]core.Pricer, memo *pricerMemo, req *QuoteRequest) (string, float64, float64, *Error) {
 	if err := req.Usage.Validate(); err != nil {
@@ -614,54 +594,50 @@ func (s *Server) priceForStream(pricers map[string]core.Pricer, memo *pricerMemo
 }
 
 // priceAndAccrue prices one request and, when it names a tenant, bills it
-// through the ledger at the given trace minute under the given idempotency
-// key (empty disables dedup). Every API version bills through this path, so
-// v1, v2 and v3 cannot diverge. A ledger drop (tenant cap) comes back as a
-// 503 error; a duplicate comes back priced with outcome ledger.Duplicate
-// and nothing billed.
-func (s *Server) priceAndAccrue(pricers map[string]core.Pricer, req QuoteRequest, minute int, key string) (*QuoteResponse, ledger.Outcome, *Error) {
+// through the ledger (trace minute 0, no idempotency key). A ledger drop
+// (tenant cap) comes back as a 503 error with nothing billed.
+func (s *Server) priceAndAccrue(pricers map[string]core.Pricer, req QuoteRequest) (*QuoteResponse, *Error) {
 	resp, apiErr := s.priceOne(pricers, req)
-	if apiErr != nil {
-		return nil, ledger.Dropped, apiErr
+	if apiErr != nil || req.Tenant == "" {
+		return resp, apiErr
 	}
-	if req.Tenant == "" {
-		return resp, ledger.Accrued, nil
-	}
-	outcome, apiErr := s.accrue(resp, req.Tenant, minute, key)
-	if apiErr != nil {
-		return nil, ledger.Dropped, apiErr
-	}
-	return resp, outcome, nil
-}
-
-// accrue bills one priced quote to a tenant's ledger. It is the only place
-// that builds a ledger entry from a quote, so every ingest path — /v1 and
-// /v2 quotes, /v2 meter batches, the /v3 stream collector — bills
-// identically. A drop at the tenant cap comes back as a 503.
-//
-//litmus:allow-accrue priceAndAccrue's delegate: the one builder of ledger entries
-func (s *Server) accrue(resp *QuoteResponse, tenant string, minute int, key string) (ledger.Outcome, *Error) {
-	// The standby gate lives here — the single accrual funnel — so no ingest
-	// path can bill into a ledger that replication owns. Clients retry
-	// against the primary (or wait for promotion); nothing is billed.
-	if s.standby.Load() {
-		return ledger.Dropped, &Error{Status: http.StatusServiceUnavailable,
-			Message: "standby: writes go to the primary"}
-	}
-	outcome, err := s.ledger.Accrue(ledger.Entry{
-		Tenant:     tenant,
+	entry := [1]ledger.Entry{{
+		Tenant:     req.Tenant,
 		Pricer:     resp.Pricer,
-		Minute:     minute,
 		Commercial: resp.Commercial,
 		Price:      resp.Price,
-		Key:        key,
-	})
-	return s.mapAccrual(outcome, err)
+	}}
+	var result [1]ledger.AccrualResult
+	s.bill(entry[:], result[:], func(_ int, _ ledger.Outcome, e *Error) { apiErr = e })
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	return resp, nil
 }
 
-// mapAccrual translates a ledger accrual outcome into the API's terms. It is
-// shared by the per-record path above and the stream collectors' batched
-// path, so both report identical statuses and wording.
+// bill is the one accrual funnel: every ingest path — /v2 quotes with one
+// entry, the /v3 stream collector with a batch — bills through it, so no
+// API version can bill differently. results is scratch space as long as
+// entries; each(i, …) delivers entry i's outcome in API terms, in order.
+func (s *Server) bill(entries []ledger.Entry, results []ledger.AccrualResult, each func(i int, outcome ledger.Outcome, apiErr *Error)) {
+	// The standby gate lives here so no ingest path can bill into a ledger
+	// that replication owns. Clients retry against the primary (or wait for
+	// promotion); nothing is billed.
+	if s.standby.Load() {
+		stErr := &Error{Status: http.StatusServiceUnavailable, Message: "standby: writes go to the primary"}
+		for i := range entries {
+			each(i, ledger.Dropped, stErr)
+		}
+		return
+	}
+	s.ledger.AccrueBatch(entries, results)
+	for i := range entries {
+		outcome, apiErr := s.mapAccrual(results[i].Outcome, results[i].Err)
+		each(i, outcome, apiErr)
+	}
+}
+
+// mapAccrual translates a ledger accrual outcome into the API's terms.
 func (s *Server) mapAccrual(outcome ledger.Outcome, err error) (ledger.Outcome, *Error) {
 	if err != nil {
 		// A failing disk is the service's fault, not the request's.
@@ -686,7 +662,7 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	resp, _, apiErr := s.priceAndAccrue(s.snapshot(), req, 0, "")
+	resp, apiErr := s.priceAndAccrue(s.snapshot(), req)
 	if apiErr != nil {
 		writeJSON(w, apiErr.Status, errorEnvelope{Err: *apiErr})
 		return
@@ -712,111 +688,15 @@ func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	items := make([]BatchItem, len(req.Quotes))
-	s.priceBatch(req.Quotes, func(i int, resp *QuoteResponse, apiErr *Error) {
-		items[i] = BatchItem{Quote: resp, Error: apiErr}
-	})
-	writeJSON(w, http.StatusOK, BatchResponse{Quotes: items})
-}
-
-// priceBatch prices a request slice concurrently against one registry
-// snapshot, so every item sees the same table generation, accrues
-// tenant-carrying items through the ledger, and delivers result i through
-// each(i, …). Distinct indices may be delivered concurrently; each must not
-// touch shared state beyond its own slot.
-func (s *Server) priceBatch(reqs []QuoteRequest, each func(i int, resp *QuoteResponse, apiErr *Error)) {
+	// One registry snapshot for the whole batch: every item prices against
+	// the same table generation, and accrues in request order.
 	pricers := s.snapshot()
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, q := range reqs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q QuoteRequest) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			resp, _, apiErr := s.priceAndAccrue(pricers, q, 0, "")
-			each(i, resp, apiErr)
-		}(i, q)
+	items := make([]BatchItem, len(req.Quotes))
+	for i, q := range req.Quotes {
+		resp, apiErr := s.priceAndAccrue(pricers, q)
+		items[i] = BatchItem{Quote: resp, Error: apiErr}
 	}
-	wg.Wait()
-}
-
-// --- /v2/meter --------------------------------------------------------------
-
-// handleMeter accrues a usage batch into the tenant ledger: the streaming
-// ingest path for external platforms (and cmd/fleetsim's remote mode).
-// Records are priced through the same priceOne path as quotes — metering
-// never changes a price — and rejected records come back as per-item errors
-// while the rest of the batch accrues.
-func (s *Server) handleMeter(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		v2Error(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req MeterRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Records) == 0 {
-		v2Error(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Records) > s.cfg.MaxBatch {
-		v2Error(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Records), s.cfg.MaxBatch)
-		return
-	}
-
-	// Reject tenantless records up front (they must not be priced, let
-	// alone accrued), then price the rest through the shared batch path.
-	items := make([]MeterItem, len(req.Records))
-	idxs := make([]int, 0, len(req.Records))
-	billable := make([]QuoteRequest, 0, len(req.Records))
-	for i, rec := range req.Records {
-		if rec.Tenant == "" {
-			items[i] = MeterItem{Error: &Error{
-				Status:  http.StatusBadRequest,
-				Message: "metering requires a tenant",
-			}}
-			continue
-		}
-		idxs = append(idxs, i)
-		billable = append(billable, rec)
-	}
-	s.priceBatch(billable, func(j int, resp *QuoteResponse, apiErr *Error) {
-		i := idxs[j]
-		if apiErr != nil {
-			items[i] = MeterItem{Tenant: billable[j].Tenant, Error: apiErr}
-			return
-		}
-		items[i] = MeterItem{
-			Tenant:     resp.Tenant,
-			Pricer:     resp.Pricer,
-			Commercial: resp.Commercial,
-			Price:      resp.Price,
-		}
-	})
-
-	resp := MeterResponse{Items: items}
-	touched := map[string]bool{}
-	for _, item := range items {
-		if item.Error != nil {
-			resp.Rejected++
-			continue
-		}
-		resp.Accepted++
-		touched[item.Tenant] = true
-	}
-	names := make([]string, 0, len(touched))
-	for name := range touched {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if sum, ok := s.summaryOf(name); ok {
-			resp.Tenants = append(resp.Tenants, sum)
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, BatchResponse{Quotes: items})
 }
 
 // --- /v2/pricers ------------------------------------------------------------

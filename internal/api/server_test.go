@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -125,133 +124,6 @@ func TestHealthzReportsLedgerSaturation(t *testing.T) {
 	}
 }
 
-// --- /v1 compatibility ------------------------------------------------------
-
-// seedV1Response reimplements the original cmd/pricingd quote handler (the
-// seed of this repo) verbatim and renders its response exactly as the seed's
-// writeJSON did. The shim must match it byte for byte on valid requests.
-func seedV1Response(t *testing.T, models *core.Models, body string) []byte {
-	t.Helper()
-	var req v1QuoteRequest
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
-		t.Fatal(err)
-	}
-	base, ok := models.Solo[req.Language]
-	if !ok {
-		t.Fatalf("seed reference: unknown language %q", req.Language)
-	}
-	reading := core.Reading{
-		Lang:       req.Language,
-		PrivSlow:   req.Probe.TPrivate / base.TPrivate,
-		SharedSlow: req.Probe.TShared / base.TShared,
-		TotalSlow:  (req.Probe.TPrivate + req.Probe.TShared) / base.Total(),
-		L3Misses:   req.Probe.MachineL3Misses,
-	}
-	est, err := models.Estimate(reading)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rPriv := 1 / est.PrivSlow
-	rShared := 1 / est.SharedSlow
-	mem := float64(req.MemoryMB)
-	commercial := mem * (req.TPrivate + req.TShared)
-	price := rPriv*mem*req.TPrivate + rShared*mem*req.TShared
-
-	var resp v1QuoteResponse
-	resp.Abbr = req.Abbr
-	resp.Commercial = commercial
-	resp.Price = price
-	resp.Discount = 1 - price/commercial
-	resp.RPrivate = rPriv
-	resp.RShared = rShared
-	resp.Estimate.PrivSlow = est.PrivSlow
-	resp.Estimate.SharedSlow = est.SharedSlow
-	resp.Estimate.Weight = est.Weight
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestV1QuoteByteCompatible(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	bodies := []string{
-		congestedBody(""),
-		// Uncongested go function.
-		fmt.Sprintf(`{"language":"go","memoryMB":128,"tPrivate":0.01,"tShared":0.001,
-			"probe":{"tPrivate":%g,"tShared":%g,"machineL3Misses":1e5}}`,
-			apitest.SoloTPrivate, apitest.SoloTShared),
-		// CT-heavy nj function, no abbr.
-		fmt.Sprintf(`{"language":"nj","memoryMB":1024,"tPrivate":0.3,"tShared":0.07,
-			"probe":{"tPrivate":%g,"tShared":%g,"machineL3Misses":3.1e5}}`,
-			apitest.SoloTPrivate*1.02, apitest.SoloTShared*1.5),
-	}
-	for i, body := range bodies {
-		resp, got := postJSON(t, ts.URL+"/v1/quote", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("case %d: status = %d: %s", i, resp.StatusCode, got)
-		}
-		srv.mu.RLock()
-		models := srv.models
-		srv.mu.RUnlock()
-		want := seedV1Response(t, models, body)
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: v1 response diverged from seed\n got: %s\nwant: %s", i, got, want)
-		}
-	}
-}
-
-func TestV1QuoteValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name, body string
-		wantStatus int
-	}{
-		{"malformed", `{not json`, http.StatusBadRequest},
-		{"zero memory", `{"language":"py","memoryMB":0,"tPrivate":1,"tShared":0}`, http.StatusBadRequest},
-		{"bad language", `{"language":"rs","memoryMB":1,"tPrivate":1,"tShared":0}`, http.StatusBadRequest},
-		{"negative shared", `{"language":"py","memoryMB":1,"tPrivate":1,"tShared":-1}`, http.StatusBadRequest},
-		{"negative probe", `{"language":"py","memoryMB":1,"tPrivate":1,"tShared":0,
-			"probe":{"tPrivate":-0.01,"tShared":0,"machineL3Misses":1}}`, http.StatusBadRequest},
-	}
-	for _, c := range cases {
-		resp, data := postJSON(t, ts.URL+"/v1/quote", c.body)
-		if resp.StatusCode != c.wantStatus {
-			t.Errorf("%s: status = %d, want %d", c.name, resp.StatusCode, c.wantStatus)
-		}
-		var flat struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(data, &flat); err != nil || flat.Error == "" {
-			t.Errorf("%s: v1 error must use the flat shape, got %s", c.name, data)
-		}
-	}
-	resp, err := http.Get(ts.URL + "/v1/quote")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/quote status = %d", resp.StatusCode)
-	}
-}
-
-func TestV1Tables(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	var decoded map[string]any
-	if resp := getJSON(t, ts.URL+"/v1/tables", &decoded); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if decoded["generators"] == nil {
-		t.Error("tables response missing generators")
-	}
-	resp, _ := postJSON(t, ts.URL+"/v1/tables", "")
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/tables status = %d", resp.StatusCode)
-	}
-}
-
 // --- /v2/quote --------------------------------------------------------------
 
 func TestV2Quote(t *testing.T) {
@@ -356,7 +228,7 @@ func TestV2QuoteErrors(t *testing.T) {
 func TestV2QuoteBodyLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
 	big := congestedBody(`, "abbr": "` + strings.Repeat("x", 1024) + `"`)
-	for _, path := range []string{"/v1/quote", "/v2/quote", "/v2/quotes"} {
+	for _, path := range []string{"/v2/quote", "/v2/quotes"} {
 		resp, _ := postJSON(t, ts.URL+path, big)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with oversized body: status = %d, want %d",
@@ -730,86 +602,5 @@ func TestConcurrentQuotesAndSwaps(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
-	}
-}
-
-func TestV2MeterAccruesPartialBatches(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	body := fmt.Sprintf(`{"records": [
-		%s,
-		{"abbr": "bad", "language": "py", "memoryMB": 0, "tPrivate": 0.01, "tShared": 0, "tenant": "acme"},
-		%s,
-		%s
-	]}`,
-		congestedBody(`, "tenant": "acme"`),
-		congestedBody(`, "tenant": "acme", "pricer": "commercial"`),
-		congestedBody(``)) // no tenant: metering must reject it
-	resp, data := postJSON(t, ts.URL+"/v2/meter", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, data)
-	}
-	var mr MeterResponse
-	if err := json.Unmarshal(data, &mr); err != nil {
-		t.Fatal(err)
-	}
-	if mr.Accepted != 2 || mr.Rejected != 2 {
-		t.Fatalf("accepted %d rejected %d, want 2/2: %s", mr.Accepted, mr.Rejected, data)
-	}
-	if len(mr.Items) != 4 {
-		t.Fatalf("%d items, want 4", len(mr.Items))
-	}
-	if mr.Items[0].Error != nil || mr.Items[0].Pricer != "litmus" || mr.Items[0].Price <= 0 {
-		t.Errorf("item 0 = %+v", mr.Items[0])
-	}
-	if mr.Items[1].Error == nil || mr.Items[1].Error.Status != http.StatusBadRequest {
-		t.Errorf("item 1 = %+v", mr.Items[1])
-	}
-	if mr.Items[2].Error != nil || mr.Items[2].Pricer != "commercial" {
-		t.Errorf("item 2 = %+v", mr.Items[2])
-	}
-	if mr.Items[3].Error == nil || !strings.Contains(mr.Items[3].Error.Message, "tenant") {
-		t.Errorf("item 3 = %+v", mr.Items[3])
-	}
-
-	// The two accepted records accrued into one ledger; the summary rides
-	// along in the response and matches the summary endpoint.
-	if len(mr.Tenants) != 1 || mr.Tenants[0].Tenant != "acme" || mr.Tenants[0].Invocations != 2 {
-		t.Fatalf("touched tenants = %+v", mr.Tenants)
-	}
-	var sum TenantSummary
-	getJSON(t, ts.URL+"/v2/tenants/acme/summary", &sum)
-	if sum != mr.Tenants[0] {
-		t.Errorf("summary endpoint %+v != meter response %+v", sum, mr.Tenants[0])
-	}
-	if sum.Billed <= 0 || sum.Commercial < sum.Billed {
-		t.Errorf("ledger did not accrue sensibly: %+v", sum)
-	}
-}
-
-func TestV2MeterLimits(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 2})
-
-	resp, data := postJSON(t, ts.URL+"/v2/meter", `{"records": []}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty batch: status = %d: %s", resp.StatusCode, data)
-	}
-	rec := congestedBody(`, "tenant": "t"`)
-	resp, data = postJSON(t, ts.URL+"/v2/meter",
-		fmt.Sprintf(`{"records": [%s, %s, %s]}`, rec, rec, rec))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized batch: status = %d: %s", resp.StatusCode, data)
-	}
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v2/meter", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	getResp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	getResp.Body.Close()
-	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET: status = %d", getResp.StatusCode)
 	}
 }

@@ -3,19 +3,12 @@ package api
 // The /v3 surface is resource-oriented: usage is an append-only stream,
 // tenants are a paginated collection, statements are windowed reads of the
 // ledger, and the calibration tables are a versioned resource guarded by
-// ETag/If-Match. All accrual goes through the same
-// Server.priceAndAccrue → ledger path as /v1 and /v2, so the API versions
-// cannot bill differently.
+// ETag/If-Match. All accrual goes through Server.bill, the funnel /v2
+// quotes use too, so the API versions cannot bill differently.
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,167 +20,104 @@ import (
 
 // --- POST /v3/usage ----------------------------------------------------------
 
-// maxIngestWorkers bounds the per-stream pricing worker pool; past this,
-// decode/price parallelism stops paying for the goroutine bookkeeping.
-const maxIngestWorkers = 16
-
 // accrueBatchSize is the collector's flush threshold: priced results are
 // billed through ledger.AccrueBatch in runs of this size, so a durable
 // ledger group-commits one fsync per run instead of one per record.
 const accrueBatchSize = 256
 
-// linePool recycles per-line copies of the scanner's buffer across streams,
-// so steady-state ingest allocates no line buffers at all.
-var linePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// frameDecPool recycles FrameDecoders across binary streams. The intern
-// table is the point: tenant and language strings survive from one request
-// to the next, so steady-state ingest re-decodes them without allocating.
-// Growth is bounded by maxInternEntries × maxInternBytes per decoder.
-var frameDecPool = sync.Pool{New: func() any { return &FrameDecoder{} }}
-
-// maxPooledLine caps the buffers putLine returns to the pool: one stream of
-// near-MaxBodyBytes lines must not leave megabyte buffers pinned in the
-// pool for every later stream to inherit.
-const maxPooledLine = 1 << 16
-
-// putLine releases a pooled line buffer. Every path that takes a buffer out
-// of linePool must reach exactly one putLine, error or not — a leak here
-// turns sustained malformed input into per-line allocations.
-func putLine(buf *[]byte) {
-	if cap(*buf) <= maxPooledLine {
-		linePool.Put(buf)
-	}
-}
-
-// ingestJob is one non-blank NDJSON line handed to the pricing workers.
-type ingestJob struct {
-	// seq is the 0-based order of the line among non-blank lines; the
-	// collector reorders results by it, so the response is identical to a
-	// sequential pass. line is the 1-based physical line number (blank
-	// lines included) reported in per-line errors.
-	seq  int
-	line int
-	buf  *[]byte
-}
-
-// ingestResult is one priced (or rejected) line on its way to the
-// collector. When err is nil, (pricer, commercial, price) carry the quote
-// the collector will accrue under (tenant, minute, key) — the stream
-// response never echoes per-line quotes, so nothing larger is built.
-type ingestResult struct {
-	seq        int
-	line       int
-	tenant     string
-	pricer     string
-	minute     int
-	key        string
-	commercial float64
-	price      float64
-	err        *Error
-}
-
-// handleUsageStream ingests usage as streaming NDJSON: one UsageRecord per
-// line, decoded in constant memory, so streams can run far beyond the /v2
-// batch cap. Bad lines are rejected individually while the rest of the
-// stream accrues, and lines carrying (or inheriting) an idempotency key can
-// be retried without double-billing.
+// handleUsageStream ingests a usage stream in either wire format — NDJSON or
+// binary frames, chosen by Content-Type — in constant memory, so streams can
+// run far beyond the /v2 batch cap. Bad records are rejected individually
+// while the rest of the stream accrues, and records carrying (or
+// inheriting) an idempotency key can be retried without double-billing.
 //
-// The hot path is a three-stage pipeline: the handler goroutine scans lines
-// and copies each into a pooled buffer, a worker pool decodes and prices
-// them concurrently, and a collector reorders results back into line order
-// and accrues them one by one. Pricing is pure (no shared state), so it
-// parallelizes freely; accrual stays sequential in line order, which keeps
-// the stream's semantics exactly those of a sequential pass — in
-// particular, when two lines in one stream carry the same idempotency key,
-// the first line always bills and the later one is always the Duplicate,
-// whatever the worker interleaving. Concurrent streams still accrue in
-// parallel against the sharded ledger. Memory stays constant: the reorder
-// buffer is bounded by the channel capacities, not the stream.
+// One loop on the handler goroutine reads, prices, admits and bills the
+// records in stream order: when two records of one stream carry the same
+// idempotency key the first always bills and the later one is always the
+// Duplicate, by construction. Nothing is started per stream; cores are
+// filled across concurrent streams, which accrue in parallel against the
+// sharded ledger.
 func (s *Server) handleUsageStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		v2Error(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
+	wire := WireNDJSON
 	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeFrames) {
-		s.handleUsageFrames(w, r)
-		return
+		wire = WireFrames
 	}
-	// One registry snapshot for the whole stream: every line prices against
-	// the same table generation even if tables are swapped mid-stream.
+	// One registry snapshot for the whole stream: every record prices
+	// against the same table generation even if tables are swapped
+	// mid-stream.
 	pricers := s.snapshot()
 	streamKey := r.Header.Get("Idempotency-Key")
-
-	workers := min(runtime.GOMAXPROCS(0), maxIngestWorkers)
-	jobs := make(chan ingestJob, workers*4)
-	results := make(chan ingestResult, workers*4)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var memo pricerMemo
-			for j := range jobs {
-				results <- s.priceLine(pricers, &memo, streamKey, j)
-			}
-		}()
-	}
-
+	src := NewRecordSource(wire, r.Body, s.cfg.MaxBodyBytes, s.cfg.MaxStreamLines)
+	defer src.Release()
 	col := s.newUsageCollector()
-	collectorDone := col.collectLoop(results)
-
-	sc := bufio.NewScanner(r.Body)
-	// The scanner's limit is max(cap(buf), limit): keep the initial buffer
-	// at or below the configured line cap so small caps actually bind.
-	initial := 64 << 10
-	if int(s.cfg.MaxBodyBytes) < initial {
-		initial = int(s.cfg.MaxBodyBytes)
-	}
-	sc.Buffer(make([]byte, 0, initial), int(s.cfg.MaxBodyBytes))
-	lineNo, seq := 0, 0
-	streamErr := ""
-	oversized := 0
-	for sc.Scan() {
-		lineNo++
-		// The cap counts physical lines, blank or not, so a stream of bare
-		// newlines cannot hold the handler in an unbounded read loop.
-		if lineNo > s.cfg.MaxStreamLines {
-			streamErr = fmt.Sprintf("stream exceeds %d lines", s.cfg.MaxStreamLines)
+	var memo pricerMemo
+	for {
+		pos, rec, rej, ok := src.Next()
+		if !ok {
 			break
 		}
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
+		var entry ledger.Entry
+		if rej == nil {
+			entry, rej = s.priceRecord(pricers, &memo, streamKey, pos, rec)
+		}
+		if rej != nil {
+			col.reject(pos, rej)
 			continue
 		}
-		// The scanner reuses its buffer across lines; copy into a pooled
-		// one the worker releases after decoding.
-		buf := linePool.Get().(*[]byte)
-		*buf = append((*buf)[:0], raw...)
-		jobs <- ingestJob{seq: seq, line: lineNo, buf: buf}
-		seq++
+		col.add(pos, entry)
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// The oversized line itself is accounted below, after the
-			// collector drains: it is the last line the stream yields, so
-			// appending keeps the per-line errors in order.
-			oversized = lineNo + 1
-			streamErr = fmt.Sprintf("line %d exceeds %d bytes", lineNo+1, s.cfg.MaxBodyBytes)
-		} else {
-			streamErr = fmt.Sprintf("reading stream: %v", err)
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	close(results)
-	<-collectorDone
+	col.flush()
+	streamErr, oversized := src.Verdict()
 	if oversized > 0 {
-		col.oversized(oversized, streamErr)
+		// Counted and reported like any rejected record, after everything
+		// before it was billed.
+		col.reject(oversized, &Error{Status: http.StatusBadRequest, Message: streamErr})
 	}
 	s.finishUsage(w, col, streamErr)
+}
+
+// DerivedKey is the idempotency key a keyless record inherits from its
+// stream's Idempotency-Key: the stream key plus the record's 1-based
+// PHYSICAL position (blank NDJSON lines counted; frame n is line n), so
+// replaying the whole stream under the same key is a no-op. Every place
+// that derives one — the node, the router, the ring-aware client — calls
+// this; two spellings that drifted apart would double-bill.
+func DerivedKey(streamKey string, line int) string {
+	var digits [20]byte
+	return streamKey + "#" + string(strconv.AppendInt(digits[:0], int64(line), 10))
+}
+
+// priceRecord validates and prices one decoded record into the ledger entry
+// the collector will bill — no accrual here. The stream response never
+// echoes per-record quotes, so nothing larger is built. rec is the source's
+// reused record; the entry copies out what it keeps.
+func (s *Server) priceRecord(pricers map[string]core.Pricer, memo *pricerMemo, streamKey string, pos int, rec *UsageRecord) (ledger.Entry, *Error) {
+	if rec.Minute < 0 {
+		return ledger.Entry{}, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("negative minute %d", rec.Minute)}
+	}
+	if int64(rec.Minute) > ledger.MaxMinute {
+		return ledger.Entry{}, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("minute %d exceeds %d", rec.Minute, ledger.MaxMinute)}
+	}
+	pricer, commercial, price, apiErr := s.priceForStream(pricers, memo, &rec.QuoteRequest)
+	if apiErr != nil {
+		return ledger.Entry{}, apiErr
+	}
+	key := rec.Key
+	if key == "" && streamKey != "" {
+		key = DerivedKey(streamKey, pos)
+	}
+	return ledger.Entry{
+		Tenant:     rec.Tenant,
+		Pricer:     pricer,
+		Minute:     rec.Minute,
+		Commercial: commercial,
+		Price:      price,
+		Key:        key,
+	}, nil
 }
 
 // finishUsage renders a usage stream's terminal response: the stream error
@@ -222,11 +152,10 @@ func (s *Server) finishUsage(w http.ResponseWriter, col *usageCollector, streamE
 }
 
 // usageCollector owns a usage stream's response accounting and its billing:
-// results are applied strictly in stream order, priced lines are buffered
-// and billed through the batched accrual funnel (one WAL group commit per
-// accrueBatchSize records), and counters, the capped error list and dedup
-// outcomes behave exactly as a sequential per-record pass would — the
-// differential tests hold both wire formats to that.
+// priced records are buffered and billed through the batched accrual funnel
+// (one WAL group commit per accrueBatchSize records), and counters, the
+// capped error list and dedup outcomes behave exactly as a per-record pass
+// would — the differential tests hold both wire formats to that.
 type usageCollector struct {
 	s       *Server
 	resp    UsageStreamResponse
@@ -256,7 +185,7 @@ func (s *Server) newUsageCollector() *usageCollector {
 func (c *usageCollector) release() {
 	if len(c.touched) > 4096 {
 		// Don't let one many-tenant stream pin a giant set for every
-		// later stream to inherit (same hygiene as maxPooledLine).
+		// later stream to inherit.
 		return
 	}
 	c.s = nil
@@ -267,74 +196,42 @@ func (c *usageCollector) release() {
 	collectorPool.Put(c)
 }
 
-// collectLoop drains results into the collector from a goroutine, reordering
-// by seq so out-of-order worker completions never reorder billing. The
-// returned channel closes after the final flush.
-func (c *usageCollector) collectLoop(results <-chan ingestResult) chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		next := 0
-		pending := map[int]ingestResult{}
-		for res := range results {
-			pending[res.seq] = res
-			for {
-				ordered, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
-				c.add(&ordered)
-			}
-		}
-		c.flush()
-	}()
-	return done
-}
-
-// add accounts one in-order result: rejections fold into the response
-// immediately, priced lines pass the admission gate and become ledger
-// entries waiting for the next batched accrual. The gate runs here — after
-// validation, before accrual, in strict stream order — so both wire formats
-// share one admission point and a throttled record can never reach the
-// ledger. A key the ledger already recorded bypasses the gate: it is a
-// retry, not new load — it cannot bill again, and if duplicates consumed
-// tokens a whole-batch resend could livelock, the already-billed head
-// eating every refilled token before the formerly throttled tail reached
-// the bucket. Unkeyed records always pay.
-func (c *usageCollector) add(res *ingestResult) {
-	c.resp.Lines++
-	if res.err != nil {
-		c.fold(res.line, "", ledger.Dropped, res.err)
-		return
-	}
-	if adm := c.s.admission; adm != nil && !c.s.ledger.Seen(res.tenant, res.key) {
-		if ok, retryAfter := adm.Allow(res.tenant); !ok {
+// add passes one priced record through the admission gate and queues it for
+// the next batched accrual. The gate runs here — after validation, before
+// accrual, in stream order — so both wire formats share one admission point
+// and a throttled record can never reach the ledger. A key the ledger
+// already recorded bypasses the gate: it is a retry, not new load — it
+// cannot bill again, and if duplicates consumed tokens a whole-batch resend
+// could livelock, the already-billed head eating every refilled token
+// before the formerly throttled tail reached the bucket. Unkeyed records
+// always pay.
+func (c *usageCollector) add(line int, entry ledger.Entry) {
+	if adm := c.s.admission; adm != nil && !c.s.ledger.Seen(entry.Tenant, entry.Key) {
+		if ok, retryAfter := adm.Allow(entry.Tenant); !ok {
 			sec := retryAfter.Seconds()
 			if sec > c.resp.RetryAfterSec {
 				c.resp.RetryAfterSec = sec
 			}
-			c.fold(res.line, "", ledger.Dropped, &Error{
+			c.reject(line, &Error{
 				Status:        http.StatusTooManyRequests,
-				Message:       fmt.Sprintf("tenant %q over admission rate", res.tenant),
+				Message:       fmt.Sprintf("tenant %q over admission rate", entry.Tenant),
 				RetryAfterSec: sec,
 			})
 			return
 		}
 	}
-	c.entries = append(c.entries, ledger.Entry{
-		Tenant:     res.tenant,
-		Pricer:     res.pricer,
-		Minute:     res.minute,
-		Commercial: res.commercial,
-		Price:      res.price,
-		Key:        res.key,
-	})
-	c.lines = append(c.lines, res.line)
+	c.resp.Lines++
+	c.entries = append(c.entries, entry)
+	c.lines = append(c.lines, line)
 	if len(c.entries) >= accrueBatchSize {
 		c.flush()
 	}
+}
+
+// reject accounts one record that will not be billed.
+func (c *usageCollector) reject(line int, apiErr *Error) {
+	c.resp.Lines++
+	c.fold(line, "", ledger.Dropped, apiErr)
 }
 
 // fold applies one decided line to the response counters.
@@ -365,277 +262,20 @@ func (c *usageCollector) fold(line int, tenant string, outcome ledger.Outcome, a
 	}
 }
 
-// oversized accounts the line (or frame) that overran the configured byte
-// limit: it is counted and reported like any rejected line — with the same
-// message as the StreamError — while the stream still aborts (the bytes
-// past it cannot be re-framed). Partial accounting for everything before it
-// is already merged by then.
-func (c *usageCollector) oversized(line int, msg string) {
-	c.resp.Lines++
-	c.resp.Rejected++
-	if len(c.resp.Errors) < DefaultMaxStreamErrors {
-		c.resp.Errors = append(c.resp.Errors, LineError{Line: line, Error: Error{Status: http.StatusBadRequest, Message: msg}})
-	}
-}
-
-// flush bills the buffered priced lines in order through ledger.AccrueBatch
-// and folds each outcome into the response. The standby gate is checked
-// here — the batched counterpart of Server.accrue's gate — so no collector
-// path can bill into a ledger replication owns.
-//
-//litmus:allow-accrue the stream collectors' batched delegate of accrue: same entries, same standby gate, one WAL group commit per flush
+// flush bills the buffered records in order through Server.bill and folds
+// each outcome into the response.
 func (c *usageCollector) flush() {
 	if len(c.entries) == 0 {
-		return
-	}
-	if c.s.standby.Load() {
-		stErr := &Error{Status: http.StatusServiceUnavailable, Message: "standby: writes go to the primary"}
-		for _, line := range c.lines {
-			c.fold(line, "", ledger.Dropped, stErr)
-		}
-		c.entries = c.entries[:0]
-		c.lines = c.lines[:0]
 		return
 	}
 	if cap(c.results) < len(c.entries) {
 		c.results = make([]ledger.AccrualResult, len(c.entries))
 	}
-	results := c.results[:len(c.entries)]
-	c.s.ledger.AccrueBatch(c.entries, results)
-	for i := range c.entries {
-		outcome, apiErr := c.s.mapAccrual(results[i].Outcome, results[i].Err)
+	c.s.bill(c.entries, c.results[:len(c.entries)], func(i int, outcome ledger.Outcome, apiErr *Error) {
 		c.fold(c.lines[i], c.entries[i].Tenant, outcome, apiErr)
-	}
+	})
 	c.entries = c.entries[:0]
 	c.lines = c.lines[:0]
-}
-
-// --- POST /v3/usage, binary frames -------------------------------------------
-
-// frameJob is one binary frame handed to the pricing workers (multi-core
-// path only; on one core the handler decodes inline).
-type frameJob struct {
-	seq  int
-	line int
-	crc  uint32
-	buf  *[]byte
-}
-
-// handleUsageFrames ingests the binary frame stream (see frames.go for the
-// wire format). Semantics are those of handleUsageStream — same validation
-// order, same error wording past the decode step, same derived idempotency
-// keys (frame n is line n), same batched accrual — with the JSON decode
-// replaced by the pooled frame decoder. On a single-CPU host the pipeline
-// would only add channel hops, so the stream is priced inline; with more
-// cores it runs the same scan/price/collect pipeline as NDJSON.
-func (s *Server) handleUsageFrames(w http.ResponseWriter, r *http.Request) {
-	pricers := s.snapshot()
-	streamKey := r.Header.Get("Idempotency-Key")
-	col := s.newUsageCollector()
-	fr, _ := s.framePool.Get().(*FrameReader)
-	if fr == nil {
-		fr = NewFrameReader(r.Body, s.cfg.MaxBodyBytes)
-	} else {
-		fr.Reset(r.Body)
-	}
-	defer s.framePool.Put(fr)
-
-	workers := min(runtime.GOMAXPROCS(0), maxIngestWorkers)
-	var streamErr string
-	var oversized int
-	if workers <= 1 {
-		streamErr, oversized = s.usageFramesSerial(pricers, streamKey, col, fr)
-	} else {
-		streamErr, oversized = s.usageFramesPipelined(pricers, streamKey, col, fr, workers)
-	}
-	if oversized > 0 {
-		col.oversized(oversized, streamErr)
-	}
-	s.finishUsage(w, col, streamErr)
-}
-
-// scanFrameErr converts a FrameReader error into the stream-level verdict:
-// (stream error message, oversized frame number or 0).
-func (s *Server) scanFrameErr(err error, frameNo int) (string, int) {
-	if errors.Is(err, ErrFrameTooLarge) {
-		return fmt.Sprintf("frame %d exceeds %d bytes", frameNo+1, s.cfg.MaxBodyBytes), frameNo + 1
-	}
-	return fmt.Sprintf("reading stream: %v", err), 0
-}
-
-// usageFramesSerial is the zero-goroutine fast path: read, decode, price
-// and collect every frame on the handler goroutine with fully reused
-// buffers. This is the ≥2M records/s path on one core.
-func (s *Server) usageFramesSerial(pricers map[string]core.Pricer, streamKey string, col *usageCollector, fr *FrameReader) (string, int) {
-	dec := frameDecPool.Get().(*FrameDecoder)
-	defer frameDecPool.Put(dec)
-	frameNo := 0
-	streamErr := ""
-	oversized := 0
-	var memo pricerMemo
-	var res ingestResult // reused: the serial path never escapes it
-	for {
-		payload, crc, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			streamErr, oversized = s.scanFrameErr(err, frameNo)
-			break
-		}
-		frameNo++
-		if frameNo > s.cfg.MaxStreamLines {
-			streamErr = fmt.Sprintf("stream exceeds %d frames", s.cfg.MaxStreamLines)
-			break
-		}
-		s.priceFrame(pricers, &memo, streamKey, dec, frameNo, payload, crc, &res)
-		col.add(&res)
-	}
-	col.flush()
-	return streamErr, oversized
-}
-
-// usageFramesPipelined mirrors the NDJSON three-stage pipeline for frames:
-// the handler reads and copies frames into pooled buffers, workers decode
-// and price (one reused decoder each), the collector reorders and bills.
-func (s *Server) usageFramesPipelined(pricers map[string]core.Pricer, streamKey string, col *usageCollector, fr *FrameReader, workers int) (string, int) {
-	jobs := make(chan frameJob, workers*4)
-	results := make(chan ingestResult, workers*4)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dec := frameDecPool.Get().(*FrameDecoder)
-			defer frameDecPool.Put(dec)
-			var memo pricerMemo
-			for j := range jobs {
-				var res ingestResult
-				s.priceFrame(pricers, &memo, streamKey, dec, j.line, *j.buf, j.crc, &res)
-				res.seq = j.seq
-				putLine(j.buf)
-				results <- res
-			}
-		}()
-	}
-	collectorDone := col.collectLoop(results)
-
-	frameNo := 0
-	streamErr := ""
-	oversized := 0
-	for {
-		payload, crc, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			streamErr, oversized = s.scanFrameErr(err, frameNo)
-			break
-		}
-		frameNo++
-		if frameNo > s.cfg.MaxStreamLines {
-			streamErr = fmt.Sprintf("stream exceeds %d frames", s.cfg.MaxStreamLines)
-			break
-		}
-		buf := linePool.Get().(*[]byte)
-		*buf = append((*buf)[:0], payload...)
-		jobs <- frameJob{seq: frameNo - 1, line: frameNo, crc: crc, buf: buf}
-	}
-	close(jobs)
-	wg.Wait()
-	close(results)
-	<-collectorDone
-	return streamErr, oversized
-}
-
-// priceFrame decodes, validates and prices one binary frame into res — the
-// frame counterpart of priceLine, with identical validation order and error
-// wording past the decode step. The decoder's record is reused across
-// frames; everything res carries is copied out (interned strings are
-// stable). res is an out-param so the serial fast path can reuse one.
-func (s *Server) priceFrame(pricers map[string]core.Pricer, memo *pricerMemo, streamKey string, dec *FrameDecoder, frameNo int, payload []byte, crc uint32, res *ingestResult) {
-	// Partial reset: the remaining fields are only read when err == nil,
-	// and the success path below assigns every one of them.
-	res.seq = frameNo - 1
-	res.line = frameNo
-	res.err = nil
-	res.tenant = ""
-	rec, apiErr := dec.Decode(payload, crc)
-	if apiErr != nil {
-		res.err = apiErr
-		return
-	}
-	if rec.Tenant == "" {
-		res.err = &Error{Status: http.StatusBadRequest, Message: "usage record requires a tenant"}
-		return
-	}
-	if rec.Minute < 0 {
-		res.err = &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("negative minute %d", rec.Minute)}
-		return
-	}
-	if int64(rec.Minute) > ledger.MaxMinute {
-		res.err = &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("minute %d exceeds %d", rec.Minute, ledger.MaxMinute)}
-		return
-	}
-	key := rec.Key
-	if key == "" && streamKey != "" {
-		// Same derivation as the NDJSON path: frame n is physical line n.
-		key = fmt.Sprintf("%s#%d", streamKey, frameNo)
-	}
-	pricer, commercial, price, apiErr := s.priceForStream(pricers, memo, &rec.QuoteRequest)
-	if apiErr != nil {
-		res.err = apiErr
-		return
-	}
-	res.tenant = rec.Tenant
-	res.pricer = pricer
-	res.minute = rec.Minute
-	res.key = key
-	res.commercial = commercial
-	res.price = price
-}
-
-// priceLine decodes, validates and prices one NDJSON line — no accrual;
-// the collector bills priced lines in stream order. It returns the pooled
-// buffer when done. Runs on the ingest worker pool.
-func (s *Server) priceLine(pricers map[string]core.Pricer, memo *pricerMemo, streamKey string, j ingestJob) ingestResult {
-	defer putLine(j.buf)
-	res := ingestResult{seq: j.seq, line: j.line}
-	reject := func(format string, args ...any) ingestResult {
-		res.err = &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf(format, args...)}
-		return res
-	}
-	var rec UsageRecord
-	if err := json.Unmarshal(*j.buf, &rec); err != nil {
-		return reject("malformed JSON: %v", err)
-	}
-	if rec.Tenant == "" {
-		return reject("usage record requires a tenant")
-	}
-	if rec.Minute < 0 {
-		return reject("negative minute %d", rec.Minute)
-	}
-	if int64(rec.Minute) > ledger.MaxMinute {
-		return reject("minute %d exceeds %d", rec.Minute, ledger.MaxMinute)
-	}
-	key := rec.Key
-	if key == "" && streamKey != "" {
-		// Derive per-line keys from the stream key, so replaying the
-		// whole stream under the same Idempotency-Key is a no-op.
-		key = fmt.Sprintf("%s#%d", streamKey, j.line)
-	}
-	pricer, commercial, price, apiErr := s.priceForStream(pricers, memo, &rec.QuoteRequest)
-	if apiErr != nil {
-		res.err = apiErr
-		return res
-	}
-	res.tenant = rec.Tenant
-	res.pricer = pricer
-	res.minute = rec.Minute
-	res.key = key
-	res.commercial = commercial
-	res.price = price
-	return res
 }
 
 // --- GET /v3/tenants ---------------------------------------------------------

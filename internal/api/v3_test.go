@@ -481,15 +481,15 @@ func TestV3TablesConcurrentSwapsLoseNoUpdates(t *testing.T) {
 	}
 }
 
-// --- cross-version equivalence (acceptance) ----------------------------------
+// --- cross-version equivalence ----------------------------------
 
-// TestMeterAndUsageStreamBillIdentically is the acceptance check for the
-// tentpole: the same records ingested through the buffered /v2/meter path
-// on one server and through concurrent /v3/usage NDJSON streams on another
-// must produce identical tenant statements — and replaying one of the
-// NDJSON streams under its original idempotency key must not double-bill.
-// Both ingests run from many goroutines; under -race this exercises the
-// whole ledger path.
+// TestMeterAndUsageStreamBillIdentically holds the per-record funnel equal
+// to the stream funnel: the same records billed one entry at a time through
+// /v2/quotes batches on one server and through concurrent /v3/usage NDJSON
+// streams on another must produce identical tenant statements — and
+// replaying one of the NDJSON streams under its original idempotency key
+// must not double-bill. Both ingests run from many goroutines; under -race
+// this exercises the whole ledger path.
 func TestMeterAndUsageStreamBillIdentically(t *testing.T) {
 	_, tsMeter := newTestServer(t, Config{})
 	_, tsStream := newTestServer(t, Config{})
@@ -514,17 +514,25 @@ func TestMeterAndUsageStreamBillIdentically(t *testing.T) {
 	errs := make(chan string, 2*chunks)
 	for c := 0; c < chunks; c++ {
 		wg.Add(1)
-		go func(c int) { // /v2/meter batch
+		go func(c int) { // /v2/quotes batch
 			defer wg.Done()
 			var items []string
 			for _, r := range all[c] {
 				items = append(items, ndLine(r.tenant, r.mem, -1, ""))
 			}
-			body := `{"records":[` + strings.Join(items, ",") + `]}`
-			resp, data := postJSON(t, tsMeter.URL+"/v2/meter", body)
-			var mr MeterResponse
-			if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &mr) != nil || mr.Accepted != perChunk {
-				errs <- fmt.Sprintf("meter chunk %d: %d %s", c, resp.StatusCode, data)
+			body := `{"quotes":[` + strings.Join(items, ",") + `]}`
+			resp, data := postJSON(t, tsMeter.URL+"/v2/quotes", body)
+			var br BatchResponse
+			billed := 0
+			if json.Unmarshal(data, &br) == nil {
+				for _, item := range br.Quotes {
+					if item.Quote != nil {
+						billed++
+					}
+				}
+			}
+			if resp.StatusCode != http.StatusOK || billed != perChunk {
+				errs <- fmt.Sprintf("quotes chunk %d: %d %s", c, resp.StatusCode, data)
 			}
 		}(c)
 		wg.Add(1)

@@ -1,7 +1,6 @@
 package cluster_test
 
-// Cluster-mode baselines (scripts/bench-cluster.sh renders them into
-// BENCH_cluster.json): ring lookup cost, the ring-aware client's and the
+// Cluster-mode benchmarks: ring lookup cost, the ring-aware client's and the
 // router's usage-stream throughput over live HTTP nodes, and how fast a
 // follower replicates a primary's WAL.
 

@@ -116,26 +116,27 @@ func (c *Client) SwapTablesIfMatch(ctx context.Context, cal *core.Calibration, i
 //     keyless line's idempotency key from the stream key and the line's
 //     physical position, so the derived key depends on where the record
 //     sits in the original stream — the partitioner materialises
-//     "key#position" itself and sends the sub-streams keyless.
+//     api.DerivedKey itself and sends the sub-streams keyless.
 //   - A tenant's records all land on one node in original order, so
 //     same-key dedup and window accounting see the sequence a single node
 //     would.
 //
-// Per-line errors are remapped to original line numbers, merged in line
-// order and capped exactly like a single node's response.
+// The merge is the router's own (usageScatter): per-line errors remapped to
+// original line numbers, merged in line order and capped exactly like a
+// single node's response.
 func (c *Client) StreamUsage(ctx context.Context, key string, records []api.UsageRecord) (api.UsageStreamResponse, error) {
-	parts := make(map[string]*partition, len(c.nodes))
+	parts := make(map[string]*ownerBatch, len(c.nodes))
 	order := make([]string, 0, len(c.nodes))
 	for i, rec := range records {
+		// api.Client encodes one record per line, so record i is physical
+		// line i+1 on a single node.
 		if rec.Key == "" && key != "" {
-			// Line numbers are 1-based; api.Client encodes one record per
-			// line, so record i is physical line i+1 on a single node.
-			rec.Key = fmt.Sprintf("%s#%d", key, i+1)
+			rec.Key = api.DerivedKey(key, i+1)
 		}
 		name := c.ring.Owner(rec.Tenant).Name
 		p := parts[name]
 		if p == nil {
-			p = &partition{}
+			p = &ownerBatch{}
 			parts[name] = p
 			order = append(order, name)
 		}
@@ -143,8 +144,7 @@ func (c *Client) StreamUsage(ctx context.Context, key string, records []api.Usag
 		p.lines = append(p.lines, i+1)
 	}
 
-	var merged api.UsageStreamResponse
-	var sums []api.TenantSummary
+	sc := usageScatter{sums: map[string]api.TenantSummary{}}
 	for _, name := range order {
 		p := parts[name]
 		resp, err := c.clients[name].StreamUsage(ctx, "", p.records)
@@ -155,39 +155,13 @@ func (c *Client) StreamUsage(ctx context.Context, key string, records []api.Usag
 			// throttle verdict is decided after the loop.
 			var apiErr *api.Error
 			if !(errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests && resp.Lines > 0) {
-				return merged, fmt.Errorf("cluster: streaming to node %s: %w", name, err)
+				return sc.finish(""), fmt.Errorf("cluster: streaming to node %s: %w", name, err)
 			}
 		}
-		merged.Lines += resp.Lines
-		merged.Accepted += resp.Accepted
-		merged.Duplicates += resp.Duplicates
-		merged.Rejected += resp.Rejected
-		merged.Dropped += resp.Dropped
-		merged.Throttled += resp.Throttled
-		if resp.RetryAfterSec > merged.RetryAfterSec {
-			merged.RetryAfterSec = resp.RetryAfterSec
-		}
-		for _, le := range resp.Errors {
-			// The node numbered lines within its sub-stream; map back to the
-			// caller's record positions.
-			if le.Line >= 1 && le.Line <= len(p.lines) {
-				le.Line = p.lines[le.Line-1]
-			}
-			merged.Errors = append(merged.Errors, le)
-		}
-		if resp.StreamError != "" && merged.StreamError == "" {
-			merged.StreamError = fmt.Sprintf("node %s: %s", name, resp.StreamError)
-		}
-		sums = append(sums, resp.Tenants...)
+		sc.resp.Lines += len(p.lines)
+		sc.fold(p, resp, name)
 	}
-	sort.Slice(merged.Errors, func(i, j int) bool { return merged.Errors[i].Line < merged.Errors[j].Line })
-	if len(merged.Errors) > api.DefaultMaxStreamErrors {
-		merged.Errors = merged.Errors[:api.DefaultMaxStreamErrors]
-	}
-	// Tenants are disjoint across nodes (each lives wholly on its owner), so
-	// the merged summary list is just the concatenation, re-sorted.
-	sort.Slice(sums, func(i, j int) bool { return sums[i].Tenant < sums[j].Tenant })
-	merged.Tenants = sums
+	merged := sc.finish("")
 	// Mirror api.Client's single-node contract: when the admission limiters
 	// rejected every record, the merged call errors with a 429 *Error (and
 	// the full accounting still returned) so callers see one throttle
@@ -200,13 +174,6 @@ func (c *Client) StreamUsage(ctx context.Context, key string, records []api.Usag
 		}
 	}
 	return merged, nil
-}
-
-// partition is one owner node's slice of a StreamUsage call: the records
-// plus their 1-based positions in the original stream.
-type partition struct {
-	records []api.UsageRecord
-	lines   []int
 }
 
 // Tenants fetches one page of the cluster-wide tenant listing by merging

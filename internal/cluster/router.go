@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,8 +22,9 @@ import (
 // lives on an owner node — which is what keeps it thin enough to run
 // anywhere and restart freely.
 //
-//	POST /v3/usage                        scan NDJSON, scatter lines to
-//	                                      owners, merge the accounting
+//	POST /v3/usage                        read either wire format, scatter
+//	                                      records to owners, merge the
+//	                                      accounting
 //	GET  /v3/tenants                      merge-paginate the per-node pages
 //	GET  /v3/tenants/{tenant}/statement   proxy to the owner node
 //	GET  /v3/tenants/{tenant}/forecast    proxy to the owner node
@@ -35,9 +34,9 @@ import (
 //
 // The usage scatter preserves single-node billing semantics exactly: keys
 // derive from physical line numbers before partitioning, a tenant's lines
-// reach its owner in stream order, locally-synthesised rejections
-// (malformed JSON, missing tenant) reuse the server's own message text,
-// and an unreachable owner mid-stream surfaces as Dropped lines plus a
+// reach its owner in stream order, locally-decided rejections (undecodable
+// record, missing tenant) come from the node's own record source, and an
+// unreachable owner mid-stream surfaces as Dropped lines plus a
 // StreamError in the merged response — never an opaque 502 that would
 // hide what other nodes already billed.
 type Router struct {
@@ -204,8 +203,31 @@ func (sc *usageScatter) fold(b *ownerBatch, resp api.UsageStreamResponse, node s
 	}
 }
 
-// usageForward is one in-flight /v3/usage scatter: the shared partition,
-// flush and failure accounting behind both wire formats' scan loops.
+// finish renders the merged response in the shape a single node answers
+// in: errors in line order and capped, tenant summaries sorted by name.
+// streamErr is the caller's own verdict; a node's, folded earlier, wins.
+func (sc *usageScatter) finish(streamErr string) api.UsageStreamResponse {
+	resp := &sc.resp
+	if resp.StreamError == "" {
+		resp.StreamError = streamErr
+	}
+	sort.Slice(resp.Errors, func(i, j int) bool {
+		return resp.Errors[i].Line < resp.Errors[j].Line
+	})
+	if len(resp.Errors) > api.DefaultMaxStreamErrors {
+		resp.Errors = resp.Errors[:api.DefaultMaxStreamErrors]
+	}
+	for _, sum := range sc.sums {
+		resp.Tenants = append(resp.Tenants, sum)
+	}
+	sort.Slice(resp.Tenants, func(i, j int) bool {
+		return resp.Tenants[i].Tenant < resp.Tenants[j].Tenant
+	})
+	return *resp
+}
+
+// usageForward is one in-flight /v3/usage scatter: the partition, flush and
+// failure accounting behind the router's read loop.
 type usageForward struct {
 	rt        *Router
 	ctx       context.Context
@@ -288,13 +310,20 @@ func (f *usageForward) dropBatch(name string, ferr error) {
 // batch threshold. It returns false when the scatter must stop (a forward
 // failed — like a single node whose stream died mid-way, the router stops
 // reading and reports what every node accepted so far).
-func (f *usageForward) add(rec api.UsageRecord, lineNo int) bool {
-	if rec.Key == "" && f.streamKey != "" {
-		// Same derivation as a single node: the stream key plus the
-		// PHYSICAL line number — so the cluster and a single node agree
-		// on every derived key, blank lines and all.
-		rec.Key = fmt.Sprintf("%s#%d", f.streamKey, lineNo)
+func (f *usageForward) add(src *api.UsageRecord, lineNo int) bool {
+	// The source reuses its record (and probe) across Next calls; copy what
+	// the batch keeps.
+	rec := *src
+	if src.Probe != nil {
+		p := *src.Probe
+		rec.Probe = &p
 	}
+	if rec.Key == "" && f.streamKey != "" {
+		// Derived BEFORE partitioning, from the PHYSICAL position, so the
+		// cluster and a single node agree on every derived key.
+		rec.Key = api.DerivedKey(f.streamKey, lineNo)
+	}
+	f.scatter.resp.Lines++
 	name := f.rt.client.ring.Owner(rec.Tenant).Name
 	b := f.batches[name]
 	if b == nil {
@@ -325,22 +354,7 @@ func (f *usageForward) finish(w http.ResponseWriter) {
 			f.dropBatch(name, err)
 		}
 	}
-	resp := &f.scatter.resp
-	if resp.StreamError == "" {
-		resp.StreamError = f.streamErr
-	}
-	sort.Slice(resp.Errors, func(i, j int) bool {
-		return resp.Errors[i].Line < resp.Errors[j].Line
-	})
-	if len(resp.Errors) > api.DefaultMaxStreamErrors {
-		resp.Errors = resp.Errors[:api.DefaultMaxStreamErrors]
-	}
-	for _, sum := range f.scatter.sums {
-		resp.Tenants = append(resp.Tenants, sum)
-	}
-	sort.Slice(resp.Tenants, func(i, j int) bool {
-		return resp.Tenants[i].Tenant < resp.Tenants[j].Tenant
-	})
+	resp := f.scatter.finish(f.streamErr)
 	// Same 429 surface as a single node: Retry-After whenever any line was
 	// throttled, status 429 when the admission limiters rejected every line.
 	status := http.StatusOK
@@ -350,9 +364,15 @@ func (f *usageForward) finish(w http.ResponseWriter) {
 	if resp.Lines > 0 && resp.Throttled == resp.Lines {
 		status = http.StatusTooManyRequests
 	}
-	writeJSON(w, status, *resp)
+	writeJSON(w, status, resp)
 }
 
+// handleUsage reads the stream through the node's own record source — same
+// framing, caps, line numbering and rejection wording — and scatters the
+// records it yields. Only the rejections the source decides (undecodable,
+// no tenant, oversized) are synthesised here; everything else (minute
+// bounds, unknown pricer, the tenant cap) is decided by the owner so the
+// answer, and the error wording, is the node's.
 func (rt *Router) handleUsage(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		routerError(w, http.StatusMethodNotAllowed, "POST only")
@@ -363,126 +383,34 @@ func (rt *Router) handleUsage(w http.ResponseWriter, r *http.Request) {
 		wire = api.WireFrames
 	}
 	f := rt.newUsageForward(r, wire)
-	if wire == api.WireFrames {
-		rt.scanUsageFrames(f, r.Body)
-	} else {
-		rt.scanUsageLines(f, r.Body)
+	src := api.NewRecordSource(wire, r.Body, rt.cfg.MaxBodyBytes, rt.cfg.MaxStreamLines)
+	defer src.Release()
+	for {
+		pos, rec, rej, ok := src.Next()
+		if !ok {
+			break
+		}
+		if rej != nil {
+			f.scatter.reject(pos, rej)
+		} else if !f.add(rec, pos) {
+			break
+		}
+	}
+	// Empty when a failed forward stopped the loop before the source ended;
+	// dropBatch already recorded that failure as the stream error.
+	streamErr, oversized := src.Verdict()
+	if oversized > 0 {
+		f.scatter.reject(oversized, &api.Error{Status: http.StatusBadRequest, Message: streamErr})
+	}
+	if f.streamErr == "" {
+		f.streamErr = streamErr
 	}
 	f.finish(w)
 }
 
-// scanUsageLines walks an NDJSON stream, synthesising the rejections a
-// router can decide without pricing state.
-func (rt *Router) scanUsageLines(f *usageForward, body io.Reader) {
-	sc := bufio.NewScanner(body)
-	initial := 64 << 10
-	if int(rt.cfg.MaxBodyBytes) < initial {
-		initial = int(rt.cfg.MaxBodyBytes)
-	}
-	sc.Buffer(make([]byte, 0, initial), int(rt.cfg.MaxBodyBytes))
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if lineNo > rt.cfg.MaxStreamLines {
-			f.streamErr = fmt.Sprintf("stream exceeds %d lines", rt.cfg.MaxStreamLines)
-			break
-		}
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		f.scatter.resp.Lines++
-		var rec api.UsageRecord
-		// Only failures a router can decide without pricing state are
-		// synthesised here, with the owner-node message text; everything
-		// else (minute bounds, unknown pricer, the tenant cap) is decided by
-		// the owner so the answer — and the error wording — is the node's.
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			f.scatter.reject(lineNo, "malformed JSON: %v", err)
-			continue
-		}
-		if rec.Tenant == "" {
-			f.scatter.reject(lineNo, "usage record requires a tenant")
-			continue
-		}
-		if !f.add(rec, lineNo) {
-			return
-		}
-	}
-	if err := sc.Err(); err != nil && f.streamErr == "" {
-		if err == bufio.ErrTooLong {
-			// Mirror the single-node semantics: the oversized line is
-			// counted and rejected per-line with the StreamError's own
-			// wording, and everything before it keeps its accounting.
-			f.streamErr = fmt.Sprintf("line %d exceeds %d bytes", lineNo+1, rt.cfg.MaxBodyBytes)
-			f.scatter.resp.Lines++
-			f.scatter.reject(lineNo+1, "%s", f.streamErr)
-		} else {
-			f.streamErr = fmt.Sprintf("reading stream: %v", err)
-		}
-	}
-}
-
-// scanUsageFrames walks a binary frame stream (see api/frames.go). Decode
-// failures reuse the node's own FrameDecoder so the wording is identical;
-// healthy frames are re-framed per owner without touching JSON.
-func (rt *Router) scanUsageFrames(f *usageForward, body io.Reader) {
-	fr := api.NewFrameReader(body, rt.cfg.MaxBodyBytes)
-	dec := &api.FrameDecoder{}
-	frameNo := 0
-	for {
-		payload, crc, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if errors.Is(err, api.ErrFrameTooLarge) {
-				// Mirror the single-node oversized-frame semantics: counted,
-				// rejected per-frame with the StreamError's wording.
-				f.streamErr = fmt.Sprintf("frame %d exceeds %d bytes", frameNo+1, rt.cfg.MaxBodyBytes)
-				f.scatter.resp.Lines++
-				f.scatter.reject(frameNo+1, "%s", f.streamErr)
-			} else {
-				f.streamErr = fmt.Sprintf("reading stream: %v", err)
-			}
-			break
-		}
-		frameNo++
-		if frameNo > rt.cfg.MaxStreamLines {
-			f.streamErr = fmt.Sprintf("stream exceeds %d frames", rt.cfg.MaxStreamLines)
-			break
-		}
-		f.scatter.resp.Lines++
-		rec, apiErr := dec.Decode(payload, crc)
-		if apiErr != nil {
-			f.scatter.rejectErr(frameNo, apiErr)
-			continue
-		}
-		if rec.Tenant == "" {
-			f.scatter.reject(frameNo, "usage record requires a tenant")
-			continue
-		}
-		// The decoder reuses its record (and probe) across frames; copy
-		// what the batch keeps.
-		cp := *rec
-		if rec.Probe != nil {
-			p := *rec.Probe
-			cp.Probe = &p
-		}
-		if !f.add(cp, frameNo) {
-			return
-		}
-	}
-}
-
-// reject synthesises one locally-decided line rejection.
-func (sc *usageScatter) reject(line int, format string, args ...any) {
-	sc.rejectErr(line, &api.Error{Status: http.StatusBadRequest, Message: fmt.Sprintf(format, args...)})
-}
-
-// rejectErr records one locally-decided rejection with a ready-made error
-// (the frame decoder's, so router and node wording cannot drift).
-func (sc *usageScatter) rejectErr(line int, apiErr *api.Error) {
+// reject accounts one record the router refused itself.
+func (sc *usageScatter) reject(line int, apiErr *api.Error) {
+	sc.resp.Lines++
 	sc.resp.Rejected++
 	if len(sc.resp.Errors) < api.DefaultMaxStreamErrors {
 		sc.resp.Errors = append(sc.resp.Errors, api.LineError{Line: line, Error: *apiErr})

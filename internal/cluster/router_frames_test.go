@@ -8,6 +8,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -208,6 +209,66 @@ func TestRouterNodeLimitSkew(t *testing.T) {
 			}
 			if !found {
 				t.Fatalf("no per-line 502 naming the node's limit: %+v", out.Errors)
+			}
+		})
+	}
+}
+
+// TestRouterReaderFailsMidStream is the mid-stream disconnect at the
+// router, both wire formats: a body whose reader fails after k whole
+// records forwards and bills exactly those k, names the failure as the
+// StreamError, and leaves every statement byte-identical to a clean
+// k-record stream through a second cluster.
+func TestRouterReaderFailsMidStream(t *testing.T) {
+	const k, tenants = 60, 7
+	records := testRecords(t, tenants, k)
+	boom := errors.New("connection reset by peer")
+	for _, wire := range []api.WireFormat{api.WireNDJSON, api.WireFrames} {
+		t.Run(wire.String(), func(t *testing.T) {
+			body, err := api.EncodeUsageStream(wire, records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newFront := func() http.Handler {
+				cc, err := cluster.NewClient(newCluster(t, 3), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cluster.NewRouter(cc, cluster.RouterConfig{BatchSize: 8})
+			}
+			post := func(front http.Handler, r io.Reader) api.UsageStreamResponse {
+				t.Helper()
+				req := httptest.NewRequest(http.MethodPost, "/v3/usage", r)
+				req.Header.Set("Content-Type", wire.ContentType())
+				req.Header.Set("Idempotency-Key", "torn-run")
+				rec := httptest.NewRecorder()
+				front.ServeHTTP(rec, req)
+				var out api.UsageStreamResponse
+				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
+					t.Fatalf("router answered %d: %s", rec.Code, rec.Body.String())
+				}
+				return out
+			}
+			torn, clean := newFront(), newFront()
+			got := post(torn, apitest.FailAfter(bytes.NewReader(body), boom))
+			want := post(clean, bytes.NewReader(body))
+
+			if !strings.HasPrefix(got.StreamError, "reading stream: ") || !strings.Contains(got.StreamError, boom.Error()) {
+				t.Fatalf("StreamError = %q, want the reader's failure", got.StreamError)
+			}
+			got.StreamError = ""
+			if want.Accepted+want.Duplicates != k {
+				t.Fatalf("clean stream = %+v", want)
+			}
+			jsonEq(t, "torn vs clean accounting", got, want)
+			for i := 0; i < tenants; i++ {
+				path := fmt.Sprintf("/v3/tenants/tenant-%03d/statement", i)
+				a, b := httptest.NewRecorder(), httptest.NewRecorder()
+				torn.ServeHTTP(a, httptest.NewRequest(http.MethodGet, path, nil))
+				clean.ServeHTTP(b, httptest.NewRequest(http.MethodGet, path, nil))
+				if a.Code != http.StatusOK || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+					t.Fatalf("%s diverged:\n torn:  %s\n clean: %s", path, a.Body.Bytes(), b.Body.Bytes())
+				}
 			}
 		})
 	}

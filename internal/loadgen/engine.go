@@ -9,8 +9,7 @@
 // within one-second slots), so the generator's notion of "Poisson at rate
 // R" is exactly the fleet simulator's, and every run is deterministic for a
 // fixed seed up to real scheduling jitter. cmd/loadgen drives a live
-// pricingd through this package; scripts/bench-e2e.sh turns its JSON
-// reports into the committed BENCH_e2e.json baseline.
+// pricingd through this package.
 package loadgen
 
 import (

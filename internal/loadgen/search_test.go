@@ -168,16 +168,18 @@ func TestSearchRejectsBadConfig(t *testing.T) {
 
 // TestSearchDeterministicAgainstSlowServer runs the real engine against a
 // synthetic server whose latency is a step function of the probed rate
-// (fast at or under capacity, far past the SLO beyond it). The latency gap
-// is huge relative to the SLO, so scheduling jitter cannot flip a verdict,
-// and two searches under the same seed must walk the identical trajectory.
+// (fast at or under capacity, far past the SLO beyond it). A 200 ms probe
+// at 300 req/s has 60 samples, so its p99 is its slowest request: the SLO
+// sits 200× above the fast latency, where only a scheduler stall of 200 ms
+// could flip a passing probe, and the slow latency can only read above it.
+// Two searches under the same seed must walk the identical trajectory.
 func TestSearchDeterministicAgainstSlowServer(t *testing.T) {
 	const capacity = 300.0
 	var currentRate atomic.Uint64 // probed rate, as math.Float64bits
 	server := func(ctx context.Context) error {
 		d := time.Millisecond
 		if math.Float64frombits(currentRate.Load()) > capacity {
-			d = 200 * time.Millisecond
+			d = 500 * time.Millisecond
 		}
 		select {
 		case <-time.After(d):
@@ -195,7 +197,7 @@ func TestSearchDeterministicAgainstSlowServer(t *testing.T) {
 		}, 200*time.Millisecond, trace.Poisson)
 		res, err := Search(SearchConfig{
 			MinRate: 100, MaxRate: 500, Rounds: 3,
-			SLO: SLO{P99: 50 * time.Millisecond, MaxErrorRate: 0.05},
+			SLO: SLO{P99: 200 * time.Millisecond, MaxErrorRate: 0.05},
 			Measure: func(rate float64) (Result, error) {
 				currentRate.Store(math.Float64bits(rate))
 				return inner(rate)
