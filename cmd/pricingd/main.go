@@ -13,7 +13,6 @@
 //	                                    optional tenant ledger accrual)
 //	POST /v2/quotes                   — batch quoting
 //	GET  /v2/pricers                  — the named pricer registry
-//	GET|POST /v2/tables               — read / hot-swap the tables
 //	GET  /v2/tenants/{tenant}/summary — per-tenant billing ledger
 //	POST /v3/usage                    — streaming usage ingest (NDJSON or
 //	                                    binary frames) with idempotent
@@ -22,7 +21,9 @@
 //	GET  /v3/tenants/{tenant}/statement — windowed per-tenant bill
 //	GET  /v3/tenants/{tenant}/forecast — admission forecast (with
 //	                                    -admission-rate)
-//	GET|PUT /v3/tables                — versioned tables (ETag / If-Match)
+//	GET|PUT /v3/tables                — read / hot-swap the versioned tables
+//	                                    (ETag; If-Match guards the swap,
+//	                                    absent swaps unconditionally)
 //
 // With -data-dir the node is also a replication primary: its WAL and
 // snapshots are served to hot standbys under /cluster/ (see

@@ -25,7 +25,7 @@ import (
 type Stats interface {
 	// WindowStats returns the tenant's per-window accrual totals, oldest
 	// first; lastN <= 0 means all windows. ok is false for an unknown tenant.
-	WindowStats(tenant string, lastN int) ([]ledger.WindowStat, bool)
+	WindowStats(tenant string, lastN int) ([]ledger.Line, bool)
 }
 
 // Config sizes the controller.
@@ -266,20 +266,24 @@ func (c *Controller) Tick() {
 	}
 }
 
-// TenantForecast is the per-tenant state behind GET /v3/tenants/{id}/forecast.
+// TenantForecast is one tenant's admission state: the wire body (through
+// its JSON tags) of GET /v3/tenants/{id}/forecast and of each per-tenant
+// entry of the /healthz admission block.
 type TenantForecast struct {
-	Tenant        string
-	WindowSec     float64
-	ObservedRate  float64 // last completed window's arrival rate
-	ForecastRate  float64 // predicted next-window rate
-	ForecastError float64 // EWMA of |forecast - actual|
-	RefillPerSec  float64
-	Burst         float64
-	Admitted      int64
-	Throttled     int64
-	ProjectedBill float64
-	Budget        float64
-	Squeezed      bool
+	Tenant        string  `json:"tenant"`
+	WindowSec     float64 `json:"windowSec"`     // observation-window width the rates are per
+	ObservedRate  float64 `json:"observedRate"`  // last completed window's arrival rate
+	ForecastRate  float64 `json:"forecastRate"`  // predicted next-window rate
+	ForecastError float64 `json:"forecastError"` // EWMA of |forecast - actual|
+	RefillPerSec  float64 `json:"refillPerSec"`  // live token-bucket refill rate
+	Burst         float64 `json:"burst"`
+	Admitted      int64   `json:"admitted"`
+	Throttled     int64   `json:"throttled"`
+	// ProjectedBill / Squeezed report price-aware mode: the projected
+	// cumulative bill and whether it exceeded Budget this window.
+	ProjectedBill float64 `json:"projectedBill,omitempty"`
+	Budget        float64 `json:"budget,omitempty"`
+	Squeezed      bool    `json:"squeezed,omitempty"`
 }
 
 // Forecast reports the named tenant's admission state; ok is false for a
@@ -315,15 +319,16 @@ func (c *Controller) forecastOf(tenant string, b *bucket) TenantForecast {
 	}
 }
 
-// Snapshot is the /healthz admission block.
+// Snapshot is the /healthz admission block: the configured limits, the
+// cumulative admitted/throttled record counts, and per-tenant state.
 type Snapshot struct {
-	RatePerSec float64
-	Burst      float64
-	WindowSec  float64
-	Budget     float64
-	Admitted   int64
-	Throttled  int64
-	Tenants    []TenantForecast
+	RatePerSec float64          `json:"ratePerSec"`
+	Burst      float64          `json:"burst"`
+	WindowSec  float64          `json:"windowSec"`
+	Budget     float64          `json:"budget,omitempty"`
+	Admitted   int64            `json:"admitted"`
+	Throttled  int64            `json:"throttled"`
+	Tenants    []TenantForecast `json:"tenants,omitempty"`
 }
 
 // snapshotTenantCap bounds the per-tenant list on /healthz; the most

@@ -124,12 +124,12 @@ type fakeStats struct {
 	billed map[string]float64
 }
 
-func (s *fakeStats) WindowStats(tenant string, lastN int) ([]ledger.WindowStat, bool) {
+func (s *fakeStats) WindowStats(tenant string, lastN int) ([]ledger.Line, bool) {
 	b, ok := s.billed[tenant]
 	if !ok {
 		return nil, false
 	}
-	return []ledger.WindowStat{{Window: 0, Billed: b}}, true
+	return []ledger.Line{{Window: 0, Billed: b}}, true
 }
 
 // Price-aware mode: a tenant projected over Budget has its refill squeezed

@@ -11,8 +11,6 @@
 //	POST /v2/quotes                  — batch quote, priced and accrued in
 //	                                   request order
 //	GET  /v2/pricers                 — the named pricer registry
-//	GET  /v2/tables                  — current calibration tables
-//	POST /v2/tables                  — hot-swap calibration tables
 //	GET  /v2/tenants/{tenant}/summary — per-tenant billing ledger
 //
 // The /v3 surface is resource-oriented: usage is a stream you append to,
@@ -44,6 +42,14 @@
 // admit, bill in stream order behind the RecordSource seam (source.go) the
 // cluster router shares; parallelism is across streams and ledger shards.
 // Errors are structured: {"error":{"status":400,"message":"…"}}.
+//
+// A wire shape is declared once and rendered once. Bodies that carry ledger
+// or admission data (summaries, statements, the /healthz shard, durability
+// and admission blocks, forecasts) are those packages' own structs, JSON
+// tags included, aliased here. The renderers the surface answers with —
+// WriteJSON, WriteError, WriteUsageResponse, RequestWire, TenantPageLimit —
+// are exported so the cluster router, which speaks this same surface,
+// answers with the node's code rather than a re-spelling of it.
 package api
 
 import (
@@ -51,6 +57,7 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/ledger"
 )
@@ -179,7 +186,7 @@ type PricerInfo struct {
 	Default bool `json:"default,omitempty"`
 }
 
-// TablesStatus summarises the active calibration (POST /v2/tables reply).
+// TablesStatus summarises the active calibration (PUT /v3/tables reply).
 type TablesStatus struct {
 	Machine      string `json:"machine"`
 	SharePerCore int    `json:"sharePerCore"`
@@ -189,16 +196,7 @@ type TablesStatus struct {
 
 // TenantSummary is a tenant's aggregate billing ledger
 // (GET /v2/tenants/{tenant}/summary, the elements of GET /v3/tenants).
-type TenantSummary struct {
-	Tenant string `json:"tenant"`
-	// Invocations counts the quotes accrued to the ledger.
-	Invocations int64 `json:"invocations"`
-	// Commercial and Billed are the aggregate undiscounted and charged
-	// totals; Discount is the aggregate fraction saved.
-	Commercial float64 `json:"commercial"`
-	Billed     float64 `json:"billed"`
-	Discount   float64 `json:"discount"`
-}
+type TenantSummary = ledger.Summary
 
 // HealthResponse is the /healthz body: liveness plus the ledger's
 // saturation counters, so operators see accruals dropped at the tenant cap
@@ -243,60 +241,23 @@ type HealthResponse struct {
 	Admission *AdmissionHealth `json:"admission,omitempty"`
 }
 
-// AdmissionHealth is the /healthz admission-control block.
-type AdmissionHealth struct {
-	// RatePerSec / Burst / WindowSec / Budget echo the configuration.
-	RatePerSec float64 `json:"ratePerSec"`
-	Burst      float64 `json:"burst"`
-	WindowSec  float64 `json:"windowSec"`
-	Budget     float64 `json:"budget,omitempty"`
-	// Admitted / Throttled are cumulative record counts across tenants.
-	Admitted  int64 `json:"admitted"`
-	Throttled int64 `json:"throttled"`
-	// Tenants lists per-tenant admission state, most throttled first
-	// (capped).
-	Tenants []TenantAdmissionHealth `json:"tenants,omitempty"`
-}
+// AdmissionHealth is the /healthz admission-control block: the configured
+// limits, cumulative admitted/throttled counts, and per-tenant state, most
+// throttled first (capped).
+type AdmissionHealth = admission.Snapshot
 
 // TenantAdmissionHealth is one tenant's admission state: the live refill
 // rate, the forecaster's view, and the throttle counters.
-type TenantAdmissionHealth struct {
-	Tenant string `json:"tenant"`
-	// RefillPerSec is the current token-bucket refill rate the forecaster
-	// sized; ObservedRate / ForecastRate are the last window's actual and
-	// next window's predicted arrival rates; ForecastError is the smoothed
-	// absolute forecast error.
-	RefillPerSec  float64 `json:"refillPerSec"`
-	ObservedRate  float64 `json:"observedRate"`
-	ForecastRate  float64 `json:"forecastRate"`
-	ForecastError float64 `json:"forecastError"`
-	Admitted      int64   `json:"admitted"`
-	Throttled     int64   `json:"throttled"`
-	// ProjectedBill / Squeezed report price-aware mode: the projected
-	// cumulative bill and whether it exceeded the budget this window.
-	ProjectedBill float64 `json:"projectedBill,omitempty"`
-	Squeezed      bool    `json:"squeezed,omitempty"`
-}
+type TenantAdmissionHealth = admission.TenantForecast
 
 // ForecastResponse is the GET /v3/tenants/{tenant}/forecast body: the
 // admission controller's next-window prediction plus the ledger windows it
 // is grounded in.
 type ForecastResponse struct {
-	Tenant string `json:"tenant"`
-	// WindowSec is the observation-window width the rates below are per.
-	WindowSec     float64 `json:"windowSec"`
-	ObservedRate  float64 `json:"observedRate"`
-	ForecastRate  float64 `json:"forecastRate"`
-	ForecastError float64 `json:"forecastError"`
-	RefillPerSec  float64 `json:"refillPerSec"`
-	Burst         float64 `json:"burst"`
-	Admitted      int64   `json:"admitted"`
-	Throttled     int64   `json:"throttled"`
-	ProjectedBill float64 `json:"projectedBill,omitempty"`
-	Budget        float64 `json:"budget,omitempty"`
-	Squeezed      bool    `json:"squeezed,omitempty"`
+	admission.TenantForecast
 	// Windows holds the tenant's most recent statement windows (the
-	// accrual history behind the projection), sorted by window.
+	// accrual history behind the projection, without per-pricer bills),
+	// sorted by window.
 	Windows []StatementLine `json:"windows,omitempty"`
 }
 
@@ -319,39 +280,12 @@ type EndpointHealth struct {
 }
 
 // DurabilityHealth is the /healthz durability block of a server backed by a
-// durable ledger (Config.DataDir).
-type DurabilityHealth struct {
-	// Dir is the data directory; Fsync the configured sync policy.
-	Dir   string `json:"dir"`
-	Fsync string `json:"fsync"`
-	// WALBytes is the live write-ahead-log footprint; WALRecords counts
-	// records appended since startup; Syncs counts fsync syscalls.
-	WALBytes   int64  `json:"walBytes"`
-	WALRecords uint64 `json:"walRecords"`
-	Syncs      uint64 `json:"syncs"`
-	// Snapshots counts compacting snapshots since startup;
-	// LastSnapshotGen/Unix describe the newest committed one.
-	// LastSnapshotError / LastSyncError are the most recent background
-	// snapshot/fsync failures ("" when healthy) — the latter is the only
-	// signal of a dying disk under fsync=interval.
-	Snapshots         uint64 `json:"snapshots"`
-	LastSnapshotGen   uint64 `json:"lastSnapshotGen,omitempty"`
-	LastSnapshotUnix  int64  `json:"lastSnapshotUnix,omitempty"`
-	LastSnapshotError string `json:"lastSnapshotError,omitempty"`
-	LastSyncError     string `json:"lastSyncError,omitempty"`
-	// Recovery describes what this process rebuilt at startup: the
-	// snapshot generation loaded, WAL records replayed on top of it, and
-	// any torn trailing bytes truncated from a crashed final segment.
-	Recovery ledger.RecoveryStats `json:"recovery"`
-}
+// durable ledger (Config.DataDir): WAL footprint and sync counters, the
+// newest snapshot, the last background failures, and what startup recovered.
+type DurabilityHealth = ledger.DurabilityStats
 
 // ShardHealth is one ledger shard's occupancy on /healthz.
-type ShardHealth struct {
-	// Tenants is the shard's account count; Keys its retained
-	// idempotency-key count.
-	Tenants int `json:"tenants"`
-	Keys    int `json:"keys"`
-}
+type ShardHealth = ledger.ShardStats
 
 // UsageRecord is one NDJSON line of POST /v3/usage: a billable usage record
 // with windowing and retry-safety metadata on top of the /v2 quote shape.
@@ -412,31 +346,11 @@ type TenantPage struct {
 }
 
 // StatementLine is one statement window: the bill for trace minutes
-// [StartMinute, StartMinute+WindowMinutes).
-type StatementLine struct {
-	Window      int   `json:"window"`
-	StartMinute int   `json:"startMinute"`
-	Invocations int64 `json:"invocations"`
-	// Commercial is the window's undiscounted total; Billed what was
-	// charged; Bills breaks Billed down by pricer (the
-	// commercial-vs-litmus lines of the bill).
-	Commercial float64            `json:"commercial"`
-	Billed     float64            `json:"billed"`
-	Bills      map[string]float64 `json:"bills"`
-}
+// [StartMinute, StartMinute+WindowMinutes), commercial vs charged, with
+// Bills breaking the charge down by pricer.
+type StatementLine = ledger.Line
 
 // StatementResponse is a tenant's windowed bill
 // (GET /v3/tenants/{tenant}/statement). Totals cover the included windows
-// only.
-type StatementResponse struct {
-	Tenant        string `json:"tenant"`
-	WindowMinutes int    `json:"windowMinutes"`
-	// FromMinute / ToMinute echo the requested range; -1 means open-ended.
-	FromMinute  int             `json:"fromMinute"`
-	ToMinute    int             `json:"toMinute"`
-	Invocations int64           `json:"invocations"`
-	Commercial  float64         `json:"commercial"`
-	Billed      float64         `json:"billed"`
-	Discount    float64         `json:"discount"`
-	Lines       []StatementLine `json:"lines"`
-}
+// only; FromMinute / ToMinute echo the requested range, -1 meaning open-ended.
+type StatementResponse = ledger.Statement

@@ -217,22 +217,6 @@ func (c *Client) Pricers(ctx context.Context) ([]PricerInfo, error) {
 	return infos, err
 }
 
-// Tables fetches the active calibration tables (GET /v2/tables).
-func (c *Client) Tables(ctx context.Context) (*core.Calibration, error) {
-	var cal core.Calibration
-	if err := c.do(ctx, http.MethodGet, "/v2/tables", nil, &cal); err != nil {
-		return nil, err
-	}
-	return &cal, nil
-}
-
-// SwapTables hot-swaps the service's calibration tables (POST /v2/tables).
-func (c *Client) SwapTables(ctx context.Context, cal *core.Calibration) (TablesStatus, error) {
-	var status TablesStatus
-	err := c.do(ctx, http.MethodPost, "/v2/tables", cal, &status)
-	return status, err
-}
-
 // TenantSummary fetches a tenant's aggregate billing ledger
 // (GET /v2/tenants/{tenant}/summary).
 func (c *Client) TenantSummary(ctx context.Context, tenant string) (TenantSummary, error) {

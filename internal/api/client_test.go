@@ -129,7 +129,7 @@ func TestClientPricersAndTables(t *testing.T) {
 		t.Errorf("pricers = %+v", infos)
 	}
 
-	cal, err := c.Tables(ctx)
+	cal, _, err := c.TablesWithETag(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +138,14 @@ func TestClientPricersAndTables(t *testing.T) {
 	}
 
 	cal.Machine = "client-swapped"
-	status, err := c.SwapTables(ctx, cal)
+	status, _, err := c.SwapTablesIfMatch(ctx, cal, "") // empty If-Match: unconditional
 	if err != nil {
 		t.Fatal(err)
 	}
 	if status.Machine != "client-swapped" {
 		t.Errorf("swap status = %+v", status)
 	}
-	again, err := c.Tables(ctx)
+	again, _, err := c.TablesWithETag(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/api/apitest"
 )
@@ -115,18 +116,40 @@ func TestStatusWriterForwardsFlush(t *testing.T) {
 	}
 }
 
-// TestClientConnectionReuse pins the transport satellite: a burst of
-// concurrent requests may dial up to one connection each, but a second
-// burst must be served from the idle pool without dialling again.
-// http.DefaultClient's 2-per-host idle cap — plus response bodies the old
-// client never drained — used to open a fresh connection for nearly every
-// request, which exhausts ephemeral ports under open-loop load.
+// TestClientConnectionReuse pins the transport satellite: the pool keeps
+// every connection a burst needed and later requests are served from it.
+// Each concurrent burst is parked server-side until all of it is in flight,
+// so it needs exactly burst connections at once — which makes the counts
+// exact rather than scheduling-dependent: the first burst dials burst
+// connections, the second finds them all idle and dials none, and a
+// sequential pass dials none either. http.DefaultClient's 2-per-host idle cap
+// — plus response bodies the old client never drained — used to open a fresh
+// connection for nearly every request, which exhausts ephemeral ports under
+// open-loop load.
 func TestClientConnectionReuse(t *testing.T) {
 	srv, err := New(Config{Calibration: apitest.Calibration()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewUnstartedServer(srv)
+	const burst = 24
+	// park, while set, holds each request until burst of them have arrived.
+	type barrier struct {
+		arrived atomic.Int64
+		open    chan struct{}
+	}
+	var park atomic.Pointer[barrier]
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if b := park.Load(); b != nil {
+			if b.arrived.Add(1) == burst {
+				close(b.open)
+			}
+			select {
+			case <-b.open:
+			case <-time.After(10 * time.Second): // fail on the counts below, not by hanging
+			}
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	var conns atomic.Int64
 	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
 		if state == http.StateNew {
@@ -140,9 +163,8 @@ func TestClientConnectionReuse(t *testing.T) {
 	c := NewClient(ts.URL)
 	c.HTTPClient = &http.Client{Transport: DefaultTransport()}
 
-	const burst = 24
-	fire := func() {
-		t.Helper()
+	for round := 1; round <= 2; round++ {
+		park.Store(&barrier{open: make(chan struct{})})
 		var wg sync.WaitGroup
 		for i := 0; i < burst; i++ {
 			wg.Add(1)
@@ -154,16 +176,18 @@ func TestClientConnectionReuse(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		if n := conns.Load(); n != burst {
+			t.Fatalf("after concurrent burst %d: %d connections opened, want exactly %d (round 2 must reuse round 1's)",
+				round, n, burst)
+		}
 	}
-
-	fire()
-	after1 := conns.Load()
-	if after1 == 0 || after1 > burst {
-		t.Fatalf("first burst opened %d connections, want 1..%d", after1, burst)
+	park.Store(nil)
+	for i := 0; i < burst; i++ {
+		if err := c.Health(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	fire()
-	if after2 := conns.Load(); after2 != after1 {
-		t.Fatalf("second burst dialled %d new connections (had %d idle); transport does not reuse",
-			after2-after1, after1)
+	if n := conns.Load(); n != burst {
+		t.Fatalf("sequential pass dialled %d new connections (had %d pooled); transport does not reuse", n-burst, burst)
 	}
 }

@@ -210,7 +210,6 @@ func New(cfg Config) (*Server, error) {
 	handle("/v2/quote", s.handleQuote)
 	handle("/v2/quotes", s.handleQuoteBatch)
 	handle("/v2/pricers", s.handlePricers)
-	handle("/v2/tables", s.handleTables)
 	handle("/v2/tenants/{tenant}/summary", s.handleTenantSummary)
 	handle("/v3/usage", s.handleUsageStream)
 	handle("/v3/tenants", s.handleTenantList)
@@ -350,7 +349,10 @@ func (s *Server) Promote() bool {
 
 // --- shared plumbing -------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response body under the given status: the one
+// encoder every body of the surface — the node's and the router's — goes
+// through, so both escape and terminate a body identically.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -358,9 +360,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// v2Error writes the structured v2 error envelope.
-func v2Error(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorEnvelope{Err: Error{Status: status, Message: fmt.Sprintf(format, args...)}})
+// WriteError writes the structured error envelope.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorEnvelope{Err: Error{Status: status, Message: fmt.Sprintf(format, args...)}})
 }
 
 // decodeBody decodes a JSON request body under the configured size limit.
@@ -371,10 +373,10 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			v2Error(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 			return false
 		}
-		v2Error(w, http.StatusBadRequest, "malformed JSON: %v", err)
+		WriteError(w, http.StatusBadRequest, "malformed JSON: %v", err)
 		return false
 	}
 	return true
@@ -382,53 +384,8 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.ledger.Stats()
-	shards := make([]ShardHealth, len(st.Shards))
-	for i, ss := range st.Shards {
-		shards[i] = ShardHealth{Tenants: ss.Tenants, Keys: ss.KeysTracked}
-	}
-	var durability *DurabilityHealth
-	if d := s.ledger.Durability(); d.Enabled {
-		durability = &DurabilityHealth{
-			Dir:               d.Dir,
-			Fsync:             d.Fsync,
-			WALBytes:          d.WALBytes,
-			WALRecords:        d.WALRecords,
-			Syncs:             d.Syncs,
-			Snapshots:         d.Snapshots,
-			LastSnapshotGen:   d.LastSnapshotGen,
-			LastSnapshotUnix:  d.LastSnapshotUnix,
-			LastSnapshotError: d.LastSnapshotError,
-			LastSyncError:     d.LastSyncError,
-			Recovery:          d.Recovery,
-		}
-	}
-	var adm *AdmissionHealth
-	if s.admission != nil {
-		snap := s.admission.Snapshot()
-		adm = &AdmissionHealth{
-			RatePerSec: snap.RatePerSec,
-			Burst:      snap.Burst,
-			WindowSec:  snap.WindowSec,
-			Budget:     snap.Budget,
-			Admitted:   snap.Admitted,
-			Throttled:  snap.Throttled,
-		}
-		for _, t := range snap.Tenants {
-			adm.Tenants = append(adm.Tenants, TenantAdmissionHealth{
-				Tenant:        t.Tenant,
-				RefillPerSec:  t.RefillPerSec,
-				ObservedRate:  t.ObservedRate,
-				ForecastRate:  t.ForecastRate,
-				ForecastError: t.ForecastError,
-				Admitted:      t.Admitted,
-				Throttled:     t.Throttled,
-				ProjectedBill: t.ProjectedBill,
-				Squeezed:      t.Squeezed,
-			})
-		}
-	}
 	v := Version()
-	writeJSON(w, http.StatusOK, HealthResponse{
+	resp := HealthResponse{
 		OK:                true,
 		Standby:           s.standby.Load(),
 		Version:           &v,
@@ -441,12 +398,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		IdempotencyKeys:   st.KeysTracked,
 		KeysEvicted:       st.KeysEvicted,
 		Shards:            len(st.Shards),
-		ShardHealth:       shards,
+		ShardHealth:       st.Shards,
 		TablesETag:        s.tablesETag(),
-		Durability:        durability,
 		Requests:          s.metrics.requestHealth(),
-		Admission:         adm,
-	})
+	}
+	if d := s.ledger.Durability(); d.Enabled {
+		resp.Durability = &d
+	}
+	if s.admission != nil {
+		snap := s.admission.Snapshot()
+		resp.Admission = &snap
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- GET /v3/tenants/{tenant}/forecast ---------------------------------------
@@ -462,45 +425,22 @@ const forecastHistoryWindows = 8
 // or the controller has never seen the tenant.
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		v2Error(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	if s.admission == nil {
-		v2Error(w, http.StatusNotFound, "admission control disabled: no forecasts (-admission-rate 0)")
+		WriteError(w, http.StatusNotFound, "admission control disabled: no forecasts (-admission-rate 0)")
 		return
 	}
 	tenant := r.PathValue("tenant")
 	fc, ok := s.admission.Forecast(tenant)
 	if !ok {
-		v2Error(w, http.StatusNotFound, "no admission state for tenant %q", tenant)
+		WriteError(w, http.StatusNotFound, "no admission state for tenant %q", tenant)
 		return
 	}
-	resp := ForecastResponse{
-		Tenant:        fc.Tenant,
-		WindowSec:     fc.WindowSec,
-		ObservedRate:  fc.ObservedRate,
-		ForecastRate:  fc.ForecastRate,
-		ForecastError: fc.ForecastError,
-		RefillPerSec:  fc.RefillPerSec,
-		Burst:         fc.Burst,
-		Admitted:      fc.Admitted,
-		Throttled:     fc.Throttled,
-		ProjectedBill: fc.ProjectedBill,
-		Budget:        fc.Budget,
-		Squeezed:      fc.Squeezed,
-	}
-	if stats, ok := s.ledger.WindowStats(tenant, forecastHistoryWindows); ok {
-		for _, ws := range stats {
-			resp.Windows = append(resp.Windows, StatementLine{
-				Window:      ws.Window,
-				StartMinute: ws.StartMinute,
-				Invocations: ws.Invocations,
-				Commercial:  ws.Commercial,
-				Billed:      ws.Billed,
-			})
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	resp := ForecastResponse{TenantForecast: fc}
+	resp.Windows, _ = s.ledger.WindowStats(tenant, forecastHistoryWindows)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- /v2/quote and /v2/quotes ----------------------------------------------
@@ -515,12 +455,15 @@ func (s *Server) snapshot() map[string]core.Pricer {
 	return s.pricers
 }
 
-// priceOne prices one request through the given registry snapshot — pure
-// pricing, no accrual. It returns a structured error instead of writing, so
-// the batch handler can embed failures inline.
-func (s *Server) priceOne(pricers map[string]core.Pricer, req QuoteRequest) (*QuoteResponse, *Error) {
+// quote is the one pricing step behind /v2 quotes and /v3 usage records:
+// validate the usage, resolve the pricer (DefaultPricer when unnamed), quote.
+// One order and one error wording for every ingest path. It returns the
+// resolved pricer name and the quote by value — no accrual, no allocation —
+// and a structured error instead of writing, so callers embed failures
+// inline.
+func quote(pricers map[string]core.Pricer, req *QuoteRequest) (string, core.Quote, *Error) {
 	if err := req.Usage.Validate(); err != nil {
-		return nil, &Error{Status: http.StatusBadRequest, Message: err.Error()}
+		return "", core.Quote{}, &Error{Status: http.StatusBadRequest, Message: err.Error()}
 	}
 	name := req.Pricer
 	if name == "" {
@@ -528,11 +471,21 @@ func (s *Server) priceOne(pricers map[string]core.Pricer, req QuoteRequest) (*Qu
 	}
 	pricer, ok := pricers[name]
 	if !ok {
-		return nil, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("unknown pricer %q", name)}
+		return "", core.Quote{}, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("unknown pricer %q", name)}
 	}
 	q, err := pricer.Quote(req.Usage)
 	if err != nil {
-		return nil, &Error{Status: http.StatusBadRequest, Message: err.Error()}
+		return "", core.Quote{}, &Error{Status: http.StatusBadRequest, Message: err.Error()}
+	}
+	return name, q, nil
+}
+
+// priceOne prices one request into its wire response — pure pricing, no
+// accrual.
+func priceOne(pricers map[string]core.Pricer, req QuoteRequest) (*QuoteResponse, *Error) {
+	name, q, apiErr := quote(pricers, &req)
+	if apiErr != nil {
+		return nil, apiErr
 	}
 	return &QuoteResponse{
 		Abbr:       q.Abbr,
@@ -554,50 +507,11 @@ func (s *Server) priceOne(pricers map[string]core.Pricer, req QuoteRequest) (*Qu
 	}, nil
 }
 
-// pricerMemo caches the last registry hit for one stream: nearly every
-// record in a stream names the same pricer — usually none at all, meaning
-// DefaultPricer — so the per-record map probe collapses to a string
-// compare. Only valid against a single pricers snapshot; never share one
-// memo across snapshots.
-type pricerMemo struct {
-	name   string
-	pricer core.Pricer
-}
-
-// priceForStream prices one usage record without materialising a
-// QuoteResponse: the stream response reports counters and tenant summaries,
-// never per-line quotes, so the collector only needs what the ledger entry
-// carries. Validation and pricing are exactly priceOne's — same order,
-// same error wording — minus the response assembly.
-func (s *Server) priceForStream(pricers map[string]core.Pricer, memo *pricerMemo, req *QuoteRequest) (string, float64, float64, *Error) {
-	if err := req.Usage.Validate(); err != nil {
-		return "", 0, 0, &Error{Status: http.StatusBadRequest, Message: err.Error()}
-	}
-	name := req.Pricer
-	if name == "" {
-		name = DefaultPricer
-	}
-	pricer := memo.pricer
-	if pricer == nil || name != memo.name {
-		var ok bool
-		pricer, ok = pricers[name]
-		if !ok {
-			return "", 0, 0, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("unknown pricer %q", name)}
-		}
-		memo.name, memo.pricer = name, pricer
-	}
-	q, err := pricer.Quote(req.Usage)
-	if err != nil {
-		return "", 0, 0, &Error{Status: http.StatusBadRequest, Message: err.Error()}
-	}
-	return name, q.Commercial, q.Price, nil
-}
-
 // priceAndAccrue prices one request and, when it names a tenant, bills it
 // through the ledger (trace minute 0, no idempotency key). A ledger drop
 // (tenant cap) comes back as a 503 error with nothing billed.
 func (s *Server) priceAndAccrue(pricers map[string]core.Pricer, req QuoteRequest) (*QuoteResponse, *Error) {
-	resp, apiErr := s.priceOne(pricers, req)
+	resp, apiErr := priceOne(pricers, req)
 	if apiErr != nil || req.Tenant == "" {
 		return resp, apiErr
 	}
@@ -655,7 +569,7 @@ func (s *Server) mapAccrual(outcome ledger.Outcome, err error) (ledger.Outcome, 
 
 func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		v2Error(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req QuoteRequest
@@ -664,15 +578,15 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, apiErr := s.priceAndAccrue(s.snapshot(), req)
 	if apiErr != nil {
-		writeJSON(w, apiErr.Status, errorEnvelope{Err: *apiErr})
+		WriteJSON(w, apiErr.Status, errorEnvelope{Err: *apiErr})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		v2Error(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req BatchRequest
@@ -680,11 +594,11 @@ func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Quotes) == 0 {
-		v2Error(w, http.StatusBadRequest, "empty batch")
+		WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(req.Quotes) > s.cfg.MaxBatch {
-		v2Error(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Quotes), s.cfg.MaxBatch)
+		WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Quotes), s.cfg.MaxBatch)
 		return
 	}
 
@@ -696,7 +610,7 @@ func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request) {
 		resp, apiErr := s.priceAndAccrue(pricers, q)
 		items[i] = BatchItem{Quote: resp, Error: apiErr}
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Quotes: items})
+	WriteJSON(w, http.StatusOK, BatchResponse{Quotes: items})
 }
 
 // --- /v2/pricers ------------------------------------------------------------
@@ -712,7 +626,7 @@ var pricerDescriptions = map[string]string{
 
 func (s *Server) handlePricers(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		v2Error(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	pricers := s.snapshot()
@@ -729,10 +643,10 @@ func (s *Server) handlePricers(w http.ResponseWriter, r *http.Request) {
 			Default:     name == DefaultPricer,
 		})
 	}
-	writeJSON(w, http.StatusOK, infos)
+	WriteJSON(w, http.StatusOK, infos)
 }
 
-// --- /v2/tables and the table version ---------------------------------------
+// --- the table version -----------------------------------------------------
 
 // etagLocked renders the table version as a strong ETag; callers hold mu.
 //
@@ -772,74 +686,29 @@ func (s *Server) decodeTables(w http.ResponseWriter, r *http.Request) (*core.Cal
 		return nil, nil, false
 	}
 	if err := cal.Validate(); err != nil {
-		v2Error(w, http.StatusBadRequest, "invalid tables: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid tables: %v", err)
 		return nil, nil, false
 	}
 	models, err := core.FitModels(&cal)
 	if err != nil {
-		v2Error(w, http.StatusBadRequest, "fitting models: %v", err)
+		WriteError(w, http.StatusBadRequest, "fitting models: %v", err)
 		return nil, nil, false
 	}
 	return &cal, models, true
 }
 
-func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.mu.RLock()
-		cal := s.cal
-		s.mu.RUnlock()
-		writeJSON(w, http.StatusOK, cal)
-	case http.MethodPost:
-		cal, models, ok := s.decodeTables(w, r)
-		if !ok {
-			return
-		}
-		// v2 swaps are unconditional (last write wins); /v3 adds If-Match.
-		s.swapTables(cal, models, "")
-		writeJSON(w, http.StatusOK, TablesStatus{
-			Machine:      cal.Machine,
-			SharePerCore: cal.SharePerCore,
-			Generators:   len(cal.Generators),
-			Languages:    len(cal.SoloStartups),
-		})
-	default:
-		v2Error(w, http.StatusMethodNotAllowed, "GET or POST only")
-	}
-}
-
 // --- /v2/tenants/{tenant}/summary -------------------------------------------
-
-// wireSummary converts a ledger summary to the wire shape.
-func wireSummary(sum ledger.Summary) TenantSummary {
-	return TenantSummary{
-		Tenant:      sum.Tenant,
-		Invocations: sum.Invocations,
-		Commercial:  sum.Commercial,
-		Billed:      sum.Billed,
-		Discount:    sum.Discount,
-	}
-}
-
-// summaryOf reads one tenant's ledger summary.
-func (s *Server) summaryOf(tenant string) (TenantSummary, bool) {
-	sum, ok := s.ledger.Summary(tenant)
-	if !ok {
-		return TenantSummary{}, false
-	}
-	return wireSummary(sum), true
-}
 
 func (s *Server) handleTenantSummary(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		v2Error(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	tenant := r.PathValue("tenant")
-	sum, ok := s.summaryOf(tenant)
+	sum, ok := s.ledger.Summary(tenant)
 	if !ok {
-		v2Error(w, http.StatusNotFound, "no ledger for tenant %q", tenant)
+		WriteError(w, http.StatusNotFound, "no ledger for tenant %q", tenant)
 		return
 	}
-	writeJSON(w, http.StatusOK, sum)
+	WriteJSON(w, http.StatusOK, sum)
 }

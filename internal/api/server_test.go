@@ -368,7 +368,7 @@ func TestV2Pricers(t *testing.T) {
 	}
 }
 
-// --- /v2/tables -------------------------------------------------------------
+// --- unconditional table swaps (/v3/tables, empty If-Match) -----------------
 
 func TestV2TablesHotSwap(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -400,7 +400,7 @@ func TestV2TablesHotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, respData := postJSON(t, ts.URL+"/v2/tables", string(data))
+	resp, respData := postJSON(t, ts.URL+"/v3/tables", string(data))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("swap status = %d: %s", resp.StatusCode, respData)
 	}
@@ -418,9 +418,9 @@ func TestV2TablesHotSwap(t *testing.T) {
 
 	// GET returns the active tables.
 	var active core.Calibration
-	getJSON(t, ts.URL+"/v2/tables", &active)
+	getJSON(t, ts.URL+"/v3/tables", &active)
 	if active.Machine != "swapped" {
-		t.Errorf("GET /v2/tables machine = %q, want swapped", active.Machine)
+		t.Errorf("GET /v3/tables machine = %q, want swapped", active.Machine)
 	}
 }
 
@@ -429,13 +429,13 @@ func TestV2TablesRejectsInvalid(t *testing.T) {
 	bad := apitest.Calibration()
 	bad.Generators = bad.Generators[:1] // needs both generators
 	data, _ := json.Marshal(bad)
-	resp, respData := postJSON(t, ts.URL+"/v2/tables", string(data))
+	resp, respData := postJSON(t, ts.URL+"/v3/tables", string(data))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid swap status = %d: %s", resp.StatusCode, respData)
 	}
 	// The old tables must remain active.
 	var active core.Calibration
-	getJSON(t, ts.URL+"/v2/tables", &active)
+	getJSON(t, ts.URL+"/v3/tables", &active)
 	if len(active.Generators) != 2 {
 		t.Error("invalid swap clobbered the active tables")
 	}
@@ -584,7 +584,7 @@ func TestConcurrentQuotesAndSwaps(t *testing.T) {
 						errs <- fmt.Sprintf("batch: %d %s", code, data)
 					}
 				case 2: // table swaps
-					if code, data := post("/v2/tables", string(altData)); code != http.StatusOK {
+					if code, data := post("/v3/tables", string(altData)); code != http.StatusOK {
 						errs <- fmt.Sprintf("swap: %d %s", code, data)
 					}
 				case 3: // ledger reads

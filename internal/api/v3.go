@@ -9,6 +9,7 @@ package api
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,22 +40,17 @@ const accrueBatchSize = 256
 // sharded ledger.
 func (s *Server) handleUsageStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		v2Error(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
-	}
-	wire := WireNDJSON
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeFrames) {
-		wire = WireFrames
 	}
 	// One registry snapshot for the whole stream: every record prices
 	// against the same table generation even if tables are swapped
 	// mid-stream.
 	pricers := s.snapshot()
 	streamKey := r.Header.Get("Idempotency-Key")
-	src := NewRecordSource(wire, r.Body, s.cfg.MaxBodyBytes, s.cfg.MaxStreamLines)
+	src := NewRecordSource(RequestWire(r), r.Body, s.cfg.MaxBodyBytes, s.cfg.MaxStreamLines)
 	defer src.Release()
 	col := s.newUsageCollector()
-	var memo pricerMemo
 	for {
 		pos, rec, rej, ok := src.Next()
 		if !ok {
@@ -62,7 +58,7 @@ func (s *Server) handleUsageStream(w http.ResponseWriter, r *http.Request) {
 		}
 		var entry ledger.Entry
 		if rej == nil {
-			entry, rej = s.priceRecord(pricers, &memo, streamKey, pos, rec)
+			entry, rej = s.priceRecord(pricers, streamKey, pos, rec)
 		}
 		if rej != nil {
 			col.reject(pos, rej)
@@ -80,6 +76,15 @@ func (s *Server) handleUsageStream(w http.ResponseWriter, r *http.Request) {
 	s.finishUsage(w, col, streamErr)
 }
 
+// RequestWire picks the wire format a /v3/usage request body is in from its
+// Content-Type: binary frames when it says so, NDJSON otherwise.
+func RequestWire(r *http.Request) WireFormat {
+	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeFrames) {
+		return WireFrames
+	}
+	return WireNDJSON
+}
+
 // DerivedKey is the idempotency key a keyless record inherits from its
 // stream's Idempotency-Key: the stream key plus the record's 1-based
 // PHYSICAL position (blank NDJSON lines counted; frame n is line n), so
@@ -95,14 +100,14 @@ func DerivedKey(streamKey string, line int) string {
 // the collector will bill — no accrual here. The stream response never
 // echoes per-record quotes, so nothing larger is built. rec is the source's
 // reused record; the entry copies out what it keeps.
-func (s *Server) priceRecord(pricers map[string]core.Pricer, memo *pricerMemo, streamKey string, pos int, rec *UsageRecord) (ledger.Entry, *Error) {
+func (s *Server) priceRecord(pricers map[string]core.Pricer, streamKey string, pos int, rec *UsageRecord) (ledger.Entry, *Error) {
 	if rec.Minute < 0 {
 		return ledger.Entry{}, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("negative minute %d", rec.Minute)}
 	}
 	if int64(rec.Minute) > ledger.MaxMinute {
 		return ledger.Entry{}, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("minute %d exceeds %d", rec.Minute, ledger.MaxMinute)}
 	}
-	pricer, commercial, price, apiErr := s.priceForStream(pricers, memo, &rec.QuoteRequest)
+	pricer, q, apiErr := quote(pricers, &rec.QuoteRequest)
 	if apiErr != nil {
 		return ledger.Entry{}, apiErr
 	}
@@ -114,20 +119,14 @@ func (s *Server) priceRecord(pricers map[string]core.Pricer, memo *pricerMemo, s
 		Tenant:     rec.Tenant,
 		Pricer:     pricer,
 		Minute:     rec.Minute,
-		Commercial: commercial,
-		Price:      price,
+		Commercial: q.Commercial,
+		Price:      q.Price,
 		Key:        key,
 	}, nil
 }
 
-// finishUsage renders a usage stream's terminal response: the stream error
-// and the post-accrual summaries of every touched tenant. Throttled lines
-// surface twice: the Retry-After header always accompanies them, and when
-// the admission limiter rejected every line the status is 429 — a
-// single-record client sees a plain HTTP throttle — while a partially
-// admitted stream stays 200 with per-line 429s, because its accounting and
-// accruals are a success the client must not discard. The body is the full
-// UsageStreamResponse either way.
+// finishUsage completes a usage stream's response — the stream error and the
+// post-accrual summaries of every touched tenant — and writes it.
 func (s *Server) finishUsage(w http.ResponseWriter, col *usageCollector, streamErr string) {
 	col.resp.StreamError = streamErr
 	names := make([]string, 0, len(col.touched))
@@ -136,19 +135,31 @@ func (s *Server) finishUsage(w http.ResponseWriter, col *usageCollector, streamE
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if sum, ok := s.summaryOf(name); ok {
+		if sum, ok := s.ledger.Summary(name); ok {
 			col.resp.Tenants = append(col.resp.Tenants, sum)
 		}
 	}
+	WriteUsageResponse(w, &col.resp)
+	col.release()
+}
+
+// WriteUsageResponse writes a usage stream's terminal response. Throttled
+// lines surface twice: the Retry-After header always accompanies them, and
+// when the admission limiter rejected every line the status is 429 — a
+// single-record client sees a plain HTTP throttle — while a partially
+// admitted stream stays 200 with per-line 429s, because its accounting and
+// accruals are a success the client must not discard. The body is the full
+// UsageStreamResponse either way. What a client retries, and so what bills,
+// hangs on this rule: the node and the router both answer through it.
+func WriteUsageResponse(w http.ResponseWriter, resp *UsageStreamResponse) {
 	status := http.StatusOK
-	if col.resp.RetryAfterSec > 0 {
-		w.Header().Set("Retry-After", RetryAfterHeader(col.resp.RetryAfterSec))
+	if resp.RetryAfterSec > 0 {
+		w.Header().Set("Retry-After", RetryAfterHeader(resp.RetryAfterSec))
 	}
-	if col.resp.Lines > 0 && col.resp.Throttled == col.resp.Lines {
+	if resp.Lines > 0 && resp.Throttled == resp.Lines {
 		status = http.StatusTooManyRequests
 	}
-	writeJSON(w, status, col.resp)
-	col.release()
+	WriteJSON(w, status, resp)
 }
 
 // usageCollector owns a usage stream's response accounting and its billing:
@@ -280,34 +291,41 @@ func (c *usageCollector) flush() {
 
 // --- GET /v3/tenants ---------------------------------------------------------
 
+// TenantPageLimit resolves a /v3/tenants query's ?limit=: the default when
+// absent, clamped to MaxTenantPageLimit. It writes the error response itself
+// and reports whether the limit is usable.
+func TenantPageLimit(w http.ResponseWriter, q url.Values) (int, bool) {
+	v := q.Get("limit")
+	if v == "" {
+		return DefaultTenantPageLimit, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		WriteError(w, http.StatusBadRequest, "limit must be a positive integer, got %q", v)
+		return 0, false
+	}
+	return min(n, MaxTenantPageLimit), true
+}
+
 func (s *Server) handleTenantList(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		v2Error(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	q := r.URL.Query()
-	limit := DefaultTenantPageLimit
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			v2Error(w, http.StatusBadRequest, "limit must be a positive integer, got %q", v)
-			return
-		}
-		limit = min(n, MaxTenantPageLimit)
+	limit, ok := TenantPageLimit(w, q)
+	if !ok {
+		return
 	}
 	sums, next := s.ledger.Tenants(q.Get("cursor"), limit)
-	page := TenantPage{NextCursor: next, Tenants: make([]TenantSummary, 0, len(sums))}
-	for _, sum := range sums {
-		page.Tenants = append(page.Tenants, wireSummary(sum))
-	}
-	writeJSON(w, http.StatusOK, page)
+	WriteJSON(w, http.StatusOK, TenantPage{Tenants: sums, NextCursor: next})
 }
 
 // --- GET /v3/tenants/{tenant}/statement --------------------------------------
 
 func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		v2Error(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	tenant := r.PathValue("tenant")
@@ -316,7 +334,7 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			v2Error(w, http.StatusBadRequest, "from must be a non-negative trace minute, got %q", v)
+			WriteError(w, http.StatusBadRequest, "from must be a non-negative trace minute, got %q", v)
 			return
 		}
 		from = n
@@ -324,42 +342,21 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("to"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			v2Error(w, http.StatusBadRequest, "to must be a non-negative trace minute, got %q", v)
+			WriteError(w, http.StatusBadRequest, "to must be a non-negative trace minute, got %q", v)
 			return
 		}
 		to = n
 	}
 	if to >= 0 && to < from {
-		v2Error(w, http.StatusBadRequest, "empty minute range [%d, %d]", from, to)
+		WriteError(w, http.StatusBadRequest, "empty minute range [%d, %d]", from, to)
 		return
 	}
 	st, ok := s.ledger.Statement(tenant, from, to)
 	if !ok {
-		v2Error(w, http.StatusNotFound, "no ledger for tenant %q", tenant)
+		WriteError(w, http.StatusNotFound, "no ledger for tenant %q", tenant)
 		return
 	}
-	resp := StatementResponse{
-		Tenant:        st.Tenant,
-		WindowMinutes: st.WindowMinutes,
-		FromMinute:    st.FromMinute,
-		ToMinute:      st.ToMinute,
-		Invocations:   st.Invocations,
-		Commercial:    st.Commercial,
-		Billed:        st.Billed,
-		Discount:      st.Discount,
-		Lines:         make([]StatementLine, 0, len(st.Lines)),
-	}
-	for _, line := range st.Lines {
-		resp.Lines = append(resp.Lines, StatementLine{
-			Window:      line.Window,
-			StartMinute: line.StartMinute,
-			Invocations: line.Invocations,
-			Commercial:  line.Commercial,
-			Billed:      line.Billed,
-			Bills:       line.Bills,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // --- /v3/tables --------------------------------------------------------------
@@ -381,7 +378,7 @@ func (s *Server) handleTablesV3(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		writeJSON(w, http.StatusOK, cal)
+		WriteJSON(w, http.StatusOK, cal)
 	case http.MethodPut, http.MethodPost:
 		cal, models, ok := s.decodeTables(w, r)
 		if !ok {
@@ -391,17 +388,17 @@ func (s *Server) handleTablesV3(w http.ResponseWriter, r *http.Request) {
 		etag, swapped := s.swapTables(cal, models, ifMatch)
 		w.Header().Set("ETag", etag)
 		if !swapped {
-			v2Error(w, http.StatusPreconditionFailed,
+			WriteError(w, http.StatusPreconditionFailed,
 				"table version mismatch: If-Match %s but current version is %s", ifMatch, etag)
 			return
 		}
-		writeJSON(w, http.StatusOK, TablesStatus{
+		WriteJSON(w, http.StatusOK, TablesStatus{
 			Machine:      cal.Machine,
 			SharePerCore: cal.SharePerCore,
 			Generators:   len(cal.Generators),
 			Languages:    len(cal.SoloStartups),
 		})
 	default:
-		v2Error(w, http.StatusMethodNotAllowed, "GET or PUT only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET or PUT only")
 	}
 }

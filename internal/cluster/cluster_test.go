@@ -6,9 +6,11 @@ package cluster_test
 // keys, tenant listings, statements.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -257,9 +259,13 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 			lines = append(lines, usageLine("bad", 0, 0, "")) // invalid usage: owner-node reject
 		}
 	}
+	// A name JSON escapes (<, >, & become \u003c, \u003e, \u0026): the raw
+	// comparisons below hold only because the router answers through the
+	// node's own encoder.
+	lines = append(lines, usageLine("a&b<c>", 256, 2, ""))
 	body := strings.Join(lines, "\n") + "\n"
 
-	post := func(url string) api.UsageStreamResponse {
+	post := func(url string) (api.UsageStreamResponse, []byte) {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, url+"/v3/usage", strings.NewReader(body))
 		if err != nil {
@@ -274,15 +280,22 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("POST %s: status %d", url, resp.StatusCode)
 		}
-		var out api.UsageStreamResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		var out api.UsageStreamResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out, raw
 	}
-	rres := post(router.URL)
-	sres := post(single.URL)
+	rres, rraw := post(router.URL)
+	sres, sraw := post(single.URL)
 	jsonEq(t, "usage stream", rres, sres)
+	if !bytes.Equal(rraw, sraw) {
+		t.Errorf("usage stream bytes diverged:\n router: %s\n single: %s", rraw, sraw)
+	}
 	if rres.Rejected != 3 {
 		t.Errorf("Rejected = %d, want 3", rres.Rejected)
 	}
@@ -295,6 +308,22 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		}
 	}
 	jsonEq(t, "tenant pages", walkTenants(t, listVia(router.URL), 6), walkTenants(t, listVia(single.URL), 6))
+	getRaw := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url + "/v3/tenants")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if rraw, sraw := getRaw(router.URL), getRaw(single.URL); !bytes.Equal(rraw, sraw) {
+		t.Errorf("tenant listing bytes diverged:\n router: %s\n single: %s", rraw, sraw)
+	}
 
 	// Statements and summaries proxy to the owner byte-for-byte.
 	rc, sc := api.NewClient(router.URL), api.NewClient(single.URL)

@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -99,13 +97,6 @@ func NewRouter(client *Client, cfg RouterConfig) *Router {
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// routerError mirrors the single-node error wire shape ({"error": {...}}).
-func routerError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, struct {
-		Err api.Error `json:"error"`
-	}{api.Error{Status: status, Message: fmt.Sprintf(format, args...)}})
-}
-
 // --- GET /healthz -------------------------------------------------------------
 
 // RouterHealth is the router's /healthz body: the cluster is OK when every
@@ -136,7 +127,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if !resp.OK {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	api.WriteJSON(w, status, resp)
 }
 
 // --- POST /v3/usage -----------------------------------------------------------
@@ -354,17 +345,10 @@ func (f *usageForward) finish(w http.ResponseWriter) {
 			f.dropBatch(name, err)
 		}
 	}
+	// The node's own terminal rule: the merged accounting decides Retry-After
+	// and the 429 exactly as a single node's would.
 	resp := f.scatter.finish(f.streamErr)
-	// Same 429 surface as a single node: Retry-After whenever any line was
-	// throttled, status 429 when the admission limiters rejected every line.
-	status := http.StatusOK
-	if resp.RetryAfterSec > 0 {
-		w.Header().Set("Retry-After", api.RetryAfterHeader(resp.RetryAfterSec))
-	}
-	if resp.Lines > 0 && resp.Throttled == resp.Lines {
-		status = http.StatusTooManyRequests
-	}
-	writeJSON(w, status, resp)
+	api.WriteUsageResponse(w, &resp)
 }
 
 // handleUsage reads the stream through the node's own record source — same
@@ -375,13 +359,10 @@ func (f *usageForward) finish(w http.ResponseWriter) {
 // answer, and the error wording, is the node's.
 func (rt *Router) handleUsage(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		routerError(w, http.StatusMethodNotAllowed, "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	wire := api.WireNDJSON
-	if strings.HasPrefix(r.Header.Get("Content-Type"), api.ContentTypeFrames) {
-		wire = api.WireFrames
-	}
+	wire := api.RequestWire(r)
 	f := rt.newUsageForward(r, wire)
 	src := api.NewRecordSource(wire, r.Body, rt.cfg.MaxBodyBytes, rt.cfg.MaxStreamLines)
 	defer src.Release()
@@ -421,25 +402,20 @@ func (sc *usageScatter) reject(line int, apiErr *api.Error) {
 
 func (rt *Router) handleTenants(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		routerError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	q := r.URL.Query()
-	limit := api.DefaultTenantPageLimit
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			routerError(w, http.StatusBadRequest, "limit must be a positive integer, got %q", v)
-			return
-		}
-		limit = min(n, api.MaxTenantPageLimit)
+	limit, ok := api.TenantPageLimit(w, q)
+	if !ok {
+		return
 	}
 	page, err := rt.client.Tenants(r.Context(), q.Get("cursor"), limit)
 	if err != nil {
-		routerError(w, http.StatusBadGateway, "%v", err)
+		api.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, page)
+	api.WriteJSON(w, http.StatusOK, page)
 }
 
 // --- proxied endpoints --------------------------------------------------------
@@ -461,7 +437,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, node Node) {
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, r.Body)
 	if err != nil {
-		routerError(w, http.StatusBadGateway, "forwarding to node %s: %v", node.Name, err)
+		api.WriteError(w, http.StatusBadGateway, "forwarding to node %s: %v", node.Name, err)
 		return
 	}
 	for _, h := range []string{"Content-Type", "If-Match", "If-None-Match", "Idempotency-Key", "Accept"} {
@@ -471,7 +447,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, node Node) {
 	}
 	resp, err := rt.httpc.Do(req)
 	if err != nil {
-		routerError(w, http.StatusBadGateway, "forwarding to node %s: %v", node.Name, err)
+		api.WriteError(w, http.StatusBadGateway, "forwarding to node %s: %v", node.Name, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -498,50 +474,34 @@ func (rt *Router) handleTables(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPut, http.MethodPost:
 		body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
 		if err != nil {
-			routerError(w, http.StatusBadRequest, "reading body: %v", err)
+			api.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
 		if int64(len(body)) > rt.cfg.MaxBodyBytes {
-			routerError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", rt.cfg.MaxBodyBytes)
+			api.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", rt.cfg.MaxBodyBytes)
 			return
 		}
-		status, err := rt.swapTables(r.Context(), r, body)
+		// Shape validation is the coordinator's job: its verdict (412 and
+		// validation errors included) passes through with its own status
+		// and message.
+		var cal core.Calibration
+		if err := json.Unmarshal(body, &cal); err != nil {
+			api.WriteError(w, http.StatusBadRequest, "malformed JSON: %v", err)
+			return
+		}
+		status, etag, err := rt.client.SwapTablesIfMatch(r.Context(), &cal, r.Header.Get("If-Match"))
+		var apiErr *api.Error
+		if err != nil && !errors.As(err, &apiErr) {
+			api.WriteError(w, http.StatusBadGateway, "%v", err)
+			return
+		}
+		w.Header().Set("ETag", etag)
 		if err != nil {
-			// The coordinator's verdict (412 and validation errors included)
-			// passes through with its own status and message.
-			var apiErr *api.Error
-			if asAPIError(err, &apiErr) {
-				w.Header().Set("ETag", status.etag)
-				routerError(w, apiErr.Status, "%s", apiErr.Message)
-				return
-			}
-			routerError(w, http.StatusBadGateway, "%v", err)
+			api.WriteError(w, apiErr.Status, "%s", apiErr.Message)
 			return
 		}
-		w.Header().Set("ETag", status.etag)
-		writeJSON(w, http.StatusOK, status.status)
+		api.WriteJSON(w, http.StatusOK, status)
 	default:
-		routerError(w, http.StatusMethodNotAllowed, "GET or PUT only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET or PUT only")
 	}
 }
-
-// swapResult carries a broadcast swap's outcome.
-type swapResult struct {
-	status api.TablesStatus
-	etag   string
-}
-
-// swapTables performs the coordinator-then-broadcast table swap from raw
-// request bytes. Shape validation is the coordinator's job — a table it
-// rejects surfaces as its own api.Error.
-func (rt *Router) swapTables(ctx context.Context, r *http.Request, body []byte) (swapResult, error) {
-	var cal core.Calibration
-	if err := json.Unmarshal(body, &cal); err != nil {
-		return swapResult{}, &api.Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("malformed JSON: %v", err)}
-	}
-	status, etag, err := rt.client.SwapTablesIfMatch(ctx, &cal, r.Header.Get("If-Match"))
-	return swapResult{status: status, etag: etag}, err
-}
-
-// asAPIError unwraps an api.Error from an error chain.
-func asAPIError(err error, target **api.Error) bool { return errors.As(err, target) }

@@ -260,8 +260,8 @@ func (l Litmus) Quote(u Usage) (Quote, error) {
 	}
 	rPriv := l.RateBase / est.PrivSlow
 	rShared := l.RateBase / est.SharedSlow
-	// Left-associated products: keeps /v1 wire responses bit-identical to
-	// the original inline handler.
+	// Left-associated products, (r·mem)·t: the association fixes the
+	// floating-point result, and bills are compared bit for bit.
 	mem := float64(u.MemoryMB)
 	pPriv := rPriv * mem * u.TPrivate
 	pShared := rShared * mem * u.TShared

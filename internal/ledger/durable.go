@@ -364,11 +364,11 @@ func (d *durable) start() {
 	}
 }
 
-// noteAppend records one appended WAL record and nudges the snapshotter
+// noteAppend records n appended WAL records and nudges the snapshotter
 // once the configured interval has accumulated.
-func (d *durable) noteAppend() {
-	d.records.Add(1)
-	if every := d.l.cfg.SnapshotEvery; every > 0 && d.sinceSnap.Add(1) >= int64(every) {
+func (d *durable) noteAppend(n int) {
+	d.records.Add(uint64(n))
+	if every := d.l.cfg.SnapshotEvery; every > 0 && d.sinceSnap.Add(int64(n)) >= int64(every) {
 		select {
 		case d.snapCh <- struct{}{}:
 		default:

@@ -358,7 +358,7 @@ func (l *Ledger) Accrue(e Entry) (Outcome, error) {
 		// Count the append before the fsync: the record is in the WAL and
 		// applied whether or not the sync below succeeds, so WALRecords and
 		// the snapshot cadence must see it either way.
-		l.dur.noteAppend()
+		l.dur.noteAppend(1)
 		if l.cfg.Fsync == FsyncAlways {
 			if err := sh.wal.syncTo(watermark); err != nil {
 				// The record is written and applied but not yet known
@@ -502,9 +502,7 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 	}
 	unlock()
 	if l.dur != nil && appends > 0 {
-		for n := 0; n < appends; n++ {
-			l.dur.noteAppend()
-		}
+		l.dur.noteAppend(appends)
 		if l.cfg.Fsync == FsyncAlways {
 			for j := range touched {
 				if err := touched[j].wal.syncTo(marks[j]); err != nil {
@@ -523,13 +521,19 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 	}
 }
 
-// Summary is a tenant's aggregate bill.
+// Summary is a tenant's aggregate bill — and, through its JSON tags, the
+// wire body of GET /v2/tenants/{tenant}/summary and of every tenant element
+// the /v3 surface lists (internal/api aliases it; a rename here is an API
+// change).
 type Summary struct {
-	Tenant      string
-	Invocations int64
-	Commercial  float64
-	Billed      float64
-	Discount    float64
+	Tenant string `json:"tenant"`
+	// Invocations counts the entries accrued to the account.
+	Invocations int64 `json:"invocations"`
+	// Commercial and Billed are the aggregate undiscounted and charged
+	// totals; Discount is the aggregate fraction saved.
+	Commercial float64 `json:"commercial"`
+	Billed     float64 `json:"billed"`
+	Discount   float64 `json:"discount"`
 }
 
 func summarize(tenant string, a *account) Summary {
@@ -552,31 +556,34 @@ func (l *Ledger) Summary(tenant string) (Summary, bool) {
 
 // Line is one statement window: the invocations billed in
 // [StartMinute, StartMinute+WindowMinutes) with commercial-vs-charged
-// totals and one billed line per pricer.
+// totals and one billed line per pricer (Bills; nil from WindowStats, which
+// skips the per-pricer breakdown).
 type Line struct {
-	Window      int
-	StartMinute int
-	Invocations int64
-	Commercial  float64
-	Billed      float64
-	Bills       map[string]float64
+	Window      int                `json:"window"`
+	StartMinute int                `json:"startMinute"`
+	Invocations int64              `json:"invocations"`
+	Commercial  float64            `json:"commercial"`
+	Billed      float64            `json:"billed"`
+	Bills       map[string]float64 `json:"bills"`
 }
 
-// Statement is a tenant's windowed bill over a minute range.
+// Statement is a tenant's windowed bill over a minute range — the wire body
+// of GET /v3/tenants/{tenant}/statement.
 type Statement struct {
-	Tenant        string
-	WindowMinutes int
+	Tenant        string `json:"tenant"`
+	WindowMinutes int    `json:"windowMinutes"`
 	// FromMinute / ToMinute echo the requested range; ToMinute < 0 means
 	// open-ended.
-	FromMinute int
-	ToMinute   int
+	FromMinute int `json:"fromMinute"`
+	ToMinute   int `json:"toMinute"`
 	// Totals aggregate the included windows only.
-	Invocations int64
-	Commercial  float64
-	Billed      float64
-	Discount    float64
-	// Lines holds the included windows sorted by window index.
-	Lines []Line
+	Invocations int64   `json:"invocations"`
+	Commercial  float64 `json:"commercial"`
+	Billed      float64 `json:"billed"`
+	Discount    float64 `json:"discount"`
+	// Lines holds the included windows sorted by window index; never nil,
+	// so an empty range encodes as [].
+	Lines []Line `json:"lines"`
 }
 
 // Statement returns the tenant's bill over trace minutes
@@ -586,21 +593,12 @@ func (l *Ledger) Statement(tenant string, fromMinute, toMinute int) (Statement, 
 	return l.shardFor(tenant).statement(tenant, fromMinute, toMinute, l.cfg.WindowMinutes)
 }
 
-// WindowStat is one statement window's accrual totals without the
-// per-pricer bill map — the cheap read the admission layer's forecaster
-// polls every observation window.
-type WindowStat struct {
-	Window      int
-	StartMinute int
-	Invocations int64
-	Commercial  float64
-	Billed      float64
-}
-
 // WindowStats returns the tenant's per-window accrual totals sorted by
-// window, keeping only the last lastN windows (lastN <= 0 means all). ok is
-// false for an unknown tenant.
-func (l *Ledger) WindowStats(tenant string, lastN int) ([]WindowStat, bool) {
+// window — lines without the per-pricer bill map (Bills is nil), the cheap
+// read the admission layer's forecaster polls every observation window —
+// keeping only the last lastN windows (lastN <= 0 means all). ok is false
+// for an unknown tenant.
+func (l *Ledger) WindowStats(tenant string, lastN int) ([]Line, bool) {
 	return l.shardFor(tenant).windowStats(tenant, lastN, l.cfg.WindowMinutes)
 }
 
@@ -659,8 +657,8 @@ func (l *Ledger) Tenants(cursor string, limit int) ([]Summary, string) {
 type ShardStats struct {
 	// Tenants is the shard's account count; KeysTracked its retained
 	// idempotency keys.
-	Tenants     int
-	KeysTracked int
+	Tenants     int `json:"tenants"`
+	KeysTracked int `json:"keys"`
 }
 
 // Stats is the ledger's observability snapshot: saturation against the

@@ -166,6 +166,7 @@ func (sh *shard) statement(tenant string, fromMinute, toMinute, windowMinutes in
 		widxs = append(widxs, widx)
 	}
 	sort.Ints(widxs)
+	st.Lines = make([]Line, 0, len(widxs))
 	for _, widx := range widxs {
 		w := a.windows[widx]
 		bills := make(map[string]float64, len(w.bills))
@@ -192,7 +193,7 @@ func (sh *shard) statement(tenant string, fromMinute, toMinute, windowMinutes in
 
 // windowStats copies out the tenant's per-window totals (no bill maps)
 // under the shard lock, keeping only the last lastN windows when lastN > 0.
-func (sh *shard) windowStats(tenant string, lastN, windowMinutes int) ([]WindowStat, bool) {
+func (sh *shard) windowStats(tenant string, lastN, windowMinutes int) ([]Line, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	a, ok := sh.accounts[tenant]
@@ -207,10 +208,10 @@ func (sh *shard) windowStats(tenant string, lastN, windowMinutes int) ([]WindowS
 	if lastN > 0 && len(widxs) > lastN {
 		widxs = widxs[len(widxs)-lastN:]
 	}
-	stats := make([]WindowStat, 0, len(widxs))
+	stats := make([]Line, 0, len(widxs))
 	for _, widx := range widxs {
 		w := a.windows[widx]
-		stats = append(stats, WindowStat{
+		stats = append(stats, Line{
 			Window:      widx,
 			StartMinute: widx * windowMinutes,
 			Invocations: w.invocations,

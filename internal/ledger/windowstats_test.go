@@ -1,6 +1,7 @@
 package ledger_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/ledger"
@@ -35,7 +36,7 @@ func TestWindowStats(t *testing.T) {
 	if !ok {
 		t.Fatal("known tenant reported unknown")
 	}
-	want := []ledger.WindowStat{
+	want := []ledger.Line{
 		{Window: 0, StartMinute: 0, Invocations: 2, Commercial: 6, Billed: 3},
 		{Window: 2, StartMinute: 4, Invocations: 1, Commercial: 8, Billed: 4},
 		{Window: 5, StartMinute: 10, Invocations: 1, Commercial: 16, Billed: 8},
@@ -44,7 +45,7 @@ func TestWindowStats(t *testing.T) {
 		t.Fatalf("got %d windows, want %d: %+v", len(stats), len(want), stats)
 	}
 	for i, w := range want {
-		if stats[i] != w {
+		if !reflect.DeepEqual(stats[i], w) {
 			t.Fatalf("window %d = %+v, want %+v", i, stats[i], w)
 		}
 	}
