@@ -24,11 +24,9 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -371,17 +369,15 @@ func buildOps(o options, client *api.Client, runID string) ([]loadgen.Op, *count
 			resp, err := client.StreamUsage(ctx, "",
 				[]api.UsageRecord{mkRecord(tenantFor(n), fmt.Sprintf("%s-%d", runID, n))})
 			if err != nil {
+				return err
+			}
+			if resp.Throttled > 0 {
 				// Admission-control backpressure is a clean refusal, not a
 				// failure: book it so the exactness check still balances, and
-				// reclassify for the engine so the 429 does not eat the error
-				// budget (the single-record batch means an all-throttled 429
-				// *Error is THE throttle signal here).
-				var apiErr *api.Error
-				if errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests {
-					totals.throttled.Add(1)
-					return fmt.Errorf("%w: %v", loadgen.ErrThrottled, err)
-				}
-				return err
+				// classify it for the engine so the throttle does not eat the
+				// error budget.
+				totals.throttled.Add(1)
+				return fmt.Errorf("%w: retry after %gs", loadgen.ErrThrottled, resp.RetryAfterSec)
 			}
 			totals.accepted.Add(int64(resp.Accepted))
 			totals.duplicates.Add(int64(resp.Duplicates))

@@ -20,12 +20,12 @@ import (
 	"repro/internal/ledger"
 )
 
-// Stats is the ledger-backed source of windowed accrual statistics for
+// Stats is the ledger-backed source of a tenant's cumulative bill for
 // price-aware mode. *ledger.Ledger satisfies it.
 type Stats interface {
-	// WindowStats returns the tenant's per-window accrual totals, oldest
-	// first; lastN <= 0 means all windows. ok is false for an unknown tenant.
-	WindowStats(tenant string, lastN int) ([]ledger.Line, bool)
+	// Summary returns the tenant's aggregate totals (Billed is what Tick
+	// reads); ok is false for an unknown tenant.
+	Summary(tenant string) (ledger.Summary, bool)
 }
 
 // Config sizes the controller.
@@ -54,12 +54,7 @@ type Config struct {
 	// anyone else feels backpressure.
 	Budget float64
 
-	// Headroom is the slack multiplied onto the forecast when sizing a
-	// refill rate, so a tenant tracking its own recent rate is not throttled
-	// by forecast noise. Default 0.2 (20%).
-	Headroom float64
-
-	// Stats supplies windowed accrual statistics for price-aware mode.
+	// Stats supplies the cumulative bills for price-aware mode.
 	Stats Stats
 
 	// Now is the clock; nil means time.Now. Tests inject a manual clock.
@@ -69,6 +64,11 @@ type Config struct {
 	// by calling Tick directly.
 	Manual bool
 }
+
+// headroom is the slack multiplied onto the forecast when sizing a refill
+// rate, so a tenant tracking its own recent rate is not throttled by
+// forecast noise.
+const headroom = 0.2
 
 // bucket is one tenant's admission state. All fields are guarded by the
 // controller mutex.
@@ -131,9 +131,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.ForecastWindow <= 0 {
 		cfg.ForecastWindow = 2 * time.Second
-	}
-	if cfg.Headroom <= 0 {
-		cfg.Headroom = 0.2
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -208,7 +205,7 @@ func (c *Controller) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 
 // Tick closes one observation window: per tenant, record the window's
 // actual arrival rate, score the previous forecast, observe, forecast the
-// next window, and set the refill rate to forecast*(1+Headroom) clamped to
+// next window, and set the refill rate to forecast*(1+headroom) clamped to
 // [MinRate, Rate]. In price-aware mode tenants projected over Budget are
 // squeezed proportionally (Budget/projected) before the clamp floor.
 func (c *Controller) Tick() {
@@ -231,17 +228,14 @@ func (c *Controller) Tick() {
 		pred := b.fc.Forecast(1)
 		b.prevPred = pred
 
-		target := pred * (1 + c.cfg.Headroom)
+		target := pred * (1 + headroom)
 		if target > c.cfg.Rate {
 			target = c.cfg.Rate
 		}
 		b.squeezed = false
 		if c.cfg.Budget > 0 && c.cfg.Stats != nil {
-			if stats, ok := c.cfg.Stats.WindowStats(name, 0); ok {
-				var billed float64
-				for _, w := range stats {
-					billed += w.Billed
-				}
+			if sum, ok := c.cfg.Stats.Summary(name); ok {
+				billed := sum.Billed
 				delta := billed
 				if b.haveBill {
 					delta = billed - b.prevBill

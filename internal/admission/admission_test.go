@@ -124,12 +124,9 @@ type fakeStats struct {
 	billed map[string]float64
 }
 
-func (s *fakeStats) WindowStats(tenant string, lastN int) ([]ledger.Line, bool) {
+func (s *fakeStats) Summary(tenant string) (ledger.Summary, bool) {
 	b, ok := s.billed[tenant]
-	if !ok {
-		return nil, false
-	}
-	return []ledger.Line{{Window: 0, Billed: b}}, true
+	return ledger.Summary{Tenant: tenant, Billed: b}, ok
 }
 
 // Price-aware mode: a tenant projected over Budget has its refill squeezed

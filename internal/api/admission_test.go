@@ -163,8 +163,8 @@ func TestAdmissionThrottledRetryBillsOnce(t *testing.T) {
 }
 
 // When every record in the stream is throttled the HTTP status is 429 with
-// a Retry-After header, the body still carries the full accounting, and
-// the typed client surfaces both (resp + *Error).
+// a Retry-After header and the body still carries the full accounting; the
+// typed client returns that accounting as the delivery it is.
 func TestAdmissionAllThrottled(t *testing.T) {
 	client, _ := newAdmissionPair(t, 1)
 	ctx := context.Background()
@@ -174,15 +174,14 @@ func TestAdmissionAllThrottled(t *testing.T) {
 	}
 
 	resp, err := client.StreamUsage(ctx, "", []UsageRecord{admRecord("t", ""), admRecord("t", "")})
-	var apiErr *Error
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
-		t.Fatalf("err = %v, want *Error 429", err)
+	if err != nil {
+		t.Fatalf("err = %v, want nil: an all-throttled stream is a delivery", err)
 	}
-	if apiErr.RetryAfterSec <= 0 {
-		t.Fatalf("429 error missing RetryAfterSec: %+v", apiErr)
-	}
-	if resp.Lines != 2 || resp.Throttled != 2 || resp.Accepted != 0 {
+	if resp.Lines != 2 || resp.Throttled != resp.Lines || resp.Accepted != 0 {
 		t.Fatalf("accounting lost on all-throttled: %+v", resp)
+	}
+	if resp.RetryAfterSec <= 0 {
+		t.Fatalf("all-throttled response missing RetryAfterSec: %+v", resp)
 	}
 
 	// The raw response carries a Retry-After header (ceil seconds, min 1).

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -156,20 +154,12 @@ func (c *Client) doRaw(ctx context.Context, method, path string, headers map[str
 			return resp.Header, &envelope.Err
 		}
 		// An all-throttled /v3/usage stream answers 429 with the full
-		// UsageStreamResponse as the body (not the error envelope): decode
-		// it into out so the caller keeps the accounting, and surface the
-		// throttle as a *Error carrying the precise retry delay.
-		if resp.StatusCode == http.StatusTooManyRequests && out != nil && json.Unmarshal(data, out) == nil {
-			apiErr := &Error{Status: resp.StatusCode, Message: "throttled: every record over admission rate"}
-			if usr, ok := out.(*UsageStreamResponse); ok {
-				apiErr.RetryAfterSec = usr.RetryAfterSec
-			}
-			if apiErr.RetryAfterSec == 0 {
-				if sec, err := strconv.ParseFloat(resp.Header.Get("Retry-After"), 64); err == nil {
-					apiErr.RetryAfterSec = sec
-				}
-			}
-			return resp.Header, apiErr
+		// UsageStreamResponse as the body (not the error envelope). The
+		// service processed every record of it, so it is a delivery: the
+		// throttle is in the accounting (Throttled, RetryAfterSec).
+		if usr, ok := out.(*UsageStreamResponse); ok && resp.StatusCode == http.StatusTooManyRequests &&
+			json.Unmarshal(data, usr) == nil && usr.Lines > 0 {
+			return resp.Header, nil
 		}
 		// Not the service's envelope (a proxy's page, a torn body): surface
 		// the text as it came.
@@ -233,10 +223,11 @@ func (c *Client) TenantSummary(ctx context.Context, tenant string) (TenantSummar
 // A non-empty key is sent as the Idempotency-Key header: records without
 // their own key inherit a derived one, so retrying the exact same call with
 // the same key cannot double-bill (the retry comes back counted under
-// Duplicates). Per-record failures are reported in the response, not as a
-// call error — except the all-throttled stream, which the server answers
-// with HTTP 429: the error is then a *Error with RetryAfterSec set while
-// the returned response still carries the stream's full accounting.
+// Duplicates). The delivery rule, for every usage call of every client in
+// this repo: per-record outcomes — throttles included, even when the
+// limiter refused every record and the HTTP status was 429 — are in the
+// response (Throttled, RetryAfterSec, Errors); an error means the service
+// did not process the request.
 func (c *Client) StreamUsage(ctx context.Context, key string, records []UsageRecord) (UsageStreamResponse, error) {
 	body, err := EncodeUsageStream(c.Wire, records)
 	if err != nil {
@@ -255,39 +246,43 @@ func (c *Client) StreamUsage(ctx context.Context, key string, records []UsageRec
 // EncodeUsageStream renders records as a /v3/usage request body in the
 // given wire format — one JSON line per record, or one binary frame each.
 func EncodeUsageStream(wire WireFormat, records []UsageRecord) ([]byte, error) {
-	if wire == WireFrames {
-		var body []byte
-		for i := range records {
-			body = AppendUsageFrame(body, &records[i])
+	var body []byte
+	for i := range records {
+		var err error
+		if body, err = AppendUsageRecord(body, wire, &records[i]); err != nil {
+			return nil, err
 		}
-		return body, nil
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf) // Encode terminates each value with '\n': NDJSON
-	for _, rec := range records {
-		if err := enc.Encode(rec); err != nil {
-			return nil, fmt.Errorf("api: encoding usage record: %w", err)
-		}
+	return body, nil
+}
+
+// AppendUsageRecord appends rec's encoding in the given wire format — a JSON
+// line or a binary frame — to dst and returns the extended slice; on error
+// dst comes back unchanged.
+func AppendUsageRecord(dst []byte, wire WireFormat, rec *UsageRecord) ([]byte, error) {
+	if wire == WireFrames {
+		return AppendUsageFrame(dst, rec), nil
+	}
+	// Encode writes nothing when it fails, and terminates each value with
+	// '\n': NDJSON.
+	buf := bytes.NewBuffer(dst)
+	if err := json.NewEncoder(buf).Encode(rec); err != nil {
+		return dst, fmt.Errorf("api: encoding usage record: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
 // StreamUsageBody posts an already-encoded /v3/usage body under the given
 // Content-Type and returns the stream response verbatim — no record-count
-// check, so a caller forwarding someone else's stream (the cluster router)
+// check, so a caller forwarding someone else's stream (the cluster scatter)
 // can see a partial response for what it is and account the unprocessed
-// tail itself rather than discarding the server's partial accounting. On an
-// all-throttled 429 both returns are populated: the decoded stream
-// accounting and a *Error whose RetryAfterSec says when to retry.
+// tail itself rather than discarding the server's partial accounting. The
+// delivery rule is StreamUsage's.
 func (c *Client) StreamUsageBody(ctx context.Context, key, contentType string, body []byte) (UsageStreamResponse, error) {
 	var resp UsageStreamResponse
 	_, err := c.doRaw(ctx, http.MethodPost, "/v3/usage",
 		map[string]string{"Idempotency-Key": key}, contentType, bytes.NewReader(body), &resp)
 	if err != nil {
-		var apiErr *Error
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests && resp.Lines > 0 {
-			return resp, err
-		}
 		return UsageStreamResponse{}, err
 	}
 	return resp, nil

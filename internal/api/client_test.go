@@ -288,6 +288,40 @@ func TestClientNonJSONErrorBody(t *testing.T) {
 	}
 }
 
+// TestClientStreamUsage429WithoutAccounting is the other side of the
+// delivery rule: a 429 is only a delivery when its body is the stream's
+// accounting. One carrying the error envelope (a front proxy's own rate
+// limit, say) or accounting for no lines means the records were not
+// processed, and stays an *Error.
+func TestClientStreamUsage429WithoutAccounting(t *testing.T) {
+	for name, body := range map[string]string{
+		"error envelope": `{"error":{"status":429,"message":"slow down","retryAfterSec":2}}`,
+		"no lines":       `{"lines":0,"accepted":0}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusTooManyRequests)
+				io.WriteString(w, body)
+			}))
+			t.Cleanup(ts.Close)
+			resp, err := NewClient(ts.URL).StreamUsage(context.Background(), "", []UsageRecord{
+				{QuoteRequest: QuoteRequest{Usage: usageAt("a", 128, 1.3, 1.9, 1.2e7), Tenant: "t"}},
+			})
+			var apiErr *Error
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
+				t.Fatalf("err = %v, want *Error 429", err)
+			}
+			if name == "error envelope" && (apiErr.Message != "slow down" || apiErr.RetryAfterSec != 2) {
+				t.Errorf("envelope lost: %+v", apiErr)
+			}
+			if resp.Lines != 0 || resp.Throttled != 0 {
+				t.Errorf("resp = %+v, want zero alongside an error", resp)
+			}
+		})
+	}
+}
+
 func TestClientContextCanceledMidStream(t *testing.T) {
 	// The handler commits a 200 and half a body, then stalls until the
 	// client goes away: cancellation must abort the decode, not hang.

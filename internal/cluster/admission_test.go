@@ -6,7 +6,6 @@ package cluster_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -51,9 +50,8 @@ func newAdmissionNode(t *testing.T, clk *admClock, burst float64) *httptest.Serv
 	return ts
 }
 
-// newAdmissionRouter fronts n rate-limited nodes with the thin router and
-// returns a plain single-node client for it.
-func newAdmissionRouter(t *testing.T, clk *admClock, n int, burst float64) *api.Client {
+// newAdmissionCluster builds a ring client over n rate-limited nodes.
+func newAdmissionCluster(t *testing.T, clk *admClock, n int, burst float64) *cluster.Client {
 	t.Helper()
 	nodes := make([]cluster.Node, n)
 	for i := range nodes {
@@ -64,6 +62,14 @@ func newAdmissionRouter(t *testing.T, clk *admClock, n int, burst float64) *api.
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cc
+}
+
+// newAdmissionRouter fronts n rate-limited nodes with the thin router and
+// returns a plain single-node client for it.
+func newAdmissionRouter(t *testing.T, clk *admClock, n int, burst float64) *api.Client {
+	t.Helper()
+	cc := newAdmissionCluster(t, clk, n, burst)
 	router := httptest.NewServer(cluster.NewRouter(cc, cluster.RouterConfig{BatchSize: 4}))
 	t.Cleanup(router.Close)
 	return api.NewClient(router.URL)
@@ -140,8 +146,8 @@ func TestRouterAdmissionMatchesSingleNode(t *testing.T) {
 }
 
 // When every line of a routed stream is throttled the router answers like a
-// throttled node: HTTP 429 with a Retry-After header, the typed client
-// surfacing both the error and the full accounting.
+// throttled node: HTTP 429 with a Retry-After header, which the typed
+// client returns as the delivery it is.
 func TestRouterAllThrottled(t *testing.T) {
 	ctx := context.Background()
 	clk := &admClock{t: time.Unix(1_700_000_000, 0)}
@@ -156,15 +162,14 @@ func TestRouterAllThrottled(t *testing.T) {
 		usageRecord(t, "t", 256, 0, ""),
 		usageRecord(t, "t", 256, 0, ""),
 	})
-	var apiErr *api.Error
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
-		t.Fatalf("err = %v, want *Error 429 through the router", err)
+	if err != nil {
+		t.Fatalf("err = %v, want nil: an all-throttled stream is a delivery", err)
 	}
-	if apiErr.RetryAfterSec <= 0 {
-		t.Fatalf("routed 429 missing RetryAfterSec: %+v", apiErr)
-	}
-	if resp.Lines != 2 || resp.Throttled != 2 || resp.Accepted != 0 {
+	if resp.Lines != 2 || resp.Throttled != resp.Lines || resp.Accepted != 0 {
 		t.Fatalf("routed all-throttled accounting = %+v", resp)
+	}
+	if resp.RetryAfterSec <= 0 {
+		t.Fatalf("routed all-throttled response missing RetryAfterSec: %+v", resp)
 	}
 
 	// Raw wire check: the router's own response carries the header.
@@ -182,4 +187,79 @@ func TestRouterAllThrottled(t *testing.T) {
 	if ra := raw.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("router Retry-After = %q, want positive integer seconds", ra)
 	}
+}
+
+// TestRingClientMatchesRouterOnFaults holds the scatter's two drivers to one
+// answer on its fault paths: the same records through cluster.Client and
+// through a Router over an identical cluster merge to the same accounting
+// when an owner is down (its lines Dropped with per-line 502s) and when an
+// owner throttles its whole sub-stream (an HTTP 429 at that hop, a delivery
+// in the merge). Only the dead owner is an error, and only from the ring
+// client — the router's caller reads it as the StreamError.
+func TestRingClientMatchesRouterOnFaults(t *testing.T) {
+	ctx := context.Background()
+	// viaBoth streams records through a ring client and through a router
+	// over a second, identically built cluster, and returns the former's
+	// answer once the latter's matched it.
+	viaBoth := func(t *testing.T, build func() *cluster.Client, records []api.UsageRecord) (api.UsageStreamResponse, error) {
+		t.Helper()
+		ring, ringErr := build().StreamUsage(ctx, "run-fault", records)
+		router := httptest.NewServer(cluster.NewRouter(build(), cluster.RouterConfig{}))
+		t.Cleanup(router.Close)
+		routed, err := api.NewClient(router.URL).StreamUsage(ctx, "run-fault", records)
+		if err != nil {
+			t.Fatalf("router: %v", err)
+		}
+		jsonEq(t, "ring client vs router", ring, routed)
+		return ring, ringErr
+	}
+
+	t.Run("owner down", func(t *testing.T) {
+		_, dead := newNode(t, nil, false)
+		dead.Close()
+		got, err := viaBoth(t, func() *cluster.Client { return halfDeadClient(t, dead.URL) }, testRecords(t, 16, 96))
+		if err == nil || !strings.Contains(err.Error(), "forwarding to node node1") {
+			t.Fatalf("ring client err = %v, want the node1 forwarding failure", err)
+		}
+		if got.StreamError == "" || !strings.Contains(err.Error(), got.StreamError) {
+			t.Errorf("StreamError %q is not the returned failure %q", got.StreamError, err)
+		}
+		if got.Accepted == 0 || got.Dropped == 0 || got.Accepted+got.Duplicates+got.Dropped != got.Lines {
+			t.Errorf("partial accounting = %+v", got)
+		}
+	})
+
+	t.Run("owner all-throttled", func(t *testing.T) {
+		clk := &admClock{t: time.Unix(1_700_000_000, 0)}
+		// One record per tenant admits everywhere (burst 1); a second one for
+		// each tenant node0 owns makes node0's sub-stream of the next call
+		// all-throttled while the other owners admit theirs.
+		var first, second []api.UsageRecord
+		probe := newAdmissionCluster(t, clk, 3, 1)
+		for i := 0; i < 12; i++ {
+			tenant := fmt.Sprintf("adm-%d", i)
+			if probe.Ring().Owner(tenant).Name == "node0" {
+				first = append(first, usageRecord(t, tenant, 256, 0, ""))
+				second = append(second, usageRecord(t, tenant, 256, 1, ""), usageRecord(t, tenant, 256, 2, ""))
+			} else {
+				second = append(second, usageRecord(t, tenant, 256, 1, ""))
+			}
+		}
+		if len(first) == 0 || len(second) == 3*len(first) {
+			t.Fatalf("fixture: node0 owns %d of 12 tenants", len(first))
+		}
+		got, err := viaBoth(t, func() *cluster.Client {
+			cc := newAdmissionCluster(t, clk, 3, 1)
+			if _, err := cc.StreamUsage(ctx, "", first); err != nil {
+				t.Fatal(err)
+			}
+			return cc
+		}, second)
+		if err != nil {
+			t.Fatalf("ring client err = %v, want nil: a throttled sub-stream is a delivery", err)
+		}
+		if got.Throttled != 2*len(first) || got.Accepted != len(second)-got.Throttled || got.RetryAfterSec <= 0 || got.StreamError != "" {
+			t.Errorf("merged accounting = %+v, want %d throttled, the rest accepted", got, 2*len(first))
+		}
+	})
 }

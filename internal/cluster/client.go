@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 
 	"repro/internal/api"
@@ -14,7 +12,8 @@ import (
 // Client is the ring-aware face of a partitioned cluster: it exposes the
 // same operations as api.Client but routes every tenant-scoped call to the
 // tenant's owner node, so callers (fleet.RemoteSink, pricingcli, the
-// router) talk to an N-node cluster exactly as they would to one node.
+// router) talk to an N-node cluster exactly as they would to one node —
+// api.Client.StreamUsage's delivery rule included.
 //
 // Tenant-scoped reads and writes go to the ring owner; the calibration
 // tables are cluster-wide state coordinated through node 0 (the ETag
@@ -28,6 +27,8 @@ type Client struct {
 	clients map[string]*api.Client
 	//litmus:unguarded immutable after NewClient
 	nodes []Node
+	//litmus:unguarded set by SetWire before the client is shared
+	wire api.WireFormat
 }
 
 // NewClient builds a ring-aware client over nodes (vnodes 0 selects
@@ -47,14 +48,10 @@ func NewClient(nodes []Node, vnodes int) (*Client, error) {
 // Ring exposes the client's ring (the router shares it).
 func (c *Client) Ring() *Ring { return c.ring }
 
-// SetWire selects the /v3/usage wire format every node client streams in
-// (NDJSON by default, api.WireFrames for the binary fast path). Call before
-// issuing requests; node clients are not otherwise reconfigured in flight.
-func (c *Client) SetWire(f api.WireFormat) {
-	for _, nc := range c.clients {
-		nc.Wire = f
-	}
-}
+// SetWire selects the /v3/usage wire format StreamUsage forwards in (NDJSON
+// by default, api.WireFrames for the binary fast path). Call before issuing
+// requests.
+func (c *Client) SetWire(f api.WireFormat) { c.wire = f }
 
 // owner returns the api.Client for a tenant's owner node.
 func (c *Client) owner(tenant string) *api.Client {
@@ -108,72 +105,34 @@ func (c *Client) SwapTablesIfMatch(ctx context.Context, cal *core.Calibration, i
 	return status, etag, nil
 }
 
-// StreamUsage partitions records across their owner nodes and merges the
-// per-node accounting. Billing is byte-identical to streaming the same
-// records to one node (the cluster tests prove it):
+// StreamUsage scatters records across their owner nodes and merges the
+// per-node accounting, through the same engine as the Router's /v3/usage
+// (usageForward), flushed once per owner. Billing is byte-identical to
+// streaming the same records to one node (the cluster tests prove it):
+// keys derive from the record's position in the original stream before
+// partitioning, and a tenant's records all land on one node in original
+// order, so same-key dedup and window accounting see the sequence a single
+// node would.
 //
-//   - Keys are derived BEFORE partitioning. A single node derives a
-//     keyless line's idempotency key from the stream key and the line's
-//     physical position, so the derived key depends on where the record
-//     sits in the original stream — the partitioner materialises
-//     api.DerivedKey itself and sends the sub-streams keyless.
-//   - A tenant's records all land on one node in original order, so
-//     same-key dedup and window accounting see the sequence a single node
-//     would.
-//
-// The merge is the router's own (usageScatter): per-line errors remapped to
-// original line numbers, merged in line order and capped exactly like a
-// single node's response.
+// The delivery rule is api.Client.StreamUsage's: per-record outcomes,
+// throttles included, are in the response. An owner that did not answer has
+// its lines Dropped with per-line 502s in that response, and the first such
+// failure is also the returned error — the accounting of the owners that
+// did answer comes back with it.
 func (c *Client) StreamUsage(ctx context.Context, key string, records []api.UsageRecord) (api.UsageStreamResponse, error) {
-	parts := make(map[string]*ownerBatch, len(c.nodes))
-	order := make([]string, 0, len(c.nodes))
-	for i, rec := range records {
+	f := c.newUsageForward(ctx, c.wire, key, 0)
+	var rec api.UsageRecord // add stamps derived keys: onto a copy, never the caller's slice
+	for i := range records {
 		// api.Client encodes one record per line, so record i is physical
 		// line i+1 on a single node.
-		if rec.Key == "" && key != "" {
-			rec.Key = api.DerivedKey(key, i+1)
-		}
-		name := c.ring.Owner(rec.Tenant).Name
-		p := parts[name]
-		if p == nil {
-			p = &ownerBatch{}
-			parts[name] = p
-			order = append(order, name)
-		}
-		p.records = append(p.records, rec)
-		p.lines = append(p.lines, i+1)
+		rec = records[i]
+		f.add(&rec, i+1)
 	}
-
-	sc := usageScatter{sums: map[string]api.TenantSummary{}}
-	for _, name := range order {
-		p := parts[name]
-		resp, err := c.clients[name].StreamUsage(ctx, "", p.records)
-		if err != nil {
-			// A node that throttled its whole sub-stream answers HTTP 429
-			// with complete accounting — backpressure, not failure: merge
-			// its counters like any response and keep going; the merged
-			// throttle verdict is decided after the loop.
-			var apiErr *api.Error
-			if !(errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests && resp.Lines > 0) {
-				return sc.finish(""), fmt.Errorf("cluster: streaming to node %s: %w", name, err)
-			}
-		}
-		sc.resp.Lines += len(p.lines)
-		sc.fold(p, resp, name)
+	resp := f.finish("")
+	if f.failed != nil {
+		return *resp, fmt.Errorf("cluster: %w", f.failed)
 	}
-	merged := sc.finish("")
-	// Mirror api.Client's single-node contract: when the admission limiters
-	// rejected every record, the merged call errors with a 429 *Error (and
-	// the full accounting still returned) so callers see one throttle
-	// surface whether they talk to one node or the ring.
-	if merged.Lines > 0 && merged.Throttled == merged.Lines {
-		return merged, &api.Error{
-			Status:        http.StatusTooManyRequests,
-			Message:       "throttled: every record over admission rate",
-			RetryAfterSec: merged.RetryAfterSec,
-		}
-	}
-	return merged, nil
+	return *resp, nil
 }
 
 // Tenants fetches one page of the cluster-wide tenant listing by merging
@@ -186,7 +145,7 @@ func (c *Client) Tenants(ctx context.Context, cursor string, limit int) (api.Ten
 		limit = api.DefaultTenantPageLimit
 	}
 	limit = min(limit, api.MaxTenantPageLimit)
-	var all []api.TenantSummary
+	all := []api.TenantSummary{} // a node's empty page says [], never null
 	more := false
 	for _, n := range c.nodes {
 		page, err := c.clients[n.Name].Tenants(ctx, cursor, limit)

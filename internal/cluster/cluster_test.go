@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -199,6 +200,26 @@ func TestClusterClientMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// A record the client's wire format cannot carry (JSON has no NaN) is
+// rejected on its own line before any node sees it; the rest of the call
+// bills.
+func TestClusterClientUnencodableRecord(t *testing.T) {
+	cc, err := cluster.NewClient(newCluster(t, 3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := testRecords(t, 6, 12)
+	records[4].TPrivate = math.NaN()
+	resp, err := cc.StreamUsage(context.Background(), "", records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Lines != 12 || resp.Accepted+resp.Duplicates != 11 || resp.Rejected != 1 ||
+		len(resp.Errors) != 1 || resp.Errors[0].Line != 5 || resp.Errors[0].Error.Status != http.StatusBadRequest {
+		t.Fatalf("accounting = %+v, want line 5 rejected with a 400 and 11 billed", resp)
+	}
+}
+
 func TestClusterClientTableSwapBroadcast(t *testing.T) {
 	ctx := context.Background()
 	nodes := newCluster(t, 3)
@@ -310,7 +331,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 	jsonEq(t, "tenant pages", walkTenants(t, listVia(router.URL), 6), walkTenants(t, listVia(single.URL), 6))
 	getRaw := func(url string) []byte {
 		t.Helper()
-		resp, err := http.Get(url + "/v3/tenants")
+		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,8 +342,18 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		}
 		return raw
 	}
-	if rraw, sraw := getRaw(router.URL), getRaw(single.URL); !bytes.Equal(rraw, sraw) {
-		t.Errorf("tenant listing bytes diverged:\n router: %s\n single: %s", rraw, sraw)
+	// The last case is an empty cluster against an empty node: an empty page
+	// is "tenants":[] on both, never null.
+	_, emptySingle := newNode(t, nil, false)
+	emptyRouter := newRouter(t, 3, cluster.RouterConfig{})
+	for _, c := range []struct{ router, single, path string }{
+		{router.URL, single.URL, "/v3/tenants"},
+		{router.URL, single.URL, "/v3/tenants?cursor=zzzz"}, // past the end
+		{emptyRouter.URL, emptySingle.URL, "/v3/tenants"},
+	} {
+		if rraw, sraw := getRaw(c.router+c.path), getRaw(c.single+c.path); !bytes.Equal(rraw, sraw) {
+			t.Errorf("%s bytes diverged:\n router: %s\n single: %s", c.path, rraw, sraw)
+		}
 	}
 
 	// Statements and summaries proxy to the owner byte-for-byte.
@@ -344,6 +375,21 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 	checkErrorSurfaces(t, router.URL, single.URL)
 }
 
+// halfDeadClient builds a ring client over a fresh live node0 and a node1
+// that is unreachable at deadURL.
+func halfDeadClient(t *testing.T, deadURL string) *cluster.Client {
+	t.Helper()
+	_, live := newNode(t, nil, false)
+	cc, err := cluster.NewClient([]cluster.Node{
+		{Name: "node0", URL: live.URL},
+		{Name: "node1", URL: deadURL},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cc
+}
+
 // TestRouterPartialForwardFailure pins the scatter's failure surface: when
 // an owner node is unreachable mid-stream, the router must still answer
 // 200 with the merged partial accounting — the dead node's lines Dropped
@@ -352,18 +398,9 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 // the live nodes already billed and invite a double-billing full retry
 // from clients without idempotency keys.
 func TestRouterPartialForwardFailure(t *testing.T) {
-	_, live := newNode(t, nil, false)
 	_, dead := newNode(t, nil, false)
 	dead.Close() // every tenant this node owns now fails to forward
-
-	cc, err := cluster.NewClient([]cluster.Node{
-		{Name: "node0", URL: live.URL},
-		{Name: "node1", URL: dead.URL},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := httptest.NewServer(cluster.NewRouter(cc, cluster.RouterConfig{BatchSize: 8}))
+	router := httptest.NewServer(cluster.NewRouter(halfDeadClient(t, dead.URL), cluster.RouterConfig{BatchSize: 8}))
 	t.Cleanup(router.Close)
 
 	var lines []string

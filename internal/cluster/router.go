@@ -30,10 +30,12 @@ import (
 //	GET|PUT /v3/tables                    coordinator (+ broadcast on PUT)
 //	GET  /healthz                         aggregate node health
 //
-// The usage scatter preserves single-node billing semantics exactly: keys
-// derive from physical line numbers before partitioning, a tenant's lines
-// reach its owner in stream order, locally-decided rejections (undecodable
-// record, missing tenant) come from the node's own record source, and an
+// The usage scatter (usageForward, the one Client.StreamUsage drives too)
+// preserves single-node billing semantics exactly: keys derive from
+// physical line numbers before partitioning, a tenant's lines reach its
+// owner in stream order, locally-decided rejections (undecodable record,
+// missing tenant) come from the node's own record source, an owner that
+// throttled its whole sub-stream is merged like any other answer, and an
 // unreachable owner mid-stream surfaces as Dropped lines plus a
 // StreamError in the merged response — never an opaque 502 that would
 // hide what other nodes already billed.
@@ -132,73 +134,170 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // --- POST /v3/usage -----------------------------------------------------------
 
-// ownerBatch accumulates one owner node's pending lines during a scatter.
+// ownerBatch accumulates one owner node's pending lines during a scatter:
+// the records already encoded in the stream's wire format, ready to post.
 type ownerBatch struct {
-	records []api.UsageRecord
-	lines   []int // 1-based physical line (or frame) numbers, parallel to records
+	body  []byte
+	lines []int // 1-based physical line (or frame) numbers of the encoded records
 }
 
-// usageScatter merges per-node responses under original line numbering as
-// batches flush, in a deterministic shape: counters summed, errors sorted
-// by line and capped, tenant summaries last-wins per tenant.
-type usageScatter struct {
-	resp api.UsageStreamResponse
-	sums map[string]api.TenantSummary
+// usageForward is the cluster's one usage scatter, driven by the router's
+// read loop and by Client.StreamUsage alike: add partitions and encodes,
+// flush forwards one owner's batch and folds its answer under the original
+// line numbering, finish flushes the tails and renders the merged response
+// in a single node's shape (counters summed, errors in line order and
+// capped, tenant summaries last-wins per tenant, sorted).
+type usageForward struct {
+	c         *Client
+	ctx       context.Context
+	wire      api.WireFormat
+	streamKey string
+	batchSize int // records per owner before a mid-stream flush; 0 flushes only at finish
+	resp      api.UsageStreamResponse
+	sums      map[string]api.TenantSummary
+	batches   map[string]*ownerBatch
+	failed    error // the first forward that failed
 }
 
-func (sc *usageScatter) fold(b *ownerBatch, resp api.UsageStreamResponse, node string) {
-	sc.resp.Accepted += resp.Accepted
-	sc.resp.Duplicates += resp.Duplicates
-	sc.resp.Rejected += resp.Rejected
-	sc.resp.Dropped += resp.Dropped
-	sc.resp.Throttled += resp.Throttled
+func (c *Client) newUsageForward(ctx context.Context, wire api.WireFormat, streamKey string, batchSize int) *usageForward {
+	return &usageForward{
+		c: c, ctx: ctx, wire: wire, streamKey: streamKey, batchSize: batchSize,
+		sums:    map[string]api.TenantSummary{},
+		batches: map[string]*ownerBatch{},
+	}
+}
+
+// add partitions one record to its owner's batch, flushing at the batch
+// threshold. The record is encoded on the spot, so rec may be a reused
+// scratch record — and must be the caller's own: a keyless one is stamped
+// with its derived key. It returns false when the scatter must stop (a
+// forward failed — like a single node whose stream died mid-way, the caller
+// stops reading and reports what every node accepted so far).
+func (f *usageForward) add(rec *api.UsageRecord, lineNo int) bool {
+	name := f.c.ring.Owner(rec.Tenant).Name
+	b := f.batches[name]
+	if b == nil {
+		b = &ownerBatch{}
+		f.batches[name] = b
+	}
+	// Derived BEFORE partitioning, from the PHYSICAL position, so the
+	// cluster and a single node agree on every derived key; the sub-streams
+	// go out keyless.
+	if rec.Key == "" && f.streamKey != "" {
+		rec.Key = api.DerivedKey(f.streamKey, lineNo)
+	}
+	body, err := api.AppendUsageRecord(b.body, f.wire, rec)
+	if err != nil {
+		f.reject(lineNo, &api.Error{Status: http.StatusBadRequest, Message: err.Error()})
+		return true
+	}
+	f.resp.Lines++
+	b.body = body
+	b.lines = append(b.lines, lineNo)
+	if f.batchSize > 0 && len(b.lines) >= f.batchSize {
+		return f.flush(name)
+	}
+	return true
+}
+
+// reject accounts one record refused before any node saw it.
+func (f *usageForward) reject(line int, apiErr *api.Error) {
+	f.resp.Lines++
+	f.resp.Rejected++
+	f.lineError(line, *apiErr)
+}
+
+// lineError reports one line's error, up to the response's cap.
+func (f *usageForward) lineError(line int, apiErr api.Error) {
+	if len(f.resp.Errors) < api.DefaultMaxStreamErrors {
+		f.resp.Errors = append(f.resp.Errors, api.LineError{Line: line, Error: apiErr})
+	}
+}
+
+// flush forwards one owner's pending batch in the stream's own wire format
+// — a binary stream is re-framed binary, never round-tripped through JSON —
+// and folds the owner's answer; a throttled sub-stream is an answer like
+// any other. It returns false when the owner did not answer: it never
+// acknowledged these lines, so they count as Dropped with per-line 502s and
+// the first such failure becomes the StreamError. The caller still gets the
+// merged partial accounting — mirroring a single node's mid-stream failure
+// semantics — rather than an opaque 502 that would hide what other nodes
+// already billed and invite a double-billing full retry.
+func (f *usageForward) flush(name string) bool {
+	b := f.batches[name]
+	if len(b.lines) == 0 {
+		return true
+	}
+	resp, err := f.c.clients[name].StreamUsageBody(f.ctx, "", f.wire.ContentType(), b.body)
+	if err != nil {
+		err = fmt.Errorf("forwarding to node %s: %w", name, err)
+		if f.failed == nil {
+			f.failed = err
+		}
+		resp = api.UsageStreamResponse{StreamError: err.Error()}
+	} else if resp.StreamError != "" {
+		resp.StreamError = fmt.Sprintf("node %s: %s", name, resp.StreamError)
+	}
+	f.fold(b.lines, resp, name)
+	b.body, b.lines = b.body[:0], b.lines[:0]
+	return err == nil
+}
+
+// fold merges one owner's answer for the batch that carried lines.
+func (f *usageForward) fold(lines []int, resp api.UsageStreamResponse, node string) {
+	f.resp.Accepted += resp.Accepted
+	f.resp.Duplicates += resp.Duplicates
+	f.resp.Rejected += resp.Rejected
+	f.resp.Dropped += resp.Dropped
+	f.resp.Throttled += resp.Throttled
 	// The merged Retry-After is the max across owners: waiting it out
 	// clears every node's throttle, exactly as on a single node.
-	if resp.RetryAfterSec > sc.resp.RetryAfterSec {
-		sc.resp.RetryAfterSec = resp.RetryAfterSec
-	}
+	f.resp.RetryAfterSec = max(f.resp.RetryAfterSec, resp.RetryAfterSec)
 	for _, le := range resp.Errors {
-		if le.Line >= 1 && le.Line <= len(b.lines) {
-			le.Line = b.lines[le.Line-1]
+		if le.Line >= 1 && le.Line <= len(lines) {
+			le.Line = lines[le.Line-1]
 		}
-		sc.resp.Errors = append(sc.resp.Errors, le)
+		f.resp.Errors = append(f.resp.Errors, le)
 	}
-	if resp.StreamError != "" && sc.resp.StreamError == "" {
-		sc.resp.StreamError = fmt.Sprintf("node %s: %s", node, resp.StreamError)
+	if f.resp.StreamError == "" {
+		f.resp.StreamError = resp.StreamError
 	}
-	// A node that answered fewer lines than the batch carried aborted its
-	// sub-stream mid-way (its own line cap or byte limit — the limit-skew
-	// case RouterConfig.MaxBodyBytes documents). The node never examined
-	// the tail, so it is Dropped here with the node's own stream error;
-	// anything else would silently vanish billed-nothing lines from the
+	// Lines the owner did not answer for are Dropped here — all of them when
+	// the forward failed, the tail when the node aborted its sub-stream
+	// mid-way (its own line cap or byte limit: the limit-skew case
+	// RouterConfig.MaxBodyBytes documents). The node never examined them,
+	// and anything else would silently vanish billed-nothing lines from the
 	// merged accounting.
-	if resp.Lines < len(b.lines) {
+	if resp.Lines < len(lines) {
 		msg := resp.StreamError
 		if msg == "" {
-			msg = "stream truncated by node"
+			msg = fmt.Sprintf("node %s: stream truncated by node", node)
 		}
-		for _, line := range b.lines[resp.Lines:] {
-			sc.resp.Dropped++
-			if len(sc.resp.Errors) < api.DefaultMaxStreamErrors {
-				sc.resp.Errors = append(sc.resp.Errors, api.LineError{
-					Line:  line,
-					Error: api.Error{Status: http.StatusBadGateway, Message: fmt.Sprintf("node %s: %s", node, msg)},
-				})
-			}
+		for _, line := range lines[resp.Lines:] {
+			f.resp.Dropped++
+			f.lineError(line, api.Error{Status: http.StatusBadGateway, Message: msg})
 		}
 	}
 	for _, sum := range resp.Tenants {
 		// A tenant flushed twice gets its summary twice; the later one
 		// reflects every accrual so far — keep it.
-		sc.sums[sum.Tenant] = sum
+		f.sums[sum.Tenant] = sum
 	}
 }
 
-// finish renders the merged response in the shape a single node answers
-// in: errors in line order and capped, tenant summaries sorted by name.
-// streamErr is the caller's own verdict; a node's, folded earlier, wins.
-func (sc *usageScatter) finish(streamErr string) api.UsageStreamResponse {
-	resp := &sc.resp
+// finish flushes the tail batches, in node order for a deterministic
+// response, and renders the merged accounting. streamErr is the reader's
+// own verdict; a node's or a failed forward's, folded earlier, wins.
+func (f *usageForward) finish(streamErr string) *api.UsageStreamResponse {
+	names := make([]string, 0, len(f.batches))
+	for name := range f.batches {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.flush(name)
+	}
+	resp := &f.resp
 	if resp.StreamError == "" {
 		resp.StreamError = streamErr
 	}
@@ -208,147 +307,13 @@ func (sc *usageScatter) finish(streamErr string) api.UsageStreamResponse {
 	if len(resp.Errors) > api.DefaultMaxStreamErrors {
 		resp.Errors = resp.Errors[:api.DefaultMaxStreamErrors]
 	}
-	for _, sum := range sc.sums {
+	for _, sum := range f.sums {
 		resp.Tenants = append(resp.Tenants, sum)
 	}
 	sort.Slice(resp.Tenants, func(i, j int) bool {
 		return resp.Tenants[i].Tenant < resp.Tenants[j].Tenant
 	})
-	return *resp
-}
-
-// usageForward is one in-flight /v3/usage scatter: the partition, flush and
-// failure accounting behind the router's read loop.
-type usageForward struct {
-	rt        *Router
-	ctx       context.Context
-	wire      api.WireFormat
-	streamKey string
-	scatter   *usageScatter
-	batches   map[string]*ownerBatch
-	streamErr string
-}
-
-func (rt *Router) newUsageForward(r *http.Request, wire api.WireFormat) *usageForward {
-	return &usageForward{
-		rt:        rt,
-		ctx:       r.Context(),
-		wire:      wire,
-		streamKey: r.Header.Get("Idempotency-Key"),
-		scatter:   &usageScatter{sums: map[string]api.TenantSummary{}},
-		batches:   map[string]*ownerBatch{},
-	}
-}
-
-// flush forwards one owner's pending batch in the stream's own wire format
-// — a binary stream is re-framed binary, never round-tripped through JSON.
-func (f *usageForward) flush(name string) error {
-	b := f.batches[name]
-	if b == nil || len(b.records) == 0 {
-		return nil
-	}
-	body, err := api.EncodeUsageStream(f.wire, b.records)
-	if err != nil {
-		return fmt.Errorf("forwarding to node %s: %v", name, err)
-	}
-	resp, err := f.rt.client.clients[name].StreamUsageBody(f.ctx, "", f.wire.ContentType(), body)
-	if err != nil {
-		// An owner that throttled the whole sub-stream answers HTTP 429
-		// with complete accounting in the body — that is backpressure, not
-		// a dead node: fold it like any other response so the per-line 429s
-		// and Retry-After reach the merged accounting instead of the batch
-		// being dropped as an opaque 502.
-		var apiErr *api.Error
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests && resp.Lines > 0 {
-			f.scatter.fold(b, resp, name)
-			b.records = b.records[:0]
-			b.lines = b.lines[:0]
-			return nil
-		}
-		return fmt.Errorf("forwarding to node %s: %v", name, err)
-	}
-	f.scatter.fold(b, resp, name)
-	b.records = b.records[:0]
-	b.lines = b.lines[:0]
-	return nil
-}
-
-// dropBatch accounts a batch whose forward failed: the owner node never
-// acknowledged these lines, so they count as Dropped with per-line 502s
-// and the first failure becomes the StreamError. The caller still gets
-// the merged partial accounting — mirroring a single node's mid-stream
-// failure semantics — rather than an opaque 502 that would hide what
-// other nodes already billed and invite a double-billing full retry.
-func (f *usageForward) dropBatch(name string, ferr error) {
-	if f.streamErr == "" {
-		f.streamErr = ferr.Error()
-	}
-	b := f.batches[name]
-	f.scatter.resp.Dropped += len(b.records)
-	for _, line := range b.lines {
-		if len(f.scatter.resp.Errors) < api.DefaultMaxStreamErrors {
-			f.scatter.resp.Errors = append(f.scatter.resp.Errors, api.LineError{
-				Line:  line,
-				Error: api.Error{Status: http.StatusBadGateway, Message: ferr.Error()},
-			})
-		}
-	}
-	b.records = b.records[:0]
-	b.lines = b.lines[:0]
-}
-
-// add partitions one decoded record to its owner's batch, flushing at the
-// batch threshold. It returns false when the scatter must stop (a forward
-// failed — like a single node whose stream died mid-way, the router stops
-// reading and reports what every node accepted so far).
-func (f *usageForward) add(src *api.UsageRecord, lineNo int) bool {
-	// The source reuses its record (and probe) across Next calls; copy what
-	// the batch keeps.
-	rec := *src
-	if src.Probe != nil {
-		p := *src.Probe
-		rec.Probe = &p
-	}
-	if rec.Key == "" && f.streamKey != "" {
-		// Derived BEFORE partitioning, from the PHYSICAL position, so the
-		// cluster and a single node agree on every derived key.
-		rec.Key = api.DerivedKey(f.streamKey, lineNo)
-	}
-	f.scatter.resp.Lines++
-	name := f.rt.client.ring.Owner(rec.Tenant).Name
-	b := f.batches[name]
-	if b == nil {
-		b = &ownerBatch{}
-		f.batches[name] = b
-	}
-	b.records = append(b.records, rec)
-	b.lines = append(b.lines, lineNo)
-	if len(b.records) >= f.rt.cfg.BatchSize {
-		if err := f.flush(name); err != nil {
-			f.dropBatch(name, err)
-			return false
-		}
-	}
-	return true
-}
-
-// finish flushes the tail batches and writes the merged response.
-func (f *usageForward) finish(w http.ResponseWriter) {
-	// Flush tails in node order for a deterministic response.
-	names := make([]string, 0, len(f.batches))
-	for name := range f.batches {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := f.flush(name); err != nil {
-			f.dropBatch(name, err)
-		}
-	}
-	// The node's own terminal rule: the merged accounting decides Retry-After
-	// and the 429 exactly as a single node's would.
-	resp := f.scatter.finish(f.streamErr)
-	api.WriteUsageResponse(w, &resp)
+	return resp
 }
 
 // handleUsage reads the stream through the node's own record source — same
@@ -363,7 +328,7 @@ func (rt *Router) handleUsage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wire := api.RequestWire(r)
-	f := rt.newUsageForward(r, wire)
+	f := rt.client.newUsageForward(r.Context(), wire, r.Header.Get("Idempotency-Key"), rt.cfg.BatchSize)
 	src := api.NewRecordSource(wire, r.Body, rt.cfg.MaxBodyBytes, rt.cfg.MaxStreamLines)
 	defer src.Release()
 	for {
@@ -372,30 +337,20 @@ func (rt *Router) handleUsage(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if rej != nil {
-			f.scatter.reject(pos, rej)
+			f.reject(pos, rej)
 		} else if !f.add(rec, pos) {
 			break
 		}
 	}
 	// Empty when a failed forward stopped the loop before the source ended;
-	// dropBatch already recorded that failure as the stream error.
+	// that failure is already the stream error.
 	streamErr, oversized := src.Verdict()
 	if oversized > 0 {
-		f.scatter.reject(oversized, &api.Error{Status: http.StatusBadRequest, Message: streamErr})
+		f.reject(oversized, &api.Error{Status: http.StatusBadRequest, Message: streamErr})
 	}
-	if f.streamErr == "" {
-		f.streamErr = streamErr
-	}
-	f.finish(w)
-}
-
-// reject accounts one record the router refused itself.
-func (sc *usageScatter) reject(line int, apiErr *api.Error) {
-	sc.resp.Lines++
-	sc.resp.Rejected++
-	if len(sc.resp.Errors) < api.DefaultMaxStreamErrors {
-		sc.resp.Errors = append(sc.resp.Errors, api.LineError{Line: line, Error: *apiErr})
-	}
+	// The node's own terminal rule: the merged accounting decides Retry-After
+	// and the 429 exactly as a single node's would.
+	api.WriteUsageResponse(w, f.finish(streamErr))
 }
 
 // --- GET /v3/tenants ----------------------------------------------------------

@@ -9,6 +9,10 @@ import (
 	"repro/internal/stats"
 )
 
+// maxErrorMessages caps the retained pricing and sink error messages;
+// counting is never capped.
+const maxErrorMessages = 8
+
 // MeterConfig parameterises the streaming metering pipeline.
 type MeterConfig struct {
 	// Pricers are priced side by side for every record; a typical pair is
@@ -23,9 +27,6 @@ type MeterConfig struct {
 	// KeepRecords retains every metered record in the report (test and
 	// JSON-export support; memory-unbounded, leave off for large runs).
 	KeepRecords bool
-	// MaxErrors caps the retained per-record pricing error messages
-	// (values ≤ 0 select the default of 8; counting is never capped).
-	MaxErrors int
 	// Sink, when set, receives every metered record after local aggregation
 	// — the hook that forwards the fleet's stream to an external billing
 	// service (see RemoteSink). Sink errors never stop the meter; they are
@@ -84,9 +85,6 @@ func NewMeter(cfg MeterConfig) (*Meter, error) {
 	if cfg.WindowMinutes <= 0 {
 		cfg.WindowMinutes = 1
 	}
-	if cfg.MaxErrors <= 0 {
-		cfg.MaxErrors = 8
-	}
 	primary := 0
 	for i, p := range cfg.Pricers {
 		if p.Name() != "commercial" {
@@ -120,7 +118,7 @@ func (m *Meter) Run(in <-chan MeteredRecord) {
 // sinkErr counts one sink failure (retaining the first few messages).
 func (m *Meter) sinkErr(err error) {
 	m.sinkErrs++
-	if len(m.errMsgs) < m.cfg.MaxErrors {
+	if len(m.errMsgs) < maxErrorMessages {
 		m.errMsgs = append(m.errMsgs, fmt.Sprintf("sink: %v", err))
 	}
 }
@@ -156,7 +154,7 @@ func (m *Meter) observe(rec MeteredRecord) {
 		if err != nil {
 			t.errors++
 			m.nErrs++
-			if len(m.errMsgs) < m.cfg.MaxErrors {
+			if len(m.errMsgs) < maxErrorMessages {
 				m.errMsgs = append(m.errMsgs, fmt.Sprintf("%s/%s via %s: %v", rec.Tenant, rec.Record.Abbr, p.Name(), err))
 			}
 			continue

@@ -65,7 +65,9 @@ const (
 
 // UsageStreamer is the one client call RemoteSink needs: api.Client
 // implements it against a single node, cluster.Client against a
-// consistent-hash ring of nodes.
+// consistent-hash ring of nodes. Both follow api.Client.StreamUsage's
+// delivery rule: per-record outcomes, throttles included, are in the
+// response; an error means the request was not processed.
 type UsageStreamer interface {
 	StreamUsage(ctx context.Context, key string, records []api.UsageRecord) (api.UsageStreamResponse, error)
 }
@@ -181,12 +183,12 @@ func (s *RemoteSink) fold(resp api.UsageStreamResponse) {
 //   - A permanent 4xx (malformed record, unknown pricer — anything but 429)
 //     fails fast: re-sending identical bytes cannot succeed, and burning
 //     the whole retry budget on it only delays the real error.
-//   - A throttle (per-line 429s, or the all-throttled HTTP 429 whose body
-//     still carries full accounting) re-sends the whole batch after the
-//     server's own Retry-After delay; RunID keys turn the already-admitted
-//     lines into Duplicates, so the replay never double-bills. When the
-//     budget runs out the final attempt's accounting folds as-is and the
-//     leftover throttles surface at Flush.
+//   - A delivery with throttled lines (some of the batch or all of it)
+//     re-sends the whole batch after the server's own Retry-After delay;
+//     RunID keys turn the already-admitted lines into Duplicates, so the
+//     replay never double-bills. When the budget runs out the final
+//     attempt's accounting folds as-is and the leftover throttles surface
+//     at Flush.
 //   - Transport failures and 5xx retry on the jittered exponential
 //     schedule, honoring a server-suggested Retry-After (a draining 503)
 //     over the blind doubling when one is present.
@@ -202,14 +204,8 @@ func (s *RemoteSink) send() error {
 		resp, err := s.client.StreamUsage(s.ctx, "", batch)
 		attempts++
 		var apiErr *api.Error
-		if err != nil && errors.As(err, &apiErr) {
-			if apiErr.Status == http.StatusTooManyRequests && resp.Lines > 0 {
-				// The all-throttled contract: complete accounting in resp,
-				// backpressure in the error. Handled as a delivery below.
-				err = nil
-			} else if apiErr.Status >= 400 && apiErr.Status < 500 && apiErr.Status != http.StatusTooManyRequests {
-				return fmt.Errorf("streaming %d records: permanent client error, not retried: %w", len(batch), err)
-			}
+		if errors.As(err, &apiErr) && apiErr.Status >= 400 && apiErr.Status < 500 && apiErr.Status != http.StatusTooManyRequests {
+			return fmt.Errorf("streaming %d records: permanent client error, not retried: %w", len(batch), err)
 		}
 		if err == nil {
 			if resp.Throttled == 0 || attempt >= s.cfg.Retries || s.ctx.Err() != nil {

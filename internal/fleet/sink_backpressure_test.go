@@ -1,7 +1,7 @@
 package fleet
 
 // Regression tests for the sink's backpressure contract: permanent client
-// errors fail fast, 429 throttles re-send the batch after the server's own
+// errors fail fast, throttled deliveries re-send the batch after the server's own
 // Retry-After hint, and a throttle that outlives the retry budget surfaces
 // at Flush instead of vanishing.
 
@@ -46,8 +46,9 @@ func TestRemoteSinkPermanentErrorFailsFast(t *testing.T) {
 	}
 }
 
-// throttlingStreamer throttles its first throttles calls (whole batch, 429
-// with a Retry-After hint) and accepts everything afterwards.
+// throttlingStreamer throttles its first throttles calls (whole batch, with
+// a Retry-After hint) and accepts everything afterwards. Like the real
+// clients it reports the throttle as a delivery: accounting, nil error.
 type throttlingStreamer struct {
 	throttles  int
 	retryAfter float64 // seconds
@@ -57,12 +58,11 @@ type throttlingStreamer struct {
 func (f *throttlingStreamer) StreamUsage(_ context.Context, _ string, records []api.UsageRecord) (api.UsageStreamResponse, error) {
 	f.calls = append(f.calls, time.Now())
 	if len(f.calls) <= f.throttles {
-		resp := api.UsageStreamResponse{
+		return api.UsageStreamResponse{
 			Lines:         len(records),
 			Throttled:     len(records),
 			RetryAfterSec: f.retryAfter,
-		}
-		return resp, &api.Error{Status: http.StatusTooManyRequests, RetryAfterSec: f.retryAfter}
+		}, nil
 	}
 	return api.UsageStreamResponse{Lines: len(records), Accepted: len(records)}, nil
 }

@@ -2,9 +2,7 @@ package loadgen_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -97,16 +95,15 @@ func runOverloadSmoke(t *testing.T, baseURL string) {
 		resp, err := c.StreamUsage(ctx, "", []api.UsageRecord{
 			record(tenants[i], fmt.Sprintf("ov-%d", n)),
 		})
-		var apiErr *api.Error
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests {
-			if apiErr.RetryAfterSec <= 0 {
+		if err != nil {
+			return err
+		}
+		if resp.Throttled > 0 {
+			if resp.Throttled != resp.Lines || resp.RetryAfterSec <= 0 {
 				badThrottle.Add(1)
 			}
 			throttled.Add(1)
-			return fmt.Errorf("%w: %v", loadgen.ErrThrottled, err)
-		}
-		if err != nil {
-			return err
+			return fmt.Errorf("%w: retry after %gs", loadgen.ErrThrottled, resp.RetryAfterSec)
 		}
 		if resp.Accepted != 1 {
 			return fmt.Errorf("record neither accepted nor throttled: %+v", resp)
