@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/api"
@@ -112,7 +113,7 @@ func main() {
 	flag.IntVar(&o.minutes, "minutes", o.minutes, "synthesized trace minutes")
 	flag.StringVar(&o.tracePath, "trace", o.tracePath, "replay a trace CSV instead of synthesizing")
 	flag.StringVar(&o.writeTrace, "write-trace", o.writeTrace, "export the (synthesized or loaded) trace CSV to this path")
-	flag.StringVar(&o.policy, "policy", o.policy, "routing policy: round-robin, least-loaded or binpack")
+	flag.StringVar(&o.policy, "policy", o.policy, "routing policy: "+strings.Join(fleet.PolicyNames(), ", "))
 	flag.StringVar(&o.arrivals, "arrivals", o.arrivals, "within-minute arrival process: uniform or poisson")
 	flag.StringVar(&o.shape, "shape", o.shape, "synthesized rate shape: steady, burst or diurnal")
 	flag.Float64Var(&o.startRate, "start-rate", o.startRate, "per-function invocations/minute at minute 0")

@@ -28,7 +28,7 @@ func main() {
 	)
 	flag.Parse()
 
-	mcfg, err := machineFor(*machine, *seed)
+	mcfg, err := engine.Preset(*machine, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -64,21 +64,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d generators, %d levels)\n",
 		*out, len(cal.Generators), len(cal.Generators[0].Rows))
-}
-
-func machineFor(name string, seed int64) (engine.Config, error) {
-	switch name {
-	case "cascade":
-		return engine.CascadeLake(seed), nil
-	case "cascade-turbo":
-		return engine.CascadeLakeTurbo(seed), nil
-	case "cascade-smt":
-		return engine.CascadeLakeSMT(seed), nil
-	case "icelake":
-		return engine.IceLake(seed), nil
-	default:
-		return engine.Config{}, fmt.Errorf("unknown machine %q", name)
-	}
 }
 
 func fatal(err error) {

@@ -1,10 +1,15 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
+	"repro/internal/engine"
+)
+
+// The -machine values the flag help advertises all resolve.
 func TestMachineFor(t *testing.T) {
 	for _, name := range []string{"cascade", "cascade-turbo", "cascade-smt", "icelake"} {
-		cfg, err := machineFor(name, 1)
+		cfg, err := engine.Preset(name, 1)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -13,21 +18,21 @@ func TestMachineFor(t *testing.T) {
 			t.Errorf("%s invalid: %v", name, err)
 		}
 	}
-	if _, err := machineFor("pdp11", 1); err == nil {
+	if _, err := engine.Preset("pdp11", 1); err == nil {
 		t.Error("unknown machine accepted")
 	}
 }
 
 func TestMachineForDistinctPresets(t *testing.T) {
-	smt, _ := machineFor("cascade-smt", 1)
+	smt, _ := engine.Preset("cascade-smt", 1)
 	if smt.Topology.SMTWays != 2 {
 		t.Error("cascade-smt is not SMT")
 	}
-	ice, _ := machineFor("icelake", 1)
+	ice, _ := engine.Preset("icelake", 1)
 	if ice.Topology.Cores != 16 {
 		t.Errorf("icelake cores = %d", ice.Topology.Cores)
 	}
-	turbo, _ := machineFor("cascade-turbo", 1)
+	turbo, _ := engine.Preset("cascade-turbo", 1)
 	if turbo.Governor.Name() != "turbo" {
 		t.Errorf("cascade-turbo governor = %s", turbo.Governor.Name())
 	}

@@ -8,12 +8,8 @@ package api
 // probe and one string-intern table across the whole stream, so the warm
 // path allocates nothing per record.
 //
-// Framing reuses the WAL idiom from internal/ledger/wal.go: every record is
-//
-//	[payloadLen u32 LE][crc32 u32 LE][payload]
-//
-// where payloadLen counts the payload bytes and the CRC (IEEE) covers the
-// payload. The payload itself is
+// Every record is one internal/frame frame — the codec the ledger's WAL
+// shares — whose payload is
 //
 //	version u8 | flags u8 (bit0: probe present) |
 //	minute varint (zigzag) | memoryMB varint (zigzag) |
@@ -27,16 +23,14 @@ package api
 // mirroring the NDJSON path's oversized-line semantics.
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 )
 
 const (
@@ -45,20 +39,20 @@ const (
 	ContentTypeFrames = "application/x-litmus-frames"
 	ContentTypeNDJSON = "application/x-ndjson"
 
-	frameHeaderLen    = 8
+	frameHeaderLen    = frame.HeaderLen
 	usageFrameVersion = 1
 	frameFlagProbe    = 1 << 0
 )
 
 // ErrFrameTooLarge marks a frame whose declared payload length exceeds the
 // reader's limit; the stream cannot be resynced past it.
-var ErrFrameTooLarge = errors.New("frame payload exceeds limit")
+var ErrFrameTooLarge = frame.ErrTooLarge
 
 // AppendUsageFrame appends rec's framed binary encoding to dst and returns
 // the extended slice.
 func AppendUsageFrame(dst []byte, rec *UsageRecord) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
+	dst = frame.Begin(dst)
 	flags := byte(0)
 	if rec.Probe != nil {
 		flags |= frameFlagProbe
@@ -80,10 +74,7 @@ func AppendUsageFrame(dst []byte, rec *UsageRecord) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		dst = append(dst, s...)
 	}
-	payload := dst[start+frameHeaderLen:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
-	return dst
+	return frame.Seal(dst, start)
 }
 
 // internTable deduplicates the strings a stream repeats on every record
@@ -152,7 +143,7 @@ type FrameDecoder struct {
 // consequences (there are none — the length prefix keeps the offset in
 // sync).
 func (d *FrameDecoder) Decode(payload []byte, crc uint32) (*UsageRecord, *Error) {
-	if crc32.ChecksumIEEE(payload) != crc {
+	if frame.Checksum(payload) != crc {
 		return nil, &Error{Status: http.StatusBadRequest, Message: "frame crc mismatch"}
 	}
 	if err := d.decodePayload(payload); err != nil {
@@ -233,68 +224,12 @@ func (d *FrameDecoder) decodePayload(b []byte) error {
 	return nil
 }
 
-// FrameReader walks a binary usage stream frame by frame, reusing one
-// payload buffer. Next's result is valid until the following Next.
-type FrameReader struct {
-	br  *bufio.Reader
-	max int
-	buf []byte // spill for payloads larger than the bufio window
-}
+// FrameReader walks a binary usage stream frame by frame; NewFrameReader's
+// maxPayload is the binary analogue of the NDJSON per-line cap.
+type FrameReader = frame.Reader
 
-// NewFrameReader reads frames from r, rejecting any frame whose declared
-// payload exceeds maxPayload bytes (the binary analogue of the NDJSON
-// per-line cap).
+// NewFrameReader reads usage frames from r, rejecting any frame whose
+// declared payload exceeds maxPayload bytes.
 func NewFrameReader(r io.Reader, maxPayload int64) *FrameReader {
-	size := 64 << 10
-	if int64(size) > maxPayload+frameHeaderLen {
-		size = int(maxPayload) + frameHeaderLen
-	}
-	return &FrameReader{br: bufio.NewReaderSize(r, size), max: int(maxPayload)}
-}
-
-// Reset prepares the reader for a new stream, keeping its buffered window
-// and spill buffer (the frame source pools its reader — the 64KB window is
-// the ingest path's largest allocation). Reset(nil) detaches it.
-func (fr *FrameReader) Reset(r io.Reader) {
-	fr.br.Reset(r)
-}
-
-// Next returns the next frame's payload and declared CRC. It returns io.EOF
-// at a clean frame boundary; an oversized declared length comes back
-// wrapping ErrFrameTooLarge, and a torn header or payload as a descriptive
-// error — in both cases the stream cannot continue. The CRC is NOT verified
-// here; FrameDecoder.Decode checks it so a corrupt payload rejects one
-// frame without desyncing the offset.
-func (fr *FrameReader) Next() ([]byte, uint32, error) {
-	hdr, err := fr.br.Peek(frameHeaderLen)
-	if err != nil {
-		if err == io.EOF {
-			if len(hdr) == 0 {
-				return nil, 0, io.EOF
-			}
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, 0, fmt.Errorf("torn frame header: %v", err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if int64(length) > int64(fr.max) {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, length)
-	}
-	fr.br.Discard(frameHeaderLen)
-	// Fast path: serve the payload straight out of the bufio window — no
-	// copy. Peek fills as needed, so this only falls through when the
-	// payload exceeds the buffer (ErrBufferFull) or the stream is torn.
-	if payload, err := fr.br.Peek(int(length)); err == nil {
-		fr.br.Discard(int(length))
-		return payload, crc, nil
-	}
-	if cap(fr.buf) < int(length) {
-		fr.buf = make([]byte, length)
-	}
-	buf := fr.buf[:length]
-	if _, err := io.ReadFull(fr.br, buf); err != nil {
-		return nil, 0, fmt.Errorf("torn frame payload: %v", err)
-	}
-	return buf, crc, nil
+	return frame.NewReader(r, maxPayload)
 }

@@ -9,6 +9,7 @@ package api
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -534,5 +535,18 @@ func TestAppendUsageFrameLength(t *testing.T) {
 	body = AppendUsageFrame(body, &rec)
 	if len(body) != 2*(int(n)+frameHeaderLen) {
 		t.Fatalf("append not self-delimiting: %d", len(body))
+	}
+	// One fixed record's bytes as the parent of the internal/frame move
+	// encoded them: the wire must not move.
+	fixed := UsageRecord{QuoteRequest: QuoteRequest{
+		Usage: core.Usage{
+			Abbr: "pager-py", Language: "py", MemoryMB: 128, TPrivate: 0.081, TShared: 0.0205,
+			Probe: &core.ProbeUsage{TPrivate: 0.02, TShared: 0.005, MachineL3Misses: 1.2e7},
+		},
+		Tenant: "acme", Pricer: "litmus",
+	}, Minute: 3, Key: "k"}
+	const golden = "470000005080f308010106800223dbf97e6abcb43fcba145b6f3fd943f7b14ae47e17a943f7b14ae47e17a743f0000000060e366410461636d65066c69746d7573016b0870616765722d7079027079"
+	if got := hex.EncodeToString(AppendUsageFrame(nil, &fixed)); got != golden {
+		t.Fatalf("usage frame bytes moved:\n got %s\nwant %s", got, golden)
 	}
 }

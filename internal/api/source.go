@@ -130,7 +130,7 @@ var frameSources sync.Pool
 func newFrameSource(r io.Reader, maxPayload int64, maxFrames int) *frameSource {
 	// The reader's window is sized from its payload cap, so a pooled source
 	// built under another cap is dropped rather than re-used.
-	if fs, _ := frameSources.Get().(*frameSource); fs != nil && fs.fr.max == int(maxPayload) {
+	if fs, _ := frameSources.Get().(*frameSource); fs != nil && fs.fr.MaxPayload() == int(maxPayload) {
 		fs.fr.Reset(r)
 		fs.maxFrames = maxFrames
 		return fs
@@ -145,7 +145,7 @@ func (fs *frameSource) Next() (int, *UsageRecord, *Error, bool) {
 	}
 	if errors.Is(err, ErrFrameTooLarge) {
 		fs.oversized = fs.frame + 1
-		fs.streamErr = fmt.Sprintf("frame %d exceeds %d bytes", fs.oversized, fs.fr.max)
+		fs.streamErr = fmt.Sprintf("frame %d exceeds %d bytes", fs.oversized, fs.fr.MaxPayload())
 		return 0, nil, nil, false
 	}
 	if err != nil {

@@ -152,6 +152,11 @@ func (s *Server) finishUsage(w http.ResponseWriter, col *usageCollector, streamE
 // UsageStreamResponse either way. What a client retries, and so what bills,
 // hangs on this rule: the node and the router both answer through it.
 func WriteUsageResponse(w http.ResponseWriter, resp *UsageStreamResponse) {
+	if resp.Tenants == nil {
+		// A stream that billed nobody lists no tenants: [], never null —
+		// clients range over it.
+		resp.Tenants = []TenantSummary{}
+	}
 	status := http.StatusOK
 	if resp.RetryAfterSec > 0 {
 		w.Header().Set("Retry-After", RetryAfterHeader(resp.RetryAfterSec))

@@ -84,6 +84,17 @@ func TestWireGolden(t *testing.T) {
 		return raw
 	}
 
+	// A stream that bills nobody, against a server that never billed anyone
+	// — sent before any other stream, while the collector pool may still be
+	// cold.
+	fresh, err := New(Config{Calibration: apitest.Calibration()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := httptest.NewRecorder()
+	fresh.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v3/usage", strings.NewReader("{not json\n")))
+	allRejected := rr.Body.Bytes()
+
 	// Burst 2: two lines bill, the third is throttled.
 	stream := ndLine("acme", 512, 0, "k1") + "\n" + ndLine("acme", 512, 1, "k2") + "\n" + ndLine("acme", 512, 1, "k3") + "\n"
 	tables, err := json.Marshal(apitest.Calibration())
@@ -110,6 +121,7 @@ func TestWireGolden(t *testing.T) {
 		fmt.Fprintf(&got, "# %s\n%s\n", name, strings.Join(keys, "\n"))
 	}
 	record("POST /v3/usage", do(http.MethodPost, "/v3/usage", stream))
+	record("POST /v3/usage (all rejected)", allRejected)
 	if err := led.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +141,9 @@ func TestWireGolden(t *testing.T) {
 	record("error envelope", do(http.MethodGet, "/v2/tenants/nobody/summary", ""))
 
 	// Empty collections are [], never null: clients range over them.
+	if !bytes.Contains(allRejected, []byte(`"tenants":[]`)) {
+		t.Errorf("all-rejected usage stream does not encode \"tenants\":[]: %s", allRejected)
+	}
 	if !bytes.Contains(emptyPage, []byte(`"tenants":[]`)) {
 		t.Errorf("empty tenant page does not encode \"tenants\":[]: %s", emptyPage)
 	}

@@ -329,9 +329,16 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		}
 	}
 	jsonEq(t, "tenant pages", walkTenants(t, listVia(router.URL), 6), walkTenants(t, listVia(single.URL), 6))
-	getRaw := func(url string) []byte {
+	// raw GETs url, or POSTs post to it when there is one.
+	raw := func(url, post string) []byte {
 		t.Helper()
-		resp, err := http.Get(url)
+		var resp *http.Response
+		var err error
+		if post == "" {
+			resp, err = http.Get(url)
+		} else {
+			resp, err = http.Post(url, api.ContentTypeNDJSON, strings.NewReader(post))
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,17 +349,23 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		}
 		return raw
 	}
-	// The last case is an empty cluster against an empty node: an empty page
-	// is "tenants":[] on both, never null.
+	// The last cases are an empty cluster against an empty node: an empty
+	// page, and the answer to a stream that billed nobody, are "tenants":[]
+	// on both, never null.
 	_, emptySingle := newNode(t, nil, false)
 	emptyRouter := newRouter(t, 3, cluster.RouterConfig{})
-	for _, c := range []struct{ router, single, path string }{
-		{router.URL, single.URL, "/v3/tenants"},
-		{router.URL, single.URL, "/v3/tenants?cursor=zzzz"}, // past the end
-		{emptyRouter.URL, emptySingle.URL, "/v3/tenants"},
+	for _, c := range []struct{ router, single, path, post string }{
+		{router.URL, single.URL, "/v3/tenants", ""},
+		{router.URL, single.URL, "/v3/tenants?cursor=zzzz", ""}, // past the end
+		{emptyRouter.URL, emptySingle.URL, "/v3/tenants", ""},
+		{emptyRouter.URL, emptySingle.URL, "/v3/usage", "{not json\n" + usageLine("bad", 0, 0, "") + "\n"},
 	} {
-		if rraw, sraw := getRaw(c.router+c.path), getRaw(c.single+c.path); !bytes.Equal(rraw, sraw) {
+		rraw, sraw := raw(c.router+c.path, c.post), raw(c.single+c.path, c.post)
+		if !bytes.Equal(rraw, sraw) {
 			t.Errorf("%s bytes diverged:\n router: %s\n single: %s", c.path, rraw, sraw)
+		}
+		if bytes.Contains(sraw, []byte(`"tenants":null`)) {
+			t.Errorf("%s: null tenants: %s", c.path, sraw)
 		}
 	}
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/ledger"
 )
 
@@ -320,7 +320,9 @@ func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[
 				consumed += used
 				f.setPos(shard, tailPos{Seq: pos.Seq, Off: pos.Off + consumed})
 			}
-			if derr != nil && tailCorrupt(*tail) {
+			// A tail that merely ends inside a frame waits for the next
+			// read; any other verdict is damage more bytes cannot repair.
+			if derr != nil && !errors.Is(derr, frame.ErrShort) {
 				return consumed, resp.StatusCode, fmt.Errorf("%w (decode: %v)", errResync, derr)
 			}
 		}
@@ -331,21 +333,6 @@ func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[
 			return consumed, resp.StatusCode, fmt.Errorf("cluster: wal stream shard %d: %w", shard, rerr)
 		}
 	}
-}
-
-// tailCorrupt reports whether an undecodable remainder can no longer be
-// completed by more bytes: its frame header declares an impossible length,
-// or the full declared frame is present yet still failed to decode. Either
-// way the bytes are damaged, not merely truncated.
-func tailCorrupt(tail []byte) bool {
-	if len(tail) < 8 {
-		return false
-	}
-	length := binary.LittleEndian.Uint32(tail)
-	if length > uint32(ledger.MaxEntryBytes+64) {
-		return true
-	}
-	return int64(len(tail)) >= 8+int64(length)
 }
 
 // segView is what the primary's listing says about one segment: whether

@@ -9,6 +9,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/frame"
 	"repro/internal/ledger"
 	"repro/internal/ledger/ledgertest"
 )
@@ -401,4 +403,78 @@ func TestFailoverEndToEnd(t *testing.T) {
 		t.Fatalf("second replay moved the bills: %v", err)
 	}
 	_ = led // closed via ts teardown; the ledger Cleanup closes the WAL
+}
+
+// TestFollowerTailShortVersusCorrupt pins what the follower does with WAL
+// bytes it cannot decode yet, on the frame codec's own verdict: a tail that
+// ends inside a frame is kept and completed by the next pull, while a frame
+// that is all there and fails its CRC — or declares an impossible length —
+// cannot be repaired by more bytes and forces a re-bootstrap. The proxy
+// damages only each shard's first non-empty pull, so either way the standby
+// must end up identical to the primary.
+func TestFollowerTailShortVersusCorrupt(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mangle func(body []byte) []byte
+		resync bool
+	}{
+		{"short frame waits", func(b []byte) []byte { return b[:len(b)-3] }, false},
+		{"crc-bad complete frame resyncs", func(b []byte) []byte { b[frame.HeaderLen+1] ^= 0xff; return b }, true},
+		{"oversized length resyncs", func(b []byte) []byte { binary.LittleEndian.PutUint32(b, 1<<30); return b }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			led, ts := newPrimary(t, primaryCfg(t.TempDir()))
+			streamRecords(t, ts.URL, "run-A", testRecords(t, 16, 240))
+
+			var mu sync.Mutex
+			mangled := map[string]bool{}
+			snapshots := 0
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				resp, err := http.Get(ts.URL + r.URL.RequestURI())
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusBadGateway)
+					return
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusBadGateway)
+					return
+				}
+				mu.Lock()
+				switch shard := r.URL.Query().Get("shard"); {
+				case r.URL.Path == "/cluster/snapshot":
+					snapshots++
+				case r.URL.Path == "/cluster/wal" && len(body) > 0 && !mangled[shard]:
+					mangled[shard] = true
+					body = c.mangle(body)
+				}
+				mu.Unlock()
+				for k, vv := range resp.Header {
+					if k != "Content-Length" {
+						w.Header()[k] = vv
+					}
+				}
+				w.WriteHeader(resp.StatusCode)
+				_, _ = w.Write(body)
+			}))
+			t.Cleanup(proxy.Close)
+
+			f, _ := newFollower(t, proxy.URL)
+			waitCaughtUp(t, f, proxy.URL)
+			if err := ledgertest.Diff(led, f.Ledger()); err != nil {
+				t.Fatalf("standby diverged: %v", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(mangled) == 0 {
+				t.Fatal("no WAL pull was damaged")
+			}
+			// Bootstrap fetches the snapshot once; every further fetch is a
+			// re-bootstrap.
+			if resynced := snapshots > 1; resynced != c.resync {
+				t.Errorf("snapshot fetched %d times (resync %v), want resync %v; status %+v", snapshots, resynced, c.resync, f.Status())
+			}
+		})
+	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"repro/internal/hw/cache"
 	"repro/internal/hw/cpu"
 	"repro/internal/hw/mem"
@@ -79,4 +81,20 @@ func IceLake(seed int64) Config {
 	cfg.L3PeakAccessesPerSec = 1.0e9
 	cfg.Mem.PeakBytesPerSec = 40e9
 	return cfg
+}
+
+// Preset resolves a machine preset by the name the command-line tools and
+// the experiment suite use for it.
+func Preset(name string, seed int64) (Config, error) {
+	switch name {
+	case "cascade":
+		return CascadeLake(seed), nil
+	case "cascade-turbo":
+		return CascadeLakeTurbo(seed), nil
+	case "cascade-smt":
+		return CascadeLakeSMT(seed), nil
+	case "icelake":
+		return IceLake(seed), nil
+	}
+	return Config{}, fmt.Errorf("engine: unknown machine preset %q", name)
 }

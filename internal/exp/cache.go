@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Machine variants used across experiments.
+// Machine variants used across experiments, by engine.Preset name.
 const (
 	machCascade = "cascade"
 	machTurbo   = "cascade-turbo"
@@ -18,27 +18,11 @@ const (
 	machSMT     = "cascade-smt"
 )
 
-// machineConfig returns the engine preset for a variant.
-func machineConfig(variant string, seed int64) (engine.Config, error) {
-	switch variant {
-	case machCascade:
-		return engine.CascadeLake(seed), nil
-	case machTurbo:
-		return engine.CascadeLakeTurbo(seed), nil
-	case machIceLake:
-		return engine.IceLake(seed), nil
-	case machSMT:
-		return engine.CascadeLakeSMT(seed), nil
-	default:
-		return engine.Config{}, fmt.Errorf("exp: unknown machine variant %q", variant)
-	}
-}
-
 // platformConfig builds the platform config for a variant under cfg.
 func platformConfig(cfg Config, variant string) (platform.Config, error) {
-	m, err := machineConfig(variant, cfg.Seed)
+	m, err := engine.Preset(variant, cfg.Seed)
 	if err != nil {
-		return platform.Config{}, err
+		return platform.Config{}, fmt.Errorf("exp: %w", err)
 	}
 	// Startups scale with the experiment but keep a floor: the probe window
 	// must stay long enough (several quanta) for stable readings.
@@ -49,27 +33,35 @@ func platformConfig(cfg Config, variant string) (platform.Config, error) {
 	return platform.Config{Machine: m, BodyScale: cfg.bodyScale(), StartupScale: su, Seed: cfg.Seed}, nil
 }
 
-// session memoises expensive shared artifacts (calibrations, baselines,
+// memo caches expensive shared artifacts (calibrations, baselines,
 // measurement sets) across experiments within one process, keyed by
-// (seed, scale, variant). Calibrating once and reusing mirrors a real
+// (seed, scale, variant, kind). Calibrating once and reusing mirrors a real
 // provider, which calibrates a machine type once.
-type session struct {
-	mu         sync.Mutex
-	cals       map[string]*core.Calibration
-	models     map[string]*core.Models
-	baselines  map[string]map[string]platform.Solo
-	sharing    map[string]*core.SharingOverhead
-	sharingPts map[string][]core.OverheadPoint
-	priced     map[string][]pricedRun
-}
+var memo = struct {
+	mu sync.Mutex
+	m  map[string]any
+}{m: map[string]any{}}
 
-var memo = &session{
-	cals:       map[string]*core.Calibration{},
-	models:     map[string]*core.Models{},
-	baselines:  map[string]map[string]platform.Solo{},
-	sharing:    map[string]*core.SharingOverhead{},
-	sharingPts: map[string][]core.OverheadPoint{},
-	priced:     map[string][]pricedRun{},
+// memoize returns the artifact cached under k, building and caching it on
+// first use. The lock is not held while building — builds take minutes and
+// nest (a measurement set builds its baselines) — so two experiments racing
+// on one key may both build; the artifacts are deterministic in the key, so
+// either result serves.
+func memoize[T any](k string, build func() (T, error)) (T, error) {
+	memo.mu.Lock()
+	v, ok := memo.m[k]
+	memo.mu.Unlock()
+	if ok {
+		return v.(T), nil
+	}
+	t, err := build()
+	if err != nil {
+		return t, err
+	}
+	memo.mu.Lock()
+	memo.m[k] = t
+	memo.mu.Unlock()
+	return t, nil
 }
 
 func key(cfg Config, parts ...string) string {
@@ -84,18 +76,22 @@ func key(cfg Config, parts ...string) string {
 // for a variant. sharePerCore 0/1 builds exclusive-core (Method 1) tables;
 // >1 builds Method 2 tables.
 func calibration(cfg Config, variant string, sharePerCore int) (*core.Calibration, *core.Models, error) {
-	k := key(cfg, variant, fmt.Sprintf("share%d", sharePerCore))
-	memo.mu.Lock()
-	cal, okC := memo.cals[k]
-	mdl, okM := memo.models[k]
-	memo.mu.Unlock()
-	if okC && okM {
-		return cal, mdl, nil
-	}
+	c, err := memoize(key(cfg, variant, fmt.Sprintf("share%d", sharePerCore)), func() (calibrated, error) {
+		return calibrate(cfg, variant, sharePerCore)
+	})
+	return c.cal, c.models, err
+}
 
+// calibrated is a calibration with the models fitted from it.
+type calibrated struct {
+	cal    *core.Calibration
+	models *core.Models
+}
+
+func calibrate(cfg Config, variant string, sharePerCore int) (calibrated, error) {
 	pcfg, err := platformConfig(cfg, variant)
 	if err != nil {
-		return nil, nil, err
+		return calibrated{}, err
 	}
 	ccfg := core.CalibratorConfig{
 		Platform:     pcfg,
@@ -141,19 +137,15 @@ func calibration(cfg Config, variant string, sharePerCore int) (*core.Calibratio
 		ccfg.SharedCores = 10 // population spread over the 10 hw threads
 		ccfg.FleetStartThread = 5
 	}
-	cal, err = core.Calibrate(ccfg)
+	cal, err := core.Calibrate(ccfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("exp: calibrating %s (share %d): %w", variant, sharePerCore, err)
+		return calibrated{}, fmt.Errorf("exp: calibrating %s (share %d): %w", variant, sharePerCore, err)
 	}
-	mdl, err = core.FitModels(cal)
+	mdl, err := core.FitModels(cal)
 	if err != nil {
-		return nil, nil, err
+		return calibrated{}, err
 	}
-	memo.mu.Lock()
-	memo.cals[k] = cal
-	memo.models[k] = mdl
-	memo.mu.Unlock()
-	return cal, mdl, nil
+	return calibrated{cal, mdl}, nil
 }
 
 // spreadLevels returns n stress levels spread over [2, max], ascending.
@@ -179,51 +171,34 @@ func spreadLevels(n, max int) []int {
 
 // baselines returns solo baselines for the full catalog on a variant.
 func baselines(cfg Config, variant string) (map[string]platform.Solo, error) {
-	k := key(cfg, variant, "base")
-	memo.mu.Lock()
-	b, ok := memo.baselines[k]
-	memo.mu.Unlock()
-	if ok {
-		return b, nil
-	}
-	pcfg, err := platformConfig(cfg, variant)
-	if err != nil {
-		return nil, err
-	}
-	b, err = platform.Baselines(pcfg, workload.Catalog())
-	if err != nil {
-		return nil, err
-	}
-	memo.mu.Lock()
-	memo.baselines[k] = b
-	memo.mu.Unlock()
-	return b, nil
+	return memoize(key(cfg, variant, "base"), func() (map[string]platform.Solo, error) {
+		pcfg, err := platformConfig(cfg, variant)
+		if err != nil {
+			return nil, err
+		}
+		return platform.Baselines(pcfg, workload.Catalog())
+	})
 }
 
 // sharingModel returns the Fig. 14 overhead curve for Method 1.
 func sharingModel(cfg Config, variant string) (*core.SharingOverhead, []core.OverheadPoint, error) {
-	k := key(cfg, variant, "sharing")
-	memo.mu.Lock()
-	sh, ok := memo.sharing[k]
-	pts := memo.sharingPts[k]
-	memo.mu.Unlock()
-	if ok {
-		return sh, pts, nil
+	type curve struct {
+		model *core.SharingOverhead
+		pts   []core.OverheadPoint
 	}
-	pcfg, err := platformConfig(cfg, variant)
-	if err != nil {
-		return nil, nil, err
-	}
-	ref := workload.ByAbbr()["auth-py"]
-	model, pts, err := core.MeasureSharingOverhead(pcfg, ref, []int{2, 4, 6, 8, 10, 14, 18, 22})
-	if err != nil {
-		return nil, nil, err
-	}
-	memo.mu.Lock()
-	memo.sharing[k] = &model
-	memo.sharingPts[k] = pts
-	memo.mu.Unlock()
-	return &model, pts, nil
+	c, err := memoize(key(cfg, variant, "sharing"), func() (curve, error) {
+		pcfg, err := platformConfig(cfg, variant)
+		if err != nil {
+			return curve{}, err
+		}
+		ref := workload.ByAbbr()["auth-py"]
+		model, pts, err := core.MeasureSharingOverhead(pcfg, ref, []int{2, 4, 6, 8, 10, 14, 18, 22})
+		if err != nil {
+			return curve{}, err
+		}
+		return curve{&model, pts}, nil
+	})
+	return c.model, c.pts, err
 }
 
 // envSpec describes a measurement environment.
@@ -255,47 +230,38 @@ type pricedRun struct {
 // measureSet invokes each test function reps times inside the environment,
 // returning records in deterministic order (function order, then rep).
 func measureSet(cfg Config, env envSpec, fns []*workload.Spec, reps int) ([]pricedRun, error) {
-	k := key(cfg, env.name, fmt.Sprintf("r%d", reps))
-	memo.mu.Lock()
-	runs, ok := memo.priced[k]
-	memo.mu.Unlock()
-	if ok {
-		return runs, nil
-	}
-
-	base, err := baselines(cfg, env.variant)
-	if err != nil {
-		return nil, err
-	}
-	pcfg, err := platformConfig(cfg, env.variant)
-	if err != nil {
-		return nil, err
-	}
-	p := platform.New(pcfg)
-	if env.population > 0 {
-		p.StartChurn(env.pool, env.population, env.threads).
-			SetPlacement(env.placement)
-	}
-	p.Warm(env.warm)
-
-	var out []pricedRun
-	for _, spec := range fns {
-		solo, err := soloFor(base, spec.Abbr)
+	return memoize(key(cfg, env.name, fmt.Sprintf("r%d", reps)), func() ([]pricedRun, error) {
+		base, err := baselines(cfg, env.variant)
 		if err != nil {
 			return nil, err
 		}
-		for r := 0; r < reps; r++ {
-			rec, err := p.Invoke(spec, env.subjectThread, 600)
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s in %s: %w", spec.Abbr, env.name, err)
-			}
-			out = append(out, pricedRun{rec: rec, solo: solo})
+		pcfg, err := platformConfig(cfg, env.variant)
+		if err != nil {
+			return nil, err
 		}
-	}
-	memo.mu.Lock()
-	memo.priced[k] = out
-	memo.mu.Unlock()
-	return out, nil
+		p := platform.New(pcfg)
+		if env.population > 0 {
+			p.StartChurn(env.pool, env.population, env.threads).
+				SetPlacement(env.placement)
+		}
+		p.Warm(env.warm)
+
+		var out []pricedRun
+		for _, spec := range fns {
+			solo, err := soloFor(base, spec.Abbr)
+			if err != nil {
+				return nil, err
+			}
+			for r := 0; r < reps; r++ {
+				rec, err := p.Invoke(spec, env.subjectThread, 600)
+				if err != nil {
+					return nil, fmt.Errorf("exp: %s in %s: %w", spec.Abbr, env.name, err)
+				}
+				out = append(out, pricedRun{rec: rec, solo: solo})
+			}
+		}
+		return out, nil
+	})
 }
 
 // churn26 is the paper's main evaluation environment: 26 co-running

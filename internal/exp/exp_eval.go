@@ -300,13 +300,13 @@ func sharedEnvExperiment(id, title, paper, variant string, population, cores int
 			if variant == machSMT {
 				// Spread the population over both hardware threads of the
 				// first `cores` physical cores.
-				m, err := machineConfig(variant, cfg.Seed)
+				pcfg, err := platformConfig(cfg, variant)
 				if err != nil {
 					return nil, err
 				}
 				threads := make([]int, 0, cores*2)
 				for c := 0; c < cores; c++ {
-					threads = append(threads, c, c+m.Topology.Cores)
+					threads = append(threads, c, c+pcfg.Machine.Topology.Cores)
 				}
 				env.threads = threads
 			}

@@ -43,16 +43,13 @@ func TestSpreadLevels(t *testing.T) {
 
 func TestMachineConfigVariants(t *testing.T) {
 	for _, v := range []string{machCascade, machTurbo, machIceLake, machSMT} {
-		cfg, err := machineConfig(v, 1)
+		pcfg, err := platformConfig(Config{Seed: 1, Scale: 0.5}, v)
 		if err != nil {
 			t.Errorf("%s: %v", v, err)
 		}
-		if err := cfg.Validate(); err != nil {
+		if err := pcfg.Machine.Validate(); err != nil {
 			t.Errorf("%s config invalid: %v", v, err)
 		}
-	}
-	if _, err := machineConfig("z80", 1); err == nil {
-		t.Error("unknown variant accepted")
 	}
 	if _, err := platformConfig(Config{Seed: 1, Scale: 0.5}, "z80"); err == nil {
 		t.Error("platformConfig accepted unknown variant")

@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/api/apitest"
@@ -250,8 +251,22 @@ func TestRoutingPolicies(t *testing.T) {
 			t.Errorf("ParsePolicy(%q).Name() = %q, want %q", name, p.Name(), want)
 		}
 	}
-	if _, err := ParsePolicy("nope"); err == nil {
-		t.Error("unknown policy accepted")
+	// Every advertised name resolves to the policy of that name, and the
+	// error for an unknown one advertises them all.
+	_, err := ParsePolicy("nope")
+	if err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+	if len(PolicyNames()) != 5 {
+		t.Errorf("PolicyNames = %v, want the five policies", PolicyNames())
+	}
+	for _, name := range PolicyNames() {
+		if p, perr := ParsePolicy(name); perr != nil || p.Name() != name {
+			t.Errorf("ParsePolicy(%q) = %v, %v", name, p, perr)
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-policy error %q does not name %q", err, name)
+		}
 	}
 }
 

@@ -41,7 +41,11 @@ type windowAgg struct {
 	bills       map[string]float64
 }
 
-// tenantAgg accumulates one tenant's stream.
+// tenantAgg accumulates one tenant's stream. It is not a ledger.Ledger
+// account on purpose: a record here is priced by N pricers side by side and
+// counts its invocation and commercial price once, while a ledger.Entry is
+// one invocation under one pricer — N entries would count both N-fold.
+// TestRemoteSinkBillsLikeLocalMeter holds the two aggregators to one bill.
 type tenantAgg struct {
 	invocations int
 	commercial  float64

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/workload"
 )
@@ -40,24 +41,38 @@ type Policy interface {
 	Name() string
 }
 
-// ParsePolicy resolves a policy name ("round-robin"/"rr", "least-loaded",
-// "binpack", "cheapest-projected-bill", "congestion-avoiding"). The two
-// cost-feedback policies need Config.FeedbackPricer set to see prices.
+// policies builds one fresh instance of every routing policy. The -policy
+// flag help, ParsePolicy and its error all read the names off this list.
+func policies() []Policy {
+	return []Policy{&RoundRobin{}, LeastLoaded{}, BinPack{}, CheapestProjectedBill{}, CongestionAvoiding{}}
+}
+
+// PolicyNames lists the names ParsePolicy resolves, one per policy.
+func PolicyNames() []string {
+	var names []string
+	for _, p := range policies() {
+		names = append(names, p.Name())
+	}
+	return names
+}
+
+// ParsePolicy resolves a policy by its Name (see PolicyNames; "rr" and
+// "bin-packing" are accepted aliases). The two cost-feedback policies,
+// cheapest-projected-bill and congestion-avoiding, need
+// Config.FeedbackPricer set to see prices.
 func ParsePolicy(name string) (Policy, error) {
 	switch name {
-	case "round-robin", "rr":
-		return &RoundRobin{}, nil
-	case "least-loaded":
-		return LeastLoaded{}, nil
-	case "binpack", "bin-packing":
-		return BinPack{}, nil
-	case "cheapest-projected-bill":
-		return CheapestProjectedBill{}, nil
-	case "congestion-avoiding":
-		return CongestionAvoiding{}, nil
-	default:
-		return nil, fmt.Errorf("fleet: unknown policy %q (want round-robin, least-loaded, binpack, cheapest-projected-bill or congestion-avoiding)", name)
+	case "rr":
+		name = "round-robin"
+	case "bin-packing":
+		name = "binpack"
 	}
+	for _, p := range policies() {
+		if p.Name() == name {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("fleet: unknown policy %q (want one of %s)", name, strings.Join(PolicyNames(), ", "))
 }
 
 // RoundRobin cycles arrivals over the machines in order, ignoring load —

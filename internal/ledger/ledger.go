@@ -312,9 +312,40 @@ func (l *Ledger) Accrue(e Entry) (Outcome, error) {
 		return Dropped, err
 	}
 	sh := l.shardFor(e.Tenant)
-	key := namespacedKey(e)
-
 	sh.mu.Lock()
+	outcome, watermark, err := l.accrueLocked(sh, &e)
+	sh.mu.Unlock()
+	if err != nil {
+		return Dropped, err
+	}
+	if sh.wal != nil {
+		// Count the append before the fsync: the record is in the WAL and
+		// applied whether or not the sync below succeeds, so WALRecords and
+		// the snapshot cadence must see it either way.
+		l.dur.noteAppend(1)
+		if l.cfg.Fsync == FsyncAlways {
+			if err := sh.wal.syncTo(watermark); err != nil {
+				// The record is written and applied but not yet known
+				// durable; surface the failing disk without undoing the
+				// bill.
+				return outcome, fmt.Errorf("%w: %v", ErrDurability, err)
+			}
+		}
+	}
+	return outcome, nil
+}
+
+// accrueLocked is the accrual step — the one place a validated entry's
+// outcome is decided, logged and applied. Accrue and AccrueBatch are two
+// schedules (when to lock, when to fsync) around it, so they cannot diverge
+// on dedup, the tenant cap or what a failed WAL append leaves behind. It
+// returns the WAL watermark to hand to syncTo (0 on a volatile ledger); on
+// error nothing was applied and nothing stays reserved.
+//
+//litmus:guarded-by caller holds sh.mu
+//litmus:appends
+func (l *Ledger) accrueLocked(sh *shard, e *Entry) (Outcome, uint64, error) {
+	key := namespacedKey(*e)
 	// Decide the outcome first: the WAL logs (entry, outcome) pairs, so
 	// replay can apply outcomes instead of re-deciding ones that depended
 	// on cross-shard state (the tenant cap).
@@ -341,39 +372,22 @@ func (l *Ledger) Accrue(e Entry) (Outcome, error) {
 	var watermark uint64
 	if sh.wal != nil {
 		var err error
-		watermark, err = sh.wal.append(WALRecord{Entry: e, Outcome: outcome})
+		watermark, err = sh.wal.append(WALRecord{Entry: *e, Outcome: outcome})
 		if err != nil {
 			// Nothing was applied; release the tentative cap slot.
 			if reserved {
 				l.tenants.Add(-1)
 			}
-			sh.mu.Unlock()
-			return Dropped, fmt.Errorf("%w: %v", ErrDurability, err)
+			return Dropped, 0, fmt.Errorf("%w: %v", ErrDurability, err)
 		}
 	}
-	sh.apply(e, key, outcome, l.cfg.WindowMinutes)
-	sh.mu.Unlock()
-
-	if sh.wal != nil {
-		// Count the append before the fsync: the record is in the WAL and
-		// applied whether or not the sync below succeeds, so WALRecords and
-		// the snapshot cadence must see it either way.
-		l.dur.noteAppend(1)
-		if l.cfg.Fsync == FsyncAlways {
-			if err := sh.wal.syncTo(watermark); err != nil {
-				// The record is written and applied but not yet known
-				// durable; surface the failing disk without undoing the
-				// bill.
-				return outcome, fmt.Errorf("%w: %v", ErrDurability, err)
-			}
-		}
-	}
-	return outcome, nil
+	sh.apply(*e, key, outcome, l.cfg.WindowMinutes)
+	return outcome, watermark, nil
 }
 
 // validateEntry rejects entries no ledger could bill: the shared admission
-// gate of Accrue and AccrueBatch, so the two paths cannot diverge on which
-// entries are billable.
+// gate of Accrue and AccrueBatch, so the two schedules cannot diverge on
+// which entries are billable.
 func validateEntry(e Entry) error {
 	if e.Tenant == "" {
 		return fmt.Errorf("ledger: accrual requires a tenant")
@@ -443,7 +457,6 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 	appends := 0
 	for i := range entries {
 		e := &entries[i]
-		results[i] = AccrualResult{}
 		if err := validateEntry(*e); err != nil {
 			results[i] = AccrualResult{Outcome: Dropped, Err: err}
 			continue
@@ -454,51 +467,24 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 			sh.mu.Lock()
 			cur = sh
 		}
-		key := namespacedKey(*e)
-		// The decision logic below mirrors Accrue exactly; see there for the
-		// invariants (outcome-before-WAL, add-then-check cap).
-		outcome := Accrued
-		reserved := false
-		if key != "" {
-			//litmus:guarded-by sh.mu is held (cur == sh since the Lock above)
-			if _, seen := sh.keys[key]; seen {
-				outcome = Duplicate
+		outcome, watermark, err := l.accrueLocked(sh, e)
+		results[i] = AccrualResult{Outcome: outcome, Err: err}
+		if err != nil || sh.wal == nil {
+			continue
+		}
+		found := false
+		for j := range touched {
+			if touched[j] == sh {
+				marks[j] = watermark
+				found = true
+				break
 			}
 		}
-		//litmus:guarded-by sh.mu is held (cur == sh since the Lock above)
-		if outcome == Accrued && sh.accounts[e.Tenant] == nil {
-			if n := l.tenants.Add(1); n > int64(l.cfg.MaxTenants) {
-				l.tenants.Add(-1)
-				outcome = Dropped
-			} else {
-				reserved = true
-			}
+		if !found {
+			touched = append(touched, sh)
+			marks = append(marks, watermark)
 		}
-		if sh.wal != nil {
-			watermark, err := sh.wal.append(WALRecord{Entry: *e, Outcome: outcome})
-			if err != nil {
-				if reserved {
-					l.tenants.Add(-1)
-				}
-				results[i] = AccrualResult{Outcome: Dropped, Err: fmt.Errorf("%w: %v", ErrDurability, err)}
-				continue
-			}
-			found := false
-			for j := range touched {
-				if touched[j] == sh {
-					marks[j] = watermark
-					found = true
-					break
-				}
-			}
-			if !found {
-				touched = append(touched, sh)
-				marks = append(marks, watermark)
-			}
-			appends++
-		}
-		sh.apply(*e, key, outcome, l.cfg.WindowMinutes)
-		results[i].Outcome = outcome
+		appends++
 	}
 	unlock()
 	if l.dur != nil && appends > 0 {
@@ -509,7 +495,7 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 					serr := fmt.Errorf("%w: %v", ErrDurability, err)
 					// The records are written and applied but not known
 					// durable; flag every acknowledged entry of this shard
-					// without undoing the bills (mirrors Accrue).
+					// without undoing the bills.
 					for i := range entries {
 						if results[i].Err == nil && entries[i].Tenant != "" && l.shardFor(entries[i].Tenant) == touched[j] {
 							results[i].Err = serr

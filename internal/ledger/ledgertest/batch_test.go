@@ -6,6 +6,7 @@ package ledgertest
 // and every ledger observable — whatever the batch size.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -54,24 +55,69 @@ func salt(entries []ledger.Entry) []ledger.Entry {
 }
 
 func TestAccrueBatchMatchesSequential(t *testing.T) {
-	for _, cfg := range []ledger.Config{
-		{Shards: 1},
-		{Shards: 8},
-		{Shards: 8, MaxTenants: 25}, // cap admission is order-determined
-		{Shards: 4, MaxKeys: 32},    // key eviction under batching
+	// The durable rows take the WAL branch of the shared accrual step: an
+	// open log (append, then apply) and a closed one, where every append
+	// fails — each billable entry must come back ErrDurability with nothing
+	// applied (40 new tenants against a cap of 25 each reserve and release
+	// a slot on the way), through both schedules alike.
+	walCfg := ledger.Config{Shards: 4, MaxTenants: 25, Fsync: ledger.FsyncNever, SnapshotEvery: -1}
+	for _, c := range []struct {
+		cfg             ledger.Config
+		durable, closed bool
+	}{
+		{cfg: ledger.Config{Shards: 1}},
+		{cfg: ledger.Config{Shards: 8}},
+		{cfg: ledger.Config{Shards: 8, MaxTenants: 25}}, // cap admission is order-determined
+		{cfg: ledger.Config{Shards: 4, MaxKeys: 32}},    // key eviction under batching
+		{cfg: walCfg, durable: true},
+		{cfg: walCfg, durable: true, closed: true},
 	} {
-		cfg := cfg
-		t.Run(fmt.Sprintf("shards=%d,cap=%d,keys=%d", cfg.Shards, cfg.MaxTenants, cfg.MaxKeys), func(t *testing.T) {
-			entries := salt(flatten(Generate(23, GenConfig{Workers: 4, PerWorker: 200, Tenants: 40, KeyEvery: 2})))
+		name := fmt.Sprintf("shards=%d,cap=%d,keys=%d", c.cfg.Shards, c.cfg.MaxTenants, c.cfg.MaxKeys)
+		if c.durable {
+			name += fmt.Sprintf(",durable,closed=%v", c.closed)
+		}
+		t.Run(name, func(t *testing.T) {
+			// Every ledger of a durable row gets a data directory of its own.
+			open := func() *ledger.Ledger {
+				cfg := c.cfg
+				if c.durable {
+					cfg.Dir = t.TempDir()
+				}
+				l := mustNew(t, cfg)
+				t.Cleanup(func() { _ = l.Close() })
+				if c.closed {
+					if err := l.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return l
+			}
+			valid := flatten(Generate(23, GenConfig{Workers: 4, PerWorker: 200, Tenants: 40, KeyEvery: 2}))
+			entries := salt(valid)
 
-			seq := mustNew(t, cfg)
+			seq := open()
 			seqOut := make([]ledger.AccrualResult, len(entries))
+			billed, failed := 0, 0
 			for i, e := range entries {
 				seqOut[i].Outcome, seqOut[i].Err = seq.Accrue(e)
+				switch {
+				case seqOut[i].Err == nil:
+					billed++
+				case errors.Is(seqOut[i].Err, ledger.ErrDurability):
+					failed++
+				}
+			}
+			if c.closed {
+				if st := seq.Stats(); billed != 0 || failed < len(valid) || st.Tenants != 0 {
+					t.Fatalf("closed ledger: %d entries acknowledged, %d of %d valid ones failed with ErrDurability, %d tenants",
+						billed, failed, len(valid), st.Tenants)
+				}
+			} else if failed != 0 {
+				t.Fatalf("%d entries failed with ErrDurability on an open ledger", failed)
 			}
 
 			for _, batchSize := range []int{1, 7, 256, len(entries)} {
-				l := mustNew(t, cfg)
+				l := open()
 				got := make([]ledger.AccrualResult, len(entries))
 				for lo := 0; lo < len(entries); lo += batchSize {
 					hi := min(lo+batchSize, len(entries))

@@ -3,7 +3,6 @@ package ledger
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"math"
 	"os"
@@ -12,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // FsyncMode selects when acknowledged WAL appends reach stable storage — the
@@ -68,9 +69,7 @@ type WALRecord struct {
 	Outcome Outcome
 }
 
-// WAL framing: every record is [length u32 LE][crc32 u32 LE][payload], where
-// length counts the payload bytes and the CRC (IEEE) covers the payload.
-// The payload itself is
+// A WAL record is one internal/frame frame whose payload is
 //
 //	version u8 | outcome u8 | minute uvarint |
 //	commercial f64 LE | price f64 LE |
@@ -80,8 +79,7 @@ type WALRecord struct {
 // payload does not parse exactly marks the torn/corrupt tail: it and
 // everything after it are discarded (and truncated on recovery).
 const (
-	walFrameHeader = 8
-	walVersion     = 1
+	walVersion = 1
 	// maxWALPayload bounds a frame's declared payload length, so a corrupted
 	// length field cannot make the decoder allocate or skip gigabytes.
 	maxWALPayload = 1 << 20
@@ -103,7 +101,7 @@ const (
 // extended slice.
 func AppendWALRecord(dst []byte, rec WALRecord) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
+	dst = frame.Begin(dst)
 	dst = append(dst, walVersion, byte(rec.Outcome))
 	dst = binary.AppendUvarint(dst, uint64(rec.Entry.Minute))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.Entry.Commercial))
@@ -112,10 +110,7 @@ func AppendWALRecord(dst []byte, rec WALRecord) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		dst = append(dst, s...)
 	}
-	payload := dst[start+walFrameHeader:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
-	return dst
+	return frame.Seal(dst, start)
 }
 
 // decodeWALPayload parses one frame payload. It must consume every byte —
@@ -161,37 +156,28 @@ func decodeWALPayload(b []byte) (WALRecord, error) {
 
 // DecodeWAL scans framed records from data. It returns the records of the
 // longest valid prefix, the byte length of that prefix, and the error that
-// stopped the scan — nil when data ends exactly on a frame boundary. It
-// never panics on corrupt or truncated input, and a record is only ever
-// returned when its full frame, CRC and payload parse — the decoder cannot
-// invent an accrual from damaged bytes.
+// stopped the scan — nil when data ends exactly on a frame boundary, and
+// wrapping frame.ErrShort when data merely ends inside a frame (a tail more
+// bytes could complete; anything else is damage). It never panics on corrupt
+// or truncated input, and a record is only ever returned when its full
+// frame, CRC and payload parse — the decoder cannot invent an accrual from
+// damaged bytes.
 func DecodeWAL(data []byte) ([]WALRecord, int64, error) {
 	var recs []WALRecord
-	off := int64(0)
-	for int(off) < len(data) {
-		rest := data[off:]
-		if len(rest) < walFrameHeader {
-			return recs, off, fmt.Errorf("torn frame header at offset %d (%d bytes)", off, len(rest))
-		}
-		length := binary.LittleEndian.Uint32(rest)
-		if length > maxWALPayload {
-			return recs, off, fmt.Errorf("frame at offset %d declares %d payload bytes (max %d)", off, length, maxWALPayload)
-		}
-		if int64(len(rest)-walFrameHeader) < int64(length) {
-			return recs, off, fmt.Errorf("torn payload at offset %d (%d of %d bytes)", off, len(rest)-walFrameHeader, length)
-		}
-		payload := rest[walFrameHeader : walFrameHeader+int(length)]
-		if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(rest[4:]) {
-			return recs, off, fmt.Errorf("crc mismatch at offset %d", off)
+	off := 0
+	for off < len(data) {
+		payload, size, err := frame.Split(data[off:], maxWALPayload)
+		if err != nil {
+			return recs, int64(off), fmt.Errorf("offset %d: %w", off, err)
 		}
 		rec, err := decodeWALPayload(payload)
 		if err != nil {
-			return recs, off, fmt.Errorf("corrupt record at offset %d: %v", off, err)
+			return recs, int64(off), fmt.Errorf("corrupt record at offset %d: %v", off, err)
 		}
 		recs = append(recs, rec)
-		off += int64(walFrameHeader) + int64(length)
+		off += size
 	}
-	return recs, off, nil
+	return recs, int64(off), nil
 }
 
 // DecodeWALFile decodes one segment file (see DecodeWAL).

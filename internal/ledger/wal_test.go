@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"reflect"
 	"sync/atomic"
@@ -26,6 +27,12 @@ func encodeWAL(recs []WALRecord) []byte {
 }
 
 func TestWALRoundTrip(t *testing.T) {
+	// The first record's bytes as the parent of the internal/frame move
+	// wrote them: segments on disk and on the replication tail must not move.
+	const golden = "25000000d2717d6f010003000000000000254000000000008020400461636d65066c69746d75730572756e2331"
+	if got := hex.EncodeToString(AppendWALRecord(nil, walTestRecords[0])); got != golden {
+		t.Fatalf("WAL record bytes moved:\n got %s\nwant %s", got, golden)
+	}
 	data := encodeWAL(walTestRecords)
 	recs, off, err := DecodeWAL(data)
 	if err != nil {

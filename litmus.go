@@ -2,9 +2,11 @@
 // (Pei, Wang, Shin — "Litmus: Fair Pricing for Serverless Computing",
 // ASPLOS 2024).
 //
-// The package re-exports the stable surface of the internal packages so a
-// downstream user can simulate a serverless machine, calibrate Litmus
-// tables, price invocations, and regenerate every figure of the paper:
+// The package re-exports the part of the internal packages the programs
+// under examples/ and the README snippets use — simulate a serverless
+// machine, calibrate Litmus tables, price invocations, run the pricing
+// service, bill a fleet — and nothing else; a name earns its place here by
+// having such a user:
 //
 //	pcfg := litmus.DefaultPlatformConfig(42)
 //	cal, _ := litmus.Calibrate(litmus.CalibratorConfig{Platform: pcfg})
@@ -19,81 +21,37 @@
 //	quote, _ := pricer.Quote(litmus.UsageFromRecord(rec))
 //	fmt.Printf("discount: %.1f%%\n", quote.Discount()*100)
 //
-// See the examples/ directory for runnable programs and cmd/litmusbench for
-// the paper's full experiment suite.
+// The paper's experiment suite runs from cmd/litmusbench (internal/exp).
 package litmus
 
 import (
-	"context"
-
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/exp"
 	"repro/internal/fleet"
 	"repro/internal/platform"
 	"repro/internal/render"
 	"repro/internal/trace"
-	"repro/internal/trafficgen"
 	"repro/internal/workload"
 )
 
 // Re-exported types. These aliases are the supported public names; the
 // internal packages may reorganise behind them.
 type (
-	// PlatformConfig configures a simulated serverless machine plus its
-	// invocation policies.
-	PlatformConfig = platform.Config
-	// Platform is a running serverless machine.
-	Platform = platform.Platform
-	// RunRecord is one billed invocation measurement.
-	RunRecord = platform.RunRecord
 	// Solo is a function's interference-free baseline.
 	Solo = platform.Solo
-	// Churn is a self-replacing background function population.
-	Churn = platform.Churn
-	// ChurnPlacement selects where churn replacements land.
-	ChurnPlacement = platform.Placement
-
-	// MachineConfig describes the simulated hardware.
-	MachineConfig = engine.Config
-	// ProbeResult is a raw Litmus-test reading.
-	ProbeResult = engine.ProbeResult
 
 	// FunctionSpec models one serverless function (Table 1 entry).
 	FunctionSpec = workload.Spec
 	// Phase is one homogeneous execution segment of a function.
 	Phase = workload.Phase
-	// Language is a function runtime (Python, Node.js, Go).
-	Language = workload.Language
-	// Pattern is a memory access pattern (Hot, Scan, Mixed).
-	Pattern = workload.Pattern
 
 	// Usage is the transport-friendly pricing input: the measurements of
 	// one billed invocation (Pricer.Quote's argument type).
 	Usage = core.Usage
-	// ProbeUsage is the wire form of a Litmus-test reading.
-	ProbeUsage = core.ProbeUsage
-	// Calibration is the provider's congestion + performance tables.
-	Calibration = core.Calibration
 	// CalibratorConfig drives table building.
 	CalibratorConfig = core.CalibratorConfig
-	// Models is the fitted regression set used at runtime.
-	Models = core.Models
-	// Reading is a probe observation in slowdown units.
-	Reading = core.Reading
-	// Estimate is a congestion estimate derived from one reading.
-	Estimate = core.Estimate
-	// Quote is a priced invocation.
-	Quote = core.Quote
 	// Pricer prices run records.
 	Pricer = core.Pricer
-	// SharingOverhead is the Fig. 14 temporal-sharing cost curve.
-	SharingOverhead = core.SharingOverhead
-	// POPPAConfig drives the sampling baseline.
-	POPPAConfig = core.POPPAConfig
-	// POPPAResult is a POPPA-priced invocation.
-	POPPAResult = core.POPPAResult
 
 	// PricingServer is the versioned HTTP pricing service (an http.Handler).
 	PricingServer = api.Server
@@ -101,117 +59,59 @@ type (
 	PricingServerConfig = api.Config
 	// PricingClient is the typed client for the /v2 and /v3 pricing APIs.
 	PricingClient = api.Client
-	// QuoteRequest / QuoteResponse are the /v2 quote wire formats.
-	QuoteRequest  = api.QuoteRequest
-	QuoteResponse = api.QuoteResponse
-	// TenantSummary is a tenant's aggregate billing ledger.
-	TenantSummary = api.TenantSummary
+	// QuoteRequest is the /v2 quote request wire format.
+	QuoteRequest = api.QuoteRequest
 	// UsageRecord is one record of the /v3 usage stream (an NDJSON line
-	// or a binary frame, depending on the client's WireFormat).
+	// or a binary frame, depending on PricingClient.Wire).
 	UsageRecord = api.UsageRecord
-	// UsageStreamResult is the /v3/usage ingest accounting.
-	UsageStreamResult = api.UsageStreamResponse
-	// WireFormat selects the /v3/usage stream encoding on
-	// PricingClient.Wire: WireNDJSON (the default) or WireFrames, the
-	// length-prefixed CRC-framed binary fast path.
-	WireFormat = api.WireFormat
-	// TenantPage is one page of the sorted /v3 tenant listing.
-	TenantPage = api.TenantPage
-	// TenantStatement is a tenant's windowed /v3 bill.
-	TenantStatement = api.StatementResponse
 
-	// Experiment regenerates one paper artifact.
-	Experiment = exp.Experiment
-	// ExperimentConfig parameterises experiment runs.
-	ExperimentConfig = exp.Config
-	// ExperimentResult is an experiment's output.
-	ExperimentResult = exp.Result
-
-	// Trace is a multi-tenant per-minute invocation trace.
-	Trace = trace.Trace
 	// TraceSynthConfig drives the deterministic trace synthesizer.
 	TraceSynthConfig = trace.SynthConfig
 	// TraceExpandConfig turns per-minute counts into timestamped arrivals.
 	TraceExpandConfig = trace.ExpandConfig
-	// Arrival is one timestamped invocation of an expanded trace.
-	Arrival = trace.Arrival
 
 	// FleetConfig describes a fleet of simulated machines.
 	FleetConfig = fleet.Config
-	// Fleet is a set of concurrently-stepped machines behind a routing
-	// policy.
-	Fleet = fleet.Fleet
 	// FleetMeterConfig parameterises the streaming metering pipeline.
 	FleetMeterConfig = fleet.MeterConfig
-	// FleetSink consumes the fleet's metered-record stream.
-	FleetSink = fleet.Sink
-	// RemoteSink streams fleet records to a live pricing service;
-	// RemoteSinkConfig parameterises it.
-	RemoteSink       = fleet.RemoteSink
-	RemoteSinkConfig = fleet.RemoteSinkConfig
 	// FleetReport is the meter's per-tenant billing aggregate.
 	FleetReport = fleet.Report
 	// FleetResult is a run's per-machine statistics.
 	FleetResult = fleet.Result
-	// RoutePolicy routes arrivals to machines.
-	RoutePolicy = fleet.Policy
 )
 
 // Language runtimes.
 const (
 	Python = workload.Python
-	NodeJS = workload.NodeJS
 	Go     = workload.Go
 )
 
-// Access patterns.
-const (
-	Hot   = workload.Hot
-	Scan  = workload.Scan
-	Mixed = workload.Mixed
-)
+// Scan is the streaming memory access pattern.
+const Scan = workload.Scan
 
-// Churn placement policies.
-const (
-	PlaceSticky      = platform.PlaceSticky
-	PlaceRandom      = platform.PlaceRandom
-	PlaceLeastLoaded = platform.PlaceLeastLoaded
-)
+// WireFrames selects the length-prefixed CRC-framed binary encoding of the
+// /v3/usage stream on PricingClient.Wire (the default is NDJSON).
+const WireFrames = api.WireFrames
 
-// ProbeInstrCap is the Litmus probe window in instructions (paper §7.1).
-const ProbeInstrCap = workload.ProbeInstrCap
-
-// --- Machine presets -------------------------------------------------------
-
-// CascadeLakeMachine returns the paper's primary machine (§3).
-func CascadeLakeMachine(seed int64) MachineConfig { return engine.CascadeLake(seed) }
-
-// CascadeLakeSMTMachine returns the SMT-enabled variant (Fig. 21).
-func CascadeLakeSMTMachine(seed int64) MachineConfig { return engine.CascadeLakeSMT(seed) }
-
-// CascadeLakeTurboMachine returns the unfixed-frequency variant (Fig. 18).
-func CascadeLakeTurboMachine(seed int64) MachineConfig { return engine.CascadeLakeTurbo(seed) }
-
-// IceLakeMachine returns the Xeon Silver 4314 machine (Fig. 19).
-func IceLakeMachine(seed int64) MachineConfig { return engine.IceLake(seed) }
+// --- Platform ----------------------------------------------------------------
 
 // DefaultPlatformConfig returns a full-scale platform on the Cascade Lake
 // machine.
-func DefaultPlatformConfig(seed int64) PlatformConfig { return platform.DefaultConfig(seed) }
+func DefaultPlatformConfig(seed int64) platform.Config { return platform.DefaultConfig(seed) }
 
 // NewPlatform builds a platform; it panics on invalid configuration.
-func NewPlatform(cfg PlatformConfig) *Platform { return platform.New(cfg) }
+func NewPlatform(cfg platform.Config) *platform.Platform { return platform.New(cfg) }
 
 // Threads returns [first, first+n): a placement convenience.
 func Threads(first, n int) []int { return platform.Threads(first, n) }
 
 // MeasureSolo runs spec alone on a fresh machine and returns its baseline.
-func MeasureSolo(cfg PlatformConfig, spec *FunctionSpec) (Solo, error) {
+func MeasureSolo(cfg platform.Config, spec *FunctionSpec) (Solo, error) {
 	return platform.MeasureSolo(cfg, spec)
 }
 
 // Baselines measures solo baselines for the given specs.
-func Baselines(cfg PlatformConfig, specs []*FunctionSpec) (map[string]Solo, error) {
+func Baselines(cfg platform.Config, specs []*FunctionSpec) (map[string]Solo, error) {
 	return platform.Baselines(cfg, specs)
 }
 
@@ -223,46 +123,23 @@ func Catalog() []*FunctionSpec { return workload.Catalog() }
 // FunctionsByAbbr returns the catalog indexed by abbreviation.
 func FunctionsByAbbr() map[string]*FunctionSpec { return workload.ByAbbr() }
 
-// References returns the 13 reference functions.
-func References() []*FunctionSpec { return workload.References() }
-
 // TestSet returns the 14 functions the paper prices in its evaluation.
 func TestSet() []*FunctionSpec { return workload.TestSet() }
 
 // ProbeFunction returns a minimal function of the given language for pure
 // Litmus tests.
-func ProbeFunction(lang Language) *FunctionSpec { return workload.ProbeSpec(lang) }
-
-// EncodeFunctionSpecs serialises function specs as JSON (custom catalogs).
-func EncodeFunctionSpecs(specs []*FunctionSpec) ([]byte, error) {
-	return workload.EncodeSpecs(specs)
-}
-
-// DecodeFunctionSpecs parses specs produced by EncodeFunctionSpecs or
-// written by hand, validating every entry.
-func DecodeFunctionSpecs(data []byte) ([]*FunctionSpec, error) {
-	return workload.DecodeSpecs(data)
-}
-
-// CTGenFleet returns level CT-Gen thread specs (calibration stressor).
-func CTGenFleet(level int) []*FunctionSpec { return trafficgen.Fleet(trafficgen.CTGen, level) }
-
-// MBGenFleet returns level MB-Gen thread specs (calibration stressor).
-func MBGenFleet(level int) []*FunctionSpec { return trafficgen.Fleet(trafficgen.MBGen, level) }
+func ProbeFunction(lang workload.Language) *FunctionSpec { return workload.ProbeSpec(lang) }
 
 // --- Calibration and pricing ------------------------------------------------
 
 // Calibrate runs the provider's offline table-building pass.
-func Calibrate(cfg CalibratorConfig) (*Calibration, error) { return core.Calibrate(cfg) }
-
-// DecodeCalibration parses tables produced by Calibration.Encode.
-func DecodeCalibration(data []byte) (*Calibration, error) { return core.DecodeCalibration(data) }
+func Calibrate(cfg CalibratorConfig) (*core.Calibration, error) { return core.Calibrate(cfg) }
 
 // FitModels fits the runtime regression set from calibration tables.
-func FitModels(cal *Calibration) (*Models, error) { return core.FitModels(cal) }
+func FitModels(cal *core.Calibration) (*core.Models, error) { return core.FitModels(cal) }
 
 // UsageFromRecord adapts a simulator run record to the pricing input type.
-func UsageFromRecord(rec RunRecord) Usage { return core.UsageFromRecord(rec) }
+func UsageFromRecord(rec platform.RunRecord) Usage { return core.UsageFromRecord(rec) }
 
 // NewCommercialPricer prices like today's clouds: flat rate, no discounts.
 func NewCommercialPricer(rateBase float64) Pricer { return core.Commercial{RateBase: rateBase} }
@@ -274,19 +151,8 @@ func NewIdealPricer(rateBase float64, baselines map[string]Solo) Pricer {
 
 // NewLitmusPricer prices with Litmus tables (Method 2 when the tables were
 // calibrated under sharing; otherwise exclusive-core pricing).
-func NewLitmusPricer(models *Models, rateBase float64) Pricer {
+func NewLitmusPricer(models *core.Models, rateBase float64) Pricer {
 	return core.Litmus{Models: models, RateBase: rateBase}
-}
-
-// NewLitmusMethod1Pricer prices with exclusive-core tables corrected by the
-// pre-measured temporal-sharing overhead curve (paper §7.2, Method 1).
-func NewLitmusMethod1Pricer(models *Models, rateBase float64, sharing *SharingOverhead, coRunnersPerCore int) Pricer {
-	return core.Litmus{Models: models, RateBase: rateBase, Sharing: sharing, CoRunnersPerCore: coRunnersPerCore}
-}
-
-// MeasureSharingOverhead measures the Fig. 14 temporal-sharing cost curve.
-func MeasureSharingOverhead(cfg PlatformConfig, ref *FunctionSpec, ks []int) (SharingOverhead, []core.OverheadPoint, error) {
-	return core.MeasureSharingOverhead(cfg, ref, ks)
 }
 
 // NewPricingServer builds the versioned HTTP pricing service.
@@ -295,62 +161,26 @@ func NewPricingServer(cfg PricingServerConfig) (*PricingServer, error) { return 
 // NewPricingClient returns a typed client for the service at baseURL.
 func NewPricingClient(baseURL string) *PricingClient { return api.NewClient(baseURL) }
 
-// The /v3/usage stream encodings a PricingClient can send (Client.Wire).
-const (
-	WireNDJSON = api.WireNDJSON
-	WireFrames = api.WireFrames
-)
-
-// RunPOPPA runs the POPPA sampling baseline for one invocation.
-func RunPOPPA(p *Platform, spec *FunctionSpec, thread int, cfg POPPAConfig, maxSec float64) (POPPAResult, error) {
-	return core.RunPOPPA(p, spec, thread, cfg, maxSec)
-}
-
-// DefaultPOPPAConfig returns the baseline's default sampling cadence.
-func DefaultPOPPAConfig() POPPAConfig { return core.DefaultPOPPAConfig() }
-
 // --- Traces and fleets -------------------------------------------------------
 
 // SynthesizeTrace builds a deterministic invocation trace.
-func SynthesizeTrace(cfg TraceSynthConfig) (*Trace, error) { return trace.Synthesize(cfg) }
-
-// LoadTraceCSV parses the trace CSV at path (line-numbered errors).
-func LoadTraceCSV(path string) (*Trace, error) { return trace.LoadCSVFile(path) }
+func SynthesizeTrace(cfg TraceSynthConfig) (*trace.Trace, error) { return trace.Synthesize(cfg) }
 
 // ExpandTrace turns a trace's per-minute counts into timestamped arrivals.
-func ExpandTrace(t *Trace, cfg TraceExpandConfig) ([]Arrival, error) { return trace.Expand(t, cfg) }
-
-// NewFleet builds a fleet of simulated machines.
-func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
-
-// NewRemoteSink builds a meter sink that streams fleet records to the
-// pricing service behind client over the /v3 usage API.
-func NewRemoteSink(ctx context.Context, client *PricingClient, cfg RemoteSinkConfig) *RemoteSink {
-	return fleet.NewRemoteSink(ctx, client, cfg)
+func ExpandTrace(t *trace.Trace, cfg TraceExpandConfig) ([]trace.Arrival, error) {
+	return trace.Expand(t, cfg)
 }
 
-// ParseRoutePolicy resolves a routing-policy name ("round-robin",
-// "least-loaded", "binpack", "cheapest-projected-bill",
-// "congestion-avoiding"; the last two read the price feedback enabled by
-// FleetConfig.FeedbackPricer).
-func ParseRoutePolicy(name string) (RoutePolicy, error) { return fleet.ParsePolicy(name) }
+// ParseRoutePolicy resolves a routing-policy name; the error for an unknown
+// one lists the valid names (fleet.PolicyNames). The cost-feedback policies
+// read the price feedback enabled by FleetConfig.FeedbackPricer.
+func ParseRoutePolicy(name string) (fleet.Policy, error) { return fleet.ParsePolicy(name) }
 
 // SimulateFleet replays arrivals across a fleet while the streaming meter
 // prices and aggregates every completed invocation.
-func SimulateFleet(cfg FleetConfig, arrivals []Arrival, mcfg FleetMeterConfig) (*FleetReport, FleetResult, error) {
+func SimulateFleet(cfg FleetConfig, arrivals []trace.Arrival, mcfg FleetMeterConfig) (*FleetReport, FleetResult, error) {
 	return fleet.Simulate(cfg, arrivals, mcfg)
 }
 
 // FleetMachineTable renders a run's per-machine occupancy and throughput.
 func FleetMachineTable(res FleetResult) *render.Table { return fleet.MachineTable(res) }
-
-// --- Experiments -------------------------------------------------------------
-
-// Experiments returns every paper artifact regenerator (T1, E1–E21, A1–A3).
-func Experiments() []Experiment { return exp.All() }
-
-// ExperimentByID looks up one experiment.
-func ExperimentByID(id string) (Experiment, bool) { return exp.ByID(id) }
-
-// DefaultExperimentConfig returns the standard experiment configuration.
-func DefaultExperimentConfig() ExperimentConfig { return exp.DefaultConfig() }

@@ -2,10 +2,12 @@ package litmus
 
 import (
 	"testing"
+
+	"repro/internal/platform"
 )
 
 // fastConfig returns a scaled-down platform for facade tests.
-func fastConfig(seed int64) PlatformConfig {
+func fastConfig(seed int64) platform.Config {
 	cfg := DefaultPlatformConfig(seed)
 	cfg.BodyScale = 0.1
 	cfg.StartupScale = 0.2
@@ -16,36 +18,14 @@ func TestFacadeCatalog(t *testing.T) {
 	if len(Catalog()) != 27 {
 		t.Errorf("Catalog = %d functions", len(Catalog()))
 	}
-	if len(References()) != 13 || len(TestSet()) != 14 {
-		t.Error("reference/test partition wrong")
+	if len(TestSet()) != 14 {
+		t.Error("test set wrong size")
 	}
 	if FunctionsByAbbr()["pager-py"] == nil {
 		t.Error("FunctionsByAbbr lookup failed")
 	}
 	if ProbeFunction(Python).StartupInstr() <= 0 {
 		t.Error("probe function has no startup")
-	}
-	if len(CTGenFleet(5)) != 5 || len(MBGenFleet(3)) != 3 {
-		t.Error("generator fleets wrong size")
-	}
-}
-
-func TestFacadeMachinePresets(t *testing.T) {
-	for name, cfg := range map[string]MachineConfig{
-		"cascade": CascadeLakeMachine(1),
-		"smt":     CascadeLakeSMTMachine(1),
-		"turbo":   CascadeLakeTurboMachine(1),
-		"icelake": IceLakeMachine(1),
-	} {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	if CascadeLakeSMTMachine(1).Topology.SMTWays != 2 {
-		t.Error("SMT preset not SMT")
-	}
-	if IceLakeMachine(1).Topology.Cores != 16 {
-		t.Error("Ice Lake preset core count wrong")
 	}
 }
 
@@ -58,15 +38,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := cal.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeCalibration(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := FitModels(back)
+	models, err := FitModels(cal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,67 +80,5 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if ql.Discount() <= 0 {
 		t.Errorf("litmus discount = %v under 26 co-runners", ql.Discount())
-	}
-}
-
-func TestFacadeExperiments(t *testing.T) {
-	if len(Experiments()) != 25 {
-		t.Errorf("Experiments = %d", len(Experiments()))
-	}
-	if _, ok := ExperimentByID("E11"); !ok {
-		t.Error("ExperimentByID(E11) failed")
-	}
-	if err := DefaultExperimentConfig().Validate(); err != nil {
-		t.Error(err)
-	}
-	// T1 is cheap enough to run as a facade smoke test.
-	e, _ := ExperimentByID("T1")
-	res, err := e.Run(DefaultExperimentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics["functions"] != 27 {
-		t.Error("T1 inventory wrong through facade")
-	}
-}
-
-func TestFacadePOPPA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("POPPA flow is not short")
-	}
-	pcfg := fastConfig(9)
-	p := NewPlatform(pcfg)
-	for i, s := range MBGenFleet(10) {
-		p.Machine().Spawn(s, 1+i)
-	}
-	p.Warm(10e-3)
-	res, err := RunPOPPA(p, FunctionsByAbbr()["mst-py"], 0, DefaultPOPPAConfig(), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EstSlowdown < 1 || res.StalledCtxSec <= 0 {
-		t.Errorf("POPPA result malformed: %+v", res)
-	}
-}
-
-func TestFacadeSharingOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharing sweep is not short")
-	}
-	cfg := fastConfig(21)
-	cfg.BodyScale = 0.05
-	sh, pts, err := MeasureSharingOverhead(cfg, FunctionsByAbbr()["auth-py"], []int{2, 6, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if sh.Factor(10) <= 1 {
-		t.Errorf("Factor(10) = %v", sh.Factor(10))
-	}
-	m1 := NewLitmusMethod1Pricer(nil, 1, &sh, 10)
-	if m1.Name() != "litmus-m1" {
-		t.Errorf("method 1 pricer name = %q", m1.Name())
 	}
 }
