@@ -1,16 +1,17 @@
 package litmus
 
-// Benchmark harness: one testing.B benchmark per paper artifact (Table 1,
-// Figs. 1–21, ablations A1–A3). Each benchmark regenerates its artifact and
+// Benchmark harness: BenchmarkArtifacts walks the experiment registry
+// (exp.All: Table 1, Figs. 1–21, ablations A1–A3) and runs one sub-benchmark
+// per paper artifact, named by its ID. Each regenerates its artifact and
 // reports the experiment's headline metrics via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
 // reproduces the whole evaluation and prints paper-comparable numbers
-// (discount percentages appear as <metric>/op values). Benchmarks share a
-// memoised calibration session, exactly as a provider amortises one
-// calibration across many pricings; the first benchmark to need a given
-// table pays for building it.
+// (discount percentages appear as <metric>/op values), and
+// -bench 'Artifacts/E11$' runs one. Sub-benchmarks share a memoised
+// calibration session, exactly as a provider amortises one calibration
+// across many pricings; the first to need a given table pays for building it.
 //
 // The benchmarks run at a reduced Scale so the suite finishes in minutes;
 // cmd/litmusbench -scale 1 runs the full-size configurations.
@@ -21,101 +22,21 @@ import (
 	"repro/internal/exp"
 )
 
-// benchConfig is the shared experiment configuration for benchmarks.
-func benchConfig() exp.Config { return exp.Config{Seed: 7, Scale: 0.2} }
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	var last *exp.Result
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(benchConfig())
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		last = res
-	}
-	if last != nil {
-		for _, name := range last.MetricNames() {
-			b.ReportMetric(last.Metrics[name], name)
-		}
+func BenchmarkArtifacts(b *testing.B) {
+	cfg := exp.Config{Seed: 7, Scale: 0.2}
+	for _, e := range exp.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			var last *exp.Result
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(cfg)
+				if err != nil {
+					b.Fatalf("%s: %v", e.ID, err)
+				}
+				last = res
+			}
+			for _, name := range last.MetricNames() {
+				b.ReportMetric(last.Metrics[name], name)
+			}
+		})
 	}
 }
-
-// Table 1 — benchmark inventory.
-func BenchmarkT1_Table1_Inventory(b *testing.B) { benchExperiment(b, "T1") }
-
-// Fig. 1 — traffic generator miss signatures.
-func BenchmarkE1_Fig1_TrafficGenerators(b *testing.B) { benchExperiment(b, "E1") }
-
-// Fig. 2 — slowdown under 26 co-runners.
-func BenchmarkE2_Fig2_CoRunnerSlowdown(b *testing.B) { benchExperiment(b, "E2") }
-
-// Fig. 3 — T_private/T_shared slowdowns under 26 co-runners.
-func BenchmarkE3_Fig3_ComponentSlowdowns(b *testing.B) { benchExperiment(b, "E3") }
-
-// Fig. 4 — solo execution time decomposition.
-func BenchmarkE4_Fig4_TimeDistribution(b *testing.B) { benchExperiment(b, "E4") }
-
-// Fig. 5 — congestion and performance tables.
-func BenchmarkE5_Fig5_CalibrationTables(b *testing.B) { benchExperiment(b, "E5") }
-
-// Fig. 6 — startup IPC timelines per language.
-func BenchmarkE6_Fig6_StartupIPC(b *testing.B) { benchExperiment(b, "E6") }
-
-// Fig. 7 — probes observing congestion over time.
-func BenchmarkE7_Fig7_ProbeTimeline(b *testing.B) { benchExperiment(b, "E7") }
-
-// Fig. 8 — reference slowdowns under MB-Gen level 14.
-func BenchmarkE8_Fig8_ReferenceSlowdowns(b *testing.B) { benchExperiment(b, "E8") }
-
-// Fig. 9 — probe-to-reference regressions.
-func BenchmarkE9_Fig9_Regressions(b *testing.B) { benchExperiment(b, "E9") }
-
-// Fig. 10 — logarithmic L3-miss interpolation.
-func BenchmarkE10_Fig10_Interpolation(b *testing.B) { benchExperiment(b, "E10") }
-
-// Fig. 11 — Litmus vs ideal, 26 co-runners.
-func BenchmarkE11_Fig11_LitmusVsIdeal(b *testing.B) { benchExperiment(b, "E11") }
-
-// Fig. 12 — weighted price errors.
-func BenchmarkE12_Fig12_WeightedErrors(b *testing.B) { benchExperiment(b, "E12") }
-
-// Fig. 13 — components vs discount rates.
-func BenchmarkE13_Fig13_ComponentsVsRates(b *testing.B) { benchExperiment(b, "E13") }
-
-// Fig. 14 — temporal-sharing overhead curve.
-func BenchmarkE14_Fig14_SharingOverhead(b *testing.B) { benchExperiment(b, "E14") }
-
-// Fig. 15 — Method 1 under 160 co-runners.
-func BenchmarkE15_Fig15_Method1(b *testing.B) { benchExperiment(b, "E15") }
-
-// Fig. 16 — Method 2 under 160 co-runners.
-func BenchmarkE16_Fig16_Method2(b *testing.B) { benchExperiment(b, "E16") }
-
-// Fig. 17 — heavy congestion (320 co-runners).
-func BenchmarkE17_Fig17_HeavyCongestion(b *testing.B) { benchExperiment(b, "E17") }
-
-// Fig. 18 — unfixed CPU frequency.
-func BenchmarkE18_Fig18_TurboFrequency(b *testing.B) { benchExperiment(b, "E18") }
-
-// Fig. 19 — Ice Lake machine.
-func BenchmarkE19_Fig19_IceLake(b *testing.B) { benchExperiment(b, "E19") }
-
-// Fig. 20 — table reuse at 15 functions per core.
-func BenchmarkE20_Fig20_TableReuse(b *testing.B) { benchExperiment(b, "E20") }
-
-// Fig. 21 — SMT-enabled system.
-func BenchmarkE21_Fig21_SMT(b *testing.B) { benchExperiment(b, "E21") }
-
-// A1 — POPPA sampling vs Litmus.
-func BenchmarkA1_POPPAvsLitmus(b *testing.B) { benchExperiment(b, "A1") }
-
-// A2 — single-rate vs two-rate pricing.
-func BenchmarkA2_SingleRateAblation(b *testing.B) { benchExperiment(b, "A2") }
-
-// A3 — interpolation ablation.
-func BenchmarkA3_InterpolationAblation(b *testing.B) { benchExperiment(b, "A3") }

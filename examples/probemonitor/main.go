@@ -48,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		est, err := models.Estimate(reading)
+		est, err := models.Estimate(litmus.Python.String(), reading)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -208,8 +208,20 @@ func (c *Controller) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 // next window, and set the refill rate to forecast*(1+headroom) clamped to
 // [MinRate, Rate]. In price-aware mode tenants projected over Budget are
 // squeezed proportionally (Budget/projected) before the clamp floor.
+//
+// Tick also forgets a tenant that has not arrived for Burst/MinRate seconds
+// and is not squeezed: at any refill the clamp allows, that long an idle
+// stretch has filled its bucket, so a fresh bucket decides the tenant's next
+// Burst records exactly as the kept one would, and the refill it had learned
+// has long decayed to the floor — the tenant comes back as the new tenant it
+// is indistinguishable from. Without this, every tenant name that ever
+// priced would hold a bucket forever. A squeezed tenant is kept: its low
+// refill is the budget being enforced (it has a ledger account, so the
+// ledger's tenant cap bounds how many there can be).
 func (c *Controller) Tick() {
 	winSec := c.cfg.ForecastWindow.Seconds()
+	idleHorizonSec := c.cfg.Burst / c.cfg.MinRate
+	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for name, b := range c.tenants {
@@ -257,6 +269,9 @@ func (c *Controller) Tick() {
 			target = c.cfg.MinRate
 		}
 		b.refill = target
+		if !b.squeezed && now.Sub(b.last).Seconds() >= idleHorizonSec {
+			delete(c.tenants, name)
+		}
 	}
 }
 
@@ -281,7 +296,7 @@ type TenantForecast struct {
 }
 
 // Forecast reports the named tenant's admission state; ok is false for a
-// tenant the controller has never seen.
+// tenant the controller has never seen or has forgotten as idle (see Tick).
 func (c *Controller) Forecast(tenant string) (TenantForecast, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -329,8 +344,9 @@ type Snapshot struct {
 // throttled tenants are the interesting ones, so they sort first.
 const snapshotTenantCap = 64
 
-// Snapshot reports controller-wide totals plus per-tenant state, most
-// throttled first, capped at snapshotTenantCap entries.
+// Snapshot reports controller-wide totals (which outlive forgotten tenants)
+// plus per-tenant state, most throttled first, capped at snapshotTenantCap
+// entries.
 func (c *Controller) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -169,6 +170,61 @@ func TestPriceAwareSqueeze(t *testing.T) {
 	wantRatio := 100 / poor.ProjectedBill
 	if got := poor.RefillPerSec / rich.RefillPerSec; math.Abs(got-wantRatio) > 1e-9 {
 		t.Fatalf("squeeze ratio = %v, want Budget/projected = %v", got, wantRatio)
+	}
+}
+
+// Tick forgets tenants idle past Burst/MinRate seconds — a stream of unique
+// tenant names must not grow the map without bound — but not a tenant that
+// keeps arriving (its counters and learned refill survive) and not a
+// squeezed one (its low refill is the budget being enforced). The
+// controller-wide totals outlive the forgotten buckets.
+func TestTickForgetsIdleTenants(t *testing.T) {
+	stats := &fakeStats{billed: map[string]float64{"squeezed": 500}}
+	c, clk := newManual(t, Config{
+		Rate: 100, Burst: 20, ForecastWindow: time.Second, MinRate: 2, // idle horizon 10 s
+		Budget: 100, Stats: stats,
+	})
+	const oneShots = 10_000
+	for i := 0; i < oneShots; i++ {
+		c.Allow("one-shot-" + strconv.Itoa(i))
+	}
+	c.Allow("squeezed")
+	for w := 0; w < 12; w++ {
+		for i := 0; i < 10; i++ {
+			c.Allow("steady")
+		}
+		clk.advance(time.Second)
+		c.Tick()
+		if w == 8 { // 9 s idle: inside the horizon, nothing forgotten yet
+			if _, ok := c.Forecast("one-shot-0"); !ok {
+				t.Fatal("tenant forgotten before the idle horizon")
+			}
+		}
+	}
+	c.mu.Lock()
+	n := len(c.tenants)
+	c.mu.Unlock()
+	if n != 2 {
+		t.Fatalf("%d buckets after the idle horizon, want 2 (steady, squeezed)", n)
+	}
+	if _, ok := c.Forecast("one-shot-0"); ok {
+		t.Error("idle one-shot tenant still has a bucket")
+	}
+	steady, ok := c.Forecast("steady")
+	if !ok || steady.Admitted != 120 || math.Abs(steady.RefillPerSec-12) > 1e-9 {
+		t.Errorf("steady tenant = %+v (known %v), want 120 admitted and its learned refill 12", steady, ok)
+	}
+	if f, ok := c.Forecast("squeezed"); !ok || !f.Squeezed {
+		t.Errorf("squeezed idle tenant = %+v (known %v), want kept and squeezed", f, ok)
+	}
+	if s := c.Snapshot(); s.Admitted != oneShots+1+120 {
+		t.Errorf("controller-wide admitted = %d, want %d: totals must outlive forgotten buckets", s.Admitted, oneShots+1+120)
+	}
+	// A forgotten tenant that returns is a new tenant: full burst.
+	for i := 0; i < 20; i++ {
+		if ok, _ := c.Allow("one-shot-0"); !ok {
+			t.Fatalf("returning tenant throttled at record %d of its burst", i)
+		}
 	}
 }
 

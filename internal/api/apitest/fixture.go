@@ -31,7 +31,7 @@ func Calibration() *core.Calibration {
 		var rows []core.LevelRow
 		for _, level := range []int{2, 6, 10, 14, 18, 22} {
 			x := float64(level)
-			su := core.StartupRow{
+			su := core.Reading{
 				PrivSlow:   1 + 0.002*x,
 				SharedSlow: 1 + 0.05*x,
 				TotalSlow:  1 + 0.012*x,
@@ -41,7 +41,7 @@ func Calibration() *core.Calibration {
 			refShared := 1 + 0.06*x
 			refTotal := 1 + 0.015*x
 			if mb {
-				su = core.StartupRow{
+				su = core.Reading{
 					PrivSlow:   1 + 0.003*x,
 					SharedSlow: 1 + 0.08*x,
 					TotalSlow:  1 + 0.02*x,
@@ -53,7 +53,7 @@ func Calibration() *core.Calibration {
 			}
 			row := core.LevelRow{
 				Level:         level,
-				Startup:       map[string]core.StartupRow{},
+				Startup:       map[string]core.Reading{},
 				RefPrivSlow:   refPriv,
 				RefSharedSlow: refShared,
 				RefTotalSlow:  refTotal,

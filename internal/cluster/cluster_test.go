@@ -12,10 +12,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/api"
@@ -457,6 +460,67 @@ func TestRouterPartialForwardFailure(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no per-line 502 for the dead node's lines: %+v", out.Errors)
+	}
+}
+
+// TestRouterProxyReusesConnections: the router's proxied reads ride a pooled
+// transport. N concurrent readers of one owner's statements, for several
+// rounds, must cost that owner at most N connections — http.DefaultClient
+// keeps two idle per host, so every round past the first would redial N-2.
+func TestRouterProxyReusesConnections(t *testing.T) {
+	srv, err := api.New(api.Config{Calibration: apitest.Calibration()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	node := httptest.NewUnstartedServer(srv)
+	node.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	node.Start()
+	t.Cleanup(node.Close)
+	cc, err := cluster.NewClient([]cluster.Node{{Name: "node0", URL: node.URL}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(cluster.NewRouter(cc, cluster.RouterConfig{}))
+	t.Cleanup(router.Close)
+
+	resp, err := http.Post(router.URL+"/v3/usage", api.ContentTypeNDJSON, strings.NewReader(usageLine("acme", 512, 0, "k1")+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("seeding usage: status %d", resp.StatusCode)
+	}
+
+	const readers, rounds = 8, 6
+	before := dials.Load()
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Get(router.URL + "/v3/tenants/acme/statement")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("statement read: status %d, err %v", resp.StatusCode, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if got := dials.Load() - before; got > readers {
+		t.Errorf("%d proxied reads by %d concurrent readers opened %d connections to the owner, want at most %d",
+			readers*rounds, readers, got, readers)
 	}
 }
 

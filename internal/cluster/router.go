@@ -67,8 +67,9 @@ type RouterConfig struct {
 	// (the router-rejects-first contract; see TestRouterNodeLimitSkew).
 	MaxBodyBytes   int64
 	MaxStreamLines int
-	// Client is the HTTP client used for proxied calls (default
-	// http.DefaultClient).
+	// Client is the HTTP client used for proxied calls (default: a client
+	// on api.DefaultTransport, whose per-owner idle pool lets concurrent
+	// readers reuse connections; http.DefaultClient keeps two).
 	Client *http.Client
 }
 
@@ -84,7 +85,7 @@ func NewRouter(client *Client, cfg RouterConfig) *Router {
 		cfg.MaxStreamLines = api.DefaultMaxStreamLines
 	}
 	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
+		cfg.Client = &http.Client{Transport: api.DefaultTransport()}
 	}
 	rt := &Router{client: client, cfg: cfg, mux: http.NewServeMux(), httpc: cfg.Client}
 	rt.mux.HandleFunc("/healthz", rt.handleHealth)

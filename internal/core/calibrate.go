@@ -98,11 +98,11 @@ func Calibrate(cfg CalibratorConfig) (*Calibration, error) {
 	// --- Solo baselines -------------------------------------------------
 	soloStartups := make(map[string]SoloStartup, 3)
 	for _, lang := range workload.Languages() {
-		probe, err := soloProbe(cfg.Platform, lang)
+		solo, err := SoloProbe(cfg.Platform, lang)
 		if err != nil {
 			return nil, err
 		}
-		soloStartups[langKey(lang)] = probe
+		soloStartups[lang.String()] = solo
 	}
 	refSolo, err := platform.Baselines(cfg.Platform, cfg.References)
 	if err != nil {
@@ -132,8 +132,8 @@ func Calibrate(cfg CalibratorConfig) (*Calibration, error) {
 	return cal, nil
 }
 
-// soloProbe measures a language startup alone on an idle machine.
-func soloProbe(pcfg platform.Config, lang workload.Language) (SoloStartup, error) {
+// SoloProbe measures a language startup alone on an idle machine.
+func SoloProbe(pcfg platform.Config, lang workload.Language) (SoloStartup, error) {
 	p := platform.New(pcfg)
 	probe, err := p.ProbeStartup(workload.ProbeSpec(lang), 0, 120)
 	if err != nil {
@@ -175,7 +175,7 @@ func measureLevel(cfg CalibratorConfig, kind trafficgen.Kind, level int,
 	p.SpawnFleet(kind, level, fleetStart)
 	p.Warm(cfg.WarmSec)
 
-	row := LevelRow{Level: level, Startup: make(map[string]StartupRow, 3)}
+	row := LevelRow{Level: level, Startup: make(map[string]Reading, 3)}
 
 	// Congestion table cells: one startup probe per language.
 	for _, lang := range workload.Languages() {
@@ -183,13 +183,8 @@ func measureLevel(cfg CalibratorConfig, kind trafficgen.Kind, level int,
 		if err != nil {
 			return LevelRow{}, err
 		}
-		base := solo[langKey(lang)]
-		row.Startup[langKey(lang)] = StartupRow{
-			PrivSlow:   probe.TPrivateSec / base.TPrivate,
-			SharedSlow: safeRatio(probe.TSharedSec, base.TShared),
-			TotalSlow:  (probe.TPrivateSec + probe.TSharedSec) / base.Total(),
-			L3Misses:   probe.MachineL3Misses,
-		}
+		key := lang.String()
+		row.Startup[key] = solo[key].Reading(probe.TPrivateSec, probe.TSharedSec, probe.MachineL3Misses)
 	}
 
 	// Performance table cells: gmean of reference slowdowns.
@@ -215,7 +210,7 @@ func measureLevel(cfg CalibratorConfig, kind trafficgen.Kind, level int,
 }
 
 // safeRatio guards the shared-component ratio against zero baselines
-// (possible only for degenerate synthetic specs).
+// (possible only for degenerate synthetic specs): they read as no slowdown.
 func safeRatio(a, b float64) float64 {
 	if b <= 0 {
 		return 1

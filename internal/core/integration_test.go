@@ -192,7 +192,7 @@ func TestPOPPAEstimatesAndCharges(t *testing.T) {
 	}
 	pcfg := fastPlatform(31)
 	p := platform.New(pcfg)
-	ids := p.SpawnFleet(trafficgen.MBGen, 12, 1)
+	p.SpawnFleet(trafficgen.MBGen, 12, 1)
 	p.Warm(15e-3)
 
 	spec := workload.ByAbbr()["pager-py"]
@@ -212,7 +212,6 @@ func TestPOPPAEstimatesAndCharges(t *testing.T) {
 	if res.Quote.Price >= res.Quote.Commercial {
 		t.Error("POPPA price not discounted")
 	}
-	p.RemoveFleet(ids)
 }
 
 func TestRunPOPPAValidatesConfig(t *testing.T) {

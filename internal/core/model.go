@@ -103,34 +103,14 @@ func fitGen(g GenTable, lang string) (GenModel, error) {
 	return GenModel{Priv: priv, Shared: shared, Total: total, L3: l3}, nil
 }
 
-// Reading is one Litmus-test observation, in slowdown units.
-type Reading struct {
-	// Lang is the probed runtime.
-	Lang string
-	// PrivSlow, SharedSlow, TotalSlow are the startup slowdowns relative to
-	// the solo startup baseline.
-	PrivSlow   float64
-	SharedSlow float64
-	TotalSlow  float64
-	// L3Misses is the machine L3-miss count during the probe window.
-	L3Misses float64
-}
-
 // NewReading converts a raw probe result into slowdown units using the
 // model's solo baselines.
 func (m *Models) NewReading(lang workload.Language, probe *engine.ProbeResult) (Reading, error) {
-	key := lang.String()
-	base, ok := m.Solo[key]
+	base, ok := m.Solo[lang.String()]
 	if !ok {
-		return Reading{}, fmt.Errorf("core: no solo startup baseline for %s", key)
+		return Reading{}, fmt.Errorf("core: no solo startup baseline for %s", lang)
 	}
-	return Reading{
-		Lang:       key,
-		PrivSlow:   probe.TPrivateSec / base.TPrivate,
-		SharedSlow: safeRatio(probe.TSharedSec, base.TShared),
-		TotalSlow:  (probe.TPrivateSec + probe.TSharedSec) / base.Total(),
-		L3Misses:   probe.MachineL3Misses,
-	}, nil
+	return base.Reading(probe.TPrivateSec, probe.TSharedSec, probe.MachineL3Misses), nil
 }
 
 // Estimate is the runtime congestion estimate for one Litmus test.
@@ -146,32 +126,34 @@ type Estimate struct {
 	Weight float64
 }
 
-// Estimate blends the CT-Gen and MB-Gen models for one reading (paper §6,
-// step 3): the observed machine L3-miss count is located between the two
-// generators' anchors via logarithmic interpolation, and the per-component
-// slowdown predictions are mixed with that weight.
-func (m *Models) Estimate(r Reading) (Estimate, error) {
-	lm, ok := m.ByLang[r.Lang]
+// Estimate blends the CT-Gen and MB-Gen models of language lang ("py", "nj",
+// "go") for one reading (paper §6, step 3): the observed machine L3-miss
+// count is located between the two generators' anchors via logarithmic
+// interpolation, and the per-component slowdown predictions are mixed with
+// that weight.
+func (m *Models) Estimate(lang string, r Reading) (Estimate, error) {
+	lm, ok := m.ByLang[lang]
 	if !ok {
-		return Estimate{}, fmt.Errorf("core: no models for language %q", r.Lang)
+		return Estimate{}, fmt.Errorf("core: no models for language %q", lang)
 	}
 	ctAnchor := lm.CT.L3.Predict(r.TotalSlow)
 	mbAnchor := lm.MB.L3.Predict(r.TotalSlow)
 	w := stats.LogInterp(r.L3Misses, ctAnchor, mbAnchor)
-	return m.estimateAt(lm, r, w), nil
+	return lm.estimateAt(r, w), nil
 }
 
 // EstimateForced is Estimate with a caller-imposed interpolation weight,
-// bypassing the L3-miss reading. Ablation support (DESIGN.md A3).
-func (m *Models) EstimateForced(r Reading, w float64) (Estimate, error) {
-	lm, ok := m.ByLang[r.Lang]
+// bypassing the L3-miss reading. Ablation support (experiment A3 in the
+// internal/exp registry).
+func (m *Models) EstimateForced(lang string, r Reading, w float64) (Estimate, error) {
+	lm, ok := m.ByLang[lang]
 	if !ok {
-		return Estimate{}, fmt.Errorf("core: no models for language %q", r.Lang)
+		return Estimate{}, fmt.Errorf("core: no models for language %q", lang)
 	}
-	return m.estimateAt(lm, r, stats.Clamp(w, 0, 1)), nil
+	return lm.estimateAt(r, stats.Clamp(w, 0, 1)), nil
 }
 
-func (m *Models) estimateAt(lm LangModels, r Reading, w float64) Estimate {
+func (lm LangModels) estimateAt(r Reading, w float64) Estimate {
 	return Estimate{
 		PrivSlow:   clampSlow(stats.Lerp(lm.CT.Priv.Predict(r.PrivSlow), lm.MB.Priv.Predict(r.PrivSlow), w)),
 		SharedSlow: clampSlow(stats.Lerp(lm.CT.Shared.Predict(r.SharedSlow), lm.MB.Shared.Predict(r.SharedSlow), w)),

@@ -92,10 +92,7 @@ func TestEstimateAtAnchors(t *testing.T) {
 	// A reading exactly on the CT table at level 10 with CT-level misses
 	// must reproduce the CT reference slowdown at that level.
 	ctRow := mustRow(t, syntheticCalibration(), "CT-Gen", 10)
-	su := ctRow.Startup["py"]
-	r := Reading{Lang: "py", PrivSlow: su.PrivSlow, SharedSlow: su.SharedSlow,
-		TotalSlow: su.TotalSlow, L3Misses: su.L3Misses}
-	est, err := m.Estimate(r)
+	est, err := m.Estimate("py", ctRow.Startup["py"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +108,7 @@ func TestEstimateAtAnchors(t *testing.T) {
 
 	// Same at the MB anchor.
 	mbRow := mustRow(t, syntheticCalibration(), "MB-Gen", 10)
-	su = mbRow.Startup["py"]
-	r = Reading{Lang: "py", PrivSlow: su.PrivSlow, SharedSlow: su.SharedSlow,
-		TotalSlow: su.TotalSlow, L3Misses: su.L3Misses}
-	est, err = m.Estimate(r)
+	est, err = m.Estimate("py", mbRow.Startup["py"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +128,9 @@ func TestEstimateInterpolatesBetweenGenerators(t *testing.T) {
 	// A reading with CT-like slowdowns but misses at the log midpoint of the
 	// two anchors must land between the generator predictions.
 	mid := math.Sqrt(ct.L3Misses * mb.L3Misses)
-	r := Reading{Lang: "py", PrivSlow: ct.PrivSlow, SharedSlow: ct.SharedSlow,
-		TotalSlow: ct.TotalSlow, L3Misses: mid}
-	est, err := m.Estimate(r)
+	r := ct
+	r.L3Misses = mid
+	est, err := m.Estimate("py", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +148,8 @@ func TestEstimateClampsToNoDiscount(t *testing.T) {
 	m, _ := FitModels(syntheticCalibration())
 	// A reading faster than solo (slowdowns < 1) must clamp estimates to 1:
 	// never a negative discount.
-	r := Reading{Lang: "py", PrivSlow: 0.8, SharedSlow: 0.7, TotalSlow: 0.8, L3Misses: 1e4}
-	est, err := m.Estimate(r)
+	r := Reading{PrivSlow: 0.8, SharedSlow: 0.7, TotalSlow: 0.8, L3Misses: 1e4}
+	est, err := m.Estimate("py", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +160,7 @@ func TestEstimateClampsToNoDiscount(t *testing.T) {
 
 func TestEstimateUnknownLanguage(t *testing.T) {
 	m, _ := FitModels(syntheticCalibration())
-	if _, err := m.Estimate(Reading{Lang: "rs"}); err == nil {
+	if _, err := m.Estimate("rs", Reading{}); err == nil {
 		t.Error("unknown language accepted")
 	}
 }

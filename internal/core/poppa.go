@@ -108,12 +108,7 @@ func RunPOPPA(p *platform.Platform, spec *workload.Spec, thread int, cfg POPPACo
 		return POPPAResult{}, fmt.Errorf("core: poppa target %s did not finish", spec.Abbr)
 	}
 
-	tp, ts := ctx.Times()
-	rec := platform.RunRecord{
-		Abbr: spec.Abbr, Language: spec.Language, MemoryMB: spec.MemoryMB,
-		TPrivate: tp, TShared: ts, Wall: ctx.WallDuration(), Probe: ctx.Probe(),
-	}
-	m.Remove(ctx.ID)
+	rec := p.Collect(ctx)
 
 	est := 1.0
 	if samples > 0 {

@@ -215,7 +215,7 @@ type Litmus struct {
 	CoRunnersPerCore int
 	// ForceWeight, when non-nil, overrides the L3-miss interpolation weight
 	// (0 = pure CT-Gen model, 1 = pure MB-Gen model). Ablation support
-	// (DESIGN.md A3); leave nil in production.
+	// (experiment A3 in the internal/exp registry); leave nil in production.
 	ForceWeight *float64
 }
 
@@ -229,9 +229,6 @@ func (l Litmus) Name() string {
 
 // Quote implements Pricer.
 func (l Litmus) Quote(u Usage) (Quote, error) {
-	if u.Probe == nil {
-		return Quote{}, fmt.Errorf("core: usage for %s has no Litmus probe", u.Abbr)
-	}
 	reading, err := l.Models.UsageReading(u)
 	if err != nil {
 		return Quote{}, err
@@ -245,9 +242,9 @@ func (l Litmus) Quote(u Usage) (Quote, error) {
 	}
 	var est Estimate
 	if l.ForceWeight != nil {
-		est, err = l.Models.EstimateForced(reading, *l.ForceWeight)
+		est, err = l.Models.EstimateForced(u.Language, reading, *l.ForceWeight)
 	} else {
-		est, err = l.Models.Estimate(reading)
+		est, err = l.Models.Estimate(u.Language, reading)
 	}
 	if err != nil {
 		return Quote{}, err
@@ -279,9 +276,10 @@ func (l Litmus) Quote(u Usage) (Quote, error) {
 
 // ---------------------------------------------------------------------------
 
-// LitmusSingleRate is the ablation pricer (DESIGN.md A2): it discounts the
-// whole execution with one rate derived from the total-slowdown model,
-// ignoring the private/shared split the paper argues for in §5.2.
+// LitmusSingleRate is the ablation pricer (experiment A2 in the internal/exp
+// registry): it discounts the whole execution with one rate derived from the
+// total-slowdown model, ignoring the private/shared split the paper argues
+// for in §5.2.
 type LitmusSingleRate struct {
 	Models   *Models
 	RateBase float64
@@ -292,14 +290,11 @@ func (l LitmusSingleRate) Name() string { return "litmus-single-rate" }
 
 // Quote implements Pricer.
 func (l LitmusSingleRate) Quote(u Usage) (Quote, error) {
-	if u.Probe == nil {
-		return Quote{}, fmt.Errorf("core: usage for %s has no Litmus probe", u.Abbr)
-	}
 	reading, err := l.Models.UsageReading(u)
 	if err != nil {
 		return Quote{}, err
 	}
-	est, err := l.Models.Estimate(reading)
+	est, err := l.Models.Estimate(u.Language, reading)
 	if err != nil {
 		return Quote{}, err
 	}
@@ -323,12 +318,3 @@ var (
 	_ Pricer = Litmus{}
 	_ Pricer = LitmusSingleRate{}
 )
-
-// LangOf resolves a catalog abbreviation's language; a convenience for
-// callers pricing records that lost their spec (e.g. decoded from JSON).
-func LangOf(abbr string) (workload.Language, error) {
-	if s, ok := workload.ByAbbr()[abbr]; ok {
-		return s.Language, nil
-	}
-	return 0, fmt.Errorf("core: unknown function %q", abbr)
-}

@@ -249,13 +249,3 @@ func TestQuoteDiscountDegenerate(t *testing.T) {
 		t.Error("zero commercial should yield zero discount")
 	}
 }
-
-func TestLangOf(t *testing.T) {
-	lang, err := LangOf("pager-py")
-	if err != nil || lang != workload.Python {
-		t.Errorf("LangOf(pager-py) = %v, %v", lang, err)
-	}
-	if _, err := LangOf("bogus"); err == nil {
-		t.Error("unknown abbreviation accepted")
-	}
-}

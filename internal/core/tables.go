@@ -17,13 +17,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"repro/internal/workload"
 )
 
-// StartupRow is one congestion-table cell: how a language startup behaved at
-// one stress level, expressed as slowdowns relative to the solo startup.
-type StartupRow struct {
+// Reading is one Litmus-test observation: how a language startup behaved,
+// expressed as slowdowns relative to the solo startup. The calibrator stores
+// one per language and stress level (a congestion-table cell) and the
+// runtime estimator consumes one per priced invocation; the language is the
+// table's map key or the estimator's argument, never part of the reading.
+type Reading struct {
 	// PrivSlow is the startup's T_private slowdown (≥ ~1).
 	PrivSlow float64 `json:"privSlow"`
 	// SharedSlow is the startup's T_shared slowdown.
@@ -40,7 +41,7 @@ type LevelRow struct {
 	// Level is the generator thread count (1–31).
 	Level int `json:"level"`
 	// Startup holds the congestion-table cells, one per language runtime.
-	Startup map[string]StartupRow `json:"startup"`
+	Startup map[string]Reading `json:"startup"`
 	// RefPrivSlow / RefSharedSlow / RefTotalSlow are the performance-table
 	// cells: geometric means of the reference functions' slowdowns.
 	RefPrivSlow   float64 `json:"refPrivSlow"`
@@ -65,6 +66,18 @@ type SoloStartup struct {
 
 // Total returns TPrivate + TShared.
 func (s SoloStartup) Total() float64 { return s.TPrivate + s.TShared }
+
+// Reading is the Litmus test: it converts one probe window — the startup's
+// occupancy components in seconds and the machine-wide L3 miss count — into
+// slowdown units against this solo baseline.
+func (s SoloStartup) Reading(tPrivate, tShared, machineL3Misses float64) Reading {
+	return Reading{
+		PrivSlow:   tPrivate / s.TPrivate,
+		SharedSlow: safeRatio(tShared, s.TShared),
+		TotalSlow:  (tPrivate + tShared) / s.Total(),
+		L3Misses:   machineL3Misses,
+	}
+}
 
 // Calibration is everything the provider persists after the offline
 // calibration pass: solo baselines and the per-generator tables. It is the
@@ -148,6 +161,3 @@ func DecodeCalibration(data []byte) (*Calibration, error) {
 	}
 	return &c, nil
 }
-
-// langKey converts a workload language to its table key.
-func langKey(l workload.Language) string { return l.String() }

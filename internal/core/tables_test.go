@@ -19,7 +19,7 @@ func syntheticCalibration() *Calibration {
 		var rows []LevelRow
 		for _, level := range []int{2, 6, 10, 14, 18, 22} {
 			x := float64(level)
-			su := StartupRow{
+			su := Reading{
 				PrivSlow:   1 + 0.002*x,
 				SharedSlow: 1 + 0.05*x,
 				TotalSlow:  1 + 0.012*x,
@@ -28,7 +28,7 @@ func syntheticCalibration() *Calibration {
 			refShared := 1 + 0.06*x
 			refTotal := 1 + 0.015*x
 			if mb {
-				su = StartupRow{
+				su = Reading{
 					PrivSlow:   1 + 0.003*x,
 					SharedSlow: 1 + 0.08*x,
 					TotalSlow:  1 + 0.02*x,
@@ -42,7 +42,7 @@ func syntheticCalibration() *Calibration {
 			}
 			row := LevelRow{
 				Level:         level,
-				Startup:       map[string]StartupRow{},
+				Startup:       map[string]Reading{},
 				RefPrivSlow:   refPriv,
 				RefSharedSlow: refShared,
 				RefTotalSlow:  refTotal,

@@ -84,11 +84,5 @@ func (m *Models) UsageReading(u Usage) (Reading, error) {
 	if !ok {
 		return Reading{}, fmt.Errorf("core: unknown language %q (no solo startup baseline)", u.Language)
 	}
-	return Reading{
-		Lang:       u.Language,
-		PrivSlow:   u.Probe.TPrivate / base.TPrivate,
-		SharedSlow: safeRatio(u.Probe.TShared, base.TShared),
-		TotalSlow:  (u.Probe.TPrivate + u.Probe.TShared) / base.Total(),
-		L3Misses:   u.Probe.MachineL3Misses,
-	}, nil
+	return base.Reading(u.Probe.TPrivate, u.Probe.TShared, u.Probe.MachineL3Misses), nil
 }

@@ -237,13 +237,6 @@ func (c *Context) MarkResult() *Mark { return c.mark }
 // Done reports completion.
 func (c *Context) Done() bool { return c.done }
 
-// WallSec returns wall-clock duration: spawn to completion (or to now for a
-// running context, in which case the caller supplies now via Machine).
-func (c *Context) endWall() float64 { return c.endTime - c.spawnTime }
-
-// InstrRetired returns total instructions retired so far.
-func (c *Context) InstrRetired() float64 { return c.counters.Instructions }
-
 type thread struct {
 	queue []int // context IDs, round-robin
 	next  int
@@ -281,9 +274,6 @@ func New(cfg Config) *Machine {
 		nextID:  1,
 	}
 }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
 
 // Now returns the simulated wall-clock time in seconds.
 func (m *Machine) Now() float64 { return m.now }
@@ -693,12 +683,13 @@ func (m *Machine) RunUntilDone(id int, maxSec float64) bool {
 	return ctx != nil && ctx.done
 }
 
-// WallDuration returns a finished context's wall-clock duration.
+// WallDuration returns a finished context's wall-clock duration, spawn to
+// completion.
 func (c *Context) WallDuration() float64 {
 	if !c.done {
 		return 0
 	}
-	return c.endWall()
+	return c.endTime - c.spawnTime
 }
 
 // Timeline returns the context's IPC timeline points (nil when not armed).

@@ -248,16 +248,12 @@ func measureSet(cfg Config, env envSpec, fns []*workload.Spec, reps int) ([]pric
 
 		var out []pricedRun
 		for _, spec := range fns {
-			solo, err := soloFor(base, spec.Abbr)
-			if err != nil {
-				return nil, err
-			}
 			for r := 0; r < reps; r++ {
 				rec, err := p.Invoke(spec, env.subjectThread, 600)
 				if err != nil {
 					return nil, fmt.Errorf("exp: %s in %s: %w", spec.Abbr, env.name, err)
 				}
-				out = append(out, pricedRun{rec: rec, solo: solo})
+				out = append(out, pricedRun{rec: rec, solo: base[spec.Abbr]})
 			}
 		}
 		return out, nil

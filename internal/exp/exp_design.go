@@ -13,230 +13,203 @@ import (
 	"repro/internal/workload"
 )
 
-// expE5 reproduces Fig. 5: the congestion and performance tables.
-func expE5() Experiment {
-	return Experiment{
-		ID:    "E5",
-		Title: "Fig. 5 — congestion and performance tables",
-		Paper: "slowdowns grow with stress level; MB-Gen's T_shared rows dominate CT-Gen's at equal levels for the reference set",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E5", "Fig. 5 — provider calibration tables",
-				"monotone rows; MB floods L3 misses")
-			cal, _, err := calibration(cfg, machCascade, 1)
-			if err != nil {
-				return nil, err
-			}
-			for _, g := range cal.Generators {
-				tab := render.NewTable(
-					fmt.Sprintf("congestion + performance table — %s", g.Kind),
-					"level",
-					"py priv", "py shared", "py L3miss",
-					"nj priv", "nj shared",
-					"go priv", "go shared",
-					"ref priv", "ref shared", "ref total")
-				for _, row := range g.Rows {
-					py, nj, gg := row.Startup["py"], row.Startup["nj"], row.Startup["go"]
-					tab.AddRow(fmt.Sprintf("%d", row.Level),
-						render.F(py.PrivSlow, 3), render.F(py.SharedSlow, 3), render.Sci(py.L3Misses),
-						render.F(nj.PrivSlow, 3), render.F(nj.SharedSlow, 3),
-						render.F(gg.PrivSlow, 3), render.F(gg.SharedSlow, 3),
-						render.F(row.RefPrivSlow, 3), render.F(row.RefSharedSlow, 3), render.F(row.RefTotalSlow, 3))
-				}
-				res.Tables = append(res.Tables, tab)
-			}
-			ct, _ := cal.Gen("CT-Gen")
-			mb, _ := cal.Gen("MB-Gen")
-			firstCT, lastCT := ct.Rows[0], ct.Rows[len(ct.Rows)-1]
-			firstMB, lastMB := mb.Rows[0], mb.Rows[len(mb.Rows)-1]
-			res.Metrics["ct_shared_monotone"] = boolMetric(lastCT.Startup["py"].SharedSlow > firstCT.Startup["py"].SharedSlow)
-			res.Metrics["mb_shared_monotone"] = boolMetric(lastMB.Startup["py"].SharedSlow > firstMB.Startup["py"].SharedSlow)
-			res.Metrics["mb_l3_over_ct_l3"] = lastMB.Startup["py"].L3Misses / lastCT.Startup["py"].L3Misses
-			res.Metrics["ref_total_at_max_mb"] = lastMB.RefTotalSlow
-			return res, nil
-		},
+// runE5 reproduces Fig. 5: the congestion and performance tables.
+func runE5(cfg Config, res *Result) error {
+	cal, _, err := calibration(cfg, machCascade, 1)
+	if err != nil {
+		return err
 	}
+	for _, g := range cal.Generators {
+		tab := render.NewTable(
+			fmt.Sprintf("congestion + performance table — %s", g.Kind),
+			"level",
+			"py priv", "py shared", "py L3miss",
+			"nj priv", "nj shared",
+			"go priv", "go shared",
+			"ref priv", "ref shared", "ref total")
+		for _, row := range g.Rows {
+			py, nj, gg := row.Startup["py"], row.Startup["nj"], row.Startup["go"]
+			tab.AddRow(fmt.Sprintf("%d", row.Level),
+				render.F(py.PrivSlow, 3), render.F(py.SharedSlow, 3), render.Sci(py.L3Misses),
+				render.F(nj.PrivSlow, 3), render.F(nj.SharedSlow, 3),
+				render.F(gg.PrivSlow, 3), render.F(gg.SharedSlow, 3),
+				render.F(row.RefPrivSlow, 3), render.F(row.RefSharedSlow, 3), render.F(row.RefTotalSlow, 3))
+		}
+		res.Tables = append(res.Tables, tab)
+	}
+	ct, _ := cal.Gen("CT-Gen")
+	mb, _ := cal.Gen("MB-Gen")
+	firstCT, lastCT := ct.Rows[0], ct.Rows[len(ct.Rows)-1]
+	firstMB, lastMB := mb.Rows[0], mb.Rows[len(mb.Rows)-1]
+	res.Metrics["ct_shared_monotone"] = boolMetric(lastCT.Startup["py"].SharedSlow > firstCT.Startup["py"].SharedSlow)
+	res.Metrics["mb_shared_monotone"] = boolMetric(lastMB.Startup["py"].SharedSlow > firstMB.Startup["py"].SharedSlow)
+	res.Metrics["mb_l3_over_ct_l3"] = lastMB.Startup["py"].L3Misses / lastCT.Startup["py"].L3Misses
+	res.Metrics["ref_total_at_max_mb"] = lastMB.RefTotalSlow
+	return nil
 }
 
-// expE6 reproduces Fig. 6: startup IPC timelines per language, verifying the
+// runE6 reproduces Fig. 6: startup IPC timelines per language, verifying the
 // property the Litmus test rests on — functions of one language share the
 // startup.
-func expE6() Experiment {
-	return Experiment{
-		ID:    "E6",
-		Title: "Fig. 6 — IPC during startup, by language",
-		Paper: "within-language startup curves nearly identical; Go ≈6 ms, Python ≈19 ms, Node.js ≈97 ms",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E6", "Fig. 6 — startup IPC timelines",
-				"per-language curves identical across functions")
-			pcfg, err := platformConfig(cfg, machCascade)
-			if err != nil {
-				return nil, err
-			}
-			picks := map[workload.Language][]string{
-				workload.Python: {"aes-py", "pager-py", "float-py"},
-				workload.NodeJS: {"aes-nj", "fib-nj", "pay-nj"},
-				workload.Go:     {"aes-go", "geo-go", "rate-go"},
-			}
-			for _, lang := range workload.Languages() {
-				tab := render.NewTable(
-					fmt.Sprintf("Fig. 6 — %s startup IPC (1 ms buckets)", lang), "ms",
-					picks[lang][0], picks[lang][1], picks[lang][2])
-				var curves [][]float64
-				var startupMs float64
-				for _, abbr := range picks[lang] {
-					spec := workload.ByAbbr()[abbr]
-					m := engine.New(pcfg.Machine)
-					ctx := m.Spawn(spec.WithBodyScale(cfg.bodyScale()), 0,
-						engine.WithTimeline(1e-3), engine.WithMark(spec.StartupInstr()))
-					for ctx.MarkResult() == nil && m.Now() < 60 {
-						m.Step()
-					}
-					mark := ctx.MarkResult()
-					if mark == nil {
-						return nil, fmt.Errorf("exp: %s startup did not finish", abbr)
-					}
-					startupMs = mark.WallSec * 1e3
-					var ipc []float64
-					for _, pt := range ctx.Timeline() {
-						if pt.TimeMs > startupMs {
-							break
-						}
-						ipc = append(ipc, pt.IPC)
-					}
-					curves = append(curves, ipc)
-				}
-				n := len(curves[0])
-				for _, c := range curves[1:] {
-					if len(c) < n {
-						n = len(c)
-					}
-				}
-				var maxDev float64
-				for i := 0; i < n; i++ {
-					row := []string{fmt.Sprintf("%d", i+1)}
-					for _, c := range curves {
-						row = append(row, render.F(c[i], 2))
-					}
-					tab.AddRow(row...)
-					lo := math.Min(curves[0][i], math.Min(curves[1][i], curves[2][i]))
-					hi := math.Max(curves[0][i], math.Max(curves[1][i], curves[2][i]))
-					if lo > 0 && hi/lo-1 > maxDev {
-						maxDev = hi/lo - 1
-					}
-				}
-				res.Tables = append(res.Tables, tab)
-				res.Metrics[fmt.Sprintf("startup_ms_%s", lang)] = startupMs
-				res.Metrics[fmt.Sprintf("max_ipc_dev_%s", lang)] = maxDev
-			}
-			res.note("max within-language IPC deviation across functions: py %.1f%%, nj %.1f%%, go %.1f%%",
-				res.Metrics["max_ipc_dev_py"]*100, res.Metrics["max_ipc_dev_nj"]*100, res.Metrics["max_ipc_dev_go"]*100)
-			return res, nil
-		},
+func runE6(cfg Config, res *Result) error {
+	pcfg, err := platformConfig(cfg, machCascade)
+	if err != nil {
+		return err
 	}
+	picks := map[workload.Language][]string{
+		workload.Python: {"aes-py", "pager-py", "float-py"},
+		workload.NodeJS: {"aes-nj", "fib-nj", "pay-nj"},
+		workload.Go:     {"aes-go", "geo-go", "rate-go"},
+	}
+	for _, lang := range workload.Languages() {
+		tab := render.NewTable(
+			fmt.Sprintf("Fig. 6 — %s startup IPC (1 ms buckets)", lang), "ms",
+			picks[lang][0], picks[lang][1], picks[lang][2])
+		var curves [][]float64
+		var startupMs float64
+		for _, abbr := range picks[lang] {
+			spec := workload.ByAbbr()[abbr]
+			m := engine.New(pcfg.Machine)
+			ctx := m.Spawn(spec.WithBodyScale(cfg.bodyScale()), 0,
+				engine.WithTimeline(1e-3), engine.WithMark(spec.StartupInstr()))
+			for ctx.MarkResult() == nil && m.Now() < 60 {
+				m.Step()
+			}
+			mark := ctx.MarkResult()
+			if mark == nil {
+				return fmt.Errorf("exp: %s startup did not finish", abbr)
+			}
+			startupMs = mark.WallSec * 1e3
+			var ipc []float64
+			for _, pt := range ctx.Timeline() {
+				if pt.TimeMs > startupMs {
+					break
+				}
+				ipc = append(ipc, pt.IPC)
+			}
+			curves = append(curves, ipc)
+		}
+		n := len(curves[0])
+		for _, c := range curves[1:] {
+			if len(c) < n {
+				n = len(c)
+			}
+		}
+		var maxDev float64
+		for i := 0; i < n; i++ {
+			row := []string{fmt.Sprintf("%d", i+1)}
+			for _, c := range curves {
+				row = append(row, render.F(c[i], 2))
+			}
+			tab.AddRow(row...)
+			lo := math.Min(curves[0][i], math.Min(curves[1][i], curves[2][i]))
+			hi := math.Max(curves[0][i], math.Max(curves[1][i], curves[2][i]))
+			if lo > 0 && hi/lo-1 > maxDev {
+				maxDev = hi/lo - 1
+			}
+		}
+		res.Tables = append(res.Tables, tab)
+		res.Metrics[fmt.Sprintf("startup_ms_%s", lang)] = startupMs
+		res.Metrics[fmt.Sprintf("max_ipc_dev_%s", lang)] = maxDev
+	}
+	res.note("max within-language IPC deviation across functions: py %.1f%%, nj %.1f%%, go %.1f%%",
+		res.Metrics["max_ipc_dev_py"]*100, res.Metrics["max_ipc_dev_nj"]*100, res.Metrics["max_ipc_dev_go"]*100)
+	return nil
 }
 
-// expE7 reproduces Fig. 7: Litmus tests tracking congestion as a
+// runE7 reproduces Fig. 7: Litmus tests tracking congestion as a
 // memory-intensive function comes and goes on a 4-core slice.
-func expE7() Experiment {
-	return Experiment{
-		ID:    "E7",
-		Title: "Fig. 7 — Litmus tests observing congestion over time",
-		Paper: "probes read high congestion while a memory-intensive function runs, low after it completes",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E7", "Fig. 7 — probe-observed congestion timeline",
-				"probe slowdown high while hog active")
-			_, models, err := calibration(cfg, machCascade, 1)
-			if err != nil {
-				return nil, err
-			}
-			pcfg, err := platformConfig(cfg, machCascade)
-			if err != nil {
-				return nil, err
-			}
-			p := platform.New(pcfg)
-			m := p.Machine()
-			// Cores 1–2 run light functions continuously.
-			p.StartChurn([]*workload.Spec{
-				workload.ByAbbr()["auth-py"], workload.ByAbbr()["fib-go"],
-			}, 2, []int{1, 2})
-			p.Warm(10e-3)
-
-			// The paper's Fig. 7 plays out on a 4-core slice, where one
-			// memory-intensive function is a large share of the machine. On
-			// the 32-core box a comparable disturbance is a small burst of
-			// memory-intensive invocations landing together.
-			const hogThreads = 4
-			tab := render.NewTable("Fig. 7", "time ms", "hog", "est total slowdown", "MB weight", "probe L3 misses")
-			var lastMisses float64
-			record := func(hog string) (float64, error) {
-				pr, err := p.ProbeStartup(workload.ProbeSpec(workload.Python), 3, 300)
-				if err != nil {
-					return 0, err
-				}
-				reading, err := models.NewReading(workload.Python, pr)
-				if err != nil {
-					return 0, err
-				}
-				est, err := models.Estimate(reading)
-				if err != nil {
-					return 0, err
-				}
-				lastMisses = pr.MachineL3Misses
-				tab.AddRow(render.F(m.Now()*1e3, 1), hog, render.F(est.TotalSlow, 3),
-					render.F(est.Weight, 2), render.Sci(pr.MachineL3Misses))
-				return est.TotalSlow, nil
-			}
-			spawnHogs := func() []int {
-				ids := make([]int, 0, hogThreads)
-				for i := 0; i < hogThreads; i++ {
-					ids = append(ids, m.Spawn(hogMemory(), 4+i).ID)
-				}
-				return ids
-			}
-			removeAll := func(ids []int) {
-				for _, id := range ids {
-					m.Remove(id)
-				}
-			}
-
-			quiet1, err := record("idle")
-			if err != nil {
-				return nil, err
-			}
-			quietMisses := lastMisses
-			hogs := spawnHogs()
-			p.Warm(10e-3)
-			busy1, err := record("hog#1 running")
-			if err != nil {
-				return nil, err
-			}
-			busyMisses := lastMisses
-			removeAll(hogs)
-			p.Warm(10e-3)
-			quiet2, err := record("idle")
-			if err != nil {
-				return nil, err
-			}
-			quietMisses += lastMisses
-			hogs = spawnHogs()
-			p.Warm(10e-3)
-			busy2, err := record("hog#2 running")
-			if err != nil {
-				return nil, err
-			}
-			busyMisses += lastMisses
-			removeAll(hogs)
-
-			res.Tables = append(res.Tables, tab)
-			res.Metrics["quiet_est"] = (quiet1 + quiet2) / 2
-			res.Metrics["busy_est"] = (busy1 + busy2) / 2
-			res.Metrics["detection_ratio"] = res.Metrics["busy_est"] / res.Metrics["quiet_est"]
-			res.Metrics["l3miss_ratio"] = busyMisses / quietMisses
-			res.note("probe separates hog-on from hog-off by %.2fx in estimated slowdown and %.1fx in L3 misses",
-				res.Metrics["detection_ratio"], res.Metrics["l3miss_ratio"])
-			return res, nil
-		},
+func runE7(cfg Config, res *Result) error {
+	_, models, err := calibration(cfg, machCascade, 1)
+	if err != nil {
+		return err
 	}
+	pcfg, err := platformConfig(cfg, machCascade)
+	if err != nil {
+		return err
+	}
+	p := platform.New(pcfg)
+	m := p.Machine()
+	// Cores 1–2 run light functions continuously.
+	p.StartChurn([]*workload.Spec{
+		workload.ByAbbr()["auth-py"], workload.ByAbbr()["fib-go"],
+	}, 2, []int{1, 2})
+	p.Warm(10e-3)
+
+	// The paper's Fig. 7 plays out on a 4-core slice, where one
+	// memory-intensive function is a large share of the machine. On
+	// the 32-core box a comparable disturbance is a small burst of
+	// memory-intensive invocations landing together.
+	const hogThreads = 4
+	tab := render.NewTable("Fig. 7", "time ms", "hog", "est total slowdown", "MB weight", "probe L3 misses")
+	var lastMisses float64
+	record := func(hog string) (float64, error) {
+		pr, err := p.ProbeStartup(workload.ProbeSpec(workload.Python), 3, 300)
+		if err != nil {
+			return 0, err
+		}
+		reading, err := models.NewReading(workload.Python, pr)
+		if err != nil {
+			return 0, err
+		}
+		est, err := models.Estimate(workload.Python.String(), reading)
+		if err != nil {
+			return 0, err
+		}
+		lastMisses = pr.MachineL3Misses
+		tab.AddRow(render.F(m.Now()*1e3, 1), hog, render.F(est.TotalSlow, 3),
+			render.F(est.Weight, 2), render.Sci(pr.MachineL3Misses))
+		return est.TotalSlow, nil
+	}
+	spawnHogs := func() []int {
+		ids := make([]int, 0, hogThreads)
+		for i := 0; i < hogThreads; i++ {
+			ids = append(ids, m.Spawn(hogMemory(), 4+i).ID)
+		}
+		return ids
+	}
+	removeAll := func(ids []int) {
+		for _, id := range ids {
+			m.Remove(id)
+		}
+	}
+
+	quiet1, err := record("idle")
+	if err != nil {
+		return err
+	}
+	quietMisses := lastMisses
+	hogs := spawnHogs()
+	p.Warm(10e-3)
+	busy1, err := record("hog#1 running")
+	if err != nil {
+		return err
+	}
+	busyMisses := lastMisses
+	removeAll(hogs)
+	p.Warm(10e-3)
+	quiet2, err := record("idle")
+	if err != nil {
+		return err
+	}
+	quietMisses += lastMisses
+	hogs = spawnHogs()
+	p.Warm(10e-3)
+	busy2, err := record("hog#2 running")
+	if err != nil {
+		return err
+	}
+	busyMisses += lastMisses
+	removeAll(hogs)
+
+	res.Tables = append(res.Tables, tab)
+	res.Metrics["quiet_est"] = (quiet1 + quiet2) / 2
+	res.Metrics["busy_est"] = (busy1 + busy2) / 2
+	res.Metrics["detection_ratio"] = res.Metrics["busy_est"] / res.Metrics["quiet_est"]
+	res.Metrics["l3miss_ratio"] = busyMisses / quietMisses
+	res.note("probe separates hog-on from hog-off by %.2fx in estimated slowdown and %.1fx in L3 misses",
+		res.Metrics["detection_ratio"], res.Metrics["l3miss_ratio"])
+	return nil
 }
 
 // hogMemory returns Fig. 7's "Function #1": a finite memory-intensive
@@ -251,192 +224,136 @@ func hogMemory() *workload.Spec {
 	}
 }
 
-// expE8 reproduces Fig. 8: reference slowdowns under MB-Gen level 14.
-func expE8() Experiment {
-	return Experiment{
-		ID:    "E8",
-		Title: "Fig. 8 — reference functions under MB-Gen at stress level 14",
-		Paper: "functions slow down by widely varying degrees under one congestion level; T_shared bars far above T_total",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E8", "Fig. 8 — reference slowdowns at MB-Gen L14",
-				"wide T_shared spread under a fixed level")
-			base, err := baselines(cfg, machCascade)
-			if err != nil {
-				return nil, err
-			}
-			pcfg, err := platformConfig(cfg, machCascade)
-			if err != nil {
-				return nil, err
-			}
-			p := platform.New(pcfg)
-			p.SpawnFleet(trafficgen.MBGen, 14, 1)
-			p.Warm(25e-3)
-
-			tab := render.NewTable("Fig. 8", "function", "T_private", "T_shared", "T_total")
-			var privs, shareds, totals []float64
-			for _, ref := range workload.References() {
-				rec, err := p.Invoke(ref, 0, 600)
-				if err != nil {
-					return nil, err
-				}
-				solo, err := soloFor(base, ref.Abbr)
-				if err != nil {
-					return nil, err
-				}
-				ps := rec.TPrivate / solo.TPrivate
-				ss := rec.TShared / solo.TShared
-				ts := rec.Total() / solo.Total()
-				privs = append(privs, ps)
-				shareds = append(shareds, ss)
-				totals = append(totals, ts)
-				tab.AddRow(ref.Abbr, render.F(ps, 3), render.F(ss, 3), render.F(ts, 3))
-			}
-			tab.AddRow("gmean", render.F(stats.Gmean(privs), 3), render.F(stats.Gmean(shareds), 3), render.F(stats.Gmean(totals), 3))
-
-			// start-py row: the Python startup itself under the same stress.
-			probe, err := p.ProbeStartup(workload.ProbeSpec(workload.Python), 0, 300)
-			if err != nil {
-				return nil, err
-			}
-			soloProbe, err := soloPyStartup(cfg)
-			if err != nil {
-				return nil, err
-			}
-			tab.AddRow("start-py",
-				render.F(probe.TPrivateSec/soloProbe.TPrivateSec, 3),
-				render.F(probe.TSharedSec/soloProbe.TSharedSec, 3),
-				render.F((probe.TPrivateSec+probe.TSharedSec)/(soloProbe.TPrivateSec+soloProbe.TSharedSec), 3))
-			res.Tables = append(res.Tables, tab)
-
-			minS, maxS := stats.MinMax(shareds)
-			res.Metrics["gmean_total"] = stats.Gmean(totals)
-			res.Metrics["gmean_shared"] = stats.Gmean(shareds)
-			res.Metrics["shared_spread"] = maxS / minS
-			return res, nil
-		},
+// runE8 reproduces Fig. 8: reference slowdowns under MB-Gen level 14.
+func runE8(cfg Config, res *Result) error {
+	base, err := baselines(cfg, machCascade)
+	if err != nil {
+		return err
 	}
-}
-
-// soloPyStartup measures the solo Python startup probe under the same
-// platform scaling the congested probes use.
-func soloPyStartup(cfg Config) (*engine.ProbeResult, error) {
 	pcfg, err := platformConfig(cfg, machCascade)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return platform.New(pcfg).ProbeStartup(workload.ProbeSpec(workload.Python), 0, 60)
+	p := platform.New(pcfg)
+	p.SpawnFleet(trafficgen.MBGen, 14, 1)
+	p.Warm(25e-3)
+
+	tab := render.NewTable("Fig. 8", "function", "T_private", "T_shared", "T_total")
+	var privs, shareds, totals []float64
+	for _, ref := range workload.References() {
+		rec, err := p.Invoke(ref, 0, 600)
+		if err != nil {
+			return err
+		}
+		solo := base[ref.Abbr]
+		ps := rec.TPrivate / solo.TPrivate
+		ss := rec.TShared / solo.TShared
+		ts := rec.Total() / solo.Total()
+		privs = append(privs, ps)
+		shareds = append(shareds, ss)
+		totals = append(totals, ts)
+		tab.AddRow(ref.Abbr, render.F(ps, 3), render.F(ss, 3), render.F(ts, 3))
+	}
+	tab.AddRow("gmean", render.F(stats.Gmean(privs), 3), render.F(stats.Gmean(shareds), 3), render.F(stats.Gmean(totals), 3))
+
+	// start-py row: the Python startup itself under the same stress.
+	probe, err := p.ProbeStartup(workload.ProbeSpec(workload.Python), 0, 300)
+	if err != nil {
+		return err
+	}
+	soloStartup, err := core.SoloProbe(pcfg, workload.Python)
+	if err != nil {
+		return err
+	}
+	start := soloStartup.Reading(probe.TPrivateSec, probe.TSharedSec, probe.MachineL3Misses)
+	tab.AddRow("start-py", render.F(start.PrivSlow, 3), render.F(start.SharedSlow, 3), render.F(start.TotalSlow, 3))
+	res.Tables = append(res.Tables, tab)
+
+	minS, maxS := stats.MinMax(shareds)
+	res.Metrics["gmean_total"] = stats.Gmean(totals)
+	res.Metrics["gmean_shared"] = stats.Gmean(shareds)
+	res.Metrics["shared_spread"] = maxS / minS
+	return nil
 }
 
-// expE9 reproduces Fig. 9: the correlation between startup slowdowns and
+// runE9 reproduces Fig. 9: the correlation between startup slowdowns and
 // reference slowdowns, per generator and component.
-func expE9() Experiment {
-	return Experiment{
-		ID:    "E9",
-		Title: "Fig. 9 — startup slowdown vs reference slowdown regressions",
-		Paper: "tight linear correlations (R² 0.84–0.99) for T_private, T_shared and T_total under both generators",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E9", "Fig. 9 — probe-to-reference regressions", "R² ≳ 0.8")
-			_, models, err := calibration(cfg, machCascade, 1)
-			if err != nil {
-				return nil, err
-			}
-			tab := render.NewTable("Fig. 9 — regression quality (python probe)",
-				"model", "slope", "intercept", "R²")
-			py := models.ByLang["py"]
-			add := func(name string, l stats.Linear) {
-				tab.AddRow(name, render.F(l.Slope, 3), render.F(l.Intercept, 3), render.F(l.R2, 3))
-			}
-			add("CT T_private", py.CT.Priv)
-			add("CT T_shared", py.CT.Shared)
-			add("CT T_total", py.CT.Total)
-			add("MB T_private", py.MB.Priv)
-			add("MB T_shared", py.MB.Shared)
-			add("MB T_total", py.MB.Total)
-			res.Tables = append(res.Tables, tab)
-			res.Metrics["r2_ct_priv"] = py.CT.Priv.R2
-			res.Metrics["r2_ct_shared"] = py.CT.Shared.R2
-			res.Metrics["r2_ct_total"] = py.CT.Total.R2
-			res.Metrics["r2_mb_priv"] = py.MB.Priv.R2
-			res.Metrics["r2_mb_shared"] = py.MB.Shared.R2
-			res.Metrics["r2_mb_total"] = py.MB.Total.R2
-			return res, nil
-		},
+func runE9(cfg Config, res *Result) error {
+	_, models, err := calibration(cfg, machCascade, 1)
+	if err != nil {
+		return err
 	}
+	tab := render.NewTable("Fig. 9 — regression quality (python probe)",
+		"model", "slope", "intercept", "R²")
+	py := models.ByLang["py"]
+	add := func(name string, l stats.Linear) {
+		tab.AddRow(name, render.F(l.Slope, 3), render.F(l.Intercept, 3), render.F(l.R2, 3))
+	}
+	add("CT T_private", py.CT.Priv)
+	add("CT T_shared", py.CT.Shared)
+	add("CT T_total", py.CT.Total)
+	add("MB T_private", py.MB.Priv)
+	add("MB T_shared", py.MB.Shared)
+	add("MB T_total", py.MB.Total)
+	res.Tables = append(res.Tables, tab)
+	res.Metrics["r2_ct_priv"] = py.CT.Priv.R2
+	res.Metrics["r2_ct_shared"] = py.CT.Shared.R2
+	res.Metrics["r2_ct_total"] = py.CT.Total.R2
+	res.Metrics["r2_mb_priv"] = py.MB.Priv.R2
+	res.Metrics["r2_mb_shared"] = py.MB.Shared.R2
+	res.Metrics["r2_mb_total"] = py.MB.Total.R2
+	return nil
 }
 
-// expE10 reproduces Fig. 10: the logarithmic L3-miss interpolation between
+// runE10 reproduces Fig. 10: the logarithmic L3-miss interpolation between
 // the generator models.
-func expE10() Experiment {
-	return Experiment{
-		ID:    "E10",
-		Title: "Fig. 10 — discount estimation via logarithmic L3-miss interpolation",
-		Paper: "misses near the CT anchor → CT discount; near the MB anchor → MB discount; log-midway misses → midway discount",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E10", "Fig. 10 — L3-miss interpolation",
-				"monotone discount in observed misses")
-			_, models, err := calibration(cfg, machCascade, 1)
-			if err != nil {
-				return nil, err
-			}
-			py := models.ByLang["py"]
-			// Work at a fixed observed startup slowdown.
-			const s = 1.15
-			ctMiss := py.CT.L3.Predict(s)
-			mbMiss := py.MB.L3.Predict(s)
-			mid := math.Sqrt(ctMiss * mbMiss)
-			tab := render.NewTable("Fig. 10 — startup slowdown fixed at 1.15",
-				"observed L3 misses", "weight", "est total slowdown", "implied discount")
-			var discounts []float64
-			for _, miss := range []float64{ctMiss, mid, mbMiss} {
-				r := Reading(cfg, s, miss)
-				est, err := models.Estimate(r)
-				if err != nil {
-					return nil, err
-				}
-				d := 1 - 1/est.TotalSlow
-				discounts = append(discounts, d)
-				tab.AddRow(render.Sci(miss), render.F(est.Weight, 2), render.F(est.TotalSlow, 3), render.Pct(d))
-			}
-			res.Tables = append(res.Tables, tab)
-			res.Metrics["discount_ct"] = discounts[0]
-			res.Metrics["discount_mid"] = discounts[1]
-			res.Metrics["discount_mb"] = discounts[2]
-			res.Metrics["monotone"] = boolMetric(discounts[0] <= discounts[1]+1e-9 && discounts[1] <= discounts[2]+1e-9)
-			res.note("CT anchor %.2e misses → %.1f%%; log-mid %.2e → %.1f%%; MB anchor %.2e → %.1f%%",
-				ctMiss, discounts[0]*100, mid, discounts[1]*100, mbMiss, discounts[2]*100)
-			return res, nil
-		},
+func runE10(cfg Config, res *Result) error {
+	_, models, err := calibration(cfg, machCascade, 1)
+	if err != nil {
+		return err
 	}
+	py := models.ByLang["py"]
+	// Work at a fixed observed startup slowdown.
+	const s = 1.15
+	ctMiss := py.CT.L3.Predict(s)
+	mbMiss := py.MB.L3.Predict(s)
+	mid := math.Sqrt(ctMiss * mbMiss)
+	tab := render.NewTable("Fig. 10 — startup slowdown fixed at 1.15",
+		"observed L3 misses", "weight", "est total slowdown", "implied discount")
+	var discounts []float64
+	for _, miss := range []float64{ctMiss, mid, mbMiss} {
+		r := core.Reading{PrivSlow: s, SharedSlow: s, TotalSlow: s, L3Misses: miss}
+		est, err := models.Estimate("py", r)
+		if err != nil {
+			return err
+		}
+		d := 1 - 1/est.TotalSlow
+		discounts = append(discounts, d)
+		tab.AddRow(render.Sci(miss), render.F(est.Weight, 2), render.F(est.TotalSlow, 3), render.Pct(d))
+	}
+	res.Tables = append(res.Tables, tab)
+	res.Metrics["discount_ct"] = discounts[0]
+	res.Metrics["discount_mid"] = discounts[1]
+	res.Metrics["discount_mb"] = discounts[2]
+	res.Metrics["monotone"] = boolMetric(discounts[0] <= discounts[1]+1e-9 && discounts[1] <= discounts[2]+1e-9)
+	res.note("CT anchor %.2e misses → %.1f%%; log-mid %.2e → %.1f%%; MB anchor %.2e → %.1f%%",
+		ctMiss, discounts[0]*100, mid, discounts[1]*100, mbMiss, discounts[2]*100)
+	return nil
 }
 
-// Reading builds a synthetic probe reading at a uniform slowdown s with the
-// given observed miss count (E10 helper; exported for the example programs).
-func Reading(cfg Config, s, misses float64) core.Reading {
-	return core.Reading{Lang: "py", PrivSlow: s, SharedSlow: s, TotalSlow: s, L3Misses: misses}
-}
-
-// expE14 reproduces Fig. 14: temporal-sharing overhead vs co-runner count.
-func expE14() Experiment {
-	return Experiment{
-		ID:    "E14",
-		Title: "Fig. 14 — T_private inflation vs co-runners per core",
-		Paper: "logarithmic growth stabilising around 20 co-runners at ≈+2.5%",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E14", "Fig. 14 — temporal-sharing overhead curve",
-				"log growth, plateau ≈1.025–1.03")
-			sh, pts, err := sharingModel(cfg, machCascade)
-			if err != nil {
-				return nil, err
-			}
-			tab := render.NewTable("Fig. 14", "co-runners per core", "T_private overhead", "fitted")
-			for _, pt := range pts {
-				tab.AddRow(fmt.Sprintf("%d", pt.K), render.Pct(pt.Overhead), render.Pct(sh.Factor(pt.K)-1))
-			}
-			res.Tables = append(res.Tables, tab)
-			res.Metrics["overhead_at_10"] = sh.Factor(10) - 1
-			res.Metrics["overhead_at_20"] = sh.Factor(20) - 1
-			res.Metrics["plateau_ratio"] = (sh.Factor(24) - 1) / (sh.Factor(20) - 1)
-			return res, nil
-		},
+// runE14 reproduces Fig. 14: temporal-sharing overhead vs co-runner count.
+func runE14(cfg Config, res *Result) error {
+	sh, pts, err := sharingModel(cfg, machCascade)
+	if err != nil {
+		return err
 	}
+	tab := render.NewTable("Fig. 14", "co-runners per core", "T_private overhead", "fitted")
+	for _, pt := range pts {
+		tab.AddRow(fmt.Sprintf("%d", pt.K), render.Pct(pt.Overhead), render.Pct(sh.Factor(pt.K)-1))
+	}
+	res.Tables = append(res.Tables, tab)
+	res.Metrics["overhead_at_10"] = sh.Factor(10) - 1
+	res.Metrics["overhead_at_20"] = sh.Factor(20) - 1
+	res.Metrics["plateau_ratio"] = (sh.Factor(24) - 1) / (sh.Factor(20) - 1)
+	return nil
 }

@@ -10,262 +10,187 @@ import (
 	"repro/internal/workload"
 )
 
-// expT1 reproduces Table 1: the benchmark inventory.
-func expT1() Experiment {
-	return Experiment{
-		ID:    "T1",
-		Title: "Table 1 — serverless benchmarks & language runtimes",
-		Paper: "27 functions over Python/Node.js/Go from SeBS, FunctionBench, DeathStarBench, Online Boutique and AWS samples; 13 reference (*) functions",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("T1", "Table 1 — serverless benchmarks & language runtimes",
-				"27 functions, 3 languages, 13 references")
-			tab := render.NewTable("Table 1", "function", "abbr", "suite", "lang", "reference", "memMB", "body Minstr")
-			refs := 0
-			for _, s := range workload.Catalog() {
-				ref := ""
-				if s.Reference {
-					ref = "*"
-					refs++
-				}
-				tab.AddRow(s.Name, s.Abbr, s.Suite, s.Language.String(), ref,
-					fmt.Sprintf("%d", s.MemoryMB),
-					render.F((s.TotalInstr()-s.StartupInstr())/1e6, 0))
-			}
-			res.Tables = append(res.Tables, tab)
-			res.Metrics["functions"] = float64(len(workload.Catalog()))
-			res.Metrics["references"] = float64(refs)
-			res.Metrics["languages"] = float64(len(workload.Languages()))
-			return res, nil
-		},
+// runT1 reproduces Table 1: the benchmark inventory.
+func runT1(cfg Config, res *Result) error {
+	tab := render.NewTable("Table 1", "function", "abbr", "suite", "lang", "reference", "memMB", "body Minstr")
+	refs := 0
+	for _, s := range workload.Catalog() {
+		ref := ""
+		if s.Reference {
+			ref = "*"
+			refs++
+		}
+		tab.AddRow(s.Name, s.Abbr, s.Suite, s.Language.String(), ref,
+			fmt.Sprintf("%d", s.MemoryMB),
+			render.F((s.TotalInstr()-s.StartupInstr())/1e6, 0))
 	}
+	res.Tables = append(res.Tables, tab)
+	res.Metrics["functions"] = float64(len(workload.Catalog()))
+	res.Metrics["references"] = float64(refs)
+	res.Metrics["languages"] = float64(len(workload.Languages()))
+	return nil
 }
 
-// expE1 reproduces Fig. 1: the traffic generators' L2/L3 miss signatures
+// runE1 reproduces Fig. 1: the traffic generators' L2/L3 miss signatures
 // across stress levels, normalised to the average misses of the serverless
 // applications.
-func expE1() Experiment {
-	return Experiment{
-		ID:    "E1",
-		Title: "Fig. 1 — CT-Gen/MB-Gen L2 and L3 misses vs stress level",
-		Paper: "CT-Gen: L2 misses grow with threads, L3 misses stay flat; MB-Gen: both grow, with L2 misses below CT-Gen's (self-throttling)",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E1", "Fig. 1 — traffic generator miss signatures",
-				"CT L3 flat; MB L3 grows; MB L2 < CT L2")
-
-			// Normalisation base: average miss rates of the catalog solo.
-			base, err := baselines(cfg, machCascade)
-			if err != nil {
-				return nil, err
-			}
-			pcfg, err := platformConfig(cfg, machCascade)
-			if err != nil {
-				return nil, err
-			}
-			var l2Rates, l3Rates []float64
-			for _, s := range workload.Catalog() {
-				solo := base[s.Abbr]
-				// Rate per occupied second, measured via a dedicated run to
-				// read counters (baselines keep only times).
-				_ = solo
-				p := platform.New(pcfg)
-				m := p.Machine()
-				ctx := m.Spawn(s.WithBodyScale(cfg.bodyScale()), 0)
-				if !m.RunUntilDone(ctx.ID, 300) {
-					return nil, fmt.Errorf("exp: %s did not finish", s.Abbr)
-				}
-				c := ctx.Counters()
-				tp, ts := ctx.Times()
-				l2Rates = append(l2Rates, c.L2Misses/(tp+ts))
-				l3Rates = append(l3Rates, c.L3Misses/(tp+ts))
-			}
-			l2Base, l3Base := stats.Mean(l2Rates), stats.Mean(l3Rates)
-
-			tab := render.NewTable("Fig. 1 — normalized miss rates",
-				"level", "CT L2", "CT L3", "MB L2", "MB L3")
-			levels := []int{1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31}
-			type point struct{ l2, l3 float64 }
-			series := map[trafficgen.Kind][]point{}
-			for _, level := range levels {
-				row := []string{fmt.Sprintf("%d", level)}
-				for _, kind := range trafficgen.Kinds() {
-					p := platform.New(pcfg)
-					m := p.Machine()
-					ids := p.SpawnFleet(kind, level, 0)
-					p.Warm(20e-3)
-					var startL2, startL3 float64
-					for _, id := range ids {
-						c := m.Context(id).Counters()
-						startL2 += c.L2Misses
-						startL3 += c.L3Misses
-					}
-					t0 := m.Now()
-					p.Warm(20e-3)
-					var dL2, dL3 float64
-					for _, id := range ids {
-						c := m.Context(id).Counters()
-						dL2 += c.L2Misses
-						dL3 += c.L3Misses
-					}
-					dt := m.Now() - t0
-					pt := point{
-						l2: (dL2 - startL2) / dt / l2Base,
-						l3: (dL3 - startL3) / dt / l3Base,
-					}
-					series[kind] = append(series[kind], pt)
-					row = append(row, render.F(pt.l2, 1), render.F(pt.l3, 1))
-				}
-				// Reorder: CT L2, CT L3, MB L2, MB L3.
-				tab.AddRow(row[0], row[1], row[2], row[3], row[4])
-			}
-			res.Tables = append(res.Tables, tab)
-
-			ct, mb := series[trafficgen.CTGen], series[trafficgen.MBGen]
-			last := len(levels) - 1
-			res.Metrics["ct_l2_growth"] = ct[last].l2 / ct[0].l2
-			res.Metrics["ct_l3_at_max"] = ct[last].l3
-			res.Metrics["mb_l3_at_max"] = mb[last].l3
-			res.Metrics["mb_l3_growth"] = mb[last].l3 / mb[0].l3
-			res.Metrics["mb_l2_below_ct_l2"] = boolMetric(mb[last].l2 < ct[last].l2)
-			res.note("CT-Gen L3 misses stay ≈flat while MB-Gen L3 misses grow %.1fx", mb[last].l3/mb[0].l3)
-			return res, nil
-		},
+func runE1(cfg Config, res *Result) error {
+	pcfg, err := platformConfig(cfg, machCascade)
+	if err != nil {
+		return err
 	}
-}
-
-// expE2 reproduces Fig. 2: per-function slowdown with 26 co-runners.
-func expE2() Experiment {
-	return Experiment{
-		ID:    "E2",
-		Title: "Fig. 2 — execution time with 26 co-runners, normalized to solo",
-		Paper: "up to 35% slowdown, gmean ≈11.5%",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E2", "Fig. 2 — slowdown under 26 co-runners", "gmean ≈1.115, max ≈1.35")
-			runs, err := measureSet(cfg, churn26(cfg), workload.Catalog(), cfg.reps(2))
-			if err != nil {
-				return nil, err
-			}
-			tab := render.NewTable("Fig. 2", "function", "normalized execution time")
-			slows := perFnSlowdowns(runs, func(r pricedRun) float64 {
-				return r.rec.Total() / r.solo.Total()
-			})
-			var all []float64
-			for _, fs := range slows {
-				tab.AddRow(fs.abbr, render.F(fs.v, 3))
-				all = append(all, fs.v)
-			}
-			g := stats.Gmean(all)
-			_, max := stats.MinMax(all)
-			tab.AddRow("gmean", render.F(g, 3))
-			res.Tables = append(res.Tables, tab)
-			res.Metrics["gmean_slowdown"] = g
-			res.Metrics["max_slowdown"] = max
-			return res, nil
-		},
-	}
-}
-
-// expE3 reproduces Fig. 3: per-component slowdowns with 26 co-runners.
-func expE3() Experiment {
-	return Experiment{
-		ID:    "E3",
-		Title: "Fig. 3 — T_private and T_shared slowdowns with 26 co-runners",
-		Paper: "T_shared +181% avg (max +488%); T_private +4%",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E3", "Fig. 3 — component slowdowns under 26 co-runners",
-				"T_shared ≫ T_private; paper: ×2.81 vs ×1.04")
-			runs, err := measureSet(cfg, churn26(cfg), workload.Catalog(), cfg.reps(2))
-			if err != nil {
-				return nil, err
-			}
-			tab := render.NewTable("Fig. 3", "function", "T_private slowdown", "T_shared slowdown")
-			priv := perFnSlowdowns(runs, func(r pricedRun) float64 { return r.rec.TPrivate / r.solo.TPrivate })
-			shared := perFnSlowdowns(runs, func(r pricedRun) float64 {
-				if r.solo.TShared <= 0 {
-					return 1
-				}
-				return r.rec.TShared / r.solo.TShared
-			})
-			var privs, shareds []float64
-			for i := range priv {
-				tab.AddRow(priv[i].abbr, render.F(priv[i].v, 3), render.F(shared[i].v, 3))
-				privs = append(privs, priv[i].v)
-				shareds = append(shareds, shared[i].v)
-			}
-			gp, gs := stats.Gmean(privs), stats.Gmean(shareds)
-			_, maxS := stats.MinMax(shareds)
-			tab.AddRow("gmean", render.F(gp, 3), render.F(gs, 3))
-			res.Tables = append(res.Tables, tab)
-			res.Metrics["gmean_priv_slowdown"] = gp
-			res.Metrics["gmean_shared_slowdown"] = gs
-			res.Metrics["max_shared_slowdown"] = maxS
-			return res, nil
-		},
-	}
-}
-
-// expE4 reproduces Fig. 4: the solo T_private/T_shared distribution
-// (body-only: the paper's functions run long enough that the startup is
-// negligible; see DESIGN.md).
-func expE4() Experiment {
-	return Experiment{
-		ID:    "E4",
-		Title: "Fig. 4 — execution time distribution of T_private and T_shared (solo)",
-		Paper: "T_private dominates, up to 99.96% for compute-bound functions; memory-bound graph kernels have the largest T_shared shares",
-		Run: func(cfg Config) (*Result, error) {
-			res := newResult("E4", "Fig. 4 — T_private/T_shared distribution", "T_private share 60–99.9%")
-			base, err := baselines(cfg, machCascade)
-			if err != nil {
-				return nil, err
-			}
-			tab := render.NewTable("Fig. 4", "function", "T_private %", "T_shared %")
-			var privShares []float64
-			shareOf := map[string]float64{}
-			for _, s := range workload.Catalog() {
-				b := base[s.Abbr]
-				bodyPriv := b.TPrivate - b.StartupTPrivate
-				bodyShared := b.TShared - b.StartupTShared
-				share := bodyShared / (bodyPriv + bodyShared)
-				shareOf[s.Abbr] = share
-				privShares = append(privShares, 1-share)
-				tab.AddRow(s.Abbr, render.Pct(1-share), render.Pct(share))
-			}
-			tab.AddRow("mean", render.Pct(stats.Mean(privShares)), render.Pct(1-stats.Mean(privShares)))
-			res.Tables = append(res.Tables, tab)
-			res.Metrics["mean_priv_share"] = stats.Mean(privShares)
-			min, max := stats.MinMax(privShares)
-			res.Metrics["min_priv_share"] = min
-			res.Metrics["max_priv_share"] = max
-			res.Metrics["float_py_priv_share"] = 1 - shareOf["float-py"]
-			res.Metrics["pager_py_shared_share"] = shareOf["pager-py"]
-			return res, nil
-		},
-	}
-}
-
-// fnSlow pairs a function with an aggregated value.
-type fnSlow struct {
-	abbr string
-	v    float64
-}
-
-// perFnSlowdowns averages f over each function's repetitions, preserving
-// record order.
-func perFnSlowdowns(runs []pricedRun, f func(pricedRun) float64) []fnSlow {
-	var order []string
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, r := range runs {
-		if counts[r.rec.Abbr] == 0 {
-			order = append(order, r.rec.Abbr)
+	// Normalisation base: the catalog's average solo miss rates per
+	// occupied second, from dedicated runs that read the counters.
+	var l2Rates, l3Rates []float64
+	for _, s := range workload.Catalog() {
+		p := platform.New(pcfg)
+		m := p.Machine()
+		ctx := m.Spawn(s.WithBodyScale(cfg.bodyScale()), 0)
+		if !m.RunUntilDone(ctx.ID, 300) {
+			return fmt.Errorf("exp: %s did not finish", s.Abbr)
 		}
-		sums[r.rec.Abbr] += f(r)
-		counts[r.rec.Abbr]++
+		c := ctx.Counters()
+		tp, ts := ctx.Times()
+		l2Rates = append(l2Rates, c.L2Misses/(tp+ts))
+		l3Rates = append(l3Rates, c.L3Misses/(tp+ts))
 	}
-	out := make([]fnSlow, len(order))
-	for i, abbr := range order {
-		out[i] = fnSlow{abbr: abbr, v: sums[abbr] / float64(counts[abbr])}
+	l2Base, l3Base := stats.Mean(l2Rates), stats.Mean(l3Rates)
+
+	tab := render.NewTable("Fig. 1 — normalized miss rates",
+		"level", "CT L2", "CT L3", "MB L2", "MB L3")
+	levels := []int{1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31}
+	type point struct{ l2, l3 float64 }
+	series := map[trafficgen.Kind][]point{}
+	for _, level := range levels {
+		row := []string{fmt.Sprintf("%d", level)}
+		for _, kind := range trafficgen.Kinds() {
+			p := platform.New(pcfg)
+			m := p.Machine()
+			ids := p.SpawnFleet(kind, level, 0)
+			p.Warm(20e-3)
+			var startL2, startL3 float64
+			for _, id := range ids {
+				c := m.Context(id).Counters()
+				startL2 += c.L2Misses
+				startL3 += c.L3Misses
+			}
+			t0 := m.Now()
+			p.Warm(20e-3)
+			var dL2, dL3 float64
+			for _, id := range ids {
+				c := m.Context(id).Counters()
+				dL2 += c.L2Misses
+				dL3 += c.L3Misses
+			}
+			dt := m.Now() - t0
+			pt := point{
+				l2: (dL2 - startL2) / dt / l2Base,
+				l3: (dL3 - startL3) / dt / l3Base,
+			}
+			series[kind] = append(series[kind], pt)
+			row = append(row, render.F(pt.l2, 1), render.F(pt.l3, 1))
+		}
+		tab.AddRow(row...)
 	}
-	return out
+	res.Tables = append(res.Tables, tab)
+
+	ct, mb := series[trafficgen.CTGen], series[trafficgen.MBGen]
+	last := len(levels) - 1
+	res.Metrics["ct_l2_growth"] = ct[last].l2 / ct[0].l2
+	res.Metrics["ct_l3_at_max"] = ct[last].l3
+	res.Metrics["mb_l3_at_max"] = mb[last].l3
+	res.Metrics["mb_l3_growth"] = mb[last].l3 / mb[0].l3
+	res.Metrics["mb_l2_below_ct_l2"] = boolMetric(mb[last].l2 < ct[last].l2)
+	res.note("CT-Gen L3 misses stay ≈flat while MB-Gen L3 misses grow %.1fx", mb[last].l3/mb[0].l3)
+	return nil
+}
+
+// runE2 reproduces Fig. 2: per-function slowdown with 26 co-runners.
+func runE2(cfg Config, res *Result) error {
+	runs, err := measureSet(cfg, churn26(cfg), workload.Catalog(), cfg.reps(2))
+	if err != nil {
+		return err
+	}
+	tab := render.NewTable("Fig. 2", "function", "normalized execution time")
+	var slows perFn
+	for _, r := range runs {
+		slows.add(r.rec.Abbr, r.rec.Total()/r.solo.Total())
+	}
+	var all []float64
+	for _, abbr := range slows.order {
+		v := slows.mean(abbr)
+		tab.AddRow(abbr, render.F(v, 3))
+		all = append(all, v)
+	}
+	g := stats.Gmean(all)
+	_, max := stats.MinMax(all)
+	tab.AddRow("gmean", render.F(g, 3))
+	res.Tables = append(res.Tables, tab)
+	res.Metrics["gmean_slowdown"] = g
+	res.Metrics["max_slowdown"] = max
+	return nil
+}
+
+// runE3 reproduces Fig. 3: per-component slowdowns with 26 co-runners.
+func runE3(cfg Config, res *Result) error {
+	runs, err := measureSet(cfg, churn26(cfg), workload.Catalog(), cfg.reps(2))
+	if err != nil {
+		return err
+	}
+	tab := render.NewTable("Fig. 3", "function", "T_private slowdown", "T_shared slowdown")
+	var priv, shared perFn
+	for _, r := range runs {
+		priv.add(r.rec.Abbr, r.rec.TPrivate/r.solo.TPrivate)
+		ss := 1.0
+		if r.solo.TShared > 0 {
+			ss = r.rec.TShared / r.solo.TShared
+		}
+		shared.add(r.rec.Abbr, ss)
+	}
+	var privs, shareds []float64
+	for _, abbr := range priv.order {
+		p, s := priv.mean(abbr), shared.mean(abbr)
+		tab.AddRow(abbr, render.F(p, 3), render.F(s, 3))
+		privs = append(privs, p)
+		shareds = append(shareds, s)
+	}
+	gp, gs := stats.Gmean(privs), stats.Gmean(shareds)
+	_, maxS := stats.MinMax(shareds)
+	tab.AddRow("gmean", render.F(gp, 3), render.F(gs, 3))
+	res.Tables = append(res.Tables, tab)
+	res.Metrics["gmean_priv_slowdown"] = gp
+	res.Metrics["gmean_shared_slowdown"] = gs
+	res.Metrics["max_shared_slowdown"] = maxS
+	return nil
+}
+
+// runE4 reproduces Fig. 4: the solo T_private/T_shared distribution
+// (body-only: the paper's functions run long enough that the startup is
+// negligible; bodies shortened by Scale are not).
+func runE4(cfg Config, res *Result) error {
+	base, err := baselines(cfg, machCascade)
+	if err != nil {
+		return err
+	}
+	tab := render.NewTable("Fig. 4", "function", "T_private %", "T_shared %")
+	var privShares []float64
+	shareOf := map[string]float64{}
+	for _, s := range workload.Catalog() {
+		b := base[s.Abbr]
+		share := b.BodyTShared() / (b.BodyTPrivate() + b.BodyTShared())
+		shareOf[s.Abbr] = share
+		privShares = append(privShares, 1-share)
+		tab.AddRow(s.Abbr, render.Pct(1-share), render.Pct(share))
+	}
+	tab.AddRow("mean", render.Pct(stats.Mean(privShares)), render.Pct(1-stats.Mean(privShares)))
+	res.Tables = append(res.Tables, tab)
+	res.Metrics["mean_priv_share"] = stats.Mean(privShares)
+	min, max := stats.MinMax(privShares)
+	res.Metrics["min_priv_share"] = min
+	res.Metrics["max_priv_share"] = max
+	res.Metrics["float_py_priv_share"] = 1 - shareOf["float-py"]
+	res.Metrics["pager_py_shared_share"] = shareOf["pager-py"]
+	return nil
 }
 
 func boolMetric(b bool) float64 {

@@ -97,15 +97,18 @@ func TestPerFnSlowdowns(t *testing.T) {
 		}
 	}
 	runs := []pricedRun{mk("a", 2), mk("b", 3), mk("a", 4), mk("b", 5)}
-	out := perFnSlowdowns(runs, func(r pricedRun) float64 { return r.rec.TPrivate })
-	if len(out) != 2 {
-		t.Fatalf("groups = %d", len(out))
+	var out perFn
+	for _, r := range runs {
+		out.add(r.rec.Abbr, r.rec.TPrivate)
 	}
-	if out[0].abbr != "a" || out[0].v != 3 {
-		t.Errorf("group a = %+v, want mean 3", out[0])
+	if len(out.order) != 2 {
+		t.Fatalf("groups = %d", len(out.order))
 	}
-	if out[1].abbr != "b" || out[1].v != 4 {
-		t.Errorf("group b = %+v, want mean 4", out[1])
+	if out.order[0] != "a" || out.mean("a") != 3 {
+		t.Errorf("group a = %v, want mean 3", out.vals["a"])
+	}
+	if out.order[1] != "b" || out.mean("b") != 4 {
+		t.Errorf("group b = %v, want mean 4", out.vals["b"])
 	}
 }
 
@@ -156,13 +159,13 @@ func testModels(t *testing.T) *core.Models {
 		var rows []core.LevelRow
 		for _, level := range []int{2, 10, 18} {
 			x := float64(level)
-			su := core.StartupRow{PrivSlow: 1 + 0.002*x, SharedSlow: 1 + 0.05*x, TotalSlow: 1 + 0.012*x, L3Misses: 1e5 * (1 + 0.2*x)}
+			su := core.Reading{PrivSlow: 1 + 0.002*x, SharedSlow: 1 + 0.05*x, TotalSlow: 1 + 0.012*x, L3Misses: 1e5 * (1 + 0.2*x)}
 			rp, rs, rt := 1+0.0025*x, 1+0.06*x, 1+0.015*x
 			if mb {
-				su = core.StartupRow{PrivSlow: 1 + 0.003*x, SharedSlow: 1 + 0.08*x, TotalSlow: 1 + 0.02*x, L3Misses: 3e6 * (1 + 0.2*x)}
+				su = core.Reading{PrivSlow: 1 + 0.003*x, SharedSlow: 1 + 0.08*x, TotalSlow: 1 + 0.02*x, L3Misses: 3e6 * (1 + 0.2*x)}
 				rp, rs, rt = 1+0.0035*x, 1+0.10*x, 1+0.024*x
 			}
-			row := core.LevelRow{Level: level, Startup: map[string]core.StartupRow{}, RefPrivSlow: rp, RefSharedSlow: rs, RefTotalSlow: rt}
+			row := core.LevelRow{Level: level, Startup: map[string]core.Reading{}, RefPrivSlow: rp, RefSharedSlow: rs, RefTotalSlow: rt}
 			for _, l := range langs {
 				row.Startup[l] = su
 			}

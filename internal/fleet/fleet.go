@@ -318,9 +318,6 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Config returns the fleet configuration (with defaults applied).
-func (f *Fleet) Config() Config { return f.cfg }
-
 // Run replays arrivals across the fleet, streaming every completed
 // invocation into sink, and returns per-machine statistics. Machines are
 // stepped concurrently each quantum; dispatching and sink sends happen

@@ -52,40 +52,6 @@ func (r *Report) BillTable() *render.Table {
 	return tb
 }
 
-// WindowTable renders one tenant's per-window bills.
-func (r *Report) WindowTable(tenant string) (*render.Table, error) {
-	for _, bill := range r.Tenants {
-		if bill.Tenant != tenant {
-			continue
-		}
-		cols := []string{"window", "minutes", "invocations", "commercial"}
-		for _, p := range r.Pricers {
-			if p == "commercial" {
-				continue
-			}
-			cols = append(cols, p)
-		}
-		tb := render.NewTable(fmt.Sprintf("%s bills per %d-minute window", tenant, r.WindowMinutes), cols...)
-		for _, w := range bill.Windows {
-			row := []string{
-				fmt.Sprintf("%d", w.Window),
-				fmt.Sprintf("%d–%d", w.StartMinute, w.StartMinute+r.WindowMinutes-1),
-				fmt.Sprintf("%d", w.Invocations),
-				render.F(w.Commercial, 2),
-			}
-			for _, p := range r.Pricers {
-				if p == "commercial" {
-					continue
-				}
-				row = append(row, render.F(w.Bills[p], 2))
-			}
-			tb.AddRow(row...)
-		}
-		return tb, nil
-	}
-	return nil, fmt.Errorf("fleet: no bills for tenant %q", tenant)
-}
-
 // MachineTable renders a run's per-machine occupancy and throughput.
 func MachineTable(res Result) *render.Table {
 	tb := render.NewTable(

@@ -65,9 +65,6 @@ func New(cfg Config) *System {
 	return &System{cfg: cfg}
 }
 
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Demand adds bytes of DRAM traffic to the current quantum.
 func (s *System) Demand(bytes float64) {
 	if bytes > 0 {

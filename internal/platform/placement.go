@@ -18,9 +18,6 @@ const (
 	PlaceSticky Placement = iota
 	// PlaceRandom respawns on a uniformly random thread of the churn set.
 	PlaceRandom
-	// PlaceLeastLoaded respawns on the churn thread with the fewest live
-	// background functions, approximating a load-balancing invoker.
-	PlaceLeastLoaded
 )
 
 // String implements fmt.Stringer.
@@ -30,8 +27,6 @@ func (p Placement) String() string {
 		return "sticky"
 	case PlaceRandom:
 		return "random"
-	case PlaceLeastLoaded:
-		return "least-loaded"
 	default:
 		return fmt.Sprintf("placement(%d)", int(p))
 	}
@@ -43,41 +38,11 @@ func (c *Churn) SetPlacement(p Placement) *Churn {
 	return c
 }
 
-// Placement returns the churn's replacement policy.
-func (c *Churn) Placement() Placement { return c.placement }
-
 // replacementThread picks the thread for a replacement according to the
 // policy. prev is the finished function's thread.
 func (c *Churn) replacementThread(prev int) int {
-	switch c.placement {
-	case PlaceRandom:
+	if c.placement == PlaceRandom {
 		return c.threads[c.p.rng.Intn(len(c.threads))]
-	case PlaceLeastLoaded:
-		counts := make(map[int]int, len(c.threads))
-		for _, th := range c.active {
-			counts[th]++
-		}
-		best := c.threads[0]
-		for _, th := range c.threads[1:] {
-			if counts[th] < counts[best] {
-				best = th
-			}
-		}
-		return best
-	default:
-		return prev
 	}
-}
-
-// Load returns the current background population per churn thread, in
-// thread order.
-func (c *Churn) Load() map[int]int {
-	counts := make(map[int]int, len(c.threads))
-	for _, th := range c.threads {
-		counts[th] = 0
-	}
-	for _, th := range c.active {
-		counts[th]++
-	}
-	return counts
+	return prev
 }

@@ -32,10 +32,6 @@ type Config struct {
 	// probes, baselines and billed runs alike — which keeps probe slowdown
 	// readings comparable.
 	StartupScale float64
-	// JitterFrac adds a per-invocation uniform body-length jitter in
-	// [-J, +J], modelling input variation. Zero for the paper's averaged
-	// measurements.
-	JitterFrac float64
 	// Seed drives invocation randomness (independent of the machine seed).
 	Seed int64
 }
@@ -47,9 +43,6 @@ func (c Config) Validate() error {
 	}
 	if c.BodyScale <= 0 {
 		return fmt.Errorf("platform: non-positive body scale")
-	}
-	if c.JitterFrac < 0 || c.JitterFrac >= 1 {
-		return fmt.Errorf("platform: jitter must be in [0,1)")
 	}
 	if c.StartupScale < 0 || c.StartupScale > 1 {
 		return fmt.Errorf("platform: startup scale must be in [0,1] (0 selects the default of 1)")
@@ -120,27 +113,17 @@ func (p *Platform) Machine() *engine.Machine { return p.m }
 func (p *Platform) Config() Config { return p.cfg }
 
 // PrepareSpec applies the platform's invocation scaling (StartupScale,
-// BodyScale, per-invocation jitter) to a spec, exactly as Invoke would.
-// Callers that spawn contexts directly on the machine (e.g. the POPPA
-// sampler) must go through it so their measurements stay comparable with
-// platform baselines.
+// BodyScale) to a spec, exactly as Invoke does. Callers that spawn contexts
+// directly on the machine (e.g. the POPPA sampler) must go through it so
+// their measurements stay comparable with platform baselines.
 func (p *Platform) PrepareSpec(spec *workload.Spec) *workload.Spec {
-	return p.scaledSpec(spec)
-}
-
-// scaledSpec applies StartupScale, BodyScale and per-invocation jitter.
-func (p *Platform) scaledSpec(spec *workload.Spec) *workload.Spec {
 	if s := p.cfg.StartupScale; s > 0 && s != 1 && len(spec.Startup) > 0 {
 		spec = spec.WithStartupScale(s)
 	}
-	scale := p.cfg.BodyScale
-	if p.cfg.JitterFrac > 0 {
-		scale *= 1 + (p.rng.Float64()*2-1)*p.cfg.JitterFrac
-	}
-	if scale == 1 {
+	if p.cfg.BodyScale == 1 {
 		return spec
 	}
-	return spec.WithBodyScale(scale)
+	return spec.WithBodyScale(p.cfg.BodyScale)
 }
 
 // Churn maintains a fixed population of background functions drawn from a
@@ -169,21 +152,13 @@ func (p *Platform) StartChurn(pool []*workload.Spec, count int, threads []int) *
 }
 
 func (c *Churn) spawn(thread int) {
-	spec := c.p.scaledSpec(c.pool[c.p.rng.Intn(len(c.pool))])
+	spec := c.p.PrepareSpec(c.pool[c.p.rng.Intn(len(c.pool))])
 	ctx := c.p.m.Spawn(spec, thread)
 	c.active[ctx.ID] = thread
 }
 
 // Size returns the current background population.
 func (c *Churn) Size() int { return len(c.active) }
-
-// Stop removes all background functions of this churn.
-func (c *Churn) Stop() {
-	for id := range c.active {
-		c.p.m.Remove(id)
-	}
-	c.active = make(map[int]int)
-}
 
 // handleDone replaces a finished background function on the thread the
 // churn's placement policy selects.
@@ -199,8 +174,8 @@ func (c *Churn) handleDone(ctxID int) bool {
 }
 
 // SpawnFleet pins a traffic-generator fleet at the given level onto
-// consecutive hardware threads starting at startThread. Generator threads
-// run forever; use RemoveFleet to tear them down.
+// consecutive hardware threads starting at startThread and returns the
+// context IDs. Generator threads run until removed from the machine.
 func (p *Platform) SpawnFleet(kind trafficgen.Kind, level, startThread int) []int {
 	ids := make([]int, 0, level)
 	for i, spec := range trafficgen.Fleet(kind, level) {
@@ -208,13 +183,6 @@ func (p *Platform) SpawnFleet(kind trafficgen.Kind, level, startThread int) []in
 		ids = append(ids, ctx.ID)
 	}
 	return ids
-}
-
-// RemoveFleet removes generator contexts spawned by SpawnFleet.
-func (p *Platform) RemoveFleet(ids []int) {
-	for _, id := range ids {
-		p.m.Remove(id)
-	}
 }
 
 // Step advances the platform one quantum, servicing churn replacements.
@@ -250,7 +218,7 @@ func (p *Platform) Warm(durSec float64) {
 // on one machine, step the platform themselves, and collect each finished
 // context with Collect.
 func (p *Platform) Begin(spec *workload.Spec, thread int) *engine.Context {
-	scaled := p.scaledSpec(spec)
+	scaled := p.PrepareSpec(spec)
 	opts := []engine.SpawnOpt{}
 	if n := scaled.StartupInstr(); n > 0 {
 		opts = append(opts,
@@ -260,8 +228,9 @@ func (p *Platform) Begin(spec *workload.Spec, thread int) *engine.Context {
 	return p.m.Spawn(scaled, thread, opts...)
 }
 
-// Collect turns a finished context started with Begin into its billed
-// RunRecord and removes it from the machine.
+// Collect turns a finished context into its billed RunRecord and removes it
+// from the machine. The probe and startup fields are filled for a context
+// started with Begin; one spawned bare on the machine leaves them zero.
 func (p *Platform) Collect(ctx *engine.Context) RunRecord {
 	tp, ts := ctx.Times()
 	rec := RunRecord{
@@ -303,7 +272,7 @@ func (p *Platform) Invoke(spec *workload.Spec, thread int, maxSec float64) (RunR
 // prefix fires, removes the context, and returns the probe reading. The
 // tenant body never executes.
 func (p *Platform) ProbeStartup(spec *workload.Spec, thread int, maxSec float64) (*engine.ProbeResult, error) {
-	scaled := p.scaledSpec(spec)
+	scaled := p.PrepareSpec(spec)
 	n := scaled.StartupInstr()
 	if n <= 0 {
 		return nil, fmt.Errorf("platform: spec %s has no startup to probe", spec.Abbr)
@@ -324,40 +293,15 @@ func (p *Platform) ProbeStartup(spec *workload.Spec, thread int, maxSec float64)
 	return probe, nil
 }
 
-// Solo captures a function's interference-free baseline (paper: T_solo).
-type Solo struct {
-	Abbr            string
-	TPrivate        float64
-	TShared         float64
-	Wall            float64
-	StartupTPrivate float64
-	StartupTShared  float64
-	Probe           *engine.ProbeResult
-}
-
-// Total returns TPrivate + TShared.
-func (s Solo) Total() float64 { return s.TPrivate + s.TShared }
+// Solo is a function's interference-free baseline (paper: T_solo): the
+// record of one invocation on an otherwise idle machine.
+type Solo = RunRecord
 
 // MeasureSolo runs spec alone on a fresh instance of the platform's machine
 // configuration and returns its baseline. The fresh machine guarantees a
 // congestion-free environment regardless of the platform's current state.
 func MeasureSolo(cfg Config, spec *workload.Spec) (Solo, error) {
-	c := cfg
-	c.JitterFrac = 0 // baselines are the expected (un-jittered) execution
-	p := New(c)
-	rec, err := p.Invoke(spec, 0, 300)
-	if err != nil {
-		return Solo{}, err
-	}
-	return Solo{
-		Abbr:            rec.Abbr,
-		TPrivate:        rec.TPrivate,
-		TShared:         rec.TShared,
-		Wall:            rec.Wall,
-		StartupTPrivate: rec.StartupTPrivate,
-		StartupTShared:  rec.StartupTShared,
-		Probe:           rec.Probe,
-	}, nil
+	return New(cfg).Invoke(spec, 0, 300)
 }
 
 // Baselines measures solo baselines for a set of specs, keyed by

@@ -43,10 +43,6 @@ func (k Kind) String() string {
 // Kinds lists both generators in display order.
 func Kinds() []Kind { return []Kind{CTGen, MBGen} }
 
-// MaxLevel is the highest stress level on the evaluation machine (31 busy
-// cores + 1 core left for the measured function).
-const MaxLevel = 31
-
 // endless is an effectively infinite instruction budget; generator threads
 // run until the platform removes them.
 const endless = 1e15
