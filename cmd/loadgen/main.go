@@ -31,6 +31,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -130,12 +131,8 @@ func main() {
 // zero: a throttled record was deliberately refused with 429 before
 // accrual, never half-billed.
 type usageTotals struct {
-	Sent       int64 `json:"sent"`
-	Accepted   int64 `json:"accepted"`
-	Duplicates int64 `json:"duplicates"`
-	Rejected   int64 `json:"rejected"`
-	Dropped    int64 `json:"dropped"`
-	Throttled  int64 `json:"throttled,omitempty"`
+	Sent int `json:"sent"`
+	api.UsageCounts
 }
 
 // output is the JSON-mode document, one line per run so bench scripts can
@@ -296,21 +293,31 @@ func buildSchedule(o options) (loadgen.Schedule, error) {
 	}
 }
 
-// counters tracks the usage disposition across ops with atomics (ops run
-// concurrently).
+// counters is the usageTotals the ops book into (they run concurrently).
 type counters struct {
-	sent, accepted, duplicates, rejected, dropped, throttled atomic.Int64
+	mu     sync.Mutex
+	totals usageTotals
+}
+
+// sent books one record put on the wire, answered the service's accounting
+// for it; a record sent and never answered leaves the totals unbalanced.
+func (c *counters) sent() {
+	c.mu.Lock()
+	c.totals.Sent++
+	c.mu.Unlock()
+}
+
+func (c *counters) answered(a api.UsageCounts) {
+	c.mu.Lock()
+	c.totals.Add(a)
+	c.mu.Unlock()
 }
 
 func (c *counters) snapshot() *usageTotals {
-	return &usageTotals{
-		Sent:       c.sent.Load(),
-		Accepted:   c.accepted.Load(),
-		Duplicates: c.duplicates.Load(),
-		Rejected:   c.rejected.Load(),
-		Dropped:    c.dropped.Load(),
-		Throttled:  c.throttled.Load(),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.totals
+	return &t
 }
 
 // mkRecord fabricates one billable invocation with a probe reading, the
@@ -365,24 +372,20 @@ func buildOps(o options, client *api.Client, runID string) ([]loadgen.Op, *count
 	available := map[string]func(ctx context.Context) error{
 		"usage": func(ctx context.Context) error {
 			n := usageSeq.Add(1)
-			totals.sent.Add(1)
+			totals.sent()
 			resp, err := client.StreamUsage(ctx, "",
 				[]api.UsageRecord{mkRecord(tenantFor(n), fmt.Sprintf("%s-%d", runID, n))})
 			if err != nil {
 				return err
 			}
+			totals.answered(resp.UsageCounts)
 			if resp.Throttled > 0 {
 				// Admission-control backpressure is a clean refusal, not a
-				// failure: book it so the exactness check still balances, and
-				// classify it for the engine so the throttle does not eat the
-				// error budget.
-				totals.throttled.Add(1)
+				// failure: it is booked so the exactness check still
+				// balances, and classified for the engine so the throttle
+				// does not eat the error budget.
 				return fmt.Errorf("%w: retry after %gs", loadgen.ErrThrottled, resp.RetryAfterSec)
 			}
-			totals.accepted.Add(int64(resp.Accepted))
-			totals.duplicates.Add(int64(resp.Duplicates))
-			totals.rejected.Add(int64(resp.Rejected))
-			totals.dropped.Add(int64(resp.Dropped))
 			// A duplicate is a success: it means a rerun under the same
 			// -run-id was correctly deduplicated, not double-billed.
 			if resp.Accepted+resp.Duplicates != 1 {

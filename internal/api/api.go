@@ -307,12 +307,11 @@ type LineError struct {
 	Error Error `json:"error"`
 }
 
-// UsageStreamResponse is the POST /v3/usage reply. The stream is processed
-// line by line: every line is accounted for in exactly one of Accepted,
-// Duplicates, Rejected or Dropped.
-type UsageStreamResponse struct {
-	// Lines counts the non-blank lines read.
-	Lines int `json:"lines"`
+// UsageCounts is the per-line outcome accounting of usage streams: every
+// line lands in exactly one field. It is declared once and embedded wherever
+// the counts travel (the /v3/usage reply, the fleet sink's and the load
+// generator's totals), so they share the JSON keys and one Add.
+type UsageCounts struct {
 	// Accepted lines billed; Duplicates were already billed under their
 	// idempotency key (safe retries); Rejected failed validation or
 	// pricing; Dropped hit the ledger's tenant cap; Throttled hit the
@@ -323,6 +322,24 @@ type UsageStreamResponse struct {
 	Rejected   int `json:"rejected"`
 	Dropped    int `json:"dropped"`
 	Throttled  int `json:"throttled,omitempty"`
+}
+
+// Add folds another stream's counts into c.
+func (c *UsageCounts) Add(o UsageCounts) {
+	c.Accepted += o.Accepted
+	c.Duplicates += o.Duplicates
+	c.Rejected += o.Rejected
+	c.Dropped += o.Dropped
+	c.Throttled += o.Throttled
+}
+
+// UsageStreamResponse is the POST /v3/usage reply. The stream is processed
+// line by line: every line is accounted for in exactly one of the
+// UsageCounts.
+type UsageStreamResponse struct {
+	// Lines counts the non-blank lines read.
+	Lines int `json:"lines"`
+	UsageCounts
 	// RetryAfterSec, when lines were throttled, is the longest per-line
 	// retry delay — waiting it out clears every throttle in the stream. It
 	// is also sent as the whole-second Retry-After response header.

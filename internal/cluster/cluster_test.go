@@ -518,9 +518,12 @@ func TestRouterProxyReusesConnections(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	if got := dials.Load() - before; got > readers {
+	// +2, as TestFollowerReusesConnections allows: the transport hands a
+	// drained connection back to the idle pool asynchronously, so a round can
+	// start one short and redial (9 dials in 3 of 300 runs). Unpooled costs 38.
+	if got := dials.Load() - before; got > readers+2 {
 		t.Errorf("%d proxied reads by %d concurrent readers opened %d connections to the owner, want at most %d",
-			readers*rounds, readers, got, readers)
+			readers*rounds, readers, got, readers+2)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/frame"
 	"repro/internal/ledger"
 )
@@ -30,9 +31,11 @@ type FollowerConfig struct {
 	// Poll is the pause between reconnect attempts when a stream ends or
 	// the primary is briefly unreachable (default 50ms).
 	Poll time.Duration
-	// Client is the HTTP client used against the primary (default
-	// http.DefaultClient). Streams are long-lived: a client with an overall
-	// request Timeout would cut tails short — prefer one without.
+	// Client is the HTTP client used against the primary (default: one over
+	// api.DefaultTransport, whose idle pool holds a connection per shard
+	// tailer — http.DefaultClient keeps two and redials the rest every pull).
+	// Streams are long-lived: a client with an overall request Timeout would
+	// cut tails short — prefer one without.
 	Client *http.Client
 }
 
@@ -83,7 +86,7 @@ func NewFollower(primary string, cfg FollowerConfig) *Follower {
 		cfg.Poll = 50 * time.Millisecond
 	}
 	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
+		cfg.Client = &http.Client{Transport: api.DefaultTransport()}
 	}
 	return &Follower{primary: trimURL(primary), cfg: cfg, pos: map[int]*tailPos{}}
 }
@@ -257,20 +260,19 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 		// must both seal the segment and show every listed byte is already
 		// held here — sealed segments never grow, so off >= size is stable.
 		if n == 0 && err == nil && status == http.StatusOK {
-			view, serr := f.segmentView(ctx, shard, pos.Seq)
-			if serr == nil && view.sealed {
-				switch {
-				case !view.listed:
-					// A successor exists but the segment itself is no
-					// longer listed: compacted mid-tail — same as 410.
+			var list ledger.Listing
+			if getJSON(ctx, f.cfg.Client, f.primary+"/cluster/segments", &list) == nil {
+				switch seg := list.Find(shard, pos.Seq); {
+				case seg.Gone:
+					// Compacted mid-tail — same as 410.
 					return errResync
-				case pos.Off+int64(len(tail)) >= view.size:
+				case seg.Sealed && pos.Off+int64(len(tail)) >= seg.Size:
 					if len(tail) != 0 {
 						// A drained sealed segment ends on a frame
 						// boundary; leftover bytes are corruption.
 						return errResync
 					}
-					f.setPos(shard, tailPos{Seq: view.next})
+					f.setPos(shard, tailPos{Seq: seg.Next})
 					continue
 				}
 			}
@@ -333,40 +335,6 @@ func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[
 			return consumed, resp.StatusCode, fmt.Errorf("cluster: wal stream shard %d: %w", shard, rerr)
 		}
 	}
-}
-
-// segView is what the primary's listing says about one segment: whether
-// it is still listed (size then holds its byte length — final once a
-// successor exists), and the smallest newer seq sealing it.
-type segView struct {
-	listed bool
-	size   int64
-	sealed bool
-	next   uint64
-}
-
-// segmentView fetches the primary's segment listing and reports segment
-// (shard, seq)'s place in it.
-func (f *Follower) segmentView(ctx context.Context, shard int, seq uint64) (segView, error) {
-	var list SegmentList
-	if err := getJSON(ctx, f.cfg.Client, f.primary+"/cluster/segments", &list); err != nil {
-		return segView{}, err
-	}
-	var v segView
-	for _, seg := range list.Segments {
-		if seg.Shard != shard {
-			continue
-		}
-		switch {
-		case seg.Seq == seq:
-			v.listed, v.size = true, seg.Size
-		case seg.Seq > seq:
-			if !v.sealed || seg.Seq < v.next {
-				v.next, v.sealed = seg.Seq, true
-			}
-		}
-	}
-	return v, nil
 }
 
 // Promote stops replication and returns the standby ledger, now live. It

@@ -12,15 +12,6 @@ import (
 // trimURL normalises a node base URL for path concatenation.
 func trimURL(u string) string { return strings.TrimRight(u, "/") }
 
-// writeJSON encodes v as a JSON response body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
 // getJSON fetches url and decodes its 200 body into out.
 func getJSON(ctx context.Context, c *http.Client, url string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)

@@ -12,9 +12,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -476,5 +478,60 @@ func TestFollowerTailShortVersusCorrupt(t *testing.T) {
 				t.Errorf("snapshot fetched %d times (resync %v), want resync %v; status %+v", snapshots, resynced, c.resync, f.Status())
 			}
 		})
+	}
+}
+
+// TestFollowerReusesConnections: the follower's default client pools a
+// connection per shard tailer. A quiescent 16-shard primary is long-polled
+// for 20 pull rounds per shard (each a /cluster/wal stream plus a
+// /cluster/segments check); http.DefaultClient keeps two idle connections per
+// host, so it redialled nearly every request — 160 connections in 1.5 s on
+// the run that found this.
+func TestFollowerReusesConnections(t *testing.T) {
+	const shards, rounds = 16, 20
+	cfg := primaryCfg(t.TempDir())
+	cfg.Shards = shards
+	led, err := ledger.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = led.Close() })
+	src := cluster.NewSource(cfg.Dir, cluster.SourceConfig{MaxWait: 50 * time.Millisecond, Poll: 2 * time.Millisecond})
+
+	var mu sync.Mutex
+	pulls := map[string]int{}
+	var dials atomic.Int64
+	primary := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/cluster/wal" {
+			mu.Lock()
+			pulls[r.URL.Query().Get("shard")]++
+			mu.Unlock()
+		}
+		src.ServeHTTP(w, r)
+	}))
+	primary.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	primary.Start()
+	t.Cleanup(primary.Close)
+
+	newFollower(t, primary.URL)
+	deadline := time.Now().Add(15 * time.Second)
+	for done := false; !done; time.Sleep(10 * time.Millisecond) {
+		mu.Lock()
+		done = len(pulls) == shards
+		for _, n := range pulls {
+			done = done && n >= rounds
+		}
+		mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("tailers never reached %d pull rounds each: %v", rounds, pulls)
+		}
+	}
+	if got := dials.Load(); got > shards+2 {
+		t.Errorf("%d pull rounds over %d shard tailers opened %d connections to the primary, want at most %d",
+			rounds, shards, got, shards+2)
 	}
 }

@@ -246,11 +246,7 @@ func (f *usageForward) flush(name string) bool {
 
 // fold merges one owner's answer for the batch that carried lines.
 func (f *usageForward) fold(lines []int, resp api.UsageStreamResponse, node string) {
-	f.resp.Accepted += resp.Accepted
-	f.resp.Duplicates += resp.Duplicates
-	f.resp.Rejected += resp.Rejected
-	f.resp.Dropped += resp.Dropped
-	f.resp.Throttled += resp.Throttled
+	f.resp.Add(resp.UsageCounts)
 	// The merged Retry-After is the max across owners: waiting it out
 	// clears every node's throttle, exactly as on a single node.
 	f.resp.RetryAfterSec = max(f.resp.RetryAfterSec, resp.RetryAfterSec)

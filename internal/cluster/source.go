@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/ledger"
 )
 
@@ -21,6 +22,8 @@ import (
 //	                        its generation in X-Snapshot-Gen (404: none yet)
 //	GET /cluster/segments — the live WAL positions: every segment's
 //	                        (shard, seq, size) plus the snapshot generation
+//	                        (ledger.Listing JSON; the follower asks it the
+//	                        same Find the primary asks its own directory)
 //	GET /cluster/wal?shard=S&seq=Q&off=O — chunked stream of raw CRC-framed
 //	                        WAL bytes from offset O of segment (S, Q),
 //	                        tail-following the file while it grows; the
@@ -114,107 +117,54 @@ func (s *Source) handleMeta(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("reading meta: %v", err), http.StatusServiceUnavailable)
 		return
 	}
-	writeJSON(w, http.StatusOK, m)
+	api.WriteJSON(w, http.StatusOK, m)
 }
 
+// handleSnapshot streams the newest snapshot from one open descriptor: the
+// primary never holds the document in memory (≈180 MB at the default key
+// window), and compaction unlinking the file cannot cut a transfer that has
+// begun.
 func (s *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	path, gen, ok, err := ledger.LatestSnapshot(s.dir)
+	ls, err := ledger.ReadListing(s.dir)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("listing snapshots: %v", err), http.StatusServiceUnavailable)
 		return
 	}
-	if !ok {
+	if ls.SnapshotPath == "" {
 		http.Error(w, "no snapshot yet", http.StatusNotFound)
 		return
 	}
-	data, err := os.ReadFile(path)
+	f, err := os.Open(ls.SnapshotPath)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("reading snapshot: %v", err), http.StatusServiceUnavailable)
 		return
 	}
+	defer func() { _ = f.Close() }() // read-only: nothing buffered to lose
+	if info, err := f.Stat(); err == nil {
+		// A committed snapshot never changes, so its length is known: the
+		// follower can tell a cut transfer, and net/http can sendfile.
+		w.Header().Set("Content-Length", strconv.FormatInt(info.Size(), 10))
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Snapshot-Gen", strconv.FormatUint(gen, 10))
+	w.Header().Set("X-Snapshot-Gen", strconv.FormatUint(ls.SnapshotGen, 10))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	_, _ = io.Copy(w, f)
 }
 
-// SegmentPosition is one live WAL segment's position on the wire.
-type SegmentPosition struct {
-	Shard int    `json:"shard"`
-	Seq   uint64 `json:"seq"`
-	Size  int64  `json:"size"`
-}
-
-// SegmentList is the /cluster/segments body.
-type SegmentList struct {
-	SnapshotGen uint64            `json:"snapshotGen"`
-	Segments    []SegmentPosition `json:"segments"`
-}
-
-func (s *Source) segmentList() (SegmentList, error) {
-	segs, err := ledger.ListWALSegments(s.dir)
-	if err != nil {
-		return SegmentList{}, err
-	}
-	_, gen, ok, err := ledger.LatestSnapshot(s.dir)
-	if err != nil {
-		return SegmentList{}, err
-	}
-	list := SegmentList{Segments: make([]SegmentPosition, 0, len(segs))}
-	if ok {
-		list.SnapshotGen = gen
-	}
-	for _, seg := range segs {
-		info, err := os.Stat(seg.Path)
-		if err != nil {
-			// Compaction can race the listing; a vanished segment is simply
-			// no longer part of the live positions.
-			continue
-		}
-		list.Segments = append(list.Segments, SegmentPosition{Shard: seg.Shard, Seq: seg.Seq, Size: info.Size()})
-	}
-	return list, nil
-}
+// SegmentList is the /cluster/segments body and SegmentPosition one live
+// WAL segment's position in it: the ledger's own directory listing.
+type (
+	SegmentList     = ledger.Listing
+	SegmentPosition = ledger.SegmentInfo
+)
 
 func (s *Source) handleSegments(w http.ResponseWriter, r *http.Request) {
-	list, err := s.segmentList()
+	ls, err := ledger.ReadSizedListing(s.dir)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("listing segments: %v", err), http.StatusServiceUnavailable)
 		return
 	}
-	writeJSON(w, http.StatusOK, list)
-}
-
-// findSegment locates (shard, seq) among the live segments; gone reports a
-// compacted segment (a newer seq for the shard, or a newer snapshot, exists
-// — the bytes are unrecoverable from the WAL and the follower must
-// re-bootstrap from the snapshot).
-func (s *Source) findSegment(shard int, seq uint64) (path string, sealed bool, gone bool, err error) {
-	segs, lerr := ledger.ListWALSegments(s.dir)
-	if lerr != nil {
-		return "", false, false, lerr
-	}
-	for _, seg := range segs {
-		if seg.Shard != shard {
-			continue
-		}
-		switch {
-		case seg.Seq == seq:
-			path = seg.Path
-		case seg.Seq > seq:
-			sealed = true // a newer segment exists, so (shard, seq) stopped growing
-		}
-	}
-	if path != "" {
-		return path, sealed, false, nil
-	}
-	if sealed {
-		return "", false, true, nil
-	}
-	if _, gen, ok, serr := ledger.LatestSnapshot(s.dir); serr == nil && ok && gen > seq {
-		return "", false, true, nil
-	}
-	return "", false, false, nil
+	api.WriteJSON(w, http.StatusOK, ls)
 }
 
 func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
@@ -236,20 +186,21 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 	s.noteAck(shard, seq, off)
 
-	path, _, gone, err := s.findSegment(shard, seq)
+	ls, err := ledger.ReadListing(s.dir)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	if gone {
+	seg := ls.Find(shard, seq)
+	if seg.Gone {
 		http.Error(w, "segment compacted; re-bootstrap from snapshot", http.StatusGone)
 		return
 	}
-	if path == "" {
+	if !seg.Listed {
 		http.Error(w, "unknown segment", http.StatusNotFound)
 		return
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(seg.Path)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -282,8 +233,9 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		// EOF: the segment is drained. Stop when it is sealed (the follower
 		// has everything and moves to the next seq) or the follow budget is
-		// spent; otherwise wait for growth.
-		if _, sealed, _, ferr := s.findSegment(shard, seq); ferr != nil || sealed {
+		// spent; otherwise wait for growth. Sealed is a question about names
+		// alone, so each poll spends one ReadDir and no stat.
+		if ls, err := ledger.ReadListing(s.dir); err != nil || ls.Find(shard, seq).Sealed {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -327,7 +279,7 @@ type SourceStatus struct {
 
 // Status computes the primary-side replication gauge.
 func (s *Source) Status() (SourceStatus, error) {
-	list, err := s.segmentList()
+	list, err := ledger.ReadSizedListing(s.dir)
 	if err != nil {
 		return SourceStatus{}, err
 	}
@@ -369,5 +321,5 @@ func (s *Source) handleStatus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }

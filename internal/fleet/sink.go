@@ -108,17 +108,13 @@ type RemoteSink struct {
 // RemoteSinkStats aggregates the service's per-line outcomes across every
 // batch a RemoteSink sent.
 type RemoteSinkStats struct {
-	// Records counts the records handed to Observe; Accepted, Duplicates,
-	// Rejected and Dropped echo the service's accounting for them.
-	Records    int `json:"records"`
-	Accepted   int `json:"accepted"`
-	Duplicates int `json:"duplicates"`
-	Rejected   int `json:"rejected"`
-	Dropped    int `json:"dropped"`
-	// Throttled counts records still refused by the service's admission
-	// limiter (429) after the retry budget ran out; throttled batches that
-	// eventually delivered show up as Accepted/Duplicates plus Retried.
-	Throttled int `json:"throttled,omitempty"`
+	// Records counts the records handed to Observe; the embedded counts
+	// echo the service's accounting for them. Throttled there counts
+	// records still refused by the service's admission limiter (429) after
+	// the retry budget ran out; throttled batches that eventually delivered
+	// show up as Accepted/Duplicates plus Retried.
+	Records int `json:"records"`
+	api.UsageCounts
 	// Retried counts batch re-sends — after transport failures and after
 	// throttled deliveries (see RemoteSinkConfig.Retries).
 	Retried int `json:"retried,omitempty"`
@@ -165,18 +161,6 @@ func (s *RemoteSink) Observe(rec MeteredRecord) error {
 	return nil
 }
 
-// fold books one delivered attempt's accounting. Only the final attempt of
-// a batch folds: a throttled-then-retried batch's earlier attempts would
-// otherwise double-count its records (the retry's admitted lines come back
-// as Duplicates of the earlier attempt's Accepted).
-func (s *RemoteSink) fold(resp api.UsageStreamResponse) {
-	s.sent.Accepted += resp.Accepted
-	s.sent.Duplicates += resp.Duplicates
-	s.sent.Rejected += resp.Rejected
-	s.sent.Dropped += resp.Dropped
-	s.sent.Throttled += resp.Throttled
-}
-
 // send streams the buffered batch, classifying each attempt's outcome
 // before deciding to retry:
 //
@@ -209,7 +193,11 @@ func (s *RemoteSink) send() error {
 		}
 		if err == nil {
 			if resp.Throttled == 0 || attempt >= s.cfg.Retries || s.ctx.Err() != nil {
-				s.fold(resp)
+				// Only the final attempt of a batch is booked: a
+				// throttled-then-retried batch's earlier attempts would
+				// otherwise double-count its records (the retry's admitted
+				// lines come back as Duplicates of the earlier Accepted).
+				s.sent.Add(resp.UsageCounts)
 				return nil
 			}
 			// Re-send the whole batch when the server suggests: waiting out

@@ -60,11 +60,11 @@ func (f *throttlingStreamer) StreamUsage(_ context.Context, _ string, records []
 	if len(f.calls) <= f.throttles {
 		return api.UsageStreamResponse{
 			Lines:         len(records),
-			Throttled:     len(records),
+			UsageCounts:   api.UsageCounts{Throttled: len(records)},
 			RetryAfterSec: f.retryAfter,
 		}, nil
 	}
-	return api.UsageStreamResponse{Lines: len(records), Accepted: len(records)}, nil
+	return api.UsageStreamResponse{Lines: len(records), UsageCounts: api.UsageCounts{Accepted: len(records)}}, nil
 }
 
 // TestRemoteSinkHonorsRetryAfter proves a throttled batch is re-sent as a

@@ -269,7 +269,7 @@ func (f *flakyStreamer) StreamUsage(ctx context.Context, key string, records []a
 	if len(f.calls) <= f.failures {
 		return api.UsageStreamResponse{}, errors.New("transport boom")
 	}
-	return api.UsageStreamResponse{Lines: len(records), Accepted: len(records)}, nil
+	return api.UsageStreamResponse{Lines: len(records), UsageCounts: api.UsageCounts{Accepted: len(records)}}, nil
 }
 
 // TestRetryDelayBackoff pins the retry pause policy: exponential growth from

@@ -129,34 +129,59 @@ func (l *Ledger) Durability() DurabilityStats {
 	return st
 }
 
-// ledgerMeta is the data directory's identity file: the config axes that
-// determine replay semantics. Opening a directory with a mismatched shape
-// is refused — re-sharding or re-windowing history would silently change
-// bills.
-type ledgerMeta struct {
-	Version       int `json:"version"`
+// Meta is a ledger's shape: the config axes that determine replay
+// semantics. It is declared here and nowhere else — meta.json (the data
+// directory's identity file) and every snapshot document embed it, and it is
+// the /cluster/meta body a follower builds its standby ledger from before
+// applying any frame. History written under one shape is refused under
+// another: re-sharding or re-windowing it would silently change bills.
+type Meta struct {
 	Shards        int `json:"shards"`
 	WindowMinutes int `json:"windowMinutes"`
 	MaxKeys       int `json:"maxKeys"`
 }
 
+func (l *Ledger) meta() Meta {
+	return Meta{Shards: len(l.shards), WindowMinutes: l.cfg.WindowMinutes, MaxKeys: l.cfg.MaxKeys}
+}
+
+// mismatch is the refusal for history (what: a data directory, a snapshot
+// document) written under shape got when the ledger's is m.
+func (m Meta) mismatch(what string, got Meta) error {
+	return fmt.Errorf("ledger: %s was written with shards=%d window=%d maxKeys=%d; config asks shards=%d window=%d maxKeys=%d (re-sharding history is not supported)",
+		what, got.Shards, got.WindowMinutes, got.MaxKeys, m.Shards, m.WindowMinutes, m.MaxKeys)
+}
+
+// metaFile is meta.json.
+type metaFile struct {
+	Version int `json:"version"`
+	Meta
+}
+
 // readMetaFile loads one meta.json. Read failures come back unwrapped so
 // os.IsNotExist still distinguishes a fresh directory from a broken one.
-func readMetaFile(path string) (ledgerMeta, error) {
+func readMetaFile(path string) (metaFile, error) {
+	var m metaFile
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return ledgerMeta{}, err
+		return m, err
 	}
-	var m ledgerMeta
 	if err := json.Unmarshal(data, &m); err != nil {
-		return ledgerMeta{}, fmt.Errorf("ledger: corrupt %s: %w", path, err)
+		return m, fmt.Errorf("ledger: corrupt %s: %w", path, err)
 	}
 	return m, nil
 }
 
+// ReadMeta reads a data directory's shape from its meta.json.
+func ReadMeta(dir string) (Meta, error) {
+	m, err := readMetaFile(filepath.Join(dir, "meta.json"))
+	return m.Meta, err
+}
+
 // openDurable wires persistence into a freshly constructed ledger: it
-// creates or validates the data directory, loads the latest valid snapshot,
-// replays the WAL tail (truncating a torn final record per shard), opens
+// creates or validates the data directory, rebuilds the ledger from the
+// latest valid snapshot and the WAL tail (truncating a torn final record per
+// shard) through restore/replay — the path a standby is built by — opens
 // every shard's active segment for append, and starts the background
 // syncer/snapshotter.
 func (l *Ledger) openDurable() error {
@@ -166,12 +191,11 @@ func (l *Ledger) openDurable() error {
 	}
 	removeTempFiles(dir)
 
-	meta := ledgerMeta{Version: 1, Shards: l.cfg.Shards, WindowMinutes: l.cfg.WindowMinutes, MaxKeys: l.cfg.MaxKeys}
+	meta := metaFile{Version: 1, Meta: l.meta()}
 	metaPath := filepath.Join(dir, "meta.json")
 	if got, err := readMetaFile(metaPath); err == nil {
 		if got != meta {
-			return fmt.Errorf("ledger: data dir %s was written with shards=%d window=%d maxKeys=%d; config asks shards=%d window=%d maxKeys=%d (re-sharding history is not supported)",
-				dir, got.Shards, got.WindowMinutes, got.MaxKeys, meta.Shards, meta.WindowMinutes, meta.MaxKeys)
+			return meta.mismatch("data dir "+dir, got.Meta)
 		}
 	} else if os.IsNotExist(err) {
 		data, merr := json.Marshal(meta)
@@ -195,13 +219,20 @@ func (l *Ledger) openDurable() error {
 	d.lastSnapErr.Store("")
 	d.lastSyncErr.Store("")
 
-	// --- latest valid snapshot -------------------------------------------
-	gens, err := listSnapshots(dir)
+	ls, err := ReadSizedListing(dir)
 	if err != nil {
 		return err
 	}
-	for i, gen := range gens {
-		doc, err := readSnapshot(snapshotPath(dir, gen), l.cfg.Shards, l.cfg.WindowMinutes, l.cfg.MaxKeys)
+
+	// --- latest valid snapshot -------------------------------------------
+	// With every snapshot invalid, SnapshotsSkipped ends at their count and
+	// Archive's full WAL history replays from empty.
+	for _, gen := range ls.snapshots {
+		data, err := os.ReadFile(snapshotPath(dir, gen))
+		var doc *snapshotDoc
+		if err == nil {
+			doc, err = parseSnapshot(data, snapshotName(gen), meta.Meta)
+		}
 		if err != nil {
 			// A committed snapshot should never be unreadable (it was
 			// fsynced before rename). Fall back to an older snapshot plus
@@ -211,31 +242,19 @@ func (l *Ledger) openDurable() error {
 			if !l.cfg.Archive {
 				return fmt.Errorf("ledger: snapshot %d unreadable and older history was compacted away (enable Archive to retain it): %w", gen, err)
 			}
-			d.recovery.SnapshotsSkipped = i + 1
+			d.recovery.SnapshotsSkipped++
 			continue
 		}
-		for si, sh := range l.shards {
-			restoreShard(sh, doc.ShardStates[si])
-		}
+		l.restore(doc)
 		d.gen = gen
 		d.recovery.SnapshotGen = gen
-		d.recovery.SnapshotsSkipped = i
 		d.recovery.Recovered = true
 		break
 	}
-	if d.recovery.SnapshotGen == 0 && len(gens) > 0 && !d.recovery.Recovered {
-		// Every snapshot was invalid; with Archive the full WAL history is
-		// still on disk, so replay everything from empty.
-		d.recovery.SnapshotsSkipped = len(gens)
-	}
 
 	// --- WAL tail replay --------------------------------------------------
-	segs, err := ListWALSegments(dir)
-	if err != nil {
-		return err
-	}
 	perShard := make(map[int][]SegmentInfo)
-	for _, seg := range segs {
+	for _, seg := range ls.Segments {
 		if seg.Shard < 0 || seg.Shard >= len(l.shards) {
 			return fmt.Errorf("ledger: segment %s names shard %d of %d", seg.Path, seg.Shard, len(l.shards))
 		}
@@ -263,19 +282,14 @@ func (l *Ledger) openDurable() error {
 					// history is gone.
 					return fmt.Errorf("ledger: segment %s is corrupt below the WAL tail: %v", seg.Path, derr)
 				}
-				info, serr := os.Stat(seg.Path)
-				if serr != nil {
-					return serr
-				}
 				if err := os.Truncate(seg.Path, off); err != nil {
 					return fmt.Errorf("ledger: truncating torn tail of %s: %w", seg.Path, err)
 				}
 				d.recovery.TornSegments++
-				d.recovery.TornBytesTruncated += info.Size() - off
+				d.recovery.TornBytesTruncated += seg.Size - off
 			}
 			for _, rec := range recs {
-				key := namespacedKey(rec.Entry)
-				sh.apply(rec.Entry, key, rec.Outcome, l.cfg.WindowMinutes)
+				l.replay(rec)
 			}
 			if len(recs) > 0 {
 				d.recovery.Recovered = true
@@ -311,14 +325,6 @@ func (l *Ledger) openDurable() error {
 	// is acknowledged into them.
 	syncDir(dir)
 	d.lastSnapGen.Store(d.recovery.SnapshotGen)
-
-	// The tenant cap's atomic is the sum of recovered accounts.
-	total := int64(0)
-	for _, sh := range l.shards {
-		//litmus:guarded-by recovery owns the unpublished ledger exclusively
-		total += int64(len(sh.accounts))
-	}
-	l.tenants.Store(total)
 
 	l.dur = d
 	d.start()

@@ -37,6 +37,15 @@
 // offset and proves it equal to a volatile ledger fed the surviving
 // records.
 //
+// The durable store has one description. Its shape is Meta (durable.go),
+// embedded in meta.json and in every snapshot document and served to
+// followers. Its state is the account and window types below, whose JSON
+// tags are the snapshot document's. Its directory is a Listing with one Find
+// verdict per segment (listing.go), which is also the replication source's
+// /cluster/segments body. And a ledger is rebuilt from bytes — crash
+// recovery, a standby's bootstrap, a standby's WAL tail — through one
+// restore/replay pair (replica.go).
+//
 // The ledger never prices anything. Callers quote through core.Pricer and
 // accrue the result, so aggregation cannot change a price.
 package ledger
@@ -114,9 +123,9 @@ type Config struct {
 	// automatic snapshots (Snapshot can still be called explicitly).
 	SnapshotEvery int
 	// Archive keeps WAL segments and snapshots that newer snapshots have
-	// superseded instead of deleting them: the data directory retains the
-	// full replayable accrual history (an audit trail), at the cost of
-	// unbounded growth.
+	// superseded instead of deleting them, at the cost of unbounded growth.
+	// No pricingd flag sets it: it is the crash harness's history retention
+	// (full-history replay, the fall-back to an older snapshot).
 	Archive bool
 }
 
@@ -168,20 +177,22 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// window accumulates one statement window of one account.
+// window accumulates one statement window of one account. The JSON tags are
+// the snapshot document's: the live state is the on-disk state, so capture
+// and restore copy it (see clone in snapshot.go) instead of translating it.
 type window struct {
-	invocations int64
-	commercial  float64
-	billed      float64
-	bills       map[string]float64
+	Invocations int64              `json:"invocations"`
+	Commercial  float64            `json:"commercial"`
+	Billed      float64            `json:"billed"`
+	Bills       map[string]float64 `json:"bills,omitempty"`
 }
 
-// account accumulates one tenant.
+// account accumulates one tenant; tagged like window.
 type account struct {
-	invocations int64
-	commercial  float64
-	billed      float64
-	windows     map[int]*window
+	Invocations int64           `json:"invocations"`
+	Commercial  float64         `json:"commercial"`
+	Billed      float64         `json:"billed"`
+	Windows     map[int]*window `json:"windows,omitempty"`
 }
 
 // Ledger is the concurrency-safe, lock-striped billing store. The zero
@@ -525,9 +536,9 @@ type Summary struct {
 func summarize(tenant string, a *account) Summary {
 	s := Summary{
 		Tenant:      tenant,
-		Invocations: a.invocations,
-		Commercial:  a.commercial,
-		Billed:      a.billed,
+		Invocations: a.Invocations,
+		Commercial:  a.Commercial,
+		Billed:      a.Billed,
 	}
 	if s.Commercial > 0 {
 		s.Discount = 1 - s.Billed/s.Commercial

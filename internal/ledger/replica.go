@@ -1,30 +1,54 @@
-// replica.go is the ledger's replication surface: the entry points a hot
-// standby uses to mirror a primary without re-deciding anything. A follower
-// bootstraps from the primary's latest snapshot (RestoreSnapshot), then
-// applies the primary's WAL frames in order (ApplyReplica). Both paths reuse
-// the exact state-transition code the primary itself runs — restoreShard and
-// shard.apply — so a fully caught-up standby is observably identical to the
-// primary, counters included (the cluster tests Diff the two).
+// replica.go is how a ledger is rebuilt from bytes another ledger wrote: a
+// snapshot document plus the (entry, outcome) records logged after it. There
+// is one unexported pair — restore replaces every shard's state with a
+// document's, replay applies one logged record — and three callers: crash
+// recovery (openDurable, reading its own data directory), a standby's
+// bootstrap (RestoreSnapshot) and a standby's WAL tail (ApplyReplica). A
+// recovered node and a promoted standby are therefore the same function of
+// the same bytes, counters included; the exported two add only what guards
+// input arriving from outside the process.
 //
-// Replication never re-decides outcomes: the WAL logs (entry, outcome)
-// pairs, and the standby applies the logged outcome. Re-deciding would
-// diverge on anything that depended on cross-shard state when the primary
-// decided it (the tenant cap) — the same reason crash recovery replays
-// outcomes.
+// Rebuilding never re-decides outcomes: the WAL logs (entry, outcome) pairs
+// and replay applies the logged outcome through shard.apply, the transition
+// the live accrual step runs. Re-deciding would diverge on anything that
+// depended on cross-shard state when the primary decided it (the tenant cap).
 package ledger
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-)
+import "fmt"
+
+// restore replaces every shard's state with doc's, each under its own lock,
+// and recounts the tenant cap's occupancy from what was loaded.
+func (l *Ledger) restore(doc *snapshotDoc) {
+	total := 0
+	for i, sh := range l.shards {
+		sh.mu.Lock()
+		sh.restoreFrom(doc.ShardStates[i])
+		total += len(sh.accounts)
+		sh.mu.Unlock()
+	}
+	l.tenants.Store(int64(total))
+}
+
+// replay applies one logged record: same shard routing, key namespacing and
+// state transition as the accrual step, minus everything that decides — no
+// validation, no cap check, no WAL append. The tenant count is mirrored, not
+// enforced: the ledger that logged the record already admitted this tenant,
+// so occupancy is recorded unconditionally (a standby configured with a
+// smaller MaxTenants reports over-cap occupancy via Stats after promotion)
+// and the cap is exact the moment the rebuilt ledger takes traffic.
+func (l *Ledger) replay(rec WALRecord) {
+	e := rec.Entry
+	sh := l.shardFor(e.Tenant)
+	sh.mu.Lock()
+	if rec.Outcome == Accrued && sh.accounts[e.Tenant] == nil {
+		l.tenants.Add(1)
+	}
+	sh.apply(e, namespacedKey(e), rec.Outcome, l.cfg.WindowMinutes)
+	sh.mu.Unlock()
+}
 
 // ApplyReplica applies one replicated WAL record to a volatile standby
-// ledger. It is the replication twin of Accrue: same shard routing, same
-// key namespacing, same state transition — but the outcome was decided by
-// the primary that logged the record, so no validation, cap check or WAL
-// append happens here. The global tenant count is still maintained, so the
-// cap is exact the moment the standby is promoted.
+// ledger (see replay).
 //
 // It refuses to run on a durable ledger: a standby writing its own WAL
 // would fork the replication history (promotion re-opens durability by
@@ -33,8 +57,7 @@ func (l *Ledger) ApplyReplica(rec WALRecord) error {
 	if l.dur != nil {
 		return fmt.Errorf("ledger: ApplyReplica on a durable ledger (standbys are volatile)")
 	}
-	e := rec.Entry
-	if e.Tenant == "" {
+	if rec.Entry.Tenant == "" {
 		// Accrue never acknowledges a tenantless entry, so a frame carrying
 		// one is corrupt upstream of the CRC — refuse rather than misroute.
 		return fmt.Errorf("ledger: replicated record has no tenant")
@@ -42,18 +65,7 @@ func (l *Ledger) ApplyReplica(rec WALRecord) error {
 	if rec.Outcome < Accrued || rec.Outcome > Dropped {
 		return fmt.Errorf("ledger: replicated record has unknown outcome %d", int(rec.Outcome))
 	}
-	sh := l.shardFor(e.Tenant)
-	key := namespacedKey(e)
-	sh.mu.Lock()
-	if rec.Outcome == Accrued && sh.accounts[e.Tenant] == nil {
-		// Mirror, don't decide: the primary already admitted this tenant, so
-		// the standby records the occupancy unconditionally — even a standby
-		// configured with a smaller MaxTenants must replicate faithfully (and
-		// will report over-cap occupancy via Stats after promotion).
-		l.tenants.Add(1)
-	}
-	sh.apply(e, key, rec.Outcome, l.cfg.WindowMinutes)
-	sh.mu.Unlock()
+	l.replay(rec)
 	return nil
 }
 
@@ -64,9 +76,9 @@ func (l *Ledger) ApplyReplica(rec WALRecord) error {
 // primary's compaction horizon restores the newest snapshot and tails the
 // segments with seq >= gen.
 //
-// The document's shape (shards, window, key budget) must match the
-// standby's configuration — restoring across a re-sharding would silently
-// change bills, exactly like opening a mismatched data directory.
+// The document's Meta must equal the standby's — restoring across a
+// re-sharding would silently change bills, exactly like opening a
+// mismatched data directory.
 //
 // Nil data resets the standby to empty at generation 0: the bootstrap path
 // when the primary has not snapshotted yet (replication then replays its
@@ -78,55 +90,10 @@ func (l *Ledger) RestoreSnapshot(data []byte) (uint64, error) {
 	doc := &snapshotDoc{ShardStates: make([]shardSnapshot, len(l.shards))}
 	if data != nil {
 		var err error
-		doc, err = parseSnapshot(data, "snapshot", len(l.shards), l.cfg.WindowMinutes, l.cfg.MaxKeys)
-		if err != nil {
+		if doc, err = parseSnapshot(data, "snapshot", l.meta()); err != nil {
 			return 0, err
 		}
 	}
-	total := int64(0)
-	for i, sh := range l.shards {
-		sh.mu.Lock()
-		restoreShard(sh, doc.ShardStates[i])
-		//litmus:guarded-by sh.mu is held
-		total += int64(len(sh.accounts))
-		sh.mu.Unlock()
-	}
-	l.tenants.Store(total)
+	l.restore(doc)
 	return doc.Gen, nil
-}
-
-// Meta is the exported view of a data directory's identity file: the config
-// axes that determine replay semantics. A follower fetches the primary's
-// Meta and builds its standby ledger with the same shape before applying
-// any frame.
-type Meta struct {
-	Shards        int `json:"shards"`
-	WindowMinutes int `json:"windowMinutes"`
-	MaxKeys       int `json:"maxKeys"`
-}
-
-// ReadMeta reads a data directory's meta.json.
-func ReadMeta(dir string) (Meta, error) {
-	m, err := readMetaFile(filepath.Join(dir, "meta.json"))
-	if err != nil {
-		return Meta{}, err
-	}
-	return Meta{Shards: m.Shards, WindowMinutes: m.WindowMinutes, MaxKeys: m.MaxKeys}, nil
-}
-
-// LatestSnapshot locates the newest readable snapshot file under dir,
-// returning its path and generation; ok is false when the directory holds
-// no valid snapshot (a young ledger — replication then starts at seq 0).
-func LatestSnapshot(dir string) (path string, gen uint64, ok bool, err error) {
-	gens, err := listSnapshots(dir)
-	if err != nil {
-		return "", 0, false, err
-	}
-	for _, g := range gens {
-		p := snapshotPath(dir, g)
-		if _, err := os.Stat(p); err == nil {
-			return p, g, true, nil
-		}
-	}
-	return "", 0, false, nil
 }

@@ -1,6 +1,7 @@
 package ledger_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,9 +98,10 @@ func TestRestoreSnapshotBootstrapsStandby(t *testing.T) {
 	post := ledgertest.Generate(43, ledgertest.GenConfig{Workers: 2, PerWorker: 60, Tenants: 10})
 	post.DriveSequential(primary)
 
-	path, gen, ok, err := ledger.LatestSnapshot(dir)
+	ls, err := ledger.ReadListing(dir)
+	path, gen, ok := ls.SnapshotPath, ls.SnapshotGen, ls.SnapshotPath != ""
 	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot = %q, %d, %v, %v", path, gen, ok, err)
+		t.Fatalf("ReadListing snapshot = %q, %d, %v, %v", path, gen, ok, err)
 	}
 	if gen == 0 {
 		t.Fatal("snapshot generation 0 after an explicit Snapshot")
@@ -176,11 +178,11 @@ func TestReplicaRefusals(t *testing.T) {
 	if err := other.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	path, _, ok, err := ledger.LatestSnapshot(other.Durability().Dir)
-	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot: %v ok=%v", err, ok)
+	ls, err := ledger.ReadListing(other.Durability().Dir)
+	if err != nil || ls.SnapshotPath == "" {
+		t.Fatalf("ReadListing: %v, snapshot %q", err, ls.SnapshotPath)
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(ls.SnapshotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +191,45 @@ func TestReplicaRefusals(t *testing.T) {
 	}
 	if err := other.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreSnapshotFillsOmittedMaps: omitempty drops empty maps from a
+// snapshot document (and a JSON null decodes to a nil account), yet a restored
+// shard's maps are never nil — replaying or accruing into the restored tenant
+// must bill it, not panic on a nil map.
+func TestRestoreSnapshotFillsOmittedMaps(t *testing.T) {
+	doc := fmt.Sprintf(`{"version":1,"gen":3,"takenUnix":1,"shards":1,"windowMinutes":1,"maxKeys":%d,
+		"shardStates":[{"accrued":2,"duplicates":0,"dropped":0,"keysEvicted":0,"accounts":{
+			"no-windows":{"invocations":1,"commercial":2,"billed":1},
+			"no-bills":{"invocations":1,"commercial":2,"billed":1,"windows":{"0":{"invocations":1,"commercial":2,"billed":1}}},
+			"null-account":null,
+			"null-window":{"invocations":0,"commercial":0,"billed":0,"windows":{"0":null}}}}]}`, ledger.DefaultMaxKeys)
+	standby, err := ledger.New(ledger.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen, err := standby.RestoreSnapshot([]byte(doc)); err != nil || gen != 3 {
+		t.Fatalf("RestoreSnapshot = %d, %v", gen, err)
+	}
+	for _, tenant := range []string{"no-windows", "no-bills", "null-account", "null-window"} {
+		before, ok := standby.Summary(tenant)
+		if !ok {
+			t.Fatalf("tenant %q not restored", tenant)
+		}
+		e := ledger.Entry{Tenant: tenant, Pricer: "litmus", Commercial: 2, Price: 1}
+		if err := standby.ApplyReplica(ledger.WALRecord{Entry: e}); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := standby.Accrue(e); err != nil || out != ledger.Accrued {
+			t.Fatalf("Accrue(%q) = %v, %v", tenant, out, err)
+		}
+		if after, _ := standby.Summary(tenant); after.Invocations != before.Invocations+2 {
+			t.Errorf("tenant %q: invocations %d -> %d, want +2", tenant, before.Invocations, after.Invocations)
+		}
+		if st, _ := standby.Statement(tenant, 0, -1); len(st.Lines) != 1 || st.Lines[0].Bills["litmus"] != 2 {
+			t.Errorf("tenant %q: statement %+v", tenant, st)
+		}
 	}
 }
 

@@ -46,12 +46,12 @@ func newShard(maxKeys int) *shard {
 
 // apply mutates the shard for one decided (entry, outcome) pair: counters
 // for Duplicate/Dropped, the full account/key/window update for Accrued. It
-// is the single state-transition function shared by the live Accrue path
-// and WAL replay, so a recovered shard is bit-identical to the shard that
-// logged the records. Callers hold mu (live) or own the ledger exclusively
-// (recovery).
+// is the single state-transition function shared by the live accrual step
+// (accrueLocked) and the replay step (Ledger.replay), so a recovered or
+// replicated shard is bit-identical to the shard that logged the records.
+// Callers hold mu.
 //
-//litmus:guarded-by caller holds mu, or recovery owns the ledger exclusively
+//litmus:guarded-by caller holds mu
 func (sh *shard) apply(e Entry, key string, outcome Outcome, windowMinutes int) {
 	switch outcome {
 	case Duplicate:
@@ -63,7 +63,7 @@ func (sh *shard) apply(e Entry, key string, outcome Outcome, windowMinutes int) 
 	}
 	acct := sh.accounts[e.Tenant]
 	if acct == nil {
-		acct = &account{windows: make(map[int]*window)}
+		acct = &account{Windows: make(map[int]*window)}
 		sh.accounts[e.Tenant] = acct
 		sh.insertName(e.Tenant)
 	}
@@ -83,18 +83,18 @@ func (sh *shard) apply(e Entry, key string, outcome Outcome, windowMinutes int) 
 		}
 	}
 	widx := e.Minute / windowMinutes
-	w := acct.windows[widx]
+	w := acct.Windows[widx]
 	if w == nil {
-		w = &window{bills: make(map[string]float64)}
-		acct.windows[widx] = w
+		w = &window{Bills: make(map[string]float64)}
+		acct.Windows[widx] = w
 	}
-	acct.invocations++
-	acct.commercial += e.Commercial
-	acct.billed += e.Price
-	w.invocations++
-	w.commercial += e.Commercial
-	w.billed += e.Price
-	w.bills[e.Pricer] += e.Price
+	acct.Invocations++
+	acct.Commercial += e.Commercial
+	acct.Billed += e.Price
+	w.Invocations++
+	w.Commercial += e.Commercial
+	w.Billed += e.Price
+	w.Bills[e.Pricer] += e.Price
 	sh.accrued++
 }
 
@@ -156,8 +156,8 @@ func (sh *shard) statement(tenant string, fromMinute, toMinute, windowMinutes in
 		FromMinute:    fromMinute,
 		ToMinute:      toMinute,
 	}
-	widxs := make([]int, 0, len(a.windows))
-	for widx := range a.windows {
+	widxs := make([]int, 0, len(a.Windows))
+	for widx := range a.Windows {
 		start := widx * windowMinutes
 		end := start + windowMinutes - 1
 		if end < fromMinute || (toMinute >= 0 && start > toMinute) {
@@ -168,22 +168,22 @@ func (sh *shard) statement(tenant string, fromMinute, toMinute, windowMinutes in
 	sort.Ints(widxs)
 	st.Lines = make([]Line, 0, len(widxs))
 	for _, widx := range widxs {
-		w := a.windows[widx]
-		bills := make(map[string]float64, len(w.bills))
-		for pricer, v := range w.bills {
+		w := a.Windows[widx]
+		bills := make(map[string]float64, len(w.Bills))
+		for pricer, v := range w.Bills {
 			bills[pricer] = v
 		}
 		st.Lines = append(st.Lines, Line{
 			Window:      widx,
 			StartMinute: widx * windowMinutes,
-			Invocations: w.invocations,
-			Commercial:  w.commercial,
-			Billed:      w.billed,
+			Invocations: w.Invocations,
+			Commercial:  w.Commercial,
+			Billed:      w.Billed,
 			Bills:       bills,
 		})
-		st.Invocations += w.invocations
-		st.Commercial += w.commercial
-		st.Billed += w.billed
+		st.Invocations += w.Invocations
+		st.Commercial += w.Commercial
+		st.Billed += w.Billed
 	}
 	if st.Commercial > 0 {
 		st.Discount = 1 - st.Billed/st.Commercial
@@ -200,8 +200,8 @@ func (sh *shard) windowStats(tenant string, lastN, windowMinutes int) ([]Line, b
 	if !ok {
 		return nil, false
 	}
-	widxs := make([]int, 0, len(a.windows))
-	for widx := range a.windows {
+	widxs := make([]int, 0, len(a.Windows))
+	for widx := range a.Windows {
 		widxs = append(widxs, widx)
 	}
 	sort.Ints(widxs)
@@ -210,13 +210,13 @@ func (sh *shard) windowStats(tenant string, lastN, windowMinutes int) ([]Line, b
 	}
 	stats := make([]Line, 0, len(widxs))
 	for _, widx := range widxs {
-		w := a.windows[widx]
+		w := a.Windows[widx]
 		stats = append(stats, Line{
 			Window:      widx,
 			StartMinute: widx * windowMinutes,
-			Invocations: w.invocations,
-			Commercial:  w.commercial,
-			Billed:      w.billed,
+			Invocations: w.Invocations,
+			Commercial:  w.Commercial,
+			Billed:      w.Billed,
 		})
 	}
 	return stats, true

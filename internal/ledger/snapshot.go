@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
+	"time"
 )
 
 // Snapshot files are JSON documents named snapshot-<gen>.json, written
@@ -19,12 +19,10 @@ import (
 
 // snapshotDoc is the on-disk snapshot document.
 type snapshotDoc struct {
-	Version       int    `json:"version"`
-	Gen           uint64 `json:"gen"`
-	TakenUnix     int64  `json:"takenUnix"`
-	Shards        int    `json:"shards"`
-	WindowMinutes int    `json:"windowMinutes"`
-	MaxKeys       int    `json:"maxKeys"`
+	Version   int    `json:"version"`
+	Gen       uint64 `json:"gen"`
+	TakenUnix int64  `json:"takenUnix"`
+	Meta
 	// ShardStates holds one entry per lock stripe, in shard order.
 	ShardStates []shardSnapshot `json:"shardStates"`
 }
@@ -37,88 +35,58 @@ type shardSnapshot struct {
 	// Keys is the idempotency-key FIFO in eviction order (namespaced
 	// tenant\x00key strings), so recovery restores not just which keys
 	// dedup but which ones age out next.
-	Keys     []string                   `json:"keys,omitempty"`
-	Accounts map[string]accountSnapshot `json:"accounts,omitempty"`
+	Keys     []string            `json:"keys,omitempty"`
+	Accounts map[string]*account `json:"accounts,omitempty"`
 }
 
-type accountSnapshot struct {
-	Invocations int64                  `json:"invocations"`
-	Commercial  float64                `json:"commercial"`
-	Billed      float64                `json:"billed"`
-	Windows     map[int]windowSnapshot `json:"windows,omitempty"`
-}
-
-type windowSnapshot struct {
-	Invocations int64              `json:"invocations"`
-	Commercial  float64            `json:"commercial"`
-	Billed      float64            `json:"billed"`
-	Bills       map[string]float64 `json:"bills,omitempty"`
-}
-
-func snapshotPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snapshot-%08d.json", gen))
-}
-
-// listSnapshots returns the data directory's snapshot generations in
-// descending order.
-func listSnapshots(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+// clone deep-copies an account — the one copy between a shard's live state
+// and a snapshot document, in either direction. The maps it returns are
+// never nil, whatever a decoded document left out (omitempty drops empty
+// maps, and a JSON null decodes to a nil account or window).
+func (a *account) clone() *account {
+	var c account
+	if a != nil {
+		c = *a
 	}
-	var gens []uint64
-	for _, e := range entries {
-		var gen uint64
-		if n, err := fmt.Sscanf(e.Name(), "snapshot-%d.json", &gen); n == 1 && err == nil {
-			gens = append(gens, gen)
+	windows := c.Windows
+	c.Windows = make(map[int]*window, len(windows))
+	for widx, w := range windows {
+		var cw window
+		if w != nil {
+			cw = *w
 		}
+		bills := cw.Bills
+		cw.Bills = make(map[string]float64, len(bills))
+		for pricer, v := range bills {
+			cw.Bills[pricer] = v
+		}
+		c.Windows[widx] = &cw
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	return gens, nil
+	return &c
 }
 
-// captureShard serialises one shard's state; callers hold sh.mu.
+// capture serialises the shard's state; callers hold mu.
 //
 //litmus:guarded-by caller holds sh.mu
-func captureShard(sh *shard) shardSnapshot {
+func (sh *shard) capture() shardSnapshot {
 	ss := shardSnapshot{
 		Accrued:     sh.accrued,
 		Duplicates:  sh.duplicates,
 		Dropped:     sh.dropped,
 		KeysEvicted: sh.keysEvicted,
 		Keys:        append([]string(nil), sh.keyq...),
-		Accounts:    make(map[string]accountSnapshot, len(sh.accounts)),
+		Accounts:    make(map[string]*account, len(sh.accounts)),
 	}
 	for name, a := range sh.accounts {
-		as := accountSnapshot{
-			Invocations: a.invocations,
-			Commercial:  a.commercial,
-			Billed:      a.billed,
-			Windows:     make(map[int]windowSnapshot, len(a.windows)),
-		}
-		for widx, w := range a.windows {
-			ws := windowSnapshot{
-				Invocations: w.invocations,
-				Commercial:  w.commercial,
-				Billed:      w.billed,
-				Bills:       make(map[string]float64, len(w.bills)),
-			}
-			for pricer, v := range w.bills {
-				ws.Bills[pricer] = v
-			}
-			as.Windows[widx] = ws
-		}
-		ss.Accounts[name] = as
+		ss.Accounts[name] = a.clone()
 	}
 	return ss
 }
 
-// restoreShard rebuilds one shard from its snapshot. Callers either own the
-// ledger exclusively (recovery, before it is published) or hold sh.mu (a
-// standby re-bootstrapping via RestoreSnapshot).
+// restoreFrom replaces the shard's state with a snapshot's; callers hold mu.
 //
-//litmus:guarded-by caller holds sh.mu, or recovery owns the unpublished ledger exclusively
-func restoreShard(sh *shard, ss shardSnapshot) {
+//litmus:guarded-by caller holds sh.mu
+func (sh *shard) restoreFrom(ss shardSnapshot) {
 	sh.accrued = ss.Accrued
 	sh.duplicates = ss.Duplicates
 	sh.dropped = ss.Dropped
@@ -130,45 +98,17 @@ func restoreShard(sh *shard, ss shardSnapshot) {
 	}
 	sh.accounts = make(map[string]*account, len(ss.Accounts))
 	sh.names = sh.names[:0]
-	for name, as := range ss.Accounts {
-		a := &account{
-			invocations: as.Invocations,
-			commercial:  as.Commercial,
-			billed:      as.Billed,
-			windows:     make(map[int]*window, len(as.Windows)),
-		}
-		for widx, ws := range as.Windows {
-			w := &window{
-				invocations: ws.Invocations,
-				commercial:  ws.Commercial,
-				billed:      ws.Billed,
-				bills:       make(map[string]float64, len(ws.Bills)),
-			}
-			for pricer, v := range ws.Bills {
-				w.bills[pricer] = v
-			}
-			a.windows[widx] = w
-		}
-		sh.accounts[name] = a
+	for name, a := range ss.Accounts {
+		sh.accounts[name] = a.clone()
 		sh.names = append(sh.names, name)
 	}
 	sort.Strings(sh.names)
 }
 
-// readSnapshot loads and validates one snapshot file against the ledger's
-// shape.
-func readSnapshot(path string, shards, windowMinutes, maxKeys int) (*snapshotDoc, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return parseSnapshot(data, filepath.Base(path), shards, windowMinutes, maxKeys)
-}
-
-// parseSnapshot decodes and validates one snapshot document against the
+// parseSnapshot decodes one snapshot document and validates it against the
 // ledger's shape; name labels errors (a file name, or the transfer source
 // when the bytes arrived over replication).
-func parseSnapshot(data []byte, name string, shards, windowMinutes, maxKeys int) (*snapshotDoc, error) {
+func parseSnapshot(data []byte, name string, want Meta) (*snapshotDoc, error) {
 	var doc snapshotDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", name, err)
@@ -176,13 +116,11 @@ func parseSnapshot(data []byte, name string, shards, windowMinutes, maxKeys int)
 	if doc.Version != 1 {
 		return nil, fmt.Errorf("%s: unknown snapshot version %d", name, doc.Version)
 	}
-	if doc.Shards != shards || len(doc.ShardStates) != shards {
-		return nil, fmt.Errorf("%s: snapshot has %d shards (%d states), ledger has %d",
-			name, doc.Shards, len(doc.ShardStates), shards)
+	if doc.Meta != want {
+		return nil, want.mismatch(name, doc.Meta)
 	}
-	if doc.WindowMinutes != windowMinutes || doc.MaxKeys != maxKeys {
-		return nil, fmt.Errorf("%s: snapshot window/keys (%d, %d) mismatch config (%d, %d)",
-			name, doc.WindowMinutes, doc.MaxKeys, windowMinutes, maxKeys)
+	if len(doc.ShardStates) != want.Shards {
+		return nil, fmt.Errorf("%s: snapshot holds %d shard states, its header says %d", name, len(doc.ShardStates), want.Shards)
 	}
 	return &doc, nil
 }
@@ -218,13 +156,11 @@ func (l *Ledger) Snapshot() error {
 	// of once per SnapshotEvery.
 	d.sinceSnap.Store(0)
 	doc := snapshotDoc{
-		Version:       1,
-		Gen:           gen,
-		TakenUnix:     nowUnix(),
-		Shards:        len(l.shards),
-		WindowMinutes: l.cfg.WindowMinutes,
-		MaxKeys:       l.cfg.MaxKeys,
-		ShardStates:   make([]shardSnapshot, len(l.shards)),
+		Version:     1,
+		Gen:         gen,
+		TakenUnix:   time.Now().Unix(),
+		Meta:        l.meta(),
+		ShardStates: make([]shardSnapshot, len(l.shards)),
 	}
 	// covered[i] holds the segments shard i's rotation superseded. On any
 	// failure after a rotation they are handed back to their walFile: the
@@ -239,7 +175,7 @@ func (l *Ledger) Snapshot() error {
 	}
 	for i, sh := range l.shards {
 		sh.mu.Lock()
-		ss := captureShard(sh)
+		ss := sh.capture()
 		// Rotating under the shard lock is the snapshot's consistency
 		// point: the captured state and the segment boundary agree exactly.
 		//litmus:sync-under-lock-ok snapshot consistency point; rotation must exclude appends on this shard
@@ -269,8 +205,8 @@ func (l *Ledger) Snapshot() error {
 		for _, paths := range covered {
 			removeAll(paths)
 		}
-		if gens, err := listSnapshots(d.dir); err == nil {
-			for _, g := range gens {
+		if ls, err := ReadListing(d.dir); err == nil {
+			for _, g := range ls.snapshots {
 				if g < gen {
 					_ = os.Remove(snapshotPath(d.dir, g))
 				}

@@ -7,10 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/frame"
 )
@@ -187,43 +185,6 @@ func DecodeWALFile(path string) ([]WALRecord, int64, error) {
 		return nil, 0, err
 	}
 	return DecodeWAL(data)
-}
-
-// SegmentInfo locates one on-disk WAL segment: shard is the lock stripe the
-// segment belongs to, seq its rotation sequence (a snapshot at generation G
-// covers every segment with Seq < G).
-type SegmentInfo struct {
-	Shard int
-	Seq   uint64
-	Path  string
-}
-
-// ListWALSegments lists a data directory's WAL segments sorted by
-// (shard, seq). Non-segment files are ignored.
-func ListWALSegments(dir string) ([]SegmentInfo, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []SegmentInfo
-	for _, e := range entries {
-		var shard int
-		var seq uint64
-		if n, err := fmt.Sscanf(e.Name(), "wal-%d-%d.log", &shard, &seq); n == 2 && err == nil {
-			segs = append(segs, SegmentInfo{Shard: shard, Seq: seq, Path: filepath.Join(dir, e.Name())})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].Shard != segs[j].Shard {
-			return segs[i].Shard < segs[j].Shard
-		}
-		return segs[i].Seq < segs[j].Seq
-	})
-	return segs, nil
-}
-
-func segmentPath(dir string, shard int, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%04d-%08d.log", shard, seq))
 }
 
 // walFile is one shard's append-only log. Appends run under the shard lock
@@ -457,6 +418,3 @@ func removeTempFiles(dir string) {
 		return nil
 	})
 }
-
-// nowUnix is a test seam for snapshot timestamps.
-var nowUnix = func() int64 { return time.Now().Unix() }
