@@ -78,6 +78,30 @@ func TestRunJSONConsistent(t *testing.T) {
 	}
 }
 
+// TestRunCostFeedbackPoliciesRoute pins that every name in -policy does what
+// it says: on a churned fleet the two cost-feedback policies route on the
+// Litmus price signal, so neither prints what least-loaded prints. (They did,
+// byte for byte, while nothing handed the fleet a pricer.)
+func TestRunCostFeedbackPoliciesRoute(t *testing.T) {
+	output := func(policy string) string {
+		var out, errw bytes.Buffer
+		o := smallOptions()
+		o.machines, o.tenants, o.minutes, o.churn = 3, 3, 3, 6
+		o.format = "csv"
+		o.policy = policy
+		if err := run(&out, &errw, o); err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		return out.String()
+	}
+	base := output("least-loaded")
+	for _, policy := range []string{"cheapest-projected-bill", "congestion-avoiding"} {
+		if output(policy) == base {
+			t.Errorf("-policy %s prints exactly what -policy least-loaded prints:\n%s", policy, base)
+		}
+	}
+}
+
 func TestRunWriteAndReplayTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.csv")

@@ -34,6 +34,17 @@ func TestStandaloneCleanPackage(t *testing.T) {
 	}
 }
 
+// Tests on is the default and the documented form. internal/ledger has an
+// external test beside a dependent (ledgertest) go list recompiles against
+// the test variant, so it is where variant names would break type-checking.
+func TestStandaloneWithTests(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := litmusvet.Main([]string{"../../internal/ledger"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+}
+
 func TestVersionFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := litmusvet.Main([]string{"-V=full"}, &stdout, &stderr); code != 0 {

@@ -1,50 +1,36 @@
-// Command pricingd serves Litmus price quotes over HTTP via the reusable
-// internal/api service layer.
+// Command pricingd serves Litmus price quotes and bills over HTTP: the
+// internal/api service layer behind a listener. The endpoints, their wire
+// shapes and the error envelope are documented once, in package api's
+// comment (and tabulated in the README); this comment names the modes the
+// daemon runs in and the flags that select them.
 //
-// It loads calibration tables (produced by cmd/litmuscalib) or calibrates a
-// simulated machine at startup. With -data-dir the billing ledger is
-// durable — accruals are write-ahead-logged (-fsync always|interval|never)
-// and snapshot-compacted (-snapshot-every), and a restarted daemon recovers
-// the exact pre-crash statements; SIGTERM drains and flushes before exit.
-// It serves:
+// Node (the default). Loads calibration tables (-tables, from
+// cmd/litmuscalib) or calibrates a simulated machine at startup (-scale,
+// -seed; -share-per-core also measures the temporal-sharing curve for
+// litmus-method1), then prices and bills locally. The ledger is shaped by
+// -shards, -window-min and -max-tenants; requests are bounded by -max-body;
+// -rate-base sets the flat per-MB-second rate. -admission-rate (with
+// -admission-burst, -admission-budget, -forecast-window) turns on
+// per-tenant admission control on /v3/usage.
 //
-//	GET  /healthz                     — liveness + ledger saturation counters
-//	POST /v2/quote                    — price one invocation (named pricer,
-//	                                    optional tenant ledger accrual)
-//	POST /v2/quotes                   — batch quoting
-//	GET  /v2/pricers                  — the named pricer registry
-//	GET  /v2/tenants/{tenant}/summary — per-tenant billing ledger
-//	POST /v3/usage                    — streaming usage ingest (NDJSON or
-//	                                    binary frames) with idempotent
-//	                                    retries; one serial loop per stream
-//	GET  /v3/tenants                  — paginated, sorted tenant listing
-//	GET  /v3/tenants/{tenant}/statement — windowed per-tenant bill
-//	GET  /v3/tenants/{tenant}/forecast — admission forecast (with
-//	                                    -admission-rate)
-//	GET|PUT /v3/tables                — read / hot-swap the versioned tables
-//	                                    (ETag; If-Match guards the swap,
-//	                                    absent swaps unconditionally)
-//
-// With -data-dir the node is also a replication primary: its WAL and
-// snapshots are served to hot standbys under /cluster/ (see
-// internal/cluster). Two further modes scale past one process:
+// Durable node: -data-dir. Accruals are write-ahead-logged (-fsync
+// always|interval|never) and snapshot-compacted (-snapshot-every), a
+// restarted daemon recovers the exact pre-crash statements, and SIGTERM
+// drains and flushes before exit. A durable node is also a replication
+// primary: its WAL and snapshots are served to hot standbys under
+// /cluster/ (see internal/cluster.Source).
 //
 //	pricingd -cluster http://n0:8080,http://n1:8080   # thin router over a
 //	         consistent-hash ring of pricingd nodes (tenants partition by
-//	         ring owner; listings merge-paginate; tables broadcast)
+//	         ring owner; listings merge-paginate; tables broadcast); see
+//	         internal/cluster.Router for what differs from a node
 //	pricingd -follow http://primary:8080              # hot standby: tails
-//	         the primary's WAL into a write-gated replica, POST
-//	         /cluster/promote (or -auto-promote) takes over after a failure
+//	         the primary's WAL into a write-gated replica; POST
+//	         /cluster/promote (or -auto-promote with -probe-interval,
+//	         -probe-failures) takes over after a failure
 //
-// A quote request carries exactly what a real agent would read from perf:
-// the billed T_private/T_shared, the sandbox memory size, and the Litmus
-// probe readings from the function's startup:
-//
-//	{
-//	  "abbr": "pager-py", "language": "py", "memoryMB": 512,
-//	  "tPrivate": 0.0810, "tShared": 0.0205,
-//	  "probe": {"tPrivate": 0.0061, "tShared": 0.0016, "machineL3Misses": 1.2e6}
-//	}
+// -addr is the listen address in every mode; -version prints the build
+// identity and exits.
 package main
 
 import (

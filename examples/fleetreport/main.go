@@ -72,12 +72,12 @@ func main() {
 				Platform:   pcfg,
 				Policy:     policy,
 				ChurnCount: 8, // congested machines: the Litmus discounts bite
-				// The cost-feedback policies route on this price signal;
-				// the others ignore it.
-				FeedbackPricer: litmus.NewLitmusPricer(models, 1),
 			},
 			arrivals,
 			litmus.FleetMeterConfig{
+				// The cost-feedback policies route on the Litmus pricer's
+				// quotes (the first non-commercial pricer); the others
+				// ignore them.
 				Pricers: []litmus.Pricer{
 					litmus.NewCommercialPricer(1),
 					litmus.NewLitmusPricer(models, 1),

@@ -73,6 +73,25 @@ func (p *Pass) SuppressedAt(pos token.Pos, name string) bool {
 	return ok
 }
 
+// NamedType resolves t — itself, or its element when t is a pointer — to the
+// package path and name of the named type it is: the "which declared type
+// is this" question every analyzer asks of a receiver or a field. ok is
+// false for nil, for unnamed types and for universe types (error), which
+// belong to no package.
+func NamedType(t types.Type) (pkgPath, name string, ok bool) {
+	if t == nil {
+		return "", "", false
+	}
+	if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
+		t = p.Elem()
+	}
+	named, isNamed := t.(*types.Named)
+	if !isNamed || named.Obj().Pkg() == nil {
+		return "", "", false
+	}
+	return named.Obj().Pkg().Path(), named.Obj().Name(), true
+}
+
 // Inspect walks every file in the pass in depth-first order.
 func (p *Pass) Inspect(visit func(ast.Node) bool) {
 	for _, f := range p.Files {

@@ -95,28 +95,16 @@ func flaggable(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	if !ok || !returnsError(fn) {
 		return "", false
 	}
-	recv := pass.TypesInfo.TypeOf(sel.X)
-	if recv == nil {
-		return "", false
-	}
-	if p, ok := recv.Underlying().(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
+	pkgPath, recv, ok := analysis.NamedType(pass.TypesInfo.TypeOf(sel.X))
 	if !ok {
 		return "", false // interface or anonymous receiver: out of scope
 	}
-	tobj := named.Obj()
-	if tobj.Pkg() == nil {
-		return "", false
-	}
-	pkgPath := tobj.Pkg().Path()
-	osFile := pkgPath == "os" && tobj.Name() == "File"
+	osFile := pkgPath == "os" && recv == "File"
 	ours := pkgPath == modulePrefix || strings.HasPrefix(pkgPath, modulePrefix+"/")
 	if !osFile && !ours {
 		return "", false
 	}
-	return "(" + tobj.Name() + ")." + name, true
+	return "(" + recv + ")." + name, true
 }
 
 // returnsError reports whether fn's final result is error.

@@ -140,18 +140,8 @@ func calleeIn(pass *analysis.Pass, call *ast.CallExpr, set map[types.Object]bool
 }
 
 func isOSFile(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "os" && obj.Name() == "File"
+	pkg, name, _ := analysis.NamedType(t)
+	return pkg == "os" && name == "File"
 }
 
 func anyLock(held map[string]analysis.HeldLock) string {

@@ -9,8 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
@@ -131,17 +129,29 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 	exit := 0
 	for _, p := range pkgs {
-		findings, err := RunPackage(p.Fset, p.Files, p.Pkg, p.Info)
-		if err != nil {
-			fmt.Fprintf(stderr, "litmusvet: %s: %v\n", p.ImportPath, err)
-			return 2
-		}
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-			exit = 1
+		exit = max(exit, analyze(p, stdout, stderr))
+		if exit == 2 {
+			break
 		}
 	}
 	return exit
+}
+
+// analyze runs the suite over one package and prints its findings, one per
+// line, to out; it returns the exit code they earn (see Main).
+func analyze(p *load.Package, out, stderr io.Writer) int {
+	findings, err := RunPackage(p.Fset, p.Files, p.Pkg, p.Info)
+	if err != nil {
+		fmt.Fprintf(stderr, "litmusvet: %s: %v\n", p.ImportPath, err)
+		return 2
+	}
+	for _, f := range findings {
+		fmt.Fprintln(out, f)
+	}
+	if len(findings) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // printVersion implements -V=full: the output must change whenever the tool
@@ -171,16 +181,10 @@ func printVersion(w io.Writer) int {
 }
 
 // vetConfig mirrors the JSON compilation-unit description go vet writes
-// next to each package it checks.
+// next to each package it checks: the unit to type-check plus the protocol's
+// own switches.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
+	load.Unit
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -210,70 +214,13 @@ func runVetCfg(cfgPath string, stderr io.Writer) int {
 		return 0
 	}
 
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(stderr, "litmusvet: %v\n", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	base := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	conf := types.Config{
-		Importer: importerFunc(func(path string) (*types.Package, error) {
-			if mapped, ok := cfg.ImportMap[path]; ok {
-				path = mapped
-			}
-			return base.Import(path)
-		}),
-		GoVersion: cfg.GoVersion,
-		Error:     func(error) {},
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
+	p, err := cfg.Check()
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
 		}
-		fmt.Fprintf(stderr, "litmusvet: type-checking %s: %v\n", cfg.ImportPath, err)
+		fmt.Fprintf(stderr, "litmusvet: %v\n", err)
 		return 2
 	}
-	findings, err := RunPackage(fset, files, pkg, info)
-	if err != nil {
-		fmt.Fprintf(stderr, "litmusvet: %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	for _, f := range findings {
-		fmt.Fprintf(stderr, "%s: %s [%s]\n", f.Pos, f.Message, f.Analyzer)
-	}
-	if len(findings) > 0 {
-		return 1
-	}
-	return 0
+	return analyze(p, stderr, stderr)
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -17,6 +17,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -28,7 +29,6 @@ type Package struct {
 	// ImportPath is the go list identifier; test variants keep their
 	// bracketed suffix, e.g. "repro/internal/ledger [repro/internal/ledger.test]".
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Pkg        *types.Package
@@ -115,43 +115,103 @@ func Packages(dir string, tests bool, patterns ...string) ([]*Package, error) {
 		if variants[p.ImportPath] {
 			continue
 		}
-		pkg, err := check(p, exports)
+		// "p [q.test]" is go list's name for a test variant, given after the
+		// build: the export data inside still says "p", and a types.Package
+		// takes the path the importer is asked for. So the unit is described
+		// in canonical paths only — its own, and each import resolved to the
+		// bare path with the variant's export file laid over the plain one.
+		u := Unit{ImportPath: canonical(p.ImportPath), PackageFile: exports}
+		if len(p.ImportMap) > 0 {
+			u.ImportMap = make(map[string]string, len(p.ImportMap))
+			u.PackageFile = maps.Clone(exports)
+			for raw, mapped := range p.ImportMap {
+				path := canonical(mapped)
+				u.ImportMap[raw] = path
+				if file, ok := exports[mapped]; ok {
+					u.PackageFile[path] = file
+				} else {
+					delete(u.PackageFile, path) // never the plain build in a variant's place
+				}
+			}
+		}
+		for _, name := range p.GoFiles {
+			if !filepath.IsAbs(name) {
+				name = filepath.Join(p.Dir, name)
+			}
+			u.GoFiles = append(u.GoFiles, name)
+		}
+		pkg, err := u.Check()
 		if err != nil {
 			return nil, err
 		}
+		pkg.ImportPath = p.ImportPath
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
-// check parses and type-checks one go list unit against export data.
-func check(p *listPkg, exports map[string]string) (*Package, error) {
+// canonical strips go list's " [q.test]" variant suffix from an import path.
+func canonical(importPath string) string {
+	path, _, _ := strings.Cut(importPath, " ")
+	return path
+}
+
+// A Unit describes one compilation unit the way the go command does, in
+// `go list -export` output and in the .cfg file go vet hands a vettool —
+// the field names are that file's JSON keys.
+type Unit struct {
+	// ImportPath becomes the types.Package path.
+	ImportPath string
+	// GoFiles are the unit's sources, as absolute paths.
+	GoFiles []string
+	// ImportMap maps an import path as written in the sources to the
+	// canonical package path (vendoring); PackageFile maps a canonical path
+	// to its compiler export data — a test variant's, where the unit is
+	// built against one.
+	ImportMap   map[string]string
+	PackageFile map[string]string
+	// Compiler produced the export data (default "gc"); GoVersion is the
+	// unit's language version ("" selects the toolchain's).
+	Compiler  string
+	GoVersion string
+}
+
+// Check parses the unit's sources with comments and type-checks them
+// against the export data — the one set-up both litmusvet drivers
+// (standalone over go list, and go vet's -vettool) analyze.
+func (u Unit) Check() (*Package, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
-	for _, name := range p.GoFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(p.Dir, name)
-		}
+	for _, path := range u.GoFiles {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %v", path, err)
 		}
 		files = append(files, f)
 	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := p.ImportMap[path]; ok {
-			path = mapped
-		}
-		exp, ok := exports[path]
+	compiler := u.Compiler
+	if compiler == "" {
+		compiler = "gc"
+	}
+	// The importer names and caches a package by the path it is asked for,
+	// so the import map is applied in front of it and both it and the
+	// lookup see canonical paths only.
+	base := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
+		file, ok := u.PackageFile[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q (build the package first)", path)
 		}
-		return os.Open(exp)
-	}
+		return os.Open(file)
+	})
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "gc", lookup),
-		Error:    func(error) {}, // collect everything; first error reported below
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if mapped, ok := u.ImportMap[path]; ok {
+				path = mapped
+			}
+			return base.Import(path)
+		}),
+		GoVersion: u.GoVersion,
+		Error:     func(error) {}, // collect everything; first error reported below
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -161,19 +221,19 @@ func check(p *listPkg, exports map[string]string) (*Package, error) {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	// Strip the variant suffix for the types.Package path so Pkg.Path()
-	// matches what analyzers expect.
-	path, _, _ := strings.Cut(p.ImportPath, " ")
-	tpkg, err := conf.Check(path, fset, files, info)
+	tpkg, err := conf.Check(u.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+		return nil, fmt.Errorf("type-checking %s: %v", u.ImportPath, err)
 	}
 	return &Package{
-		ImportPath: p.ImportPath,
-		Dir:        p.Dir,
+		ImportPath: u.ImportPath,
 		Fset:       fset,
 		Files:      files,
 		Pkg:        tpkg,
 		Info:       info,
 	}, nil
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -115,7 +115,7 @@ func classify(pass *analysis.Pass, st *ast.StructType, under *types.Struct, name
 	hasMu := false
 	for i := 0; i < under.NumFields(); i++ {
 		f := under.Field(i)
-		if f.Name() == "mu" && isSyncType(f.Type(), "Mutex", "RWMutex") {
+		if f.Name() == "mu" && analysis.IsMutex(f.Type()) {
 			hasMu = true
 		}
 	}
@@ -152,35 +152,8 @@ func classify(pass *analysis.Pass, st *ast.StructType, under *types.Struct, name
 // are therefore exempt from mu: anything from sync or sync/atomic (directly
 // or behind one pointer).
 func selfSynchronised(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	pkg := named.Obj().Pkg()
-	return pkg != nil && (pkg.Path() == "sync" || pkg.Path() == "sync/atomic")
-}
-
-func isSyncType(t types.Type, names ...string) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	for _, n := range names {
-		if obj.Name() == n {
-			return true
-		}
-	}
-	return false
+	pkg, _, _ := analysis.NamedType(t)
+	return pkg == "sync" || pkg == "sync/atomic"
 }
 
 func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, structs map[*types.Struct]*guardedStruct) {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -349,7 +350,7 @@ func (w *lockWalker) lockOp(e ast.Expr) (string, HeldLock, lockOpKind) {
 	default:
 		return "", HeldLock{}, opNone
 	}
-	if !isMutexType(w.info.TypeOf(sel.X)) {
+	if !IsMutex(w.info.TypeOf(sel.X)) {
 		return "", HeldLock{}, opNone
 	}
 	path := RenderExpr(sel.X)
@@ -360,24 +361,11 @@ func (w *lockWalker) lockOp(e ast.Expr) (string, HeldLock, lockOpKind) {
 	return path, lock, kind
 }
 
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex (possibly via
-// a pointer).
-func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+// IsMutex reports whether t is sync.Mutex or sync.RWMutex (possibly via a
+// pointer).
+func IsMutex(t types.Type) bool {
+	pkg, name, _ := NamedType(t)
+	return pkg == "sync" && (name == "Mutex" || name == "RWMutex")
 }
 
 func isPanicCall(e ast.Expr) bool {
@@ -433,28 +421,6 @@ func fmtUnrenderable(b *strings.Builder, e ast.Expr) {
 	// Position-salted so two distinct unrenderable expressions never
 	// compare equal.
 	b.WriteString("⟨expr@")
-	b.WriteString(itoa(int(e.Pos())))
+	b.WriteString(strconv.Itoa(int(e.Pos())))
 	b.WriteString("⟩")
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

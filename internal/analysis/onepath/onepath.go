@@ -9,7 +9,8 @@
 //     subpackages — WAL replay and the differential/crash harnesses);
 //   - api.(*Server).bill, the one accrual funnel of the API: /v2 quotes
 //     bill one entry through it, the /v3 stream collector a batch, and the
-//     standby gate lives inside it;
+//     standby gate lives inside it — that method of that type in that
+//     package, not any function that happens to be called bill;
 //   - _test.go files, which exercise the ledger directly by design;
 //   - call sites annotated //litmus:allow-accrue <why> (none in the api
 //     package; the benchmark's stage replay carries some).
@@ -49,10 +50,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // ledgerPath is the package whose Accrue is protected; sanctionedFunc the
-// one function outside it allowed to bill; admissionPath the package for
-// which every escape hatch is closed.
+// one function outside it allowed to bill, a method of *sanctionedRecv in
+// apiPath; admissionPath the package for which every escape hatch is closed.
 const (
 	ledgerPath     = "repro/internal/ledger"
+	apiPath        = "repro/internal/api"
+	sanctionedRecv = "Server"
 	sanctionedFunc = "bill"
 	admissionPath  = "repro/internal/admission"
 )
@@ -80,7 +83,7 @@ func run(pass *analysis.Pass) error {
 			if _, ok := analysis.FuncDirective(fn, "allow-accrue"); ok && !denyAll {
 				continue
 			}
-			inSanctioned := fn.Name.Name == sanctionedFunc && !denyAll
+			inSanctioned := sanctioned(pass, fn) && !denyAll
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -125,6 +128,21 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// sanctioned reports whether fn is api.(*Server).bill. The package is matched
+// by admissionPkg's suffix rule so a golden copy can live under the
+// analyzer's testdata; a bill anywhere else — a free function, another
+// receiver, another package — is an ordinary caller.
+func sanctioned(pass *analysis.Pass, fn *ast.FuncDecl) bool {
+	p := pass.Pkg.Path()
+	if fn.Name.Name != sanctionedFunc || fn.Recv == nil || (p != apiPath && !strings.HasSuffix(p, "/internal/api")) {
+		return false
+	}
+	recv := pass.TypesInfo.TypeOf(fn.Recv.List[0].Type)
+	_, ptr := recv.(*types.Pointer)
+	_, name, _ := analysis.NamedType(recv)
+	return ptr && name == sanctionedRecv
+}
+
 // admissionPkg reports whether import path p is the admission subsystem or
 // nested under it. Matching the "internal/admission" path suffix rather
 // than admissionPath exactly lets the golden copy under the analyzer's
@@ -141,17 +159,6 @@ func admissionPkg(p string) bool {
 // isLedgerMethod reports whether sel selects the Accrue method of
 // repro/internal/ledger.Ledger.
 func isLedgerMethod(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	t := pass.TypesInfo.TypeOf(sel.X)
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Ledger" && obj.Pkg() != nil && obj.Pkg().Path() == ledgerPath
+	pkg, name, _ := analysis.NamedType(pass.TypesInfo.TypeOf(sel.X))
+	return pkg == ledgerPath && name == "Ledger"
 }

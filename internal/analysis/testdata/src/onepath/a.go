@@ -11,9 +11,11 @@ func sideDoorBatch(l *ledger.Ledger, e ledger.Entry, res []ledger.AccrualResult)
 	l.AccrueBatch([]ledger.Entry{e}, res) // want `ledger\.AccrueBatch outside the sanctioned pricing path`
 }
 
+// bill has the sanctioned funnel's NAME only: the sanction is
+// api.(*Server).bill (golden copy: ../internal/api), not any bill.
 func bill(l *ledger.Ledger, e ledger.Entry, rec ledger.WALRecord, res []ledger.AccrualResult) {
-	l.Accrue(e)                           // the sanctioned path is matched by name
-	l.AccrueBatch([]ledger.Entry{e}, res) // the batched form is sanctioned the same way
+	l.Accrue(e)                           // want `ledger\.Accrue outside the sanctioned pricing path`
+	l.AccrueBatch([]ledger.Entry{e}, res) // want `ledger\.AccrueBatch outside the sanctioned pricing path`
 	l.ApplyReplica(rec)                   // want `ledger\.ApplyReplica outside the replication path`
 }
 

@@ -246,10 +246,6 @@ type HealthResponse struct {
 // throttled first (capped).
 type AdmissionHealth = admission.Snapshot
 
-// TenantAdmissionHealth is one tenant's admission state: the live refill
-// rate, the forecaster's view, and the throttle counters.
-type TenantAdmissionHealth = admission.TenantForecast
-
 // ForecastResponse is the GET /v3/tenants/{tenant}/forecast body: the
 // admission controller's next-window prediction plus the ledger windows it
 // is grounded in.

@@ -17,8 +17,9 @@ import (
 type Client struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTPClient overrides the transport; nil means a shared client built
-	// on DefaultTransport (connection reuse sized for high-rate callers).
+	// HTTPClient issues every request. NewClient sets the one shared client
+	// built on DefaultTransport (connection reuse sized for high-rate
+	// callers); assign another to change the transport.
 	HTTPClient *http.Client
 	// Wire selects the encoding StreamUsage sends /v3/usage records in;
 	// the zero value is NDJSON, WireFrames the binary frame format. Either
@@ -67,10 +68,10 @@ func (f WireFormat) ContentType() string {
 
 // NewClient returns a client for the service at baseURL.
 func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
+	return &Client{BaseURL: strings.TrimRight(baseURL, "/"), HTTPClient: defaultHTTPClient}
 }
 
-// DefaultTransport returns the transport nil-HTTPClient clients use: the
+// DefaultTransport returns the transport NewClient's clients share: the
 // stdlib defaults with the idle pool sized for sustained concurrent load
 // against one service. http.DefaultTransport keeps only 2 idle conns per
 // host, so an open-loop generator hammering one pricingd closes and
@@ -85,16 +86,15 @@ func DefaultTransport() *http.Transport {
 	return t
 }
 
-// defaultHTTPClient backs every Client with a nil HTTPClient; sharing one
-// pool across clients is the point (conns are keyed per host anyway).
+// defaultHTTPClient is the HTTPClient NewClient hands out; sharing one pool
+// across clients is the point (conns are keyed per host anyway).
 var defaultHTTPClient = &http.Client{Transport: DefaultTransport()}
 
-// httpClient resolves the client to issue requests on.
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return defaultHTTPClient
+// Get performs GET path and decodes the 2xx JSON body into out (when
+// non-nil) — the round trip behind every typed read here, exported for
+// routes this package does not know (the follower's /cluster/*).
+func (c *Client) Get(ctx context.Context, path string, out any) error {
+	return c.do(ctx, http.MethodGet, path, nil, out)
 }
 
 // do performs one round trip: marshals in (when non-nil), decodes a 2xx
@@ -132,7 +132,7 @@ func (c *Client) doRaw(ctx context.Context, method, path string, headers map[str
 			req.Header.Set(k, v)
 		}
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.HTTPClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func (c *Client) doRaw(ctx context.Context, method, path string, headers map[str
 
 // Health checks the service's liveness endpoint.
 func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
+	return c.Get(ctx, "/healthz", nil)
 }
 
 // Quote prices one invocation (POST /v2/quote).
@@ -203,7 +203,7 @@ func (c *Client) QuoteBatch(ctx context.Context, reqs []QuoteRequest) ([]BatchIt
 // Pricers lists the service's named pricer registry (GET /v2/pricers).
 func (c *Client) Pricers(ctx context.Context) ([]PricerInfo, error) {
 	var infos []PricerInfo
-	err := c.do(ctx, http.MethodGet, "/v2/pricers", nil, &infos)
+	err := c.Get(ctx, "/v2/pricers", &infos)
 	return infos, err
 }
 
@@ -211,7 +211,7 @@ func (c *Client) Pricers(ctx context.Context) ([]PricerInfo, error) {
 // (GET /v2/tenants/{tenant}/summary).
 func (c *Client) TenantSummary(ctx context.Context, tenant string) (TenantSummary, error) {
 	var sum TenantSummary
-	err := c.do(ctx, http.MethodGet, "/v2/tenants/"+url.PathEscape(tenant)+"/summary", nil, &sum)
+	err := c.Get(ctx, "/v2/tenants/"+url.PathEscape(tenant)+"/summary", &sum)
 	return sum, err
 }
 
@@ -294,7 +294,7 @@ func (c *Client) StreamUsageBody(ctx context.Context, key, contentType string, b
 // the projection is grounded in. 404s when admission control is disabled.
 func (c *Client) Forecast(ctx context.Context, tenant string) (ForecastResponse, error) {
 	var fc ForecastResponse
-	err := c.do(ctx, http.MethodGet, "/v3/tenants/"+url.PathEscape(tenant)+"/forecast", nil, &fc)
+	err := c.Get(ctx, "/v3/tenants/"+url.PathEscape(tenant)+"/forecast", &fc)
 	return fc, err
 }
 
@@ -314,7 +314,7 @@ func (c *Client) Tenants(ctx context.Context, cursor string, limit int) (TenantP
 		path += "?" + q.Encode()
 	}
 	var page TenantPage
-	err := c.do(ctx, http.MethodGet, path, nil, &page)
+	err := c.Get(ctx, path, &page)
 	return page, err
 }
 
@@ -334,7 +334,7 @@ func (c *Client) Statement(ctx context.Context, tenant string, fromMinute, toMin
 		path += "?" + q.Encode()
 	}
 	var st StatementResponse
-	err := c.do(ctx, http.MethodGet, path, nil, &st)
+	err := c.Get(ctx, path, &st)
 	return st, err
 }
 

@@ -3,10 +3,10 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/ledger"
 )
 
 // Client is the ring-aware face of a partitioned cluster: it exposes the
@@ -135,37 +135,26 @@ func (c *Client) StreamUsage(ctx context.Context, key string, records []api.Usag
 	return *resp, nil
 }
 
-// Tenants fetches one page of the cluster-wide tenant listing by merging
-// the per-node sorted pages: each node reports its first `limit` tenants
-// past the cursor, the merge keeps the `limit` smallest, and the cursor
-// semantics match a single node's ledger (NextCursor = last returned tenant
-// when anything remains).
+// Tenants fetches one page of the cluster-wide tenant listing: each node
+// reports its first `limit` tenants past the cursor, and the merge a single
+// node's ledger runs over its shards (ledger.MergePages) runs over the
+// nodes' pages, so the page and the cursor are a single node's.
 func (c *Client) Tenants(ctx context.Context, cursor string, limit int) (api.TenantPage, error) {
 	if limit <= 0 {
 		limit = api.DefaultTenantPageLimit
 	}
 	limit = min(limit, api.MaxTenantPageLimit)
-	all := []api.TenantSummary{} // a node's empty page says [], never null
+	parts := make([][]api.TenantSummary, 0, len(c.nodes))
 	more := false
 	for _, n := range c.nodes {
 		page, err := c.clients[n.Name].Tenants(ctx, cursor, limit)
 		if err != nil {
 			return api.TenantPage{}, fmt.Errorf("cluster: listing tenants on %s: %w", n.Name, err)
 		}
-		all = append(all, page.Tenants...)
-		if page.NextCursor != "" {
-			more = true
-		}
+		parts = append(parts, page.Tenants)
+		more = more || page.NextCursor != ""
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Tenant < all[j].Tenant })
-	page := api.TenantPage{}
-	if len(all) > limit {
-		all = all[:limit]
-		more = true
-	}
-	page.Tenants = all
-	if more && len(all) > 0 {
-		page.NextCursor = all[len(all)-1].Tenant
-	}
+	var page api.TenantPage
+	page.Tenants, page.NextCursor = ledger.MergePages(parts, more, limit)
 	return page, nil
 }

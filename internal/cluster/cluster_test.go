@@ -467,6 +467,9 @@ func TestRouterPartialForwardFailure(t *testing.T) {
 // transport. N concurrent readers of one owner's statements, for several
 // rounds, must cost that owner at most N connections — http.DefaultClient
 // keeps two idle per host, so every round past the first would redial N-2.
+// And it is the transport the router's usage forwards ride: N concurrent
+// streams to the owner, then the reads, still cost it N connections — with a
+// pool per path the reads would dial N more.
 func TestRouterProxyReusesConnections(t *testing.T) {
 	srv, err := api.New(api.Config{Calibration: apitest.Calibration()})
 	if err != nil {
@@ -488,16 +491,26 @@ func TestRouterProxyReusesConnections(t *testing.T) {
 	router := httptest.NewServer(cluster.NewRouter(cc, cluster.RouterConfig{}))
 	t.Cleanup(router.Close)
 
-	resp, err := http.Post(router.URL+"/v3/usage", api.ContentTypeNDJSON, strings.NewReader(usageLine("acme", 512, 0, "k1")+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seeding usage: status %d", resp.StatusCode)
-	}
-
 	const readers, rounds = 8, 6
+	var seed sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		seed.Add(1)
+		go func(i int) {
+			defer seed.Done()
+			line := usageLine("acme", 512, 0, fmt.Sprintf("k%d", i)) + "\n"
+			resp, err := http.Post(router.URL+"/v3/usage", api.ContentTypeNDJSON, strings.NewReader(line))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("seeding usage: status %d", resp.StatusCode)
+			}
+		}(i)
+	}
+	seed.Wait()
+
 	before := dials.Load()
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
@@ -524,6 +537,10 @@ func TestRouterProxyReusesConnections(t *testing.T) {
 	if got := dials.Load() - before; got > readers+2 {
 		t.Errorf("%d proxied reads by %d concurrent readers opened %d connections to the owner, want at most %d",
 			readers*rounds, readers, got, readers+2)
+	}
+	if got := dials.Load(); got > readers+2 {
+		t.Errorf("%d forwarded streams then %d proxied reads, %d at a time, opened %d connections to the owner, want at most %d: forwards and reads do not share a pool",
+			readers, readers*rounds, readers, got, readers+2)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -31,12 +32,6 @@ type FollowerConfig struct {
 	// Poll is the pause between reconnect attempts when a stream ends or
 	// the primary is briefly unreachable (default 50ms).
 	Poll time.Duration
-	// Client is the HTTP client used against the primary (default: one over
-	// api.DefaultTransport, whose idle pool holds a connection per shard
-	// tailer — http.DefaultClient keeps two and redials the rest every pull).
-	// Streams are long-lived: a client with an overall request Timeout would
-	// cut tails short — prefer one without.
-	Client *http.Client
 }
 
 // tailPos is one shard's replication position: the next byte to pull is
@@ -63,8 +58,13 @@ type tailPos struct {
 // idempotent client replay (RunID#seq keys) that closes the unreplicated
 // tail.
 type Follower struct {
+	// client speaks to the primary. Its HTTPClient also carries the snapshot
+	// and WAL streams: api.DefaultTransport's idle pool holds a connection per
+	// shard tailer, and it sets no overall request Timeout, which would cut
+	// the long-lived tails short.
+	//
 	//litmus:unguarded immutable after NewFollower
-	primary string
+	client *api.Client
 	//litmus:unguarded immutable after NewFollower
 	cfg FollowerConfig
 	//litmus:unguarded set once by Bootstrap before Run/Ledger are called
@@ -85,17 +85,14 @@ func NewFollower(primary string, cfg FollowerConfig) *Follower {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 50 * time.Millisecond
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: api.DefaultTransport()}
-	}
-	return &Follower{primary: trimURL(primary), cfg: cfg, pos: map[int]*tailPos{}}
+	return &Follower{client: api.NewClient(primary), cfg: cfg, pos: map[int]*tailPos{}}
 }
 
 // Bootstrap fetches the primary's ledger shape and newest snapshot and
 // builds the standby ledger. It must complete before Run, Ledger or Promote.
 func (f *Follower) Bootstrap(ctx context.Context) error {
 	var meta ledger.Meta
-	if err := getJSON(ctx, f.cfg.Client, f.primary+"/cluster/meta", &meta); err != nil {
+	if err := f.client.Get(ctx, "/cluster/meta", &meta); err != nil {
 		return fmt.Errorf("cluster: fetching primary meta: %w", err)
 	}
 	led, err := ledger.New(ledger.Config{
@@ -139,11 +136,11 @@ func (f *Follower) resync(ctx context.Context) error {
 // fetchSnapshot pulls the primary's newest snapshot; ok is false when the
 // primary has none yet.
 func (f *Follower) fetchSnapshot(ctx context.Context) (data []byte, gen uint64, ok bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.primary+"/cluster/snapshot", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.client.BaseURL+"/cluster/snapshot", nil)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.HTTPClient.Do(req)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("cluster: fetching snapshot: %w", err)
 	}
@@ -153,7 +150,12 @@ func (f *Follower) fetchSnapshot(ctx context.Context) (data []byte, gen uint64, 
 		return nil, 0, false, nil
 	case http.StatusOK:
 	default:
-		return nil, 0, false, fmt.Errorf("cluster: fetching snapshot: %s", readError(resp))
+		// The source puts its reason in the body; a capped slice of it.
+		reason := resp.Status
+		if msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512)); len(bytes.TrimSpace(msg)) > 0 {
+			reason += ": " + string(bytes.TrimSpace(msg))
+		}
+		return nil, 0, false, fmt.Errorf("cluster: fetching snapshot: %s", reason)
 	}
 	if _, err := fmt.Sscanf(resp.Header.Get("X-Snapshot-Gen"), "%d", &gen); err != nil {
 		return nil, 0, false, fmt.Errorf("cluster: snapshot response has no generation header")
@@ -261,7 +263,7 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 		// held here — sealed segments never grow, so off >= size is stable.
 		if n == 0 && err == nil && status == http.StatusOK {
 			var list ledger.Listing
-			if getJSON(ctx, f.cfg.Client, f.primary+"/cluster/segments", &list) == nil {
+			if f.client.Get(ctx, "/cluster/segments", &list) == nil {
 				switch seg := list.Find(shard, pos.Seq); {
 				case seg.Gone:
 					// Compacted mid-tail — same as 410.
@@ -292,12 +294,12 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 //litmus:allow-accrue the WAL tail applies the primary's already-decided outcomes; nothing is re-priced
 func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[]byte) (consumed int64, status int, err error) {
 	u := fmt.Sprintf("%s/cluster/wal?shard=%d&seq=%d&off=%d",
-		f.primary, shard, pos.Seq, pos.Off+int64(len(*tail)))
+		f.client.BaseURL, shard, pos.Seq, pos.Off+int64(len(*tail)))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.HTTPClient.Do(req)
 	if err != nil {
 		return 0, 0, fmt.Errorf("cluster: pulling wal shard %d: %w", shard, err)
 	}
@@ -386,7 +388,7 @@ type FollowerStatus struct {
 func (f *Follower) Status() FollowerStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st := FollowerStatus{Primary: f.primary, Promoted: f.promoted}
+	st := FollowerStatus{Primary: f.client.BaseURL, Promoted: f.promoted}
 	if f.lastErr != nil {
 		st.LastErr = f.lastErr.Error()
 	}

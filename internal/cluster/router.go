@@ -14,21 +14,22 @@ import (
 )
 
 // Router is the server-side face of a partitioned cluster: a thin HTTP
-// front that speaks the single-node /v3 surface and forwards each request
-// to the owner node(s), so existing clients need no ring awareness at all
-// (`pricingd -cluster` serves one). It holds no ledger state — every bill
-// lives on an owner node — which is what keeps it thin enough to run
-// anywhere and restart freely.
+// front that speaks the single-node surface (package api documents it) and
+// forwards each request to the owner node(s), so existing clients need no
+// ring awareness at all (`pricingd -cluster` serves one). It holds no ledger
+// state — every bill lives on an owner node — which is what keeps it thin
+// enough to run anywhere and restart freely. What it does in a node's place:
 //
-//	POST /v3/usage                        read either wire format, scatter
-//	                                      records to owners, merge the
-//	                                      accounting
-//	GET  /v3/tenants                      merge-paginate the per-node pages
-//	GET  /v3/tenants/{tenant}/statement   proxy to the owner node
-//	GET  /v3/tenants/{tenant}/forecast    proxy to the owner node
-//	GET  /v2/tenants/{tenant}/summary     proxy to the owner node
-//	GET|PUT /v3/tables                    coordinator (+ broadcast on PUT)
-//	GET  /healthz                         aggregate node health
+//   - scatter: POST /v3/usage is read in either wire format, its records
+//     forwarded to their owners and the accounting merged;
+//   - merge: GET /v3/tenants merge-paginates the per-node pages;
+//   - proxy: the tenant-scoped reads (statement, forecast, /v2 summary) are
+//     relayed verbatim to the tenant's owner, GET /v3/tables to the
+//     coordinator (node 0);
+//   - broadcast: an accepted PUT /v3/tables goes to the coordinator, then
+//     to every other node;
+//   - GET /healthz aggregates the nodes' own probes; the /v2 quote routes
+//     and /v2/pricers are not served.
 //
 // The usage scatter (usageForward, the one Client.StreamUsage drives too)
 // preserves single-node billing semantics exactly: keys derive from
@@ -46,8 +47,6 @@ type Router struct {
 	cfg RouterConfig
 	//litmus:unguarded immutable after NewRouter
 	mux *http.ServeMux
-	//litmus:unguarded immutable after NewRouter
-	httpc *http.Client
 }
 
 // RouterConfig parameterises a Router; zero values select the defaults.
@@ -67,10 +66,6 @@ type RouterConfig struct {
 	// (the router-rejects-first contract; see TestRouterNodeLimitSkew).
 	MaxBodyBytes   int64
 	MaxStreamLines int
-	// Client is the HTTP client used for proxied calls (default: a client
-	// on api.DefaultTransport, whose per-owner idle pool lets concurrent
-	// readers reuse connections; http.DefaultClient keeps two).
-	Client *http.Client
 }
 
 // NewRouter builds the cluster front over client.
@@ -84,10 +79,7 @@ func NewRouter(client *Client, cfg RouterConfig) *Router {
 	if cfg.MaxStreamLines <= 0 {
 		cfg.MaxStreamLines = api.DefaultMaxStreamLines
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: api.DefaultTransport()}
-	}
-	rt := &Router{client: client, cfg: cfg, mux: http.NewServeMux(), httpc: cfg.Client}
+	rt := &Router{client: client, cfg: cfg, mux: http.NewServeMux()}
 	rt.mux.HandleFunc("/healthz", rt.handleHealth)
 	rt.mux.HandleFunc("/v3/usage", rt.handleUsage)
 	rt.mux.HandleFunc("/v3/tenants", rt.handleTenants)
@@ -381,9 +373,11 @@ func (rt *Router) proxyToOwner(w http.ResponseWriter, r *http.Request) {
 	rt.proxy(w, r, node)
 }
 
-// proxy relays one request to a node.
+// proxy relays one request to a node, on the connections of the node's
+// api.Client — the pool the usage forwards to that node already keep warm.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, node Node) {
-	u := node.URL + r.URL.Path
+	nc := rt.client.clients[node.Name]
+	u := nc.BaseURL + r.URL.Path
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
 	}
@@ -397,7 +391,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, node Node) {
 			req.Header.Set(h, v)
 		}
 	}
-	resp, err := rt.httpc.Do(req)
+	resp, err := nc.HTTPClient.Do(req)
 	if err != nil {
 		api.WriteError(w, http.StatusBadGateway, "forwarding to node %s: %v", node.Name, err)
 		return

@@ -5,8 +5,8 @@
 // It is the layer above one machine: internal/trace supplies timestamped
 // arrivals, a routing Policy spreads them over N independent
 // platform.Platform instances (stepped concurrently, one goroutine per
-// machine per quantum), and every completed invocation streams as a
-// MeteredRecord into the Meter — a channel-fed aggregator that prices each
+// machine per quantum), and between quanta every completed invocation is
+// handed as a MeteredRecord to the Meter — an aggregator that prices each
 // record through core.Pricer implementations side by side (commercial vs
 // Litmus) and windows the bills per tenant. Metering never changes a price:
 // each record is priced exactly as it would be one-by-one; the meter only
@@ -32,9 +32,9 @@ const (
 	// DefaultMemoryCapMB is the per-machine sandbox memory capacity the
 	// bin-packing policy packs against.
 	DefaultMemoryCapMB = 8192
-	// DefaultDrainSec bounds how long (simulated) the fleet keeps stepping
-	// after the last arrival before dropping unfinished invocations.
-	DefaultDrainSec = 30
+	// drainSec bounds how long (simulated) the fleet keeps stepping after the
+	// last arrival before dropping unfinished invocations.
+	drainSec = 30
 )
 
 // Config describes a fleet.
@@ -54,21 +54,9 @@ type Config struct {
 	// Policy routes arrivals to machines (default round-robin).
 	Policy Policy
 	// ChurnCount, when positive, maintains that many background catalog
-	// functions per machine (on ChurnThreads threads past the workers),
+	// functions per machine (on up to 8 of the threads past the workers),
 	// reproducing the paper's churned-environment congestion.
 	ChurnCount int
-	// ChurnThreads is the thread count the churn population spreads over
-	// (default min(8, threads left past the workers)).
-	ChurnThreads int
-	// DrainSec bounds the post-trace drain (default DefaultDrainSec).
-	DrainSec float64
-	// FeedbackPricer, when set, prices every completion on the coordinator
-	// between quanta and folds the quote into the machine's AvgPrice /
-	// AvgDiscount EWMAs for the cost-feedback policies
-	// (CheapestProjectedBill, CongestionAvoiding). Feedback only: these
-	// quotes are never billed — the Meter's pricers remain the sole billing
-	// path. Policies that ignore MachineState's price fields are unaffected.
-	FeedbackPricer core.Pricer
 }
 
 func (c *Config) setDefaults() {
@@ -81,16 +69,12 @@ func (c *Config) setDefaults() {
 	if c.Policy == nil {
 		c.Policy = &RoundRobin{}
 	}
-	if c.DrainSec == 0 {
-		c.DrainSec = DefaultDrainSec
-	}
-	if c.ChurnCount > 0 && c.ChurnThreads == 0 {
-		left := c.Platform.Machine.Topology.HWThreads() - c.WorkerThreads
-		if left > 8 {
-			left = 8
-		}
-		c.ChurnThreads = left
-	}
+}
+
+// churnThreads is the thread count the churn population spreads over: the
+// hardware threads left past the workers, at most 8.
+func (c Config) churnThreads() int {
+	return min(8, c.Platform.Machine.Topology.HWThreads()-c.WorkerThreads)
 }
 
 // Validate reports configuration errors (after defaulting).
@@ -104,22 +88,16 @@ func (c Config) Validate() error {
 	if c.WorkerThreads <= 0 {
 		return fmt.Errorf("fleet: worker threads must be positive")
 	}
-	total := c.Platform.Machine.Topology.HWThreads()
-	used := c.WorkerThreads
-	if c.ChurnCount > 0 {
-		if c.ChurnThreads <= 0 {
-			return fmt.Errorf("fleet: churn requires at least one churn thread")
-		}
-		used += c.ChurnThreads
+	if c.ChurnCount > 0 && c.churnThreads() <= 0 {
+		return fmt.Errorf("fleet: churn requires at least one churn thread")
 	}
-	if used > total {
-		return fmt.Errorf("fleet: %d worker + churn threads exceed the machine's %d hardware threads", used, total)
+	// Churn takes only threads the workers leave, so only the workers can
+	// overcommit the machine.
+	if total := c.Platform.Machine.Topology.HWThreads(); c.WorkerThreads > total {
+		return fmt.Errorf("fleet: %d worker threads exceed the machine's %d hardware threads", c.WorkerThreads, total)
 	}
 	if c.MemoryCapMB <= 0 {
 		return fmt.Errorf("fleet: memory capacity must be positive")
-	}
-	if c.DrainSec < 0 {
-		return fmt.Errorf("fleet: negative drain duration")
 	}
 	return nil
 }
@@ -168,8 +146,8 @@ type machineSim struct {
 	peakUsedMB   int
 	busySec      float64
 
-	// Cost-feedback EWMAs (Config.FeedbackPricer), updated only on the
-	// coordinator between quanta.
+	// Cost-feedback EWMAs (Fleet.feedback), updated only on the coordinator
+	// between quanta.
 	avgPrice    float64
 	avgDiscount float64
 	havePrice   bool
@@ -288,6 +266,15 @@ type Fleet struct {
 	cfg      Config
 	machines []*machineSim
 	specs    map[string]*workload.Spec
+
+	// feedback, when set (Simulate sets it to the meter's primary pricer),
+	// prices every completion on the coordinator between quanta and folds the
+	// quote into the machine's AvgPrice / AvgDiscount EWMAs for the
+	// cost-feedback policies (CheapestProjectedBill, CongestionAvoiding).
+	// Feedback only: these quotes are never billed — the Meter's pricers
+	// remain the sole billing path. Policies that ignore MachineState's
+	// price fields are unaffected.
+	feedback core.Pricer
 }
 
 // New builds a fleet from cfg.
@@ -311,23 +298,23 @@ func New(cfg Config) (*Fleet, error) {
 			inflight: make(map[int]*inflightInv),
 		}
 		if cfg.ChurnCount > 0 {
-			m.p.StartChurn(pool, cfg.ChurnCount, platform.Threads(cfg.WorkerThreads, cfg.ChurnThreads))
+			m.p.StartChurn(pool, cfg.ChurnCount, platform.Threads(cfg.WorkerThreads, cfg.churnThreads()))
 		}
 		f.machines = append(f.machines, m)
 	}
 	return f, nil
 }
 
-// Run replays arrivals across the fleet, streaming every completed
-// invocation into sink, and returns per-machine statistics. Machines are
-// stepped concurrently each quantum; dispatching and sink sends happen
-// between quanta from the coordinating goroutine, so sink consumers (the
-// Meter) run concurrently with the simulation. Run does not close sink.
+// Run replays arrivals across the fleet, handing every completed invocation
+// to sink, and returns per-machine statistics. Machines are stepped
+// concurrently each quantum; dispatching and sink calls happen between
+// quanta on the calling goroutine, so sink (the Meter's Observe) needs no
+// synchronisation.
 //
 // Arrivals naming unknown catalog functions fail the run before any
-// stepping. Invocations still unfinished DrainSec after the last arrival
+// stepping. Invocations still unfinished drainSec after the last arrival
 // are dropped (counted per machine).
-func (f *Fleet) Run(arrivals []trace.Arrival, sink chan<- MeteredRecord) (Result, error) {
+func (f *Fleet) Run(arrivals []trace.Arrival, sink func(MeteredRecord)) (Result, error) {
 	res := Result{Policy: f.cfg.Policy.Name()}
 	for _, a := range arrivals {
 		if _, ok := f.specs[a.Abbr]; !ok {
@@ -382,7 +369,7 @@ func (f *Fleet) Run(arrivals []trace.Arrival, sink chan<- MeteredRecord) (Result
 		if idx >= len(arrivals) && inflight == 0 {
 			break
 		}
-		if now > last+f.cfg.DrainSec {
+		if now > last+drainSec {
 			for _, m := range f.machines {
 				m.drop()
 			}
@@ -399,17 +386,17 @@ func (f *Fleet) Run(arrivals []trace.Arrival, sink chan<- MeteredRecord) (Result
 		}
 		wg.Wait()
 
-		// Stream completions to the meter, oldest machine first; the
+		// Hand completions to the meter, oldest machine first; the
 		// coordinator also prices each one for routing feedback here, while
 		// no machine goroutine is running.
 		for _, m := range f.machines {
 			for _, rec := range m.out {
-				if f.cfg.FeedbackPricer != nil {
-					if q, err := f.cfg.FeedbackPricer.Quote(core.UsageFromRecord(rec.Record)); err == nil {
+				if f.feedback != nil {
+					if q, err := f.feedback.Quote(core.UsageFromRecord(rec.Record)); err == nil {
 						m.observeQuote(q)
 					}
 				}
-				sink <- rec
+				sink(rec)
 			}
 			m.out = m.out[:0]
 		}
@@ -437,9 +424,10 @@ func (f *Fleet) Run(arrivals []trace.Arrival, sink chan<- MeteredRecord) (Result
 	return res, nil
 }
 
-// Simulate wires a fleet and a meter together: the metering goroutine
-// consumes records while the machines step. It returns the meter's report
-// and the fleet's run statistics.
+// Simulate wires a fleet and a meter together: the meter observes each
+// completion between quanta, and its primary pricer is the price signal the
+// cost-feedback policies route on. It returns the meter's report and the
+// fleet's run statistics.
 func Simulate(cfg Config, arrivals []trace.Arrival, mcfg MeterConfig) (*Report, Result, error) {
 	f, err := New(cfg)
 	if err != nil {
@@ -449,10 +437,8 @@ func Simulate(cfg Config, arrivals []trace.Arrival, mcfg MeterConfig) (*Report, 
 	if err != nil {
 		return nil, Result{}, err
 	}
-	sink := make(chan MeteredRecord, 256)
-	go m.Run(sink)
-	res, runErr := f.Run(arrivals, sink)
-	close(sink)
+	f.feedback = m.cfg.Pricers[m.primary]
+	res, runErr := f.Run(arrivals, m.Observe)
 	rep := m.Report()
 	if runErr != nil {
 		return nil, res, runErr

@@ -170,8 +170,9 @@ func TestFleetDeterministic(t *testing.T) {
 }
 
 // TestFleetSmoke is the CI smoke: a small churned fleet over a few
-// compressed minutes, every routing policy, aggregator consuming during the
-// run (this is Simulate's only mode, so -race covers the concurrency).
+// compressed minutes, every load-based routing policy, aggregator observing
+// between quanta (this is Simulate's only mode, so -race covers the
+// concurrently stepped machines).
 func TestFleetSmoke(t *testing.T) {
 	pricers := testPricers(t)
 	for _, policy := range []Policy{&RoundRobin{}, LeastLoaded{}, BinPack{}} {
@@ -270,6 +271,96 @@ func TestRoutingPolicies(t *testing.T) {
 	}
 }
 
+// TestCostFeedbackPolicies pins the two price-signal routers: the cheapest
+// average price / the smallest average discount among the machines that
+// have priced a completion, ties to the lowest ID, least-loaded while no
+// machine has.
+func TestCostFeedbackPolicies(t *testing.T) {
+	spec := &workload.Spec{MemoryMB: 512}
+	priced := func(id, inflight int, price, discount float64) MachineState {
+		return MachineState{ID: id, Inflight: inflight, CapMB: 8192, AvgPrice: price, AvgDiscount: discount, HavePrice: true}
+	}
+	unpriced := func(id, inflight int) MachineState {
+		return MachineState{ID: id, Inflight: inflight, CapMB: 8192}
+	}
+	for _, tc := range []struct {
+		name                 string
+		states               []MachineState
+		cheapest, congestion int
+	}{
+		{"all priced", []MachineState{priced(0, 0, 9, 0.30), priced(1, 5, 4, 0.20), priced(2, 5, 6, 0.05)}, 1, 2},
+		{"ties go to the lowest ID", []MachineState{priced(0, 3, 7, 0.4), priced(1, 0, 5, 0.1), priced(2, 0, 5, 0.1)}, 1, 1},
+		// An unpriced machine's zero AvgPrice/AvgDiscount must not win, idle
+		// though it is.
+		{"priced beat unpriced", []MachineState{unpriced(0, 0), priced(1, 4, 8, 0.5), priced(2, 6, 3, 0.6)}, 2, 1},
+		{"none priced: least-loaded", []MachineState{unpriced(0, 3), unpriced(1, 1), unpriced(2, 1)}, 1, 1},
+	} {
+		if got := (CheapestProjectedBill{}).Pick(spec, tc.states); got != tc.cheapest {
+			t.Errorf("%s: cheapest-projected-bill picked %d, want %d", tc.name, got, tc.cheapest)
+		}
+		if got := (CongestionAvoiding{}).Pick(spec, tc.states); got != tc.congestion {
+			t.Errorf("%s: congestion-avoiding picked %d, want %d", tc.name, got, tc.congestion)
+		}
+	}
+}
+
+// recordingPolicy wraps a policy and keeps what it was shown and what it
+// chose.
+type recordingPolicy struct {
+	Policy
+	sawPrice []bool // per Pick: did any machine have a price?
+	picks    []int
+}
+
+func (r *recordingPolicy) Pick(spec *workload.Spec, machines []MachineState) int {
+	saw := false
+	for _, m := range machines {
+		saw = saw || m.HavePrice
+	}
+	pick := r.Policy.Pick(spec, machines)
+	r.sawPrice = append(r.sawPrice, saw)
+	r.picks = append(r.picks, pick)
+	return pick
+}
+
+// TestSimulateFeedsCostFeedback closes the loop the cost-feedback policies
+// are built on: under Simulate they see the meter's primary pricer's quotes
+// once the first invocations complete — no price before, prices after — and
+// from then on place the same arrivals differently from least-loaded.
+func TestSimulateFeedsCostFeedback(t *testing.T) {
+	pricers := testPricers(t)
+	arrivals := testArrivals(t, 9, 3)
+	place := func(p Policy) *recordingPolicy {
+		rec := &recordingPolicy{Policy: p}
+		_, res, err := Simulate(Config{
+			Machines:   3,
+			Platform:   testPlatform(9),
+			Policy:     rec,
+			ChurnCount: 6,
+		}, arrivals, MeterConfig{Pricers: pricers})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		if res.Completed == 0 || len(rec.picks) != len(arrivals) {
+			t.Fatalf("%s: %d completed, %d of %d arrivals placed", p.Name(), res.Completed, len(rec.picks), len(arrivals))
+		}
+		return rec
+	}
+	base := place(LeastLoaded{})
+	for _, p := range []Policy{CheapestProjectedBill{}, CongestionAvoiding{}} {
+		rec := place(p)
+		if rec.sawPrice[0] {
+			t.Errorf("%s: a machine had a price before anything completed", p.Name())
+		}
+		if !rec.sawPrice[len(rec.sawPrice)-1] {
+			t.Fatalf("%s: no machine ever had a price; the feedback loop is open", p.Name())
+		}
+		if reflect.DeepEqual(rec.picks, base.picks) {
+			t.Errorf("%s placed all %d arrivals exactly as least-loaded did", p.Name(), len(arrivals))
+		}
+	}
+}
+
 // TestMeterPure exercises the aggregator standalone with fabricated
 // records: totals must equal the hand-computed per-record sums and windows
 // must respect WindowMinutes.
@@ -279,15 +370,12 @@ func TestMeterPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := make(chan MeteredRecord)
-	go m.Run(ch)
 	var want float64
 	for minute := 0; minute < 4; minute++ {
 		rec := platform.RunRecord{Abbr: "x", MemoryMB: 128, TPrivate: 0.01, TShared: 0.002}
 		want += 128 * (0.01 + 0.002)
-		ch <- MeteredRecord{Tenant: "t", Minute: minute, Record: rec}
+		m.Observe(MeteredRecord{Tenant: "t", Minute: minute, Record: rec})
 	}
-	close(ch)
 	rep := m.Report()
 	if len(rep.Tenants) != 1 {
 		t.Fatalf("%d tenants, want 1", len(rep.Tenants))
@@ -319,8 +407,7 @@ func TestFleetRejectsUnknownFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := make(chan MeteredRecord, 1)
-	_, err = f.Run([]trace.Arrival{{Tenant: "t", Abbr: "no-such-fn"}}, sink)
+	_, err = f.Run([]trace.Arrival{{Tenant: "t", Abbr: "no-such-fn"}}, func(MeteredRecord) {})
 	if err == nil {
 		t.Fatal("unknown function accepted")
 	}

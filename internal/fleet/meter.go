@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -18,8 +17,9 @@ type MeterConfig struct {
 	// Pricers are priced side by side for every record; a typical pair is
 	// core.Commercial and core.Litmus. The primary pricer — the first
 	// whose name is not "commercial", else the first — feeds the
-	// per-invocation discount distribution. Required non-empty; names must
-	// be unique.
+	// per-invocation discount distribution and, under Simulate, the price
+	// signal the cost-feedback routing policies read. Required non-empty;
+	// names must be unique.
 	Pricers []core.Pricer
 	// WindowMinutes is the per-tenant aggregation window in trace minutes
 	// (default 1).
@@ -55,23 +55,20 @@ type tenantAgg struct {
 	discounts   []float64
 }
 
-// Meter is the channel-fed aggregator: it consumes MeteredRecords, prices
-// each through every configured pricer — the same call a one-by-one billing
-// loop would make, so aggregation cannot change prices — and windows the
-// results per tenant.
+// Meter is the aggregator: it prices each observed MeteredRecord through
+// every configured pricer — the same call a one-by-one billing loop would
+// make, so aggregation cannot change prices — and windows the results per
+// tenant. It is not synchronised: Observe and Report are called from one
+// goroutine (Fleet.Run's caller).
 type Meter struct {
 	cfg     MeterConfig
 	primary int
 
-	done     chan struct{}
 	tenants  map[string]*tenantAgg
 	records  []MeteredRecord
 	errMsgs  []string
 	nErrs    int
 	sinkErrs int
-
-	once   sync.Once
-	report *Report
 }
 
 // NewMeter builds a meter from cfg.
@@ -99,24 +96,8 @@ func NewMeter(cfg MeterConfig) (*Meter, error) {
 	return &Meter{
 		cfg:     cfg,
 		primary: primary,
-		done:    make(chan struct{}),
 		tenants: make(map[string]*tenantAgg),
 	}, nil
-}
-
-// Run consumes records until in is closed, then flushes the sink (when
-// configured). It is the meter's single consumer goroutine; call it exactly
-// once, concurrently with Fleet.Run.
-func (m *Meter) Run(in <-chan MeteredRecord) {
-	defer close(m.done)
-	for rec := range in {
-		m.observe(rec)
-	}
-	if m.cfg.Sink != nil {
-		if err := m.cfg.Sink.Flush(); err != nil {
-			m.sinkErr(fmt.Errorf("flush: %w", err))
-		}
-	}
 }
 
 // sinkErr counts one sink failure (retaining the first few messages).
@@ -127,8 +108,8 @@ func (m *Meter) sinkErr(err error) {
 	}
 }
 
-// observe prices one record through every pricer and accrues the results.
-func (m *Meter) observe(rec MeteredRecord) {
+// Observe prices one record through every pricer and accrues the results.
+func (m *Meter) Observe(rec MeteredRecord) {
 	if m.cfg.KeepRecords {
 		m.records = append(m.records, rec)
 	}
@@ -249,15 +230,14 @@ type Report struct {
 	Records []MeteredRecord `json:"-"`
 }
 
-// Report blocks until Run has consumed the whole stream, then returns the
-// aggregate. Safe to call multiple times.
+// Report ends the stream: it flushes the sink (when configured) and returns
+// the aggregate. Call it once, after the last Observe.
 func (m *Meter) Report() *Report {
-	<-m.done
-	m.once.Do(m.buildReport)
-	return m.report
-}
-
-func (m *Meter) buildReport() {
+	if m.cfg.Sink != nil {
+		if err := m.cfg.Sink.Flush(); err != nil {
+			m.sinkErr(fmt.Errorf("flush: %w", err))
+		}
+	}
 	rep := &Report{
 		Primary:       m.cfg.Pricers[m.primary].Name(),
 		WindowMinutes: m.cfg.WindowMinutes,
@@ -320,5 +300,5 @@ func (m *Meter) buildReport() {
 			Max:    mx,
 		}
 	}
-	m.report = rep
+	return rep
 }

@@ -20,8 +20,8 @@ type MachineState struct {
 	// CapMB is the machine's sandbox memory capacity.
 	CapMB int
 	// AvgPrice and AvgDiscount are EWMAs of the feedback pricer's quotes
-	// over the machine's recent completions (Config.FeedbackPricer; both
-	// zero and meaningless while HavePrice is false). Under Litmus pricing
+	// over the machine's recent completions (under Simulate, the meter's
+	// primary pricer; both zero and meaningless while HavePrice is false). Under Litmus pricing
 	// the discount grows with interference, so AvgDiscount doubles as a
 	// congestion signal: a machine handing out deep discounts is a machine
 	// whose tenants are being slowed down.
@@ -58,8 +58,8 @@ func PolicyNames() []string {
 
 // ParsePolicy resolves a policy by its Name (see PolicyNames; "rr" and
 // "bin-packing" are accepted aliases). The two cost-feedback policies,
-// cheapest-projected-bill and congestion-avoiding, need
-// Config.FeedbackPricer set to see prices.
+// cheapest-projected-bill and congestion-avoiding, route on the quotes of
+// the meter's primary pricer (MeterConfig.Pricers).
 func ParsePolicy(name string) (Policy, error) {
 	switch name {
 	case "rr":

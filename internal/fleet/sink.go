@@ -13,20 +13,18 @@ import (
 )
 
 // Sink receives the fleet's metered-record stream alongside the Meter's
-// local aggregation. Implementations are called from the meter's single
-// consumer goroutine: Observe once per record in stream order, Flush once
-// after the stream closes. An Observe error marks that record undelivered;
+// local aggregation. Implementations are called from the one goroutine that
+// drives the meter: Observe once per record in stream order, Flush once
+// after the last record. An Observe error marks that record undelivered;
 // the meter counts it and keeps going.
 type Sink interface {
 	Observe(rec MeteredRecord) error
 	Flush() error
 }
 
-// RemoteSinkConfig parameterises a RemoteSink.
+// RemoteSinkConfig parameterises a RemoteSink. Records name no pricer: the
+// service bills them with its default (litmus).
 type RemoteSinkConfig struct {
-	// Pricer names the service-side registry entry to bill with; empty
-	// selects the service default (litmus).
-	Pricer string
 	// RunID, when non-empty, stamps every record with the idempotency key
 	// "RunID#seq", so a retried or replayed stream cannot double-bill.
 	// Distinct runs must use distinct IDs, or the service will treat the
@@ -45,22 +43,20 @@ type RemoteSinkConfig struct {
 	// service's WAL-rebuilt dedup state sorts out what already billed.
 	Retries int
 	// RetryWait is the base pause before the first re-send (default
-	// DefaultRetryWait). Each further retry doubles it up to MaxRetryWait,
-	// and every pause is jittered to half-to-full of its nominal value, so a
-	// fleet of sinks retrying a restarted service spreads out instead of
-	// stampeding it in lockstep.
+	// DefaultRetryWait). Each further retry doubles it up to maxRetryWait
+	// (or RetryWait itself when that is longer), and every pause is jittered
+	// to half-to-full of its nominal value, so a fleet of sinks retrying a
+	// restarted service spreads out instead of stampeding it in lockstep.
 	RetryWait time.Duration
-	// MaxRetryWait caps the exponential growth (default DefaultMaxRetryWait).
-	MaxRetryWait time.Duration
 }
 
 // DefaultSinkBatch is the records-per-call batch size of RemoteSink;
 // DefaultRetryWait the base pause before a failed batch's first re-send;
-// DefaultMaxRetryWait the backoff ceiling.
+// maxRetryWait the backoff ceiling.
 const (
-	DefaultSinkBatch    = 256
-	DefaultRetryWait    = 250 * time.Millisecond
-	DefaultMaxRetryWait = 5 * time.Second
+	DefaultSinkBatch = 256
+	DefaultRetryWait = 250 * time.Millisecond
+	maxRetryWait     = 5 * time.Second
 )
 
 // UsageStreamer is the one client call RemoteSink needs: api.Client
@@ -129,13 +125,13 @@ func NewRemoteSink(ctx context.Context, client UsageStreamer, cfg RemoteSinkConf
 	if cfg.RetryWait <= 0 {
 		cfg.RetryWait = DefaultRetryWait
 	}
-	if cfg.MaxRetryWait <= 0 {
-		cfg.MaxRetryWait = DefaultMaxRetryWait
-	}
-	if cfg.MaxRetryWait < cfg.RetryWait {
-		cfg.MaxRetryWait = cfg.RetryWait
-	}
 	return &RemoteSink{ctx: ctx, client: client, cfg: cfg}
+}
+
+// retryWait is the jittered pause before retry number attempt: the backoff
+// ceiling is maxRetryWait, or the base itself when a caller set that higher.
+func (s *RemoteSink) retryWait(attempt int) time.Duration {
+	return retryDelay(attempt, s.cfg.RetryWait, max(maxRetryWait, s.cfg.RetryWait), rand.Int63n)
 }
 
 // Observe buffers one record, flushing a full batch to the service.
@@ -150,7 +146,6 @@ func (s *RemoteSink) Observe(rec MeteredRecord) error {
 		QuoteRequest: api.QuoteRequest{
 			Usage:  core.UsageFromRecord(rec.Record),
 			Tenant: rec.Tenant,
-			Pricer: s.cfg.Pricer,
 		},
 		Minute: rec.Minute,
 		Key:    key,
@@ -205,7 +200,7 @@ func (s *RemoteSink) send() error {
 			s.sent.Retried++
 			wait := time.Duration(resp.RetryAfterSec * float64(time.Second))
 			if wait <= 0 {
-				wait = retryDelay(attempt, s.cfg.RetryWait, s.cfg.MaxRetryWait, rand.Int63n)
+				wait = s.retryWait(attempt)
 			}
 			select {
 			case <-s.ctx.Done():
@@ -222,7 +217,7 @@ func (s *RemoteSink) send() error {
 			break
 		}
 		s.sent.Retried++
-		wait := retryDelay(attempt, s.cfg.RetryWait, s.cfg.MaxRetryWait, rand.Int63n)
+		wait := s.retryWait(attempt)
 		if apiErr != nil && apiErr.RetryAfterSec > 0 {
 			wait = time.Duration(apiErr.RetryAfterSec * float64(time.Second))
 		}

@@ -255,15 +255,3 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// ResetStats zeroes all counters (machine-wide and per-owner) while keeping
-// cache contents, so measurement windows can be aligned to warm caches.
-func (c *Cache) ResetStats() {
-	c.totalAccesses = 0
-	c.totalMisses = 0
-	for owner, s := range c.owners {
-		occ := s.Occupancy
-		*s = OwnerStats{Occupancy: occ}
-		c.owners[owner] = s
-	}
-}

@@ -53,7 +53,6 @@ type System struct {
 
 	demandBytes float64 // accumulated this quantum
 	utilization float64 // resolved at last EndQuantum
-	totalBytes  float64
 }
 
 // New builds a memory system. It panics on an invalid config (machine
@@ -69,7 +68,6 @@ func New(cfg Config) *System {
 func (s *System) Demand(bytes float64) {
 	if bytes > 0 {
 		s.demandBytes += bytes
-		s.totalBytes += bytes
 	}
 }
 
@@ -87,9 +85,6 @@ func (s *System) EndQuantum(quantumSec float64) {
 // Utilization returns the offered-load utilisation resolved at the last
 // EndQuantum. It may exceed 1 when demand outstrips the channel.
 func (s *System) Utilization() float64 { return s.utilization }
-
-// TotalBytes returns cumulative DRAM traffic, for stats and tests.
-func (s *System) TotalBytes() float64 { return s.totalBytes }
 
 // LatencyCycles returns the effective DRAM latency at the current
 // utilisation, in core cycles.

@@ -108,17 +108,6 @@ func TestThroughputThrottlesAboveSaturation(t *testing.T) {
 	}
 }
 
-func TestTotalBytes(t *testing.T) {
-	s := New(testCfg())
-	s.Demand(10)
-	s.EndQuantum(1e-3)
-	s.Demand(20)
-	s.EndQuantum(1e-3)
-	if got := s.TotalBytes(); got != 30 {
-		t.Errorf("TotalBytes = %v, want 30", got)
-	}
-}
-
 func TestZeroQuantumSafe(t *testing.T) {
 	s := New(testCfg())
 	s.Demand(100)

@@ -603,24 +603,37 @@ func (l *Ledger) WindowStats(tenant string, lastN int) ([]Line, bool) {
 // strictly after cursor (empty cursor starts at the beginning). The second
 // result is the cursor for the next page, empty when the listing is done.
 //
-// The page is an ordered merge over per-shard sorted snapshots: each shard
-// is locked once to copy out at most limit candidates past the cursor, then
-// the merge runs lock-free. Every tenant present before the call appears in
-// exactly one shard's snapshot, so a full cursor walk lists each of them
-// exactly once, in order, even while accruals land concurrently.
+// The page is an ordered merge (MergePages) over per-shard sorted snapshots:
+// each shard is locked once to copy out at most limit candidates past the
+// cursor, then the merge runs lock-free. Every tenant present before the
+// call appears in exactly one shard's snapshot, so a full cursor walk lists
+// each of them exactly once, in order, even while accruals land concurrently.
 func (l *Ledger) Tenants(cursor string, limit int) ([]Summary, string) {
 	if limit <= 0 {
 		return nil, ""
 	}
 	parts := make([][]Summary, 0, len(l.shards))
-	total, more := 0, false
+	more := false
 	for _, sh := range l.shards {
 		part, shMore := sh.pageAfter(cursor, limit)
 		more = more || shMore
-		total += len(part)
 		if len(part) > 0 {
 			parts = append(parts, part)
 		}
+	}
+	return MergePages(parts, more, limit)
+}
+
+// MergePages merges per-partition tenant pages into one: each part holds one
+// partition's (a shard's, or a cluster node's) first names past a common
+// cursor, sorted, no tenant in two parts, and more reports that some
+// partition had names beyond its part. It returns the limit smallest in
+// order (never nil) and the cursor for the next page, empty when the
+// listing is done.
+func MergePages(parts [][]Summary, more bool, limit int) ([]Summary, string) {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
 	}
 	page := make([]Summary, 0, min(limit, total))
 	idx := make([]int, len(parts))
@@ -641,8 +654,8 @@ func (l *Ledger) Tenants(cursor string, limit int) ([]Summary, string) {
 		idx[best]++
 	}
 	// More tenants follow the page when the merge had leftovers, or any
-	// shard was truncated — a truncated shard's remainder sorts after its
-	// contribution, all of which landed on this page.
+	// partition was truncated — a truncated partition's remainder sorts after
+	// its contribution, all of which landed on this page.
 	next := ""
 	if (total > limit || more) && len(page) > 0 {
 		next = page[len(page)-1].Tenant

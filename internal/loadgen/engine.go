@@ -104,7 +104,10 @@ type OpStats struct {
 	Timeouts  int64 `json:"timeouts"`
 	Throttled int64 `json:"throttled,omitempty"`
 	Shed      int64 `json:"shed,omitempty"`
-	// Latency quantiles in milliseconds over completed requests.
+	// Latency quantiles in milliseconds over completed requests, each timed
+	// from the instant its arrival was due: a request that left late (see
+	// Result.LatenessP99Ms) has the delay in its latency, as a client that
+	// had been waiting since then would.
 	P50Ms  float64 `json:"p50Ms"`
 	P90Ms  float64 `json:"p90Ms"`
 	P99Ms  float64 `json:"p99Ms"`
@@ -132,10 +135,12 @@ type Result struct {
 	// ThrottleRate is throttled/(requests+shed) over all ops: the share of
 	// traffic the target pushed back with 429 instead of serving.
 	ThrottleRate float64 `json:"throttleRate,omitempty"`
-	// MaxLatenessMs is the worst pacer delay behind schedule — a
-	// generator-health number: large values mean the load machine, not the
-	// target, was the bottleneck.
+	// MaxLatenessMs and LatenessP99Ms say how long after its due instant a
+	// request actually left (over every request sent) — generator-health
+	// numbers: large values mean the load machine, not the target, was the
+	// bottleneck. The lateness is charged to the latencies too.
 	MaxLatenessMs float64 `json:"maxLatenessMs"`
+	LatenessP99Ms float64 `json:"latenessP99Ms"`
 	// Total aggregates all ops; Ops breaks the run down per endpoint.
 	Total OpStats   `json:"total"`
 	Ops   []OpStats `json:"ops"`
@@ -181,8 +186,9 @@ type opRecorder struct {
 	shed      atomic.Int64
 }
 
+func toMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 func (r *opRecorder) stats() OpStats {
-	toMs := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return OpStats{
 		Name:      r.name,
 		Requests:  int64(r.hist.Count()),
@@ -201,8 +207,11 @@ func (r *opRecorder) stats() OpStats {
 
 // Run executes one open-loop run: it expands the schedule into arrival
 // times, fires each arrival at its offset from start (never waiting for
-// earlier requests), waits for stragglers, and reports. ctx cancels the
-// run early (already-spawned requests are still awaited).
+// earlier requests), times it from that due instant — not from whenever
+// the pacer or the scheduler got round to it, so a stalled generator shows
+// up as latency instead of hiding the queueing — waits for stragglers, and
+// reports. ctx cancels the run early (already-spawned requests are still
+// awaited).
 func Run(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return Result{}, err
@@ -221,18 +230,18 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	picks := pickOps(cfg.Ops, len(arrivals), cfg.Seed)
 
 	var (
-		wg          sync.WaitGroup
-		inFlight    atomic.Int64
-		sent        int64
-		maxLateness time.Duration
+		wg       sync.WaitGroup
+		inFlight atomic.Int64
+		sent     int64
+		lateness Hist // how long after its due instant each request left
 	)
 	start := time.Now()
-	for i, due := range arrivals {
+	for i, offset := range arrivals {
 		if ctx.Err() != nil {
 			break
 		}
-		now := time.Since(start)
-		if wait := due - now; wait > 0 {
+		due := start.Add(offset)
+		if wait := time.Until(due); wait > 0 {
 			timer := time.NewTimer(wait)
 			select {
 			case <-timer.C:
@@ -242,8 +251,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			if ctx.Err() != nil {
 				break
 			}
-		} else if late := now - due; late > maxLateness {
-			maxLateness = late
 		}
 		rec := recs[picks[i]]
 		if inFlight.Load() >= cfg.MaxInFlight {
@@ -259,9 +266,9 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			defer inFlight.Add(-1)
 			reqCtx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 			defer cancel()
-			t0 := time.Now()
+			lateness.Record(time.Since(due))
 			err := op.Do(reqCtx)
-			rec.hist.Record(time.Since(t0))
+			rec.hist.Record(time.Since(due))
 			switch {
 			case err == nil:
 			// Throttle beats timeout: a 429 that raced the deadline still
@@ -282,7 +289,8 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		OfferedRate:   float64(cfg.Schedule.Requests()) / cfg.Schedule.Duration().Seconds(),
 		DurationSec:   elapsed.Seconds(),
 		Sent:          sent,
-		MaxLatenessMs: float64(maxLateness) / float64(time.Millisecond),
+		MaxLatenessMs: toMs(lateness.Max()),
+		LatenessP99Ms: toMs(lateness.Quantile(0.99)),
 	}
 	if elapsed > 0 {
 		res.ActualRate = float64(sent) / elapsed.Seconds()

@@ -218,3 +218,51 @@ func TestRunCancel(t *testing.T) {
 		t.Fatalf("sent %d but %d ops ran", res.Sent, calls.Load())
 	}
 }
+
+// stallingCtx holds the pacer back once: the engine polls ctx.Err at the top
+// of every arrival, and the first poll sleeps.
+type stallingCtx struct {
+	context.Context
+	stall time.Duration
+	once  atomic.Bool
+}
+
+func (c *stallingCtx) Err() error {
+	if c.once.CompareAndSwap(false, true) {
+		time.Sleep(c.stall)
+	}
+	return c.Context.Err()
+}
+
+// TestRunTimesFromDueInstant stalls the generator and answers instantly: the
+// requests that were due during the stall must carry the stall in their
+// recorded latency and in the lateness figures. Timed from the goroutine's
+// own start they read ≈0 ms, the stall hidden.
+func TestRunTimesFromDueInstant(t *testing.T) {
+	const stall = 150 * time.Millisecond
+	res, err := Run(&stallingCtx{Context: context.Background(), stall: stall}, Config{
+		Ops:      []Op{{Name: "instant", Do: func(context.Context) error { return nil }}},
+		Schedule: fastSchedule(20, time.Second), // uniform: one due every 50 ms
+		Mode:     trace.Uniform,
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sent != 20 {
+		t.Fatalf("sent %d, want 20", res.Sent)
+	}
+	// The first arrival was due within the first 50 ms and left after the
+	// stall.
+	floor := toMs(stall) / 2
+	if res.Total.MaxMs < floor {
+		t.Errorf("max latency %.1f ms: a %v generator stall is not in the recorded latency", res.Total.MaxMs, stall)
+	}
+	if res.MaxLatenessMs < floor || res.LatenessP99Ms < floor {
+		t.Errorf("lateness max %.1f ms, p99 %.1f ms, want both ≥ %.0f ms", res.MaxLatenessMs, res.LatenessP99Ms, floor)
+	}
+	// Arrivals due after the stall left on time, so the median stays small.
+	if res.Total.P50Ms > floor {
+		t.Errorf("p50 %.1f ms: on-time arrivals were charged the stall", res.Total.P50Ms)
+	}
+}

@@ -24,8 +24,8 @@ func (r Result) Table(title string) *render.Table {
 		row(s)
 	}
 	row(r.Total)
-	t.AddNote("offered %.1f req/s, actual %.1f req/s over %.1fs; error rate %.4f; max pacer lateness %.1f ms",
-		r.OfferedRate, r.ActualRate, r.DurationSec, r.ErrorRate, r.MaxLatenessMs)
+	t.AddNote("offered %.1f req/s, actual %.1f req/s over %.1fs; error rate %.4f; pacer lateness p99 %.1f ms, max %.1f ms (latencies run from due time)",
+		r.OfferedRate, r.ActualRate, r.DurationSec, r.ErrorRate, r.LatenessP99Ms, r.MaxLatenessMs)
 	return t
 }
 

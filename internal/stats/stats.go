@@ -10,6 +10,7 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -17,10 +18,6 @@ import (
 // ErrInsufficientData is returned by estimators that need more samples than
 // they were given (e.g. a regression over fewer than two points).
 var ErrInsufficientData = errors.New("stats: insufficient data")
-
-// ErrDomain is returned when an input lies outside an estimator's domain
-// (e.g. a non-positive value passed to a logarithmic fit).
-var ErrDomain = errors.New("stats: input outside domain")
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -96,36 +93,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return c[lo]*(1-frac) + c[hi]*frac
 }
 
-// Welford accumulates a running mean and variance without storing samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples accumulated.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 before any samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running unbiased sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // Linear is a fitted simple linear model y = Intercept + Slope*x.
 type Linear struct {
 	Slope     float64
@@ -168,16 +135,6 @@ func FitLinear(xs, ys []float64) (Linear, error) {
 // Predict evaluates the model at x.
 func (l Linear) Predict(x float64) float64 { return l.Intercept + l.Slope*x }
 
-// Invert solves Predict(x) = y for x. It returns ErrDomain when the model is
-// flat (slope 0), in which case no unique congestion level explains the
-// observation.
-func (l Linear) Invert(y float64) (float64, error) {
-	if l.Slope == 0 {
-		return 0, ErrDomain
-	}
-	return (y - l.Intercept) / l.Slope, nil
-}
-
 // LogModel is a fitted logarithmic model y = A + B*ln(x). The paper uses this
 // form both for L3-miss counts versus congestion level (Fig. 10a) and for the
 // temporal-sharing overhead versus co-runner count (Fig. 14).
@@ -193,7 +150,7 @@ func FitLog(xs, ys []float64) (LogModel, error) {
 	lx := make([]float64, len(xs))
 	for i, x := range xs {
 		if x <= 0 {
-			return LogModel{}, ErrDomain
+			return LogModel{}, fmt.Errorf("stats: logarithmic fit over non-positive x %v", x)
 		}
 		lx[i] = math.Log(x)
 	}
@@ -212,14 +169,6 @@ func (m LogModel) Predict(x float64) float64 {
 	return m.A + m.B*math.Log(x)
 }
 
-// Invert solves Predict(x) = y for x, returning ErrDomain for a flat model.
-func (m LogModel) Invert(y float64) (float64, error) {
-	if m.B == 0 {
-		return 0, ErrDomain
-	}
-	return math.Exp((y - m.A) / m.B), nil
-}
-
 // ExpModel is a fitted exponential model y = exp(A + B·x), i.e. a straight
 // line on a log-scaled y axis. The paper's Fig. 10(a) uses this form to
 // anchor machine L3-miss counts to startup slowdowns per traffic generator.
@@ -235,7 +184,7 @@ func FitExp(xs, ys []float64) (ExpModel, error) {
 	ly := make([]float64, len(ys))
 	for i, y := range ys {
 		if y <= 0 {
-			return ExpModel{}, ErrDomain
+			return ExpModel{}, fmt.Errorf("stats: exponential fit over non-positive y %v", y)
 		}
 		ly[i] = math.Log(y)
 	}
@@ -248,15 +197,6 @@ func FitExp(xs, ys []float64) (ExpModel, error) {
 
 // Predict evaluates the model at x.
 func (m ExpModel) Predict(x float64) float64 { return math.Exp(m.A + m.B*x) }
-
-// Invert solves Predict(x) = y for x (y > 0), returning ErrDomain for a
-// flat model or non-positive y.
-func (m ExpModel) Invert(y float64) (float64, error) {
-	if m.B == 0 || y <= 0 {
-		return 0, ErrDomain
-	}
-	return (math.Log(y) - m.A) / m.B, nil
-}
 
 // LogInterp computes the position of x between lo and hi on a logarithmic
 // axis, clamped to [0, 1]. This is the weight Litmus pricing assigns to the

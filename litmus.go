@@ -172,8 +172,7 @@ func ExpandTrace(t *trace.Trace, cfg TraceExpandConfig) ([]trace.Arrival, error)
 }
 
 // ParseRoutePolicy resolves a routing-policy name; the error for an unknown
-// one lists the valid names (fleet.PolicyNames). The cost-feedback policies
-// read the price feedback enabled by FleetConfig.FeedbackPricer.
+// one lists the valid names (fleet.PolicyNames).
 func ParseRoutePolicy(name string) (fleet.Policy, error) { return fleet.ParsePolicy(name) }
 
 // SimulateFleet replays arrivals across a fleet while the streaming meter
