@@ -25,24 +25,29 @@
 //	         ring owner; listings merge-paginate; tables broadcast); see
 //	         internal/cluster.Router for what differs from a node
 //	pricingd -follow http://primary:8080              # hot standby: tails
-//	         the primary's WAL into a write-gated replica; POST
-//	         /cluster/promote (or -auto-promote with -probe-interval,
-//	         -probe-failures) takes over after a failure
+//	         the primary's WAL into a replica ledger that refuses writes
+//	         (503 per record) until it is promoted; POST /cluster/promote
+//	         (or -auto-promote with -probe-interval, -probe-failures)
+//	         takes over after a failure; see internal/cluster.Follower
 //
 // -addr is the listen address in every mode; -version prints the build
-// identity and exits.
+// identity and exits. A flag the selected mode would not read is refused at
+// startup (checkFlags). What is here is flags, calibration, the listener and
+// the drain (serve); what a node serves beside the API, promotion and the
+// auto-promote prober are internal/cluster's.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -86,8 +91,17 @@ func main() {
 		fmt.Println("pricingd " + api.Version().String())
 		return
 	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlags(set, *autoProm, *probeEvery, *probeFails); err != nil {
+		log.Fatalf("pricingd: %v", err)
+	}
+	// SIGINT/SIGTERM end ctx: serve drains, the standby's loops stop.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	if *clusterArg != "" {
-		if err := runRouter(*addr, *clusterArg, *maxBody); err != nil {
+		if err := runRouter(ctx, *addr, *clusterArg, *maxBody); err != nil {
 			log.Fatalf("pricingd: %v", err)
 		}
 		return
@@ -122,11 +136,7 @@ func main() {
 	}
 
 	if *follow != "" {
-		if err := runFollower(*addr, *follow, cfg, followerOptions{
-			AutoPromote:   *autoProm,
-			ProbeInterval: *probeEvery,
-			ProbeFailures: *probeFails,
-		}); err != nil {
+		if err := runFollower(ctx, *addr, *follow, cfg, *autoProm, *probeEvery, *probeFails); err != nil {
 			log.Fatalf("pricingd: %v", err)
 		}
 		return
@@ -140,14 +150,13 @@ func main() {
 		log.Printf("pricingd: durable ledger at %s (fsync %s): recovered snapshot gen %d + %d WAL records (%d torn bytes truncated)",
 			d.Dir, d.Fsync, d.Recovery.SnapshotGen, d.Recovery.RecordsReplayed, d.Recovery.TornBytesTruncated)
 	}
-	handler := primaryHandler(srv)
 	log.Printf("pricingd: serving on %s (tables: %d generators, share %d, ledger shards %d)",
 		*addr, len(cal.Generators), cal.SharePerCore, *shards)
 
 	// Graceful shutdown: drain in-flight requests, then flush and close the
 	// ledger so even fsync=interval/never lose nothing on a clean stop. A
 	// SIGKILL skips all of this — that is what the WAL is for.
-	err = serve(*addr, handler, nil, func() error {
+	err = listenAndServe(ctx, *addr, cluster.PrimaryHandler(srv, cluster.SourceConfig{}), func() error {
 		if err := srv.Close(); err != nil {
 			return fmt.Errorf("closing ledger: %w", err)
 		}
@@ -159,28 +168,60 @@ func main() {
 	}
 }
 
-// serve runs handler on addr until the listener fails or SIGINT/SIGTERM
-// arrives, then drains in-flight requests and runs cleanup. The background
-// ctx is cancelled at shutdown so long-lived loops (replication tails,
-// health probes) stop with the listener.
-func serve(addr string, handler http.Handler, background func(ctx context.Context), cleanup func() error) error {
+// What each mode reads: routerFlags are all a -cluster router looks at,
+// standbyIgnored what a -follow standby would drop, probeFlags its prober's.
+var (
+	routerFlags    = map[string]bool{"cluster": true, "addr": true, "max-body": true}
+	standbyIgnored = map[string]bool{"data-dir": true, "fsync": true, "snapshot-every": true, "shards": true, "window-min": true}
+	probeFlags     = map[string]bool{"auto-promote": true, "probe-interval": true, "probe-failures": true}
+)
+
+// checkFlags refuses, naming both, a flag given on the command line (set, in
+// flag.Visit's order) together with a mode that would silently ignore it,
+// and probe settings no prober can run with.
+func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeFails int) error {
+	router, standby := slices.Contains(set, "cluster"), slices.Contains(set, "follow")
+	for _, name := range set {
+		switch {
+		case router && !routerFlags[name]:
+			return fmt.Errorf("-%s has no effect with -cluster: a router prices and bills nothing, it reads only -addr and -max-body", name)
+		case standby && standbyIgnored[name]:
+			return fmt.Errorf("-%s has no effect with -follow: a standby is volatile and takes its ledger's shape from the primary", name)
+		case probeFlags[name] && !standby:
+			return fmt.Errorf("-%s needs -follow: only a standby probes its primary", name)
+		case probeFlags[name] && !autoPromote && name != "auto-promote":
+			return fmt.Errorf("-%s needs -auto-promote: nothing probes the primary without it", name)
+		}
+	}
+	if autoPromote && (probeEvery <= 0 || probeFails <= 0) {
+		return fmt.Errorf("-probe-interval %v and -probe-failures %d must both be positive with -auto-promote", probeEvery, probeFails)
+	}
+	return nil
+}
+
+// listenAndServe opens addr and serves handler on it until ctx ends.
+func listenAndServe(ctx context.Context, addr string, handler http.Handler, cleanup func() error) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return serve(ctx, ln, handler, cleanup)
+}
+
+// serve runs handler on ln until the listener fails or ctx ends, then drains:
+// in-flight requests run to completion and only then cleanup runs, so a
+// stream being billed at SIGTERM is answered in full and flushed.
+func serve(ctx context.Context, ln net.Listener, handler http.Handler, cleanup func() error) error {
 	s := &http.Server{
-		Addr:              addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if background != nil {
-		go background(ctx)
-	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- s.ListenAndServe() }()
+	go func() { errCh <- s.Serve(ln) }()
 	select {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
-		stop()
 		log.Printf("pricingd: shutting down…")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -194,24 +235,10 @@ func serve(addr string, handler http.Handler, background func(ctx context.Contex
 	}
 }
 
-// primaryHandler wraps the pricing server for serving: a durable node is
-// also a replication primary, so its WAL and snapshots are served to hot
-// standbys (pricingd -follow) under /cluster/.
-func primaryHandler(srv *api.Server) http.Handler {
-	d := srv.Durability()
-	if !d.Enabled {
-		return srv
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/cluster/", cluster.NewSource(d.Dir, cluster.SourceConfig{}))
-	mux.Handle("/", srv)
-	return mux
-}
-
 // runRouter serves the thin cluster router: every request is routed to the
 // tenant's ring owner, so the router needs no calibration and holds no
 // billing state of its own.
-func runRouter(addr, list string, maxBody int64) error {
+func runRouter(ctx context.Context, addr, list string, maxBody int64) error {
 	nodes, err := cluster.ParseNodes(list)
 	if err != nil {
 		return err
@@ -222,118 +249,29 @@ func runRouter(addr, list string, maxBody int64) error {
 	}
 	router := cluster.NewRouter(cc, cluster.RouterConfig{MaxBodyBytes: maxBody})
 	log.Printf("pricingd: routing for %d nodes on %s (coordinator %s)", len(nodes), addr, nodes[0].Name)
-	return serve(addr, router, nil, nil)
-}
-
-// followerOptions configures the standby's takeover behaviour.
-type followerOptions struct {
-	AutoPromote   bool
-	ProbeInterval time.Duration
-	ProbeFailures int
+	return listenAndServe(ctx, addr, router, nil)
 }
 
 // runFollower serves a hot standby: the primary's WAL replicates into a
-// volatile ledger the API reads, writes answer 503 until promotion, and
-// POST /cluster/promote — or the -auto-promote health prober — opens the
-// gate after the primary dies.
-func runFollower(addr, primary string, cfg api.Config, opts followerOptions) error {
+// replica ledger the API reads and cannot write until POST /cluster/promote
+// — or, with autoPromote, the health prober — promotes it.
+func runFollower(ctx context.Context, addr, primary string, cfg api.Config, autoPromote bool, probeEvery time.Duration, probeFails int) error {
 	f := cluster.NewFollower(primary, cluster.FollowerConfig{MaxTenants: cfg.MaxTenants})
 	log.Printf("pricingd: bootstrapping standby from %s…", primary)
-	if err := f.Bootstrap(context.Background()); err != nil {
+	if err := f.Bootstrap(ctx); err != nil {
 		return err
 	}
 	cfg.Ledger = f.Ledger()
-	cfg.Standby = true
-	cfg.DataDir = "" // the standby's durability is the primary's WAL
 	srv, err := api.New(cfg)
 	if err != nil {
 		return err
 	}
-
-	log.Printf("pricingd: hot standby on %s replicating %s (auto-promote %v)", addr, primary, opts.AutoPromote)
-	return serve(addr, followerHandler(f, srv), func(ctx context.Context) {
-		go func() { _ = f.Run(ctx) }()
-		if opts.AutoPromote {
-			probePrimary(ctx, primary, opts, func() {
-				promoteFollower(f, srv, "primary health probes failed")
-			})
-		}
-	}, nil)
-}
-
-// promoteFollower runs both promotion halves in order: replication stops
-// (no replicated frame can land after this) and only then the API write
-// gate opens. The wait runs under context.Background() on purpose: a
-// promotion must not be abandonable mid-way — waiting under a request or
-// shutdown context could return before the tailers have stopped and then
-// open the write gate while a replicated frame is still applying, the
-// two-writer history fork promotion exists to prevent. Returns false when
-// the standby was already promoted.
-func promoteFollower(f *cluster.Follower, srv *api.Server, why string) bool {
-	f.Promote(context.Background())
-	if !srv.Promote() {
-		return false
+	go func() { _ = f.Run(ctx) }()
+	if autoPromote {
+		go f.AutoPromote(ctx, probeEvery, probeFails)
 	}
-	log.Printf("pricingd: promoted to primary (%s); clients replay their runs to close the tail", why)
-	return true
-}
-
-// followerHandler mounts the standby's control surface next to the pricing
-// API: POST /cluster/promote opens the write gate, GET /cluster/follower
-// reports the replication positions.
-func followerHandler(f *cluster.Follower, srv *api.Server) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster/promote", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		promoted := promoteFollower(f, srv, "operator request")
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]bool{"promoted": promoted})
-	})
-	mux.HandleFunc("/cluster/follower", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(f.Status())
-	})
-	mux.Handle("/", srv)
-	return mux
-}
-
-// probePrimary polls the primary's /healthz and calls takeover after
-// ProbeFailures consecutive failures. A single healthy probe resets the
-// count — a flapping primary is not a dead one.
-func probePrimary(ctx context.Context, primary string, opts followerOptions, takeover func()) {
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = 2 * time.Second
-	}
-	if opts.ProbeFailures <= 0 {
-		opts.ProbeFailures = 5
-	}
-	client := api.NewClient(primary)
-	ticker := time.NewTicker(opts.ProbeInterval)
-	defer ticker.Stop()
-	fails := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		probeCtx, cancel := context.WithTimeout(ctx, opts.ProbeInterval)
-		err := client.Health(probeCtx)
-		cancel()
-		if err == nil {
-			fails = 0
-			continue
-		}
-		fails++
-		log.Printf("pricingd: primary probe %d/%d failed: %v", fails, opts.ProbeFailures, err)
-		if fails >= opts.ProbeFailures {
-			takeover()
-			return
-		}
-	}
+	log.Printf("pricingd: hot standby on %s replicating %s (auto-promote %v)", addr, primary, autoPromote)
+	return listenAndServe(ctx, addr, f.Handler(srv), nil)
 }
 
 func loadOrCalibrate(path string, scale float64, seed int64) (*core.Calibration, error) {

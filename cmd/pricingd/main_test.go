@@ -40,7 +40,7 @@ func TestLoadOrCalibrateFromFile(t *testing.T) {
 }
 
 // TestServerWiring smoke-tests the daemon's handler stack end to end: the
-// loaded tables drive both the legacy /v1 path and the /v2 path.
+// loaded tables drive the /v3 stream and the /v2 quote.
 func TestServerWiring(t *testing.T) {
 	// Shards is what the -shards flag threads through; healthz echoes it.
 	srv, err := api.New(api.Config{Calibration: apitest.Calibration(), Shards: 4})
@@ -100,25 +100,23 @@ func TestServerWiring(t *testing.T) {
 		t.Errorf("statement = %+v", stmt)
 	}
 
-	for _, path := range []string{"/v2/quote"} {
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var q struct {
-			Price    float64 `json:"price"`
-			Discount float64 `json:"discount"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&q); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s status = %d", path, resp.StatusCode)
-		}
-		if q.Price <= 0 || q.Discount <= 0 {
-			t.Errorf("POST %s: degenerate quote %+v", path, q)
-		}
+	resp, err = http.Post(ts.URL+"/v2/quote", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q struct {
+		Price    float64 `json:"price"`
+		Discount float64 `json:"discount"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&q); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v2/quote status = %d", resp.StatusCode)
+	}
+	if q.Price <= 0 || q.Discount <= 0 {
+		t.Errorf("POST /v2/quote: degenerate quote %+v", q)
 	}
 }
 
@@ -135,7 +133,7 @@ func TestClusterWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = primarySrv.Close() })
-	primary := httptest.NewServer(primaryHandler(primarySrv))
+	primary := httptest.NewServer(cluster.PrimaryHandler(primarySrv, cluster.SourceConfig{}))
 	t.Cleanup(primary.Close)
 
 	// The durable node exposes the replication protocol.
@@ -157,7 +155,7 @@ func TestClusterWiring(t *testing.T) {
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	standbySrv, err := api.New(api.Config{Calibration: apitest.Calibration(), Ledger: f.Ledger(), Standby: true})
+	standbySrv, err := api.New(api.Config{Calibration: apitest.Calibration(), Ledger: f.Ledger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +163,7 @@ func TestClusterWiring(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); _ = f.Run(ctx) }()
 	t.Cleanup(func() { cancel(); <-done })
-	standby := httptest.NewServer(followerHandler(f, standbySrv))
+	standby := httptest.NewServer(f.Handler(standbySrv))
 	t.Cleanup(standby.Close)
 
 	// Bill one record on the primary and wait for it to replicate.

@@ -43,6 +43,10 @@
 // cluster router shares; parallelism is across streams and ledger shards.
 // Errors are structured: {"error":{"status":400,"message":"…"}}.
 //
+// A hot standby is this same server over a replica ledger (Config.Ledger):
+// until it is promoted the ledger refuses every accrual and the funnel
+// answers 503 "standby" per record — the server holds no write gate.
+//
 // A wire shape is declared once and rendered once. Bodies that carry ledger
 // or admission data (summaries, statements, the /healthz shard, durability
 // and admission blocks, forecasts) are those packages' own structs, JSON
@@ -89,8 +93,8 @@ const (
 	MaxTenantPageLimit     = 1000
 )
 
-// Error is the structured v2 error payload; it doubles as the error value
-// the Client returns for non-2xx responses.
+// Error is the structured error payload of every endpoint; it doubles as the
+// error value the Client returns for non-2xx responses.
 type Error struct {
 	// Status is the HTTP status code.
 	Status int `json:"status"`
@@ -117,7 +121,7 @@ func RetryAfterHeader(sec float64) string {
 	return strconv.FormatInt(s, 10)
 }
 
-// errorEnvelope is the v2 error wire shape.
+// errorEnvelope is the error wire shape: {"error":{"status":…,"message":"…"}}.
 type errorEnvelope struct {
 	Err Error `json:"error"`
 }
@@ -203,7 +207,7 @@ type TenantSummary = ledger.Summary
 // instead of losing them silently.
 type HealthResponse struct {
 	OK bool `json:"ok"`
-	// Standby is true while the node is a write-gated replication follower:
+	// Standby is true while the node's ledger is a replica (ledger.Replica):
 	// reads serve the replicated state, ingest answers 503 until promotion.
 	Standby bool `json:"standby,omitempty"`
 	// Version identifies the build (VCS revision et al.) — in a cluster the

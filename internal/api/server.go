@@ -61,12 +61,10 @@ type Config struct {
 	// Ledger, when non-nil, is used as the billing store instead of building
 	// one from the fields above (which are then ignored). Cluster followers
 	// inject the standby ledger replication fills, so the API surface reads
-	// the exact store the replication stream writes.
+	// the exact store the replication stream writes; while it is a replica
+	// every ingest path answers 503 ("standby") per record and reads serve
+	// the replicated state. The gate is the ledger's, the server keeps none.
 	Ledger *ledger.Ledger
-	// Standby starts the server write-gated: every ingest path answers 503
-	// ("standby") while reads — statements, listings, health — serve the
-	// replicated state. Promote clears the gate.
-	Standby bool
 	// AdmissionRate, when > 0, enables per-tenant admission control on
 	// /v3/usage: each tenant's records pass a token bucket whose refill
 	// rate a forecaster re-sizes every AdmissionWindow from the tenant's
@@ -110,10 +108,6 @@ type Server struct {
 	//
 	//litmus:unguarded frozen by New before the server is shared
 	ledger *ledger.Ledger
-
-	// standby gates every write path with a 503 while the server mirrors a
-	// primary; Promote clears it. Reads always serve.
-	standby atomic.Bool
 
 	// admission is the per-tenant rate limiter on the /v3/usage hot path;
 	// nil when admission control is disabled.
@@ -189,7 +183,6 @@ func New(cfg Config) (*Server, error) {
 		ledger:    led,
 		start:     time.Now(),
 	}
-	s.standby.Store(cfg.Standby)
 	s.admission = cfg.Admission
 	if s.admission == nil && cfg.AdmissionRate > 0 {
 		s.admission = admission.New(admission.Config{
@@ -338,18 +331,6 @@ func (s *Server) Durability() ledger.DurabilityStats {
 	return s.ledger.Durability()
 }
 
-// Standby reports whether the server is write-gated (see Config.Standby).
-func (s *Server) Standby() bool { return s.standby.Load() }
-
-// Promote clears the standby write gate: the server starts accepting
-// accruals into the (now authoritative) replicated ledger. Idempotent; it
-// returns whether this call performed the transition. The caller must stop
-// replication into the ledger before promoting — two writers would fork the
-// history.
-func (s *Server) Promote() bool {
-	return s.standby.CompareAndSwap(true, false)
-}
-
 // --- shared plumbing -------------------------------------------------------
 
 // WriteJSON writes v as a JSON response body under the given status: the one
@@ -390,7 +371,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	v := Version()
 	resp := HealthResponse{
 		OK:                true,
-		Standby:           s.standby.Load(),
+		Standby:           s.ledger.Replica(),
 		Version:           &v,
 		UptimeSec:         int64(time.Since(s.start) / time.Second),
 		Tenants:           st.Tenants,
@@ -537,16 +518,6 @@ func (s *Server) priceAndAccrue(pricers map[string]core.Pricer, req QuoteRequest
 // API version can bill differently. results is scratch space as long as
 // entries; each(i, …) delivers entry i's outcome in API terms, in order.
 func (s *Server) bill(entries []ledger.Entry, results []ledger.AccrualResult, each func(i int, outcome ledger.Outcome, apiErr *Error)) {
-	// The standby gate lives here so no ingest path can bill into a ledger
-	// that replication owns. Clients retry against the primary (or wait for
-	// promotion); nothing is billed.
-	if s.standby.Load() {
-		stErr := &Error{Status: http.StatusServiceUnavailable, Message: "standby: writes go to the primary"}
-		for i := range entries {
-			each(i, ledger.Dropped, stErr)
-		}
-		return
-	}
 	s.ledger.AccrueBatch(entries, results)
 	for i := range entries {
 		outcome, apiErr := s.mapAccrual(results[i].Outcome, results[i].Err)
@@ -557,6 +528,10 @@ func (s *Server) bill(entries []ledger.Entry, results []ledger.AccrualResult, ea
 // mapAccrual translates a ledger accrual outcome into the API's terms.
 func (s *Server) mapAccrual(outcome ledger.Outcome, err error) (ledger.Outcome, *Error) {
 	if err != nil {
+		// Clients retry against the primary, or wait for promotion.
+		if errors.Is(err, ledger.ErrReplica) {
+			return ledger.Dropped, &Error{Status: http.StatusServiceUnavailable, Message: "standby: writes go to the primary"}
+		}
 		// A failing disk is the service's fault, not the request's.
 		if errors.Is(err, ledger.ErrDurability) {
 			return ledger.Dropped, &Error{Status: http.StatusServiceUnavailable, Message: err.Error()}

@@ -215,7 +215,7 @@ func TestRingClientMatchesRouterOnFaults(t *testing.T) {
 	}
 
 	t.Run("owner down", func(t *testing.T) {
-		_, dead := newNode(t, nil, false)
+		_, dead := newNode(t, nil)
 		dead.Close()
 		got, err := viaBoth(t, func() *cluster.Client { return halfDeadClient(t, dead.URL) }, testRecords(t, 16, 96))
 		if err == nil || !strings.Contains(err.Error(), "forwarding to node node1") {

@@ -138,10 +138,8 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/cluster/", cluster.NewSource(dir, cluster.SourceConfig{MaxWait: 200 * time.Millisecond, Poll: time.Millisecond}))
-	mux.Handle("/", srv)
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(cluster.PrimaryHandler(srv,
+		cluster.SourceConfig{MaxWait: 200 * time.Millisecond, Poll: time.Millisecond}))
 	b.Cleanup(ts.Close)
 
 	if _, err := api.NewClient(ts.URL).StreamUsage(context.Background(), "bench", testRecords(b, 128, records)); err != nil {

@@ -11,7 +11,7 @@ import (
 
 // Client is the ring-aware face of a partitioned cluster: it exposes the
 // same operations as api.Client but routes every tenant-scoped call to the
-// tenant's owner node, so callers (fleet.RemoteSink, pricingcli, the
+// tenant's owner node, so callers (fleet.RemoteSink, fleetsim -remote, the
 // router) talk to an N-node cluster exactly as they would to one node —
 // api.Client.StreamUsage's delivery rule included.
 //

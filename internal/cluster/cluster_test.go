@@ -29,13 +29,12 @@ import (
 
 // newNode spins up one pricing node. When led is non-nil it is injected as
 // the node's billing store.
-func newNode(t *testing.T, led *ledger.Ledger, standby bool) (*api.Server, *httptest.Server) {
+func newNode(t *testing.T, led *ledger.Ledger) (*api.Server, *httptest.Server) {
 	t.Helper()
 	srv, err := api.New(api.Config{
 		Calibration: apitest.Calibration(),
 		Shards:      4,
 		Ledger:      led,
-		Standby:     standby,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func newCluster(t *testing.T, n int) []cluster.Node {
 	t.Helper()
 	nodes := make([]cluster.Node, n)
 	for i := range nodes {
-		_, ts := newNode(t, nil, false)
+		_, ts := newNode(t, nil)
 		nodes[i] = cluster.Node{Name: fmt.Sprintf("node%d", i), URL: ts.URL}
 	}
 	return nodes
@@ -136,7 +135,7 @@ func walkTenants(t *testing.T, pager func(cursor string, limit int) (api.TenantP
 
 func TestClusterClientMatchesSingleNode(t *testing.T) {
 	ctx := context.Background()
-	_, single := newNode(t, nil, false)
+	_, single := newNode(t, nil)
 	nodes := newCluster(t, 3)
 
 	cc, err := cluster.NewClient(nodes, 0)
@@ -255,7 +254,7 @@ func TestClusterClientTableSwapBroadcast(t *testing.T) {
 }
 
 func TestRouterMatchesSingleNode(t *testing.T) {
-	_, single := newNode(t, nil, false)
+	_, single := newNode(t, nil)
 	nodes := newCluster(t, 3)
 	cc, err := cluster.NewClient(nodes, 0)
 	if err != nil {
@@ -355,7 +354,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 	// The last cases are an empty cluster against an empty node: an empty
 	// page, and the answer to a stream that billed nobody, are "tenants":[]
 	// on both, never null.
-	_, emptySingle := newNode(t, nil, false)
+	_, emptySingle := newNode(t, nil)
 	emptyRouter := newRouter(t, 3, cluster.RouterConfig{})
 	for _, c := range []struct{ router, single, path, post string }{
 		{router.URL, single.URL, "/v3/tenants", ""},
@@ -395,7 +394,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 // that is unreachable at deadURL.
 func halfDeadClient(t *testing.T, deadURL string) *cluster.Client {
 	t.Helper()
-	_, live := newNode(t, nil, false)
+	_, live := newNode(t, nil)
 	cc, err := cluster.NewClient([]cluster.Node{
 		{Name: "node0", URL: live.URL},
 		{Name: "node1", URL: deadURL},
@@ -414,7 +413,7 @@ func halfDeadClient(t *testing.T, deadURL string) *cluster.Client {
 // the live nodes already billed and invite a double-billing full retry
 // from clients without idempotency keys.
 func TestRouterPartialForwardFailure(t *testing.T) {
-	_, dead := newNode(t, nil, false)
+	_, dead := newNode(t, nil)
 	dead.Close() // every tenant this node owns now fails to forward
 	router := httptest.NewServer(cluster.NewRouter(halfDeadClient(t, dead.URL), cluster.RouterConfig{BatchSize: 8}))
 	t.Cleanup(router.Close)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"sort"
 	"sync"
@@ -23,11 +24,8 @@ var errResync = errors.New("cluster: replication position compacted; re-bootstra
 
 // FollowerConfig parameterises a Follower; zero values select the defaults.
 type FollowerConfig struct {
-	// MaxTenants is the standby ledger's tenant cap for traffic it serves
-	// AFTER promotion (default ledger.DefaultMaxTenants — pass the
-	// primary's value to keep post-failover admission identical).
-	// Replication itself never consults the cap: replicated records carry
-	// the primary's decided outcome, and the follower applies outcomes.
+	// MaxTenants is the standby ledger's post-promotion tenant cap (see
+	// ledger.NewReplica); pass the primary's value to keep admission identical.
 	MaxTenants int
 	// Poll is the pause between reconnect attempts when a stream ends or
 	// the primary is briefly unreachable (default 50ms).
@@ -45,12 +43,17 @@ type tailPos struct {
 // standby by tailing its WAL segments over /cluster/wal. Lifecycle:
 //
 //	f := NewFollower(primaryURL, cfg)
-//	f.Bootstrap(ctx)            // build the standby ledger from meta+snapshot
-//	srv := api.New(api.Config{Ledger: f.Ledger(), Standby: true, ...})
+//	f.Bootstrap(ctx)            // build the replica ledger from meta+snapshot
+//	srv := api.New(api.Config{Ledger: f.Ledger(), ...})
 //	go f.Run(ctx)               // tail every shard until ctx ends or Promote
+//	serve f.Handler(srv)        // the API plus /cluster/promote, /cluster/follower
 //	...primary dies...
-//	f.Promote(ctx)              // stop replicating; the ledger is now live
-//	srv.Promote()               // open the write gate
+//	f.Promote()                 // POST /cluster/promote, or AutoPromote's probes
+//
+// Promotion is that one call. "Is this node a standby" is the ledger's bit
+// (ledger.Replica) and nothing else's — the API's 503 write gate, /healthz
+// and Status all read it — and the ledger refuses accruals before the flip
+// and replication input after it, so no caller can hold the halves apart.
 //
 // The standby ledger is volatile on purpose: its durability is the
 // primary's WAL. After promotion the operator restarts it as a durable
@@ -71,12 +74,11 @@ type Follower struct {
 	led *ledger.Ledger
 
 	// mu guards the replication positions and error/lifecycle state below.
-	mu       sync.Mutex
-	pos      map[int]*tailPos   //litmus:guarded-by mu
-	lastErr  error              //litmus:guarded-by mu
-	promoted bool               //litmus:guarded-by mu
-	cancel   context.CancelFunc //litmus:guarded-by mu
-	done     chan struct{}      //litmus:guarded-by mu (swapped per Run)
+	mu      sync.Mutex
+	pos     map[int]*tailPos   //litmus:guarded-by mu
+	lastErr error              //litmus:guarded-by mu
+	cancel  context.CancelFunc //litmus:guarded-by mu
+	done    chan struct{}      //litmus:guarded-by mu (swapped per Run)
 }
 
 // NewFollower builds a follower replicating from the pricingd at primary
@@ -89,18 +91,14 @@ func NewFollower(primary string, cfg FollowerConfig) *Follower {
 }
 
 // Bootstrap fetches the primary's ledger shape and newest snapshot and
-// builds the standby ledger. It must complete before Run, Ledger or Promote.
+// builds the standby ledger. It must complete before Run, Ledger, Status,
+// Handler or Promote.
 func (f *Follower) Bootstrap(ctx context.Context) error {
 	var meta ledger.Meta
 	if err := f.client.Get(ctx, "/cluster/meta", &meta); err != nil {
 		return fmt.Errorf("cluster: fetching primary meta: %w", err)
 	}
-	led, err := ledger.New(ledger.Config{
-		Shards:        meta.Shards,
-		WindowMinutes: meta.WindowMinutes,
-		MaxKeys:       meta.MaxKeys,
-		MaxTenants:    f.cfg.MaxTenants,
-	})
+	led, err := ledger.NewReplica(meta, f.cfg.MaxTenants)
 	if err != nil {
 		return fmt.Errorf("cluster: building standby ledger: %w", err)
 	}
@@ -175,39 +173,33 @@ func (f *Follower) Ledger() *ledger.Ledger { return f.led }
 // away. Transient primary outages are retried forever — an unreachable
 // primary is exactly when a standby must hold its state and wait.
 func (f *Follower) Run(ctx context.Context) error {
-	f.mu.Lock()
-	if f.promoted {
-		f.mu.Unlock()
-		return nil
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	f.cancel = cancel
 	done := make(chan struct{})
-	f.done = done
-	f.mu.Unlock()
 	defer close(done)
+	f.mu.Lock()
+	f.cancel, f.done = cancel, done
+	f.mu.Unlock()
 
-	for {
+	// A promoted ledger refuses replication input, so a Run that starts (or
+	// is still looping) after Promote has nothing left to do.
+	for f.led.Replica() {
 		err := f.tailAll(ctx)
-		switch {
-		case ctx.Err() != nil:
+		if ctx.Err() != nil {
 			return nil
-		case errors.Is(err, errResync):
-			f.setErr(err)
-			if rerr := f.resync(ctx); rerr != nil {
-				f.setErr(rerr)
-				if !f.sleep(ctx) {
-					return nil
-				}
+		}
+		f.setErr(err)
+		if errors.Is(err, errResync) {
+			if err = f.resync(ctx); err == nil {
+				continue
 			}
-		default:
 			f.setErr(err)
-			if !f.sleep(ctx) {
-				return nil
-			}
+		}
+		if !sleepCtx(ctx, f.cfg.Poll) {
+			return nil
 		}
 	}
+	return nil
 }
 
 // tailAll runs one tailer per shard and returns the first failure (every
@@ -339,34 +331,25 @@ func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[
 	}
 }
 
-// Promote stops replication and returns the standby ledger, now live. It
-// blocks until every tailer has stopped, so no replicated frame can apply
-// concurrently with — or after — promoted traffic. Idempotent. The wait is
-// bounded by ctx: a caller that goes on to open a write gate must pass a
-// context that cannot be cancelled mid-promotion (context.Background()),
-// or an abandoned wait lets a still-running tailer race promoted writes.
-func (f *Follower) Promote(ctx context.Context) *ledger.Ledger {
+// Promote is the whole promotion: it stops the tailers, waits until every
+// one has returned, then promotes the ledger. It reports whether this call
+// made the transition — true exactly once. The wait takes no context on
+// purpose: a promotion abandoned half-way is a standby with no replication.
+func (f *Follower) Promote() bool {
 	f.mu.Lock()
-	f.promoted = true
 	if f.cancel != nil {
 		f.cancel()
 	}
 	done := f.done
 	f.mu.Unlock()
 	if done != nil {
-		select {
-		case <-done:
-		case <-ctx.Done():
-		}
+		<-done
 	}
-	return f.led
-}
-
-// Promoted reports whether Promote has been called.
-func (f *Follower) Promoted() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.promoted
+	promoted := f.led.Promote()
+	if promoted {
+		log.Printf("cluster: promoted to primary; clients replay their runs to close the tail")
+	}
+	return promoted
 }
 
 // FollowerShard is one shard's applied replication position.
@@ -388,7 +371,7 @@ type FollowerStatus struct {
 func (f *Follower) Status() FollowerStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st := FollowerStatus{Primary: f.client.BaseURL, Promoted: f.promoted}
+	st := FollowerStatus{Primary: f.client.BaseURL, Promoted: !f.led.Replica()}
 	if f.lastErr != nil {
 		st.LastErr = f.lastErr.Error()
 	}
@@ -423,9 +406,7 @@ func (f *Follower) setErr(err error) {
 	f.lastErr = err
 }
 
-// sleep pauses for the poll interval; false means ctx ended.
-func (f *Follower) sleep(ctx context.Context) bool { return sleepCtx(ctx, f.cfg.Poll) }
-
+// sleepCtx pauses for d; false means ctx ended first.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
 	select {
 	case <-ctx.Done():

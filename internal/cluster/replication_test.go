@@ -49,12 +49,9 @@ func newPrimary(t *testing.T, cfg ledger.Config) (*ledger.Ledger, *httptest.Serv
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = led.Close() })
-	srv, _ := newNode(t, led, false)
-	src := cluster.NewSource(cfg.Dir, cluster.SourceConfig{MaxWait: 200 * time.Millisecond, Poll: 2 * time.Millisecond})
-	mux := http.NewServeMux()
-	mux.Handle("/cluster/", src)
-	mux.Handle("/", srv)
-	ts := httptest.NewServer(mux)
+	srv, _ := newNode(t, led)
+	ts := httptest.NewServer(cluster.PrimaryHandler(srv,
+		cluster.SourceConfig{MaxWait: 200 * time.Millisecond, Poll: 2 * time.Millisecond}))
 	t.Cleanup(ts.Close)
 	return led, ts
 }
@@ -83,7 +80,7 @@ func waitCaughtUp(t *testing.T, f *cluster.Follower, base string) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		var list cluster.SegmentList
+		var list ledger.Listing
 		resp, err := http.Get(base + "/cluster/segments")
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +90,7 @@ func waitCaughtUp(t *testing.T, f *cluster.Follower, base string) {
 		}
 		resp.Body.Close()
 		// The head position per shard: the newest segment and its size.
-		head := map[int]cluster.SegmentPosition{}
+		head := map[int]ledger.SegmentInfo{}
 		for _, seg := range list.Segments {
 			if cur, ok := head[seg.Shard]; !ok || seg.Seq > cur.Seq {
 				head[seg.Shard] = seg
@@ -269,7 +266,7 @@ func TestFollowerNoHopOnUndrainedSeal(t *testing.T) {
 				http.Error(w, err.Error(), http.StatusBadGateway)
 				return
 			}
-			var list cluster.SegmentList
+			var list ledger.Listing
 			derr := json.NewDecoder(resp.Body).Decode(&list)
 			resp.Body.Close()
 			if derr != nil {
@@ -287,7 +284,7 @@ func TestFollowerNoHopOnUndrainedSeal(t *testing.T) {
 				}
 			}
 			for shard := range shards {
-				list.Segments = append(list.Segments, cluster.SegmentPosition{Shard: shard, Seq: fake})
+				list.Segments = append(list.Segments, ledger.SegmentInfo{Shard: shard, Seq: fake})
 			}
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(list)
@@ -314,7 +311,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 	cfg := primaryCfg(t.TempDir())
 	led, ts := newPrimary(t, cfg)
 	f, pause := newFollower(t, ts.URL)
-	standbySrv, standbyTS := newNode(t, f.Ledger(), true)
+	_, standbyTS := newNode(t, f.Ledger())
 
 	recordsA := testRecords(t, 20, 200)
 	recordsB := testRecords(t, 20, 90)
@@ -362,11 +359,10 @@ func TestFailoverEndToEnd(t *testing.T) {
 	ts.Close()
 
 	// Promote: replication is down, the gate opens exactly once.
-	f.Promote(context.Background())
-	if !standbySrv.Promote() {
+	if !f.Promote() {
 		t.Fatal("Promote returned false on a standby")
 	}
-	if standbySrv.Promote() {
+	if f.Promote() {
 		t.Fatal("second Promote returned true")
 	}
 
@@ -387,7 +383,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, oracleTS := newNode(t, oracle, false)
+	_, oracleTS := newNode(t, oracle)
 	streamRecords(t, oracleTS.URL, "run-A", recordsA)
 	streamRecords(t, oracleTS.URL, "run-B", recordsB)
 

@@ -90,7 +90,7 @@ func TestRouterUsageBinaryMatchesNDJSON(t *testing.T) {
 	}
 
 	// And the router answers exactly like one node fed the same frames.
-	_, single := newNode(t, nil, false)
+	_, single := newNode(t, nil)
 	body, err := api.EncodeUsageStream(api.WireFrames, records)
 	if err != nil {
 		t.Fatal(err)

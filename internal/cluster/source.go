@@ -151,13 +151,8 @@ func (s *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.Copy(w, f)
 }
 
-// SegmentList is the /cluster/segments body and SegmentPosition one live
-// WAL segment's position in it: the ledger's own directory listing.
-type (
-	SegmentList     = ledger.Listing
-	SegmentPosition = ledger.SegmentInfo
-)
-
+// handleSegments answers with the ledger's own directory listing
+// (ledger.Listing, one ledger.SegmentInfo per live WAL segment).
 func (s *Source) handleSegments(w http.ResponseWriter, r *http.Request) {
 	ls, err := ledger.ReadSizedListing(s.dir)
 	if err != nil {

@@ -146,8 +146,8 @@ type machineSim struct {
 	peakUsedMB   int
 	busySec      float64
 
-	// Cost-feedback EWMAs (Fleet.feedback), updated only on the coordinator
-	// between quanta.
+	// Cost-feedback EWMAs of the sink's quotes (see Fleet.Run), updated only
+	// on the coordinator between quanta.
 	avgPrice    float64
 	avgDiscount float64
 	havePrice   bool
@@ -159,7 +159,8 @@ type machineSim struct {
 // the routing.
 const feedbackAlpha = 0.3
 
-// observeQuote folds one completion's feedback quote into the EWMAs.
+// observeQuote folds the quote the sink priced one completion at into the
+// EWMAs.
 func (m *machineSim) observeQuote(q core.Quote) {
 	if !m.havePrice {
 		m.avgPrice, m.avgDiscount, m.havePrice = q.Price, q.Discount(), true
@@ -266,15 +267,6 @@ type Fleet struct {
 	cfg      Config
 	machines []*machineSim
 	specs    map[string]*workload.Spec
-
-	// feedback, when set (Simulate sets it to the meter's primary pricer),
-	// prices every completion on the coordinator between quanta and folds the
-	// quote into the machine's AvgPrice / AvgDiscount EWMAs for the
-	// cost-feedback policies (CheapestProjectedBill, CongestionAvoiding).
-	// Feedback only: these quotes are never billed — the Meter's pricers
-	// remain the sole billing path. Policies that ignore MachineState's
-	// price fields are unaffected.
-	feedback core.Pricer
 }
 
 // New builds a fleet from cfg.
@@ -311,10 +303,16 @@ func New(cfg Config) (*Fleet, error) {
 // quanta on the calling goroutine, so sink (the Meter's Observe) needs no
 // synchronisation.
 //
+// sink answers with the quote it priced the completion at (ok false when it
+// priced none): the one pricing of a completion is also the price signal,
+// folded into the machine's AvgPrice / AvgDiscount EWMAs for the
+// cost-feedback policies (CheapestProjectedBill, CongestionAvoiding).
+// Policies that ignore MachineState's price fields are unaffected.
+//
 // Arrivals naming unknown catalog functions fail the run before any
 // stepping. Invocations still unfinished drainSec after the last arrival
 // are dropped (counted per machine).
-func (f *Fleet) Run(arrivals []trace.Arrival, sink func(MeteredRecord)) (Result, error) {
+func (f *Fleet) Run(arrivals []trace.Arrival, sink func(MeteredRecord) (q core.Quote, ok bool)) (Result, error) {
 	res := Result{Policy: f.cfg.Policy.Name()}
 	for _, a := range arrivals {
 		if _, ok := f.specs[a.Abbr]; !ok {
@@ -386,17 +384,14 @@ func (f *Fleet) Run(arrivals []trace.Arrival, sink func(MeteredRecord)) (Result,
 		}
 		wg.Wait()
 
-		// Hand completions to the meter, oldest machine first; the
-		// coordinator also prices each one for routing feedback here, while
-		// no machine goroutine is running.
+		// Hand completions to the meter, oldest machine first, and fold its
+		// quotes into the routing feedback here, while no machine goroutine
+		// is running.
 		for _, m := range f.machines {
 			for _, rec := range m.out {
-				if f.feedback != nil {
-					if q, err := f.feedback.Quote(core.UsageFromRecord(rec.Record)); err == nil {
-						m.observeQuote(q)
-					}
+				if q, ok := sink(rec); ok {
+					m.observeQuote(q)
 				}
-				sink(rec)
 			}
 			m.out = m.out[:0]
 		}
@@ -437,7 +432,6 @@ func Simulate(cfg Config, arrivals []trace.Arrival, mcfg MeterConfig) (*Report, 
 	if err != nil {
 		return nil, Result{}, err
 	}
-	f.feedback = m.cfg.Pricers[m.primary]
 	res, runErr := f.Run(arrivals, m.Observe)
 	rep := m.Report()
 	if runErr != nil {

@@ -407,7 +407,7 @@ func TestFleetRejectsUnknownFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = f.Run([]trace.Arrival{{Tenant: "t", Abbr: "no-such-fn"}}, func(MeteredRecord) {})
+	_, err = f.Run([]trace.Arrival{{Tenant: "t", Abbr: "no-such-fn"}}, func(MeteredRecord) (core.Quote, bool) { return core.Quote{}, false })
 	if err == nil {
 		t.Fatal("unknown function accepted")
 	}

@@ -108,8 +108,11 @@ func (m *Meter) sinkErr(err error) {
 	}
 }
 
-// Observe prices one record through every pricer and accrues the results.
-func (m *Meter) Observe(rec MeteredRecord) {
+// Observe prices one record through every pricer and accrues the results. It
+// returns the primary pricer's quote (ok false when that pricer refused the
+// record) — the price signal Fleet.Run feeds the cost-feedback policies, so
+// a completion is priced once for its bill and its routing.
+func (m *Meter) Observe(rec MeteredRecord) (primary core.Quote, ok bool) {
 	if m.cfg.KeepRecords {
 		m.records = append(m.records, rec)
 	}
@@ -153,8 +156,10 @@ func (m *Meter) Observe(rec MeteredRecord) {
 		}
 		if i == m.primary {
 			t.discounts = append(t.discounts, q.Discount())
+			primary, ok = q, true
 		}
 	}
+	return primary, ok
 }
 
 // WindowBill is one (tenant, window) aggregate.

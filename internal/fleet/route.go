@@ -19,16 +19,16 @@ type MachineState struct {
 	UsedMB int
 	// CapMB is the machine's sandbox memory capacity.
 	CapMB int
-	// AvgPrice and AvgDiscount are EWMAs of the feedback pricer's quotes
-	// over the machine's recent completions (under Simulate, the meter's
-	// primary pricer; both zero and meaningless while HavePrice is false). Under Litmus pricing
-	// the discount grows with interference, so AvgDiscount doubles as a
-	// congestion signal: a machine handing out deep discounts is a machine
-	// whose tenants are being slowed down.
+	// AvgPrice and AvgDiscount are EWMAs of the quotes the run's sink priced
+	// the machine's recent completions at (under Simulate, the meter's
+	// primary pricer; both zero and meaningless while HavePrice is false).
+	// Under Litmus pricing the discount grows with interference, so
+	// AvgDiscount doubles as a congestion signal: a machine handing out deep
+	// discounts is a machine whose tenants are being slowed down.
 	AvgPrice    float64
 	AvgDiscount float64
-	// HavePrice reports whether the machine has completed at least one
-	// feedback-priced invocation since the run began.
+	// HavePrice reports whether the sink has priced at least one of the
+	// machine's completions since the run began.
 	HavePrice bool
 }
 
@@ -111,7 +111,7 @@ func (LeastLoaded) Pick(spec *workload.Spec, machines []MachineState) int {
 }
 
 // CheapestProjectedBill routes each arrival to the machine whose recent
-// completions priced cheapest under the feedback pricer (ties to the lowest
+// completions the sink priced cheapest (MachineState.AvgPrice; ties to the lowest
 // ID), minimising the tenant's projected bill. Under Litmus this chases
 // discounts — congested machines charge LESS because the pricer refunds
 // interference — so it deliberately trades latency for bill. Machines with

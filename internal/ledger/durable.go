@@ -289,7 +289,10 @@ func (l *Ledger) openDurable() error {
 				d.recovery.TornBytesTruncated += seg.Size - off
 			}
 			for _, rec := range recs {
-				l.replay(rec)
+				owner := l.shardFor(rec.Entry.Tenant)
+				owner.mu.Lock()
+				l.replay(owner, rec)
+				owner.mu.Unlock()
 			}
 			if len(recs) > 0 {
 				d.recovery.Recovered = true

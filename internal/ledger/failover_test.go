@@ -59,15 +59,13 @@ func drive(t *testing.T, l *ledger.Ledger, entries []ledger.Entry) {
 // post-promotion recovery — and returns the standby.
 func promoteAndReplay(t *testing.T, cfg ledger.Config, prefix []ledger.WALRecord, entries []ledger.Entry) *ledger.Ledger {
 	t.Helper()
-	standby, err := ledger.New(ledgertest.Volatile(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	standby := newStandby(t, cfg)
 	for _, rec := range prefix {
 		if err := standby.ApplyReplica(rec); err != nil {
 			t.Fatalf("ApplyReplica: %v", err)
 		}
 	}
+	promote(t, standby)
 	drive(t, standby, entries)
 	return standby
 }
@@ -126,15 +124,13 @@ func TestFailoverAtEveryReplicationOffset(t *testing.T) {
 
 	// Fully replicated: the replay must be a pure no-op on the bills — every
 	// record comes back Duplicate, nothing accrues twice.
-	standby, err := ledger.New(ledgertest.Volatile(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	standby := newStandby(t, cfg)
 	for _, rec := range recs {
 		if err := standby.ApplyReplica(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
+	promote(t, standby)
 	before := standby.Stats().Accrued
 	drive(t, standby, entries)
 	after := standby.Stats()

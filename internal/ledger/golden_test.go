@@ -107,10 +107,7 @@ func TestBootstrapStandbyFromParentWrittenDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standby, err := ledger.New(ledgertest.Volatile(goldenCfg("")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	standby := newStandby(t, goldenCfg(""))
 	gen, err := standby.RestoreSnapshot(snapshot)
 	if err != nil || gen != ls.SnapshotGen {
 		t.Fatalf("RestoreSnapshot = %d, %v; want generation %d", gen, err, ls.SnapshotGen)
@@ -132,6 +129,7 @@ func TestBootstrapStandbyFromParentWrittenDirectory(t *testing.T) {
 	if torn != 1 {
 		t.Fatalf("%d torn segments in %s, want 1", torn, goldenDir)
 	}
+	promote(t, standby)
 	checkGolden(t, standby, nil)
 	if err := ledgertest.Diff(recoverGolden(t), standby); err != nil {
 		t.Fatalf("recovered node and bootstrapped standby differ: %v", err)

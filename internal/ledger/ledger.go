@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -82,6 +83,11 @@ const (
 // distinguish "this entry is invalid" from "the disk is failing" (the
 // pricing service maps the latter to 503, not 400).
 var ErrDurability = errors.New("ledger: durability failure")
+
+// ErrReplica is what Accrue and AccrueBatch answer for every entry, valid or
+// not, while the ledger is a replica (NewReplica until Promote); nothing
+// changes, counters included. The pricing service maps it to a 503.
+var ErrReplica = errors.New("ledger: replica: accruals go to the primary until promotion")
 
 // Config parameterises a ledger.
 type Config struct {
@@ -208,6 +214,13 @@ type Ledger struct {
 
 	// dur holds the persistence state; nil on a volatile ledger.
 	dur *durable
+
+	// replica is the failover write gate and the only copy of "is this node a
+	// standby": set by NewReplica, cleared for good by Promote (replica.go).
+	replica atomic.Bool
+	// promoteMu makes RestoreSnapshot, which locks the shards one at a time,
+	// atomic against Promote.
+	promoteMu sync.Mutex
 }
 
 // New builds a ledger from cfg. With cfg.Dir set it opens (or creates) the
@@ -319,6 +332,9 @@ func (l *Ledger) Seen(tenant, key string) bool {
 // after the record is on stable storage — an acknowledged accrual survives
 // a crash.
 func (l *Ledger) Accrue(e Entry) (Outcome, error) {
+	if l.replica.Load() {
+		return Dropped, ErrReplica
+	}
 	if err := validateEntry(e); err != nil {
 		return Dropped, err
 	}
@@ -453,6 +469,12 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 		return
 	}
 	_ = results[len(entries)-1] // fail fast on a short results slice
+	if l.replica.Load() {
+		for i := range entries {
+			results[i] = AccrualResult{Outcome: Dropped, Err: ErrReplica}
+		}
+		return
+	}
 	var cur *shard
 	unlock := func() {
 		if cur != nil {

@@ -8,13 +8,55 @@
 // the same bytes, counters included; the exported two add only what guards
 // input arriving from outside the process.
 //
+// It is also where the failover write gate lives: a standby's ledger is built
+// as a replica (NewReplica), takes replication input and refuses accruals
+// (ErrReplica) until Promote flips it, once, and from then on does the
+// opposite. The two writers exclude each other here, at the store, whatever
+// order their callers run in.
+//
 // Rebuilding never re-decides outcomes: the WAL logs (entry, outcome) pairs
 // and replay applies the logged outcome through shard.apply, the transition
 // the live accrual step runs. Re-deciding would diverge on anything that
 // depended on cross-shard state when the primary decided it (the tenant cap).
 package ledger
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// NewReplica builds a standby's ledger: a volatile store of the primary's
+// shape (its /cluster/meta body) that mirrors it through RestoreSnapshot and
+// ApplyReplica until Promote. maxTenants caps the traffic it takes after
+// promotion (0 selects DefaultMaxTenants); replication never consults it,
+// since replicated records carry the primary's decided outcomes. Volatile on
+// purpose: a standby's durability is the primary's WAL, and one writing its
+// own would fork the replication history.
+func NewReplica(meta Meta, maxTenants int) (*Ledger, error) {
+	l, err := New(Config{Shards: meta.Shards, WindowMinutes: meta.WindowMinutes, MaxKeys: meta.MaxKeys, MaxTenants: maxTenants})
+	if err != nil {
+		return nil, err
+	}
+	l.replica.Store(true)
+	return l, nil
+}
+
+// Replica reports whether the ledger still mirrors a primary: true from
+// NewReplica until Promote, false on every other ledger.
+func (l *Ledger) Replica() bool { return l.replica.Load() }
+
+// Promote ends replication into the ledger and opens it to accruals. It
+// reports whether this call made the transition: true exactly once on a
+// replica, false ever after and on a ledger that never was one.
+func (l *Ledger) Promote() bool {
+	l.promoteMu.Lock()
+	defer l.promoteMu.Unlock()
+	return l.replica.CompareAndSwap(true, false)
+}
+
+// errNotReplica refuses replication input on a ledger that is not, or is no
+// longer, a replica.
+var errNotReplica = errors.New("ledger: replication input on a ledger that is not a replica (standbys are volatile ledgers from NewReplica, until Promote)")
 
 // restore replaces every shard's state with doc's, each under its own lock,
 // and recounts the tenant cap's occupancy from what was loaded.
@@ -36,27 +78,20 @@ func (l *Ledger) restore(doc *snapshotDoc) {
 // so occupancy is recorded unconditionally (a standby configured with a
 // smaller MaxTenants reports over-cap occupancy via Stats after promotion)
 // and the cap is exact the moment the rebuilt ledger takes traffic.
-func (l *Ledger) replay(rec WALRecord) {
+//
+//litmus:guarded-by caller holds sh.mu
+func (l *Ledger) replay(sh *shard, rec WALRecord) {
 	e := rec.Entry
-	sh := l.shardFor(e.Tenant)
-	sh.mu.Lock()
 	if rec.Outcome == Accrued && sh.accounts[e.Tenant] == nil {
 		l.tenants.Add(1)
 	}
 	sh.apply(e, namespacedKey(e), rec.Outcome, l.cfg.WindowMinutes)
-	sh.mu.Unlock()
 }
 
-// ApplyReplica applies one replicated WAL record to a volatile standby
-// ledger (see replay).
-//
-// It refuses to run on a durable ledger: a standby writing its own WAL
-// would fork the replication history (promotion re-opens durability by
-// restarting on a fresh data directory or re-seeding one from the standby).
+// ApplyReplica applies one replicated WAL record to a replica (see replay).
+// After Promote it refuses: the gate is read under the record's shard lock,
+// so no record lands on a shard after that shard accepted an accrual.
 func (l *Ledger) ApplyReplica(rec WALRecord) error {
-	if l.dur != nil {
-		return fmt.Errorf("ledger: ApplyReplica on a durable ledger (standbys are volatile)")
-	}
 	if rec.Entry.Tenant == "" {
 		// Accrue never acknowledges a tenantless entry, so a frame carrying
 		// one is corrupt upstream of the CRC — refuse rather than misroute.
@@ -65,16 +100,22 @@ func (l *Ledger) ApplyReplica(rec WALRecord) error {
 	if rec.Outcome < Accrued || rec.Outcome > Dropped {
 		return fmt.Errorf("ledger: replicated record has unknown outcome %d", int(rec.Outcome))
 	}
-	l.replay(rec)
+	sh := l.shardFor(rec.Entry.Tenant)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !l.replica.Load() {
+		return errNotReplica
+	}
+	l.replay(sh, rec)
 	return nil
 }
 
-// RestoreSnapshot loads a primary's snapshot document into a volatile
-// standby ledger, replacing any state the standby held, and returns the
-// snapshot's generation — the WAL seq replication must resume from. It is
-// the bootstrap half of replication: a follower that fell behind the
-// primary's compaction horizon restores the newest snapshot and tails the
-// segments with seq >= gen.
+// RestoreSnapshot loads a primary's snapshot document into a replica,
+// replacing any state it held, and returns the snapshot's generation — the
+// WAL seq replication must resume from. It is the bootstrap half of
+// replication: a follower that fell behind the primary's compaction horizon
+// restores the newest snapshot and tails the segments with seq >= gen. After
+// Promote it refuses.
 //
 // The document's Meta must equal the standby's — restoring across a
 // re-sharding would silently change bills, exactly like opening a
@@ -84,8 +125,10 @@ func (l *Ledger) ApplyReplica(rec WALRecord) error {
 // when the primary has not snapshotted yet (replication then replays its
 // WAL from the very first segment).
 func (l *Ledger) RestoreSnapshot(data []byte) (uint64, error) {
-	if l.dur != nil {
-		return 0, fmt.Errorf("ledger: RestoreSnapshot on a durable ledger (standbys are volatile)")
+	l.promoteMu.Lock()
+	defer l.promoteMu.Unlock()
+	if !l.replica.Load() {
+		return 0, errNotReplica
 	}
 	doc := &snapshotDoc{ShardStates: make([]shardSnapshot, len(l.shards))}
 	if data != nil {

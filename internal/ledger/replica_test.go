@@ -58,10 +58,7 @@ func TestApplyReplicaMirrorsPrimary(t *testing.T) {
 	}
 	stream.DriveSequential(primary)
 
-	standby, err := ledger.New(ledgertest.Volatile(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	standby := newStandby(t, cfg)
 	if n := replayFrames(t, dir, standby, 0); n != stream.Len() {
 		t.Fatalf("replayed %d frames, stream has %d entries", n, stream.Len())
 	}
@@ -111,10 +108,7 @@ func TestRestoreSnapshotBootstrapsStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	standby, err := ledger.New(ledgertest.Volatile(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	standby := newStandby(t, cfg)
 	// Dirty the standby first: RestoreSnapshot must replace, not merge.
 	if err := standby.ApplyReplica(ledger.WALRecord{Entry: ledger.Entry{Tenant: "stale", Price: 1}}); err != nil {
 		t.Fatal(err)
@@ -154,10 +148,7 @@ func TestReplicaRefusals(t *testing.T) {
 		t.Errorf("RestoreSnapshot on durable ledger: err = %v", err)
 	}
 
-	standby, err := ledger.New(ledger.Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	standby := newStandby(t, ledger.Config{Shards: 1})
 	if err := standby.ApplyReplica(ledger.WALRecord{}); err == nil {
 		t.Error("tenantless record applied")
 	}
@@ -205,22 +196,30 @@ func TestRestoreSnapshotFillsOmittedMaps(t *testing.T) {
 			"no-bills":{"invocations":1,"commercial":2,"billed":1,"windows":{"0":{"invocations":1,"commercial":2,"billed":1}}},
 			"null-account":null,
 			"null-window":{"invocations":0,"commercial":0,"billed":0,"windows":{"0":null}}}}]}`, ledger.DefaultMaxKeys)
-	standby, err := ledger.New(ledger.Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	standby := newStandby(t, ledger.Config{Shards: 1})
 	if gen, err := standby.RestoreSnapshot([]byte(doc)); err != nil || gen != 3 {
 		t.Fatalf("RestoreSnapshot = %d, %v", gen, err)
 	}
-	for _, tenant := range []string{"no-windows", "no-bills", "null-account", "null-window"} {
+	// Replicated records first, accruals after promotion: the ledger takes
+	// one kind of writer at a time.
+	tenants := []string{"no-windows", "no-bills", "null-account", "null-window"}
+	entry := func(tenant string) ledger.Entry {
+		return ledger.Entry{Tenant: tenant, Pricer: "litmus", Commercial: 2, Price: 1}
+	}
+	restored := map[string]ledger.Summary{}
+	for _, tenant := range tenants {
 		before, ok := standby.Summary(tenant)
 		if !ok {
 			t.Fatalf("tenant %q not restored", tenant)
 		}
-		e := ledger.Entry{Tenant: tenant, Pricer: "litmus", Commercial: 2, Price: 1}
-		if err := standby.ApplyReplica(ledger.WALRecord{Entry: e}); err != nil {
+		restored[tenant] = before
+		if err := standby.ApplyReplica(ledger.WALRecord{Entry: entry(tenant)}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	promote(t, standby)
+	for _, tenant := range tenants {
+		before, e := restored[tenant], entry(tenant)
 		if out, err := standby.Accrue(e); err != nil || out != ledger.Accrued {
 			t.Fatalf("Accrue(%q) = %v, %v", tenant, out, err)
 		}

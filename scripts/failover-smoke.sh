@@ -11,6 +11,13 @@
 # match what a single uninterrupted node would have produced. This is the
 # process-level counterpart of TestFailoverEndToEnd and the
 # every-replication-offset sweep in internal/ledger/failover_test.go.
+#
+# A second leg repeats the failure with nobody to call /cluster/promote: a
+# fresh primary and a standby started with -auto-promote -probe-interval
+# 100ms -probe-failures 3. After the primary is SIGKILLed the standby must
+# report "standby":false on /healthz within 5 s (three failed probes are due
+# after 0.3 s), answer a late POST /cluster/promote with "promoted":false,
+# and bill the replayed tail exactly once.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,9 +26,11 @@ saddr=${STANDBY_ADDR:-127.0.0.1:18095}
 work=$(mktemp -d)
 ppid=""
 spid=""
+opid=""
 cleanup() {
     [ -n "$ppid" ] && kill -9 "$ppid" 2>/dev/null || true
     [ -n "$spid" ] && kill -9 "$spid" 2>/dev/null || true
+    [ -n "$opid" ] && kill -9 "$opid" 2>/dev/null || true
     rm -rf "$work"
 }
 trap cleanup EXIT
@@ -158,3 +167,93 @@ done
 kill -9 "$opid" 2>/dev/null || true
 
 echo "failover smoke OK: standby mirrored, promoted, tail closed exactly once, bills match the oracle"
+
+echo "==> auto-promote leg: a fresh primary and a standby that probes it"
+kill -9 "$spid" 2>/dev/null || true
+wait "$spid" 2>/dev/null || true
+spid=""
+"$work/pricingd" -addr "$paddr" -tables "$work/tables.json" \
+    -data-dir "$work/data-auto" -fsync always >"$work/primary-auto.log" 2>&1 &
+ppid=$!
+disown "$ppid" 2>/dev/null || true
+wait_healthy "$paddr" "$work/primary-auto.log"
+"$work/pricingd" -addr "$saddr" -tables "$work/tables.json" -follow "http://$paddr" \
+    -auto-promote -probe-interval 100ms -probe-failures 3 >"$work/standby-auto.log" 2>&1 &
+spid=$!
+disown "$spid" 2>/dev/null || true
+wait_healthy "$saddr" "$work/standby-auto.log"
+
+stream=$(batch_a | curl -fsS -X POST "http://$paddr/v3/usage" \
+    -H 'Content-Type: application/x-ndjson' -H 'Idempotency-Key: smoke-a' --data-binary @-)
+echo "$stream" | grep -q '"accepted":3' || { echo "auto leg: batch A not accepted: $stream" >&2; exit 1; }
+stmt_primary=$(curl -fsS "http://$paddr/v3/tenants/acme/statement")
+for i in $(seq 1 100); do
+    stmt_standby=$(curl -fsS "http://$saddr/v3/tenants/acme/statement" 2>/dev/null) || stmt_standby=""
+    if [ "$stmt_standby" = "$stmt_primary" ]; then break; fi
+    if [ "$i" = 100 ]; then
+        echo "auto leg: standby never caught up" >&2
+        curl -fsS "http://$saddr/cluster/follower" >&2 || true
+        exit 1
+    fi
+    sleep 0.1
+done
+curl -fsS "http://$saddr/healthz" | grep -q '"standby":true' || { echo "auto leg: standby promoted itself under a healthy primary" >&2; cat "$work/standby-auto.log" >&2; exit 1; }
+stream=$(batch_b | curl -fsS -X POST "http://$paddr/v3/usage" \
+    -H 'Content-Type: application/x-ndjson' -H 'Idempotency-Key: smoke-b' --data-binary @-)
+echo "$stream" | grep -q '"accepted":2' || { echo "auto leg: batch B not accepted: $stream" >&2; exit 1; }
+kill -9 "$ppid"
+wait "$ppid" 2>/dev/null || true
+ppid=""
+
+echo "==> waiting for the standby to promote itself (bound: 5 s)"
+for i in $(seq 1 50); do
+    # /healthz omits "standby" once it is false.
+    if ! curl -fsS "http://$saddr/healthz" | grep -q '"standby":true'; then break; fi
+    if [ "$i" = 50 ]; then
+        echo "standby still a standby 5 s after the primary died; log:" >&2
+        cat "$work/standby-auto.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+curl -fsS "http://$saddr/cluster/follower" | grep -q '"promoted":true' || { echo "auto leg: /cluster/follower disagrees with /healthz" >&2; exit 1; }
+late=$(curl -fsS -X POST "http://$saddr/cluster/promote")
+echo "$late" | grep -q '"promoted":false' || { echo "operator promote after auto-promotion claimed the transition: $late" >&2; exit 1; }
+
+replay_a=$(batch_a | curl -fsS -X POST "http://$saddr/v3/usage" \
+    -H 'Content-Type: application/x-ndjson' -H 'Idempotency-Key: smoke-a' --data-binary @-)
+echo "$replay_a" | grep -q '"accepted":0' || { echo "auto leg: replicated batch re-billed: $replay_a" >&2; exit 1; }
+echo "$replay_a" | grep -q '"duplicates":3' || { echo "auto leg: replicated batch not deduped: $replay_a" >&2; exit 1; }
+replay_b=$(batch_b | curl -fsS -X POST "http://$saddr/v3/usage" \
+    -H 'Content-Type: application/x-ndjson' -H 'Idempotency-Key: smoke-b' --data-binary @-)
+billed=$(echo "$replay_b" | grep -o '"accepted":[0-9]*' | cut -d: -f2)
+duped=$(echo "$replay_b" | grep -o '"duplicates":[0-9]*' | cut -d: -f2)
+if [ "$((billed + duped))" != 2 ]; then
+    echo "auto leg: tail did not close exactly once: $replay_b" >&2; exit 1
+fi
+again=$(batch_b | curl -fsS -X POST "http://$saddr/v3/usage" \
+    -H 'Content-Type: application/x-ndjson' -H 'Idempotency-Key: smoke-b' --data-binary @-)
+echo "$again" | grep -q '"accepted":0' || { echo "auto leg: second replay billed: $again" >&2; exit 1; }
+echo "$again" | grep -q '"duplicates":2' || { echo "auto leg: second replay not all duplicates: $again" >&2; exit 1; }
+"$work/pricingd" -addr "$oaddr" -tables "$work/tables.json" >"$work/oracle-auto.log" 2>&1 &
+opid=$!
+disown "$opid" 2>/dev/null || true
+wait_healthy "$oaddr" "$work/oracle-auto.log"
+batch_a | curl -fsS -X POST "http://$oaddr/v3/usage" \
+    -H 'Content-Type: application/x-ndjson' -H 'Idempotency-Key: smoke-a' --data-binary @- >/dev/null
+batch_b | curl -fsS -X POST "http://$oaddr/v3/usage" \
+    -H 'Content-Type: application/x-ndjson' -H 'Idempotency-Key: smoke-b' --data-binary @- >/dev/null
+for tenant in acme zeta; do
+    got=$(curl -fsS "http://$saddr/v3/tenants/$tenant/statement")
+    want=$(curl -fsS "http://$oaddr/v3/tenants/$tenant/statement")
+    if [ "$got" != "$want" ]; then
+        echo "auto-promoted statement for $tenant diverged from the no-failover oracle:" >&2
+        echo "promoted: $got" >&2
+        echo "oracle:   $want" >&2
+        kill -9 "$opid" 2>/dev/null || true
+        exit 1
+    fi
+done
+kill -9 "$opid" 2>/dev/null || true
+
+echo "failover smoke OK (auto-promote): the standby took over on its own probes, a late operator promote was a no-op, tail closed exactly once, bills match the oracle"
