@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same steps (see .github/workflows/ci.yml).
 
-.PHONY: build test race bench cover recovery-smoke failover-smoke fmt vet \
+.PHONY: build test race bench paper cover recovery-smoke failover-smoke fmt vet \
 	litmusvet lint lint-tools
 
 build:
@@ -16,6 +16,12 @@ race:
 # definitions and arguments in bench/README.md).
 bench:
 	bash bench/run.sh
+
+# The reproduced-vs-paper report: every artifact at the configuration the
+# claim bands and the golden CSV are stated at, ≈30 s. Lines carrying
+# "paper" are the per-figure deltas; CI uploads the whole report.
+paper:
+	@go run ./cmd/litmusbench -all -seed 7 -scale 0.12
 
 # Coverage gate for the billing subsystem: every test in internal/ledger/...
 # (unit, durability, crash harness) counts toward internal/ledger coverage,

@@ -17,6 +17,7 @@ package litmus
 // cmd/litmusbench -scale 1 runs the full-size configurations.
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/exp"
@@ -30,6 +31,10 @@ func BenchmarkArtifacts(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := e.Run(cfg)
 				if err != nil {
+					b.Fatalf("%s: %v", e.ID, err)
+				}
+				// The report litmusbench prints, through the same function.
+				if err := res.Write(io.Discard, "text"); err != nil {
 					b.Fatalf("%s: %v", e.ID, err)
 				}
 				last = res

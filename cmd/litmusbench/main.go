@@ -2,21 +2,23 @@
 //
 // Usage:
 //
-//	litmusbench -list                      # enumerate experiments
+//	litmusbench -list                      # the registry as a Markdown table
 //	litmusbench -run E11 [-scale 0.5]      # one experiment
 //	litmusbench -all [-format csv]         # the full suite
 //
-// Each experiment prints paper-style rows plus its headline metrics; the
-// "paper" line states the published shape for side-by-side comparison.
+// Each experiment prints paper-style rows plus its headline metrics; where
+// the paper states a number for a metric, the line also carries that number,
+// the delta and whether the reproduction is inside the claim's band (the
+// claims are typed in internal/exp's registry).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/exp"
 )
@@ -32,6 +34,31 @@ func main() {
 		out    = flag.String("o", "", "write output to file instead of stdout")
 	)
 	flag.Parse()
+
+	// Everything the flags alone decide is refused before the output file
+	// is created or an experiment runs.
+	cfg := exp.Config{Seed: *seed, Scale: *scale}
+	var exps []exp.Experiment
+	switch {
+	case *list:
+		if *format != "text" {
+			fatal(errors.New("-format has no effect with -list: the registry prints as one Markdown table"))
+		}
+	case *runID != "":
+		e, ok := exp.ByID(*runID)
+		if !ok {
+			fatal(fmt.Errorf("unknown experiment %q (try -list)", *runID))
+		}
+		exps = []exp.Experiment{e}
+	case *all:
+		exps = exp.All()
+	default:
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := errors.Join(exp.CheckFormat(*format), cfg.Validate()); err != nil {
+		fatal(err)
+	}
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {
@@ -49,78 +76,23 @@ func main() {
 		w = f
 	}
 
-	switch {
-	case *list:
-		for _, e := range exp.All() {
-			fmt.Fprintf(w, "%-4s %s\n     paper: %s\n", e.ID, e.Title, e.Paper)
+	if *list {
+		exp.List(w)
+		return
+	}
+	for _, e := range exps {
+		if err := runOne(w, e, cfg, *format); err != nil {
+			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
-	case *runID != "":
-		cfg := exp.Config{Seed: *seed, Scale: *scale}
-		if err := cfg.Validate(); err != nil {
-			fatal(err)
-		}
-		if err := runOne(w, *runID, cfg, *format); err != nil {
-			fatal(err)
-		}
-	case *all:
-		cfg := exp.Config{Seed: *seed, Scale: *scale}
-		if err := cfg.Validate(); err != nil {
-			fatal(err)
-		}
-		for _, e := range exp.All() {
-			if err := runOne(w, e.ID, cfg, *format); err != nil {
-				fatal(fmt.Errorf("%s: %w", e.ID, err))
-			}
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
 }
 
-func runOne(w io.Writer, id string, cfg exp.Config, format string) error {
-	e, ok := exp.ByID(id)
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (try -list)", id)
-	}
-	start := time.Now()
+func runOne(w io.Writer, e exp.Experiment, cfg exp.Config, format string) error {
 	res, err := e.Run(cfg)
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
-
-	switch format {
-	case "text":
-		fmt.Fprintf(w, "== %s — %s ==\n", res.ID, res.Title)
-		fmt.Fprintf(w, "paper: %s\n\n", e.Paper)
-		for _, tab := range res.Tables {
-			fmt.Fprintln(w, tab.String())
-		}
-		for _, n := range res.Notes {
-			fmt.Fprintf(w, "note: %s\n", n)
-		}
-		for _, k := range res.MetricNames() {
-			fmt.Fprintf(w, "metric %-28s %.4f\n", k, res.Metrics[k])
-		}
-		fmt.Fprintf(w, "(completed in %v)\n\n", elapsed.Round(time.Millisecond))
-	case "csv":
-		for _, tab := range res.Tables {
-			fmt.Fprintf(w, "# %s: %s\n", res.ID, tab.Title)
-			fmt.Fprint(w, tab.CSV())
-		}
-	case "json":
-		for _, tab := range res.Tables {
-			j, err := tab.JSON()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, j)
-		}
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
-	return nil
+	return res.Write(w, format)
 }
 
 func fatal(err error) {

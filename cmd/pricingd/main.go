@@ -100,8 +100,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Bound before anything slow: a taken port fails here, in milliseconds,
+	// not after a calibration. Early clients wait in the accept queue.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("pricingd: %v", err)
+	}
+
 	if *clusterArg != "" {
-		if err := runRouter(ctx, *addr, *clusterArg, *maxBody); err != nil {
+		if err := runRouter(ctx, ln, *clusterArg, *maxBody); err != nil {
 			log.Fatalf("pricingd: %v", err)
 		}
 		return
@@ -136,7 +143,7 @@ func main() {
 	}
 
 	if *follow != "" {
-		if err := runFollower(ctx, *addr, *follow, cfg, *autoProm, *probeEvery, *probeFails); err != nil {
+		if err := runFollower(ctx, ln, *follow, cfg, *autoProm, *probeEvery, *probeFails); err != nil {
 			log.Fatalf("pricingd: %v", err)
 		}
 		return
@@ -156,7 +163,7 @@ func main() {
 	// Graceful shutdown: drain in-flight requests, then flush and close the
 	// ledger so even fsync=interval/never lose nothing on a clean stop. A
 	// SIGKILL skips all of this — that is what the WAL is for.
-	err = listenAndServe(ctx, *addr, cluster.PrimaryHandler(srv, cluster.SourceConfig{}), func() error {
+	err = serve(ctx, ln, cluster.PrimaryHandler(srv, cluster.SourceConfig{}), func() error {
 		if err := srv.Close(); err != nil {
 			return fmt.Errorf("closing ledger: %w", err)
 		}
@@ -199,15 +206,6 @@ func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeF
 	return nil
 }
 
-// listenAndServe opens addr and serves handler on it until ctx ends.
-func listenAndServe(ctx context.Context, addr string, handler http.Handler, cleanup func() error) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return serve(ctx, ln, handler, cleanup)
-}
-
 // serve runs handler on ln until the listener fails or ctx ends, then drains:
 // in-flight requests run to completion and only then cleanup runs, so a
 // stream being billed at SIGTERM is answered in full and flushed.
@@ -238,7 +236,7 @@ func serve(ctx context.Context, ln net.Listener, handler http.Handler, cleanup f
 // runRouter serves the thin cluster router: every request is routed to the
 // tenant's ring owner, so the router needs no calibration and holds no
 // billing state of its own.
-func runRouter(ctx context.Context, addr, list string, maxBody int64) error {
+func runRouter(ctx context.Context, ln net.Listener, list string, maxBody int64) error {
 	nodes, err := cluster.ParseNodes(list)
 	if err != nil {
 		return err
@@ -248,14 +246,14 @@ func runRouter(ctx context.Context, addr, list string, maxBody int64) error {
 		return err
 	}
 	router := cluster.NewRouter(cc, cluster.RouterConfig{MaxBodyBytes: maxBody})
-	log.Printf("pricingd: routing for %d nodes on %s (coordinator %s)", len(nodes), addr, nodes[0].Name)
-	return listenAndServe(ctx, addr, router, nil)
+	log.Printf("pricingd: routing for %d nodes on %s (coordinator %s)", len(nodes), ln.Addr(), nodes[0].Name)
+	return serve(ctx, ln, router, nil)
 }
 
 // runFollower serves a hot standby: the primary's WAL replicates into a
 // replica ledger the API reads and cannot write until POST /cluster/promote
 // — or, with autoPromote, the health prober — promotes it.
-func runFollower(ctx context.Context, addr, primary string, cfg api.Config, autoPromote bool, probeEvery time.Duration, probeFails int) error {
+func runFollower(ctx context.Context, ln net.Listener, primary string, cfg api.Config, autoPromote bool, probeEvery time.Duration, probeFails int) error {
 	f := cluster.NewFollower(primary, cluster.FollowerConfig{MaxTenants: cfg.MaxTenants})
 	log.Printf("pricingd: bootstrapping standby from %s…", primary)
 	if err := f.Bootstrap(ctx); err != nil {
@@ -266,12 +264,12 @@ func runFollower(ctx context.Context, addr, primary string, cfg api.Config, auto
 	if err != nil {
 		return err
 	}
-	go func() { _ = f.Run(ctx) }()
+	go f.Run(ctx)
 	if autoPromote {
 		go f.AutoPromote(ctx, probeEvery, probeFails)
 	}
-	log.Printf("pricingd: hot standby on %s replicating %s (auto-promote %v)", addr, primary, autoPromote)
-	return listenAndServe(ctx, addr, f.Handler(srv), nil)
+	log.Printf("pricingd: hot standby on %s replicating %s (auto-promote %v)", ln.Addr(), primary, autoPromote)
+	return serve(ctx, ln, f.Handler(srv), nil)
 }
 
 func loadOrCalibrate(path string, scale float64, seed int64) (*core.Calibration, error) {

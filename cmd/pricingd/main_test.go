@@ -161,7 +161,7 @@ func TestClusterWiring(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	go func() { defer close(done); _ = f.Run(ctx) }()
+	go func() { defer close(done); f.Run(ctx) }()
 	t.Cleanup(func() { cancel(); <-done })
 	standby := httptest.NewServer(f.Handler(standbySrv))
 	t.Cleanup(standby.Close)

@@ -155,7 +155,7 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
-		go func() { defer close(done); _ = f.Run(ctx) }()
+		go func() { defer close(done); f.Run(ctx) }()
 		deadline := time.Now().Add(30 * time.Second)
 		for f.Ledger().Stats().Accrued < want {
 			if time.Now().After(deadline) {

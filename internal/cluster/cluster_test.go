@@ -15,11 +15,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/api/apitest"
@@ -474,8 +476,23 @@ func TestRouterProxyReusesConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The owner holds every seeding stream until all have arrived, so the N
+	// forwards overlap for certain and each owns a connection. Left to
+	// timing, a forward can finish while another still waits on its dial:
+	// the waiter takes the freed connection, its own dial lands in the pool
+	// unannounced some time later, and a round that starts before it does
+	// dials once more.
+	const readers, rounds = 8, 6
+	var arrived sync.WaitGroup
+	arrived.Add(readers)
 	var dials atomic.Int64
-	node := httptest.NewUnstartedServer(srv)
+	node := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			arrived.Done()
+			arrived.Wait()
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	node.Config.ConnState = func(_ net.Conn, s http.ConnState) {
 		if s == http.StateNew {
 			dials.Add(1)
@@ -487,10 +504,33 @@ func TestRouterProxyReusesConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := httptest.NewServer(cluster.NewRouter(cc, cluster.RouterConfig{}))
+	// The router's requests to the owner inherit the incoming request's
+	// context, so a client trace hung on it sees every owner connection go
+	// back to the transport's idle pool. That hand-back is asynchronous — it
+	// can trail the reader's last byte — so each round first collects one
+	// token per request of the round before it; a round that started one
+	// connection short would redial, and the bound below has no slack for it.
+	idle := make(chan error, readers)
+	trace := &httptrace.ClientTrace{PutIdleConn: func(err error) { idle <- err }}
+	handler := cluster.NewRouter(cc, cluster.RouterConfig{})
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r.WithContext(httptrace.WithClientTrace(r.Context(), trace)))
+	}))
 	t.Cleanup(router.Close)
+	awaitIdle := func() {
+		t.Helper()
+		for i := 0; i < readers; i++ {
+			select {
+			case err := <-idle:
+				if err != nil {
+					t.Errorf("owner connection not returned to the idle pool: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("only %d of %d owner connections came back to the idle pool", i, readers)
+			}
+		}
+	}
 
-	const readers, rounds = 8, 6
 	var seed sync.WaitGroup
 	for i := 0; i < readers; i++ {
 		seed.Add(1)
@@ -512,6 +552,7 @@ func TestRouterProxyReusesConnections(t *testing.T) {
 
 	before := dials.Load()
 	for round := 0; round < rounds; round++ {
+		awaitIdle()
 		var wg sync.WaitGroup
 		for i := 0; i < readers; i++ {
 			wg.Add(1)
@@ -530,16 +571,14 @@ func TestRouterProxyReusesConnections(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	// +2, as TestFollowerReusesConnections allows: the transport hands a
-	// drained connection back to the idle pool asynchronously, so a round can
-	// start one short and redial (9 dials in 3 of 300 runs). Unpooled costs 38.
-	if got := dials.Load() - before; got > readers+2 {
+	// Unpooled costs 38.
+	if got := dials.Load() - before; got > readers {
 		t.Errorf("%d proxied reads by %d concurrent readers opened %d connections to the owner, want at most %d",
-			readers*rounds, readers, got, readers+2)
+			readers*rounds, readers, got, readers)
 	}
-	if got := dials.Load(); got > readers+2 {
+	if got := dials.Load(); got > readers {
 		t.Errorf("%d forwarded streams then %d proxied reads, %d at a time, opened %d connections to the owner, want at most %d: forwards and reads do not share a pool",
-			readers, readers*rounds, readers, got, readers+2)
+			readers, readers*rounds, readers, got, readers)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -75,7 +74,7 @@ type Follower struct {
 
 	// mu guards the replication positions and error/lifecycle state below.
 	mu      sync.Mutex
-	pos     map[int]*tailPos   //litmus:guarded-by mu
+	pos     []tailPos          //litmus:guarded-by mu (one per shard, sized by resync)
 	lastErr error              //litmus:guarded-by mu
 	cancel  context.CancelFunc //litmus:guarded-by mu
 	done    chan struct{}      //litmus:guarded-by mu (swapped per Run)
@@ -87,7 +86,7 @@ func NewFollower(primary string, cfg FollowerConfig) *Follower {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 50 * time.Millisecond
 	}
-	return &Follower{client: api.NewClient(primary), cfg: cfg, pos: map[int]*tailPos{}}
+	return &Follower{client: api.NewClient(primary), cfg: cfg}
 }
 
 // Bootstrap fetches the primary's ledger shape and newest snapshot and
@@ -124,9 +123,9 @@ func (f *Follower) resync(ctx context.Context) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pos = map[int]*tailPos{}
-	for shard := 0; shard < f.led.Shards(); shard++ {
-		f.pos[shard] = &tailPos{Seq: gen}
+	f.pos = make([]tailPos, f.led.Shards())
+	for shard := range f.pos {
+		f.pos[shard].Seq = gen
 	}
 	return nil
 }
@@ -172,7 +171,7 @@ func (f *Follower) Ledger() *ledger.Ledger { return f.led }
 // re-bootstrapping from the snapshot whenever a tail position is compacted
 // away. Transient primary outages are retried forever — an unreachable
 // primary is exactly when a standby must hold its state and wait.
-func (f *Follower) Run(ctx context.Context) error {
+func (f *Follower) Run(ctx context.Context) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	done := make(chan struct{})
@@ -186,7 +185,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	for f.led.Replica() {
 		err := f.tailAll(ctx)
 		if ctx.Err() != nil {
-			return nil
+			return
 		}
 		f.setErr(err)
 		if errors.Is(err, errResync) {
@@ -196,10 +195,9 @@ func (f *Follower) Run(ctx context.Context) error {
 			f.setErr(err)
 		}
 		if !sleepCtx(ctx, f.cfg.Poll) {
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 // tailAll runs one tailer per shard and returns the first failure (every
@@ -378,23 +376,19 @@ func (f *Follower) Status() FollowerStatus {
 	for shard, pos := range f.pos {
 		st.Shards = append(st.Shards, FollowerShard{Shard: shard, Seq: pos.Seq, Off: pos.Off})
 	}
-	sort.Slice(st.Shards, func(i, j int) bool { return st.Shards[i].Shard < st.Shards[j].Shard })
 	return st
 }
 
 func (f *Follower) getPos(shard int) tailPos {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if p := f.pos[shard]; p != nil {
-		return *p
-	}
-	return tailPos{}
+	return f.pos[shard]
 }
 
 func (f *Follower) setPos(shard int, p tailPos) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pos[shard] = &p
+	f.pos[shard] = p
 }
 
 func (f *Follower) setErr(err error) {

@@ -68,7 +68,7 @@ func newFollower(t *testing.T, primaryURL string) (*cluster.Follower, context.Ca
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = f.Run(ctx)
+		f.Run(ctx)
 	}()
 	t.Cleanup(func() { cancel(); <-done })
 	return f, func() { cancel(); <-done }
@@ -191,7 +191,7 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = f.Run(ctx)
+		f.Run(ctx)
 	}()
 	t.Cleanup(func() { cancel(); <-done })
 

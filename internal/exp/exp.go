@@ -1,7 +1,14 @@
 // Package exp regenerates every table and figure of the paper's evaluation:
 // one Experiment per artifact, declared once in the registry (All), each
-// producing paper-style rows plus headline metrics to read against the
-// paper's numbers (README, "Reproducing the paper").
+// producing paper-style rows plus headline metrics.
+//
+// What the paper claims is typed in that registry and nowhere else: the shape
+// in words (Experiment.Paper) and each number as a Claim — the metric that
+// reproduces it, the paper's value in that metric's unit, and the band the
+// reproduction must stay in. Result.Write prints reproduced, paper, delta
+// and in-band beside each claimed metric; List prints the registry as the
+// table README carries; the tests take every band from the claims and
+// compare the whole registry's rows with testdata/all-seed7-scale0.12.csv.
 //
 // Experiments are deterministic in (Seed, Scale). Scale shortens function
 // bodies and repetition counts proportionally so the whole suite runs in
@@ -10,7 +17,9 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/render"
@@ -57,15 +66,17 @@ func (c Config) bodyScale() float64 {
 
 // Result is an experiment's output.
 type Result struct {
-	// ID and Title are the registry entry's (T1, E1…E21, A1…A3; "Fig. 11 — …").
-	ID    string
-	Title string
+	// Experiment is the registry entry that produced it: ID (T1, E1…E21,
+	// A1…A3), Title ("Fig. 11 — …"), Paper and Claims.
+	Experiment
 	// Tables carry the regenerated rows/series.
 	Tables []*render.Table
 	// Metrics are headline scalars (gmeans, errors, R²s) keyed by name.
 	Metrics map[string]float64
 	// Notes carry free-form observations.
 	Notes []string
+	// Elapsed is how long Run took; only the text report prints it.
+	Elapsed time.Duration
 }
 
 // note appends a formatted note.
@@ -84,114 +95,164 @@ func (r *Result) MetricNames() []string {
 	return names
 }
 
+// Claim is one number the paper states for an artifact, in the unit of the
+// metric that reproduces it (a discount of 10.7 % against litmus_discount is
+// 0.107; a +181 % slowdown against a normalised time is 2.81).
+type Claim struct {
+	// Metric keys Result.Metrics.
+	Metric string
+	// Paper is the published value.
+	Paper float64
+	// Lo and Hi bound the reproduced value at the test configuration
+	// (seed 7, scale 0.12): inside [Lo, Hi] the simulator counts as
+	// reproducing the paper's shape — it does not reproduce percentages. A
+	// band that spans the metric's whole domain ([0, 1] for a discount,
+	// [0, +Inf] for an error) says no test ever asserted anything narrower.
+	Lo, Hi float64
+}
+
+// InBand reports whether a reproduced value v counts as the paper's shape.
+func (c Claim) InBand(v float64) bool { return c.Lo <= v && v <= c.Hi }
+
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
 	ID    string
 	Title string
-	// Paper is the shape target from the publication.
-	Paper string
-	// run fills a Result that already carries the entry's ID and Title.
+	// Paper is the shape the publication reports, in words; the numbers it
+	// reports are Claims.
+	Paper  string
+	Claims []Claim
+	// run fills a Result that already carries the registry entry.
 	run func(Config, *Result) error
 }
 
 // Run regenerates the artifact.
 func (e Experiment) Run(cfg Config) (*Result, error) {
-	res := &Result{ID: e.ID, Title: e.Title, Metrics: map[string]float64{}}
+	res := &Result{Experiment: e, Metrics: map[string]float64{}}
+	start := time.Now()
 	if err := e.run(cfg, res); err != nil {
 		return nil, err
 	}
+	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
+var inf = math.Inf(1)
+
 // All returns every experiment in presentation order. This table is the one
-// place an artifact's ID, title and paper claim are written: -list, the
-// report headers, the benchmarks and the tests all read it.
+// place an artifact's ID, title and paper claims are written: -list (and the
+// README table, which is its output), the report's paper/delta columns, the
+// benchmarks and the tests' bands all read it.
 func All() []Experiment {
 	return []Experiment{
 		{"T1", "Table 1 — serverless benchmarks & language runtimes",
-			"27 functions over Python/Node.js/Go from SeBS, FunctionBench, DeathStarBench, Online Boutique and AWS samples; 13 reference (*) functions",
+			"functions over Python/Node.js/Go from SeBS, FunctionBench, DeathStarBench, Online Boutique and AWS samples, some of them reference (*) functions",
+			[]Claim{{"functions", 27, 27, 27}, {"languages", 3, 3, 3}, {"references", 13, 13, 13}},
 			runT1},
 		{"E1", "Fig. 1 — CT-Gen/MB-Gen L2 and L3 misses vs stress level",
 			"CT-Gen: L2 misses grow with threads, L3 misses stay flat; MB-Gen: both grow, with L2 misses below CT-Gen's (self-throttling)",
-			runE1},
+			nil, runE1},
 		{"E2", "Fig. 2 — execution time with 26 co-runners, normalized to solo",
-			"up to 35% slowdown, gmean ≈11.5%",
+			"",
+			[]Claim{{"gmean_slowdown", 1.115, 1.03, 1.30}, {"max_slowdown", 1.35, 0, 1.8}},
 			runE2},
 		{"E3", "Fig. 3 — T_private and T_shared slowdowns with 26 co-runners",
-			"T_shared +181% avg (max +488%); T_private +4%",
+			"",
+			[]Claim{{"gmean_priv_slowdown", 1.04, 1.0, 1.12}, {"gmean_shared_slowdown", 2.81, 1.15, inf}, {"max_shared_slowdown", 5.88, 0, inf}},
 			runE3},
 		{"E4", "Fig. 4 — execution time distribution of T_private and T_shared (solo)",
-			"T_private dominates, up to 99.96% for compute-bound functions; memory-bound graph kernels have the largest T_shared shares",
+			"T_private dominates, most for compute-bound functions; memory-bound graph kernels have the largest T_shared shares",
+			[]Claim{{"max_priv_share", 0.9996, 0.995, 1}},
 			runE4},
 		{"E5", "Fig. 5 — congestion and performance tables",
 			"slowdowns grow with stress level; MB-Gen's T_shared rows dominate CT-Gen's at equal levels for the reference set",
-			runE5},
+			nil, runE5},
 		{"E6", "Fig. 6 — IPC during startup, by language",
-			"within-language startup curves nearly identical; Go ≈6 ms, Python ≈19 ms, Node.js ≈97 ms",
+			"within-language startup curves nearly identical",
+			[]Claim{{"startup_ms_go", 6, 0, inf}, {"startup_ms_py", 19, 0, inf}, {"startup_ms_nj", 97, 0, inf}},
 			runE6},
 		{"E7", "Fig. 7 — Litmus tests observing congestion over time",
 			"probes read high congestion while a memory-intensive function runs, low after it completes",
-			runE7},
+			nil, runE7},
 		{"E8", "Fig. 8 — reference functions under MB-Gen at stress level 14",
 			"functions slow down by widely varying degrees under one congestion level; T_shared bars far above T_total",
-			runE8},
+			nil, runE8},
+		// A range over six series, not a value per metric: prose until the
+		// paper text says which R² belongs to which regression.
 		{"E9", "Fig. 9 — startup slowdown vs reference slowdown regressions",
 			"tight linear correlations (R² 0.84–0.99) for T_private, T_shared and T_total under both generators",
-			runE9},
+			nil, runE9},
 		{"E10", "Fig. 10 — discount estimation via logarithmic L3-miss interpolation",
 			"misses near the CT anchor → CT discount; near the MB anchor → MB discount; log-midway misses → midway discount",
-			runE10},
+			nil, runE10},
 		{"E11", "Fig. 11 — Litmus vs ideal prices, 26 co-runners (one function per core)",
-			"litmus discount 10.7% vs ideal 10.3% (gap 0.4 points)",
+			"",
+			[]Claim{{"litmus_discount", 0.107, 0, 1}, {"ideal_discount", 0.103, 0.02, 1}, {"discount_gap", 0.004, 0, 0.04}},
 			runE11},
 		{"E12", "Fig. 12 — weighted price errors vs ideal",
-			"avg |error| ≈0.023 (max 0.072); P_private errors ≈0.018 dominate P_shared ≈0.007",
+			"P_private errors dominate P_shared errors",
+			[]Claim{{"avg_abs_total_err", 0.023, 0, 0.08}, {"max_abs_total_err", 0.072, 0, inf}, {"avg_abs_priv_err", 0.018, 0, inf}, {"avg_abs_shared_err", 0.007, 0, inf}},
 			runE12},
 		{"E13", "Fig. 13 — T_private/T_shared vs solo with Litmus discount rates",
-			"T_private cluster ≈0.95 solo/congested, tight; T_shared dispersed lower; litmus rates bracket the clusters",
+			"T_private solo/congested cluster tight; T_shared dispersed lower; litmus rates bracket the clusters",
+			[]Claim{{"mean_priv_norm", 0.95, 0, inf}},
 			runE13},
 		{"E14", "Fig. 14 — T_private inflation vs co-runners per core",
-			"logarithmic growth stabilising around 20 co-runners at ≈+2.5%",
+			"logarithmic growth stabilising around 20 co-runners",
+			[]Claim{{"overhead_at_20", 0.025, 0, inf}},
 			runE14},
 		{"E15", "Fig. 15 — 160 co-runners on 16 cores, Method 1",
-			"litmus discount 14.5% vs ideal 17.4% (undershoots by 2.9 points)",
+			"Method 1 undershoots the ideal discount",
+			[]Claim{{"litmus_discount", 0.145, 0, 1}, {"ideal_discount", 0.174, 0.03, 1}, {"discount_gap", 0.029, 0, 0.08}},
 			runE15},
 		{"E16", "Fig. 16 — 160 co-runners on 16 cores, Method 2",
-			"litmus discount 17.2% vs ideal 17.4% (gap 0.2 points)",
+			"",
+			[]Claim{{"litmus_discount", 0.172, 0, 1}, {"ideal_discount", 0.174, 0, 1}, {"discount_gap", 0.002, 0, 0.05}},
 			method2(machCascade, 160, 16, workload.Catalog, "")},
 		// Heavy congestion: "we also specifically selected 8 memory-intensive
 		// functions … to create heavy congestion" (§8).
 		{"E17", "Fig. 17 — 320 co-runners from the memory-intensive set, Method 2",
-			"litmus discount 20.0% vs ideal 21.5% (gap 1.5 points)",
+			"",
+			[]Claim{{"litmus_discount", 0.200, 0, 1}, {"ideal_discount", 0.215, 0, 1}, {"discount_gap", 0.015, 0, 0.08}},
 			method2(machCascade, 320, 16, workload.MemoryIntensive,
 				"co-runner pool: the catalog's 8 heaviest L2-miss producers")},
 		{"E18", "Fig. 18 — 160 co-runners with unfixed CPU frequency (turbo)",
-			"litmus discount 16.8% vs ideal 17.3% (gap 0.5 points); frequency noise negligible on a loaded machine",
+			"frequency noise negligible on a loaded machine",
+			[]Claim{{"litmus_discount", 0.168, 0, 1}, {"ideal_discount", 0.173, 0, 1}, {"discount_gap", 0.005, 0, 0.06}},
 			method2(machTurbo, 160, 16, workload.Catalog,
 				"turbo governor: clock sits at base frequency under 160 functions")},
+		// "Tenant pays 82.5 % of commercial" is the billed, i.e. Litmus, price.
+		// Which side of it the ideal price lies the text does not say, so
+		// ideal_discount has no claim.
 		{"E19", "Fig. 19 — Ice Lake (Xeon Silver 4314), 70 co-runners on 7 cores, Method 2",
-			"tenant pays 82.5% of commercial, 0.7 points from ideal",
+			"",
+			[]Claim{{"litmus_discount", 0.175, 0, 1}, {"discount_gap", 0.007, 0, 0.07}},
 			method2(machIceLake, 70, 7, workload.Catalog,
 				"smaller machine: 16 cores, 24 MiB L3, 40 GB/s memory")},
 		// 15 per core while REUSING the tables calibrated at 10 per core: the
 		// table-mismatch robustness check.
 		{"E20", "Fig. 20 — 240 co-runners (15/core) with tables built at 10/core",
-			"litmus discount 16.7% vs ideal 17.9% (gap 1.2 points) despite the configuration gap",
+			"small gap despite the configuration gap",
+			[]Claim{{"litmus_discount", 0.167, 0, 1}, {"ideal_discount", 0.179, 0, 1}, {"discount_gap", 0.012, 0, 0.08}},
 			method2(machCascade, 240, 16, workload.Catalog,
 				"tables reused from the 10-per-core calibration; Fig. 14's plateau keeps the mismatch small")},
+		// The ideal price is 47.3 % of commercial, a discount of 0.527. The
+		// Litmus figure stays prose: the text labels it a discount, yet it is
+		// 1.9 points under the ideal PRICE, and only the paper can say which.
 		{"E21", "Fig. 21 — SMT-enabled system, 160 co-runners, Method 2",
-			"deep discounts: ideal price 47.3% of commercial; litmus discount 45.4% (1.9 points under ideal)",
+			"deep discounts; Litmus 45.4% (price or discount: needs the paper text)",
+			[]Claim{{"ideal_discount", 0.527, 0, 1}, {"discount_gap", 0.019, 0, 0.12}},
 			method2(machSMT, 160, 16, workload.Catalog,
 				"two hardware threads per core share issue bandwidth and private caches")},
 		{"A1", "A1 — POPPA sampling vs Litmus: accuracy and overhead",
 			"§4: sampling is accurate but stalls every co-runner; Litmus costs nothing (it reuses the startup)",
-			runA1},
+			nil, runA1},
 		{"A2", "A2 — single-rate vs two-rate pricing",
 			"§5.2 argues the two components need separate rates because congestion hits them asymmetrically",
-			runA2},
+			nil, runA2},
 		{"A3", "A3 — L3-miss interpolation vs single-generator models",
 			"§6: the actual machine state falls between the two generators; one model alone misestimates",
-			runA3},
+			nil, runA3},
 	}
 }
 

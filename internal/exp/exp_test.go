@@ -5,22 +5,40 @@ import (
 	"testing"
 )
 
-// tiny returns the test-sized configuration. Experiments share the memoised
-// session, so the whole file reuses calibrations.
+// tiny is the configuration every claim band and the golden CSV are stated at.
 func tiny() Config { return Config{Seed: 7, Scale: 0.12} }
 
+// results holds each artifact's run at tiny().
+var results = map[string]*Result{}
+
+// runExp returns the artifact's result at tiny() and asserts what holds for
+// every artifact: non-empty tables, and each number the registry claims for
+// it reproduced inside the claim's band. A per-figure test adds only what a
+// band cannot say — relations between metrics or between figures.
+//
+// It first runs every artifact registered before this one, as -all would.
+// The memoised measurement sets are keyed by environment and repetitions but
+// not by function set, so at this scale Figs. 11–13 and A2/A3 are priced
+// over whichever of the catalog (Fig. 2) or the test set (Fig. 11) was
+// measured first in the process; the golden CSV is -all's order, and in any
+// other order (go test -shuffle) the tables come out different.
 func runExp(t *testing.T, id string) *Result {
 	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
+	for _, e := range All() {
+		if results[e.ID] == nil {
+			res, err := e.Run(tiny())
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			results[e.ID] = res
+		}
+		if e.ID == id {
+			break
+		}
+	}
+	res := results[id]
+	if res == nil {
 		t.Fatalf("experiment %s not registered", id)
-	}
-	res, err := e.Run(tiny())
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	if res.ID != id {
-		t.Fatalf("result ID = %s, want %s", res.ID, id)
 	}
 	if len(res.Tables) == 0 {
 		t.Fatalf("%s produced no tables", id)
@@ -31,6 +49,13 @@ func runExp(t *testing.T, id string) *Result {
 		}
 		if tab.String() == "" {
 			t.Errorf("%s: table %q renders empty", id, tab.Title)
+		}
+	}
+	for _, c := range res.Claims {
+		if v, ok := res.Metrics[c.Metric]; !ok {
+			t.Errorf("%s claims %s, which the run does not report", id, c.Metric)
+		} else if !c.InBand(v) {
+			t.Errorf("%s: %s = %v outside %s (the paper reports %v)", id, c.Metric, v, c.band(), c.Paper)
 		}
 	}
 	return res
@@ -54,7 +79,7 @@ func TestRegistry(t *testing.T) {
 		if e.ID != want[i] {
 			t.Errorf("registry[%d] = %s, want %s", i, e.ID, want[i])
 		}
-		if e.run == nil || e.Title == "" || e.Paper == "" {
+		if e.run == nil || e.Title == "" || e.Paper == "" && len(e.Claims) == 0 {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 		// E11 ↔ "Fig. 11 —", T1 ↔ "Table 1 —", A2 ↔ "A2 —".
@@ -99,12 +124,13 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestT1Inventory(t *testing.T) {
-	res := runExp(t, "T1")
-	if res.Metrics["functions"] != 27 || res.Metrics["references"] != 13 {
-		t.Errorf("inventory metrics = %+v", res.Metrics)
-	}
-}
+// Artifacts of which the tests assert nothing but the claimed numbers.
+func TestT1Inventory(t *testing.T)       { runExp(t, "T1") }
+func TestE11LitmusVsIdeal(t *testing.T)  { runExp(t, "E11") }
+func TestE12WeightedErrors(t *testing.T) { runExp(t, "E12") }
+func TestE15Method1(t *testing.T)        { runExp(t, "E15") }
+func TestE18Turbo(t *testing.T)          { runExp(t, "E18") }
+func TestE20TableReuse(t *testing.T)     { runExp(t, "E20") }
 
 func TestE1GeneratorSignatures(t *testing.T) {
 	res := runExp(t, "E1")
@@ -126,15 +152,8 @@ func TestE1GeneratorSignatures(t *testing.T) {
 
 func TestE2Slowdowns(t *testing.T) {
 	res := runExp(t, "E2")
-	g := res.Metrics["gmean_slowdown"]
-	if g < 1.03 || g > 1.30 {
-		t.Errorf("gmean slowdown = %v, want ≈1.1 (paper 1.115)", g)
-	}
-	if res.Metrics["max_slowdown"] < g {
+	if res.Metrics["max_slowdown"] < res.Metrics["gmean_slowdown"] {
 		t.Error("max below gmean")
-	}
-	if res.Metrics["max_slowdown"] > 1.8 {
-		t.Errorf("max slowdown = %v, implausibly large (paper ≈1.35)", res.Metrics["max_slowdown"])
 	}
 }
 
@@ -143,12 +162,6 @@ func TestE3ComponentAsymmetry(t *testing.T) {
 	if res.Metrics["gmean_shared_slowdown"] <= res.Metrics["gmean_priv_slowdown"] {
 		t.Errorf("shared %v must exceed private %v",
 			res.Metrics["gmean_shared_slowdown"], res.Metrics["gmean_priv_slowdown"])
-	}
-	if p := res.Metrics["gmean_priv_slowdown"]; p < 1.0 || p > 1.12 {
-		t.Errorf("private slowdown = %v, want mild (paper 1.04)", p)
-	}
-	if s := res.Metrics["gmean_shared_slowdown"]; s < 1.15 {
-		t.Errorf("shared slowdown = %v, want pronounced (paper 2.81)", s)
 	}
 }
 
@@ -184,7 +197,7 @@ func TestE6StartupSimilarity(t *testing.T) {
 			t.Errorf("%s startup IPC deviates %v across functions, want < 8%%", lang, dev)
 		}
 	}
-	// Startup duration ordering: go < py < nj (paper ≈6/19/97 ms).
+	// Startup duration ordering: go < py < nj.
 	gms, pms, nms := res.Metrics["startup_ms_go"], res.Metrics["startup_ms_py"], res.Metrics["startup_ms_nj"]
 	if !(gms < pms && pms < nms) {
 		t.Errorf("startup ordering violated: go %v, py %v, nj %v", gms, pms, nms)
@@ -220,7 +233,7 @@ func TestE9RegressionQuality(t *testing.T) {
 	res := runExp(t, "E9")
 	for _, k := range []string{"r2_ct_shared", "r2_ct_total", "r2_mb_shared", "r2_mb_total"} {
 		if res.Metrics[k] < 0.7 {
-			t.Errorf("%s = %v, want ≥ 0.7 (paper 0.84–0.99)", k, res.Metrics[k])
+			t.Errorf("%s = %v, want ≥ 0.7", k, res.Metrics[k])
 		}
 	}
 }
@@ -234,23 +247,6 @@ func TestE10Interpolation(t *testing.T) {
 		res.Metrics["discount_mid"] <= res.Metrics["discount_mb"]) {
 		t.Errorf("discount ordering wrong: %v / %v / %v",
 			res.Metrics["discount_ct"], res.Metrics["discount_mid"], res.Metrics["discount_mb"])
-	}
-}
-
-func TestE11LitmusVsIdeal(t *testing.T) {
-	res := runExp(t, "E11")
-	if res.Metrics["ideal_discount"] < 0.02 {
-		t.Errorf("ideal discount = %v; environment not congested enough", res.Metrics["ideal_discount"])
-	}
-	if res.Metrics["discount_gap"] > 0.04 {
-		t.Errorf("litmus–ideal gap = %v, want ≤ 4 points (paper 0.4)", res.Metrics["discount_gap"])
-	}
-}
-
-func TestE12WeightedErrors(t *testing.T) {
-	res := runExp(t, "E12")
-	if res.Metrics["avg_abs_total_err"] > 0.08 {
-		t.Errorf("avg |error| = %v, want small (paper 0.023)", res.Metrics["avg_abs_total_err"])
 	}
 }
 
@@ -268,7 +264,7 @@ func TestE14OverheadCurve(t *testing.T) {
 	res := runExp(t, "E14")
 	ov10 := res.Metrics["overhead_at_10"]
 	if ov10 < 0.01 || ov10 > 0.05 {
-		t.Errorf("overhead(10) = %v, want ≈0.025", ov10)
+		t.Errorf("overhead(10) = %v, want within [0.01, 0.05]", ov10)
 	}
 	if res.Metrics["overhead_at_20"] < ov10 {
 		t.Error("overhead must grow with co-runners")
@@ -278,26 +274,10 @@ func TestE14OverheadCurve(t *testing.T) {
 	}
 }
 
-func TestE15Method1(t *testing.T) {
-	res := runExp(t, "E15")
-	if res.Metrics["ideal_discount"] < 0.03 {
-		t.Errorf("ideal discount = %v; sharing environment should congest more", res.Metrics["ideal_discount"])
-	}
-	if res.Metrics["discount_gap"] > 0.08 {
-		t.Errorf("method 1 gap = %v, want within several points (paper 2.9)", res.Metrics["discount_gap"])
-	}
-}
-
 func TestE16Method2(t *testing.T) {
 	res := runExp(t, "E16")
-	if res.Metrics["discount_gap"] > 0.05 {
-		t.Errorf("method 2 gap = %v, want small (paper 0.2 points)", res.Metrics["discount_gap"])
-	}
 	// Method 2 should beat (or at least match) Method 1 on the same env.
-	m1, err := ByIDMust("E15").Run(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := runExp(t, "E15")
 	if res.Metrics["discount_gap"] > m1.Metrics["discount_gap"]+0.02 {
 		t.Errorf("method 2 gap %v much worse than method 1 %v",
 			res.Metrics["discount_gap"], m1.Metrics["discount_gap"])
@@ -305,24 +285,10 @@ func TestE16Method2(t *testing.T) {
 }
 
 func TestE17HeavyCongestion(t *testing.T) {
-	res := runExp(t, "E17")
-	e16, err := ByIDMust("E16").Run(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, e16 := runExp(t, "E17"), runExp(t, "E16")
 	if res.Metrics["ideal_discount"] < e16.Metrics["ideal_discount"]-0.01 {
 		t.Errorf("320 co-runners ideal discount %v not above 160's %v",
 			res.Metrics["ideal_discount"], e16.Metrics["ideal_discount"])
-	}
-	if res.Metrics["discount_gap"] > 0.08 {
-		t.Errorf("heavy congestion gap = %v", res.Metrics["discount_gap"])
-	}
-}
-
-func TestE18Turbo(t *testing.T) {
-	res := runExp(t, "E18")
-	if res.Metrics["discount_gap"] > 0.06 {
-		t.Errorf("turbo gap = %v, want small (paper 0.5 points)", res.Metrics["discount_gap"])
 	}
 }
 
@@ -331,32 +297,15 @@ func TestE19IceLake(t *testing.T) {
 	if res.Metrics["ideal_discount"] < 0.02 {
 		t.Errorf("ice lake ideal discount = %v", res.Metrics["ideal_discount"])
 	}
-	if res.Metrics["discount_gap"] > 0.07 {
-		t.Errorf("ice lake gap = %v, want small (paper 0.7 points)", res.Metrics["discount_gap"])
-	}
-}
-
-func TestE20TableReuse(t *testing.T) {
-	res := runExp(t, "E20")
-	if res.Metrics["discount_gap"] > 0.08 {
-		t.Errorf("table-reuse gap = %v, want small (paper 1.2 points)", res.Metrics["discount_gap"])
-	}
 }
 
 func TestE21SMT(t *testing.T) {
-	res := runExp(t, "E21")
-	e16, err := ByIDMust("E16").Run(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, e16 := runExp(t, "E21"), runExp(t, "E16")
 	// SMT contention must deepen the ideal discount well beyond the
-	// SMT-off configuration (paper: 52.7% vs 17.4%).
+	// SMT-off configuration.
 	if res.Metrics["ideal_discount"] < e16.Metrics["ideal_discount"]*1.5 {
 		t.Errorf("SMT ideal discount %v not well above SMT-off %v",
 			res.Metrics["ideal_discount"], e16.Metrics["ideal_discount"])
-	}
-	if res.Metrics["discount_gap"] > 0.12 {
-		t.Errorf("SMT gap = %v (paper 1.9 points)", res.Metrics["discount_gap"])
 	}
 }
 
@@ -393,13 +342,4 @@ func TestA3Interpolation(t *testing.T) {
 	if interp > worst+0.01 {
 		t.Errorf("interpolated error %v worse than worst single model %v", interp, worst)
 	}
-}
-
-// ByIDMust fetches a registered experiment or panics (test helper).
-func ByIDMust(id string) Experiment {
-	e, ok := ByID(id)
-	if !ok {
-		panic("unknown experiment " + id)
-	}
-	return e
 }
