@@ -1,6 +1,12 @@
 // Package fsyncorder enforces the durable ledger's group-commit design
 // (PR 5): fsync is never issued while a mutex is held, and within a
 // function the WAL append always precedes the sync that makes it durable.
+// Since the group write (PR 22) it also follows a record through the shard's
+// pending buffer: a function that frames records onto it (//litmus:buffers)
+// leaves bytes the file does not hold, so whoever calls one must call a
+// //litmus:appends function — the flush — before it syncs and before it
+// returns, or carry //litmus:buffers itself and hand the debt to its caller
+// (//litmus:flush-ok <why> at the call site excuses a deliberate exception).
 //
 // A slow fsync under a shard lock would serialise every writer on that
 // stripe behind the disk — exactly what the append-under-lock /
@@ -35,24 +41,25 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	syncFuncs, appendFuncs := annotatedFuncs(pass)
+	syncFuncs, appendFuncs, bufferFuncs := annotatedFuncs(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			checkFunc(pass, fn, syncFuncs, appendFuncs)
+			checkFunc(pass, fn, syncFuncs, appendFuncs, bufferFuncs)
 		}
 	}
 	return nil
 }
 
 // annotatedFuncs maps the package's function objects carrying
-// //litmus:syncs and //litmus:appends doc directives.
-func annotatedFuncs(pass *analysis.Pass) (syncs, appends map[types.Object]bool) {
+// //litmus:syncs, //litmus:appends and //litmus:buffers doc directives.
+func annotatedFuncs(pass *analysis.Pass) (syncs, appends, buffers map[types.Object]bool) {
 	syncs = make(map[types.Object]bool)
 	appends = make(map[types.Object]bool)
+	buffers = make(map[types.Object]bool)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -69,20 +76,25 @@ func annotatedFuncs(pass *analysis.Pass) (syncs, appends map[types.Object]bool) 
 			if _, ok := analysis.FuncDirective(fn, "appends"); ok {
 				appends[obj] = true
 			}
+			if _, ok := analysis.FuncDirective(fn, "buffers"); ok {
+				buffers[obj] = true
+			}
 		}
 	}
-	return syncs, appends
+	return syncs, appends, buffers
 }
 
-func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, syncFuncs, appendFuncs map[types.Object]bool) {
-	var firstSync, firstAppend token.Pos
+func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, syncFuncs, appendFuncs, bufferFuncs map[types.Object]bool) {
+	var firstSync, firstAppend, lastBuffer token.Pos
+	var syncCalls, appendCalls []token.Pos
 	analysis.WalkHeld(pass.TypesInfo, fn.Body, func(n ast.Node, held map[string]analysis.HeldLock) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		switch {
-		case isSyncCall(pass, call, syncFuncs):
+		// A function may be several of these at once: close flushes, then syncs.
+		if isSyncCall(pass, call, syncFuncs) {
+			syncCalls = append(syncCalls, call.Pos())
 			if !firstSync.IsValid() || call.Pos() < firstSync {
 				firstSync = call.Pos()
 			}
@@ -90,10 +102,15 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, syncFuncs, appendFuncs map
 				pass.Reportf(call.Pos(), "fsync while holding %s; the group-commit design syncs outside locks (annotate %ssync-under-lock-ok on deliberate cold paths)",
 					anyLock(held), analysis.DirectivePrefix)
 			}
-		case isAppendCall(pass, call, appendFuncs):
+		}
+		if calleeIn(pass, call, appendFuncs) {
 			if !firstAppend.IsValid() || call.Pos() < firstAppend {
 				firstAppend = call.Pos()
 			}
+			appendCalls = append(appendCalls, call.Pos())
+		}
+		if calleeIn(pass, call, bufferFuncs) {
+			lastBuffer = max(lastBuffer, call.Pos())
 		}
 	})
 	if firstSync.IsValid() && firstAppend.IsValid() && firstSync < firstAppend {
@@ -103,6 +120,29 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, syncFuncs, appendFuncs map
 					fn.Name.Name, analysis.DirectivePrefix)
 			}
 		}
+	}
+	if !lastBuffer.IsValid() {
+		return
+	}
+	// Buffered records are not in the file: a sync between the last buffering
+	// call and the flush that follows it covers nothing of them, and with no
+	// flush at all the debt must be declared for the caller to settle.
+	flush := token.NoPos
+	for _, pos := range appendCalls {
+		if pos > lastBuffer && (!flush.IsValid() || pos < flush) {
+			flush = pos
+		}
+	}
+	for _, pos := range syncCalls {
+		if pos > lastBuffer && (!flush.IsValid() || pos < flush) && !pass.SuppressedAt(pos, "flush-ok") {
+			pass.Reportf(pos, "sync of buffered WAL records without a preceding flush in %s; call the %sappends flush between the last %sbuffers call and the sync",
+				fn.Name.Name, analysis.DirectivePrefix, analysis.DirectivePrefix)
+			return
+		}
+	}
+	if _, passesOn := analysis.FuncDirective(fn, "buffers"); !flush.IsValid() && !passesOn && !pass.SuppressedAt(lastBuffer, "flush-ok") {
+		pass.Reportf(lastBuffer, "%s buffers WAL records and never flushes them; call the %sappends flush before returning, or annotate %sbuffers to pass the debt to the caller",
+			fn.Name.Name, analysis.DirectivePrefix, analysis.DirectivePrefix)
 	}
 }
 
@@ -114,10 +154,6 @@ func isSyncCall(pass *analysis.Pass, call *ast.CallExpr, syncFuncs map[types.Obj
 		}
 	}
 	return calleeIn(pass, call, syncFuncs)
-}
-
-func isAppendCall(pass *analysis.Pass, call *ast.CallExpr, appendFuncs map[types.Object]bool) bool {
-	return calleeIn(pass, call, appendFuncs)
 }
 
 // calleeIn resolves call's callee object (plain or method call) and reports

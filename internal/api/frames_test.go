@@ -298,6 +298,62 @@ func TestUsageFramesCorruption(t *testing.T) {
 	}
 }
 
+// TestUsageFramesIllFormedUTF8: the frame wire carries tenant and key as raw
+// bytes and Idempotency-Key may hold obs-text, but the ledger's snapshots are
+// JSON — a record whose tenant or key is not UTF-8 is a per-line 400, bills
+// nothing, and leaves the rest of the stream alone (before the fix it billed,
+// and billed again on a retry after a snapshot and restart).
+func TestUsageFramesIllFormedUTF8(t *testing.T) {
+	records := []UsageRecord{
+		frameRecord("a", 128, 0, "k0"),
+		frameRecord("t\xff1", 192, 1, "k1"),
+		frameRecord("b", 256, 2, "k\xff\xfe"),
+		frameRecord("c", 320, 3, "k3"),
+		frameRecord("d", 384, 4, ""), // inherits the stream key
+	}
+	body, err := EncodeUsageStream(WireFrames, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := ledger.New(ledger.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Calibration: apitest.Calibration(), Ledger: led})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	out := postBody(t, ts.URL, "run-1", ContentTypeFrames, body)
+	if out.Lines != 5 || out.Accepted != 3 || out.Rejected != 2 || out.StreamError != "" {
+		t.Fatalf("stream = %+v", out)
+	}
+	if len(out.Errors) != 2 || out.Errors[0].Line != 2 || out.Errors[1].Line != 3 {
+		t.Fatalf("errors = %+v", out.Errors)
+	}
+	for _, e := range out.Errors {
+		if e.Error.Status != http.StatusBadRequest || !strings.Contains(e.Error.Message, "UTF-8") {
+			t.Errorf("line %d: %+v", e.Line, e.Error)
+		}
+	}
+	if st := led.Stats(); st.Accrued != 3 || st.Tenants != 3 {
+		t.Fatalf("ledger = %+v", st)
+	}
+	// An obs-text stream key poisons exactly the records that inherit it.
+	out = postBody(t, ts.URL, "run-\xe9", ContentTypeFrames, body)
+	if out.Duplicates != 2 || out.Rejected != 3 || out.Accepted != 0 {
+		t.Fatalf("replay under an ill-formed stream key = %+v", out)
+	}
+	if len(out.Errors) != 3 || out.Errors[2].Line != 5 || !strings.Contains(out.Errors[2].Error.Message, "entry key is not valid UTF-8") {
+		t.Fatalf("errors = %+v", out.Errors)
+	}
+	if st := led.Stats(); st.Accrued != 3 || st.Duplicates != 2 {
+		t.Fatalf("ledger after the replay = %+v", st)
+	}
+}
+
 // TestUsageFramesTruncation pins torn-stream semantics: a frame cut off
 // mid-payload (or mid-header) aborts the stream with a descriptive
 // StreamError, and everything before the tear still accrued.

@@ -23,7 +23,8 @@ import (
 
 // accrueBatchSize is the collector's flush threshold: priced results are
 // billed through ledger.AccrueBatch in runs of this size, so a durable
-// ledger group-commits one fsync per run instead of one per record.
+// ledger pays one WAL write per touched shard per run — and under
+// fsync=always one group-committed fsync — instead of one per record.
 const accrueBatchSize = 256
 
 // handleUsageStream ingests a usage stream in either wire format — NDJSON or
@@ -169,7 +170,8 @@ func WriteUsageResponse(w http.ResponseWriter, resp *UsageStreamResponse) {
 
 // usageCollector owns a usage stream's response accounting and its billing:
 // priced records are buffered and billed through the batched accrual funnel
-// (one WAL group commit per accrueBatchSize records), and counters, the
+// (per accrueBatchSize records, one WAL write per shard they touch, fsynced
+// as a group under fsync=always), and counters, the
 // capped error list and dedup outcomes behave exactly as a per-record pass
 // would — the differential tests hold both wire formats to that.
 type usageCollector struct {

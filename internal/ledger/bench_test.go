@@ -146,6 +146,43 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkAccrueBatchDurable measures the schedule the usage collector
+// bills through: 256-entry batches round-robin over 8 tenants, so every
+// batch interleaves its shards the way a multi-tenant stream does. It
+// reports the per-record cost and the write(2)s a batch issues — one per
+// touched shard; BenchmarkWALAppend above calls Accrue one entry at a time
+// and pays one per record by contract.
+func BenchmarkAccrueBatchDurable(b *testing.B) {
+	const batchSize = 256
+	tenants := benchTenants(8)
+	for _, mode := range []FsyncMode{FsyncNever, FsyncInterval, FsyncAlways} {
+		b.Run("fsync="+mode.String(), func(b *testing.B) {
+			l, err := New(Config{Shards: 16, Dir: b.TempDir(), Fsync: mode, SnapshotEvery: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer mustClose(b, l)
+			entries := make([]Entry, batchSize)
+			results := make([]AccrualResult, batchSize)
+			writesBefore := walWrites(l)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range entries {
+					entries[j] = Entry{Tenant: tenants[j%len(tenants)], Pricer: "litmus", Minute: i % 64, Commercial: 2, Price: 1}
+				}
+				l.AccrueBatch(entries, results)
+				if err := results[batchSize-1].Err; err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/record")
+			b.ReportMetric(float64(walWrites(l)-writesBefore)/float64(b.N), "writes/batch")
+		})
+	}
+}
+
 // BenchmarkRecover measures New's crash-recovery path: full WAL replay of
 // n records into an 8-shard store, no snapshot to shortcut it.
 func BenchmarkRecover(b *testing.B) {
@@ -191,16 +228,28 @@ func BenchmarkRecover(b *testing.B) {
 }
 
 // BenchmarkSnapshot measures one compacting snapshot of a populated
-// 8-shard store (the background snapshotter's unit of work).
+// 8-shard store (the background snapshotter's unit of work). The accruals
+// are keyed and run past each shard's slice of the key budget, so the
+// snapshot carries what a serving node's does: full, evicting key FIFOs
+// beside the accounts.
 func BenchmarkSnapshot(b *testing.B) {
 	tenants := benchTenants(1024)
-	l, err := New(Config{Shards: 8, Dir: b.TempDir(), Fsync: FsyncNever, SnapshotEvery: -1})
+	l, err := New(Config{Shards: 8, MaxKeys: 16_000, Dir: b.TempDir(), Fsync: FsyncNever, SnapshotEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer mustClose(b, l)
-	for i := 0; i < 20_000; i++ {
-		l.Accrue(Entry{Tenant: tenants[i%len(tenants)], Pricer: "litmus", Minute: i % 64, Commercial: 2, Price: 1})
+	entries := make([]Entry, 250)
+	results := make([]AccrualResult, len(entries))
+	for i := 0; i < 20_000; i += len(entries) {
+		for j := range entries {
+			n := i + j
+			entries[j] = Entry{Tenant: tenants[n%len(tenants)], Pricer: "litmus", Minute: n % 64, Commercial: 2, Price: 1, Key: fmt.Sprintf("run-7#%d", n)}
+		}
+		l.AccrueBatch(entries, results)
+	}
+	if st := l.Stats(); st.KeysEvicted == 0 || st.Accrued != 20_000 {
+		b.Fatalf("population = %+v", st)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -209,4 +258,5 @@ func BenchmarkSnapshot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(l.Durability().LastSnapshotBytes), "bytes/snapshot")
 }

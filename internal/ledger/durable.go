@@ -3,6 +3,7 @@ package ledger
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -25,6 +26,11 @@ type durable struct {
 	snapMu      sync.Mutex
 	gen         uint64
 	lastSnapGen atomic.Uint64
+	// snapBuf is the snapshot writer's buffer, kept between snapshots
+	// (guarded by snapMu). snapSink, nil outside tests, wraps the writer a
+	// snapshot streams into, so a test can fail the disk mid-document.
+	snapBuf  []byte
+	snapSink func(io.Writer) io.Writer
 
 	wals []*walFile
 
@@ -202,7 +208,7 @@ func (l *Ledger) openDurable() error {
 		if merr != nil {
 			return merr
 		}
-		if err := writeFileAtomic(metaPath, data); err != nil {
+		if err := writeAtomic(metaPath, func(f io.Writer) error { _, err := f.Write(data); return err }); err != nil {
 			return fmt.Errorf("ledger: writing %s: %w", metaPath, err)
 		}
 	} else {

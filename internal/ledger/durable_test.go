@@ -3,7 +3,9 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -351,59 +353,97 @@ func TestDurableArchiveKeepsHistory(t *testing.T) {
 	}
 }
 
+// failAfter passes n writes through to w and fails every later one.
+type failAfter struct {
+	w io.Writer
+	n int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n--; f.n < 0 {
+		return 0, errors.New("injected: disk full")
+	}
+	return f.w.Write(p)
+}
+
 // TestDurableSnapshotFailureDoesNotWedge is the partial-snapshot-failure
 // regression: an attempt that dies after rotating some shards must leave
-// ingest working and the next attempt succeeding on a fresh generation.
+// ingest working and the next attempt succeeding on a fresh generation —
+// whether it died at the rename, after every shard had rotated, or in the
+// middle of the stream, with the first shard written and the second rotated
+// but not.
 func TestDurableSnapshotFailureDoesNotWedge(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Dir: dir, Shards: 4, Fsync: FsyncNever, SnapshotEvery: -1}
-	l := mustNew(t, cfg)
-	driveSmall(t, l)
-	// A directory squatting on the snapshot path makes the atomic rename
-	// fail after every shard has already rotated.
-	if err := os.MkdirAll(snapshotPath(dir, 1), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Snapshot(); err == nil {
-		t.Fatal("snapshot onto a blocked path succeeded")
-	}
-	// Ingest still works on every shard…
-	accrue(t, l, Entry{Tenant: "post-fail", Pricer: "litmus", Minute: 3, Commercial: 1, Price: 1})
-	driveSmall2 := Entry{Tenant: "acme", Pricer: "litmus", Minute: 4, Commercial: 2, Price: 2}
-	accrue(t, l, driveSmall2)
-	// …and the retry commits on a fresh generation instead of colliding
-	// with the segments the failed attempt already rotated.
-	if err := l.Snapshot(); err != nil {
-		t.Fatalf("retry after failed snapshot: %v", err)
-	}
-	if d := l.Durability(); d.LastSnapshotGen != 2 || d.Snapshots != 1 {
-		t.Fatalf("durability after retry = %+v", d)
-	}
-	// The failed attempt's rotated-away segments went back into each
-	// shard's tail, so the successful retry collects them: nothing below
-	// gen 2 may survive, or a flaky disk leaks a segment per attempt.
-	segs, err := ListWALSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range segs {
-		if seg.Seq < 2 {
-			t.Errorf("segment %s leaked past the successful retry", seg.Path)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	os.RemoveAll(snapshotPath(dir, 1))
+	for name, sabotage := range map[string]func(t *testing.T, l *Ledger, dir string){
+		"rename": func(t *testing.T, l *Ledger, dir string) {
+			// A directory squatting on the snapshot path makes the atomic
+			// rename fail after every shard has already rotated.
+			if err := os.MkdirAll(snapshotPath(dir, 1), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"mid-stream write": func(t *testing.T, l *Ledger, dir string) {
+			// One write per shard: the first lands, the second fails.
+			l.dur.snapSink = func(w io.Writer) io.Writer { return &failAfter{w: w, n: 1} }
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Dir: dir, Shards: 4, Fsync: FsyncNever, SnapshotEvery: -1}
+			l := mustNew(t, cfg)
+			driveSmall(t, l)
+			walBytes := l.Durability().WALBytes
+			sabotage(t, l, dir)
+			if err := l.Snapshot(); !errors.Is(err, ErrDurability) {
+				t.Fatalf("sabotaged snapshot: %v", err)
+			}
+			l.dur.snapSink = nil
+			// The failed attempt left no temp file, and every segment it
+			// rotated away is back in its shard's tail, still counted.
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+				t.Fatalf("temp files left behind: %v", tmps)
+			}
+			if got := l.Durability().WALBytes; got != walBytes {
+				t.Fatalf("walBytes = %d after the failed attempt, %d before it", got, walBytes)
+			}
+			// Ingest still works on every shard…
+			accrue(t, l, Entry{Tenant: "post-fail", Pricer: "litmus", Minute: 3, Commercial: 1, Price: 1})
+			driveSmall2 := Entry{Tenant: "acme", Pricer: "litmus", Minute: 4, Commercial: 2, Price: 2}
+			accrue(t, l, driveSmall2)
+			// …and the retry commits on a fresh generation instead of colliding
+			// with the segments the failed attempt already rotated.
+			if err := l.Snapshot(); err != nil {
+				t.Fatalf("retry after failed snapshot: %v", err)
+			}
+			if d := l.Durability(); d.LastSnapshotGen != 2 || d.Snapshots != 1 {
+				t.Fatalf("durability after retry = %+v", d)
+			}
+			// The failed attempt's rotated-away segments went back into each
+			// shard's tail, so the successful retry collects them: nothing below
+			// gen 2 may survive, or a flaky disk leaks a segment per attempt.
+			segs, err := ListWALSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seg := range segs {
+				if seg.Seq < 2 {
+					t.Errorf("segment %s leaked past the successful retry", seg.Path)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			os.RemoveAll(snapshotPath(dir, 1))
 
-	r := mustNew(t, cfg)
-	defer mustClose(t, r)
-	if rec := r.Durability().Recovery; rec.SnapshotGen != 2 {
-		t.Fatalf("recovery = %+v", rec)
-	}
-	st := r.Stats()
-	if st.Accrued != 5 || st.Tenants != 3 {
-		t.Fatalf("recovered stats = %+v", st)
+			r := mustNew(t, cfg)
+			defer mustClose(t, r)
+			if rec := r.Durability().Recovery; rec.SnapshotGen != 2 {
+				t.Fatalf("recovery = %+v", rec)
+			}
+			st := r.Stats()
+			if st.Accrued != 5 || st.Tenants != 3 {
+				t.Fatalf("recovered stats = %+v", st)
+			}
+		})
 	}
 }
 
@@ -425,6 +465,66 @@ func TestAccrueRejectsOversizeEntry(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAccrueRejectsIllFormedUTF8 is the double-bill-after-recovery
+// regression. The WAL carries any bytes, the JSON snapshot only UTF-8: an
+// ill-formed key used to come back from a snapshot as U+FFFD, so after
+// Snapshot and a restart its retry billed a second time, and tenants
+// "t\xff1" and "t\xfe1" both listed as "t\ufffd1" — on one shard they would
+// have merged into one account. The ledger now refuses what its recovery
+// cannot reproduce, in every string field, on both schedules, volatile
+// ledgers included; a well-formed neighbour in the same batch still bills,
+// and bills once across snapshot and restart.
+func TestAccrueRejectsIllFormedUTF8(t *testing.T) {
+	dir := t.TempDir()
+	for name, cfg := range map[string]Config{
+		"volatile": {},
+		"durable":  {Dir: dir, Shards: 2, Fsync: FsyncNever, SnapshotEvery: -1},
+	} {
+		l := mustNew(t, cfg)
+		bad := []Entry{
+			{Tenant: "t\xff1", Pricer: "litmus", Commercial: 2, Price: 1, Key: "k\xff\xfe"},
+			{Tenant: "t\xfe1", Pricer: "litmus", Commercial: 2, Price: 1, Key: "k\xff\xfe"},
+			{Tenant: "acme", Pricer: "litmus", Commercial: 2, Price: 1, Key: "k\xff\xfe"},
+			{Tenant: "acme", Pricer: "lit\xc3mus", Commercial: 2, Price: 1, Key: "k"},
+			{Tenant: "acme\xe2\x82", Pricer: "litmus", Commercial: 2, Price: 1},
+		}
+		for _, e := range bad {
+			if out, err := l.Accrue(e); err == nil || errors.Is(err, ErrDurability) || out != Dropped {
+				t.Errorf("%s: Accrue(%q, %q, %q) = %v, %v", name, e.Tenant, e.Pricer, e.Key, out, err)
+			}
+		}
+		good := Entry{Tenant: "ünïcödé", Pricer: "litmus", Commercial: 2, Price: 1, Key: "k-\u2028-é"}
+		batch := append(append([]Entry(nil), bad...), good)
+		results := make([]AccrualResult, len(batch))
+		l.AccrueBatch(batch, results)
+		for i, r := range results[:len(bad)] {
+			if r.Err == nil || r.Outcome != Dropped {
+				t.Errorf("%s: batch entry %d = %v, %v", name, i, r.Outcome, r.Err)
+			}
+		}
+		if r := results[len(bad)]; r.Err != nil || r.Outcome != Accrued {
+			t.Errorf("%s: the well-formed entry = %v, %v", name, r.Outcome, r.Err)
+		}
+		if st := l.Stats(); st.Accrued != 1 || st.Tenants != 1 || st.KeysTracked != 1 {
+			t.Errorf("%s: stats = %+v", name, st)
+		}
+		if cfg.Dir != "" {
+			if err := l.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustClose(t, l)
+	}
+	r := mustNew(t, Config{Dir: dir, Shards: 2, Fsync: FsyncNever, SnapshotEvery: -1})
+	defer mustClose(t, r)
+	if out, err := r.Accrue(Entry{Tenant: "ünïcödé", Pricer: "litmus", Commercial: 2, Price: 1, Key: "k-\u2028-é"}); err != nil || out != Duplicate {
+		t.Fatalf("retry after snapshot and restart = %v, %v; want duplicate", out, err)
+	}
+	if page, _ := r.Tenants("", 10); len(page) != 1 || page[0].Tenant != "ünïcödé" || page[0].Invocations != 1 {
+		t.Fatalf("recovered tenants = %+v", page)
 	}
 }
 

@@ -26,16 +26,22 @@
 // eviction order under memory pressure — and only eviction order — depends
 // on the shard count.
 //
-// With Config.Dir set the store is durable: every accrual is framed into a
-// per-shard write-ahead log before it is applied (group-committed fsync
-// policy of the caller's choosing), periodic snapshots compact the logs,
-// and New recovers the exact pre-crash state — accounts, statements,
-// idempotency-key FIFOs, outcome counters, tenant-cap occupancy — from the
-// latest valid snapshot plus the WAL tail, truncating a torn final record.
-// Durability, like sharding, can never change a bill: the ledgertest crash
-// harness recovers a clone of the data directory truncated at every WAL
-// offset and proves it equal to a volatile ledger fed the surviving
-// records.
+// With Config.Dir set the store is durable: every accrual is framed onto its
+// shard's write-ahead-log buffer before it is applied, the buffer is written
+// to the log — one write(2) per shard per accrual batch — before any result
+// is returned, and fsynced by the policy of the caller's choosing
+// (group-committed under FsyncAlways). A record is therefore framed, then
+// written, then synced, and an acknowledgement covers exactly what the fsync
+// mode promises: a reader may observe a bill whose bytes are still buffered,
+// exactly as it may observe one not yet fsynced, and a crash can lose only
+// bytes no acknowledgement covered. Periodic snapshots, streamed straight
+// from live state, compact the logs, and New recovers the exact pre-crash
+// state — accounts, statements, idempotency-key FIFOs, outcome counters,
+// tenant-cap occupancy — from the latest valid snapshot plus the WAL tail,
+// truncating a torn final record. Durability, like sharding, can never
+// change a bill: the ledgertest crash harness recovers a clone of the data
+// directory truncated at every WAL offset and proves it equal to a volatile
+// ledger fed the surviving records.
 //
 // The durable store has one description. Its shape is Meta (durable.go),
 // embedded in meta.json and in every snapshot document and served to
@@ -57,6 +63,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Defaults applied when Config leaves the fields zero.
@@ -110,11 +117,13 @@ type Config struct {
 	Shards int
 
 	// Dir, when non-empty, makes the ledger durable: every accrual is
-	// framed into a per-shard write-ahead log under Dir before it is
-	// applied, periodic snapshots compact the logs, and New rebuilds the
-	// exact pre-crash store from the latest valid snapshot plus the WAL
-	// tail (truncating a torn final record). Empty Dir keeps the ledger
-	// purely in memory. Durability never changes a bill: a recovered
+	// framed for a per-shard write-ahead log under Dir before it is applied
+	// and written there before it is acknowledged (one write per shard per
+	// Accrue or AccrueBatch call, then Fsync's policy), periodic snapshots
+	// compact the logs, and New rebuilds the exact pre-crash store from the
+	// latest valid snapshot plus the WAL tail (truncating a torn final
+	// record). Empty Dir keeps the ledger purely in memory. Durability
+	// never changes a bill: a recovered
 	// ledger is observably identical to a volatile one fed the same
 	// acknowledged entries (internal/ledger/ledgertest proves it at every
 	// WAL truncation offset).
@@ -327,10 +336,13 @@ func (l *Ledger) Seen(tenant, key string) bool {
 // be made durable (wrapped ErrDurability). Only the owning shard is locked,
 // so accruals for tenants on different shards proceed in parallel.
 //
-// On a durable ledger the entry and its outcome are framed into the shard's
-// WAL before any state changes, and with FsyncAlways Accrue returns only
-// after the record is on stable storage — an acknowledged accrual survives
-// a crash.
+// On a durable ledger the entry and its outcome are framed onto the shard's
+// WAL buffer before any state changes and written — one write(2) — before
+// Accrue returns; with FsyncAlways it returns only after the record is on
+// stable storage, so an acknowledged accrual survives a crash. Between the
+// apply and the write a concurrent reader can observe the bill while its
+// bytes are still buffered, exactly as it can observe one not yet fsynced;
+// a crash there loses only bytes no acknowledgement covered.
 func (l *Ledger) Accrue(e Entry) (Outcome, error) {
 	if l.replica.Load() {
 		return Dropped, ErrReplica
@@ -346,31 +358,47 @@ func (l *Ledger) Accrue(e Entry) (Outcome, error) {
 		return Dropped, err
 	}
 	if sh.wal != nil {
-		// Count the append before the fsync: the record is in the WAL and
-		// applied whether or not the sync below succeeds, so WALRecords and
-		// the snapshot cadence must see it either way.
+		// Count the append before the write and the fsync: the record is
+		// applied whether or not they succeed, so WALRecords and the snapshot
+		// cadence must see it either way.
 		l.dur.noteAppend(1)
-		if l.cfg.Fsync == FsyncAlways {
-			if err := sh.wal.syncTo(watermark); err != nil {
-				// The record is written and applied but not yet known
-				// durable; surface the failing disk without undoing the
-				// bill.
-				return outcome, fmt.Errorf("%w: %v", ErrDurability, err)
-			}
+		if err := l.commit(sh.wal, watermark); err != nil {
+			// The record is applied but not known durable; surface the
+			// failing disk without undoing the bill.
+			return outcome, err
 		}
 	}
 	return outcome, nil
 }
 
+// commit is what stands between an applied record and its acknowledgement:
+// the shard's pending bytes up to watermark are written, and under
+// FsyncAlways fsynced. Failures come back wrapped in ErrDurability.
+//
+//litmus:appends
+//litmus:syncs
+func (l *Ledger) commit(w *walFile, watermark uint64) error {
+	err := w.flush(watermark)
+	if err == nil && l.cfg.Fsync == FsyncAlways {
+		err = w.syncTo(watermark)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrDurability, err)
+	}
+	return nil
+}
+
 // accrueLocked is the accrual step — the one place a validated entry's
 // outcome is decided, logged and applied. Accrue and AccrueBatch are two
 // schedules (when to lock, when to fsync) around it, so they cannot diverge
-// on dedup, the tenant cap or what a failed WAL append leaves behind. It
-// returns the WAL watermark to hand to syncTo (0 on a volatile ledger); on
-// error nothing was applied and nothing stays reserved.
+// on dedup, the tenant cap or what a refused WAL append leaves behind. The
+// record is framed onto the shard's WAL buffer, not written: the schedule
+// owes a commit of the returned watermark (0 on a volatile ledger) before it
+// acknowledges. On error — the shard's log is closed or poisoned — nothing
+// was applied and nothing stays reserved.
 //
 //litmus:guarded-by caller holds sh.mu
-//litmus:appends
+//litmus:buffers
 func (l *Ledger) accrueLocked(sh *shard, e *Entry) (Outcome, uint64, error) {
 	key := namespacedKey(*e)
 	// Decide the outcome first: the WAL logs (entry, outcome) pairs, so
@@ -441,6 +469,16 @@ func validateEntry(e Entry) error {
 	if n := len(e.Tenant) + len(e.Pricer) + len(e.Key); n > MaxEntryBytes {
 		return fmt.Errorf("ledger: entry strings total %d bytes (max %d)", n, MaxEntryBytes)
 	}
+	// The WAL round-trips any bytes, the JSON snapshot only UTF-8: an
+	// ill-formed key would come back from a snapshot as U+FFFD, its retry
+	// would bill twice, and two such tenants could merge into one account.
+	// Never acknowledge what recovery cannot reproduce — volatile ledgers
+	// included, as above.
+	for _, f := range [...]struct{ name, value string }{{"tenant", e.Tenant}, {"pricer", e.Pricer}, {"key", e.Key}} {
+		if !utf8.ValidString(f.value) {
+			return fmt.Errorf("ledger: entry %s is not valid UTF-8 (tenant %q)", f.name, e.Tenant)
+		}
+	}
 	return nil
 }
 
@@ -454,16 +492,17 @@ type AccrualResult struct {
 // AccrueBatch bills entries strictly in order with per-entry semantics
 // identical to calling Accrue once per entry — same outcomes, same errors,
 // same tenant-cap admission order, same dedup decisions — but amortises the
-// durability cost: WAL appends run under the shard locks as usual, while
-// each touched shard is fsynced once at the end of the batch (group commit)
-// instead of once per entry under FsyncAlways. The shard lock is held
-// across consecutive same-shard entries, so a single-tenant burst pays one
-// lock acquisition, not one per record.
+// durability cost over the batch: records are framed onto their shards' WAL
+// buffers under the shard locks as usual, and each touched shard is then
+// committed once — one write(2), and under FsyncAlways one fsync (group
+// commit) — before any result is returned. A multi-tenant stream interleaves
+// its shards, so it is the write that is per batch, not the lock: the shard
+// lock is held across consecutive same-shard entries only.
 //
 // results must have at least len(entries) slots; slot i reports entry i. A
-// deferred fsync failure surfaces as a wrapped ErrDurability on every
-// already-applied entry of the failing shard — exactly the entries whose
-// acknowledgement the failed sync voids.
+// failed commit surfaces as a wrapped ErrDurability on every already-applied
+// entry of the failing shard — exactly the entries whose acknowledgement the
+// failed write or sync voids.
 func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 	if len(entries) == 0 {
 		return
@@ -483,8 +522,8 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 		}
 	}
 	// touched/marks track each appended-to shard's max watermark for the
-	// deferred group commit; a batch rarely spans more than a few shards,
-	// so a linear scan beats a map.
+	// deferred commit; a batch rarely spans more than a few shards, so a
+	// linear scan beats a map.
 	var touched []*shard
 	var marks []uint64
 	appends := 0
@@ -520,21 +559,20 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 		appends++
 	}
 	unlock()
-	if l.dur != nil && appends > 0 {
-		l.dur.noteAppend(appends)
-		if l.cfg.Fsync == FsyncAlways {
-			for j := range touched {
-				if err := touched[j].wal.syncTo(marks[j]); err != nil {
-					serr := fmt.Errorf("%w: %v", ErrDurability, err)
-					// The records are written and applied but not known
-					// durable; flag every acknowledged entry of this shard
-					// without undoing the bills.
-					for i := range entries {
-						if results[i].Err == nil && entries[i].Tenant != "" && l.shardFor(entries[i].Tenant) == touched[j] {
-							results[i].Err = serr
-						}
-					}
-				}
+	if appends == 0 {
+		return
+	}
+	l.dur.noteAppend(appends)
+	for j, sh := range touched {
+		err := l.commit(sh.wal, marks[j])
+		if err == nil {
+			continue
+		}
+		// The records are applied but not known durable; flag every
+		// acknowledged entry of this shard without undoing the bills.
+		for i := range entries {
+			if results[i].Err == nil && entries[i].Tenant != "" && l.shardFor(entries[i].Tenant) == sh {
+				results[i].Err = err
 			}
 		}
 	}

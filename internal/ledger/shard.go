@@ -68,12 +68,14 @@ func (sh *shard) apply(e Entry, key string, outcome Outcome, windowMinutes int) 
 		sh.insertName(e.Tenant)
 	}
 	// Record the key only for entries that actually bill, so a retry after
-	// a drop is not mistaken for a duplicate. The seen guard is free on the
-	// live path (Accrue only decides Accrued when the key is absent) and
-	// keeps replay of a damaged log from double-queueing a key.
+	// a drop is not mistaken for a duplicate. One map probe: the insert is
+	// also the seen guard (the live path only decides Accrued when the key
+	// is absent, so there it always grows the map), which keeps replay of a
+	// damaged log from double-queueing a key.
 	if key != "" {
-		if _, seen := sh.keys[key]; !seen {
-			sh.keys[key] = struct{}{}
+		before := len(sh.keys)
+		sh.keys[key] = struct{}{}
+		if len(sh.keys) != before {
 			sh.keyq = append(sh.keyq, key)
 			for len(sh.keyq) > sh.maxKeys {
 				delete(sh.keys, sh.keyq[0])

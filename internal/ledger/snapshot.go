@@ -2,9 +2,13 @@ package ledger
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -13,16 +17,28 @@ import (
 // every shard's full state — accounts, windows, idempotency-key FIFO,
 // outcome counters — consistent with that shard's WAL at the seq-G rotation
 // boundary: recovery loads the snapshot and replays only segments with
-// seq >= G. Floats round-trip exactly: Go marshals float64 with the
-// shortest representation that parses back to the identical bits, so a
-// recovered bill is byte-identical, not approximately equal.
+// seq >= G. Floats round-trip exactly: they are written in the shortest
+// representation that parses back to the identical bits, so a recovered
+// bill is byte-identical, not approximately equal.
+//
+// The document is read by reflection (parseSnapshot: cold, once per start
+// or bootstrap) and written by hand (Snapshot: every SnapshotEvery accruals,
+// beside live ingest) — snapshotDoc and shardSnapshot below are the schema
+// both sides follow, and the snapshot writer tests hold the writer to what
+// json.Marshal of them would decode to.
 
-// snapshotDoc is the on-disk snapshot document.
-type snapshotDoc struct {
+// snapshotHeader opens the document; the writer marshals it as declared, so
+// Meta's fields are still typed in one place.
+type snapshotHeader struct {
 	Version   int    `json:"version"`
 	Gen       uint64 `json:"gen"`
 	TakenUnix int64  `json:"takenUnix"`
 	Meta
+}
+
+// snapshotDoc is the on-disk snapshot document.
+type snapshotDoc struct {
+	snapshotHeader
 	// ShardStates holds one entry per lock stripe, in shard order.
 	ShardStates []shardSnapshot `json:"shardStates"`
 }
@@ -39,10 +55,9 @@ type shardSnapshot struct {
 	Accounts map[string]*account `json:"accounts,omitempty"`
 }
 
-// clone deep-copies an account — the one copy between a shard's live state
-// and a snapshot document, in either direction. The maps it returns are
-// never nil, whatever a decoded document left out (omitempty drops empty
-// maps, and a JSON null decodes to a nil account or window).
+// clone deep-copies a decoded account into live state. The maps it returns
+// are never nil, whatever the document left out (omitempty drops empty maps,
+// and a JSON null decodes to a nil account or window).
 func (a *account) clone() *account {
 	var c account
 	if a != nil {
@@ -63,24 +78,6 @@ func (a *account) clone() *account {
 		c.Windows[widx] = &cw
 	}
 	return &c
-}
-
-// capture serialises the shard's state; callers hold mu.
-//
-//litmus:guarded-by caller holds sh.mu
-func (sh *shard) capture() shardSnapshot {
-	ss := shardSnapshot{
-		Accrued:     sh.accrued,
-		Duplicates:  sh.duplicates,
-		Dropped:     sh.dropped,
-		KeysEvicted: sh.keysEvicted,
-		Keys:        append([]string(nil), sh.keyq...),
-		Accounts:    make(map[string]*account, len(sh.accounts)),
-	}
-	for name, a := range sh.accounts {
-		ss.Accounts[name] = a.clone()
-	}
-	return ss
 }
 
 // restoreFrom replaces the shard's state with a snapshot's; callers hold mu.
@@ -125,12 +122,15 @@ func parseSnapshot(data []byte, name string, want Meta) (*snapshotDoc, error) {
 	return &doc, nil
 }
 
-// Snapshot compacts the durable store: it captures every shard's state,
-// rotates every shard's WAL segment, and commits the capture atomically as
-// snapshot-<gen>.json; superseded segments and snapshots are then deleted
-// (kept with Config.Archive). Safe under concurrent accrual — each shard is
-// captured and rotated under its own lock, so the snapshot plus each
-// shard's post-rotation WAL tail is exactly that shard's full history.
+// Snapshot compacts the durable store: it streams every shard's state into
+// snapshot-<gen>.json.tmp, rotating each shard's WAL segment as it goes, and
+// commits the file atomically (fsync + rename); superseded segments and
+// snapshots are then deleted (kept with Config.Archive). Safe under
+// concurrent accrual — each shard is encoded and rotated under its own
+// lock, so the snapshot plus each shard's post-rotation WAL tail is exactly
+// that shard's full history. Nothing is copied first: counters and accounts
+// are encoded straight from live state under the shard lock, and the key
+// FIFO, the bulk of the document, is written after the lock is released.
 // Returns an error on a volatile ledger.
 func (l *Ledger) Snapshot() error {
 	d := l.dur
@@ -155,52 +155,36 @@ func (l *Ledger) Snapshot() error {
 	// re-rotated onto a fresh segment) on each subsequent accrual, instead
 	// of once per SnapshotEvery.
 	d.sinceSnap.Store(0)
-	doc := snapshotDoc{
-		Version:     1,
-		Gen:         gen,
-		TakenUnix:   time.Now().Unix(),
-		Meta:        l.meta(),
-		ShardStates: make([]shardSnapshot, len(l.shards)),
-	}
+
 	// covered[i] holds the segments shard i's rotation superseded. On any
 	// failure after a rotation they are handed back to their walFile: the
 	// shards keep appending to the new segments regardless, so the old ones
 	// must stay in the tail — visible in WALBytes, re-collected by the next
 	// successful snapshot — rather than leak until a restart's recovery.
 	covered := make([][]string, len(l.shards))
-	giveBack := func() {
+	takenUnix := time.Now().Unix()
+	w := snapshotWriter{buf: d.snapBuf[:0]}
+	err := writeAtomic(snapshotPath(d.dir, gen), func(f io.Writer) error {
+		w.w = f
+		if d.snapSink != nil {
+			w.w = d.snapSink(f)
+		}
+		return l.streamSnapshot(&w, gen, takenUnix, covered)
+	})
+	d.snapBuf = w.buf
+	if err != nil {
 		for i, paths := range covered {
 			l.shards[i].wal.readdTail(paths)
 		}
-	}
-	for i, sh := range l.shards {
-		sh.mu.Lock()
-		ss := sh.capture()
-		// Rotating under the shard lock is the snapshot's consistency
-		// point: the captured state and the segment boundary agree exactly.
-		//litmus:sync-under-lock-ok snapshot consistency point; rotation must exclude appends on this shard
-		old, err := sh.wal.rotate(gen)
-		sh.mu.Unlock()
-		if err != nil {
-			giveBack()
-			return fmt.Errorf("%w: %v", ErrDurability, err)
+		if errors.Is(err, errSnapshotValue) {
+			return fmt.Errorf("ledger: encoding snapshot: %w", err)
 		}
-		doc.ShardStates[i] = ss
-		covered[i] = old
-	}
-	data, err := json.Marshal(&doc)
-	if err != nil {
-		giveBack()
-		return fmt.Errorf("ledger: encoding snapshot: %w", err)
-	}
-	if err := writeFileAtomic(snapshotPath(d.dir, gen), data); err != nil {
-		giveBack()
 		return fmt.Errorf("%w: writing snapshot: %v", ErrDurability, err)
 	}
 	d.lastSnapGen.Store(gen)
 	d.snapshots.Add(1)
-	d.lastSnapUnix.Store(doc.TakenUnix)
-	d.lastSnapBytes.Store(int64(len(data)))
+	d.lastSnapUnix.Store(takenUnix)
+	d.lastSnapBytes.Store(w.n)
 	if !l.cfg.Archive {
 		for _, paths := range covered {
 			removeAll(paths)
@@ -214,4 +198,212 @@ func (l *Ledger) Snapshot() error {
 		}
 	}
 	return nil
+}
+
+// streamSnapshot writes the version-1 document for generation gen through w,
+// shard by shard, recording in covered what each rotation superseded. A
+// shard is locked only while its counters and accounts are encoded and its
+// segment rotated; its keys and every write happen outside the lock.
+func (l *Ledger) streamSnapshot(w *snapshotWriter, gen uint64, takenUnix int64, covered [][]string) error {
+	head, err := json.Marshal(snapshotHeader{Version: 1, Gen: gen, TakenUnix: takenUnix, Meta: l.meta()})
+	if err != nil {
+		return err
+	}
+	w.buf = append(w.buf, head[:len(head)-1]...) // reopened: shardStates follows
+	w.raw(`,"shardStates":[`)
+	for i, sh := range l.shards {
+		if i > 0 {
+			w.raw(",")
+		}
+		sh.mu.Lock()
+		sh.encode(w)
+		// The FIFO is taken by slice header, not copied: elements below len
+		// are never rewritten — eviction reslices from the front, append
+		// writes past len or reallocates, restore swaps the whole slice — so
+		// the keys can be read after the lock is released.
+		keys := sh.keyq
+		// Rotating under the shard lock is the snapshot's consistency
+		// point: the encoded state and the segment boundary agree exactly.
+		//litmus:sync-under-lock-ok snapshot consistency point; rotation must exclude appends on this shard
+		old, err := sh.wal.rotate(gen)
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		covered[i] = old
+		if len(keys) > 0 {
+			w.raw(`,"keys":[`)
+			for j, k := range keys {
+				if j > 0 {
+					w.raw(",")
+				}
+				w.str(k)
+				if len(w.buf) >= maxSnapshotWrite {
+					w.flush()
+				}
+			}
+			w.raw("]")
+		}
+		w.raw("}")
+		if w.flush(); w.err != nil {
+			return w.err
+		}
+	}
+	w.raw("]}")
+	w.flush()
+	return w.err
+}
+
+// encode appends the shard's counters and accounts — everything but the key
+// FIFO, and without the closing brace — as the head of a shardSnapshot
+// object. Callers hold mu; this is the snapshot's whole hold on ingest, so
+// it walks the live maps once, in map order, and allocates nothing.
+//
+//litmus:guarded-by caller holds sh.mu
+func (sh *shard) encode(w *snapshotWriter) {
+	w.raw(`{"accrued":`)
+	w.uint(sh.accrued)
+	w.raw(`,"duplicates":`)
+	w.uint(sh.duplicates)
+	w.raw(`,"dropped":`)
+	w.uint(sh.dropped)
+	w.raw(`,"keysEvicted":`)
+	w.uint(sh.keysEvicted)
+	if len(sh.accounts) == 0 {
+		return
+	}
+	w.raw(`,"accounts":{`)
+	first := true
+	for name, a := range sh.accounts {
+		if !first {
+			w.raw(",")
+		}
+		first = false
+		w.str(name)
+		w.raw(`:{"invocations":`)
+		w.int(a.Invocations)
+		w.raw(`,"commercial":`)
+		w.float(a.Commercial)
+		w.raw(`,"billed":`)
+		w.float(a.Billed)
+		if len(a.Windows) > 0 {
+			w.raw(`,"windows":{`)
+			firstWindow := true
+			for widx, win := range a.Windows {
+				if !firstWindow {
+					w.raw(",")
+				}
+				firstWindow = false
+				w.raw(`"`)
+				w.int(int64(widx))
+				w.raw(`":{"invocations":`)
+				w.int(win.Invocations)
+				w.raw(`,"commercial":`)
+				w.float(win.Commercial)
+				w.raw(`,"billed":`)
+				w.float(win.Billed)
+				if len(win.Bills) > 0 {
+					w.raw(`,"bills":{`)
+					firstBill := true
+					for pricer, v := range win.Bills {
+						if !firstBill {
+							w.raw(",")
+						}
+						firstBill = false
+						w.str(pricer)
+						w.raw(":")
+						w.float(v)
+					}
+					w.raw("}")
+				}
+				w.raw("}")
+			}
+			w.raw("}")
+		}
+		w.raw("}")
+	}
+	w.raw("}")
+}
+
+// maxSnapshotWrite bounds one write(2) of the snapshot stream.
+const maxSnapshotWrite = 1 << 20
+
+// errSnapshotValue marks a value JSON cannot carry (a total that overflowed
+// to +Inf): the attempt fails, as json.Marshal's did, rather than commit a
+// document recovery cannot parse.
+var errSnapshotValue = errors.New("unsupported value")
+
+// snapshotWriter is the hand-written JSON appender behind Snapshot: values
+// go onto one reused buffer, flush hands it to the file in bounded writes,
+// and the first failure sticks.
+type snapshotWriter struct {
+	w   io.Writer
+	buf []byte
+	n   int64 // bytes written
+	err error
+}
+
+func (w *snapshotWriter) raw(s string)  { w.buf = append(w.buf, s...) }
+func (w *snapshotWriter) int(v int64)   { w.buf = strconv.AppendInt(w.buf, v, 10) }
+func (w *snapshotWriter) uint(v uint64) { w.buf = strconv.AppendUint(w.buf, v, 10) }
+
+// float writes f as encoding/json does — shortest digits that parse back to
+// the same bits, exponent form only below 1e-6 and from 1e21.
+func (w *snapshotWriter) float(f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if w.err == nil {
+			w.err = fmt.Errorf("%w %v", errSnapshotValue, f)
+		}
+		f = 0
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	w.buf = strconv.AppendFloat(w.buf, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9, as encoding/json writes it.
+		if n := len(w.buf); n >= 4 && w.buf[n-4] == 'e' && w.buf[n-3] == '-' && w.buf[n-2] == '0' {
+			w.buf[n-2] = w.buf[n-1]
+			w.buf = w.buf[:n-1]
+		}
+	}
+}
+
+// str writes s as a JSON string: quote, backslash and control bytes escaped
+// (every namespaced key holds a \x00), everything else verbatim. Ill-formed
+// UTF-8, which only a log written before validateEntry refused it can hold,
+// passes through and decodes to U+FFFD, as it did when json.Marshal wrote
+// the replacement itself.
+func (w *snapshotWriter) str(s string) {
+	const hex = "0123456789abcdef"
+	b := append(w.buf, '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 0x20 && c != '"' && c != '\\' {
+			continue
+		}
+		b = append(b, s[start:i]...)
+		if c >= 0x20 {
+			b = append(b, '\\', c)
+		} else {
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		}
+		start = i + 1
+	}
+	b = append(b, s[start:]...)
+	w.buf = append(b, '"')
+}
+
+// flush writes the buffer out in writes of at most maxSnapshotWrite bytes
+// and empties it; after a failure it only empties it.
+func (w *snapshotWriter) flush() {
+	for p := w.buf; len(p) > 0 && w.err == nil; {
+		n, err := w.w.Write(p[:min(len(p), maxSnapshotWrite)])
+		w.n += int64(n)
+		p = p[n:]
+		w.err = err
+	}
+	w.buf = w.buf[:0]
 }

@@ -3,6 +3,7 @@ package ledger
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -20,7 +21,7 @@ type FsyncMode int
 const (
 	// FsyncAlways (the default) makes every acknowledged accrual durable
 	// before Accrue returns. Concurrent writers on one shard group-commit:
-	// one fsync covers every record appended before it started.
+	// one fsync covers every record written before it started.
 	FsyncAlways FsyncMode = iota
 	// FsyncInterval syncs each shard's WAL on a background ticker
 	// (Config.FsyncEvery); a crash can lose up to one interval of
@@ -187,38 +188,46 @@ func DecodeWALFile(path string) ([]WALRecord, int64, error) {
 	return DecodeWAL(data)
 }
 
-// walFile is one shard's append-only log. Appends run under the shard lock
-// (which already serialises same-shard writers); syncs run outside it, so a
-// slow fsync never blocks appends — that is what turns FsyncAlways into
-// group commit instead of one fsync per record.
+// walFile is one shard's append-only log. A record is in one of three
+// states, each a monotone byte watermark: appended (framed onto buf, under
+// the shard lock, so buffer order is apply order), written (handed to the
+// kernel by flush, one write(2) for everything pending) and synced (known
+// durable). appended >= written >= synced always. Appends run under the
+// shard lock (which already serialises same-shard writers); flushes and
+// syncs run outside it, so neither a write nor a slow fsync blocks the
+// shard's readers — that is what turns a batch into one write and
+// FsyncAlways into group commit instead of one syscall pair per record.
 type walFile struct {
 	shard int    //litmus:unguarded immutable after construction
 	dir   string //litmus:unguarded immutable after construction
 
-	// mu guards the file handle and the append-side counters.
+	// mu guards the file handle, the pending buffer and the append-side
+	// counters.
 	mu       sync.Mutex
 	f        *os.File
 	seq      uint64
-	size     int64    // bytes in the active segment
+	size     int64    // bytes written to the active segment
 	tail     []string // recovered tail segments below seq, not yet snapshot-covered
 	tailSize int64    // their total bytes
-	appended uint64   // monotone bytes appended since open (across rotations)
-	buf      []byte   // frame scratch, reused across appends
-	err      error    // sticky append failure: the shard refuses further writes
+	appended uint64   // monotone bytes framed since open (across rotations)
+	written  uint64   // monotone bytes flushed to a segment; appended-written == len(buf)
+	writes   uint64   // write(2) calls issued
+	buf      []byte   // framed records not yet written, in apply order
+	err      error    // sticky flush failure: the shard refuses further writes
 
 	// syncMu serialises fsyncs (and excludes rotation mid-sync); synced is
-	// the appended watermark known durable.
+	// the written watermark known durable.
 	syncMu sync.Mutex
 	synced atomic.Uint64
 	syncs  *atomic.Uint64
 }
 
-// append frames rec onto the active segment and returns the post-append
-// watermark to hand to syncTo. Callers hold the owning shard's lock. A
-// failed write poisons the file: the WAL tail may be torn, and appending
-// past a tear would orphan every later record at recovery.
+// append frames rec onto the pending buffer and returns the post-append
+// watermark to hand to flush and syncTo. Nothing reaches the file here: the
+// caller owes a flush before it acknowledges the record. Callers hold the
+// owning shard's lock.
 //
-//litmus:appends
+//litmus:buffers
 func (w *walFile) append(rec WALRecord) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -228,27 +237,67 @@ func (w *walFile) append(rec WALRecord) (uint64, error) {
 	if w.f == nil {
 		return 0, fmt.Errorf("wal shard %d: ledger closed", w.shard)
 	}
-	w.buf = AppendWALRecord(w.buf[:0], rec)
-	n, err := w.f.Write(w.buf)
-	w.size += int64(n)
-	w.appended += uint64(n)
-	if err != nil {
-		// Best effort: cut the torn bytes back off. If that works the
-		// segment is whole again and the shard can keep writing.
-		if n > 0 && w.f.Truncate(w.size-int64(n)) == nil {
-			w.size -= int64(n)
-			w.appended -= uint64(n)
-		} else {
-			w.err = fmt.Errorf("wal shard %d: torn append: %w", w.shard, err)
-		}
-		return 0, fmt.Errorf("wal shard %d: append: %w", w.shard, err)
-	}
+	before := len(w.buf)
+	w.buf = AppendWALRecord(w.buf, rec)
+	w.appended += uint64(len(w.buf) - before)
 	return w.appended, nil
 }
 
+// flush writes every pending record up to watermark target with one
+// write(2) — usually more than the caller's own, since the buffer is shared
+// by every writer of the shard; a caller whose bytes another flush already
+// carried returns without a syscall.
+//
+//litmus:appends
+func (w *walFile) flush(target uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.written >= target {
+		return nil
+	}
+	return w.flushLocked()
+}
+
+// maxRetainedBuf bounds the pending buffer a walFile keeps between flushes;
+// one batch of outsize entries must not pin its high-water mark for ever.
+const maxRetainedBuf = 1 << 20
+
+// flushLocked writes the pending buffer to the active segment. A failed or
+// short write poisons the file: memory is now ahead of the log, the segment
+// may end in a torn frame, and writing past a tear would orphan every later
+// record at recovery — so the shard refuses appends from here on and every
+// record still pending is reported not durable to whoever flushes for it.
+//
+//litmus:guarded-by caller holds w.mu
+//litmus:appends
+func (w *walFile) flushLocked() error {
+	if w.err != nil {
+		return w.err
+	}
+	if len(w.buf) == 0 {
+		return nil
+	}
+	n, err := w.f.Write(w.buf)
+	w.writes++
+	w.size += int64(n)
+	w.written += uint64(n)
+	if err != nil {
+		w.err = fmt.Errorf("wal shard %d: torn append: %w", w.shard, err)
+		w.buf = nil
+		return w.err
+	}
+	if cap(w.buf) > maxRetainedBuf {
+		w.buf = nil
+	} else {
+		w.buf = w.buf[:0]
+	}
+	return nil
+}
+
 // syncTo makes every byte appended before watermark target durable. Group
-// commit: one fsync covers all records appended before it started, so
-// concurrent callers mostly return on the fast path without a syscall.
+// commit: one fsync covers all records written before it started, so
+// concurrent callers mostly return on the fast path without a syscall. It
+// flushes first, so synced can only ever advance to bytes the file holds.
 //
 //litmus:syncs
 func (w *walFile) syncTo(target uint64) error {
@@ -261,8 +310,12 @@ func (w *walFile) syncTo(target uint64) error {
 		return nil
 	}
 	w.mu.Lock()
-	f, mark := w.f, w.appended
+	err := w.flushLocked()
+	f, mark := w.f, w.written
 	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if f == nil {
 		return nil
 	}
@@ -278,10 +331,12 @@ func (w *walFile) syncTo(target uint64) error {
 	return nil
 }
 
-// rotate syncs and closes the active segment and opens a fresh one at
-// newSeq, returning the paths of the segments the pending snapshot will
-// cover. Callers hold the owning shard's lock, so no append is in flight.
+// rotate flushes, syncs and closes the active segment and opens a fresh one
+// at newSeq, returning the paths of the segments the pending snapshot will
+// cover. Callers hold the owning shard's lock, so no append is in flight and
+// every record the shard has applied lands in the segment being sealed.
 //
+//litmus:appends
 //litmus:syncs
 func (w *walFile) rotate(newSeq uint64) ([]string, error) {
 	w.syncMu.Lock()
@@ -293,7 +348,10 @@ func (w *walFile) rotate(newSeq uint64) ([]string, error) {
 		// after Close returned.
 		return nil, fmt.Errorf("wal shard %d: rotate after close", w.shard)
 	}
-	// Open the new segment before touching the old one: a failure here
+	if err := w.flushLocked(); err != nil {
+		return nil, err
+	}
+	// Open the new segment before sealing the old one: a failure here
 	// leaves the shard exactly as it was, still appending to its current
 	// segment, so a failed snapshot attempt never wedges ingest.
 	f, err := os.OpenFile(segmentPath(w.dir, w.shard, newSeq), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
@@ -313,7 +371,7 @@ func (w *walFile) rotate(newSeq uint64) ([]string, error) {
 	covered := append(w.tail, segmentPath(w.dir, w.shard, w.seq))
 	w.f, w.seq, w.size = f, newSeq, 0
 	w.tail, w.tailSize = nil, 0
-	w.synced.Store(w.appended) // the closed segment is fully synced
+	w.synced.Store(w.written) // the closed segment is fully synced
 	return covered, nil
 }
 
@@ -331,8 +389,9 @@ func (w *walFile) readdTail(paths []string) {
 	}
 }
 
-// close syncs and closes the active segment.
+// close flushes, syncs and closes the active segment.
 //
+//litmus:appends
 //litmus:syncs
 func (w *walFile) close() error {
 	w.syncMu.Lock()
@@ -342,13 +401,16 @@ func (w *walFile) close() error {
 	if w.f == nil {
 		return nil
 	}
+	err := w.flushLocked()
 	//litmus:sync-under-lock-ok final sync at close; both locks are held so no append or sync races the teardown
-	err := w.f.Sync()
+	if serr := w.f.Sync(); err == nil {
+		err = serr
+	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
 	w.f = nil
-	w.synced.Store(w.appended)
+	w.synced.Store(w.written)
 	return err
 }
 
@@ -379,29 +441,26 @@ func syncDir(dir string) {
 	_ = d.Close()
 }
 
-// writeFileAtomic writes data to path via a temp file, fsync and rename, so
-// a crash leaves either the old file or the new one — never a torn mix.
-func writeFileAtomic(path string, data []byte) error {
+// writeAtomic fills path via a temp file, fsync and rename, so a crash
+// leaves either the old file or the new one — never a torn mix. A failure
+// anywhere, fill's included, removes the temp file.
+func writeAtomic(path string, fill func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
+	err = fill(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -112,6 +112,7 @@ func TestWALRotateAfterClose(t *testing.T) {
 	if _, err := w.rotate(1); err == nil {
 		t.Fatal("rotate reopened a closed WAL")
 	}
+	//litmus:flush-ok the append must be refused; there is nothing to flush
 	if _, err := w.append(walTestRecords[0]); err == nil {
 		t.Fatal("append succeeded after close")
 	}
