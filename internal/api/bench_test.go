@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -196,4 +197,111 @@ func BenchmarkUsageStreamSharded(b *testing.B) {
 			b.ReportMetric(float64(lines*b.N)/b.Elapsed().Seconds(), "records/s")
 		})
 	}
+}
+
+// benchNDJSONRecords is the codec benchmarks' stream: the bench stream's
+// records with the optional fields a metered fleet sends (abbr, minute, key).
+func benchNDJSONRecords() []UsageRecord {
+	records := make([]UsageRecord, 512)
+	for i := range records {
+		records[i] = benchUsageRecord(fmt.Sprintf("t%d", i%8), 128+64*(i%8))
+		records[i].Abbr = fmt.Sprintf("fn-%02d", i%32)
+		records[i].Minute = i % 16
+		records[i].Key = fmt.Sprintf("run-1#%d", i+1)
+	}
+	return records
+}
+
+// BenchmarkNDJSONDecode measures what one NDJSON line costs to decode: codec
+// is what the server runs on lines of the strict subset (a record source over
+// the stream, pooled state warm), encoding/json is the reference every other
+// line falls back to.
+func BenchmarkNDJSONDecode(b *testing.B) {
+	records := benchNDJSONRecords()
+	body, err := EncodeUsageStream(WireNDJSON, records)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("codec", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		rd := bytes.NewReader(body)
+		for i := 0; i < b.N; i++ {
+			rd.Reset(body)
+			src := NewRecordSource(WireNDJSON, rd, DefaultMaxBodyBytes, DefaultMaxStreamLines)
+			n := 0
+			for {
+				_, _, rej, ok := src.Next()
+				if !ok {
+					break
+				}
+				if rej != nil {
+					b.Fatal(rej)
+				}
+				n++
+			}
+			src.Release()
+			if n != len(records) {
+				b.Fatalf("read %d of %d records", n, len(records))
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(records)), "ns/record")
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, line := range lines {
+				var rec UsageRecord
+				if err := json.Unmarshal(line, &rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(records)), "ns/record")
+	})
+}
+
+// BenchmarkNDJSONEncode is the encode half: codec is AppendUsageRecord into a
+// reused buffer, as the router's per-owner batches and every client do it;
+// encoding/json is the encoder it falls back to, built per record as
+// AppendUsageRecord builds it.
+func BenchmarkNDJSONEncode(b *testing.B) {
+	records := benchNDJSONRecords()
+	body, err := EncodeUsageStream(WireNDJSON, records)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("codec", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		dst := make([]byte, 0, len(body))
+		for i := 0; i < b.N; i++ {
+			dst = dst[:0]
+			for j := range records {
+				if dst, err = AppendUsageRecord(dst, WireNDJSON, &records[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if !bytes.Equal(dst, body) {
+			b.Fatal("encoded stream differs")
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(records)), "ns/record")
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		dst := make([]byte, 0, len(body))
+		for i := 0; i < b.N; i++ {
+			buf := bytes.NewBuffer(dst[:0])
+			for j := range records {
+				if err := json.NewEncoder(buf).Encode(&records[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(records)), "ns/record")
+	})
 }

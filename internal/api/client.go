@@ -263,8 +263,12 @@ func AppendUsageRecord(dst []byte, wire WireFormat, rec *UsageRecord) ([]byte, e
 	if wire == WireFrames {
 		return AppendUsageFrame(dst, rec), nil
 	}
-	// Encode writes nothing when it fails, and terminates each value with
-	// '\n': NDJSON.
+	if line, ok := appendUsageLine(dst, rec); ok {
+		return line, nil
+	}
+	// A string to escape or a float to refuse: encoding/json's to do, and
+	// to word. Encode writes nothing when it fails, and terminates each
+	// value with '\n': NDJSON.
 	buf := bytes.NewBuffer(dst)
 	if err := json.NewEncoder(buf).Encode(rec); err != nil {
 		return dst, fmt.Errorf("api: encoding usage record: %w", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -133,6 +134,71 @@ func FuzzUsageStreamParser(f *testing.F) {
 					t.Fatalf("invalid line %d missing from errors %v", line, out.Errors)
 				}
 			}
+		}
+	})
+}
+
+// ndjsonAcceptSeeds sit just inside the strict subset, next to the refusal
+// table's rows just outside it: the fuzzer starts from both sides of every rule.
+var ndjsonAcceptSeeds = []string{
+	`{"tenant":"a","minute":-0}`,
+	`{"tenant":"a","minute":9223372036854775807}`,
+	`{"tenant":"a","tPrivate":-0.0e-0}`,
+	`{"tenant":"a","tPrivate":1E+2,"tShared":0.1e-7}`,
+	`{"tenant":"ténant","key":"ключ"}`,
+	`{"tenant":"a","probe":{"machineL3Misses":1.2e7,"tShared":0.008,"tPrivate":0.02}}`,
+}
+
+// FuzzNDJSONRecord is the differential test of the NDJSON codec against the
+// reference it falls back to, in both directions. Whenever the schema's
+// decoder takes a line, json.Unmarshal of the same bytes must succeed and
+// yield a deeply equal record, probe included. Whenever the line is a record
+// at all and the schema's encoder writes it, the bytes must be
+// json.Marshal's plus the newline — and, being our own output, a line the
+// decoder takes back. Neither half may panic on anything.
+func FuzzNDJSONRecord(f *testing.F) {
+	for _, tc := range ndjsonRefusals {
+		f.Add([]byte(tc.line))
+	}
+	for _, line := range ndjsonAcceptSeeds {
+		f.Add([]byte(line))
+	}
+	body, err := EncodeUsageStream(WireNDJSON, codecCorpus(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n")) {
+		f.Add(line)
+	}
+	warm := []byte(ndLine("warm", 512, 9, "warm-key"))
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		// A decoder that has seen a full record: a field the line omits must
+		// come back zero, not left over.
+		var dec lineDecoder
+		if !dec.decode(warm) {
+			t.Fatalf("decoder refused the warm-up line %s", warm)
+		}
+		took := dec.decode(line)
+		var ref UsageRecord
+		refErr := json.Unmarshal(line, &ref)
+		if took && (refErr != nil || !reflect.DeepEqual(&dec.rec, &ref)) {
+			t.Fatalf("decoder took %q as %+v (probe %+v); encoding/json: %+v (probe %+v), %v",
+				line, dec.rec, dec.rec.Probe, ref, ref.Probe, refErr)
+		}
+		if refErr != nil {
+			return
+		}
+		fast, ok := appendUsageLine(nil, &ref)
+		if !ok {
+			return
+		}
+		want, err := json.Marshal(&ref)
+		if err != nil || !bytes.Equal(fast, append(want, '\n')) {
+			t.Fatalf("encoder wrote %q for %+v; encoding/json: %q, %v", fast, ref, want, err)
+		}
+		if !dec.decode(fast[:len(fast)-1]) || !reflect.DeepEqual(&dec.rec, &ref) {
+			t.Fatalf("decoder did not take back the encoder's own %q as %+v: %+v", fast, ref, dec.rec)
 		}
 	})
 }

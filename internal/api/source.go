@@ -46,15 +46,7 @@ func NewRecordSource(wire WireFormat, r io.Reader, maxRecordBytes int64, maxReco
 	if wire == WireFrames {
 		return newFrameSource(r, maxRecordBytes, maxRecords)
 	}
-	sc := bufio.NewScanner(r)
-	// The scanner's limit is max(cap(buf), limit): keep the initial buffer
-	// at or below the configured line cap so small caps actually bind.
-	initial := 64 << 10
-	if int(maxRecordBytes) < initial {
-		initial = int(maxRecordBytes)
-	}
-	sc.Buffer(make([]byte, 0, initial), int(maxRecordBytes))
-	return &lineSource{sc: sc, maxBytes: maxRecordBytes, maxLines: maxRecords}
+	return newLineSource(r, maxRecordBytes, maxRecords)
 }
 
 // noTenant is the refusal of a record that decoded but names no tenant.
@@ -63,15 +55,38 @@ func noTenant() *Error {
 }
 
 // lineSource reads NDJSON: one UsageRecord per line, decoded in constant
-// memory.
+// memory. A line of the strict subset our own encoder emits (ndjson.go) is
+// parsed by the schema's decoder; any other is encoding/json's, whole. Like
+// frameSource it is pooled: the decoder's strings and the scan window
+// survive from one stream to the next.
 type lineSource struct {
 	sc        *bufio.Scanner
+	window    []byte // the scanner's initial buffer, handed to each stream's scanner in turn
+	dec       lineDecoder
 	maxBytes  int64
 	maxLines  int
 	line      int
-	rec       UsageRecord
 	streamErr string
 	oversized int
+}
+
+var lineSources sync.Pool
+
+func newLineSource(r io.Reader, maxBytes int64, maxLines int) *lineSource {
+	// The window is sized from the line cap, so a pooled source built under
+	// another cap is dropped rather than re-used.
+	ls, _ := lineSources.Get().(*lineSource)
+	if ls == nil || ls.maxBytes != maxBytes {
+		// The scanner's limit is max(cap(buf), limit): keep the initial
+		// buffer at or below the configured line cap so small caps
+		// actually bind.
+		ls = &lineSource{window: make([]byte, 0, min(64<<10, int(maxBytes))), maxBytes: maxBytes}
+	}
+	// A Scanner cannot be re-aimed at another reader; its buffer can.
+	ls.sc = bufio.NewScanner(r)
+	ls.sc.Buffer(ls.window, int(maxBytes))
+	ls.maxLines = maxLines
+	return ls
 }
 
 func (ls *lineSource) Next() (int, *UsageRecord, *Error, bool) {
@@ -87,14 +102,19 @@ func (ls *lineSource) Next() (int, *UsageRecord, *Error, bool) {
 		if len(raw) == 0 {
 			continue
 		}
-		ls.rec = UsageRecord{}
-		if err := json.Unmarshal(raw, &ls.rec); err != nil {
-			return ls.line, nil, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("malformed JSON: %v", err)}, true
+		rec := &ls.dec.rec
+		if !ls.dec.decode(raw) {
+			// Outside the strict subset: whatever the line is, it is what
+			// encoding/json says it is.
+			*rec = UsageRecord{}
+			if err := json.Unmarshal(raw, rec); err != nil {
+				return ls.line, nil, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("malformed JSON: %v", err)}, true
+			}
 		}
-		if ls.rec.Tenant == "" {
+		if rec.Tenant == "" {
 			return ls.line, nil, noTenant(), true
 		}
-		return ls.line, &ls.rec, nil, true
+		return ls.line, rec, nil, true
 	}
 	if err := ls.sc.Err(); errors.Is(err, bufio.ErrTooLong) {
 		ls.oversized = ls.line + 1
@@ -107,8 +127,13 @@ func (ls *lineSource) Next() (int, *UsageRecord, *Error, bool) {
 
 func (ls *lineSource) Verdict() (string, int) { return ls.streamErr, ls.oversized }
 
-// Release drops the scanner, and with it the request body it wraps.
-func (ls *lineSource) Release() { ls.sc = nil }
+// Release drops the scanner, and with it the request body it wraps, before
+// pooling the source.
+func (ls *lineSource) Release() {
+	ls.sc = nil
+	ls.line, ls.streamErr, ls.oversized = 0, "", 0
+	lineSources.Put(ls)
+}
 
 // frameSource reads the binary frame format (see frames.go): frame n is
 // physical line n. Its reader window and its decoder's intern table are the

@@ -223,10 +223,12 @@ func TestRecordSourceConformance(t *testing.T) {
 // trackedBody is a request body whose collection the test can observe.
 type trackedBody struct{ io.Reader }
 
-// TestRecordSourceReleaseDropsReader: a released source — pooled or merely
-// still referenced — holds nothing of the request it read. Before the fix a
-// pooled FrameReader kept wrapping the last request's body, pinning it and
-// its connection reader for as long as the reader sat idle in the pool.
+// TestRecordSourceReleaseDropsReader: a released source — both kinds sit in
+// a pool afterwards, and the test keeps its own reference besides — holds
+// nothing of the request it read. Before the fix a pooled FrameReader kept
+// wrapping the last request's body, pinning it and its connection reader for
+// as long as the reader sat idle in the pool; the NDJSON source keeps its
+// scan window and its decoder across streams, and must not keep the scanner.
 func TestRecordSourceReleaseDropsReader(t *testing.T) {
 	records := []UsageRecord{frameRecord("a", 128, 0, ""), frameRecord("b", 192, 1, "")}
 	for _, wire := range []WireFormat{WireNDJSON, WireFrames} {
@@ -264,6 +266,133 @@ func TestRecordSourceReleaseDropsReader(t *testing.T) {
 				break
 			}
 			runtime.KeepAlive(src)
+		})
+	}
+}
+
+// TestRecordSourcePoolKeepsNoStreamState: a source taken after another was
+// released — usually the very same one — numbers from 1 again, has no
+// verdict left over, and obeys the caps it was asked for, not the caps the
+// pooled one was built under: a 32-byte record cap must still bind after a
+// stream read under the default cap left its 64 KiB window in the pool.
+func TestRecordSourcePoolKeepsNoStreamState(t *testing.T) {
+	records := []UsageRecord{frameRecord("a", 128, 0, ""), frameRecord("b", 192, 1, "k")}
+	for _, wire := range []WireFormat{WireNDJSON, WireFrames} {
+		t.Run(wire.String(), func(t *testing.T) {
+			body, err := EncodeUsageStream(wire, records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unit := map[WireFormat]string{WireNDJSON: "line", WireFrames: "frame"}[wire]
+			for round := 0; round < 8; round++ {
+				// Ends on a verdict: one record past the cap.
+				steps, streamErr, _ := drainSource(NewRecordSource(wire, bytes.NewReader(body), DefaultMaxBodyBytes, 1))
+				if len(steps) != 1 || steps[0].Pos != 1 || streamErr != "stream exceeds 1 "+unit+"s" {
+					t.Fatalf("round %d, capped: %+v, %q", round, steps, streamErr)
+				}
+				steps, streamErr, oversized := drainSource(NewRecordSource(wire, bytes.NewReader(body), DefaultMaxBodyBytes, 100))
+				if len(steps) != 2 || steps[0].Pos != 1 || steps[1].Pos != 2 || streamErr != "" || oversized != 0 ||
+					!reflect.DeepEqual(steps[0].Rec, &records[0]) || !reflect.DeepEqual(steps[1].Rec, &records[1]) {
+					t.Fatalf("round %d, clean: %+v, %q, %d", round, steps, streamErr, oversized)
+				}
+				steps, streamErr, oversized = drainSource(NewRecordSource(wire, bytes.NewReader(body), 32, 100))
+				if len(steps) != 0 || oversized != 1 || streamErr != unit+" 1 exceeds 32 bytes" {
+					t.Fatalf("round %d, 32-byte cap: %+v, %q, %d", round, steps, streamErr, oversized)
+				}
+			}
+		})
+	}
+}
+
+// ndjsonRefusals is the table of reasons the schema's decoder steps aside,
+// one row each: TestNDJSONRefusals walks it, FuzzNDJSONRecord starts from it.
+var ndjsonRefusals = []struct{ name, line string }{
+	{"case-folded key", `{"Tenant":"acme","language":"py","memoryMB":128}`},
+	{"case-folded probe key", `{"tenant":"acme","probe":{"TPRIVATE":0.02}}`},
+	{"duplicate tenant, last wins", `{"tenant":"first","language":"py","tenant":"second"}`},
+	{"duplicate probe, fields merge", `{"tenant":"acme","probe":{"tPrivate":0.02},"probe":{"tShared":0.008}}`},
+	{"duplicate key inside probe", `{"tenant":"acme","probe":{"tPrivate":0.02,"tPrivate":0.03}}`},
+	{"null string", `{"tenant":null,"language":"py"}`},
+	{"null number", `{"tenant":"acme","memoryMB":null}`},
+	{"null probe", `{"tenant":"acme","probe":null}`},
+	{"unknown field", `{"tenant":"acme","region":"eu-1"}`},
+	{"unknown probe field", `{"tenant":"acme","probe":{"tPrivate":0.02,"cycles":7}}`},
+	{"nested probe value", `{"tenant":"acme","probe":{"tPrivate":{"v":1}}}`},
+	{"escaped key", `{"ten\u0061nt":"acme","language":"py"}`},
+	{"escaped value", `{"tenant":"ac\u006de","language":"p\ty"}`},
+	{"escaped quote in value", `{"tenant":"ac\"me"}`},
+	{"control byte in value", "{\"tenant\":\"ac\tme\"}"},
+	{"exponent integer", `{"tenant":"acme","minute":1e1}`},
+	{"fraction integer", `{"tenant":"acme","minute":1.0}`},
+	{"fraction memoryMB", `{"tenant":"acme","memoryMB":128.5}`},
+	{"integer past int64", `{"tenant":"acme","minute":99999999999999999999}`},
+	{"integer one past int64", `{"tenant":"acme","minute":9223372036854775808}`},
+	{"float out of range", `{"tenant":"acme","tPrivate":1e999}`},
+	{"probe float out of range", `{"tenant":"acme","probe":{"machineL3Misses":-1e999}}`},
+	{"leading zero", `{"tenant":"acme","memoryMB":0128}`},
+	{"leading plus", `{"tenant":"acme","tShared":+0.5}`},
+	{"bare fraction", `{"tenant":"acme","tShared":.5}`},
+	{"trailing point", `{"tenant":"acme","tShared":5.}`},
+	{"hex float", `{"tenant":"acme","tShared":0x1p-2}`},
+	{"Infinity", `{"tenant":"acme","tShared":Infinity}`},
+	{"string for number", `{"tenant":"acme","memoryMB":"128"}`},
+	{"number for string", `{"tenant":7}`},
+	{"invalid UTF-8 in value", "{\"tenant\":\"ac\xffme\",\"language\":\"py\"}"},
+	{"encoded surrogate in value", "{\"tenant\":\"ac\xed\xa0\x80me\"}"},
+	{"whitespace between tokens", `{"tenant": "acme", "language": "py", "probe":{"tPrivate":0.02,"tShared":0.008,"machineL3Misses":1.2e7}}`},
+	{"text after the brace", `{} trailing`},
+	{"object after the brace", `{"tenant":"acme"}{"tenant":"b"}`},
+	{"array", `[]`},
+	{"bare string", `"acme"`},
+	{"empty object", `{}`},
+	{"empty probe key list, tenantless", `{"probe":{}}`},
+	{"unclosed object", `{"tenant":"acme"`},
+	{"unclosed string", `{"tenant":"acme`},
+	{"unclosed probe", `{"tenant":"acme","probe":{"tPrivate":1}`},
+	{"trailing comma", `{"tenant":"acme",}`},
+	{"missing colon", `{"tenant" "acme"}`},
+	{"missing comma", `{"tenant":"acme""language":"py"}`},
+}
+
+// TestNDJSONRefusals: for every row the decoder must refuse the line, and
+// the source — warm, its record still holding the previous line's fields —
+// must then yield exactly what json.Unmarshal makes of those bytes: the same
+// record, or the same words in the per-line error.
+func TestNDJSONRefusals(t *testing.T) {
+	warm := ndLine("warm", 512, 9, "warm-key")
+	for _, tc := range ndjsonRefusals {
+		t.Run(tc.name, func(t *testing.T) {
+			var dec lineDecoder
+			if dec.decode([]byte(tc.line)) {
+				t.Fatalf("the schema decoder took %s", tc.line)
+			}
+			var want UsageRecord
+			wantErr := json.Unmarshal([]byte(tc.line), &want)
+
+			src := NewRecordSource(WireNDJSON, strings.NewReader(warm+"\n"+tc.line+"\n"+warm+"\n"), DefaultMaxBodyBytes, 100)
+			defer src.Release()
+			if pos, rec, rej, ok := src.Next(); !ok || rej != nil || pos != 1 || rec.Tenant != "warm" {
+				t.Fatalf("warm-up line: %d %+v %v %v", pos, rec, rej, ok)
+			}
+			pos, rec, rej, ok := src.Next()
+			switch {
+			case !ok || pos != 2:
+				t.Fatalf("line 2 came back as (%d, %v)", pos, ok)
+			case wantErr != nil:
+				if rej == nil || rej.Status != http.StatusBadRequest || rej.Message != "malformed JSON: "+wantErr.Error() {
+					t.Fatalf("rejection = %+v, want encoding/json's %q", rej, wantErr)
+				}
+			case want.Tenant == "":
+				if rej == nil || *rej != *noTenant() {
+					t.Fatalf("rejection = %+v, want the tenantless one", rej)
+				}
+			case rej != nil || !reflect.DeepEqual(rec, &want):
+				t.Fatalf("yielded (%+v, %v), want encoding/json's %+v", rec, rej, want)
+			}
+			// And the line after a refusal is the schema decoder's again.
+			if pos, rec, rej, ok := src.Next(); !ok || rej != nil || pos != 3 || rec.Key != "warm-key" || rec.Probe == nil {
+				t.Fatalf("line after the refusal: %d %+v %v %v", pos, rec, rej, ok)
+			}
 		})
 	}
 }

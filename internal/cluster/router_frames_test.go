@@ -89,16 +89,65 @@ func TestRouterUsageBinaryMatchesNDJSON(t *testing.T) {
 			responses[api.WireNDJSON], responses[api.WireFrames])
 	}
 
-	// And the router answers exactly like one node fed the same frames.
-	_, single := newNode(t, nil)
-	body, err := api.EncodeUsageStream(api.WireFrames, records)
+	// And the router answers exactly like one node fed the same stream, in
+	// either format.
+	for _, wire := range []api.WireFormat{api.WireNDJSON, api.WireFrames} {
+		_, single := newNode(t, nil)
+		body, err := api.EncodeUsageStream(wire, records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sres := postUsage(t, single.URL, "run-bin", wire.ContentType(), body)
+		if !bytes.Equal(responses[wire], sres) {
+			t.Fatalf("%v: router diverged from single node:\n router: %s\n single: %s", wire, responses[wire], sres)
+		}
+	}
+}
+
+// TestRouterUsageNDJSONOutsideTheCodec: the router decodes an NDJSON stream
+// and re-encodes it per owner, and both halves go through the schema's codec
+// (api/ndjson.go) or, line by line, step aside for encoding/json. Lines of
+// every kind interleaved — our own encoder's, hand-spaced ones, escapes,
+// case-folded and repeated keys, tenants the re-encode has to escape,
+// undecodable and tenantless ones — must still answer byte for byte like
+// one node fed the same bytes.
+func TestRouterUsageNDJSONOutsideTheCodec(t *testing.T) {
+	own, err := api.EncodeUsageStream(api.WireNDJSON, testRecords(t, 7, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres := postUsage(t, single.URL, "run-bin", api.ContentTypeFrames, body)
-	if !bytes.Equal(responses[api.WireFrames], sres) {
-		t.Fatalf("router diverged from single node:\n router: %s\n single: %s",
-			responses[api.WireFrames], sres)
+	const usage = `"language":"py","memoryMB":128,"tPrivate":0.08,"tShared":0.02,"probe":{"tPrivate":0.0195,"tShared":0.0076,"machineL3Misses":1.2e7}`
+	var body []byte
+	for i, line := range bytes.SplitAfter(own, []byte("\n")) {
+		body = append(body, line...)
+		switch i {
+		case 2:
+			body = append(body, `{ "tenant": "spaced", `+usage+` }`+"\n"...)
+		case 5:
+			body = append(body, `{"tenant":"esc\u0061ped",`+usage+`,"key":"k\t1"}`+"\n"...)
+		case 8:
+			body = append(body, `{"Tenant":"folded",`+usage+`,"MINUTE":3}`+"\n\n"...)
+		case 11:
+			body = append(body, `{"tenant":"first","tenant":"a<b&c",`+usage+`}`+"\n"...)
+		case 14:
+			body = append(body, `{"tenant":"sep\u2028arated",`+usage+`,"pricer":null}`+"\n"...)
+		case 17:
+			body = append(body, "{not json\n"+`{`+usage+`}`+"\n"+`{"tenant":"acme","minute":1.0}`+"\n"...)
+		}
+	}
+	router := newRouter(t, 3, cluster.RouterConfig{BatchSize: 4})
+	_, single := newNode(t, nil)
+	rres := postUsage(t, router.URL, "run-mixed", api.ContentTypeNDJSON, body)
+	sres := postUsage(t, single.URL, "run-mixed", api.ContentTypeNDJSON, body)
+	if !bytes.Equal(rres, sres) {
+		t.Fatalf("router diverged from single node:\n router: %s\n single: %s", rres, sres)
+	}
+	var out api.UsageStreamResponse
+	if err := json.Unmarshal(rres, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Lines != 24+8 || out.Accepted != 24+5 || out.Rejected != 3 {
+		t.Fatalf("accounting = %+v, want 32 lines: 29 billed, 3 rejected", out)
 	}
 }
 
