@@ -86,6 +86,24 @@ func (p *plain) bump() {
 	p.n++
 }
 
+// A lock-free value type kept in a guarded field (the ledger's keyWindow in
+// shard): its methods need no annotation of their own, because every call
+// goes through the field and the field needs the lock.
+type owner struct {
+	mu sync.Mutex
+	p  plain
+}
+
+func (o *owner) goodThroughField() {
+	o.mu.Lock()
+	o.p.bump()
+	o.mu.Unlock()
+}
+
+func (o *owner) badThroughField() {
+	o.p.bump() // want `o\.p is guarded by o\.mu`
+}
+
 var errFailed = errorString("failed")
 
 type errorString string

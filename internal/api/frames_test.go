@@ -354,6 +354,70 @@ func TestUsageFramesIllFormedUTF8(t *testing.T) {
 	}
 }
 
+// TestUsageNULTenant: both wires can deliver a NUL inside a tenant name —
+// NDJSON as "a\u0000b", frames as the raw byte — and the ledger's key window
+// spells (tenant, key) as tenant+NUL+key, so tenant "a\x00b" with key "k"
+// used to make tenant "a"'s first record under key "b\x00k" a Duplicate that
+// never billed. Such a tenant is a per-line 400 that bills nothing and leaves
+// its neighbours alone; a NUL inside a key stays legal.
+func TestUsageNULTenant(t *testing.T) {
+	records := []UsageRecord{
+		frameRecord("a\x00b", 128, 0, "k"),
+		frameRecord("a", 192, 1, "b\x00k"),
+		frameRecord("b", 256, 2, "k2"),
+		frameRecord("\x00c", 320, 3, ""), // inherits the stream key
+		frameRecord("d", 384, 4, ""),
+	}
+	for _, wire := range []WireFormat{WireNDJSON, WireFrames} {
+		t.Run(wire.String(), func(t *testing.T) {
+			body, err := EncodeUsageStream(wire, records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wire == WireNDJSON && !bytes.Contains(body, []byte(`"tenant":"a\u0000b"`)) {
+				t.Fatalf("the NDJSON body does not carry the escaped NUL:\n%s", body)
+			}
+			// One shard, so the colliding pair shares a window.
+			led, err := ledger.New(ledger.Config{Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(Config{Calibration: apitest.Calibration(), Ledger: led})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+
+			out := postBody(t, ts.URL, "run-1", wire.ContentType(), body)
+			if out.Lines != 5 || out.Accepted != 3 || out.Duplicates != 0 || out.Rejected != 2 || out.StreamError != "" {
+				t.Fatalf("stream = %+v", out)
+			}
+			if len(out.Errors) != 2 || out.Errors[0].Line != 1 || out.Errors[1].Line != 4 {
+				t.Fatalf("errors = %+v", out.Errors)
+			}
+			for _, e := range out.Errors {
+				if e.Error.Status != http.StatusBadRequest || !strings.Contains(e.Error.Message, "tenant holds a NUL byte") {
+					t.Errorf("line %d: %+v", e.Line, e.Error)
+				}
+			}
+			if st := led.Stats(); st.Accrued != 3 || st.Tenants != 3 || st.KeysTracked != 3 {
+				t.Fatalf("ledger = %+v", st)
+			}
+			if sum, ok := led.Summary("a"); !ok || sum.Invocations != 1 {
+				t.Fatalf("tenant a = %+v, %v; want one billed invocation", sum, ok)
+			}
+			out = postBody(t, ts.URL, "run-1", wire.ContentType(), body)
+			if out.Duplicates != 3 || out.Rejected != 2 || out.Accepted != 0 {
+				t.Fatalf("replay = %+v", out)
+			}
+			if st := led.Stats(); st.Accrued != 3 || st.Duplicates != 3 {
+				t.Fatalf("ledger after the replay = %+v", st)
+			}
+		})
+	}
+}
+
 // TestUsageFramesTruncation pins torn-stream semantics: a frame cut off
 // mid-payload (or mid-header) aborts the stream with a descriptive
 // StreamError, and everything before the tear still accrued.

@@ -2,7 +2,7 @@ package cluster_test
 
 // The failover surface a pricingd node mounts: the standby's control routes
 // (byte-exact bodies, before and after promotion) and the auto-promote
-// prober against a primary whose /healthz fails on a script.
+// prober against a primary whose /healthz the follower sees fail on a script.
 
 import (
 	"context"
@@ -18,27 +18,41 @@ import (
 	"repro/internal/ledger"
 )
 
-// newScriptedPrimary is newPrimary with a /healthz that answers 503 whenever
-// down(n) says so for the n-th probe (1-based); probes counts them.
-func newScriptedPrimary(t *testing.T, down func(n int64) bool) (url string, probes *atomic.Int64) {
-	t.Helper()
-	led, err := ledger.New(primaryCfg(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
+// scriptedProbes is the follower-side transport of the prober tests: it
+// answers the n-th /healthz probe (1-based) itself — 503 when down(n) says so,
+// 200 otherwise — counts them, and passes everything else on to the primary.
+// The verdict is scripted and counted where AutoPromote takes it. A script
+// kept in the primary's handler is not that: the probe's deadline (= the
+// probe interval) beats the handler under load, and the probe then fails
+// unscripted and is counted late or never.
+type scriptedProbes struct {
+	down   func(n int64) bool
+	probes atomic.Int64
+}
+
+func (s *scriptedProbes) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path != "/healthz" {
+		return http.DefaultTransport.RoundTrip(r)
 	}
-	t.Cleanup(func() { _ = led.Close() })
-	srv, _ := newNode(t, led)
-	node := cluster.PrimaryHandler(srv, cluster.SourceConfig{MaxWait: 50 * time.Millisecond, Poll: 2 * time.Millisecond})
-	probes = new(atomic.Int64)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" && down(probes.Add(1)) {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		node.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	return ts.URL, probes
+	rec := httptest.NewRecorder()
+	if s.down(s.probes.Add(1)) {
+		http.Error(rec, "down", http.StatusServiceUnavailable)
+	} else {
+		rec.WriteString("{}")
+	}
+	resp := rec.Result()
+	resp.Request = r
+	return resp, nil
+}
+
+// newProbedFollower is newFollower against a fresh primary whose /healthz
+// the follower sees fail on a script; probes counts the probes it made.
+func newProbedFollower(t *testing.T, down func(n int64) bool) (f *cluster.Follower, probes *atomic.Int64) {
+	t.Helper()
+	_, primary := newPrimary(t, primaryCfg(t.TempDir()))
+	rt := &scriptedProbes{down: down}
+	f, _ = newFollowerVia(t, primary.URL, rt)
+	return f, &rt.probes
 }
 
 // startProber runs AutoPromote in the background; stopped closes when it
@@ -69,8 +83,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestAutoPromoteNeedsConsecutiveFailures(t *testing.T) {
 	const failures = 3
 	// Two failures, then a healthy probe, for ever: never three in a row.
-	url, probes := newScriptedPrimary(t, func(n int64) bool { return n%failures != 0 })
-	f, _ := newFollower(t, url)
+	f, probes := newProbedFollower(t, func(n int64) bool { return n%failures != 0 })
 	cancel, stopped := startProber(t, f, failures)
 
 	waitFor(t, "four rounds of probes", func() bool { return probes.Load() >= 4*failures })
@@ -102,8 +115,7 @@ func TestAutoPromoteNeedsConsecutiveFailures(t *testing.T) {
 
 func TestAutoPromoteTakesOverOnce(t *testing.T) {
 	const failures = 3
-	url, probes := newScriptedPrimary(t, func(int64) bool { return true })
-	f, _ := newFollower(t, url)
+	f, probes := newProbedFollower(t, func(int64) bool { return true })
 	_, stopped := startProber(t, f, failures)
 
 	select {

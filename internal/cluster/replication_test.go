@@ -60,7 +60,17 @@ func newPrimary(t *testing.T, cfg ledger.Config) (*ledger.Ledger, *httptest.Serv
 // The returned cancel pauses replication (and is safe to call twice).
 func newFollower(t *testing.T, primaryURL string) (*cluster.Follower, context.CancelFunc) {
 	t.Helper()
+	return newFollowerVia(t, primaryURL, nil)
+}
+
+// newFollowerVia is newFollower speaking to the primary through rt (nil
+// keeps the client NewFollower built).
+func newFollowerVia(t *testing.T, primaryURL string, rt http.RoundTripper) (*cluster.Follower, context.CancelFunc) {
+	t.Helper()
 	f := cluster.NewFollower(primaryURL, cluster.FollowerConfig{MaxTenants: 64, Poll: 2 * time.Millisecond})
+	if rt != nil {
+		f.SetTransport(rt)
+	}
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -109,8 +109,8 @@ func TestRouterUsageBinaryMatchesNDJSON(t *testing.T) {
 // (api/ndjson.go) or, line by line, step aside for encoding/json. Lines of
 // every kind interleaved — our own encoder's, hand-spaced ones, escapes,
 // case-folded and repeated keys, tenants the re-encode has to escape,
-// undecodable and tenantless ones — must still answer byte for byte like
-// one node fed the same bytes.
+// undecodable, tenantless and ledger-refused (NUL-holding) ones — must still
+// answer byte for byte like one node fed the same bytes.
 func TestRouterUsageNDJSONOutsideTheCodec(t *testing.T) {
 	own, err := api.EncodeUsageStream(api.WireNDJSON, testRecords(t, 7, 24))
 	if err != nil {
@@ -133,6 +133,9 @@ func TestRouterUsageNDJSONOutsideTheCodec(t *testing.T) {
 			body = append(body, `{"tenant":"sep\u2028arated",`+usage+`,"pricer":null}`+"\n"...)
 		case 17:
 			body = append(body, "{not json\n"+`{`+usage+`}`+"\n"+`{"tenant":"acme","minute":1.0}`+"\n"...)
+		case 20:
+			// Decodes, routes, and is refused by the owner's ledger.
+			body = append(body, `{"tenant":"nul\u0000inside",`+usage+`,"key":"k"}`+"\n"...)
 		}
 	}
 	router := newRouter(t, 3, cluster.RouterConfig{BatchSize: 4})
@@ -146,8 +149,8 @@ func TestRouterUsageNDJSONOutsideTheCodec(t *testing.T) {
 	if err := json.Unmarshal(rres, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Lines != 24+8 || out.Accepted != 24+5 || out.Rejected != 3 {
-		t.Fatalf("accounting = %+v, want 32 lines: 29 billed, 3 rejected", out)
+	if out.Lines != 24+9 || out.Accepted != 24+5 || out.Rejected != 4 {
+		t.Fatalf("accounting = %+v, want 33 lines: 29 billed, 4 rejected", out)
 	}
 }
 

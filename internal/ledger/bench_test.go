@@ -52,7 +52,11 @@ func BenchmarkAccrueParallel(b *testing.B) {
 }
 
 // BenchmarkAccrueKeyed adds the idempotency-key path (map insert + FIFO) to
-// the parallel accrual hot loop.
+// the parallel accrual hot loop. The shards=N runs never leave the growing
+// phase — b.N keys under the default 1 Mi budget, and two of their three
+// allocs/op are the benchmark's own Sprintf — so evicting measures the steady
+// state a long-lived shard is in: a full window, where every new key also
+// forgets the oldest one.
 func BenchmarkAccrueKeyed(b *testing.B) {
 	tenants := benchTenants(1024)
 	for _, shards := range []int{1, 8} {
@@ -79,6 +83,65 @@ func BenchmarkAccrueKeyed(b *testing.B) {
 					i++
 				}
 			})
+		})
+	}
+	b.Run("evicting", func(b *testing.B) {
+		l, entries := keyedLedger(b)
+		before := l.Stats().KeysEvicted
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.Accrue(entries[i%len(entries)])
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(l.Stats().KeysEvicted-before)/float64(b.N), "evictions/op")
+	})
+}
+
+// keyedLedger returns a one-shard ledger whose 4096-key window has already
+// seen every one of the 64 Ki keyed entries it also returns, built outside
+// any timed loop: the window is full, only the newest 4096 are remembered,
+// and accruing the entries again in order evicts once per record — each has
+// long been forgotten by the time it comes round.
+func keyedLedger(b *testing.B) (*Ledger, []Entry) {
+	const budget, pool = 1 << 12, 1 << 16
+	tenants := benchTenants(1024)
+	l, err := New(Config{Shards: 1, MaxKeys: budget})
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := make([]Entry, pool)
+	for i := range entries {
+		entries[i] = Entry{Tenant: tenants[i%len(tenants)], Pricer: "litmus", Minute: i % 64, Commercial: 2, Price: 1, Key: fmt.Sprintf("k-%d", i)}
+		if out, err := l.Accrue(entries[i]); err != nil || out != Accrued {
+			b.Fatalf("Accrue(%+v) = %v, %v", entries[i], out, err)
+		}
+	}
+	return l, entries
+}
+
+// BenchmarkSeen measures the admission gate's read-only peek into a full
+// window: a remembered key (the retry it exists to wave through) and one the
+// window has forgotten or never held (every first delivery).
+func BenchmarkSeen(b *testing.B) {
+	l, entries := keyedLedger(b)
+	tracked := l.Stats().KeysTracked
+	for _, bc := range []struct {
+		name  string
+		probe []Entry
+		hit   bool
+	}{
+		{"hit", entries[len(entries)-tracked:], true},
+		{"miss", entries[:tracked], false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := &bc.probe[i%len(bc.probe)]
+				if l.Seen(e.Tenant, e.Key) != bc.hit {
+					b.Fatalf("Seen(%q, %q) = %v", e.Tenant, e.Key, !bc.hit)
+				}
+			}
 		})
 	}
 }

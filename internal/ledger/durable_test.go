@@ -528,6 +528,55 @@ func TestAccrueRejectsIllFormedUTF8(t *testing.T) {
 	}
 }
 
+// TestAccrueRejectsNULTenant is the cross-tenant false-duplicate regression.
+// The window spells a (tenant, key) pair tenant+NUL+key, so tenant "a\x00b"
+// with key "k" and tenant "a" with key "b\x00k" shared a spelling: on one
+// shard, whichever came second was acknowledged Duplicate on its first-ever
+// record and never billed. A tenant holding a NUL is now refused — on both
+// schedules, volatile ledgers included — so the first NUL always ends the
+// tenant; keys keep theirs, and the well-formed tenant of the colliding pair
+// bills exactly once, across snapshot and restart too.
+func TestAccrueRejectsNULTenant(t *testing.T) {
+	dir := t.TempDir()
+	durable := Config{Dir: dir, Shards: 1, Fsync: FsyncNever, SnapshotEvery: -1}
+	bad := Entry{Tenant: "a\x00b", Pricer: "litmus", Commercial: 2, Price: 1, Key: "k"}
+	good := Entry{Tenant: "a", Pricer: "litmus", Commercial: 2, Price: 1, Key: "b\x00k"}
+	for name, cfg := range map[string]Config{"volatile": {Shards: 1}, "durable": durable} {
+		l := mustNew(t, cfg)
+		if out, err := l.Accrue(bad); err == nil || errors.Is(err, ErrDurability) || out != Dropped || !strings.Contains(err.Error(), "tenant holds a NUL byte") {
+			t.Errorf("%s: Accrue(%q, %q) = %v, %v", name, bad.Tenant, bad.Key, out, err)
+		}
+		batch := []Entry{bad, good, {Tenant: "\x00", Commercial: 1, Price: 1}, good}
+		results := make([]AccrualResult, len(batch))
+		l.AccrueBatch(batch, results)
+		for i, want := range []Outcome{Dropped, Accrued, Dropped, Duplicate} {
+			if r := results[i]; r.Outcome != want || (r.Err != nil) != (want == Dropped) {
+				t.Errorf("%s: batch entry %d (%q, %q) = %v, %v; want %v", name, i, batch[i].Tenant, batch[i].Key, r.Outcome, r.Err, want)
+			}
+		}
+		if st := l.Stats(); st.Accrued != 1 || st.Duplicates != 1 || st.Tenants != 1 || st.KeysTracked != 1 {
+			t.Errorf("%s: stats = %+v", name, st)
+		}
+		if !l.Seen(good.Tenant, good.Key) || l.Seen(good.Tenant, "b") {
+			t.Errorf("%s: Seen(%q, %q) = %v, Seen(%q, \"b\") = %v", name, good.Tenant, good.Key, l.Seen(good.Tenant, good.Key), good.Tenant, l.Seen(good.Tenant, "b"))
+		}
+		if cfg.Dir != "" {
+			if err := l.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustClose(t, l)
+	}
+	r := mustNew(t, durable)
+	defer mustClose(t, r)
+	if out, err := r.Accrue(good); err != nil || out != Duplicate {
+		t.Fatalf("retry after snapshot and restart = %v, %v; want duplicate", out, err)
+	}
+	if page, _ := r.Tenants("", 10); len(page) != 1 || page[0].Tenant != "a" || page[0].Invocations != 1 {
+		t.Fatalf("recovered tenants = %+v", page)
+	}
+}
+
 // TestAccrueRejectsHugeMinute pins the minute frame bound the same way: the
 // WAL decoder treats Minute > MaxMinute as corruption, so an acknowledged
 // record carrying one would truncate itself and every later acknowledged

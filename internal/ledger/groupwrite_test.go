@@ -67,15 +67,10 @@ func assertSameState(t *testing.T, got, want *Ledger) {
 		if !slices.Equal(g.names, w.names) {
 			t.Errorf("shard %d: names %q, want %q", i, g.names, w.names)
 		}
-		if !slices.Equal(g.keyq, w.keyq) {
-			t.Errorf("shard %d: key FIFO %q, want %q", i, g.keyq, w.keyq)
-		}
-		if !reflect.DeepEqual(g.keys, w.keys) {
-			t.Errorf("shard %d: key sets differ (%d vs %d keys)", i, len(g.keys), len(w.keys))
-		}
-		if g.accrued != w.accrued || g.duplicates != w.duplicates || g.dropped != w.dropped || g.keysEvicted != w.keysEvicted {
-			t.Errorf("shard %d: counters %d/%d/%d/%d, want %d/%d/%d/%d", i,
-				g.accrued, g.duplicates, g.dropped, g.keysEvicted, w.accrued, w.duplicates, w.dropped, w.keysEvicted)
+		assertSameWindow(t, fmt.Sprintf("shard %d", i), &g.dedup, &w.dedup)
+		if g.accrued != w.accrued || g.duplicates != w.duplicates || g.dropped != w.dropped {
+			t.Errorf("shard %d: counters %d/%d/%d, want %d/%d/%d", i,
+				g.accrued, g.duplicates, g.dropped, w.accrued, w.duplicates, w.dropped)
 		}
 		w.mu.Unlock()
 		g.mu.Unlock()

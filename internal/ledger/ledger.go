@@ -6,7 +6,9 @@
 // handlers — and makes the policies around it explicit:
 //
 //   - accrual is idempotent under retry: entries carrying an idempotency key
-//     are deduplicated, so replaying a stream cannot double-bill;
+//     are deduplicated, so replaying a stream cannot double-bill — within the
+//     idempotency window, whose whole policy (what a key is, how many are
+//     remembered, how they are saved) is keywindow.go;
 //   - the tenant cap is observable, not silent: accruals dropped because the
 //     ledger is full are counted and surfaced through Stats;
 //   - iteration is deterministic: tenant listings are sorted by name and
@@ -14,7 +16,7 @@
 //
 // The store is lock-striped: tenants are partitioned by name hash across
 // Config.Shards independently locked shards, each owning its accounts and
-// idempotency-key FIFO, so concurrent writers on different tenants never
+// its idempotency window, so concurrent writers on different tenants never
 // contend. Sharding is a pure throughput optimisation — the shard count can
 // never change a bill. Per-tenant state lives wholly inside one shard, the
 // tenant cap is enforced by an exact global atomic, and cross-shard reads
@@ -36,7 +38,7 @@
 // exactly as it may observe one not yet fsynced, and a crash can lose only
 // bytes no acknowledgement covered. Periodic snapshots, streamed straight
 // from live state, compact the logs, and New recovers the exact pre-crash
-// state — accounts, statements, idempotency-key FIFOs, outcome counters,
+// state — accounts, statements, idempotency windows, outcome counters,
 // tenant-cap occupancy — from the latest valid snapshot plus the WAL tail,
 // truncating a torn final record. Durability, like sharding, can never
 // change a bill: the ledgertest crash harness recovers a clone of the data
@@ -60,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,7 +150,8 @@ type Config struct {
 // Entry is one priced accrual: the amounts a pricer quoted for one
 // invocation, plus the attribution the ledger aggregates by.
 type Entry struct {
-	// Tenant owns the accrual (required).
+	// Tenant owns the accrual (required; it may not hold a NUL byte, which
+	// is what keeps one tenant's keys apart from another's — keywindow.go).
 	Tenant string
 	// Pricer names the registry entry that produced the price; statements
 	// keep one billed line per pricer.
@@ -302,16 +306,6 @@ func (l *Ledger) shardFor(tenant string) *shard {
 	return l.shards[h%uint32(len(l.shards))]
 }
 
-// namespacedKey scopes an idempotency key to its tenant: tenant B reusing
-// (or guessing) tenant A's key must still bill. The tenant prefix also pins
-// a key to the tenant's shard, so a key check never crosses shards.
-func namespacedKey(e Entry) string {
-	if e.Key == "" {
-		return ""
-	}
-	return e.Tenant + "\x00" + e.Key
-}
-
 // Seen reports whether the tenant has already recorded an entry under the
 // given idempotency key — the read-only peek behind admission-gate retry
 // bypass: a key the ledger already holds cannot bill again, so re-sending
@@ -322,9 +316,9 @@ func (l *Ledger) Seen(tenant, key string) bool {
 		return false
 	}
 	sh := l.shardFor(tenant)
-	nk := namespacedKey(Entry{Tenant: tenant, Key: key})
+	k := nameKey(tenant, key)
 	sh.mu.Lock()
-	_, ok := sh.keys[nk]
+	ok := sh.dedup.seen(k)
 	sh.mu.Unlock()
 	return ok
 }
@@ -400,16 +394,14 @@ func (l *Ledger) commit(w *walFile, watermark uint64) error {
 //litmus:guarded-by caller holds sh.mu
 //litmus:buffers
 func (l *Ledger) accrueLocked(sh *shard, e *Entry) (Outcome, uint64, error) {
-	key := namespacedKey(*e)
+	key := nameKey(e.Tenant, e.Key)
 	// Decide the outcome first: the WAL logs (entry, outcome) pairs, so
 	// replay can apply outcomes instead of re-deciding ones that depended
 	// on cross-shard state (the tenant cap).
 	outcome := Accrued
 	reserved := false
-	if key != "" {
-		if _, seen := sh.keys[key]; seen {
-			outcome = Duplicate
-		}
+	if sh.dedup.seen(key) {
+		outcome = Duplicate
 	}
 	if outcome == Accrued && sh.accounts[e.Tenant] == nil {
 		// The cap check is add-then-check on the global atomic: two shards
@@ -478,6 +470,17 @@ func validateEntry(e Entry) error {
 		if !utf8.ValidString(f.value) {
 			return fmt.Errorf("ledger: entry %s is not valid UTF-8 (tenant %q)", f.name, e.Tenant)
 		}
+	}
+	// The idempotency window and the version-1 snapshot's key list spell a
+	// (tenant, key) pair as tenant, NUL, key (keywindow.go). That names one
+	// pair only if the first NUL ends the tenant: tenant "a\x00b" with key "k"
+	// and tenant "a" with key "b\x00k" would share a spelling, and on one shard
+	// the second tenant's first record would be acknowledged Duplicate and
+	// never billed. So a tenant may not hold a NUL — keys may — on volatile
+	// ledgers too. replay does not validate: a directory a ledger older than
+	// this rule wrote recovers exactly as it always did.
+	if strings.IndexByte(e.Tenant, 0) >= 0 {
+		return fmt.Errorf("ledger: entry tenant holds a NUL byte (tenant %q)", e.Tenant)
 	}
 	return nil
 }
@@ -762,11 +765,11 @@ func (l *Ledger) Stats() Stats {
 	}
 	for i, sh := range l.shards {
 		sh.mu.Lock()
-		ss := ShardStats{Tenants: len(sh.accounts), KeysTracked: len(sh.keys)}
+		ss := ShardStats{Tenants: len(sh.accounts), KeysTracked: sh.dedup.len()}
 		st.Accrued += sh.accrued
 		st.Duplicates += sh.duplicates
 		st.Dropped += sh.dropped
-		st.KeysEvicted += sh.keysEvicted
+		st.KeysEvicted += sh.dedup.evicted()
 		sh.mu.Unlock()
 		st.Shards[i] = ss
 		st.Tenants += ss.Tenants

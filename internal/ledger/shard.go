@@ -6,27 +6,22 @@ import (
 )
 
 // shard is one lock stripe of the ledger. It owns every tenant whose name
-// hashes to it: their accounts, their idempotency keys, and the FIFO
-// eviction queue bounding those keys. Nothing in a shard is ever touched by
-// another shard, so shards never contend — the only cross-shard state is
-// the ledger's atomic counters.
+// hashes to it: their accounts and the idempotency window remembering their
+// keys (keywindow.go). Nothing in a shard is ever touched by another shard,
+// so shards never contend — the only cross-shard state is the ledger's
+// atomic counters.
 type shard struct {
-	mu sync.Mutex
-	// maxKeys is this shard's ceil(MaxKeys/Shards) slice of the key
-	// budget; see Config.MaxKeys for the bounded overshoot this implies.
-	maxKeys  int
+	mu       sync.Mutex
 	accounts map[string]*account
 	names    []string // account names, kept sorted for O(log n) pagination
-	keys     map[string]struct{}
-	keyq     []string // FIFO eviction order of keys
+	dedup    keyWindow
 
 	// Outcome counters live per shard (under mu, which accruals already
 	// hold) so snapshots can capture each stripe's counters consistently
 	// with its accounts at one WAL offset; Stats sums them.
-	accrued     uint64
-	duplicates  uint64
-	dropped     uint64
-	keysEvicted uint64
+	accrued    uint64
+	duplicates uint64
+	dropped    uint64
 
 	// wal is the shard's append-only log; nil on a volatile ledger. Set
 	// once before the ledger is published and immutable after, so readers
@@ -38,9 +33,8 @@ type shard struct {
 
 func newShard(maxKeys int) *shard {
 	return &shard{
-		maxKeys:  maxKeys,
 		accounts: make(map[string]*account),
-		keys:     make(map[string]struct{}),
+		dedup:    newKeyWindow(maxKeys),
 	}
 }
 
@@ -52,7 +46,7 @@ func newShard(maxKeys int) *shard {
 // Callers hold mu.
 //
 //litmus:guarded-by caller holds mu
-func (sh *shard) apply(e Entry, key string, outcome Outcome, windowMinutes int) {
+func (sh *shard) apply(e Entry, key windowKey, outcome Outcome, windowMinutes int) {
 	switch outcome {
 	case Duplicate:
 		sh.duplicates++
@@ -68,22 +62,8 @@ func (sh *shard) apply(e Entry, key string, outcome Outcome, windowMinutes int) 
 		sh.insertName(e.Tenant)
 	}
 	// Record the key only for entries that actually bill, so a retry after
-	// a drop is not mistaken for a duplicate. One map probe: the insert is
-	// also the seen guard (the live path only decides Accrued when the key
-	// is absent, so there it always grows the map), which keeps replay of a
-	// damaged log from double-queueing a key.
-	if key != "" {
-		before := len(sh.keys)
-		sh.keys[key] = struct{}{}
-		if len(sh.keys) != before {
-			sh.keyq = append(sh.keyq, key)
-			for len(sh.keyq) > sh.maxKeys {
-				delete(sh.keys, sh.keyq[0])
-				sh.keyq = sh.keyq[1:]
-				sh.keysEvicted++
-			}
-		}
-	}
+	// a drop is not mistaken for a duplicate.
+	sh.dedup.record(key)
 	widx := e.Minute / windowMinutes
 	w := acct.Windows[widx]
 	if w == nil {

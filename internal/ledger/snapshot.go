@@ -14,7 +14,7 @@ import (
 
 // Snapshot files are JSON documents named snapshot-<gen>.json, written
 // atomically (temp + fsync + rename). A snapshot at generation G captures
-// every shard's full state — accounts, windows, idempotency-key FIFO,
+// every shard's full state — accounts, windows, idempotency window,
 // outcome counters — consistent with that shard's WAL at the seq-G rotation
 // boundary: recovery loads the snapshot and replays only segments with
 // seq >= G. Floats round-trip exactly: they are written in the shortest
@@ -48,10 +48,10 @@ type shardSnapshot struct {
 	Duplicates  uint64 `json:"duplicates"`
 	Dropped     uint64 `json:"dropped"`
 	KeysEvicted uint64 `json:"keysEvicted"`
-	// Keys is the idempotency-key FIFO in eviction order (namespaced
-	// tenant\x00key strings), so recovery restores not just which keys
-	// dedup but which ones age out next.
-	Keys     []string            `json:"keys,omitempty"`
+	// Keys is the idempotency window's key list, oldest first (keywindow.go
+	// owns the spelling), so recovery restores not just which keys dedup but
+	// which ones age out next.
+	Keys     []windowKey         `json:"keys,omitempty"`
 	Accounts map[string]*account `json:"accounts,omitempty"`
 }
 
@@ -87,12 +87,7 @@ func (sh *shard) restoreFrom(ss shardSnapshot) {
 	sh.accrued = ss.Accrued
 	sh.duplicates = ss.Duplicates
 	sh.dropped = ss.Dropped
-	sh.keysEvicted = ss.KeysEvicted
-	sh.keyq = append([]string(nil), ss.Keys...)
-	sh.keys = make(map[string]struct{}, len(ss.Keys))
-	for _, k := range ss.Keys {
-		sh.keys[k] = struct{}{}
-	}
+	sh.dedup.restore(ss.Keys, ss.KeysEvicted)
 	sh.accounts = make(map[string]*account, len(ss.Accounts))
 	sh.names = sh.names[:0]
 	for name, a := range ss.Accounts {
@@ -217,11 +212,9 @@ func (l *Ledger) streamSnapshot(w *snapshotWriter, gen uint64, takenUnix int64, 
 		}
 		sh.mu.Lock()
 		sh.encode(w)
-		// The FIFO is taken by slice header, not copied: elements below len
-		// are never rewritten — eviction reslices from the front, append
-		// writes past len or reallocates, restore swaps the whole slice — so
-		// the keys can be read after the lock is released.
-		keys := sh.keyq
+		// Not a copy: snapshotView's contract is that the keys can be read
+		// after the lock is released.
+		keys := sh.dedup.snapshotView()
 		// Rotating under the shard lock is the snapshot's consistency
 		// point: the encoded state and the segment boundary agree exactly.
 		//litmus:sync-under-lock-ok snapshot consistency point; rotation must exclude appends on this shard
@@ -237,7 +230,7 @@ func (l *Ledger) streamSnapshot(w *snapshotWriter, gen uint64, takenUnix int64, 
 				if j > 0 {
 					w.raw(",")
 				}
-				w.str(k)
+				w.str(string(k))
 				if len(w.buf) >= maxSnapshotWrite {
 					w.flush()
 				}
@@ -268,7 +261,7 @@ func (sh *shard) encode(w *snapshotWriter) {
 	w.raw(`,"dropped":`)
 	w.uint(sh.dropped)
 	w.raw(`,"keysEvicted":`)
-	w.uint(sh.keysEvicted)
+	w.uint(sh.dedup.evicted())
 	if len(sh.accounts) == 0 {
 		return
 	}
@@ -371,7 +364,7 @@ func (w *snapshotWriter) float(f float64) {
 }
 
 // str writes s as a JSON string: quote, backslash and control bytes escaped
-// (every namespaced key holds a \x00), everything else verbatim. Ill-formed
+// (every window key holds a \x00), everything else verbatim. Ill-formed
 // UTF-8, which only a log written before validateEntry refused it can hold,
 // passes through and decodes to U+FFFD, as it did when json.Marshal wrote
 // the replacement itself.

@@ -17,6 +17,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 # workload ceiling
 ceilings="
+frames_durable   2.49
 ndjson_admission 2.45
 cluster_routed   4.49
 "
