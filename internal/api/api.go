@@ -224,7 +224,7 @@ type HealthResponse struct {
 	DroppedAccruals   uint64 `json:"droppedAccruals"`
 	DuplicateAccruals uint64 `json:"duplicateAccruals"`
 	// IdempotencyKeys is the retained dedup-key count; KeysEvicted counts
-	// keys aged out (an evicted key can double-bill on replay).
+	// keys aged out (a retry of an evicted key bills again).
 	IdempotencyKeys int    `json:"idempotencyKeys"`
 	KeysEvicted     uint64 `json:"keysEvicted"`
 	// Shards is the ledger's lock-stripe count; ShardHealth reports each

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -35,7 +36,8 @@ func platformConfig(cfg Config, variant string) (platform.Config, error) {
 
 // memo caches expensive shared artifacts (calibrations, baselines,
 // measurement sets) across experiments within one process, keyed by
-// (seed, scale, variant, kind). Calibrating once and reusing mirrors a real
+// (seed, scale, variant, kind) and by everything else the artifact is a
+// function of. Calibrating once and reusing mirrors a real
 // provider, which calibrates a machine type once.
 var memo = struct {
 	mu sync.Mutex
@@ -228,9 +230,16 @@ type pricedRun struct {
 }
 
 // measureSet invokes each test function reps times inside the environment,
-// returning records in deterministic order (function order, then rep).
+// returning records in deterministic order (function order, then rep). The
+// memo key names the function set: Fig. 2 measures the catalog and Fig. 11
+// the test set in the same environment, at the same repetitions below
+// -scale 0.5.
 func measureSet(cfg Config, env envSpec, fns []*workload.Spec, reps int) ([]pricedRun, error) {
-	return memoize(key(cfg, env.name, fmt.Sprintf("r%d", reps)), func() ([]pricedRun, error) {
+	abbrs := make([]string, len(fns))
+	for i, spec := range fns {
+		abbrs[i] = spec.Abbr
+	}
+	return memoize(key(cfg, env.name, fmt.Sprintf("r%d", reps), strings.Join(abbrs, ",")), func() ([]pricedRun, error) {
 		base, err := baselines(cfg, env.variant)
 		if err != nil {
 			return nil, err

@@ -15,30 +15,19 @@ var results = map[string]*Result{}
 // every artifact: non-empty tables, and each number the registry claims for
 // it reproduced inside the claim's band. A per-figure test adds only what a
 // band cannot say — relations between metrics or between figures.
-//
-// It first runs every artifact registered before this one, as -all would.
-// The memoised measurement sets are keyed by environment and repetitions but
-// not by function set, so at this scale Figs. 11–13 and A2/A3 are priced
-// over whichever of the catalog (Fig. 2) or the test set (Fig. 11) was
-// measured first in the process; the golden CSV is -all's order, and in any
-// other order (go test -shuffle) the tables come out different.
 func runExp(t *testing.T, id string) *Result {
 	t.Helper()
-	for _, e := range All() {
-		if results[e.ID] == nil {
-			res, err := e.Run(tiny())
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			results[e.ID] = res
-		}
-		if e.ID == id {
-			break
-		}
-	}
 	res := results[id]
 	if res == nil {
-		t.Fatalf("experiment %s not registered", id)
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %s not registered", id)
+		}
+		var err error
+		if res, err = e.Run(tiny()); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		results[id] = res
 	}
 	if len(res.Tables) == 0 {
 		t.Fatalf("%s produced no tables", id)

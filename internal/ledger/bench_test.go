@@ -51,9 +51,9 @@ func BenchmarkAccrueParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAccrueKeyed adds the idempotency-key path (map insert + FIFO) to
+// BenchmarkAccrueKeyed adds the idempotency-key path (probe + append) to
 // the parallel accrual hot loop. The shards=N runs never leave the growing
-// phase — b.N keys under the default 1 Mi budget, and two of their three
+// phase — b.N keys under the default 1 Mi budget, and both of their
 // allocs/op are the benchmark's own Sprintf — so evicting measures the steady
 // state a long-lived shard is in: a full window, where every new key also
 // forgets the oldest one.
@@ -85,26 +85,40 @@ func BenchmarkAccrueKeyed(b *testing.B) {
 			})
 		})
 	}
-	b.Run("evicting", func(b *testing.B) {
-		l, entries := keyedLedger(b)
-		before := l.Stats().KeysEvicted
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l.Accrue(entries[i%len(entries)])
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(l.Stats().KeysEvicted-before)/float64(b.N), "evictions/op")
-	})
+	for _, size := range keyedSizes {
+		b.Run("evicting"+size.suffix, func(b *testing.B) {
+			l, entries := keyedLedger(b, size.budget, size.pool)
+			before := l.Stats().KeysEvicted
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Accrue(entries[i%len(entries)])
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(l.Stats().KeysEvicted-before)/float64(b.N), "evictions/op")
+		})
+	}
 }
 
-// keyedLedger returns a one-shard ledger whose 4096-key window has already
-// seen every one of the 64 Ki keyed entries it also returns, built outside
-// any timed loop: the window is full, only the newest 4096 are remembered,
+// keyedSizes are the full windows the steady-state benchmarks run on: one
+// whose 4096 keys fit in L2, and one shard's slice of the default budget
+// (DefaultMaxKeys/DefaultShards = 65 536 keys), the size a serving node's
+// windows run at. Each pool is larger than its budget, so every entry has
+// been forgotten by the time it comes round again.
+var keyedSizes = []struct {
+	suffix       string // of the sub-benchmarks' names
+	budget, pool int
+}{
+	{"", 1 << 12, 1 << 16},
+	{"_64Ki", DefaultMaxKeys / DefaultShards, 2 * DefaultMaxKeys / DefaultShards},
+}
+
+// keyedLedger returns a one-shard ledger whose budget-key window has already
+// seen every one of the pool keyed entries it also returns, built outside
+// any timed loop: the window is full, only the newest budget are remembered,
 // and accruing the entries again in order evicts once per record — each has
-// long been forgotten by the time it comes round.
-func keyedLedger(b *testing.B) (*Ledger, []Entry) {
-	const budget, pool = 1 << 12, 1 << 16
+// been forgotten by the time it comes round.
+func keyedLedger(b *testing.B, budget, pool int) (*Ledger, []Entry) {
 	tenants := benchTenants(1024)
 	l, err := New(Config{Shards: 1, MaxKeys: budget})
 	if err != nil {
@@ -121,28 +135,31 @@ func keyedLedger(b *testing.B) (*Ledger, []Entry) {
 }
 
 // BenchmarkSeen measures the admission gate's read-only peek into a full
-// window: a remembered key (the retry it exists to wave through) and one the
-// window has forgotten or never held (every first delivery).
+// window, at each of keyedSizes: a remembered key (the retry it exists to
+// wave through) and one the window has forgotten or never held (every first
+// delivery).
 func BenchmarkSeen(b *testing.B) {
-	l, entries := keyedLedger(b)
-	tracked := l.Stats().KeysTracked
-	for _, bc := range []struct {
-		name  string
-		probe []Entry
-		hit   bool
-	}{
-		{"hit", entries[len(entries)-tracked:], true},
-		{"miss", entries[:tracked], false},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := &bc.probe[i%len(bc.probe)]
-				if l.Seen(e.Tenant, e.Key) != bc.hit {
-					b.Fatalf("Seen(%q, %q) = %v", e.Tenant, e.Key, !bc.hit)
+	for _, size := range keyedSizes {
+		l, entries := keyedLedger(b, size.budget, size.pool)
+		tracked := l.Stats().KeysTracked
+		for _, bc := range []struct {
+			name  string
+			probe []Entry
+			hit   bool
+		}{
+			{"hit" + size.suffix, entries[len(entries)-tracked:], true},
+			{"miss" + size.suffix, entries[:tracked], false},
+		} {
+			b.Run(bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					e := &bc.probe[i%len(bc.probe)]
+					if l.Seen(e.Tenant, e.Key) != bc.hit {
+						b.Fatalf("Seen(%q, %q) = %v", e.Tenant, e.Key, !bc.hit)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

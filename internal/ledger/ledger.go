@@ -746,8 +746,8 @@ type Stats struct {
 	Duplicates uint64
 	Dropped    uint64
 	// KeysTracked is the retained idempotency-key count; KeysEvicted counts
-	// keys aged out FIFO past each shard's slice of MaxKeys (an evicted key
-	// can double-bill on replay — watch this counter).
+	// keys aged out FIFO past each shard's slice of MaxKeys (a retry of an
+	// evicted key bills again — watch this counter).
 	KeysTracked int
 	KeysEvicted uint64
 	// Shards holds each lock stripe's occupancy, so hot-tenant skew is

@@ -51,7 +51,7 @@ type shardSnapshot struct {
 	// Keys is the idempotency window's key list, oldest first (keywindow.go
 	// owns the spelling), so recovery restores not just which keys dedup but
 	// which ones age out next.
-	Keys     []windowKey         `json:"keys,omitempty"`
+	Keys     []string            `json:"keys,omitempty"`
 	Accounts map[string]*account `json:"accounts,omitempty"`
 }
 
@@ -224,13 +224,15 @@ func (l *Ledger) streamSnapshot(w *snapshotWriter, gen uint64, takenUnix int64, 
 			return err
 		}
 		covered[i] = old
-		if len(keys) > 0 {
+		if keys.len() > 0 {
 			w.raw(`,"keys":[`)
-			for j, k := range keys {
-				if j > 0 {
+			first := true
+			for k := range keys.all() {
+				if !first {
 					w.raw(",")
 				}
-				w.str(string(k))
+				first = false
+				w.buf = appendJSONString(w.buf, k)
 				if len(w.buf) >= maxSnapshotWrite {
 					w.flush()
 				}
@@ -363,14 +365,17 @@ func (w *snapshotWriter) float(f float64) {
 	}
 }
 
-// str writes s as a JSON string: quote, backslash and control bytes escaped
-// (every window key holds a \x00), everything else verbatim. Ill-formed
-// UTF-8, which only a log written before validateEntry refused it can hold,
-// passes through and decodes to U+FFFD, as it did when json.Marshal wrote
-// the replacement itself.
-func (w *snapshotWriter) str(s string) {
+func (w *snapshotWriter) str(s string) { w.buf = appendJSONString(w.buf, s) }
+
+// appendJSONString appends s as a JSON string: quote, backslash and control
+// bytes escaped (every window key holds a \x00), everything else verbatim.
+// Ill-formed UTF-8, which only a log written before validateEntry refused it
+// can hold, passes through and decodes to U+FFFD, as it did when
+// json.Marshal wrote the replacement itself. It takes the window's keys as
+// the bytes their blocks hold, so writing one converts nothing.
+func appendJSONString[S string | []byte](b []byte, s S) []byte {
 	const hex = "0123456789abcdef"
-	b := append(w.buf, '"')
+	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -386,7 +391,7 @@ func (w *snapshotWriter) str(s string) {
 		start = i + 1
 	}
 	b = append(b, s[start:]...)
-	w.buf = append(b, '"')
+	return append(b, '"')
 }
 
 // flush writes the buffer out in writes of at most maxSnapshotWrite bytes

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -31,7 +30,7 @@ func oracleSnapshot(t *testing.T, l *Ledger, gen uint64) []byte {
 			Duplicates:  sh.duplicates,
 			Dropped:     sh.dropped,
 			KeysEvicted: sh.dedup.evicted(),
-			Keys:        slices.Clone(sh.dedup.snapshotView()),
+			Keys:        viewKeys(sh.dedup.snapshotView()),
 			Accounts:    make(map[string]*account, len(sh.accounts)),
 		}
 		for name, a := range sh.accounts {
