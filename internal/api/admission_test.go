@@ -162,6 +162,20 @@ func TestAdmissionThrottledRetryBillsOnce(t *testing.T) {
 	}
 }
 
+// A same-key retry inside one stream is a retry, not new load, even while
+// the first record still waits in the unbilled batch: it bypasses the gate
+// and comes back a Duplicate, exactly as a per-record pass would answer.
+func TestAdmissionSameKeyInStreamIsDuplicate(t *testing.T) {
+	client, _ := newAdmissionPair(t, 1)
+	resp, err := client.StreamUsage(context.Background(), "", []UsageRecord{admRecord("alpha", "k1"), admRecord("alpha", "k1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Accepted != 1 || resp.Duplicates != 1 || resp.Throttled != 0 || len(resp.Errors) != 0 {
+		t.Fatalf("same-key pair: %+v, want 1 accepted / 1 duplicate", resp)
+	}
+}
+
 // When every record in the stream is throttled the HTTP status is 429 with
 // a Retry-After header and the body still carries the full accounting; the
 // typed client returns that accounting as the delivery it is.

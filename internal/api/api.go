@@ -50,15 +50,17 @@
 // A wire shape is declared once and rendered once. Bodies that carry ledger
 // or admission data (summaries, statements, the /healthz shard, durability
 // and admission blocks, forecasts) are those packages' own structs, JSON
-// tags included, aliased here. The renderers the surface answers with —
-// WriteJSON, WriteError, WriteUsageResponse, RequestWire, TenantPageLimit —
-// are exported so the cluster router, which speaks this same surface,
-// answers with the node's code rather than a re-spelling of it.
+// tags included, aliased here. The code the surface answers with —
+// WriteJSON, WriteError, DecodeBody, WriteUsageResponse, RequestWire,
+// TenantPageLimit and UsageStreamResponse's refusal rule — is exported so
+// the cluster router, which speaks this same surface, answers with the
+// node's code rather than a re-spelling of it.
 package api
 
 import (
 	"fmt"
 	"math"
+	"net/http"
 	"strconv"
 
 	"repro/internal/admission"
@@ -314,9 +316,10 @@ type LineError struct {
 type UsageCounts struct {
 	// Accepted lines billed; Duplicates were already billed under their
 	// idempotency key (safe retries); Rejected failed validation or
-	// pricing; Dropped hit the ledger's tenant cap; Throttled hit the
-	// tenant's admission rate limit (429 per line — retry after
-	// RetryAfterSec, never billed).
+	// pricing; Dropped the service could not bill (a 5xx per line: the
+	// tenant cap, a standby, a failing disk, an unreachable owner);
+	// Throttled hit the tenant's admission rate limit (429 per line — retry
+	// after RetryAfterSec, never billed).
 	Accepted   int `json:"accepted"`
 	Duplicates int `json:"duplicates"`
 	Rejected   int `json:"rejected"`
@@ -344,8 +347,8 @@ type UsageStreamResponse struct {
 	// retry delay — waiting it out clears every throttle in the stream. It
 	// is also sent as the whole-second Retry-After response header.
 	RetryAfterSec float64 `json:"retryAfterSec,omitempty"`
-	// Errors echoes the first rejected/dropped lines (capped; counts are
-	// not).
+	// Errors echoes the lowest-numbered refused lines, in line order
+	// (capped at DefaultMaxStreamErrors; counts are not).
 	Errors []LineError `json:"errors,omitempty"`
 	// StreamError is set when reading stopped early (oversized line, line
 	// cap, transport error); everything before it still accrued.
@@ -353,6 +356,39 @@ type UsageStreamResponse struct {
 	// Tenants holds the post-accrual summaries of every tenant the stream
 	// touched, sorted by name.
 	Tenants []TenantSummary `json:"tenants"`
+}
+
+// Refuse accounts one line that is not billed — a 5xx is Dropped, a 429
+// Throttled, anything else Rejected — and lists its error; the caller counts
+// it in Lines. The node and the router both refuse through it.
+func (r *UsageStreamResponse) Refuse(line int, e Error) {
+	switch {
+	case e.Status >= 500:
+		r.Dropped++
+	case e.Status == http.StatusTooManyRequests:
+		r.Throttled++
+	default:
+		r.Rejected++
+	}
+	r.AddError(line, e)
+}
+
+// AddError lists one refused line's error, keeping the DefaultMaxStreamErrors
+// lowest-numbered lines in line order whatever order they are decided in: on
+// a node at read or at bill time, on a router as its owners answer.
+func (r *UsageStreamResponse) AddError(line int, e Error) {
+	i := len(r.Errors)
+	for i > 0 && r.Errors[i-1].Line > line {
+		i--
+	}
+	if i == DefaultMaxStreamErrors {
+		return
+	}
+	if len(r.Errors) < DefaultMaxStreamErrors {
+		r.Errors = append(r.Errors, LineError{})
+	}
+	copy(r.Errors[i+1:], r.Errors[i:])
+	r.Errors[i] = LineError{Line: line, Error: e}
 }
 
 // TenantPage is one GET /v3/tenants page: summaries sorted by tenant name.

@@ -28,15 +28,22 @@ const (
 // bucket, and must keep per-line errors line-accurate — every line the test
 // itself can classify as a parse-level reject (invalid JSON, missing
 // tenant, negative minute) has to come back rejected under its own line
-// number.
+// number. Each input runs twice: on a server whose refusals are all decided
+// as lines are read, and on one whose two-tenant cap refuses lines when
+// their batch is billed, so the error list mixes both moments.
 func FuzzUsageStreamParser(f *testing.F) {
-	srv, err := New(Config{
-		Calibration:    apitest.Calibration(),
-		MaxBodyBytes:   fuzzMaxBodyBytes,
-		MaxStreamLines: fuzzMaxStreamLines,
-	})
-	if err != nil {
-		f.Fatal(err)
+	var servers []*Server
+	for _, maxTenants := range []int{0, 2} {
+		srv, err := New(Config{
+			Calibration:    apitest.Calibration(),
+			MaxBodyBytes:   fuzzMaxBodyBytes,
+			MaxStreamLines: fuzzMaxStreamLines,
+			MaxTenants:     maxTenants,
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		servers = append(servers, srv)
 	}
 
 	valid := `{"tenant":"acme","language":"py","memoryMB":128,"tPrivate":0.08,"tShared":0.02,"probe":{"tPrivate":0.02,"tShared":0.008,"machineL3Misses":1.2e7}}`
@@ -52,90 +59,101 @@ func FuzzUsageStreamParser(f *testing.F) {
 	f.Add("", []byte(valid+"\n"+strings.Repeat("x", 4096)+"\n"))            // oversized line
 	f.Add("", []byte("\r\n \t\r\n"+valid+"\r\n"))                           // CRLF + whitespace lines
 	f.Add("", []byte(`{"tenant":"acme","memoryMB":-5,"tPrivate":-1}`+"\n")) // pricing-level reject
+	f.Add("", []byte(strings.Join([]string{                                 // refusals at bill time after ones at read time
+		valid, strings.Replace(valid, "acme", "b", 1), "{not json", strings.Replace(valid, "acme", "c", 1), "{not json",
+	}, "\n")+"\n"))
 
 	f.Fuzz(func(t *testing.T, streamKey string, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v3/usage", bytes.NewReader(body))
-		if streamKey != "" {
-			req.Header.Set("Idempotency-Key", streamKey)
-		}
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
-		}
-		var out UsageStreamResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatalf("undecodable response: %v", err)
-		}
-
-		// Every non-blank line read lands in exactly one bucket.
-		if out.Lines != out.Accepted+out.Duplicates+out.Rejected+out.Dropped {
-			t.Fatalf("lines %d != accepted %d + duplicates %d + rejected %d + dropped %d",
-				out.Lines, out.Accepted, out.Duplicates, out.Rejected, out.Dropped)
-		}
-		if len(out.Errors) > DefaultMaxStreamErrors {
-			t.Fatalf("%d errors exceed the cap %d", len(out.Errors), DefaultMaxStreamErrors)
-		}
-		// Errors come back in stream order, one per line, 1-based.
-		last := 0
-		errLines := map[int]bool{}
-		for _, e := range out.Errors {
-			if e.Line <= last {
-				t.Fatalf("errors out of order: line %d after %d", e.Line, last)
-			}
-			last = e.Line
-			errLines[e.Line] = true
-		}
-
-		if out.StreamError != "" {
-			// Reading stopped early (oversized line or line cap); the
-			// per-line ground truth below assumes a fully-read stream.
-			return
-		}
-
-		// Recompute the parse-level ground truth the same way the scanner
-		// sees the body: split on \n, drop the phantom token after a
-		// trailing newline, strip one trailing \r, blank after TrimSpace is
-		// skipped.
-		lines := strings.Split(string(body), "\n")
-		if len(lines) > 0 && lines[len(lines)-1] == "" {
-			lines = lines[:len(lines)-1]
-		}
-		nonBlank := 0
-		expectReject := map[int]bool{}
-		for i, line := range lines {
-			trimmed := strings.TrimSpace(strings.TrimSuffix(line, "\r"))
-			if trimmed == "" {
-				continue
-			}
-			nonBlank++
-			var rec UsageRecord
-			if err := json.Unmarshal([]byte(trimmed), &rec); err != nil {
-				expectReject[i+1] = true
-				continue
-			}
-			if rec.Tenant == "" || rec.Minute < 0 || int64(rec.Minute) > ledger.MaxMinute {
-				expectReject[i+1] = true
-			}
-		}
-		if out.Lines != nonBlank {
-			t.Fatalf("lines = %d, body has %d non-blank lines", out.Lines, nonBlank)
-		}
-		if out.Rejected+out.Dropped < len(expectReject) {
-			t.Fatalf("rejected %d + dropped %d < %d parse-level invalid lines",
-				out.Rejected, out.Dropped, len(expectReject))
-		}
-		// Below the error cap, every parse-level invalid line must be
-		// reported under its own number (pricing-level rejects may add
-		// more; they never displace these while the list has room).
-		if len(out.Errors) < DefaultMaxStreamErrors {
-			for line := range expectReject {
-				if !errLines[line] {
-					t.Fatalf("invalid line %d missing from errors %v", line, out.Errors)
-				}
-			}
+		for _, srv := range servers {
+			checkUsageStream(t, srv, streamKey, body)
 		}
 	})
+}
+
+// checkUsageStream posts one fuzzed body to srv and checks its accounting.
+func checkUsageStream(t *testing.T, srv *Server, streamKey string, body []byte) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v3/usage", bytes.NewReader(body))
+	if streamKey != "" {
+		req.Header.Set("Idempotency-Key", streamKey)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var out UsageStreamResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("undecodable response: %v", err)
+	}
+
+	// Every non-blank line read lands in exactly one bucket.
+	if out.Lines != out.Accepted+out.Duplicates+out.Rejected+out.Dropped {
+		t.Fatalf("lines %d != accepted %d + duplicates %d + rejected %d + dropped %d",
+			out.Lines, out.Accepted, out.Duplicates, out.Rejected, out.Dropped)
+	}
+	if len(out.Errors) > DefaultMaxStreamErrors {
+		t.Fatalf("%d errors exceed the cap %d", len(out.Errors), DefaultMaxStreamErrors)
+	}
+	// Errors come back in stream order, one per line, 1-based.
+	last := 0
+	errLines := map[int]bool{}
+	for _, e := range out.Errors {
+		if e.Line <= last {
+			t.Fatalf("errors out of order: line %d after %d", e.Line, last)
+		}
+		last = e.Line
+		errLines[e.Line] = true
+	}
+
+	if out.StreamError != "" {
+		// Reading stopped early (oversized line or line cap); the
+		// per-line ground truth below assumes a fully-read stream.
+		return
+	}
+
+	// Recompute the parse-level ground truth the same way the scanner
+	// sees the body: split on \n, drop the phantom token after a
+	// trailing newline, strip one trailing \r, blank after TrimSpace is
+	// skipped.
+	lines := strings.Split(string(body), "\n")
+	if len(lines) > 0 && lines[len(lines)-1] == "" {
+		lines = lines[:len(lines)-1]
+	}
+	nonBlank := 0
+	expectReject := map[int]bool{}
+	for i, line := range lines {
+		trimmed := strings.TrimSpace(strings.TrimSuffix(line, "\r"))
+		if trimmed == "" {
+			continue
+		}
+		nonBlank++
+		var rec UsageRecord
+		if err := json.Unmarshal([]byte(trimmed), &rec); err != nil {
+			expectReject[i+1] = true
+			continue
+		}
+		if rec.Tenant == "" || rec.Minute < 0 || int64(rec.Minute) > ledger.MaxMinute {
+			expectReject[i+1] = true
+		}
+	}
+	if out.Lines != nonBlank {
+		t.Fatalf("lines = %d, body has %d non-blank lines", out.Lines, nonBlank)
+	}
+	if out.Rejected+out.Dropped < len(expectReject) {
+		t.Fatalf("rejected %d + dropped %d < %d parse-level invalid lines",
+			out.Rejected, out.Dropped, len(expectReject))
+	}
+	// Below the error cap, every parse-level invalid line must be
+	// reported under its own number (pricing-level rejects may add
+	// more; they never displace these while the list has room).
+	if len(out.Errors) < DefaultMaxStreamErrors {
+		for line := range expectReject {
+			if !errLines[line] {
+				t.Fatalf("invalid line %d missing from errors %v", line, out.Errors)
+			}
+		}
+	}
 }
 
 // ndjsonAcceptSeeds sit just inside the strict subset, next to the refusal

@@ -349,11 +349,10 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, errorEnvelope{Err: Error{Status: status, Message: fmt.Sprintf(format, args...)}})
 }
 
-// decodeBody decodes a JSON request body under the configured size limit.
-// It writes the error response itself and reports whether decoding
-// succeeded.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// DecodeBody decodes a JSON request body of at most limit bytes. It writes
+// the error response itself and reports whether decoding succeeded.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -551,7 +550,7 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QuoteRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	resp, apiErr := s.priceAndAccrue(s.snapshot(), req)
@@ -568,7 +567,7 @@ func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Quotes) == 0 {
@@ -660,7 +659,7 @@ func (s *Server) swapTables(cal *core.Calibration, models *core.Models, ifMatch 
 // models; it writes the error response itself on failure.
 func (s *Server) decodeTables(w http.ResponseWriter, r *http.Request) (*core.Calibration, *core.Models, bool) {
 	var cal core.Calibration
-	if !s.decodeBody(w, r, &cal) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &cal) {
 		return nil, nil, false
 	}
 	if err := cal.Validate(); err != nil {

@@ -23,17 +23,15 @@ import (
 type RecordSource interface {
 	// Next returns the next record's 1-based physical position (line or
 	// frame number; blank NDJSON lines are skipped but counted) and either
-	// the decoded record or the reason it was refused — undecodable, or
-	// naming no tenant, which neither a node nor a router can attribute.
-	// The record is reused: it and its probe are valid until the following
+	// the decoded record or the reason it was refused — undecodable, naming
+	// no tenant (neither a node nor a router can attribute it), or past the
+	// byte cap, which ends the stream with that refusal as its Verdict. The
+	// record is reused: it and its probe are valid until the following
 	// Next. ok is false once the stream has ended; Verdict then says how.
 	Next() (pos int, rec *UsageRecord, rej *Error, ok bool)
 	// Verdict reports how the stream ended: "" for a clean end, otherwise
-	// the StreamError wording. oversized is non-zero when a record past the
-	// byte cap ended it (the bytes behind it cannot be re-framed): Next
-	// never yielded that record, and the caller accounts it at that
-	// position as one more rejection with streamErr as its message.
-	Verdict() (streamErr string, oversized int)
+	// the StreamError wording.
+	Verdict() string
 	// Release detaches the source from its reader and recycles its buffers;
 	// the source must not be used afterwards.
 	Release()
@@ -67,7 +65,6 @@ type lineSource struct {
 	maxLines  int
 	line      int
 	streamErr string
-	oversized int
 }
 
 var lineSources sync.Pool
@@ -90,7 +87,8 @@ func newLineSource(r io.Reader, maxBytes int64, maxLines int) *lineSource {
 }
 
 func (ls *lineSource) Next() (int, *UsageRecord, *Error, bool) {
-	for ls.sc.Scan() {
+	// A verdict ends the stream: a stopped scanner would re-yield a line head.
+	for ls.streamErr == "" && ls.sc.Scan() {
 		ls.line++
 		// The cap counts physical lines, blank or not, so a stream of bare
 		// newlines cannot hold the handler in an unbounded read loop.
@@ -116,22 +114,25 @@ func (ls *lineSource) Next() (int, *UsageRecord, *Error, bool) {
 		}
 		return ls.line, rec, nil, true
 	}
-	if err := ls.sc.Err(); errors.Is(err, bufio.ErrTooLong) {
-		ls.oversized = ls.line + 1
-		ls.streamErr = fmt.Sprintf("line %d exceeds %d bytes", ls.oversized, ls.maxBytes)
-	} else if err != nil {
+	// The line past the byte cap is refused, and the stream ends at it.
+	if err := ls.sc.Err(); err != nil && ls.streamErr == "" {
+		if errors.Is(err, bufio.ErrTooLong) {
+			ls.line++
+			ls.streamErr = fmt.Sprintf("line %d exceeds %d bytes", ls.line, ls.maxBytes)
+			return ls.line, nil, &Error{Status: http.StatusBadRequest, Message: ls.streamErr}, true
+		}
 		ls.streamErr = fmt.Sprintf("reading stream: %v", err)
 	}
 	return 0, nil, nil, false
 }
 
-func (ls *lineSource) Verdict() (string, int) { return ls.streamErr, ls.oversized }
+func (ls *lineSource) Verdict() string { return ls.streamErr }
 
 // Release drops the scanner, and with it the request body it wraps, before
 // pooling the source.
 func (ls *lineSource) Release() {
 	ls.sc = nil
-	ls.line, ls.streamErr, ls.oversized = 0, "", 0
+	ls.line, ls.streamErr = 0, ""
 	lineSources.Put(ls)
 }
 
@@ -147,7 +148,6 @@ type frameSource struct {
 	maxFrames int
 	frame     int
 	streamErr string
-	oversized int
 }
 
 var frameSources sync.Pool
@@ -164,14 +164,18 @@ func newFrameSource(r io.Reader, maxPayload int64, maxFrames int) *frameSource {
 }
 
 func (fs *frameSource) Next() (int, *UsageRecord, *Error, bool) {
+	if fs.streamErr != "" {
+		return 0, nil, nil, false
+	}
 	payload, crc, err := fs.fr.Next()
 	if err == io.EOF {
 		return 0, nil, nil, false
 	}
+	// The frame past the byte cap is refused, and the stream ends at it.
 	if errors.Is(err, ErrFrameTooLarge) {
-		fs.oversized = fs.frame + 1
-		fs.streamErr = fmt.Sprintf("frame %d exceeds %d bytes", fs.oversized, fs.fr.MaxPayload())
-		return 0, nil, nil, false
+		fs.frame++
+		fs.streamErr = fmt.Sprintf("frame %d exceeds %d bytes", fs.frame, fs.fr.MaxPayload())
+		return fs.frame, nil, &Error{Status: http.StatusBadRequest, Message: fs.streamErr}, true
 	}
 	if err != nil {
 		fs.streamErr = fmt.Sprintf("reading stream: %v", err)
@@ -192,12 +196,12 @@ func (fs *frameSource) Next() (int, *UsageRecord, *Error, bool) {
 	return fs.frame, rec, nil, true
 }
 
-func (fs *frameSource) Verdict() (string, int) { return fs.streamErr, fs.oversized }
+func (fs *frameSource) Verdict() string { return fs.streamErr }
 
 // Release detaches the reader before pooling the source: an idle pooled
 // source must not pin the last request's body and connection reader.
 func (fs *frameSource) Release() {
 	fs.fr.Reset(nil)
-	fs.frame, fs.streamErr, fs.oversized = 0, "", 0
+	fs.frame, fs.streamErr = 0, ""
 	frameSources.Put(fs)
 }

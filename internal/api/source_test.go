@@ -74,7 +74,7 @@ type sourceItem struct {
 type sourceStep struct {
 	Pos      int
 	Rec      *UsageRecord
-	Rejected string // "decode", "tenant", or ""
+	Rejected string // "decode", "tenant", "oversized", or ""
 }
 
 const conformanceMaxBytes = 512
@@ -107,15 +107,15 @@ func encodeItems(t *testing.T, wire WireFormat, items []sourceItem) []byte {
 	return body
 }
 
-// drainSource runs a source to its end, deep-copying what it yields.
-func drainSource(src RecordSource) ([]sourceStep, string, int) {
+// drainSource runs a source to its end, deep-copying what it yields. A
+// refusal worded as the stream's verdict is the record past the byte cap.
+func drainSource(src RecordSource) ([]sourceStep, string) {
 	defer src.Release()
 	var steps []sourceStep
 	for {
 		pos, rec, rej, ok := src.Next()
 		if !ok {
-			streamErr, oversized := src.Verdict()
-			return steps, streamErr, oversized
+			return steps, src.Verdict()
 		}
 		step := sourceStep{Pos: pos}
 		switch {
@@ -128,6 +128,8 @@ func drainSource(src RecordSource) ([]sourceStep, string, int) {
 			step.Rec = &cp
 		case rej.Status != http.StatusBadRequest:
 			step.Rejected = fmt.Sprintf("status %d", rej.Status)
+		case rej.Message == src.Verdict():
+			step.Rejected = "oversized"
 		case rej.Message == "usage record requires a tenant":
 			step.Rejected = "tenant"
 		case strings.HasPrefix(rej.Message, "malformed JSON: "), rej.Message == "frame crc mismatch":
@@ -143,7 +145,9 @@ func drainSource(src RecordSource) ([]sourceStep, string, int) {
 // implementations — with a corrupt record, a tenantless one, an oversized
 // one, a stream one record past the cap, and blank lines injected — and
 // requires the same (position, record-or-rejection) sequence and the same
-// terminal verdict from each, the unit word ("line" / "frame") aside.
+// terminal verdict from each, the unit word ("line" / "frame") aside. The
+// oversized record is the source's last refusal, at its own position, worded
+// as the verdict.
 func TestRecordSourceConformance(t *testing.T) {
 	rec := func(i int) sourceItem {
 		return sourceItem{rec: frameRecord(fmt.Sprintf("t-%d", i%3), 128+64*(i%4), i%5, "")}
@@ -158,7 +162,7 @@ func TestRecordSourceConformance(t *testing.T) {
 		maxRecords int
 		wantSteps  int
 		wantErr    string // with %s for the unit
-		oversized  int
+		oversized  int    // position of the last step, refused as oversized
 	}{
 		{name: "clean", items: []sourceItem{rec(0), rec(1), keyed, rec(3)}, maxRecords: 100, wantSteps: 4},
 		{name: "corrupt and tenantless reject one record each",
@@ -166,7 +170,7 @@ func TestRecordSourceConformance(t *testing.T) {
 			maxRecords: 100, wantSteps: 4},
 		{name: "oversized ends the stream",
 			items:      []sourceItem{rec(0), rec(1), with(rec(2), func(it *sourceItem) { it.oversized = true }), rec(3)},
-			maxRecords: 100, wantSteps: 2, wantErr: "%s 3 exceeds 512 bytes", oversized: 3},
+			maxRecords: 100, wantSteps: 3, wantErr: "%s 3 exceeds 512 bytes", oversized: 3},
 		{name: "one record past the cap",
 			items:      []sourceItem{rec(0), rec(1), rec(2), rec(3)},
 			maxRecords: 3, wantSteps: 3, wantErr: "stream exceeds 3 %ss"},
@@ -177,14 +181,25 @@ func TestRecordSourceConformance(t *testing.T) {
 			for i, wire := range []WireFormat{WireNDJSON, WireFrames} {
 				unit := map[WireFormat]string{WireNDJSON: "line", WireFrames: "frame"}[wire]
 				body := encodeItems(t, wire, tc.items)
-				steps, streamErr, oversized := drainSource(NewRecordSource(wire, bytes.NewReader(body), conformanceMaxBytes, tc.maxRecords))
+				steps, streamErr := drainSource(NewRecordSource(wire, bytes.NewReader(body), conformanceMaxBytes, tc.maxRecords))
 				wantErr := tc.wantErr
 				if wantErr != "" {
 					wantErr = fmt.Sprintf(wantErr, unit)
 				}
-				if len(steps) != tc.wantSteps || streamErr != wantErr || oversized != tc.oversized {
-					t.Fatalf("%v: %d steps, verdict (%q, %d); want %d steps, (%q, %d)",
-						wire, len(steps), streamErr, oversized, tc.wantSteps, wantErr, tc.oversized)
+				if len(steps) != tc.wantSteps || streamErr != wantErr {
+					t.Fatalf("%v: %d steps, verdict %q; want %d steps, %q", wire, len(steps), streamErr, tc.wantSteps, wantErr)
+				}
+				oversized := 0
+				for i, step := range steps {
+					if step.Rejected == "oversized" {
+						if i != len(steps)-1 {
+							t.Fatalf("%v: oversized refusal at step %d of %d, want the last", wire, i+1, len(steps))
+						}
+						oversized = step.Pos
+					}
+				}
+				if oversized != tc.oversized {
+					t.Fatalf("%v: oversized refusal at position %d, want %d", wire, oversized, tc.oversized)
 				}
 				got[i] = steps
 			}
@@ -198,8 +213,8 @@ func TestRecordSourceConformance(t *testing.T) {
 	// physical position (and count against the stream cap) without
 	// changing what is yielded.
 	items := []sourceItem{rec(0), with(rec(1), func(it *sourceItem) { it.blanks = 2 }), with(bare, func(it *sourceItem) { it.blanks = 1 }), rec(3)}
-	nd, ndErr, _ := drainSource(NewRecordSource(WireNDJSON, bytes.NewReader(encodeItems(t, WireNDJSON, items)), conformanceMaxBytes, 100))
-	fr, frErr, _ := drainSource(NewRecordSource(WireFrames, bytes.NewReader(encodeItems(t, WireFrames, items)), conformanceMaxBytes, 100))
+	nd, ndErr := drainSource(NewRecordSource(WireNDJSON, bytes.NewReader(encodeItems(t, WireNDJSON, items)), conformanceMaxBytes, 100))
+	fr, frErr := drainSource(NewRecordSource(WireFrames, bytes.NewReader(encodeItems(t, WireFrames, items)), conformanceMaxBytes, 100))
 	if ndErr != "" || frErr != "" || len(nd) != len(fr) {
 		t.Fatalf("blank-line stream: ndjson %d steps %q, frames %d steps %q", len(nd), ndErr, len(fr), frErr)
 	}
@@ -214,7 +229,7 @@ func TestRecordSourceConformance(t *testing.T) {
 	if !reflect.DeepEqual(nd, fr) {
 		t.Fatalf("blank lines changed what was yielded:\n ndjson: %+v\n frames: %+v", nd, fr)
 	}
-	capped, cappedErr, _ := drainSource(NewRecordSource(WireNDJSON, bytes.NewReader(encodeItems(t, WireNDJSON, items)), conformanceMaxBytes, 4))
+	capped, cappedErr := drainSource(NewRecordSource(WireNDJSON, bytes.NewReader(encodeItems(t, WireNDJSON, items)), conformanceMaxBytes, 4))
 	if len(capped) != 2 || cappedErr != "stream exceeds 4 lines" {
 		t.Fatalf("blank lines must count against the cap: %d steps, %q", len(capped), cappedErr)
 	}
@@ -286,18 +301,18 @@ func TestRecordSourcePoolKeepsNoStreamState(t *testing.T) {
 			unit := map[WireFormat]string{WireNDJSON: "line", WireFrames: "frame"}[wire]
 			for round := 0; round < 8; round++ {
 				// Ends on a verdict: one record past the cap.
-				steps, streamErr, _ := drainSource(NewRecordSource(wire, bytes.NewReader(body), DefaultMaxBodyBytes, 1))
+				steps, streamErr := drainSource(NewRecordSource(wire, bytes.NewReader(body), DefaultMaxBodyBytes, 1))
 				if len(steps) != 1 || steps[0].Pos != 1 || streamErr != "stream exceeds 1 "+unit+"s" {
 					t.Fatalf("round %d, capped: %+v, %q", round, steps, streamErr)
 				}
-				steps, streamErr, oversized := drainSource(NewRecordSource(wire, bytes.NewReader(body), DefaultMaxBodyBytes, 100))
-				if len(steps) != 2 || steps[0].Pos != 1 || steps[1].Pos != 2 || streamErr != "" || oversized != 0 ||
+				steps, streamErr = drainSource(NewRecordSource(wire, bytes.NewReader(body), DefaultMaxBodyBytes, 100))
+				if len(steps) != 2 || steps[0].Pos != 1 || steps[1].Pos != 2 || streamErr != "" ||
 					!reflect.DeepEqual(steps[0].Rec, &records[0]) || !reflect.DeepEqual(steps[1].Rec, &records[1]) {
-					t.Fatalf("round %d, clean: %+v, %q, %d", round, steps, streamErr, oversized)
+					t.Fatalf("round %d, clean: %+v, %q", round, steps, streamErr)
 				}
-				steps, streamErr, oversized = drainSource(NewRecordSource(wire, bytes.NewReader(body), 32, 100))
-				if len(steps) != 0 || oversized != 1 || streamErr != unit+" 1 exceeds 32 bytes" {
-					t.Fatalf("round %d, 32-byte cap: %+v, %q, %d", round, steps, streamErr, oversized)
+				steps, streamErr = drainSource(NewRecordSource(wire, bytes.NewReader(body), 32, 100))
+				if len(steps) != 1 || steps[0] != (sourceStep{Pos: 1, Rejected: "oversized"}) || streamErr != unit+" 1 exceeds 32 bytes" {
+					t.Fatalf("round %d, 32-byte cap: %+v, %q", round, steps, streamErr)
 				}
 			}
 		})

@@ -65,16 +65,10 @@ func (s *Server) handleUsageStream(w http.ResponseWriter, r *http.Request) {
 			col.reject(pos, rej)
 			continue
 		}
-		col.add(pos, entry)
+		col.add(pos, entry, rec.Key != "")
 	}
 	col.flush()
-	streamErr, oversized := src.Verdict()
-	if oversized > 0 {
-		// Counted and reported like any rejected record, after everything
-		// before it was billed.
-		col.reject(oversized, &Error{Status: http.StatusBadRequest, Message: streamErr})
-	}
-	s.finishUsage(w, col, streamErr)
+	s.finishUsage(w, col, src.Verdict())
 }
 
 // RequestWire picks the wire format a /v3/usage request body is in from its
@@ -183,13 +177,19 @@ type usageCollector struct {
 	entries []ledger.Entry
 	lines   []int
 	results []ledger.AccrualResult
+	// pending holds, under admission, the keys buffered records named
+	// themselves (derived keys cannot repeat in a stream); see add.
+	pending map[pendingKey]bool
 }
+
+// pendingKey names an idempotency key within its tenant.
+type pendingKey struct{ tenant, key string }
 
 // collectorPool recycles usageCollectors across streams: the entry/line/
 // result buffers and the touched set dominate steady-state ingest
 // allocations once the wire format itself is allocation-free.
 var collectorPool = sync.Pool{New: func() any {
-	return &usageCollector{touched: map[string]bool{}}
+	return &usageCollector{touched: map[string]bool{}, pending: map[pendingKey]bool{}}
 }}
 
 func (s *Server) newUsageCollector() *usageCollector {
@@ -218,24 +218,30 @@ func (c *usageCollector) release() {
 // the next batched accrual. The gate runs here — after validation, before
 // accrual, in stream order — so both wire formats share one admission point
 // and a throttled record can never reach the ledger. A key the ledger
-// already recorded bypasses the gate: it is a retry, not new load — it
-// cannot bill again, and if duplicates consumed tokens a whole-batch resend
-// could livelock, the already-billed head eating every refilled token
-// before the formerly throttled tail reached the bucket. Unkeyed records
-// always pay.
-func (c *usageCollector) add(line int, entry ledger.Entry) {
-	if adm := c.s.admission; adm != nil && !c.s.ledger.Seen(entry.Tenant, entry.Key) {
-		if ok, retryAfter := adm.Allow(entry.Tenant); !ok {
-			sec := retryAfter.Seconds()
-			if sec > c.resp.RetryAfterSec {
-				c.resp.RetryAfterSec = sec
+// already recorded, or one a record still in this batch named (explicitKey),
+// bypasses the gate: it is a retry, not new load — it cannot bill again,
+// and if duplicates consumed tokens a whole-batch resend could livelock,
+// the already-billed head eating every refilled token before the formerly
+// throttled tail reached the bucket. Unkeyed records always pay.
+func (c *usageCollector) add(line int, entry ledger.Entry, explicitKey bool) {
+	if adm := c.s.admission; adm != nil {
+		pk := pendingKey{entry.Tenant, entry.Key}
+		if !c.pending[pk] && !c.s.ledger.Seen(entry.Tenant, entry.Key) {
+			if ok, retryAfter := adm.Allow(entry.Tenant); !ok {
+				sec := retryAfter.Seconds()
+				if sec > c.resp.RetryAfterSec {
+					c.resp.RetryAfterSec = sec
+				}
+				c.reject(line, &Error{
+					Status:        http.StatusTooManyRequests,
+					Message:       fmt.Sprintf("tenant %q over admission rate", entry.Tenant),
+					RetryAfterSec: sec,
+				})
+				return
 			}
-			c.reject(line, &Error{
-				Status:        http.StatusTooManyRequests,
-				Message:       fmt.Sprintf("tenant %q over admission rate", entry.Tenant),
-				RetryAfterSec: sec,
-			})
-			return
+		}
+		if explicitKey {
+			c.pending[pk] = true
 		}
 	}
 	c.resp.Lines++
@@ -249,23 +255,13 @@ func (c *usageCollector) add(line int, entry ledger.Entry) {
 // reject accounts one record that will not be billed.
 func (c *usageCollector) reject(line int, apiErr *Error) {
 	c.resp.Lines++
-	c.fold(line, "", ledger.Dropped, apiErr)
+	c.resp.Refuse(line, *apiErr)
 }
 
-// fold applies one decided line to the response counters.
+// fold applies one billed line's outcome to the response.
 func (c *usageCollector) fold(line int, tenant string, outcome ledger.Outcome, apiErr *Error) {
 	if apiErr != nil {
-		switch apiErr.Status {
-		case http.StatusServiceUnavailable:
-			c.resp.Dropped++
-		case http.StatusTooManyRequests:
-			c.resp.Throttled++
-		default:
-			c.resp.Rejected++
-		}
-		if len(c.resp.Errors) < DefaultMaxStreamErrors {
-			c.resp.Errors = append(c.resp.Errors, LineError{Line: line, Error: *apiErr})
-		}
+		c.resp.Refuse(line, *apiErr)
 		return
 	}
 	if outcome == ledger.Duplicate {
@@ -294,6 +290,7 @@ func (c *usageCollector) flush() {
 	})
 	c.entries = c.entries[:0]
 	c.lines = c.lines[:0]
+	clear(c.pending)
 }
 
 // --- GET /v3/tenants ---------------------------------------------------------

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +86,41 @@ func TestV3UsageStreamPerLineErrors(t *testing.T) {
 	}
 	if out.StreamError != "" {
 		t.Errorf("unexpected stream error %q", out.StreamError)
+	}
+}
+
+// TestUsageStreamResponseRefusalRule holds the one refusal rule the node
+// and the router account through. Refuse counts a 5xx as Dropped, a 429 as
+// Throttled and anything else as Rejected; AddError, fed the refusals in
+// any order, lists what sorting all of them and keeping the first
+// DefaultMaxStreamErrors would.
+func TestUsageStreamResponseRefusalRule(t *testing.T) {
+	var counts UsageStreamResponse
+	for _, status := range []int{400, 404, 429, 500, 502, 503} {
+		counts.Refuse(1, Error{Status: status})
+	}
+	if want := (UsageCounts{Rejected: 2, Dropped: 3, Throttled: 1}); counts.UsageCounts != want {
+		t.Fatalf("counters = %+v, want %+v", counts.UsageCounts, want)
+	}
+
+	rng := rand.New(rand.NewPCG(7, 26))
+	for round := 0; round < 200; round++ {
+		n := rng.IntN(3 * DefaultMaxStreamErrors)
+		lines := rng.Perm(4 * DefaultMaxStreamErrors)[:n]
+		var got UsageStreamResponse
+		for _, line := range lines {
+			got.AddError(line+1, Error{Status: http.StatusBadRequest, Message: fmt.Sprint(line + 1)})
+		}
+		want := slices.Sorted(slices.Values(lines))
+		want = want[:min(len(want), DefaultMaxStreamErrors)]
+		if len(got.Errors) != len(want) {
+			t.Fatalf("round %d: %d errors listed, want %d", round, len(got.Errors), len(want))
+		}
+		for i, le := range got.Errors {
+			if le.Line != want[i]+1 || le.Error.Message != fmt.Sprint(want[i]+1) {
+				t.Fatalf("round %d: error %d = %+v, want line %d", round, i, le, want[i]+1)
+			}
+		}
 	}
 }
 

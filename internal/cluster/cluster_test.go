@@ -392,6 +392,84 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 	checkErrorSurfaces(t, router.URL, single.URL)
 }
 
+// newStandby spins up one pricing node over a hot-standby ledger: it reads
+// and validates every line, and refuses each valid one with a 503 when its
+// batch is billed.
+func newStandby(t *testing.T) *httptest.Server {
+	t.Helper()
+	led, err := ledger.NewReplica(ledger.Meta{Shards: 4, WindowMinutes: 10, MaxKeys: 1 << 10}, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newNode(t, led)
+	return ts
+}
+
+// TestRouterMatchesStandbyNode: a standby refuses lines at two moments — a
+// malformed line as it is read, a valid one when its batch is billed — and
+// the router over three standbys decides the malformed ones itself and
+// merges its owners' refusals as they answer. The counters and the listed
+// errors (the 64 lowest-numbered refusals, in line order) must be one
+// node's, byte for byte, the oversized last line included.
+func TestRouterMatchesStandbyNode(t *testing.T) {
+	single := newStandby(t)
+	nodes := make([]cluster.Node, 3)
+	for i := range nodes {
+		nodes[i] = cluster.Node{Name: fmt.Sprintf("node%d", i), URL: newStandby(t).URL}
+	}
+	cc, err := cluster.NewClient(nodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(cluster.NewRouter(cc, cluster.RouterConfig{BatchSize: 8}))
+	t.Cleanup(router.Close)
+
+	var lines []string
+	for i := 0; i < 90; i++ {
+		lines = append(lines, usageLine(fmt.Sprintf("tenant-%03d", i%7), 128+(i%3)*128, i%5, ""))
+		if i%3 == 0 {
+			lines = append(lines, "{not json")
+		}
+		if i%10 == 0 {
+			lines = append(lines, "")
+		}
+	}
+	lines = append(lines, usageLine("last", 128, 0, strings.Repeat("k", api.DefaultMaxBodyBytes)))
+	body := strings.Join(lines, "\n") + "\n"
+
+	post := func(url string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, url+"/v3/usage", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Idempotency-Key", "run-standby")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d, %v: %s", url, resp.StatusCode, err, raw)
+		}
+		return raw
+	}
+	rraw, sraw := post(router.URL), post(single.URL)
+	if !bytes.Equal(rraw, sraw) {
+		t.Errorf("usage stream bytes diverged:\n router: %s\n single: %s", rraw, sraw)
+	}
+	var out api.UsageStreamResponse
+	if err := json.Unmarshal(sraw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Dropped != 90 || out.Rejected != 31 || len(out.Errors) != api.DefaultMaxStreamErrors ||
+		!strings.HasSuffix(out.StreamError, "exceeds 1048576 bytes") {
+		t.Fatalf("standby accounting = %+v, want 90 dropped, 31 rejected, %d errors, an oversized last line",
+			out.UsageCounts, api.DefaultMaxStreamErrors)
+	}
+}
+
 // halfDeadClient builds a ring client over a fresh live node0 and a node1
 // that is unreachable at deadURL.
 func halfDeadClient(t *testing.T, deadURL string) *cluster.Client {
@@ -608,6 +686,37 @@ func checkErrorSurfaces(t *testing.T, routerURL, singleURL string) {
 		sr.Body.Close()
 		if rr.StatusCode != sr.StatusCode || !reflect.DeepEqual(rbody, sbody) {
 			t.Errorf("%s: router %d %v, single %d %v", path, rr.StatusCode, rbody, sr.StatusCode, sbody)
+		}
+	}
+	// Table bodies are decoded by the node's own code on the router: an
+	// empty body, one past the byte cap, and one valid-JSON head with
+	// trailing bytes (decoded as its head, which fails validation).
+	for name, body := range map[string]string{
+		"empty":         "",
+		"over the cap":  `{"pad":"` + strings.Repeat("x", api.DefaultMaxBodyBytes) + `"}`,
+		"trailing data": `{"sharePerCore":1} trailing`,
+	} {
+		put := func(url string) (int, []byte) {
+			t.Helper()
+			req, err := http.NewRequest(http.MethodPut, url+"/v3/tables", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, raw
+		}
+		rs, rraw := put(routerURL)
+		ss, sraw := put(singleURL)
+		if rs != ss || !bytes.Equal(rraw, sraw) || ss < 400 {
+			t.Errorf("PUT /v3/tables, %s body: router %d %s, single %d %s", name, rs, rraw, ss, sraw)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -196,15 +195,7 @@ func (f *usageForward) add(rec *api.UsageRecord, lineNo int) bool {
 // reject accounts one record refused before any node saw it.
 func (f *usageForward) reject(line int, apiErr *api.Error) {
 	f.resp.Lines++
-	f.resp.Rejected++
-	f.lineError(line, *apiErr)
-}
-
-// lineError reports one line's error, up to the response's cap.
-func (f *usageForward) lineError(line int, apiErr api.Error) {
-	if len(f.resp.Errors) < api.DefaultMaxStreamErrors {
-		f.resp.Errors = append(f.resp.Errors, api.LineError{Line: line, Error: apiErr})
-	}
+	f.resp.Refuse(line, *apiErr)
 }
 
 // flush forwards one owner's pending batch in the stream's own wire format
@@ -246,7 +237,7 @@ func (f *usageForward) fold(lines []int, resp api.UsageStreamResponse, node stri
 		if le.Line >= 1 && le.Line <= len(lines) {
 			le.Line = lines[le.Line-1]
 		}
-		f.resp.Errors = append(f.resp.Errors, le)
+		f.resp.AddError(le.Line, le.Error)
 	}
 	if f.resp.StreamError == "" {
 		f.resp.StreamError = resp.StreamError
@@ -263,8 +254,7 @@ func (f *usageForward) fold(lines []int, resp api.UsageStreamResponse, node stri
 			msg = fmt.Sprintf("node %s: stream truncated by node", node)
 		}
 		for _, line := range lines[resp.Lines:] {
-			f.resp.Dropped++
-			f.lineError(line, api.Error{Status: http.StatusBadGateway, Message: msg})
+			f.resp.Refuse(line, api.Error{Status: http.StatusBadGateway, Message: msg})
 		}
 	}
 	for _, sum := range resp.Tenants {
@@ -289,12 +279,6 @@ func (f *usageForward) finish(streamErr string) *api.UsageStreamResponse {
 	resp := &f.resp
 	if resp.StreamError == "" {
 		resp.StreamError = streamErr
-	}
-	sort.Slice(resp.Errors, func(i, j int) bool {
-		return resp.Errors[i].Line < resp.Errors[j].Line
-	})
-	if len(resp.Errors) > api.DefaultMaxStreamErrors {
-		resp.Errors = resp.Errors[:api.DefaultMaxStreamErrors]
 	}
 	for _, sum := range f.sums {
 		resp.Tenants = append(resp.Tenants, sum)
@@ -331,15 +315,11 @@ func (rt *Router) handleUsage(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	// Empty when a failed forward stopped the loop before the source ended;
-	// that failure is already the stream error.
-	streamErr, oversized := src.Verdict()
-	if oversized > 0 {
-		f.reject(oversized, &api.Error{Status: http.StatusBadRequest, Message: streamErr})
-	}
-	// The node's own terminal rule: the merged accounting decides Retry-After
-	// and the 429 exactly as a single node's would.
-	api.WriteUsageResponse(w, f.finish(streamErr))
+	// The verdict is empty when a failed forward stopped the loop before the
+	// source ended; that failure is already the stream error. The node's own
+	// terminal rule: the merged accounting decides Retry-After and the 429
+	// exactly as a single node's would.
+	api.WriteUsageResponse(w, f.finish(src.Verdict()))
 }
 
 // --- GET /v3/tenants ----------------------------------------------------------
@@ -418,21 +398,11 @@ func (rt *Router) handleTables(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		rt.proxy(w, r, coord)
 	case http.MethodPut, http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
-		if err != nil {
-			api.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
-			return
-		}
-		if int64(len(body)) > rt.cfg.MaxBodyBytes {
-			api.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", rt.cfg.MaxBodyBytes)
-			return
-		}
-		// Shape validation is the coordinator's job: its verdict (412 and
-		// validation errors included) passes through with its own status
-		// and message.
+		// Decoding is the node's own; shape validation is the coordinator's
+		// job: its verdict (412 and validation errors included) passes
+		// through with its own status and message.
 		var cal core.Calibration
-		if err := json.Unmarshal(body, &cal); err != nil {
-			api.WriteError(w, http.StatusBadRequest, "malformed JSON: %v", err)
+		if !api.DecodeBody(w, r, rt.cfg.MaxBodyBytes, &cal) {
 			return
 		}
 		status, etag, err := rt.client.SwapTablesIfMatch(r.Context(), &cal, r.Header.Get("If-Match"))

@@ -207,7 +207,6 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Wal-Seq", strconv.FormatUint(seq, 10))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	deadline := time.Now().Add(s.maxWait)

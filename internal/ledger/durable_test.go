@@ -114,10 +114,11 @@ func TestDurableSnapshotCompactsWAL(t *testing.T) {
 	if d.WALBytes != 0 || d.Snapshots != 1 || d.LastSnapshotGen != 1 || d.LastSnapshotBytes == 0 {
 		t.Fatalf("after snapshot: %+v (wal before %d)", d, before)
 	}
-	segs, err := ListWALSegments(dir)
+	listing, err := ReadListing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs := listing.Segments
 	for _, seg := range segs {
 		if seg.Seq != 1 {
 			t.Fatalf("superseded segment survived: %+v", seg)
@@ -169,7 +170,8 @@ func TestDurableTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: garbage on the end of the only segment.
-	segs, _ := ListWALSegments(dir)
+	listing, _ := ReadListing(dir)
+	segs := listing.Segments
 	f, err := os.OpenFile(segs[0].Path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +328,8 @@ func TestDurableArchiveKeepsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustClose(t, l)
-	segs, _ := ListWALSegments(dir)
+	listing, _ := ReadListing(dir)
+	segs := listing.Segments
 	seqs := map[uint64]bool{}
 	for _, seg := range segs {
 		seqs[seg.Seq] = true
@@ -420,10 +423,11 @@ func TestDurableSnapshotFailureDoesNotWedge(t *testing.T) {
 			// The failed attempt's rotated-away segments went back into each
 			// shard's tail, so the successful retry collects them: nothing below
 			// gen 2 may survive, or a flaky disk leaks a segment per attempt.
-			segs, err := ListWALSegments(dir)
+			listing, err := ReadListing(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			segs := listing.Segments
 			for _, seg := range segs {
 				if seg.Seq < 2 {
 					t.Errorf("segment %s leaked past the successful retry", seg.Path)
@@ -628,10 +632,11 @@ func TestDurableRecoveryCollectsStaleSegments(t *testing.T) {
 	cfg.Archive = false
 	r := mustNew(t, cfg)
 	defer mustClose(t, r)
-	segs, err := ListWALSegments(dir)
+	listing, err := ReadListing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs := listing.Segments
 	for _, seg := range segs {
 		if seg.Seq < 1 {
 			t.Fatalf("stale covered segment survived recovery: %+v", seg)

@@ -100,10 +100,11 @@ func TestFailoverAtEveryReplicationOffset(t *testing.T) {
 	}
 	drive(t, oracle, entries)
 
-	segs, err := ledger.ListWALSegments(dir)
+	listing, err := ledger.ReadListing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs := listing.Segments
 	if len(segs) != 1 {
 		t.Fatalf("want 1 segment for a 1-shard ledger, got %d", len(segs))
 	}
@@ -171,10 +172,11 @@ func TestFailoverMultiShardCuts(t *testing.T) {
 	}
 	drive(t, oracle, entries)
 
-	segs, err := ledger.ListWALSegments(dir)
+	listing, err := ledger.ReadListing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs := listing.Segments
 	byShard := make([][]ledger.WALRecord, cfg.Shards)
 	for _, seg := range segs {
 		recs, _, derr := ledger.DecodeWALFile(seg.Path)

@@ -470,10 +470,11 @@ func TestGroupWriteConcurrent(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			segs, err := ListWALSegments(dir)
+			listing, err := ReadListing(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			segs := listing.Segments
 			marks := map[string]uint64{} // key → end offset in its shard's history
 			offset := make([]uint64, cfg.Shards)
 			records := 0

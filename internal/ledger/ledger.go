@@ -654,10 +654,10 @@ func (l *Ledger) Statement(tenant string, fromMinute, toMinute int) (Statement, 
 }
 
 // WindowStats returns the tenant's per-window accrual totals sorted by
-// window — lines without the per-pricer bill map (Bills is nil), the cheap
-// read the admission layer's forecaster polls every observation window —
-// keeping only the last lastN windows (lastN <= 0 means all). ok is false
-// for an unknown tenant.
+// window — lines without the per-pricer bill map (Bills is nil), the recent
+// history GET /v3/tenants/{tenant}/forecast shows beside the admission
+// forecast (admission itself reads Summary) — keeping only the last lastN
+// windows (lastN <= 0 means all). ok is false for an unknown tenant.
 func (l *Ledger) WindowStats(tenant string, lastN int) ([]Line, bool) {
 	return l.shardFor(tenant).windowStats(tenant, lastN, l.cfg.WindowMinutes)
 }

@@ -100,12 +100,12 @@ func OracleFromWAL(dir string, cfg ledger.Config) (*ledger.Ledger, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	segs, err := ledger.ListWALSegments(dir)
+	listing, err := ledger.ReadListing(dir)
 	if err != nil {
 		return nil, 0, err
 	}
 	total := 0
-	for _, seg := range segs {
+	for _, seg := range listing.Segments {
 		recs, _, _ := ledger.DecodeWALFile(seg.Path) // the torn tail, if any, was never acknowledged
 		for i, rec := range recs {
 			got, err := oracle.Accrue(rec.Entry)

@@ -64,10 +64,11 @@ func TestKillAtEveryOffset(t *testing.T) {
 			if _, err := BuildDurable(cfg, crashStream(21)); err != nil {
 				t.Fatal(err)
 			}
-			segs, err := ledger.ListWALSegments(src)
+			listing, err := ledger.ReadListing(src)
 			if err != nil {
 				t.Fatal(err)
 			}
+			segs := listing.Segments
 			if len(segs) != shards {
 				t.Fatalf("%d segments for %d shards", len(segs), shards)
 			}
@@ -114,10 +115,11 @@ func TestKillAtJointOffsets(t *testing.T) {
 	if _, err := BuildDurable(cfg, crashStream(33)); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := ledger.ListWALSegments(src)
+	listing, err := ledger.ReadListing(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs := listing.Segments
 	perSeg := make([][]int64, len(segs))
 	for i, seg := range segs {
 		if perSeg[i], err = Offsets(seg.Path, 2); err != nil {
@@ -161,10 +163,11 @@ func TestKillAtEveryOffsetAfterSnapshot(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			segs, err := ledger.ListWALSegments(src)
+			listing, err := ledger.ReadListing(src)
 			if err != nil {
 				t.Fatal(err)
 			}
+			segs := listing.Segments
 			for _, seg := range segs {
 				if seg.Seq != 1 {
 					continue // only the post-snapshot active segment can be torn by a crash

@@ -111,13 +111,6 @@ func ReadSizedListing(dir string) (Listing, error) {
 	return ls, nil
 }
 
-// ListWALSegments is the listing's segment half. Non-segment files are
-// ignored.
-func ListWALSegments(dir string) ([]SegmentInfo, error) {
-	ls, err := ReadListing(dir)
-	return ls.Segments, err
-}
-
 // SegmentVerdict is what a Listing says about one segment (shard, seq).
 type SegmentVerdict struct {
 	// Listed: the segment is on disk, at Path with Size bytes.

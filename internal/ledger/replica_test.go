@@ -15,10 +15,11 @@ import (
 // and applies the records to the standby, as a follower would.
 func replayFrames(t *testing.T, dir string, standby *ledger.Ledger, fromSeq uint64) int {
 	t.Helper()
-	segs, err := ledger.ListWALSegments(dir)
+	listing, err := ledger.ReadListing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs := listing.Segments
 	n := 0
 	for _, seg := range segs {
 		if seg.Seq < fromSeq {

@@ -188,7 +188,8 @@ func TestParseFsyncMode(t *testing.T) {
 	}
 }
 
-// TestListWALSegments covers the on-disk naming contract both directions.
+// TestListWALSegments covers the on-disk naming contract both directions, as
+// ReadListing's Segments see it.
 func TestListWALSegments(t *testing.T) {
 	dir := t.TempDir()
 	l := mustNew(t, Config{Dir: dir, Shards: 2, SnapshotEvery: -1})
@@ -196,10 +197,11 @@ func TestListWALSegments(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := ListWALSegments(dir)
+	listing, err := ReadListing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs := listing.Segments
 	if len(segs) != 2 || segs[0].Shard != 0 || segs[1].Shard != 1 {
 		t.Fatalf("segments = %+v", segs)
 	}

@@ -7,9 +7,9 @@ import (
 	"repro/internal/ledger"
 )
 
-// WindowStats exposes the per-window accrual totals the admission
-// controller's price-aware squeeze reads: oldest-first, correctly windowed,
-// without leaking another tenant's spend.
+// WindowStats exposes the per-window accrual totals the forecast endpoint
+// shows: oldest-first, correctly windowed, without leaking another tenant's
+// spend.
 func TestWindowStats(t *testing.T) {
 	led, err := ledger.New(ledger.Config{WindowMinutes: 2})
 	if err != nil {
