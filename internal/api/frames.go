@@ -8,7 +8,8 @@ package api
 // as NDJSON (BenchmarkUsageStreamBinary vs BenchmarkUsageStream, 185 vs 307 µs
 // per 512 records), well under half the bytes, and CRC-checked per record.
 // The frame decoder reuses one record, one probe and one string-intern table
-// across the whole stream, so the warm path allocates nothing per record.
+// across streams and carves keys from a KeyArena's shared chunks, so a warm
+// decode allocates nothing per record, keyed or not.
 //
 // Every record is one internal/frame frame — the codec the ledger's WAL
 // shares — whose payload is
@@ -131,21 +132,25 @@ func (t *internTable) strCached(last *string, b []byte) string {
 // NDJSON lines in ndjson.go — keeps across records and streams: the intern
 // table and one memo per field a stream repeats (see internTable.strCached).
 // Keys are near-unique by design — interning them would churn the table for
-// no hits — so they are copied out instead.
+// no hits — so they are carved from a KeyArena instead, a chunk at a time.
 type fieldStrings struct {
 	in                                         internTable
 	lastTenant, lastPricer, lastAbbr, lastLang string
+	keys                                       KeyArena
 }
 
 func (f *fieldStrings) tenant(b []byte) string   { return f.in.strCached(&f.lastTenant, b) }
 func (f *fieldStrings) pricer(b []byte) string   { return f.in.strCached(&f.lastPricer, b) }
 func (f *fieldStrings) abbr(b []byte) string     { return f.in.strCached(&f.lastAbbr, b) }
 func (f *fieldStrings) language(b []byte) string { return f.in.strCached(&f.lastLang, b) }
+func (f *fieldStrings) key(b []byte) string      { return f.keys.key(b) }
 
-// FrameDecoder decodes usage frames with zero steady-state allocations: the
-// record, its probe and the intern table are reused across Decode calls.
+// FrameDecoder decodes usage frames with zero steady-state allocations per
+// record: the record, its probe and the intern table are reused across
+// Decode calls, and keys come from its KeyArena, one allocation per chunk.
 // The returned record is only valid until the next Decode — callers copy
-// out what they keep (the interned strings themselves are stable).
+// out what they keep. The interned strings are stable; a key is too, but it
+// pins its chunk, so a caller that keeps one copies it (see KeyArena).
 type FrameDecoder struct {
 	rec   UsageRecord
 	probe core.ProbeUsage
@@ -227,7 +232,7 @@ func (d *FrameDecoder) decodePayload(b []byte) error {
 	}
 	rec.Tenant = d.tenant(fields[0])
 	rec.Pricer = d.pricer(fields[1])
-	rec.Key = string(fields[2])
+	rec.Key = d.key(fields[2])
 	rec.Abbr = d.abbr(fields[3])
 	rec.Language = d.language(fields[4])
 	return nil

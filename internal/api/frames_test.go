@@ -516,18 +516,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	post := func(contentType string, body []byte) UsageStreamResponse {
-		req := httptest.NewRequest(http.MethodPost, "/v3/usage", bytes.NewReader(body))
-		req.Header.Set("Content-Type", contentType)
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
-		}
-		var out UsageStreamResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return serveUsage(t, srv, contentType, "", body)
 	}
 
 	const lines = 256
@@ -567,6 +556,71 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	later := testing.AllocsPerRun(5, func() { post(ContentTypeNDJSON, bad) })
 	if later > first*1.5+lines/4 {
 		t.Errorf("NDJSON error-path allocations grew: %.0f then %.0f per stream", first, later)
+	}
+}
+
+// serveUsage posts body to h's /v3/usage in-process, on this goroutine, and
+// decodes the 200 it must answer.
+func serveUsage(t testing.TB, h http.Handler, contentType, streamKey string, body []byte) UsageStreamResponse {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v3/usage", bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	if streamKey != "" {
+		req.Header.Set("Idempotency-Key", streamKey)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var out UsageStreamResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestKeyedIngestSteadyStateAllocs pins what a keyed stream allocates on
+// the warm path: its keys — derived from the stream's Idempotency-Key, or
+// named by each line — come from shared chunks, so a stream costs far fewer
+// allocations than it has records. A string made per key would cost at
+// least one per record.
+func TestKeyedIngestSteadyStateAllocs(t *testing.T) {
+	srv, err := New(Config{Calibration: apitest.Calibration()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lines = 1024
+	var frames []byte
+	var ndjson strings.Builder
+	for i := 0; i < lines; i++ {
+		rec := frameRecord(fmt.Sprintf("t%d", i%8), 128+(i%8)*64, 0, "")
+		frames = AppendUsageFrame(frames, &rec)
+		ndjson.WriteString(ndLine(rec.Tenant, rec.MemoryMB, 0, fmt.Sprintf("line-key-%d", i)))
+		ndjson.WriteByte('\n')
+	}
+	for _, tc := range []struct {
+		name, contentType, streamKey string
+		body                         []byte
+	}{
+		{"frames under a stream key", ContentTypeFrames, "stream-key", frames},
+		{"NDJSON with keyed lines", ContentTypeNDJSON, "", []byte(ndjson.String())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The first post bills every line; the measured ones are its
+			// retries, every line a duplicate — same decode, same keys.
+			if out := serveUsage(t, srv, tc.contentType, tc.streamKey, tc.body); out.Accepted != lines {
+				t.Fatalf("first post = %+v", out)
+			}
+			avg := testing.AllocsPerRun(10, func() {
+				if out := serveUsage(t, srv, tc.contentType, tc.streamKey, tc.body); out.Duplicates != lines {
+					t.Fatalf("retry = %+v", out)
+				}
+			})
+			if avg >= lines/8 {
+				t.Errorf("a warm %d-record keyed stream allocates %.0f objects, want < %d", lines, avg, lines/8)
+			}
+		})
 	}
 }
 

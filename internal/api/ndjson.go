@@ -34,8 +34,9 @@ import (
 )
 
 // lineDecoder decodes NDJSON usage lines of the strict subset with zero
-// steady-state allocations: the record, its probe and the strings are reused
-// across lines exactly as FrameDecoder reuses them across frames.
+// steady-state allocations per line: the record, its probe, the interned
+// strings and the key chunks are reused across lines exactly as FrameDecoder
+// reuses them across frames.
 type lineDecoder struct {
 	rec   UsageRecord
 	probe core.ProbeUsage
@@ -108,7 +109,7 @@ func (d *lineDecoder) decode(line []byte) bool {
 		case "key":
 			bit = seenKey
 			s, b, ok = lineString(b)
-			rec.Key = string(s)
+			rec.Key = d.key(s)
 		default:
 			return false
 		}

@@ -25,22 +25,26 @@ import (
 	"repro/internal/core"
 )
 
+// derivedKeyCases are literal derived keys the idempotency tests and stored
+// ledgers already hold.
+var derivedKeyCases = []struct {
+	streamKey string
+	line      int
+	want      string
+}{
+	{"run-1", 1, "run-1#1"},
+	{"retry-1", 2, "retry-1#2"},
+	{"run", 100, "run#100"},
+	{"chunk-0", 10, "chunk-0#10"},
+	{"a#b", 7, "a#b#7"},
+	{"k", 1_000_000, "k#1000000"},
+}
+
 // TestDerivedKey pins the derived idempotency key's format against the
 // literal strings the idempotency tests and stored ledgers already hold: a
 // change of spelling would let every retried stream bill twice.
 func TestDerivedKey(t *testing.T) {
-	for _, tc := range []struct {
-		streamKey string
-		line      int
-		want      string
-	}{
-		{"run-1", 1, "run-1#1"},
-		{"retry-1", 2, "retry-1#2"},
-		{"run", 100, "run#100"},
-		{"chunk-0", 10, "chunk-0#10"},
-		{"a#b", 7, "a#b#7"},
-		{"k", 1_000_000, "k#1000000"},
-	} {
+	for _, tc := range derivedKeyCases {
 		if got := DerivedKey(tc.streamKey, tc.line); got != tc.want {
 			t.Errorf("DerivedKey(%q, %d) = %q, want %q", tc.streamKey, tc.line, got, tc.want)
 		}

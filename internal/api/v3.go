@@ -59,7 +59,7 @@ func (s *Server) handleUsageStream(w http.ResponseWriter, r *http.Request) {
 		}
 		var entry ledger.Entry
 		if rej == nil {
-			entry, rej = s.priceRecord(pricers, streamKey, pos, rec)
+			entry, rej = s.priceRecord(pricers, &col.keys, streamKey, pos, rec)
 		}
 		if rej != nil {
 			col.reject(pos, rej)
@@ -80,22 +80,12 @@ func RequestWire(r *http.Request) WireFormat {
 	return WireNDJSON
 }
 
-// DerivedKey is the idempotency key a keyless record inherits from its
-// stream's Idempotency-Key: the stream key plus the record's 1-based
-// PHYSICAL position (blank NDJSON lines counted; frame n is line n), so
-// replaying the whole stream under the same key is a no-op. Every place
-// that derives one — the node, the router, the ring-aware client — calls
-// this; two spellings that drifted apart would double-bill.
-func DerivedKey(streamKey string, line int) string {
-	var digits [20]byte
-	return streamKey + "#" + string(strconv.AppendInt(digits[:0], int64(line), 10))
-}
-
 // priceRecord validates and prices one decoded record into the ledger entry
 // the collector will bill — no accrual here. The stream response never
 // echoes per-record quotes, so nothing larger is built. rec is the source's
-// reused record; the entry copies out what it keeps.
-func (s *Server) priceRecord(pricers map[string]core.Pricer, streamKey string, pos int, rec *UsageRecord) (ledger.Entry, *Error) {
+// reused record; the entry copies out what it keeps. A keyless record under
+// a stream key gets its derived key from keys.
+func (s *Server) priceRecord(pricers map[string]core.Pricer, keys *KeyArena, streamKey string, pos int, rec *UsageRecord) (ledger.Entry, *Error) {
 	if rec.Minute < 0 {
 		return ledger.Entry{}, &Error{Status: http.StatusBadRequest, Message: fmt.Sprintf("negative minute %d", rec.Minute)}
 	}
@@ -108,7 +98,7 @@ func (s *Server) priceRecord(pricers map[string]core.Pricer, streamKey string, p
 	}
 	key := rec.Key
 	if key == "" && streamKey != "" {
-		key = DerivedKey(streamKey, pos)
+		key = keys.Derived(streamKey, pos)
 	}
 	return ledger.Entry{
 		Tenant:     rec.Tenant,
@@ -180,6 +170,9 @@ type usageCollector struct {
 	// pending holds, under admission, the keys buffered records named
 	// themselves (derived keys cannot repeat in a stream); see add.
 	pending map[pendingKey]bool
+	// keys is where priceRecord derives keys; it outlives the stream with
+	// the pooled collector.
+	keys KeyArena
 }
 
 // pendingKey names an idempotency key within its tenant.

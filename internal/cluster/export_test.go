@@ -9,3 +9,17 @@ import "net/http"
 func (f *Follower) SetTransport(rt http.RoundTripper) {
 	f.client.HTTPClient = &http.Client{Transport: rt}
 }
+
+// AckedShards is how many shards s holds a follower's pull position for.
+func (s *Source) AckedShards() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.acked)
+}
+
+// SetTransport sends every request c makes of its nodes through rt.
+func (c *Client) SetTransport(rt http.RoundTripper) {
+	for _, nc := range c.clients {
+		nc.HTTPClient = &http.Client{Transport: rt}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -215,6 +216,80 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 		if sh.Seq == 0 {
 			t.Fatalf("shard %d still at seq 0 after compaction resync: %+v", sh.Shard, st)
 		}
+	}
+}
+
+// TestRefusedPullLeavesStatusUnchanged: /cluster/status reports what a
+// follower pulled, so a pull the primary refused — a segment never written
+// (404), one compacted away (410), a shard the ledger does not have (404) —
+// must not move it. Were it noted, a lagging standby would read as caught
+// up, and every shard number asked about would stay in the acked map.
+func TestRefusedPullLeavesStatusUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	led, primary := newPrimary(t, primaryCfg(dir))
+	src := cluster.NewSource(dir, cluster.SourceConfig{MaxWait: 50 * time.Millisecond, Poll: 2 * time.Millisecond})
+	ts := httptest.NewServer(src)
+	t.Cleanup(ts.Close)
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	firstSegment := func() ledger.SegmentInfo {
+		t.Helper()
+		var list ledger.Listing
+		if _, body := get("/cluster/segments"); json.Unmarshal([]byte(body), &list) != nil || len(list.Segments) == 0 {
+			t.Fatalf("segments: %s", body)
+		}
+		return list.Segments[0]
+	}
+
+	streamRecords(t, primary.URL, "run-A", testRecords(t, 12, 150))
+	compacted := firstSegment()
+	if err := led.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	streamRecords(t, primary.URL, "run-B", testRecords(t, 12, 60))
+	live := firstSegment()
+
+	for _, pull := range []struct {
+		name   string
+		shard  int
+		seq    uint64
+		status int
+	}{
+		{"never written", live.Shard, live.Seq + 1000, http.StatusNotFound},
+		{"compacted", compacted.Shard, compacted.Seq, http.StatusGone},
+		{"no such shard", 999, live.Seq, http.StatusNotFound},
+	} {
+		_, before := get("/cluster/status")
+		code, body := get(fmt.Sprintf("/cluster/wal?shard=%d&seq=%d&off=5", pull.shard, pull.seq))
+		if code != pull.status {
+			t.Fatalf("%s: pull answered %d (%s), want %d", pull.name, code, body, pull.status)
+		}
+		if _, after := get("/cluster/status"); after != before {
+			t.Errorf("%s: a refused pull moved /cluster/status\n before %s\n after  %s", pull.name, before, after)
+		}
+		if n := src.AckedShards(); n != 0 {
+			t.Errorf("%s: a refused pull left %d acked shards", pull.name, n)
+		}
+	}
+
+	// A pull of a live segment is noted, and the checks above would see it.
+	_, before := get("/cluster/status")
+	if code, _ := get(fmt.Sprintf("/cluster/wal?shard=%d&seq=%d&off=%d", live.Shard, live.Seq, live.Size)); code != http.StatusOK {
+		t.Fatalf("live pull answered %d", code)
+	}
+	if _, after := get("/cluster/status"); after == before || src.AckedShards() != 1 {
+		t.Errorf("a live pull went unnoted: %s, %d acked shards", after, src.AckedShards())
 	}
 }
 

@@ -148,7 +148,8 @@ type usageForward struct {
 	resp      api.UsageStreamResponse
 	sums      map[string]api.TenantSummary
 	batches   map[string]*ownerBatch
-	failed    error // the first forward that failed
+	failed    error        // the first forward that failed
+	keys      api.KeyArena // derived keys; each lives until its record is encoded
 }
 
 func (c *Client) newUsageForward(ctx context.Context, wire api.WireFormat, streamKey string, batchSize int) *usageForward {
@@ -162,9 +163,10 @@ func (c *Client) newUsageForward(ctx context.Context, wire api.WireFormat, strea
 // add partitions one record to its owner's batch, flushing at the batch
 // threshold. The record is encoded on the spot, so rec may be a reused
 // scratch record — and must be the caller's own: a keyless one is stamped
-// with its derived key. It returns false when the scatter must stop (a
-// forward failed — like a single node whose stream died mid-way, the caller
-// stops reading and reports what every node accepted so far).
+// with its derived key, carved from f.keys, which nothing keeps past the
+// encoding. It returns false when the scatter must stop (a forward failed —
+// like a single node whose stream died mid-way, the caller stops reading and
+// reports what every node accepted so far).
 func (f *usageForward) add(rec *api.UsageRecord, lineNo int) bool {
 	name := f.c.ring.Owner(rec.Tenant).Name
 	b := f.batches[name]
@@ -176,7 +178,7 @@ func (f *usageForward) add(rec *api.UsageRecord, lineNo int) bool {
 	// cluster and a single node agree on every derived key; the sub-streams
 	// go out keyless.
 	if rec.Key == "" && f.streamKey != "" {
-		rec.Key = api.DerivedKey(f.streamKey, lineNo)
+		rec.Key = f.keys.Derived(f.streamKey, lineNo)
 	}
 	body, err := api.AppendUsageRecord(b.body, f.wire, rec)
 	if err != nil {

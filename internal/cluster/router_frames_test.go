@@ -325,3 +325,76 @@ func TestRouterReaderFailsMidStream(t *testing.T) {
 		})
 	}
 }
+
+// handlerTransport answers each request in-process, on the caller's
+// goroutine, with the handler registered for its host.
+type handlerTransport map[string]http.Handler
+
+func (ht handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	ht[r.URL.Host].ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// TestRouterKeyedScatterAllocs pins what the router's scatter of a keyless
+// frame stream under a stream key allocates on the warm path, nodes
+// included: the router derives every record's key and each node decodes it,
+// both from shared chunks, so the stream costs far fewer allocations than it
+// has records; a string made per key would cost at least two per record.
+// Router and nodes run in-process on this goroutine, as
+// TestIngestSteadyStateAllocs runs a node.
+func TestRouterKeyedScatterAllocs(t *testing.T) {
+	nodes := make([]cluster.Node, 3)
+	transport := handlerTransport{}
+	for i := range nodes {
+		srv, err := api.New(api.Config{Calibration: apitest.Calibration(), Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = cluster.Node{Name: fmt.Sprintf("node%d", i), URL: fmt.Sprintf("http://node%d", i)}
+		transport[nodes[i].Name] = srv
+	}
+	cc, err := cluster.NewClient(nodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.SetTransport(transport)
+	// One forward per owner: what a forward allocates is a per-stream cost,
+	// and a batch that covers the stream keeps it one.
+	const lines = 4096
+	router := cluster.NewRouter(cc, cluster.RouterConfig{BatchSize: lines})
+
+	records := make([]api.UsageRecord, lines)
+	for i := range records {
+		records[i] = usageRecord(t, fmt.Sprintf("tenant-%03d", i%16), 128+(i%4)*64, i%7, "")
+	}
+	body, err := api.EncodeUsageStream(api.WireFrames, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() api.UsageStreamResponse {
+		req := httptest.NewRequest(http.MethodPost, "/v3/usage", bytes.NewReader(body))
+		req.Header.Set("Content-Type", api.ContentTypeFrames)
+		req.Header.Set("Idempotency-Key", "stream-key")
+		rec := httptest.NewRecorder()
+		router.ServeHTTP(rec, req)
+		var out api.UsageStreamResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("status %d, %v: %s", rec.Code, err, rec.Body)
+		}
+		return out
+	}
+	// The first post bills every record; the measured ones are its retries,
+	// every record a duplicate — same scatter, same keys.
+	if out := post(); out.Accepted != lines {
+		t.Fatalf("first post = %+v", out)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if out := post(); out.Duplicates != lines {
+			t.Fatalf("retry = %+v", out)
+		}
+	})
+	if avg >= lines/8 {
+		t.Errorf("a warm %d-record keyed scatter allocates %.0f objects, want < %d", lines, avg, lines/8)
+	}
+}

@@ -43,8 +43,9 @@ import (
 //
 // Acked offsets are inferred from the pull protocol itself: a follower
 // requesting (seq Q, off O) has durably applied everything before (Q, O),
-// so the last requested position is the replication watermark — no
-// explicit ack round-trip needed.
+// so the last position requested of a listed segment is the replication
+// watermark — no explicit ack round-trip needed. A refused pull (404, 410)
+// is not a position.
 type Source struct {
 	//litmus:unguarded immutable after NewSource
 	dir string
@@ -57,7 +58,8 @@ type Source struct {
 	//litmus:unguarded immutable after NewSource
 	poll time.Duration
 
-	// mu guards acked, the per-shard last-pulled positions.
+	// mu guards acked, the per-shard last-pulled positions; only shards with
+	// a listed segment get an entry.
 	mu    sync.Mutex
 	acked map[int]ackState //litmus:guarded-by mu
 }
@@ -179,8 +181,6 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad off", http.StatusBadRequest)
 		return
 	}
-	s.noteAck(shard, seq, off)
-
 	ls, err := ledger.ReadListing(s.dir)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -195,6 +195,10 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown segment", http.StatusNotFound)
 		return
 	}
+	// Only a pull of a live segment is a position: a refused one says
+	// nothing about what the follower holds, and noting any shard number
+	// would grow acked without bound.
+	s.noteAck(shard, seq, off)
 	f, err := os.Open(seg.Path)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
