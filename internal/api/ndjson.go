@@ -31,6 +31,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/core"
+	"repro/internal/jsonnum"
 )
 
 // lineDecoder decodes NDJSON usage lines of the strict subset with zero
@@ -331,18 +332,7 @@ func appendStringField(dst []byte, name, s string) []byte {
 }
 
 // appendFloatField appends name and f formatted as encoding/json formats a
-// float64: ES6 number-to-string, 'e' below 1e-6 and from 1e21, and a
-// negative exponent's leading zero dropped (e-09 → e-9).
+// float64.
 func appendFloatField(dst []byte, name string, f float64) []byte {
-	dst = append(dst, name...)
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
+	return jsonnum.AppendFloat(append(dst, name...), f)
 }

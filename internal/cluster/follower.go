@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,6 +21,10 @@ import (
 // on the primary: every tailer stops and the follower re-bootstraps from the
 // primary's newest snapshot.
 var errResync = errors.New("cluster: replication position compacted; re-bootstrapping from snapshot")
+
+// ErrProtocol is Bootstrap's refusal of a primary that speaks another
+// replication protocol, or none, which it would tail into a silent stall.
+var ErrProtocol = errors.New("cluster: primary speaks a different replication protocol")
 
 // FollowerConfig parameterises a Follower; zero values select the defaults.
 type FollowerConfig struct {
@@ -90,14 +95,19 @@ func NewFollower(primary string, cfg FollowerConfig) *Follower {
 }
 
 // Bootstrap fetches the primary's ledger shape and newest snapshot and
-// builds the standby ledger. It must complete before Run, Ledger, Status,
-// Handler or Promote.
+// builds the standby ledger, refusing with ErrProtocol a primary whose
+// replication protocol is not this build's. It must complete before Run,
+// Ledger, Status, Handler or Promote.
 func (f *Follower) Bootstrap(ctx context.Context) error {
-	var meta ledger.Meta
+	var meta metaBody
 	if err := f.client.Get(ctx, "/cluster/meta", &meta); err != nil {
 		return fmt.Errorf("cluster: fetching primary meta: %w", err)
 	}
-	led, err := ledger.NewReplica(meta, f.cfg.MaxTenants)
+	if meta.Protocol != Protocol {
+		return fmt.Errorf("%w: %s speaks protocol %d (0: a build that names none), this build %d; run primary and standby from one build",
+			ErrProtocol, f.client.BaseURL, meta.Protocol, Protocol)
+	}
+	led, err := ledger.NewReplica(meta.Meta, f.cfg.MaxTenants)
 	if err != nil {
 		return fmt.Errorf("cluster: building standby ledger: %w", err)
 	}
@@ -221,9 +231,10 @@ func (f *Follower) tailAll(ctx context.Context) error {
 }
 
 // tailShard pulls one shard's WAL frames forever: stream from the current
-// position, apply every complete frame, hop to the next segment when the
-// current one is sealed and drained. It returns only on ctx cancellation,
-// errResync, or corrupt bytes (also errResync — the snapshot is authority).
+// position, apply every complete frame, and move to the next segment when
+// the primary ends a stream with X-Wal-Next. It returns only on ctx
+// cancellation, errResync, or corrupt bytes (also errResync — the snapshot
+// is authority).
 func (f *Follower) tailShard(ctx context.Context, shard int) error {
 	var tail []byte // undecoded remainder of the current segment
 	for {
@@ -231,7 +242,7 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 			return ctx.Err()
 		}
 		pos := f.getPos(shard)
-		n, status, err := f.pullOnce(ctx, shard, pos, &tail)
+		n, status, next, err := f.pullOnce(ctx, shard, pos, &tail)
 		if err != nil && ctx.Err() == nil && !errors.Is(err, errResync) {
 			f.setErr(err)
 		}
@@ -242,32 +253,14 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 			return errResync
 		case status == http.StatusGone:
 			return errResync
-		}
-		// Hop to the successor only on positive proof of drainage. A pull
-		// that consumed 0 bytes is NOT that proof by itself: a transport
-		// error or a non-200 also reads nothing yet says nothing about what
-		// remains, and even a clean quiet-timeout pull's evidence is stale
-		// if the primary appends and rotates before the listing is fetched.
-		// So the pull must have ended cleanly, and the primary's listing
-		// must both seal the segment and show every listed byte is already
-		// held here — sealed segments never grow, so off >= size is stable.
-		if n == 0 && err == nil && status == http.StatusOK {
-			var list ledger.Listing
-			if f.client.Get(ctx, "/cluster/segments", &list) == nil {
-				switch seg := list.Find(shard, pos.Seq); {
-				case seg.Gone:
-					// Compacted mid-tail — same as 410.
-					return errResync
-				case seg.Sealed && pos.Off+int64(len(tail)) >= seg.Size:
-					if len(tail) != 0 {
-						// A drained sealed segment ends on a frame
-						// boundary; leftover bytes are corruption.
-						return errResync
-					}
-					f.setPos(shard, tailPos{Seq: seg.Next})
-					continue
-				}
+		case next != 0:
+			// The primary read the sealed segment to its end, which is a
+			// frame boundary: leftover bytes are corruption.
+			if len(tail) != 0 {
+				return errResync
 			}
+			f.setPos(shard, tailPos{Seq: next})
+			continue
 		}
 		if n == 0 {
 			if !sleepCtx(ctx, f.cfg.Poll) {
@@ -279,24 +272,26 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 
 // pullOnce opens one /cluster/wal stream at pos and applies frames until the
 // stream ends, advancing the shard position as complete frames decode. It
-// returns the bytes consumed (applied) and the HTTP status.
+// returns the bytes consumed (applied), the HTTP status, and the seq the
+// stream's X-Wal-Next trailer names — 0 unless the stream ended cleanly
+// with one, which only a sealed segment read to its end does.
 //
 //litmus:allow-accrue the WAL tail applies the primary's already-decided outcomes; nothing is re-priced
-func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[]byte) (consumed int64, status int, err error) {
+func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[]byte) (consumed int64, status int, next uint64, err error) {
 	u := fmt.Sprintf("%s/cluster/wal?shard=%d&seq=%d&off=%d",
 		f.client.BaseURL, shard, pos.Seq, pos.Off+int64(len(*tail)))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	resp, err := f.client.HTTPClient.Do(req)
 	if err != nil {
-		return 0, 0, fmt.Errorf("cluster: pulling wal shard %d: %w", shard, err)
+		return 0, 0, 0, fmt.Errorf("cluster: pulling wal shard %d: %w", shard, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
-		return 0, resp.StatusCode, nil
+		return 0, resp.StatusCode, 0, nil
 	}
 	buf := make([]byte, 32<<10)
 	for {
@@ -306,7 +301,7 @@ func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[
 			recs, used, derr := ledger.DecodeWAL(*tail)
 			for _, rec := range recs {
 				if aerr := f.led.ApplyReplica(rec); aerr != nil {
-					return consumed, resp.StatusCode, fmt.Errorf("%w (apply: %v)", errResync, aerr)
+					return consumed, resp.StatusCode, 0, fmt.Errorf("%w (apply: %v)", errResync, aerr)
 				}
 			}
 			if used > 0 {
@@ -317,14 +312,20 @@ func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[
 			// A tail that merely ends inside a frame waits for the next
 			// read; any other verdict is damage more bytes cannot repair.
 			if derr != nil && !errors.Is(derr, frame.ErrShort) {
-				return consumed, resp.StatusCode, fmt.Errorf("%w (decode: %v)", errResync, derr)
+				return consumed, resp.StatusCode, 0, fmt.Errorf("%w (decode: %v)", errResync, derr)
 			}
 		}
 		if rerr == io.EOF {
-			return consumed, resp.StatusCode, nil
+			// Trailers are read with the body's EOF, and only then.
+			if v := resp.Trailer.Get(walNextTrailer); v != "" {
+				if next, err = strconv.ParseUint(v, 10, 64); err != nil || next <= pos.Seq {
+					return consumed, resp.StatusCode, 0, fmt.Errorf("cluster: wal stream shard %d: bad %s trailer %q", shard, walNextTrailer, v)
+				}
+			}
+			return consumed, resp.StatusCode, next, nil
 		}
 		if rerr != nil {
-			return consumed, resp.StatusCode, fmt.Errorf("cluster: wal stream shard %d: %w", shard, rerr)
+			return consumed, resp.StatusCode, 0, fmt.Errorf("cluster: wal stream shard %d: %w", shard, rerr)
 		}
 	}
 }

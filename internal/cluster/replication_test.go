@@ -11,11 +11,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,6 +70,15 @@ func newFollower(t *testing.T, primaryURL string) (*cluster.Follower, context.Ca
 // keeps the client NewFollower built).
 func newFollowerVia(t *testing.T, primaryURL string, rt http.RoundTripper) (*cluster.Follower, context.CancelFunc) {
 	t.Helper()
+	f := bootstrapFollower(t, primaryURL, rt)
+	return f, runFollower(t, f)
+}
+
+// bootstrapFollower builds a follower of primaryURL speaking through rt (nil
+// keeps the client NewFollower built) and bootstraps it, without starting
+// it: what the primary does next is what the follower will tail.
+func bootstrapFollower(t *testing.T, primaryURL string, rt http.RoundTripper) *cluster.Follower {
+	t.Helper()
 	f := cluster.NewFollower(primaryURL, cluster.FollowerConfig{MaxTenants: 64, Poll: 2 * time.Millisecond})
 	if rt != nil {
 		f.SetTransport(rt)
@@ -75,6 +86,13 @@ func newFollowerVia(t *testing.T, primaryURL string, rt http.RoundTripper) (*clu
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+// runFollower starts f tailing. The returned cancel pauses replication (and
+// is safe to call twice).
+func runFollower(t *testing.T, f *cluster.Follower) context.CancelFunc {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -82,24 +100,20 @@ func newFollowerVia(t *testing.T, primaryURL string, rt http.RoundTripper) (*clu
 		f.Run(ctx)
 	}()
 	t.Cleanup(func() { cancel(); <-done })
-	return f, func() { cancel(); <-done }
+	return func() { cancel(); <-done }
 }
 
 // waitCaughtUp polls until the follower's applied positions reach the end
-// of every live WAL segment (the primary must be quiescent).
-func waitCaughtUp(t *testing.T, f *cluster.Follower, base string) {
+// of every live WAL segment in the primary's data directory (the primary
+// must be quiescent).
+func waitCaughtUp(t *testing.T, f *cluster.Follower, primary *ledger.Ledger) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		var list ledger.Listing
-		resp, err := http.Get(base + "/cluster/segments")
+		list, err := ledger.ReadSizedListing(primary.Durability().Dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
 		// The head position per shard: the newest segment and its size.
 		head := map[int]ledger.SegmentInfo{}
 		for _, seg := range list.Segments {
@@ -143,7 +157,7 @@ func TestFollowerMirrorsPrimary(t *testing.T) {
 	f, _ := newFollower(t, ts.URL)
 
 	streamRecords(t, ts.URL, "run-A", testRecords(t, 16, 240))
-	waitCaughtUp(t, f, ts.URL)
+	waitCaughtUp(t, f, led)
 
 	// The standby is observably identical — counters included.
 	if err := ledgertest.Diff(led, f.Ledger()); err != nil {
@@ -174,7 +188,7 @@ func TestFollowerMirrorsPrimary(t *testing.T) {
 
 	// More traffic while the follower keeps tailing: still identical.
 	streamRecords(t, ts.URL, "run-B", testRecords(t, 16, 120))
-	waitCaughtUp(t, f, ts.URL)
+	waitCaughtUp(t, f, led)
 	if err := ledgertest.Diff(led, f.Ledger()); err != nil {
 		t.Fatalf("standby diverged after second stream: %v", err)
 	}
@@ -185,7 +199,7 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 	f, pause := newFollower(t, ts.URL)
 
 	streamRecords(t, ts.URL, "run-A", testRecords(t, 12, 150))
-	waitCaughtUp(t, f, ts.URL)
+	waitCaughtUp(t, f, led)
 
 	// Pause replication, then move the primary past the follower's horizon:
 	// new traffic plus a snapshot that compacts the segments the follower
@@ -198,16 +212,10 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 
 	// Resume: the stale positions come back 410 Gone, the follower
 	// re-bootstraps from the snapshot and catches up.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		f.Run(ctx)
-	}()
-	t.Cleanup(func() { cancel(); <-done })
+	runFollower(t, f)
 
 	streamRecords(t, ts.URL, "run-C", testRecords(t, 12, 60))
-	waitCaughtUp(t, f, ts.URL)
+	waitCaughtUp(t, f, led)
 	if err := ledgertest.Diff(led, f.Ledger()); err != nil {
 		t.Fatalf("standby diverged after resync: %v", err)
 	}
@@ -245,9 +253,9 @@ func TestRefusedPullLeavesStatusUnchanged(t *testing.T) {
 	}
 	firstSegment := func() ledger.SegmentInfo {
 		t.Helper()
-		var list ledger.Listing
-		if _, body := get("/cluster/segments"); json.Unmarshal([]byte(body), &list) != nil || len(list.Segments) == 0 {
-			t.Fatalf("segments: %s", body)
+		list, err := ledger.ReadSizedListing(dir)
+		if err != nil || len(list.Segments) == 0 {
+			t.Fatalf("segments: %+v, %v", list, err)
 		}
 		return list.Segments[0]
 	}
@@ -293,98 +301,197 @@ func TestRefusedPullLeavesStatusUnchanged(t *testing.T) {
 	}
 }
 
-// TestFollowerNoHopOnUndrainedSeal pins the segment-hop guard: a pull that
-// consumed 0 bytes is not proof the segment was drained. The proxy here
-// degrades each shard's first WAL pulls — a clean-but-empty 200, then a
-// 503 — while every segment listing advertises a phantom successor, so
-// each pull looks exactly like "the segment is sealed and I read nothing".
-// A follower that hops on that evidence alone silently skips the whole
-// segment and loses its bills; the guard must instead keep pulling until
-// it holds every listed byte, then hop, leaving the standby identical.
-func TestFollowerNoHopOnUndrainedSeal(t *testing.T) {
-	led, ts := newPrimary(t, primaryCfg(t.TempDir()))
-	streamRecords(t, ts.URL, "run-A", testRecords(t, 16, 240))
-
-	pass := func(w http.ResponseWriter, r *http.Request) {
-		u := ts.URL + r.URL.Path
-		if r.URL.RawQuery != "" {
-			u += "?" + r.URL.RawQuery
-		}
-		resp, err := http.Get(u)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		for k, vv := range resp.Header {
-			for _, v := range vv {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
+// forward relays r to the primary at base, trailers included.
+func forward(w http.ResponseWriter, r *http.Request, base string) {
+	resp, err := http.Get(base + r.URL.RequestURI())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
 	}
+	defer resp.Body.Close()
+	for k, vv := range resp.Header {
+		w.Header()[k] = vv
+	}
+	w.WriteHeader(resp.StatusCode)
+	_, _ = io.Copy(w, resp.Body)
+	for k, vv := range resp.Trailer {
+		w.Header()[http.TrailerPrefix+k] = vv
+	}
+}
+
+// TestFollowerNoHopOnUndrainedSeal pins the segment-hop rule: a follower
+// moves to a shard's next segment only on the X-Wal-Next trailer, which the
+// source sends after reading a sealed segment to its end. The primary has
+// real next segments (Archive, and a snapshot taken after the follower
+// bootstrapped at seq 0), and the proxy degrades each shard's first three
+// pulls of its sealed segment: a clean, empty 200 with no trailer, a 503,
+// and the real stream cut short so its trailer never arrives. Each reads
+// like "sealed, nothing left" to a follower that guesses; every one must
+// leave it on seq 0, and once the pulls pass the standby must equal the
+// primary.
+func TestFollowerNoHopOnUndrainedSeal(t *testing.T) {
+	cfg := primaryCfg(t.TempDir())
+	cfg.Archive = true
+	led, ts := newPrimary(t, cfg)
 
 	var mu sync.Mutex
-	pulls := map[string]int{}
+	pulls := map[string][]string{} // per shard, the seq of every WAL pull
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/cluster/wal":
-			mu.Lock()
-			n := pulls[r.URL.Query().Get("shard")]
-			pulls[r.URL.Query().Get("shard")] = n + 1
-			mu.Unlock()
-			switch n {
-			case 0:
-				// Indistinguishable from a quiet-timeout pull of a drained
-				// segment — except nothing was delivered.
-				w.WriteHeader(http.StatusOK)
-			case 1:
-				// A transient outage: zero bytes consumed, non-200.
-				http.Error(w, "unavailable", http.StatusServiceUnavailable)
-			default:
-				pass(w, r)
+		if r.URL.Path != "/cluster/wal" {
+			forward(w, r, ts.URL)
+			return
+		}
+		shard, seq := r.URL.Query().Get("shard"), r.URL.Query().Get("seq")
+		mu.Lock()
+		sealedPulls := 0
+		for _, s := range pulls[shard] {
+			if s == "0" {
+				sealedPulls++
 			}
-		case "/cluster/segments":
-			resp, err := http.Get(ts.URL + "/cluster/segments")
+		}
+		pulls[shard] = append(pulls[shard], seq)
+		mu.Unlock()
+		if seq != "0" {
+			forward(w, r, ts.URL)
+			return
+		}
+		switch sealedPulls {
+		case 0:
+			// A clean, empty 200: what a quiet-timeout pull looks like.
+			w.WriteHeader(http.StatusOK)
+		case 1:
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+		case 2:
+			// The sealed segment's real stream, cut at half its bytes
+			// (mid-frame, as likely as not): a clean end, no trailer.
+			resp, err := http.Get(ts.URL + r.URL.RequestURI())
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadGateway)
 				return
 			}
-			var list ledger.Listing
-			derr := json.NewDecoder(resp.Body).Decode(&list)
-			resp.Body.Close()
-			if derr != nil {
-				http.Error(w, derr.Error(), http.StatusBadGateway)
-				return
-			}
-			// A phantom successor per shard: every real segment always
-			// looks sealed while it still has bytes to give.
-			fake := uint64(0)
-			shards := map[int]bool{}
-			for _, seg := range list.Segments {
-				shards[seg.Shard] = true
-				if seg.Seq >= fake {
-					fake = seg.Seq + 1
-				}
-			}
-			for shard := range shards {
-				list.Segments = append(list.Segments, ledger.SegmentInfo{Shard: shard, Seq: fake})
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(list)
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			w.WriteHeader(resp.StatusCode)
+			_, _ = w.Write(body[:len(body)/2])
 		default:
-			pass(w, r)
+			forward(w, r, ts.URL)
 		}
 	}))
 	t.Cleanup(proxy.Close)
 
-	f, _ := newFollower(t, proxy.URL)
-	// Caught up here means every shard hopped onto the phantom successor —
-	// which the guard only allows after the real segment fully applied.
-	waitCaughtUp(t, f, proxy.URL)
+	streamRecords(t, ts.URL, "run-A", testRecords(t, 16, 240))
+	f := bootstrapFollower(t, proxy.URL, nil) // no snapshot yet: every shard at seq 0
+	if err := led.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	streamRecords(t, ts.URL, "run-B", testRecords(t, 16, 120))
+	runFollower(t, f)
+
+	// Caught up means every shard moved onto seq 1 and applied it.
+	waitCaughtUp(t, f, led)
 	if err := ledgertest.Diff(led, f.Ledger()); err != nil {
 		t.Fatalf("standby diverged — a degraded pull hopped past unapplied WAL bytes: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(pulls) != cfg.Shards {
+		t.Fatalf("WAL pulls reached %d shards, want %d: %v", len(pulls), cfg.Shards, pulls)
+	}
+	for shard, seqs := range pulls {
+		// Three degraded pulls and at least one that passed, all of seq 0,
+		// before the first pull of anything else.
+		first := slices.IndexFunc(seqs, func(s string) bool { return s != "0" })
+		if first < 4 {
+			t.Errorf("shard %s left seq 0 after %d pulls, 3 of them degraded: %v", shard, first, seqs)
+		}
+	}
+}
+
+// TestFollowerHopsSealedSegments: a follower tailing a primary that
+// snapshots moves from each sealed segment to the next on the source's
+// X-Wal-Next trailer, live, with no re-bootstrap. Archive keeps every
+// segment, so none the follower still has to read is compacted away; each
+// snapshot seals segments the follower is long-polling at their end.
+func TestFollowerHopsSealedSegments(t *testing.T) {
+	cfg := primaryCfg(t.TempDir())
+	cfg.Archive = true
+	led, ts := newPrimary(t, cfg)
+	var mu sync.Mutex
+	requests := map[string]int{}
+	f, _ := newFollowerVia(t, ts.URL, roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		mu.Lock()
+		requests[r.URL.Path]++
+		mu.Unlock()
+		return api.DefaultTransport().RoundTrip(r)
+	}))
+
+	for i, key := range []string{"run-A", "run-B", "run-C"} {
+		if i > 0 {
+			if err := led.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		streamRecords(t, ts.URL, key, testRecords(t, 12, 100))
+		waitCaughtUp(t, f, led)
+	}
+	if err := ledgertest.Diff(led, f.Ledger()); err != nil {
+		t.Fatalf("standby diverged across segment hops: %v", err)
+	}
+	st := f.Status()
+	for _, sh := range st.Shards {
+		if sh.Seq != 2 {
+			t.Errorf("shard %d ended at seq %d, want 2: %+v", sh.Shard, sh.Seq, st)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// Bootstrap's fetch is the only one: every segment change was a hop.
+	if n := requests["/cluster/snapshot"]; n != 1 {
+		t.Errorf("/cluster/snapshot fetched %d times, want 1 (a hop re-bootstrapped): %v", n, requests)
+	}
+	t.Logf("requests to the primary: %v", requests)
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestFollowerRefusesOtherProtocol: a follower must refuse at Bootstrap a
+// primary whose replication protocol is not its own — one that names none
+// (every build before the number existed served bare ledger.Meta) or names
+// another — instead of tailing a wire it would misread and stalling with
+// its lag growing. It asks for nothing past /cluster/meta.
+func TestFollowerRefusesOtherProtocol(t *testing.T) {
+	for name, body := range map[string]string{
+		"parent's bare meta": `{"shards":3,"windowMinutes":2,"maxKeys":4096}`,
+		"another number":     fmt.Sprintf(`{"shards":3,"windowMinutes":2,"maxKeys":4096,"protocol":%d}`, cluster.Protocol+1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			var asked []string
+			stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				asked = append(asked, r.URL.Path)
+				mu.Unlock()
+				if r.URL.Path != "/cluster/meta" {
+					http.NotFound(w, r)
+					return
+				}
+				w.Header().Set("Content-Type", "application/json")
+				_, _ = io.WriteString(w, body)
+			}))
+			t.Cleanup(stub.Close)
+
+			err := cluster.NewFollower(stub.URL, cluster.FollowerConfig{}).Bootstrap(context.Background())
+			if !errors.Is(err, cluster.ErrProtocol) {
+				t.Fatalf("Bootstrap against %s = %v, want ErrProtocol", body, err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !slices.Equal(asked, []string{"/cluster/meta"}) {
+				t.Errorf("a refused bootstrap asked the primary for %v", asked)
+			}
+		})
 	}
 }
 
@@ -402,7 +509,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 	recordsB := testRecords(t, 20, 90)
 
 	respA := streamRecords(t, ts.URL, "run-A", recordsA)
-	waitCaughtUp(t, f, ts.URL)
+	waitCaughtUp(t, f, led)
 
 	// The write gate: a standby refuses ingest (503 per line, counted as
 	// Dropped) while serving replicated reads.
@@ -544,7 +651,7 @@ func TestFollowerTailShortVersusCorrupt(t *testing.T) {
 			t.Cleanup(proxy.Close)
 
 			f, _ := newFollower(t, proxy.URL)
-			waitCaughtUp(t, f, proxy.URL)
+			waitCaughtUp(t, f, led)
 			if err := ledgertest.Diff(led, f.Ledger()); err != nil {
 				t.Fatalf("standby diverged: %v", err)
 			}
@@ -564,10 +671,10 @@ func TestFollowerTailShortVersusCorrupt(t *testing.T) {
 
 // TestFollowerReusesConnections: the follower's default client pools a
 // connection per shard tailer. A quiescent 16-shard primary is long-polled
-// for 20 pull rounds per shard (each a /cluster/wal stream plus a
-// /cluster/segments check); http.DefaultClient keeps two idle connections per
-// host, so it redialled nearly every request — 160 connections in 1.5 s on
-// the run that found this.
+// for 20 pull rounds per shard (each one /cluster/wal stream);
+// http.DefaultClient keeps two idle connections per host, so it redialled
+// nearly every request — 160 connections in 1.5 s on the run that found
+// this.
 func TestFollowerReusesConnections(t *testing.T) {
 	const shards, rounds = 16, 20
 	cfg := primaryCfg(t.TempDir())

@@ -16,20 +16,18 @@ import (
 // Replication protocol — the primary side. A Source serves a durable
 // ledger's data directory to followers over plain HTTP:
 //
-//	GET /cluster/meta     — the ledger's shape (ledger.Meta JSON); the
-//	                        follower builds its standby ledger from it
+//	GET /cluster/meta     — the ledger's shape (ledger.Meta's fields) and
+//	                        Protocol; the follower checks the one and
+//	                        builds its standby ledger from the other
 //	GET /cluster/snapshot — the newest snapshot document, raw bytes, with
 //	                        its generation in X-Snapshot-Gen (404: none yet)
-//	GET /cluster/segments — the live WAL positions: every segment's
-//	                        (shard, seq, size) plus the snapshot generation
-//	                        (ledger.Listing JSON; the follower asks it the
-//	                        same Find the primary asks its own directory)
 //	GET /cluster/wal?shard=S&seq=Q&off=O — chunked stream of raw CRC-framed
 //	                        WAL bytes from offset O of segment (S, Q),
 //	                        tail-following the file while it grows; the
-//	                        stream ends when the segment is sealed (a newer
-//	                        seq exists — drain to EOF and move on) or after
-//	                        MaxWait of silence (reconnect to keep tailing).
+//	                        stream ends after MaxWait of silence, or, once
+//	                        the segment is sealed and read to its end, with
+//	                        an X-Wal-Next trailer naming the seq the shard
+//	                        continues at — the only evidence to hop on.
 //	                        410 Gone: the segment was compacted away —
 //	                        re-bootstrap from the snapshot.
 //	GET /cluster/status   — per-shard acked offsets and lag bytes (the
@@ -71,6 +69,20 @@ type ackState struct {
 	Unix int64
 }
 
+// Protocol numbers the wire a Source serves; it changes whenever a follower
+// of one build could misread a primary of another. Builds that served no
+// number spoke protocol 1.
+const Protocol = 2
+
+// walNextTrailer is the trailer that ends a sealed segment's WAL stream.
+const walNextTrailer = "X-Wal-Next"
+
+// metaBody is the /cluster/meta body.
+type metaBody struct {
+	ledger.Meta
+	Protocol int `json:"protocol"`
+}
+
 // SourceConfig parameterises a Source; zero values select the defaults.
 type SourceConfig struct {
 	// MaxWait bounds one WAL response's tail-follow (default 2s).
@@ -102,8 +114,6 @@ func (s *Source) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleMeta(w, r)
 	case "/cluster/snapshot":
 		s.handleSnapshot(w, r)
-	case "/cluster/segments":
-		s.handleSegments(w, r)
 	case "/cluster/wal":
 		s.handleWAL(w, r)
 	case "/cluster/status":
@@ -119,7 +129,7 @@ func (s *Source) handleMeta(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("reading meta: %v", err), http.StatusServiceUnavailable)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, m)
+	api.WriteJSON(w, http.StatusOK, metaBody{Meta: m, Protocol: Protocol})
 }
 
 // handleSnapshot streams the newest snapshot from one open descriptor: the
@@ -151,17 +161,6 @@ func (s *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Snapshot-Gen", strconv.FormatUint(ls.SnapshotGen, 10))
 	w.WriteHeader(http.StatusOK)
 	_, _ = io.Copy(w, f)
-}
-
-// handleSegments answers with the ledger's own directory listing
-// (ledger.Listing, one ledger.SegmentInfo per live WAL segment).
-func (s *Source) handleSegments(w http.ResponseWriter, r *http.Request) {
-	ls, err := ledger.ReadSizedListing(s.dir)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("listing segments: %v", err), http.StatusServiceUnavailable)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, ls)
 }
 
 func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
@@ -211,10 +210,12 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Trailer", walNextTrailer) // also keeps an empty body chunked
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	deadline := time.Now().Add(s.maxWait)
 	buf := make([]byte, 64<<10)
+	var next uint64 // the successor's seq, once the segment is sealed
 	for {
 		n, rerr := f.Read(buf)
 		if n > 0 {
@@ -229,12 +230,20 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 		if rerr != nil && rerr != io.EOF {
 			return
 		}
-		// EOF: the segment is drained. Stop when it is sealed (the follower
-		// has everything and moves to the next seq) or the follow budget is
-		// spent; otherwise wait for growth. Sealed is a question about names
-		// alone, so each poll spends one ReadDir and no stat.
-		if ls, err := ledger.ReadListing(s.dir); err != nil || ls.Find(shard, seq).Sealed {
+		if next != 0 {
+			// EOF after the seal: rotate wrote the segment's last bytes
+			// before creating its successor, so the follower holds them all.
+			w.Header().Set(walNextTrailer, strconv.FormatUint(next, 10))
 			return
+		}
+		// EOF: sealed is a question about names alone, so each poll spends
+		// one ReadDir and no stat. Sealed, it is read to EOF once more.
+		ls, err := ledger.ReadListing(s.dir)
+		if err != nil {
+			return
+		}
+		if next = ls.Find(shard, seq).Next; next != 0 {
+			continue
 		}
 		if time.Now().After(deadline) {
 			return

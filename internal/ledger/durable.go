@@ -82,9 +82,9 @@ type DurabilityStats struct {
 	Enabled bool   `json:"enabled"`
 	Dir     string `json:"dir,omitempty"`
 	Fsync   string `json:"fsync,omitempty"`
-	// WALBytes is the live WAL footprint (active segments plus recovered
-	// tails not yet compacted); WALRecords counts records appended since
-	// open; Syncs counts fsync syscalls issued.
+	// WALBytes is the live WAL footprint: the on-disk bytes of segments at
+	// or above LastSnapshotGen, from one listing; WALRecords counts records
+	// appended since open; Syncs counts fsync syscalls issued.
 	WALBytes   int64  `json:"walBytes"`
 	WALRecords uint64 `json:"walRecords"`
 	Syncs      uint64 `json:"syncs"`
@@ -129,8 +129,12 @@ func (l *Ledger) Durability() DurabilityStats {
 	if e, ok := d.lastSyncErr.Load().(string); ok {
 		st.LastSyncError = e
 	}
-	for _, w := range d.wals {
-		st.WALBytes += w.bytes()
+	if ls, err := ReadSizedListing(d.dir); err == nil {
+		for _, seg := range ls.Segments {
+			if seg.Seq >= st.LastSnapshotGen {
+				st.WALBytes += seg.Size
+			}
+		}
 	}
 	return st
 }
@@ -264,18 +268,13 @@ func (l *Ledger) openDurable() error {
 		if seg.Shard < 0 || seg.Shard >= len(l.shards) {
 			return fmt.Errorf("ledger: segment %s names shard %d of %d", seg.Path, seg.Shard, len(l.shards))
 		}
-		if seg.Seq < d.gen {
-			// Covered by the loaded snapshot. Without Archive this is a
-			// leftover from a crash between a snapshot's rename and its
-			// segment GC — re-collect it now, or it leaks forever (later
-			// snapshots only GC the segments they themselves rotate away).
-			if !l.cfg.Archive {
-				_ = os.Remove(seg.Path)
-			}
-			continue
+		if seg.Seq >= d.gen {
+			perShard[seg.Shard] = append(perShard[seg.Shard], seg)
 		}
-		perShard[seg.Shard] = append(perShard[seg.Shard], seg)
 	}
+	// Collect what the loaded snapshot covers, not what d.gen will pass:
+	// segments a crashed attempt rotated are uncovered history.
+	d.collect(ls, d.recovery.SnapshotGen)
 	for si, sh := range l.shards {
 		w := &walFile{shard: si, dir: dir, syncs: &d.syncs}
 		shardSegs := perShard[si] // already sorted by seq
@@ -306,12 +305,6 @@ func (l *Ledger) openDurable() error {
 			d.recovery.SegmentsReplayed++
 			d.recovery.RecordsReplayed += uint64(len(recs))
 			d.recovery.BytesReplayed += off
-			if i == len(shardSegs)-1 {
-				w.seq, w.size = seg.Seq, off
-			} else {
-				w.tail = append(w.tail, seg.Path)
-				w.tailSize += off
-			}
 		}
 		seq := d.gen
 		if len(shardSegs) > 0 {
@@ -338,6 +331,26 @@ func (l *Ledger) openDurable() error {
 	l.dur = d
 	d.start()
 	return nil
+}
+
+// collect deletes, best-effort, every segment and snapshot in ls below
+// generation gen (Archive keeps everything): the one decision of which files
+// are dead, made after a commit and at recovery. A failed attempt's rotated
+// segments sit above the last commit until the next one collects them.
+func (d *durable) collect(ls Listing, gen uint64) {
+	if d.l.cfg.Archive {
+		return
+	}
+	for _, seg := range ls.Segments {
+		if seg.Seq < gen {
+			_ = os.Remove(seg.Path)
+		}
+	}
+	for _, g := range ls.snapshots {
+		if g < gen {
+			_ = os.Remove(snapshotPath(d.dir, g))
+		}
+	}
 }
 
 // start launches the background goroutines: the snapshotter (when automatic

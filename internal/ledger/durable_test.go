@@ -401,7 +401,8 @@ func TestDurableSnapshotFailureDoesNotWedge(t *testing.T) {
 			}
 			l.dur.snapSink = nil
 			// The failed attempt left no temp file, and every segment it
-			// rotated away is back in its shard's tail, still counted.
+			// rotated away is still on disk above the last committed
+			// generation, still counted.
 			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
 				t.Fatalf("temp files left behind: %v", tmps)
 			}
@@ -420,9 +421,9 @@ func TestDurableSnapshotFailureDoesNotWedge(t *testing.T) {
 			if d := l.Durability(); d.LastSnapshotGen != 2 || d.Snapshots != 1 {
 				t.Fatalf("durability after retry = %+v", d)
 			}
-			// The failed attempt's rotated-away segments went back into each
-			// shard's tail, so the successful retry collects them: nothing below
-			// gen 2 may survive, or a flaky disk leaks a segment per attempt.
+			// The failed attempt's rotated-away segments sit below the retry's
+			// generation, so its collection deletes them: nothing below gen 2
+			// may survive, or a flaky disk leaks a segment per attempt.
 			listing, err := ReadListing(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -644,5 +645,39 @@ func TestDurableRecoveryCollectsStaleSegments(t *testing.T) {
 	}
 	if st := r.Stats(); st.Accrued != 3 {
 		t.Fatalf("recovered stats = %+v", st)
+	}
+}
+
+// TestDurableRecoveryKeepsRotatedHistory: the segments a failed snapshot
+// attempt rotated sit above the last committed generation. Recovery starts
+// its next generation past them, but they are uncovered history: it may
+// collect only what the loaded snapshot covers, or the restart after next
+// loses them — and a shard the attempt never rotated loses its active
+// segment, with every record written into it since.
+func TestDurableRecoveryKeepsRotatedHistory(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, Shards: 4, Fsync: FsyncNever, SnapshotEvery: -1}
+	l := mustNew(t, cfg)
+	driveSmall(t, l)
+	// One write per shard: the first lands, the second fails, so two shards
+	// have rotated onto seq 1 and two have not.
+	l.dur.snapSink = func(w io.Writer) io.Writer { return &failAfter{w: w, n: 1} }
+	if err := l.Snapshot(); !errors.Is(err, ErrDurability) {
+		t.Fatalf("sabotaged snapshot: %v", err)
+	}
+	mustClose(t, l)
+
+	for restart := 1; restart <= 2; restart++ {
+		r := mustNew(t, cfg)
+		if rec := r.Durability().Recovery; rec.SnapshotGen != 0 || rec.SegmentsReplayed != 6 {
+			t.Fatalf("restart %d: recovery = %+v, want no snapshot and 6 segments (4 at seq 0, 2 at seq 1)", restart, rec)
+		}
+		if restart == 1 {
+			accrue(t, r, Entry{Tenant: "post", Pricer: "litmus", Minute: 2, Commercial: 1, Price: 1})
+		}
+		if st := r.Stats(); st.Accrued != 4 {
+			t.Fatalf("restart %d: stats = %+v, want the 3 records before the failed attempt and 1 after", restart, st)
+		}
+		mustClose(t, r)
 	}
 }

@@ -49,8 +49,9 @@
 // embedded in meta.json and in every snapshot document and served to
 // followers. Its state is the account and window types below, whose JSON
 // tags are the snapshot document's. Its directory is a Listing with one Find
-// verdict per segment (listing.go), which is also the replication source's
-// /cluster/segments body. And a ledger is rebuilt from bytes — crash
+// verdict per segment (listing.go), which only the process owning the
+// directory reads; no segment path is kept in memory. And a ledger is
+// rebuilt from bytes — crash
 // recovery, a standby's bootstrap, a standby's WAL tail — through one
 // restore/replay pair (replica.go).
 //

@@ -10,9 +10,9 @@ import (
 // A data directory holds meta.json (see Meta), snapshot-<gen>.json documents
 // and wal-<shard>-<seq>.log segments. This file is the naming contract in
 // both directions and the one answer to "what does the directory say":
-// recovery, snapshot GC, the replication source and — through the JSON tags,
-// which make Listing the /cluster/segments body — the follower all read it
-// from a Listing and ask Find about a single segment.
+// recovery, snapshot collection, the WALBytes gauge and the replication
+// source all read it from a Listing, which never leaves this process, and
+// ask Find about a single segment.
 
 func snapshotName(gen uint64) string { return fmt.Sprintf("snapshot-%08d.json", gen) }
 
@@ -28,12 +28,12 @@ func segmentPath(dir string, shard int, seq uint64) string {
 // segment belongs to, seq its rotation sequence (a snapshot at generation G
 // covers every segment with Seq < G).
 type SegmentInfo struct {
-	Shard int    `json:"shard"`
-	Seq   uint64 `json:"seq"`
+	Shard int
+	Seq   uint64
 	// Size is the segment's byte length when it was listed — final once a
 	// newer segment of the shard exists. Only ReadSizedListing fills it.
-	Size int64  `json:"size"`
-	Path string `json:"-"`
+	Size int64
+	Path string
 }
 
 // Listing is a data directory's durable state at one ReadDir, built by
@@ -42,10 +42,10 @@ type Listing struct {
 	// SnapshotGen is the newest committed snapshot's generation and
 	// SnapshotPath its file; 0 and "" on a young ledger that has not
 	// snapshotted yet (replication then starts at seq 0).
-	SnapshotGen  uint64 `json:"snapshotGen"`
-	SnapshotPath string `json:"-"`
+	SnapshotGen  uint64
+	SnapshotPath string
 	// Segments holds every WAL segment on disk sorted by (shard, seq).
-	Segments []SegmentInfo `json:"segments"`
+	Segments []SegmentInfo
 	// snapshots is every snapshot generation on disk, newest first; more
 	// than one only between a snapshot's rename and its GC, or with Archive.
 	snapshots []uint64
@@ -90,7 +90,7 @@ func ReadListing(dir string) (Listing, error) {
 
 // ReadSizedListing is ReadListing plus one stat per segment for its Size,
 // paid only by the readers of Size: recovery's torn-tail accounting, the
-// /cluster/segments body and the replication lag gauge.
+// WALBytes gauge and the replication lag gauge.
 func ReadSizedListing(dir string) (Listing, error) {
 	ls, err := ReadListing(dir)
 	if err != nil {
@@ -113,13 +113,11 @@ func ReadSizedListing(dir string) (Listing, error) {
 
 // SegmentVerdict is what a Listing says about one segment (shard, seq).
 type SegmentVerdict struct {
-	// Listed: the segment is on disk, at Path with Size bytes.
+	// Listed: the segment is on disk, at Path.
 	Listed bool
 	Path   string
-	Size   int64
-	// Sealed: the shard has a newer segment, so this one stopped growing and
-	// its Size is final; Next is the smallest newer seq, where a tail of the
-	// shard continues.
+	// Sealed: the shard has a newer segment, so this one stopped growing;
+	// Next is the smallest newer seq, where a tail of the shard continues.
 	Sealed bool
 	Next   uint64
 	// Gone: not listed although a successor or a newer snapshot exists — the
@@ -138,7 +136,7 @@ func (ls Listing) Find(shard int, seq uint64) SegmentVerdict {
 		}
 		switch {
 		case seg.Seq == seq:
-			v.Listed, v.Path, v.Size = true, seg.Path, seg.Size
+			v.Listed, v.Path = true, seg.Path
 		case seg.Seq > seq && (!v.Sealed || seg.Seq < v.Next):
 			v.Sealed, v.Next = true, seg.Seq
 		}

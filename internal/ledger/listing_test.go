@@ -1,14 +1,14 @@
 package ledger
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
-// TestListingFind pins the one verdict recovery, the replication source and
-// the follower all read a data directory through.
+// TestListingFind pins the one verdict recovery, snapshot collection and the
+// replication source all read a data directory through.
 func TestListingFind(t *testing.T) {
 	dir := t.TempDir()
 	for name, size := range map[string]int{
@@ -28,13 +28,13 @@ func TestListingFind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sized listing is the /cluster/segments body.
-	body, err := json.Marshal(ls)
-	if err != nil {
-		t.Fatal(err)
+	wantSegs := []SegmentInfo{
+		{Shard: 0, Seq: 2, Size: 5, Path: segmentPath(dir, 0, 2)},
+		{Shard: 0, Seq: 3, Size: 7, Path: segmentPath(dir, 0, 3)},
+		{Shard: 1, Seq: 3, Size: 0, Path: segmentPath(dir, 1, 3)},
 	}
-	if want := `{"snapshotGen":2,"segments":[{"shard":0,"seq":2,"size":5},{"shard":0,"seq":3,"size":7},{"shard":1,"seq":3,"size":0}]}`; string(body) != want {
-		t.Errorf("listing body = %s\nwant %s", body, want)
+	if !slices.Equal(ls.Segments, wantSegs) || ls.SnapshotGen != 2 {
+		t.Errorf("listing = gen %d %+v\nwant gen 2 %+v", ls.SnapshotGen, ls.Segments, wantSegs)
 	}
 	if want := snapshotPath(dir, 2); ls.SnapshotPath != want {
 		t.Errorf("SnapshotPath = %q, want %q", ls.SnapshotPath, want)
@@ -46,8 +46,8 @@ func TestListingFind(t *testing.T) {
 		seq   uint64
 		want  SegmentVerdict
 	}{
-		{"newest listed", 0, 3, SegmentVerdict{Listed: true, Path: segmentPath(dir, 0, 3), Size: 7}},
-		{"listed and sealed", 0, 2, SegmentVerdict{Listed: true, Path: segmentPath(dir, 0, 2), Size: 5, Sealed: true, Next: 3}},
+		{"newest listed", 0, 3, SegmentVerdict{Listed: true, Path: segmentPath(dir, 0, 3)}},
+		{"listed and sealed", 0, 2, SegmentVerdict{Listed: true, Path: segmentPath(dir, 0, 2), Sealed: true, Next: 3}},
 		{"unlisted with a successor: gone", 1, 2, SegmentVerdict{Sealed: true, Next: 3, Gone: true}},
 		{"unlisted below the snapshot generation: gone", 2, 1, SegmentVerdict{Gone: true}},
 		{"unlisted future seq: unknown", 0, 4, SegmentVerdict{}},
@@ -57,26 +57,17 @@ func TestListingFind(t *testing.T) {
 		}
 	}
 
-	// The names-only listing gives the same verdicts, sizes aside.
+	// The names-only listing gives the same verdicts.
 	names, err := ReadListing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seg := range ls.Segments {
-		got, want := names.Find(seg.Shard, seg.Seq-1), ls.Find(seg.Shard, seg.Seq-1)
-		if want.Size = 0; got != want {
+		if got, want := names.Find(seg.Shard, seg.Seq-1), ls.Find(seg.Shard, seg.Seq-1); got != want {
 			t.Errorf("names-only Find(%d, %d) = %+v, want %+v", seg.Shard, seg.Seq-1, got, want)
 		}
 	}
 	if names.SnapshotGen != ls.SnapshotGen || names.SnapshotPath != ls.SnapshotPath {
 		t.Errorf("names-only snapshot = %d %q, want %d %q", names.SnapshotGen, names.SnapshotPath, ls.SnapshotGen, ls.SnapshotPath)
-	}
-
-	empty, err := ReadSizedListing(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body, _ := json.Marshal(empty); string(body) != `{"snapshotGen":0,"segments":[]}` {
-		t.Errorf("empty listing body = %s", body)
 	}
 }

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"time"
+
+	"repro/internal/jsonnum"
 )
 
 // Snapshot files are JSON documents named snapshot-<gen>.json, written
@@ -151,12 +152,6 @@ func (l *Ledger) Snapshot() error {
 	// of once per SnapshotEvery.
 	d.sinceSnap.Store(0)
 
-	// covered[i] holds the segments shard i's rotation superseded. On any
-	// failure after a rotation they are handed back to their walFile: the
-	// shards keep appending to the new segments regardless, so the old ones
-	// must stay in the tail — visible in WALBytes, re-collected by the next
-	// successful snapshot — rather than leak until a restart's recovery.
-	covered := make([][]string, len(l.shards))
 	takenUnix := time.Now().Unix()
 	w := snapshotWriter{buf: d.snapBuf[:0]}
 	err := writeAtomic(snapshotPath(d.dir, gen), func(f io.Writer) error {
@@ -164,13 +159,10 @@ func (l *Ledger) Snapshot() error {
 		if d.snapSink != nil {
 			w.w = d.snapSink(f)
 		}
-		return l.streamSnapshot(&w, gen, takenUnix, covered)
+		return l.streamSnapshot(&w, gen, takenUnix)
 	})
 	d.snapBuf = w.buf
 	if err != nil {
-		for i, paths := range covered {
-			l.shards[i].wal.readdTail(paths)
-		}
 		if errors.Is(err, errSnapshotValue) {
 			return fmt.Errorf("ledger: encoding snapshot: %w", err)
 		}
@@ -180,26 +172,17 @@ func (l *Ledger) Snapshot() error {
 	d.snapshots.Add(1)
 	d.lastSnapUnix.Store(takenUnix)
 	d.lastSnapBytes.Store(w.n)
-	if !l.cfg.Archive {
-		for _, paths := range covered {
-			removeAll(paths)
-		}
-		if ls, err := ReadListing(d.dir); err == nil {
-			for _, g := range ls.snapshots {
-				if g < gen {
-					_ = os.Remove(snapshotPath(d.dir, g))
-				}
-			}
-		}
+	if ls, err := ReadListing(d.dir); err == nil {
+		d.collect(ls, gen)
 	}
 	return nil
 }
 
 // streamSnapshot writes the version-1 document for generation gen through w,
-// shard by shard, recording in covered what each rotation superseded. A
-// shard is locked only while its counters and accounts are encoded and its
-// segment rotated; its keys and every write happen outside the lock.
-func (l *Ledger) streamSnapshot(w *snapshotWriter, gen uint64, takenUnix int64, covered [][]string) error {
+// shard by shard, rotating each shard's segment onto gen. A shard is locked
+// only while its counters and accounts are encoded and its segment rotated;
+// its keys and every write happen outside the lock.
+func (l *Ledger) streamSnapshot(w *snapshotWriter, gen uint64, takenUnix int64) error {
 	head, err := json.Marshal(snapshotHeader{Version: 1, Gen: gen, TakenUnix: takenUnix, Meta: l.meta()})
 	if err != nil {
 		return err
@@ -218,12 +201,11 @@ func (l *Ledger) streamSnapshot(w *snapshotWriter, gen uint64, takenUnix int64, 
 		// Rotating under the shard lock is the snapshot's consistency
 		// point: the encoded state and the segment boundary agree exactly.
 		//litmus:sync-under-lock-ok snapshot consistency point; rotation must exclude appends on this shard
-		old, err := sh.wal.rotate(gen)
+		err := sh.wal.rotate(gen)
 		sh.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		covered[i] = old
 		if keys.len() > 0 {
 			w.raw(`,"keys":[`)
 			first := true
@@ -342,8 +324,8 @@ func (w *snapshotWriter) raw(s string)  { w.buf = append(w.buf, s...) }
 func (w *snapshotWriter) int(v int64)   { w.buf = strconv.AppendInt(w.buf, v, 10) }
 func (w *snapshotWriter) uint(v uint64) { w.buf = strconv.AppendUint(w.buf, v, 10) }
 
-// float writes f as encoding/json does — shortest digits that parse back to
-// the same bits, exponent form only below 1e-6 and from 1e21.
+// float writes f as encoding/json does; a value JSON cannot carry fails the
+// document instead.
 func (w *snapshotWriter) float(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		if w.err == nil {
@@ -351,18 +333,7 @@ func (w *snapshotWriter) float(f float64) {
 		}
 		f = 0
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	w.buf = strconv.AppendFloat(w.buf, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9, as encoding/json writes it.
-		if n := len(w.buf); n >= 4 && w.buf[n-4] == 'e' && w.buf[n-3] == '-' && w.buf[n-2] == '0' {
-			w.buf[n-2] = w.buf[n-1]
-			w.buf = w.buf[:n-1]
-		}
-	}
+	w.buf = jsonnum.AppendFloat(w.buf, f)
 }
 
 func (w *snapshotWriter) str(s string) { w.buf = appendJSONString(w.buf, s) }

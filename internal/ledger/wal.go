@@ -206,14 +206,11 @@ type walFile struct {
 	mu       sync.Mutex
 	f        *os.File
 	seq      uint64
-	size     int64    // bytes written to the active segment
-	tail     []string // recovered tail segments below seq, not yet snapshot-covered
-	tailSize int64    // their total bytes
-	appended uint64   // monotone bytes framed since open (across rotations)
-	written  uint64   // monotone bytes flushed to a segment; appended-written == len(buf)
-	writes   uint64   // write(2) calls issued
-	buf      []byte   // framed records not yet written, in apply order
-	err      error    // sticky flush failure: the shard refuses further writes
+	appended uint64 // monotone bytes framed since open (across rotations)
+	written  uint64 // monotone bytes flushed to a segment; appended-written == len(buf)
+	writes   uint64 // write(2) calls issued
+	buf      []byte // framed records not yet written, in apply order
+	err      error  // sticky flush failure: the shard refuses further writes
 
 	// syncMu serialises fsyncs (and excludes rotation mid-sync); synced is
 	// the written watermark known durable.
@@ -279,7 +276,6 @@ func (w *walFile) flushLocked() error {
 	}
 	n, err := w.f.Write(w.buf)
 	w.writes++
-	w.size += int64(n)
 	w.written += uint64(n)
 	if err != nil {
 		w.err = fmt.Errorf("wal shard %d: torn append: %w", w.shard, err)
@@ -332,13 +328,13 @@ func (w *walFile) syncTo(target uint64) error {
 }
 
 // rotate flushes, syncs and closes the active segment and opens a fresh one
-// at newSeq, returning the paths of the segments the pending snapshot will
-// cover. Callers hold the owning shard's lock, so no append is in flight and
-// every record the shard has applied lands in the segment being sealed.
+// at newSeq. Callers hold the owning shard's lock, so no append is in flight
+// and every record the shard has applied lands in the segment being sealed —
+// written before its successor exists, which replication relies on.
 //
 //litmus:appends
 //litmus:syncs
-func (w *walFile) rotate(newSeq uint64) ([]string, error) {
+func (w *walFile) rotate(newSeq uint64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
@@ -346,47 +342,31 @@ func (w *walFile) rotate(newSeq uint64) ([]string, error) {
 	if w.f == nil {
 		// close() ran; reopening a segment here would let Accrue succeed
 		// after Close returned.
-		return nil, fmt.Errorf("wal shard %d: rotate after close", w.shard)
+		return fmt.Errorf("wal shard %d: rotate after close", w.shard)
 	}
 	if err := w.flushLocked(); err != nil {
-		return nil, err
+		return err
 	}
 	// Open the new segment before sealing the old one: a failure here
 	// leaves the shard exactly as it was, still appending to its current
 	// segment, so a failed snapshot attempt never wedges ingest.
 	f, err := os.OpenFile(segmentPath(w.dir, w.shard, newSeq), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("wal shard %d: rotate: %w", w.shard, err)
+		return fmt.Errorf("wal shard %d: rotate: %w", w.shard, err)
 	}
 	syncDir(w.dir) // make the new segment's dirent durable before records land in it
 	//litmus:sync-under-lock-ok rotation is a cold path; it must exclude appends while it seals the segment
 	if err := w.f.Sync(); err != nil {
 		_ = f.Close()
 		_ = os.Remove(segmentPath(w.dir, w.shard, newSeq))
-		return nil, fmt.Errorf("wal shard %d: sync before rotate: %w", w.shard, err)
+		return fmt.Errorf("wal shard %d: sync before rotate: %w", w.shard, err)
 	}
 	// The sync above succeeded, so a close failure cannot lose acknowledged
 	// records; the dying descriptor's segment is sealed either way.
 	_ = w.f.Close()
-	covered := append(w.tail, segmentPath(w.dir, w.shard, w.seq))
-	w.f, w.seq, w.size = f, newSeq, 0
-	w.tail, w.tailSize = nil, 0
+	w.f, w.seq = f, newSeq
 	w.synced.Store(w.written) // the closed segment is fully synced
-	return covered, nil
-}
-
-// readdTail re-attaches segments a failed snapshot attempt rotated away:
-// they stay visible in bytes() and land back in the next rotation's covered
-// list, so a failed snapshot never orphans them until restart.
-func (w *walFile) readdTail(paths []string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, p := range paths {
-		w.tail = append(w.tail, p)
-		if info, err := os.Stat(p); err == nil {
-			w.tailSize += info.Size()
-		}
-	}
+	return nil
 }
 
 // close flushes, syncs and closes the active segment.
@@ -412,22 +392,6 @@ func (w *walFile) close() error {
 	w.f = nil
 	w.synced.Store(w.written)
 	return err
-}
-
-// bytes reports the shard's live WAL footprint: active segment plus any
-// recovered tail segments not yet compacted away.
-func (w *walFile) bytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size + w.tailSize
-}
-
-// removeAll deletes files best-effort during snapshot GC; a leftover
-// segment is re-collected by the next snapshot, so failures are not fatal.
-func removeAll(paths []string) {
-	for _, p := range paths {
-		_ = os.Remove(p)
-	}
 }
 
 // syncDir fsyncs a directory so renames and creates inside it survive a

@@ -109,7 +109,7 @@ func TestWALRotateAfterClose(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.rotate(1); err == nil {
+	if err := w.rotate(1); err == nil {
 		t.Fatal("rotate reopened a closed WAL")
 	}
 	//litmus:flush-ok the append must be refused; there is nothing to flush
