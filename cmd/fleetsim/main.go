@@ -21,7 +21,7 @@
 // pushes its calibration tables to the service (If-Match guarded, so a
 // concurrent calibrator cannot be clobbered), streams every completed
 // invocation over the /v3 NDJSON usage API with idempotency keys (-run-id
-// makes retries replay-safe), then reads the service-side summaries of the
+// makes retries replay-safe), then reads the service-side statements of the
 // run's tenants back and prints them next to the local bills. Against a
 // fresh service the two agree exactly; the ledger is cumulative, so a
 // service that has billed these tenants before shows its running totals.
@@ -158,10 +158,10 @@ type output struct {
 // remoteOutput reports the -remote leg: what the service accepted and the
 // statements it serves for the run's tenants.
 type remoteOutput struct {
-	BaseURL  string                `json:"baseURL"`
-	RunID    string                `json:"runID"`
-	Delivery fleet.RemoteSinkStats `json:"delivery"`
-	Tenants  []api.TenantSummary   `json:"tenants"`
+	BaseURL  string                  `json:"baseURL"`
+	RunID    string                  `json:"runID"`
+	Delivery fleet.RemoteSinkStats   `json:"delivery"`
+	Tenants  []api.StatementResponse `json:"tenants"`
 }
 
 // run executes one fleet simulation and writes the report to w (progress to
@@ -341,7 +341,7 @@ type pricingService interface {
 	Health(ctx context.Context) error
 	TablesWithETag(ctx context.Context) (*core.Calibration, string, error)
 	SwapTablesIfMatch(ctx context.Context, cal *core.Calibration, ifMatch string) (api.TablesStatus, string, error)
-	TenantSummary(ctx context.Context, tenant string) (api.TenantSummary, error)
+	Statement(ctx context.Context, tenant string, fromMinute, toMinute int) (api.StatementResponse, error)
 	StreamUsage(ctx context.Context, key string, records []api.UsageRecord) (api.UsageStreamResponse, error)
 }
 
@@ -365,34 +365,34 @@ func dialRemote(list string, wire api.WireFormat) (pricingService, error) {
 	return cc, nil
 }
 
-// collectRemote reads back the service-side summaries of exactly the
+// collectRemote reads back the service-side statements of exactly the
 // tenants this run billed. A long-lived service may hold other clients'
 // tenants — and, across runs, cumulative accruals for ours — so the
 // listing is scoped to the run rather than paged wholesale.
 func collectRemote(ctx context.Context, client pricingService, baseURL, runID string, sink *fleet.RemoteSink, rep *fleet.Report) (*remoteOutput, error) {
 	out := &remoteOutput{BaseURL: baseURL, RunID: runID, Delivery: sink.Stats()}
 	for _, bill := range rep.Tenants {
-		sum, err := client.TenantSummary(ctx, bill.Tenant)
+		st, err := client.Statement(ctx, bill.Tenant, 0, -1)
 		if err != nil {
-			return nil, fmt.Errorf("remote summary for %s: %w", bill.Tenant, err)
+			return nil, fmt.Errorf("remote statement for %s: %w", bill.Tenant, err)
 		}
-		out.Tenants = append(out.Tenants, sum)
+		out.Tenants = append(out.Tenants, st)
 	}
 	return out, nil
 }
 
-// printRemote renders the service-side summaries next to the local bills.
-// Against a fresh service the two agree exactly; a service that has billed
-// these tenants before shows its cumulative totals.
+// printRemote renders the service-side statement totals next to the local
+// bills. Against a fresh service the two agree exactly; a service that has
+// billed these tenants before shows its cumulative totals.
 func printRemote(w io.Writer, rep *fleet.Report, remote *remoteOutput) {
-	fmt.Fprintf(w, "Remote tenant summaries, cumulative (%s):\n", remote.BaseURL)
+	fmt.Fprintf(w, "Remote tenant statements, cumulative (%s):\n", remote.BaseURL)
 	local := map[string]float64{}
 	for _, b := range rep.Tenants {
 		local[b.Tenant] = b.Bills[rep.Primary]
 	}
-	for _, sum := range remote.Tenants {
+	for _, st := range remote.Tenants {
 		fmt.Fprintf(w, "  %-12s invocations %6d  commercial %12.2f  billed %12.2f  (discount %5.1f%%, local %s %12.2f)\n",
-			sum.Tenant, sum.Invocations, sum.Commercial, sum.Billed, 100*sum.Discount, rep.Primary, local[sum.Tenant])
+			st.Tenant, st.Invocations, st.Commercial, st.Billed, 100*st.Discount, rep.Primary, local[st.Tenant])
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -159,14 +160,14 @@ func TestRunRemote(t *testing.T) {
 	if len(doc.Remote.Tenants) != len(doc.Report.Tenants) {
 		t.Fatalf("remote %d tenants, local %d", len(doc.Remote.Tenants), len(doc.Report.Tenants))
 	}
-	for i, sum := range doc.Remote.Tenants {
+	for i, st := range doc.Remote.Tenants {
 		local := doc.Report.Tenants[i]
-		if sum.Tenant != local.Tenant || sum.Invocations != int64(local.Invocations) {
-			t.Errorf("tenant %d: remote %+v, local %s/%d", i, sum, local.Tenant, local.Invocations)
+		if st.Tenant != local.Tenant || st.Invocations != int64(local.Invocations) {
+			t.Errorf("tenant %d: remote %+v, local %s/%d", i, st, local.Tenant, local.Invocations)
 		}
 		want := local.Bills[doc.Report.Primary]
-		if math.Abs(sum.Billed-want) > 1e-9*math.Max(1, want) {
-			t.Errorf("%s: remote billed %v, local %s %v", sum.Tenant, sum.Billed, doc.Report.Primary, want)
+		if math.Abs(st.Billed-want) > 1e-9*math.Max(1, want) {
+			t.Errorf("%s: remote billed %v, local %s %v", st.Tenant, st.Billed, doc.Report.Primary, want)
 		}
 	}
 
@@ -184,10 +185,8 @@ func TestRunRemote(t *testing.T) {
 	if d2.Duplicates != d2.Records || d2.Accepted != 0 {
 		t.Fatalf("replay delivery = %+v, want all duplicates", d2)
 	}
-	for i, sum := range doc2.Remote.Tenants {
-		if sum != doc.Remote.Tenants[i] {
-			t.Errorf("replay changed remote statement: %+v != %+v", sum, doc.Remote.Tenants[i])
-		}
+	if !reflect.DeepEqual(doc2.Remote.Tenants, doc.Remote.Tenants) {
+		t.Errorf("replay changed remote statements: %+v != %+v", doc2.Remote.Tenants, doc.Remote.Tenants)
 	}
 }
 
@@ -227,14 +226,14 @@ func TestRunRemoteCluster(t *testing.T) {
 	if d.Records != doc.Result.Completed || d.Accepted != d.Records || d.Rejected != 0 || d.Dropped != 0 {
 		t.Fatalf("delivery = %+v, completed %d", d, doc.Result.Completed)
 	}
-	for i, sum := range doc.Remote.Tenants {
+	for i, st := range doc.Remote.Tenants {
 		local := doc.Report.Tenants[i]
-		if sum.Tenant != local.Tenant || sum.Invocations != int64(local.Invocations) {
-			t.Errorf("tenant %d: remote %+v, local %s/%d", i, sum, local.Tenant, local.Invocations)
+		if st.Tenant != local.Tenant || st.Invocations != int64(local.Invocations) {
+			t.Errorf("tenant %d: remote %+v, local %s/%d", i, st, local.Tenant, local.Invocations)
 		}
 		want := local.Bills[doc.Report.Primary]
-		if math.Abs(sum.Billed-want) > 1e-9*math.Max(1, want) {
-			t.Errorf("%s: cluster billed %v, local %s %v", sum.Tenant, sum.Billed, doc.Report.Primary, want)
+		if math.Abs(st.Billed-want) > 1e-9*math.Max(1, want) {
+			t.Errorf("%s: cluster billed %v, local %s %v", st.Tenant, st.Billed, doc.Report.Primary, want)
 		}
 	}
 
@@ -251,10 +250,8 @@ func TestRunRemoteCluster(t *testing.T) {
 	if d2.Duplicates != d2.Records || d2.Accepted != 0 {
 		t.Fatalf("replay delivery = %+v, want all duplicates", d2)
 	}
-	for i, sum := range doc2.Remote.Tenants {
-		if sum != doc.Remote.Tenants[i] {
-			t.Errorf("replay changed remote statement: %+v != %+v", sum, doc.Remote.Tenants[i])
-		}
+	if !reflect.DeepEqual(doc2.Remote.Tenants, doc.Remote.Tenants) {
+		t.Errorf("replay changed remote statements: %+v != %+v", doc2.Remote.Tenants, doc.Remote.Tenants)
 	}
 }
 
@@ -380,14 +377,14 @@ func TestRunRemoteSurvivesRestart(t *testing.T) {
 	if d.Duplicates == 0 {
 		t.Fatalf("delivery = %+v: the doomed batch should replay as duplicates", d)
 	}
-	for i, sum := range doc.Remote.Tenants {
+	for i, st := range doc.Remote.Tenants {
 		local := doc.Report.Tenants[i]
-		if sum.Tenant != local.Tenant || sum.Invocations != int64(local.Invocations) {
-			t.Errorf("tenant %d: remote %+v, local %s/%d", i, sum, local.Tenant, local.Invocations)
+		if st.Tenant != local.Tenant || st.Invocations != int64(local.Invocations) {
+			t.Errorf("tenant %d: remote %+v, local %s/%d", i, st, local.Tenant, local.Invocations)
 		}
 		want := local.Bills[doc.Report.Primary]
-		if math.Abs(sum.Billed-want) > 1e-9*math.Max(1, want) {
-			t.Errorf("%s: remote billed %v across the restart, local %s %v", sum.Tenant, sum.Billed, doc.Report.Primary, want)
+		if math.Abs(st.Billed-want) > 1e-9*math.Max(1, want) {
+			t.Errorf("%s: remote billed %v across the restart, local %s %v", st.Tenant, st.Billed, doc.Report.Primary, want)
 		}
 	}
 }

@@ -1,11 +1,10 @@
 // Billingserver: runs the pricingd HTTP pricing flow in-process on the
 // reusable service layer. It calibrates a machine, serves the versioned
 // pricing API on a local port, then plays a tenant agent: it measures a
-// function on a congested machine and bills it through the typed client —
-// a single /v2 quote, a batch, and the tenant's ledger summary — before
-// switching to the resource-oriented /v3 surface: it streams usage records
-// as NDJSON under an idempotency key, proves a replay cannot double-bill,
-// and reads the tenant's windowed statement back.
+// function on a congested machine and prices it through the typed client's
+// single /v2 quote before switching to the resource-oriented /v3 surface: it
+// streams usage records as NDJSON under an idempotency key, proves a replay
+// cannot double-bill, and reads the tenant's windowed statement back.
 //
 //	go run ./examples/billingserver
 package main
@@ -74,39 +73,6 @@ func main() {
 	fmt.Printf("  commercial: %10.2f MB·s\n", quote.Commercial)
 	fmt.Printf("  litmus:     %10.2f MB·s (discount %.1f%%, MB weight %.2f)\n",
 		quote.Price, 100*quote.Discount, quote.Estimate.Weight)
-
-	// Two more invocations through the batch endpoint.
-	var batch []litmus.QuoteRequest
-	for _, abbr := range []string{"pager-py", "auth-go"} {
-		rec, err := p.Invoke(litmus.FunctionsByAbbr()[abbr], 0, 600)
-		if err != nil {
-			log.Fatal(err)
-		}
-		batch = append(batch, litmus.QuoteRequest{Usage: litmus.UsageFromRecord(rec), Tenant: tenant})
-	}
-	items, err := client.QuoteBatch(ctx, batch)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nPOST /v2/quotes (batch of %d):\n", len(batch))
-	for _, item := range items {
-		if item.Error != nil {
-			log.Fatal(item.Error)
-		}
-		fmt.Printf("  %-10s commercial %8.2f → litmus %8.2f (discount %.1f%%)\n",
-			item.Quote.Abbr, item.Quote.Commercial, item.Quote.Price, 100*item.Quote.Discount)
-	}
-
-	// The provider-side ledger has accumulated all three invocations.
-	sum, err := client.TenantSummary(ctx, tenant)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nGET /v2/tenants/%s/summary:\n", tenant)
-	fmt.Printf("  invocations: %d\n", sum.Invocations)
-	fmt.Printf("  commercial:  %10.2f MB·s\n", sum.Commercial)
-	fmt.Printf("  billed:      %10.2f MB·s (aggregate discount %.1f%%)\n",
-		sum.Billed, 100*sum.Discount)
 
 	// The /v3 surface: stream usage as NDJSON, windowed by trace minute,
 	// under an idempotency key.

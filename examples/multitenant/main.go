@@ -1,9 +1,8 @@
 // Multitenant: the paper's Fig. 11 scenario as a program, billed through
 // the versioned pricing service. Fourteen tenant functions are priced on a
-// machine churning 26 co-runners: the measurements travel through one
-// /v2/quotes batch call, the ideal oracle prices them locally for
-// comparison, and the provider-side tenant ledger reports the fleet's
-// aggregate bill.
+// machine churning 26 co-runners: each measurement travels through one
+// /v2/quote call, the ideal oracle prices them locally for comparison, and
+// the fleet tenant's /v3 statement reports the aggregate bill.
 //
 //	go run ./examples/multitenant
 package main
@@ -58,36 +57,29 @@ func main() {
 	p.StartChurn(litmus.Catalog(), 26, litmus.Threads(1, 26))
 	p.Warm(30e-3)
 
-	// Measure all fourteen tenants, then bill them in one batch call under
-	// a single fleet tenant so the ledger shows the aggregate.
+	// Measure all fourteen tenants, then bill each one under a single fleet
+	// tenant so the ledger shows the aggregate.
 	const fleet = "fig11-fleet"
-	var reqs []litmus.QuoteRequest
 	var usages []litmus.Usage
 	for _, spec := range tenants {
 		rec, err := p.Invoke(spec, 0, 600)
 		if err != nil {
 			log.Fatal(err)
 		}
-		u := litmus.UsageFromRecord(rec)
-		usages = append(usages, u)
-		reqs = append(reqs, litmus.QuoteRequest{Usage: u, Tenant: fleet})
+		usages = append(usages, litmus.UsageFromRecord(rec))
 	}
 	ctx := context.Background()
-	items, err := client.QuoteBatch(ctx, reqs)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	ideal := litmus.NewIdealPricer(1, baselines)
 	fmt.Printf("\n%-12s %10s %10s %10s %9s %9s\n",
 		"tenant", "commercial", "litmus", "ideal", "L-disc", "I-disc")
 	var sumLog, sumLogIdeal float64
-	for i, item := range items {
-		if item.Error != nil {
-			log.Fatal(item.Error)
+	for _, u := range usages {
+		ql, err := client.Quote(ctx, litmus.QuoteRequest{Usage: u, Tenant: fleet})
+		if err != nil {
+			log.Fatal(err)
 		}
-		ql := item.Quote
-		qi, err := ideal.Quote(usages[i])
+		qi, err := ideal.Quote(u)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -104,10 +96,10 @@ func main() {
 		gl, (1-gl)*100, gi, (1-gi)*100)
 	fmt.Printf("paper (Fig. 11): litmus 10.7%% vs ideal 10.3%%\n")
 
-	sum, err := client.TenantSummary(ctx, fleet)
+	stmt, err := client.Statement(ctx, fleet, 0, -1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nprovider ledger for %s: %d invocations, commercial %.2f → billed %.2f MB·s (aggregate discount %.1f%%)\n",
-		fleet, sum.Invocations, sum.Commercial, sum.Billed, 100*sum.Discount)
+		fleet, stmt.Invocations, stmt.Commercial, stmt.Billed, 100*stmt.Discount)
 }

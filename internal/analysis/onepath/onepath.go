@@ -7,8 +7,8 @@
 //
 //   - the ledger subsystem itself (repro/internal/ledger and its
 //     subpackages — WAL replay and the differential/crash harnesses);
-//   - api.(*Server).bill, the one accrual funnel of the API: /v2 quotes
-//     bill one entry through it, the /v3 stream collector a batch, and the
+//   - api.(*Server).bill, the one accrual funnel of the API: /v2/quote
+//     bills one entry through it, the /v3 stream collector a batch, and the
 //     standby gate lives inside it — that method of that type in that
 //     package, not any function that happens to be called bill;
 //   - _test.go files, which exercise the ledger directly by design;

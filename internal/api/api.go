@@ -8,10 +8,6 @@
 //	GET  /healthz                    — liveness + ledger saturation counters
 //	POST /v2/quote                   — single quote; named pricer, optional
 //	                                   tenant ledger accrual
-//	POST /v2/quotes                  — batch quote, priced and accrued in
-//	                                   request order
-//	GET  /v2/pricers                 — the named pricer registry
-//	GET  /v2/tenants/{tenant}/summary — per-tenant billing ledger
 //
 // The /v3 surface is resource-oriented: usage is a stream you append to,
 // tenants are a paginated collection, a statement is a windowed read of a
@@ -37,7 +33,7 @@
 //	                                    (mismatch → 412)
 //
 // Both versions bill through one funnel (Server.bill): a record quoted via
-// /v2/quotes and the same record streamed via /v3/usage produce identical
+// /v2/quote and the same record streamed via /v3/usage produce identical
 // statements. A usage stream is one serial loop per request — read, price,
 // admit, bill in stream order behind the RecordSource seam (source.go) the
 // cluster router shares; parallelism is across streams and ledger shards.
@@ -73,8 +69,6 @@ const (
 	// DefaultMaxBodyBytes bounds request bodies (http.MaxBytesReader) and,
 	// on /v3/usage, each NDJSON line / binary frame payload.
 	DefaultMaxBodyBytes = 1 << 20
-	// DefaultMaxBatch bounds the number of quotes in one /v2/quotes call.
-	DefaultMaxBatch = 1024
 	// DefaultMaxTenants bounds the billing ledger's tenant count.
 	DefaultMaxTenants = 100_000
 	// DefaultShards is the ledger's lock-stripe count: tenants are
@@ -82,9 +76,9 @@ const (
 	// concurrent ingest paths accrue in parallel.
 	DefaultShards = ledger.DefaultShards
 	// DefaultMaxStreamLines bounds the physical lines in one /v3/usage
-	// stream — deliberately far beyond DefaultMaxBatch; the decode loop is
-	// constant-memory either way, and the bound keeps a client from
-	// pinning the handler with an endless stream.
+	// stream; the decode loop is constant-memory whatever the length, and
+	// the bound keeps a client from pinning the handler with an endless
+	// stream.
 	DefaultMaxStreamLines = 1_000_000
 	// DefaultMaxStreamErrors caps the per-line errors echoed back from one
 	// /v3/usage stream (rejections are always counted, never capped).
@@ -128,9 +122,8 @@ type errorEnvelope struct {
 	Err Error `json:"error"`
 }
 
-// QuoteRequest is the wire format of POST /v2/quote and the element type of
-// /v2/quotes. The usage fields are inlined (abbr, language, memoryMB,
-// tPrivate, tShared, probe).
+// QuoteRequest is the wire format of POST /v2/quote. The usage fields are
+// inlined (abbr, language, memoryMB, tPrivate, tShared, probe).
 type QuoteRequest struct {
 	core.Usage
 	// Tenant, when set, accrues this quote in the tenant's billing ledger.
@@ -167,31 +160,6 @@ type QuoteResponse struct {
 	Estimate EstimateBody `json:"estimate"`
 }
 
-// BatchRequest is the wire format of POST /v2/quotes.
-type BatchRequest struct {
-	Quotes []QuoteRequest `json:"quotes"`
-}
-
-// BatchItem is one batch result: exactly one of Quote or Error is set, and
-// item i answers request i.
-type BatchItem struct {
-	Quote *QuoteResponse `json:"quote,omitempty"`
-	Error *Error         `json:"error,omitempty"`
-}
-
-// BatchResponse is the wire format of the /v2/quotes reply.
-type BatchResponse struct {
-	Quotes []BatchItem `json:"quotes"`
-}
-
-// PricerInfo describes one registry entry (GET /v2/pricers).
-type PricerInfo struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	// Default marks the pricer used when a request names none.
-	Default bool `json:"default,omitempty"`
-}
-
 // TablesStatus summarises the active calibration (PUT /v3/tables reply).
 type TablesStatus struct {
 	Machine      string `json:"machine"`
@@ -200,8 +168,8 @@ type TablesStatus struct {
 	Languages    int    `json:"languages"`
 }
 
-// TenantSummary is a tenant's aggregate billing ledger
-// (GET /v2/tenants/{tenant}/summary, the elements of GET /v3/tenants).
+// TenantSummary is a tenant's aggregate billing ledger: the elements of
+// GET /v3/tenants and of a /v3/usage reply's tenants.
 type TenantSummary = ledger.Summary
 
 // HealthResponse is the /healthz body: liveness plus the ledger's

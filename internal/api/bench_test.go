@@ -30,32 +30,26 @@ func benchRecord(tenant string, mem int) string {
 		tenant, mem, apitest.SoloTPrivate*1.3, apitest.SoloTShared*1.9)
 }
 
-// BenchmarkQuoteBatch measures the concurrent /v2/quotes pricing path at a
-// fixed batch size.
-func BenchmarkQuoteBatch(b *testing.B) {
+// BenchmarkQuote measures the /v2/quote path — decode, price, accrue one
+// record to its tenant — one request per op.
+func BenchmarkQuote(b *testing.B) {
 	srv := benchServer(b)
-	const batch = 64
-	var items []string
-	for i := 0; i < batch; i++ {
-		items = append(items, benchRecord(fmt.Sprintf("t%d", i%8), 128+64*(i%8)))
-	}
-	body := []byte(`{"quotes":[` + strings.Join(items, ",") + `]}`)
+	body := []byte(benchRecord("t0", 512))
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v2/quotes", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v2/quote", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "quotes/s")
 }
 
 // BenchmarkUsageStream measures the /v3/usage NDJSON ingest loop — decode,
-// price, accrue — at a stream size far beyond the /v2 batch cap.
+// price, accrue — over a 512-record stream.
 func BenchmarkUsageStream(b *testing.B) {
 	srv := benchServer(b)
 	const lines = 512

@@ -186,35 +186,6 @@ func (c *Client) Quote(ctx context.Context, req QuoteRequest) (QuoteResponse, er
 	return resp, err
 }
 
-// QuoteBatch prices a set of invocations in one call (POST /v2/quotes).
-// Item i of the result answers request i; per-item failures come back as
-// BatchItem.Error, not as a call error.
-func (c *Client) QuoteBatch(ctx context.Context, reqs []QuoteRequest) ([]BatchItem, error) {
-	var resp BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/v2/quotes", BatchRequest{Quotes: reqs}, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Quotes) != len(reqs) {
-		return nil, fmt.Errorf("api: batch answered %d of %d quotes", len(resp.Quotes), len(reqs))
-	}
-	return resp.Quotes, nil
-}
-
-// Pricers lists the service's named pricer registry (GET /v2/pricers).
-func (c *Client) Pricers(ctx context.Context) ([]PricerInfo, error) {
-	var infos []PricerInfo
-	err := c.Get(ctx, "/v2/pricers", &infos)
-	return infos, err
-}
-
-// TenantSummary fetches a tenant's aggregate billing ledger
-// (GET /v2/tenants/{tenant}/summary).
-func (c *Client) TenantSummary(ctx context.Context, tenant string) (TenantSummary, error) {
-	var sum TenantSummary
-	err := c.Get(ctx, "/v2/tenants/"+url.PathEscape(tenant)+"/summary", &sum)
-	return sum, err
-}
-
 // --- /v3 ---------------------------------------------------------------------
 
 // StreamUsage appends records to the usage stream (POST /v3/usage) in the

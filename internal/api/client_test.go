@@ -58,12 +58,12 @@ func TestClientQuote(t *testing.T) {
 		t.Errorf("quote = %+v", q)
 	}
 
-	sum, err := c.TenantSummary(ctx, "acme")
+	st, err := c.Statement(ctx, "acme", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Invocations != 1 || math.Abs(sum.Billed-q.Price) > 1e-9 {
-		t.Errorf("summary = %+v, want the one quote", sum)
+	if st.Invocations != 1 || math.Abs(st.Billed-q.Price) > 1e-9 {
+		t.Errorf("statement = %+v, want the one quote", st)
 	}
 }
 
@@ -80,53 +80,46 @@ func TestClientQuoteError(t *testing.T) {
 		t.Errorf("status = %d", apiErr.Status)
 	}
 
-	_, err = c.TenantSummary(context.Background(), "ghost")
+	_, err = c.Statement(context.Background(), "ghost", 0, -1)
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Errorf("unknown tenant err = %v", err)
 	}
 }
 
-func TestClientQuoteBatch(t *testing.T) {
+func TestClientQuotePriceScalesWithMemory(t *testing.T) {
 	c, _ := newClientPair(t)
-	reqs := []QuoteRequest{
-		{Usage: usageAt("a", 128, 1.3, 1.9, 1.2e7)},
-		{Usage: usageAt("bad", 0, 1.3, 1.9, 1.2e7)}, // invalid: zero memory
-		{Usage: usageAt("c", 512, 1.3, 1.9, 1.2e7)},
-	}
-	items, err := c.QuoteBatch(context.Background(), reqs)
+	ctx := context.Background()
+	small, err := c.Quote(ctx, QuoteRequest{Usage: usageAt("a", 128, 1.3, 1.9, 1.2e7)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 3 {
-		t.Fatalf("got %d items", len(items))
+	large, err := c.Quote(ctx, QuoteRequest{Usage: usageAt("c", 512, 1.3, 1.9, 1.2e7)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if items[0].Quote == nil || items[0].Quote.Abbr != "a" {
-		t.Errorf("item 0 = %+v", items[0])
-	}
-	if items[1].Error == nil || items[1].Quote != nil {
-		t.Errorf("item 1 must fail inline, got %+v", items[1])
-	}
-	if items[2].Quote == nil || items[2].Quote.Abbr != "c" {
-		t.Errorf("item 2 = %+v", items[2])
+	if small.Abbr != "a" || large.Abbr != "c" {
+		t.Errorf("quotes = %+v, %+v", small, large)
 	}
 	// Identical measurements: price scales with memory.
-	if items[0].Quote != nil && items[2].Quote != nil {
-		ratio := items[2].Quote.Price / items[0].Quote.Price
-		if math.Abs(ratio-4) > 1e-6 {
-			t.Errorf("price ratio = %v, want 4 (memory 512/128)", ratio)
-		}
+	if ratio := large.Price / small.Price; math.Abs(ratio-4) > 1e-6 {
+		t.Errorf("price ratio = %v, want 4 (memory 512/128)", ratio)
 	}
 }
 
 func TestClientPricersAndTables(t *testing.T) {
 	c, _ := newClientPair(t)
 	ctx := context.Background()
-	infos, err := c.Pricers(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// The default registry: commercial and litmus, no litmus-method1.
+	u := usageAt("a", 128, 1.3, 1.9, 1.2e7)
+	for _, name := range []string{"commercial", "litmus"} {
+		if q, err := c.Quote(ctx, QuoteRequest{Usage: u, Pricer: name}); err != nil || q.Pricer != name {
+			t.Errorf("pricer %s: quote = %+v, err = %v", name, q, err)
+		}
 	}
-	if len(infos) != 2 {
-		t.Errorf("pricers = %+v", infos)
+	var apiErr *Error
+	_, err := c.Quote(ctx, QuoteRequest{Usage: u, Pricer: "litmus-method1"})
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Errorf("litmus-method1 without a curve: err = %v, want a 400", err)
 	}
 
 	cal, _, err := c.TablesWithETag(ctx)
@@ -364,7 +357,7 @@ func TestClientServerClosedConnection(t *testing.T) {
 		conn.Close()
 	}))
 	t.Cleanup(abrupt.Close)
-	if _, err := NewClient(abrupt.URL).Pricers(context.Background()); err == nil {
+	if err := NewClient(abrupt.URL).Health(context.Background()); err == nil {
 		t.Error("closed connection produced a result")
 	}
 

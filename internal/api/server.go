@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,8 +29,6 @@ type Config struct {
 	CoRunnersPerCore int
 	// MaxBodyBytes bounds request bodies; 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// MaxBatch bounds /v2/quotes batch sizes; 0 means DefaultMaxBatch.
-	MaxBatch int
 	// MaxTenants bounds the billing ledger; 0 means DefaultMaxTenants.
 	// Quotes naming a new tenant beyond the cap are rejected rather than
 	// silently left unbilled, and drops are counted on /healthz.
@@ -141,9 +138,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = DefaultMaxTenants
 	}
@@ -200,13 +194,10 @@ func New(cfg Config) (*Server, error) {
 		mux.HandleFunc(pattern, s.metrics.instrument(pattern, h))
 	}
 	handle("/healthz", s.handleHealth)
-	// The /v2 prefix stays while bench/ POSTs /v2/quote: the harness is
-	// frozen outside benchmark PRs, so a single prefix travels with the next
-	// one (ROADMAP item 4). TestWireGolden fences both generations.
+	// /v2/quote stays while bench/ POSTs it: the harness is frozen outside
+	// benchmark PRs, so the route travels with the next one (ROADMAP item
+	// 5(b)). TestWireGolden fences both generations.
 	handle("/v2/quote", s.handleQuote)
-	handle("/v2/quotes", s.handleQuoteBatch)
-	handle("/v2/pricers", s.handlePricers)
-	handle("/v2/tenants/{tenant}/summary", s.handleTenantSummary)
 	handle("/v3/usage", s.handleUsageStream)
 	handle("/v3/tenants", s.handleTenantList)
 	handle("/v3/tenants/{tenant}/statement", s.handleStatement)
@@ -426,11 +417,11 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// --- /v2/quote and /v2/quotes ----------------------------------------------
+// --- /v2/quote --------------------------------------------------------------
 
 // snapshot returns the pricer registry of one table generation. Models and
 // pricers are immutable once built, so callers can price against a snapshot
-// without holding the lock — and a whole batch prices against a single
+// without holding the lock — and a whole stream prices against a single
 // generation even if tables are swapped mid-flight.
 func (s *Server) snapshot() map[string]core.Pricer {
 	s.mu.RLock()
@@ -438,7 +429,7 @@ func (s *Server) snapshot() map[string]core.Pricer {
 	return s.pricers
 }
 
-// quote is the one pricing step behind /v2 quotes and /v3 usage records:
+// quote is the one pricing step behind /v2/quote and /v3 usage records:
 // validate the usage, resolve the pricer (DefaultPricer when unnamed), quote.
 // One order and one error wording for every ingest path. It returns the
 // resolved pricer name and the quote by value — no accrual, no allocation —
@@ -512,7 +503,7 @@ func (s *Server) priceAndAccrue(pricers map[string]core.Pricer, req QuoteRequest
 	return resp, nil
 }
 
-// bill is the one accrual funnel: every ingest path — /v2 quotes with one
+// bill is the one accrual funnel: every ingest path — /v2/quote with one
 // entry, the /v3 stream collector with a batch — bills through it, so no
 // API version can bill differently. results is scratch space as long as
 // entries; each(i, …) delivers entry i's outcome in API terms, in order.
@@ -539,7 +530,7 @@ func (s *Server) mapAccrual(outcome ledger.Outcome, err error) (ledger.Outcome, 
 	}
 	if outcome == ledger.Dropped {
 		return ledger.Dropped, &Error{Status: http.StatusServiceUnavailable,
-			Message: fmt.Sprintf("tenant ledger full (%d tenants); quote not billed", s.cfg.MaxTenants)}
+			Message: fmt.Sprintf("tenant ledger full (%d tenants); record not billed", s.ledger.MaxTenants())}
 	}
 	return outcome, nil
 }
@@ -559,68 +550,6 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req BatchRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if len(req.Quotes) == 0 {
-		WriteError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Quotes) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Quotes), s.cfg.MaxBatch)
-		return
-	}
-
-	// One registry snapshot for the whole batch: every item prices against
-	// the same table generation, and accrues in request order.
-	pricers := s.snapshot()
-	items := make([]BatchItem, len(req.Quotes))
-	for i, q := range req.Quotes {
-		resp, apiErr := s.priceAndAccrue(pricers, q)
-		items[i] = BatchItem{Quote: resp, Error: apiErr}
-	}
-	WriteJSON(w, http.StatusOK, BatchResponse{Quotes: items})
-}
-
-// --- /v2/pricers ------------------------------------------------------------
-
-// pricerDescriptions documents the registry entries buildPricers can
-// construct; the /v2/pricers listing is derived from the live registry so
-// the two cannot drift.
-var pricerDescriptions = map[string]string{
-	"commercial":     "pay-as-you-go: flat rate, congestion billed to the tenant",
-	"litmus":         "per-component congestion discount from the invocation's Litmus test",
-	"litmus-method1": "litmus with exclusive-core tables corrected by the temporal-sharing curve",
-}
-
-func (s *Server) handlePricers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	pricers := s.snapshot()
-	names := make([]string, 0, len(pricers))
-	for name := range pricers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	infos := make([]PricerInfo, 0, len(names))
-	for _, name := range names {
-		infos = append(infos, PricerInfo{
-			Name:        name,
-			Description: pricerDescriptions[name],
-			Default:     name == DefaultPricer,
-		})
-	}
-	WriteJSON(w, http.StatusOK, infos)
 }
 
 // --- the table version -----------------------------------------------------
@@ -672,20 +601,4 @@ func (s *Server) decodeTables(w http.ResponseWriter, r *http.Request) (*core.Cal
 		return nil, nil, false
 	}
 	return &cal, models, true
-}
-
-// --- /v2/tenants/{tenant}/summary -------------------------------------------
-
-func (s *Server) handleTenantSummary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	tenant := r.PathValue("tenant")
-	sum, ok := s.ledger.Summary(tenant)
-	if !ok {
-		WriteError(w, http.StatusNotFound, "no ledger for tenant %q", tenant)
-		return
-	}
-	WriteJSON(w, http.StatusOK, sum)
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/api/apitest"
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/stats"
 )
 
@@ -228,85 +229,14 @@ func TestV2QuoteErrors(t *testing.T) {
 func TestV2QuoteBodyLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
 	big := congestedBody(`, "abbr": "` + strings.Repeat("x", 1024) + `"`)
-	for _, path := range []string{"/v2/quote", "/v2/quotes"} {
-		resp, _ := postJSON(t, ts.URL+path, big)
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("POST %s with oversized body: status = %d, want %d",
-				path, resp.StatusCode, http.StatusRequestEntityTooLarge)
-		}
+	resp, _ := postJSON(t, ts.URL+"/v2/quote", big)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /v2/quote with oversized body: status = %d, want %d",
+			resp.StatusCode, http.StatusRequestEntityTooLarge)
 	}
 }
 
-// --- /v2/quotes -------------------------------------------------------------
-
-func TestV2BatchOrderingAndInlineErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	// Distinct memory sizes make every price distinct, so order mix-ups are
-	// detectable; item 2 is invalid and must fail inline without sinking
-	// the batch.
-	var quotes []string
-	mems := []int{128, 256, 0, 512, 1024}
-	for _, mem := range mems {
-		quotes = append(quotes, fmt.Sprintf(`{
-			"language": "py", "memoryMB": %d, "tPrivate": 0.08, "tShared": 0.02,
-			"probe": {"tPrivate": %g, "tShared": %g, "machineL3Misses": 1.2e7}
-		}`, mem, apitest.SoloTPrivate*1.3, apitest.SoloTShared*1.9))
-	}
-	body := `{"quotes":[` + strings.Join(quotes, ",") + `]}`
-	resp, data := postJSON(t, ts.URL+"/v2/quotes", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, data)
-	}
-	var batch BatchResponse
-	if err := json.Unmarshal(data, &batch); err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Quotes) != len(mems) {
-		t.Fatalf("got %d items, want %d", len(batch.Quotes), len(mems))
-	}
-	var ref float64
-	for i, item := range batch.Quotes {
-		if mems[i] == 0 {
-			if item.Error == nil || item.Quote != nil {
-				t.Errorf("item %d: invalid quote must fail inline, got %+v", i, item)
-			}
-			continue
-		}
-		if item.Error != nil {
-			t.Errorf("item %d: unexpected error %v", i, item.Error)
-			continue
-		}
-		// Same measurements, so price scales exactly with memory: item i's
-		// price must match item 0's scaled by the memory ratio.
-		if ref == 0 {
-			ref = item.Quote.Price / float64(mems[i])
-			continue
-		}
-		want := ref * float64(mems[i])
-		if math.Abs(item.Quote.Price-want) > 1e-6*want {
-			t.Errorf("item %d: price %v, want %v — ordering broken", i, item.Quote.Price, want)
-		}
-	}
-}
-
-func TestV2BatchLimits(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 3})
-	resp, data := postJSON(t, ts.URL+"/v2/quotes", `{"quotes":[]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty batch: status = %d (%s)", resp.StatusCode, data)
-	}
-	item := congestedBody("")
-	over := `{"quotes":[` + strings.Join([]string{item, item, item, item}, ",") + `]}`
-	resp, data = postJSON(t, ts.URL+"/v2/quotes", over)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized batch: status = %d (%s)", resp.StatusCode, data)
-	}
-	if e := v2ErrorOf(t, data); !strings.Contains(e.Message, "exceeds limit 3") {
-		t.Errorf("oversized batch error = %+v", e)
-	}
-}
-
-// --- /v2/pricers ------------------------------------------------------------
+// --- the pricer registry ----------------------------------------------------
 
 func sharingCurve(t *testing.T) *core.SharingOverhead {
 	t.Helper()
@@ -323,20 +253,27 @@ func sharingCurve(t *testing.T) *core.SharingOverhead {
 }
 
 func TestV2Pricers(t *testing.T) {
+	// Without a sharing curve the registry holds commercial and litmus only.
 	_, ts := newTestServer(t, Config{})
-	var infos []PricerInfo
-	if resp := getJSON(t, ts.URL+"/v2/pricers", &infos); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	names := map[string]bool{}
-	for _, info := range infos {
-		names[info.Name] = true
-		if info.Default && info.Name != "litmus" {
-			t.Errorf("default pricer = %s, want litmus", info.Name)
+	for name, want := range map[string]string{"": "litmus", "litmus": "litmus", "commercial": "commercial"} {
+		resp, data := postJSON(t, ts.URL+"/v2/quote", congestedBody(`, "pricer": "`+name+`"`))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pricer %q: status = %d: %s", name, resp.StatusCode, data)
+		}
+		var q QuoteResponse
+		if err := json.Unmarshal(data, &q); err != nil {
+			t.Fatal(err)
+		}
+		if q.Pricer != want {
+			t.Errorf("pricer %q: quote priced by %q, want %q", name, q.Pricer, want)
 		}
 	}
-	if !names["commercial"] || !names["litmus"] || names["litmus-method1"] {
-		t.Errorf("registry = %v, want commercial+litmus only", names)
+	resp, data := postJSON(t, ts.URL+"/v2/quote", congestedBody(`, "pricer": "litmus-method1"`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("litmus-method1 without a curve: status = %d (%s)", resp.StatusCode, data)
+	}
+	if e := v2ErrorOf(t, data); !strings.Contains(e.Message, `unknown pricer "litmus-method1"`) {
+		t.Errorf("litmus-method1 without a curve: error = %+v", e)
 	}
 
 	// With a sharing curve configured, method 1 joins the registry and
@@ -346,16 +283,7 @@ func TestV2Pricers(t *testing.T) {
 		Sharing:          sharingCurve(t),
 		CoRunnersPerCore: 10,
 	})
-	infos = nil
-	getJSON(t, ts2.URL+"/v2/pricers", &infos)
-	found := false
-	for _, info := range infos {
-		found = found || info.Name == "litmus-method1"
-	}
-	if !found {
-		t.Fatalf("litmus-method1 missing from %v", infos)
-	}
-	resp, data := postJSON(t, ts2.URL+"/v2/quote", congestedBody(`, "pricer": "litmus-method1"`))
+	resp, data = postJSON(t, ts2.URL+"/v2/quote", congestedBody(`, "pricer": "litmus-method1"`))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("method1 quote status = %d: %s", resp.StatusCode, data)
 	}
@@ -441,7 +369,7 @@ func TestV2TablesRejectsInvalid(t *testing.T) {
 	}
 }
 
-// --- /v2/tenants/{id}/summary ------------------------------------------------
+// --- the tenant ledger -------------------------------------------------------
 
 func TestTenantLedgerAccumulates(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -466,27 +394,27 @@ func TestTenantLedgerAccumulates(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/v2/quote", congestedBody(`, "tenant": "other"`))
 
-	var sum TenantSummary
-	if resp := getJSON(t, ts.URL+"/v2/tenants/acme/summary", &sum); resp.StatusCode != http.StatusOK {
-		t.Fatalf("summary status = %d", resp.StatusCode)
+	var st StatementResponse
+	if resp := getJSON(t, ts.URL+"/v3/tenants/acme/statement", &st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("statement status = %d", resp.StatusCode)
 	}
-	if sum.Tenant != "acme" || sum.Invocations != 3 {
-		t.Errorf("summary = %+v, want 3 invocations for acme", sum)
+	if st.Tenant != "acme" || st.Invocations != 3 {
+		t.Errorf("statement = %+v, want 3 invocations for acme", st)
 	}
-	if math.Abs(sum.Commercial-wantCommercial) > 1e-9 || math.Abs(sum.Billed-wantBilled) > 1e-9 {
-		t.Errorf("summary totals = %v/%v, want %v/%v", sum.Commercial, sum.Billed, wantCommercial, wantBilled)
+	if math.Abs(st.Commercial-wantCommercial) > 1e-9 || math.Abs(st.Billed-wantBilled) > 1e-9 {
+		t.Errorf("statement totals = %v/%v, want %v/%v", st.Commercial, st.Billed, wantCommercial, wantBilled)
 	}
 	wantDiscount := 1 - wantBilled/wantCommercial
-	if math.Abs(sum.Discount-wantDiscount) > 1e-9 {
-		t.Errorf("summary discount = %v, want %v", sum.Discount, wantDiscount)
+	if math.Abs(st.Discount-wantDiscount) > 1e-9 {
+		t.Errorf("statement discount = %v, want %v", st.Discount, wantDiscount)
 	}
 
 	resp, data := postJSON(t, ts.URL+"/v2/quote", congestedBody(""))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tenantless quote status = %d: %s", resp.StatusCode, data)
 	}
-	var after TenantSummary
-	getJSON(t, ts.URL+"/v2/tenants/acme/summary", &after)
+	var after StatementResponse
+	getJSON(t, ts.URL+"/v3/tenants/acme/statement", &after)
 	if after.Invocations != 3 {
 		t.Error("tenantless quote leaked into a ledger")
 	}
@@ -513,16 +441,32 @@ func TestTenantLedgerCap(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("existing tenant after cap: status = %d (%s)", resp.StatusCode, data)
 	}
-	var sum TenantSummary
-	getJSON(t, ts.URL+"/v2/tenants/a/summary", &sum)
-	if sum.Invocations != 2 {
-		t.Errorf("tenant a invocations = %d, want 2", sum.Invocations)
+	var st StatementResponse
+	getJSON(t, ts.URL+"/v3/tenants/a/statement", &st)
+	if st.Invocations != 2 {
+		t.Errorf("tenant a invocations = %d, want 2", st.Invocations)
+	}
+
+	// An injected ledger's own cap is the one the refusal names: the
+	// server's MaxTenants does not apply to it.
+	led, err := ledger.New(ledger.Config{MaxTenants: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts = newTestServer(t, Config{Ledger: led})
+	postJSON(t, ts.URL+"/v2/quote", congestedBody(`, "tenant": "a"`))
+	resp, data = postJSON(t, ts.URL+"/v2/quote", congestedBody(`, "tenant": "b"`))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("over-cap tenant on an injected ledger: status = %d (%s)", resp.StatusCode, data)
+	}
+	if e := v2ErrorOf(t, data); e.Message != "tenant ledger full (1 tenants); record not billed" {
+		t.Errorf("over-cap error on an injected ledger = %+v", e)
 	}
 }
 
 func TestTenantSummaryUnknown(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v2/tenants/ghost/summary")
+	resp, err := http.Get(ts.URL + "/v3/tenants/ghost/statement")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,17 +522,17 @@ func TestConcurrentQuotesAndSwaps(t *testing.T) {
 					if code, data := post("/v2/quote", congestedBody(`, "tenant": "load"`)); code != http.StatusOK {
 						errs <- fmt.Sprintf("quote: %d %s", code, data)
 					}
-				case 1: // batches
-					body := `{"quotes":[` + congestedBody("") + "," + congestedBody("") + `]}`
-					if code, data := post("/v2/quotes", body); code != http.StatusOK {
-						errs <- fmt.Sprintf("batch: %d %s", code, data)
+				case 1: // two-record usage streams
+					body := ndLine("load", 512, i, "") + "\n" + ndLine("load", 256, i, "")
+					if code, data := post("/v3/usage", body); code != http.StatusOK {
+						errs <- fmt.Sprintf("stream: %d %s", code, data)
 					}
 				case 2: // table swaps
 					if code, data := post("/v3/tables", string(altData)); code != http.StatusOK {
 						errs <- fmt.Sprintf("swap: %d %s", code, data)
 					}
 				case 3: // ledger reads
-					resp, err := http.Get(ts.URL + "/v2/tenants/load/summary")
+					resp, err := http.Get(ts.URL + "/v3/tenants/load/statement")
 					if err != nil {
 						errs <- err.Error()
 						continue

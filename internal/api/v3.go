@@ -3,8 +3,8 @@ package api
 // The /v3 surface is resource-oriented: usage is an append-only stream,
 // tenants are a paginated collection, statements are windowed reads of the
 // ledger, and the calibration tables are a versioned resource guarded by
-// ETag/If-Match. All accrual goes through Server.bill, the funnel /v2
-// quotes use too, so the API versions cannot bill differently.
+// ETag/If-Match. All accrual goes through Server.bill, the funnel /v2/quote
+// uses too, so the API versions cannot bill differently.
 
 import (
 	"fmt"
@@ -28,10 +28,10 @@ import (
 const accrueBatchSize = 256
 
 // handleUsageStream ingests a usage stream in either wire format — NDJSON or
-// binary frames, chosen by Content-Type — in constant memory, so streams can
-// run far beyond the /v2 batch cap. Bad records are rejected individually
-// while the rest of the stream accrues, and records carrying (or
-// inheriting) an idempotency key can be retried without double-billing.
+// binary frames, chosen by Content-Type — in constant memory, so a stream's
+// length is bounded only by MaxStreamLines. Bad records are rejected
+// individually while the rest of the stream accrues, and records carrying
+// (or inheriting) an idempotency key can be retried without double-billing.
 //
 // One loop on the handler goroutine reads, prices, admits and bills the
 // records in stream order: when two records of one stream carry the same

@@ -125,11 +125,11 @@ func TestUsageStreamResponseRefusalRule(t *testing.T) {
 }
 
 func TestV3UsageStreamBeyondBatchCap(t *testing.T) {
-	// MaxBatch bounds /v2 batches only; the stream sails past it in
-	// constant memory.
-	_, ts := newTestServer(t, Config{MaxBatch: 4})
+	// A stream longer than one accrual batch bills every record across the
+	// collector's flushes.
+	_, ts := newTestServer(t, Config{})
 	var sb strings.Builder
-	const n = 300
+	const n = accrueBatchSize + 44
 	for i := 0; i < n; i++ {
 		sb.WriteString(ndLine(fmt.Sprintf("t%02d", i%7), 128+i%5*64, i/10, ""))
 		sb.WriteByte('\n')
@@ -329,11 +329,14 @@ func TestV3Statement(t *testing.T) {
 			t.Errorf("window %d bills = %+v", line.Window, line.Bills)
 		}
 	}
-	// The statement totals agree with the v2 summary view of the same
-	// ledger.
-	var sum TenantSummary
-	getJSON(t, ts.URL+"/v2/tenants/acme/summary", &sum)
-	if sum.Invocations != st.Invocations || math.Abs(sum.Billed-st.Billed) > 1e-12 {
+	// The statement totals agree with the tenant listing's summary of the
+	// same ledger.
+	var page TenantPage
+	getJSON(t, ts.URL+"/v3/tenants", &page)
+	if len(page.Tenants) != 1 {
+		t.Fatalf("tenant page = %+v, want acme only", page)
+	}
+	if sum := page.Tenants[0]; sum.Invocations != st.Invocations || math.Abs(sum.Billed-st.Billed) > 1e-12 {
 		t.Errorf("summary %+v diverges from statement %+v", sum, st)
 	}
 
@@ -522,8 +525,8 @@ func TestV3TablesConcurrentSwapsLoseNoUpdates(t *testing.T) {
 
 // TestMeterAndUsageStreamBillIdentically holds the per-record funnel equal
 // to the stream funnel: the same records billed one entry at a time through
-// /v2/quotes batches on one server and through concurrent /v3/usage NDJSON
-// streams on another must produce identical tenant statements — and
+// /v2/quote on one server and through concurrent /v3/usage NDJSON streams on
+// another must produce identical tenant statements — and
 // replaying one of the NDJSON streams under its original idempotency key
 // must not double-bill. Both ingests run from many goroutines; under -race
 // this exercises the whole ledger path.
@@ -532,7 +535,7 @@ func TestMeterAndUsageStreamBillIdentically(t *testing.T) {
 	_, tsStream := newTestServer(t, Config{})
 
 	// 60 records across 3 tenants with distinct memory sizes (and thus
-	// distinct prices), chunked into 6 concurrent batches.
+	// distinct prices), chunked into 6 concurrent goroutines per server.
 	tenants := []string{"acme", "beta", "zeta"}
 	const chunks, perChunk = 6, 10
 	type rec struct {
@@ -551,25 +554,21 @@ func TestMeterAndUsageStreamBillIdentically(t *testing.T) {
 	errs := make(chan string, 2*chunks)
 	for c := 0; c < chunks; c++ {
 		wg.Add(1)
-		go func(c int) { // /v2/quotes batch
+		go func(c int) { // one /v2/quote per record
 			defer wg.Done()
-			var items []string
-			for _, r := range all[c] {
-				items = append(items, ndLine(r.tenant, r.mem, -1, ""))
-			}
-			body := `{"quotes":[` + strings.Join(items, ",") + `]}`
-			resp, data := postJSON(t, tsMeter.URL+"/v2/quotes", body)
-			var br BatchResponse
-			billed := 0
-			if json.Unmarshal(data, &br) == nil {
-				for _, item := range br.Quotes {
-					if item.Quote != nil {
-						billed++
-					}
+			for i, r := range all[c] {
+				resp, err := http.Post(tsMeter.URL+"/v2/quote", "application/json",
+					strings.NewReader(ndLine(r.tenant, r.mem, -1, "")))
+				if err != nil {
+					errs <- fmt.Sprintf("quote chunk %d record %d: %v", c, i, err)
+					return
 				}
-			}
-			if resp.StatusCode != http.StatusOK || billed != perChunk {
-				errs <- fmt.Sprintf("quotes chunk %d: %d %s", c, resp.StatusCode, data)
+				data, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Sprintf("quote chunk %d record %d: %d %s", c, i, resp.StatusCode, data)
+					return
+				}
 			}
 		}(c)
 		wg.Add(1)

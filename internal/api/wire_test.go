@@ -133,13 +133,11 @@ func TestWireGolden(t *testing.T) {
 	record("GET /v3/tenants/{tenant}/statement", do(http.MethodGet, "/v3/tenants/acme/statement", ""))
 	emptyRange := do(http.MethodGet, "/v3/tenants/acme/statement?from=100", "")
 	record("GET /v3/tenants/{tenant}/statement (empty range)", emptyRange)
-	record("GET /v2/tenants/{tenant}/summary", do(http.MethodGet, "/v2/tenants/acme/summary", ""))
 	record("GET /v3/tenants/{tenant}/forecast", do(http.MethodGet, "/v3/tenants/acme/forecast", ""))
 	record("GET /v3/tables", do(http.MethodGet, "/v3/tables", ""))
 	record("PUT /v3/tables", do(http.MethodPut, "/v3/tables", string(tables)))
 	record("POST /v2/quote", do(http.MethodPost, "/v2/quote", congestedBody("")))
-	record("GET /v2/pricers", do(http.MethodGet, "/v2/pricers", ""))
-	record("error envelope", do(http.MethodGet, "/v2/tenants/nobody/summary", ""))
+	record("error envelope", do(http.MethodGet, "/v3/tenants/nobody/statement", ""))
 
 	// Empty collections are [], never null: clients range over them.
 	if !bytes.Contains(allRejected, []byte(`"tenants":[]`)) {

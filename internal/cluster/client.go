@@ -68,11 +68,6 @@ func (c *Client) Health(ctx context.Context) error {
 	return nil
 }
 
-// TenantSummary fetches a tenant's summary from its owner node.
-func (c *Client) TenantSummary(ctx context.Context, tenant string) (api.TenantSummary, error) {
-	return c.owner(tenant).TenantSummary(ctx, tenant)
-}
-
 // Statement fetches a tenant's statement from its owner node.
 func (c *Client) Statement(ctx context.Context, tenant string, fromMinute, toMinute int) (api.StatementResponse, error) {
 	return c.owner(tenant).Statement(ctx, tenant, fromMinute, toMinute)

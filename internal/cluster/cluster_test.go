@@ -176,7 +176,7 @@ func TestClusterClientMatchesSingleNode(t *testing.T) {
 		jsonEq(t, fmt.Sprintf("Tenants(limit=%d)", limit), cpages, spages)
 	}
 
-	// Every tenant's statement and summary.
+	// Every tenant's statement.
 	for i := 0; i < 24; i++ {
 		tenant := fmt.Sprintf("tenant-%03d", i)
 		cst, err := cc.Statement(ctx, tenant, 0, -1)
@@ -188,15 +188,6 @@ func TestClusterClientMatchesSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		jsonEq(t, "Statement "+tenant, cst, sst)
-		csum, err := cc.TenantSummary(ctx, tenant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ssum, err := sc.TenantSummary(ctx, tenant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jsonEq(t, "TenantSummary "+tenant, csum, ssum)
 	}
 
 	if err := cc.Health(ctx); err != nil {
@@ -373,7 +364,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		}
 	}
 
-	// Statements and summaries proxy to the owner byte-for-byte.
+	// Statements proxy to the owner byte-for-byte.
 	rc, sc := api.NewClient(router.URL), api.NewClient(single.URL)
 	for i := 0; i < 15; i++ {
 		tenant := fmt.Sprintf("tenant-%03d", i)
@@ -386,6 +377,29 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		jsonEq(t, "statement "+tenant, rst, sst)
+	}
+
+	// The /v2 summary, pricer listing and batch routes are gone from the
+	// node and the router alike.
+	for _, c := range []struct{ method, path string }{
+		{http.MethodGet, "/v2/tenants/tenant-000/summary"},
+		{http.MethodGet, "/v2/pricers"},
+		{http.MethodPost, "/v2/quotes"},
+	} {
+		for _, base := range []string{router.URL, single.URL} {
+			req, err := http.NewRequest(c.method, base+c.path, strings.NewReader(`{"quotes":[]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s%s: status %d, want 404", c.method, base, c.path, resp.StatusCode)
+			}
+		}
 	}
 
 	// Error surfaces must match the single node's wording and status.

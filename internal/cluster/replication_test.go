@@ -534,15 +534,15 @@ func TestFailoverEndToEnd(t *testing.T) {
 	}
 
 	// Replicated reads serve the primary's state.
-	sumP, err := api.NewClient(ts.URL).TenantSummary(context.Background(), "tenant-000")
+	stP, err := api.NewClient(ts.URL).Statement(context.Background(), "tenant-000", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumS, err := api.NewClient(standbyTS.URL).TenantSummary(context.Background(), "tenant-000")
+	stS, err := api.NewClient(standbyTS.URL).Statement(context.Background(), "tenant-000", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonEq(t, "standby read", sumS, sumP)
+	jsonEq(t, "standby read", stS, stP)
 
 	// Pause replication, land an unreplicated tail on the primary, then
 	// lose it.

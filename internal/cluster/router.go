@@ -22,13 +22,13 @@ import (
 //   - scatter: POST /v3/usage is read in either wire format, its records
 //     forwarded to their owners and the accounting merged;
 //   - merge: GET /v3/tenants merge-paginates the per-node pages;
-//   - proxy: the tenant-scoped reads (statement, forecast, /v2 summary) are
-//     relayed verbatim to the tenant's owner, GET /v3/tables to the
-//     coordinator (node 0);
+//   - proxy: the tenant-scoped reads (statement, forecast) are relayed
+//     verbatim to the tenant's owner, GET /v3/tables to the coordinator
+//     (node 0);
 //   - broadcast: an accepted PUT /v3/tables goes to the coordinator, then
 //     to every other node;
-//   - GET /healthz aggregates the nodes' own probes; the /v2 quote routes
-//     and /v2/pricers are not served.
+//   - GET /healthz aggregates the nodes' own probes; /v2/quote is not
+//     served.
 //
 // The usage scatter (usageForward, the one Client.StreamUsage drives too)
 // preserves single-node billing semantics exactly: keys derive from
@@ -84,7 +84,6 @@ func NewRouter(client *Client, cfg RouterConfig) *Router {
 	rt.mux.HandleFunc("/v3/tenants", rt.handleTenants)
 	rt.mux.HandleFunc("/v3/tenants/{tenant}/statement", rt.proxyToOwner)
 	rt.mux.HandleFunc("/v3/tenants/{tenant}/forecast", rt.proxyToOwner)
-	rt.mux.HandleFunc("/v2/tenants/{tenant}/summary", rt.proxyToOwner)
 	rt.mux.HandleFunc("/v3/tables", rt.handleTables)
 	return rt
 }

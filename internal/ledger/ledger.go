@@ -292,6 +292,9 @@ func (l *Ledger) Close() error {
 // WindowMinutes returns the statement window width.
 func (l *Ledger) WindowMinutes() int { return l.cfg.WindowMinutes }
 
+// MaxTenants returns the tenant-account cap.
+func (l *Ledger) MaxTenants() int { return l.cfg.MaxTenants }
+
 // Shards returns the lock-stripe count.
 func (l *Ledger) Shards() int { return len(l.shards) }
 
@@ -582,10 +585,9 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 	}
 }
 
-// Summary is a tenant's aggregate bill — and, through its JSON tags, the
-// wire body of GET /v2/tenants/{tenant}/summary and of every tenant element
-// the /v3 surface lists (internal/api aliases it; a rename here is an API
-// change).
+// Summary is a tenant's aggregate bill — and, through its JSON tags, every
+// tenant element the /v3 surface lists: the GET /v3/tenants pages and a
+// /v3/usage reply (internal/api aliases it; a rename here is an API change).
 type Summary struct {
 	Tenant string `json:"tenant"`
 	// Invocations counts the entries accrued to the account.
