@@ -232,9 +232,6 @@ func TestForecastEndpoint(t *testing.T) {
 	if fc.Tenant != "t" || fc.Burst != 2 || fc.Admitted != 1 || fc.RefillPerSec <= 0 {
 		t.Fatalf("forecast = %+v", fc)
 	}
-	if len(fc.Windows) == 0 {
-		t.Fatalf("forecast carries no billing windows: %+v", fc)
-	}
 
 	var apiErr *Error
 	if _, err := client.Forecast(ctx, "nobody"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {

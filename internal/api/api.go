@@ -19,7 +19,9 @@
 //	                                    application/x-litmus-frames, see
 //	                                    frames.go) — decoded in constant
 //	                                    memory, per-line errors, idempotent
-//	                                    retries via idempotency keys
+//	                                    retries via idempotency keys; the
+//	                                    reply is counts and at most 64 line
+//	                                    errors, never a bill
 //	GET  /v3/tenants                  — sorted tenant listing with cursor
 //	                                    pagination (?cursor=&limit=)
 //	GET  /v3/tenants/{tenant}/statement — windowed bill (?from=&to= trace
@@ -169,7 +171,7 @@ type TablesStatus struct {
 }
 
 // TenantSummary is a tenant's aggregate billing ledger: the elements of
-// GET /v3/tenants and of a /v3/usage reply's tenants.
+// GET /v3/tenants.
 type TenantSummary = ledger.Summary
 
 // HealthResponse is the /healthz body: liveness plus the ledger's
@@ -221,15 +223,8 @@ type HealthResponse struct {
 type AdmissionHealth = admission.Snapshot
 
 // ForecastResponse is the GET /v3/tenants/{tenant}/forecast body: the
-// admission controller's next-window prediction plus the ledger windows it
-// is grounded in.
-type ForecastResponse struct {
-	admission.TenantForecast
-	// Windows holds the tenant's most recent statement windows (the
-	// accrual history behind the projection, without per-pricer bills),
-	// sorted by window.
-	Windows []StatementLine `json:"windows,omitempty"`
-}
+// admission controller's next-window prediction for one tenant.
+type ForecastResponse = admission.TenantForecast
 
 // RequestHealth is the /healthz request-accounting block.
 type RequestHealth struct {
@@ -306,7 +301,8 @@ func (c *UsageCounts) Add(o UsageCounts) {
 
 // UsageStreamResponse is the POST /v3/usage reply. The stream is processed
 // line by line: every line is accounted for in exactly one of the
-// UsageCounts.
+// UsageCounts. It depends on the stream alone — it carries no bill, which is
+// read from the statement or the /v3/tenants listing.
 type UsageStreamResponse struct {
 	// Lines counts the non-blank lines read.
 	Lines int `json:"lines"`
@@ -321,9 +317,6 @@ type UsageStreamResponse struct {
 	// StreamError is set when reading stopped early (oversized line, line
 	// cap, transport error); everything before it still accrued.
 	StreamError string `json:"streamError,omitempty"`
-	// Tenants holds the post-accrual summaries of every tenant the stream
-	// touched, sorted by name.
-	Tenants []TenantSummary `json:"tenants"`
 }
 
 // Refuse accounts one line that is not billed — a 5xx is Dropped, a 429
@@ -365,11 +358,6 @@ type TenantPage struct {
 	Tenants    []TenantSummary `json:"tenants"`
 	NextCursor string          `json:"nextCursor,omitempty"`
 }
-
-// StatementLine is one statement window: the bill for trace minutes
-// [StartMinute, StartMinute+WindowMinutes), commercial vs charged, with
-// Bills breaking the charge down by pricer.
-type StatementLine = ledger.Line
 
 // StatementResponse is a tenant's windowed bill
 // (GET /v3/tenants/{tenant}/statement). Totals cover the included windows

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sync"
@@ -340,20 +341,29 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, errorEnvelope{Err: Error{Status: status, Message: fmt.Sprintf(format, args...)}})
 }
 
-// DecodeBody decodes a JSON request body of at most limit bytes. It writes
-// the error response itself and reports whether decoding succeeded.
+// DecodeBody decodes a JSON request body of at most limit bytes that holds
+// one value: whitespace may follow it, a second value may not — it would go
+// unread. It writes the error response itself and reports whether decoding
+// succeeded.
 func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return false
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		WriteError(w, http.StatusBadRequest, "malformed JSON: %v", err)
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 		return false
 	}
-	return true
+	WriteError(w, http.StatusBadRequest, "malformed JSON: %v", err)
+	return false
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -388,15 +398,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // --- GET /v3/tenants/{tenant}/forecast ---------------------------------------
 
-// forecastHistoryWindows bounds the ledger windows echoed on a forecast
-// read: the recent accrual history the projection is grounded in, not the
-// tenant's whole statement.
-const forecastHistoryWindows = 8
-
 // handleForecast serves the admission controller's next-window view of one
-// tenant: observed vs predicted arrival rate, the live refill rate, and the
-// tenant's recent ledger windows. 404s when admission control is disabled
-// or the controller has never seen the tenant.
+// tenant: observed vs predicted arrival rate and the live refill rate. 404s
+// when admission control is disabled or the controller has never seen the
+// tenant.
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		WriteError(w, http.StatusMethodNotAllowed, "GET only")
@@ -412,9 +417,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "no admission state for tenant %q", tenant)
 		return
 	}
-	resp := ForecastResponse{TenantForecast: fc}
-	resp.Windows, _ = s.ledger.WindowStats(tenant, forecastHistoryWindows)
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, fc)
 }
 
 // --- /v2/quote --------------------------------------------------------------

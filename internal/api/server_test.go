@@ -204,6 +204,9 @@ func TestV2QuoteErrors(t *testing.T) {
 		{"negative probe", `{"language":"py","memoryMB":1,"tPrivate":1,
 			"probe":{"tPrivate":-1,"tShared":0,"machineL3Misses":0}}`, http.StatusBadRequest, "probe"},
 		{"litmus needs probe", `{"language":"py","memoryMB":1,"tPrivate":1}`, http.StatusBadRequest, "no Litmus probe"},
+		// One body, one value: a second one is refused, not billed as the first.
+		{"second object", congestedBody(`, "tenant": "acme"`) + `{"tenant":"evil"}`, http.StatusBadRequest, "malformed JSON"},
+		{"trailing garbage", congestedBody(`, "tenant": "acme"`) + "\ngarbage", http.StatusBadRequest, "malformed JSON"},
 	}
 	for _, c := range cases {
 		resp, data := postJSON(t, ts.URL+"/v2/quote", c.body)
@@ -215,6 +218,15 @@ func TestV2QuoteErrors(t *testing.T) {
 		if e.Status != c.wantStatus || !strings.Contains(e.Message, c.wantMessage) {
 			t.Errorf("%s: error = %+v, want message containing %q", c.name, e, c.wantMessage)
 		}
+	}
+	// The refused bodies billed nobody; whitespace after the value, such as
+	// json.Encoder's newline, is no second value.
+	var st StatementResponse
+	if resp := getJSON(t, ts.URL+"/v3/tenants/acme/statement", &st); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("refused bodies billed acme: status %d, %+v", resp.StatusCode, st)
+	}
+	if resp, data := postJSON(t, ts.URL+"/v2/quote", congestedBody("")+"\n \n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: status = %d (%s)", resp.StatusCode, data)
 	}
 	resp, err := http.Get(ts.URL + "/v2/quote")
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -68,7 +67,9 @@ func (s *Server) handleUsageStream(w http.ResponseWriter, r *http.Request) {
 		col.add(pos, entry, rec.Key != "")
 	}
 	col.flush()
-	s.finishUsage(w, col, src.Verdict())
+	col.resp.StreamError = src.Verdict()
+	WriteUsageResponse(w, &col.resp)
+	col.release()
 }
 
 // RequestWire picks the wire format a /v3/usage request body is in from its
@@ -110,24 +111,6 @@ func (s *Server) priceRecord(pricers map[string]core.Pricer, keys *KeyArena, str
 	}, nil
 }
 
-// finishUsage completes a usage stream's response — the stream error and the
-// post-accrual summaries of every touched tenant — and writes it.
-func (s *Server) finishUsage(w http.ResponseWriter, col *usageCollector, streamErr string) {
-	col.resp.StreamError = streamErr
-	names := make([]string, 0, len(col.touched))
-	for name := range col.touched {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if sum, ok := s.ledger.Summary(name); ok {
-			col.resp.Tenants = append(col.resp.Tenants, sum)
-		}
-	}
-	WriteUsageResponse(w, &col.resp)
-	col.release()
-}
-
 // WriteUsageResponse writes a usage stream's terminal response. Throttled
 // lines surface twice: the Retry-After header always accompanies them, and
 // when the admission limiter rejected every line the status is 429 — a
@@ -137,11 +120,6 @@ func (s *Server) finishUsage(w http.ResponseWriter, col *usageCollector, streamE
 // UsageStreamResponse either way. What a client retries, and so what bills,
 // hangs on this rule: the node and the router both answer through it.
 func WriteUsageResponse(w http.ResponseWriter, resp *UsageStreamResponse) {
-	if resp.Tenants == nil {
-		// A stream that billed nobody lists no tenants: [], never null —
-		// clients range over it.
-		resp.Tenants = []TenantSummary{}
-	}
 	status := http.StatusOK
 	if resp.RetryAfterSec > 0 {
 		w.Header().Set("Retry-After", RetryAfterHeader(resp.RetryAfterSec))
@@ -159,9 +137,8 @@ func WriteUsageResponse(w http.ResponseWriter, resp *UsageStreamResponse) {
 // capped error list and dedup outcomes behave exactly as a per-record pass
 // would — the differential tests hold both wire formats to that.
 type usageCollector struct {
-	s       *Server
-	resp    UsageStreamResponse
-	touched map[string]bool
+	s    *Server
+	resp UsageStreamResponse
 	// entries buffers the priced, not-yet-billed records; lines carries
 	// their 1-based stream positions in parallel.
 	entries []ledger.Entry
@@ -179,10 +156,10 @@ type usageCollector struct {
 type pendingKey struct{ tenant, key string }
 
 // collectorPool recycles usageCollectors across streams: the entry/line/
-// result buffers and the touched set dominate steady-state ingest
-// allocations once the wire format itself is allocation-free.
+// result buffers dominate steady-state ingest allocations once the wire
+// format itself is allocation-free.
 var collectorPool = sync.Pool{New: func() any {
-	return &usageCollector{touched: map[string]bool{}, pending: map[pendingKey]bool{}}
+	return &usageCollector{pending: map[pendingKey]bool{}}
 }}
 
 func (s *Server) newUsageCollector() *usageCollector {
@@ -194,14 +171,8 @@ func (s *Server) newUsageCollector() *usageCollector {
 // release clears everything the stream observed and returns the collector
 // to the pool. Callers must not touch the collector afterwards.
 func (c *usageCollector) release() {
-	if len(c.touched) > 4096 {
-		// Don't let one many-tenant stream pin a giant set for every
-		// later stream to inherit.
-		return
-	}
 	c.s = nil
-	clear(c.touched)
-	c.resp = UsageStreamResponse{Errors: c.resp.Errors[:0], Tenants: c.resp.Tenants[:0]}
+	c.resp = UsageStreamResponse{Errors: c.resp.Errors[:0]}
 	c.entries = c.entries[:0]
 	c.lines = c.lines[:0]
 	collectorPool.Put(c)
@@ -252,20 +223,14 @@ func (c *usageCollector) reject(line int, apiErr *Error) {
 }
 
 // fold applies one billed line's outcome to the response.
-func (c *usageCollector) fold(line int, tenant string, outcome ledger.Outcome, apiErr *Error) {
-	if apiErr != nil {
+func (c *usageCollector) fold(line int, outcome ledger.Outcome, apiErr *Error) {
+	switch {
+	case apiErr != nil:
 		c.resp.Refuse(line, *apiErr)
-		return
-	}
-	if outcome == ledger.Duplicate {
+	case outcome == ledger.Duplicate:
 		c.resp.Duplicates++
-	} else {
+	default:
 		c.resp.Accepted++
-	}
-	// Check-then-assign: on a warm stream the tenant is already present,
-	// and a map read is cheaper than re-assigning every record.
-	if !c.touched[tenant] {
-		c.touched[tenant] = true
 	}
 }
 
@@ -279,7 +244,7 @@ func (c *usageCollector) flush() {
 		c.results = make([]ledger.AccrualResult, len(c.entries))
 	}
 	c.s.bill(c.entries, c.results[:len(c.entries)], func(i int, outcome ledger.Outcome, apiErr *Error) {
-		c.fold(c.lines[i], c.entries[i].Tenant, outcome, apiErr)
+		c.fold(c.lines[i], outcome, apiErr)
 	})
 	c.entries = c.entries[:0]
 	c.lines = c.lines[:0]

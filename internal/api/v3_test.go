@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -57,6 +58,17 @@ func postStream(t *testing.T, url, key, body string) UsageStreamResponse {
 	return out
 }
 
+// statementOf reads a tenant's whole statement; it fails the test unless the
+// tenant has one.
+func statementOf(t *testing.T, url, tenant string) StatementResponse {
+	t.Helper()
+	var st StatementResponse
+	if resp := getJSON(t, url+"/v3/tenants/"+tenant+"/statement", &st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("statement of %s: status %d", tenant, resp.StatusCode)
+	}
+	return st
+}
+
 func TestV3UsageStreamPerLineErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := strings.Join([]string{
@@ -81,8 +93,10 @@ func TestV3UsageStreamPerLineErrors(t *testing.T) {
 			t.Errorf("error %d = %+v, want line %d", i, e, wantLines[i])
 		}
 	}
-	if len(out.Tenants) != 2 || out.Tenants[0].Tenant != "acme" || out.Tenants[1].Tenant != "zeta" {
-		t.Errorf("touched tenants = %+v", out.Tenants)
+	var page TenantPage
+	getJSON(t, ts.URL+"/v3/tenants", &page)
+	if len(page.Tenants) != 2 || page.Tenants[0].Tenant != "acme" || page.Tenants[1].Tenant != "zeta" {
+		t.Errorf("billed tenants = %+v", page.Tenants)
 	}
 	if out.StreamError != "" {
 		t.Errorf("unexpected stream error %q", out.StreamError)
@@ -138,8 +152,10 @@ func TestV3UsageStreamBeyondBatchCap(t *testing.T) {
 	if out.Lines != n || out.Accepted != n {
 		t.Fatalf("stream = %+v", out)
 	}
+	var page TenantPage
+	getJSON(t, ts.URL+"/v3/tenants", &page)
 	var total int64
-	for _, sum := range out.Tenants {
+	for _, sum := range page.Tenants {
 		total += sum.Invocations
 	}
 	if total != n {
@@ -191,13 +207,13 @@ func TestV3UsageStreamIdempotency(t *testing.T) {
 	if out.Accepted != 1 || out.Duplicates != 1 {
 		t.Fatalf("stream = %+v", out)
 	}
-	if len(out.Tenants) != 1 || out.Tenants[0].Invocations != 1 {
-		t.Fatalf("tenants = %+v", out.Tenants)
+	if st := statementOf(t, ts.URL, "acme"); st.Invocations != 1 {
+		t.Fatalf("statement = %+v", st)
 	}
 
-	// Same-key lines with different payloads: the first line always wins,
-	// whatever the decode workers' interleaving — accrual happens in line
-	// order in the collector, so billing is deterministic.
+	// Same-key lines with different payloads: the first line always wins —
+	// accrual happens in line order in the collector, so billing is
+	// deterministic.
 	for i := 0; i < 20; i++ {
 		_, ts2 := newTestServer(t, Config{})
 		conflict := ndLine("det", 128, 0, "kk") + "\n" + ndLine("det", 1024, 0, "kk") + "\n"
@@ -205,11 +221,12 @@ func TestV3UsageStreamIdempotency(t *testing.T) {
 		if out.Accepted != 1 || out.Duplicates != 1 {
 			t.Fatalf("conflicting keys = %+v", out)
 		}
-		first := postStream(t, ts2.URL, "", ndLine("ref", 128, 0, "")+"\n")
+		postStream(t, ts2.URL, "", ndLine("ref", 128, 0, "")+"\n")
+		det, ref := statementOf(t, ts2.URL, "det"), statementOf(t, ts2.URL, "ref")
 		//litmus:float-eq-ok differential: both bills derive from the same priced line
-		if out.Tenants[0].Billed != first.Tenants[0].Billed {
+		if det.Billed != ref.Billed {
 			t.Fatalf("same-key conflict billed the later line: %v != %v (run %d)",
-				out.Tenants[0].Billed, first.Tenants[0].Billed, i)
+				det.Billed, ref.Billed, i)
 		}
 	}
 
@@ -220,16 +237,17 @@ func TestV3UsageStreamIdempotency(t *testing.T) {
 	if first.Accepted != 2 {
 		t.Fatalf("first = %+v", first)
 	}
+	billed := statementOf(t, ts.URL, "zeta")
 	replay := postStream(t, ts.URL, "retry-1", stream)
 	if replay.Accepted != 0 || replay.Duplicates != 2 {
 		t.Fatalf("replay = %+v", replay)
 	}
-	if replay.Tenants[0] != first.Tenants[0] {
-		t.Errorf("replay changed the ledger: %+v != %+v", replay.Tenants[0], first.Tenants[0])
+	if st := statementOf(t, ts.URL, "zeta"); !reflect.DeepEqual(st, billed) {
+		t.Errorf("replay changed the ledger: %+v != %+v", st, billed)
 	}
 	second := postStream(t, ts.URL, "retry-2", stream)
-	if second.Accepted != 2 || second.Tenants[0].Invocations != 4 {
-		t.Fatalf("fresh key = %+v", second)
+	if st := statementOf(t, ts.URL, "zeta"); second.Accepted != 2 || st.Invocations != 4 {
+		t.Fatalf("fresh key = %+v, statement %+v", second, st)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"net/url"
 	"reflect"
 	"strings"
 	"sync"
@@ -279,6 +280,12 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 	// comparisons below hold only because the router answers through the
 	// node's own encoder.
 	lines = append(lines, usageLine("a&b<c>", 256, 2, ""))
+	// Names a URL path carries escaped: their statements below are read
+	// through the router's proxy.
+	escaped := []string{"team/a", "q?x", "50%off"}
+	for _, tenant := range escaped {
+		lines = append(lines, usageLine(tenant, 128, 1, ""))
+	}
 	body := strings.Join(lines, "\n") + "\n"
 
 	post := func(url string) (api.UsageStreamResponse, []byte) {
@@ -345,8 +352,8 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		return raw
 	}
 	// The last cases are an empty cluster against an empty node: an empty
-	// page, and the answer to a stream that billed nobody, are "tenants":[]
-	// on both, never null.
+	// page is "tenants":[] on both, never null, and a stream that billed
+	// nobody answers the same bytes.
 	_, emptySingle := newNode(t, nil)
 	emptyRouter := newRouter(t, 3, cluster.RouterConfig{})
 	for _, c := range []struct{ router, single, path, post string }{
@@ -378,6 +385,27 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		}
 		jsonEq(t, "statement "+tenant, rst, sst)
 	}
+	for _, tenant := range escaped {
+		path := "/v3/tenants/" + url.PathEscape(tenant) + "/statement"
+		var bodies [2][]byte
+		for i, base := range []string{router.URL, single.URL} {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i], err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("GET %s%s: status %d: %s", base, path, resp.StatusCode, bodies[i])
+			}
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("statement %q bytes diverged:\n router: %s\n single: %s", tenant, bodies[0], bodies[1])
+		}
+	}
 
 	// The /v2 summary, pricer listing and batch routes are gone from the
 	// node and the router alike.
@@ -404,6 +432,54 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 
 	// Error surfaces must match the single node's wording and status.
 	checkErrorSurfaces(t, router.URL, single.URL)
+}
+
+// TestUsageAckDependsOnStreamAlone: a /v3/usage acknowledgement carries the
+// stream's own accounting and no bill, so one stream answers the same bytes
+// on a fresh node, on a node that already billed its tenants, and through a
+// router over either kind of cluster.
+func TestUsageAckDependsOnStreamAlone(t *testing.T) {
+	stream := strings.Join([]string{
+		usageLine("acme", 128, 0, ""),
+		"{not json",
+		usageLine("zeta", 256, 1, "k1"),
+		usageLine("acme", 512, 2, ""),
+		usageLine("bad", 0, 0, ""),
+	}, "\n") + "\n"
+	history := usageLine("acme", 1024, 0, "") + "\n" + usageLine("zeta", 128, 3, "") + "\n"
+	post := func(base, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(base+"/v3/usage", api.ContentTypeNDJSON, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", base, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	_, fresh := newNode(t, nil)
+	_, billed := newNode(t, nil)
+	freshRouter := newRouter(t, 3, cluster.RouterConfig{})
+	billedRouter := newRouter(t, 3, cluster.RouterConfig{})
+	for _, base := range []string{billed.URL, billedRouter.URL} {
+		post(base, history)
+	}
+	want := post(fresh.URL, stream)
+	for _, c := range []struct{ name, url string }{
+		{"node with accruals", billed.URL},
+		{"router over a fresh cluster", freshRouter.URL},
+		{"router over a cluster with accruals", billedRouter.URL},
+	} {
+		if got := post(c.url, stream); !bytes.Equal(got, want) {
+			t.Errorf("%s answered\n %s\nwant (fresh node)\n %s", c.name, got, want)
+		}
+	}
 }
 
 // newStandby spins up one pricing node over a hot-standby ledger: it reads
@@ -703,16 +779,25 @@ func checkErrorSurfaces(t *testing.T, routerURL, singleURL string) {
 		}
 	}
 	// Table bodies are decoded by the node's own code on the router: an
-	// empty body, one past the byte cap, and one valid-JSON head with
-	// trailing bytes (decoded as its head, which fails validation).
-	for name, body := range map[string]string{
-		"empty":         "",
-		"over the cap":  `{"pad":"` + strings.Repeat("x", api.DefaultMaxBodyBytes) + `"}`,
-		"trailing data": `{"sharePerCore":1} trailing`,
+	// empty body, one past the byte cap, and bodies with data after their
+	// JSON value — a valid table set among them, which must not be swapped
+	// in as if the rest were not there.
+	tables, err := json.Marshal(apitest.Calibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"empty", "", http.StatusBadRequest},
+		{"over the cap", `{"pad":"` + strings.Repeat("x", api.DefaultMaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"trailing data", `{"sharePerCore":1} trailing`, http.StatusBadRequest},
+		{"valid tables, then a second object", string(tables) + "\n" + `{"machine":"evil"}`, http.StatusBadRequest},
 	} {
 		put := func(url string) (int, []byte) {
 			t.Helper()
-			req, err := http.NewRequest(http.MethodPut, url+"/v3/tables", strings.NewReader(body))
+			req, err := http.NewRequest(http.MethodPut, url+"/v3/tables", strings.NewReader(c.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -729,8 +814,8 @@ func checkErrorSurfaces(t *testing.T, routerURL, singleURL string) {
 		}
 		rs, rraw := put(routerURL)
 		ss, sraw := put(singleURL)
-		if rs != ss || !bytes.Equal(rraw, sraw) || ss < 400 {
-			t.Errorf("PUT /v3/tables, %s body: router %d %s, single %d %s", name, rs, rraw, ss, sraw)
+		if rs != ss || !bytes.Equal(rraw, sraw) || ss != c.status {
+			t.Errorf("PUT /v3/tables, %s body: router %d %s, single %d %s; want %d", c.name, rs, rraw, ss, sraw, c.status)
 		}
 	}
 }

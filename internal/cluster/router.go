@@ -137,7 +137,7 @@ type ownerBatch struct {
 // flush forwards one owner's batch and folds its answer under the original
 // line numbering, finish flushes the tails and renders the merged response
 // in a single node's shape (counters summed, errors in line order and
-// capped, tenant summaries last-wins per tenant, sorted).
+// capped).
 type usageForward struct {
 	c         *Client
 	ctx       context.Context
@@ -145,7 +145,6 @@ type usageForward struct {
 	streamKey string
 	batchSize int // records per owner before a mid-stream flush; 0 flushes only at finish
 	resp      api.UsageStreamResponse
-	sums      map[string]api.TenantSummary
 	batches   map[string]*ownerBatch
 	failed    error        // the first forward that failed
 	keys      api.KeyArena // derived keys; each lives until its record is encoded
@@ -154,7 +153,6 @@ type usageForward struct {
 func (c *Client) newUsageForward(ctx context.Context, wire api.WireFormat, streamKey string, batchSize int) *usageForward {
 	return &usageForward{
 		c: c, ctx: ctx, wire: wire, streamKey: streamKey, batchSize: batchSize,
-		sums:    map[string]api.TenantSummary{},
 		batches: map[string]*ownerBatch{},
 	}
 }
@@ -258,11 +256,6 @@ func (f *usageForward) fold(lines []int, resp api.UsageStreamResponse, node stri
 			f.resp.Refuse(line, api.Error{Status: http.StatusBadGateway, Message: msg})
 		}
 	}
-	for _, sum := range resp.Tenants {
-		// A tenant flushed twice gets its summary twice; the later one
-		// reflects every accrual so far — keep it.
-		f.sums[sum.Tenant] = sum
-	}
 }
 
 // finish flushes the tail batches, in node order for a deterministic
@@ -281,12 +274,6 @@ func (f *usageForward) finish(streamErr string) *api.UsageStreamResponse {
 	if resp.StreamError == "" {
 		resp.StreamError = streamErr
 	}
-	for _, sum := range f.sums {
-		resp.Tenants = append(resp.Tenants, sum)
-	}
-	sort.Slice(resp.Tenants, func(i, j int) bool {
-		return resp.Tenants[i].Tenant < resp.Tenants[j].Tenant
-	})
 	return resp
 }
 
@@ -356,9 +343,11 @@ func (rt *Router) proxyToOwner(w http.ResponseWriter, r *http.Request) {
 
 // proxy relays one request to a node, on the connections of the node's
 // api.Client — the pool the usage forwards to that node already keep warm.
+// The path goes out as the client escaped it: a tenant named "team/a",
+// "q?x" or "50%off" reaches the node as the same one path segment.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, node Node) {
 	nc := rt.client.clients[node.Name]
-	u := nc.BaseURL + r.URL.Path
+	u := nc.BaseURL + r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
 	}

@@ -619,8 +619,7 @@ func (l *Ledger) Summary(tenant string) (Summary, bool) {
 
 // Line is one statement window: the invocations billed in
 // [StartMinute, StartMinute+WindowMinutes) with commercial-vs-charged
-// totals and one billed line per pricer (Bills; nil from WindowStats, which
-// skips the per-pricer breakdown).
+// totals and one billed line per pricer (Bills).
 type Line struct {
 	Window      int                `json:"window"`
 	StartMinute int                `json:"startMinute"`
@@ -654,15 +653,6 @@ type Statement struct {
 // included when they overlap the range; lines come back sorted by window.
 func (l *Ledger) Statement(tenant string, fromMinute, toMinute int) (Statement, bool) {
 	return l.shardFor(tenant).statement(tenant, fromMinute, toMinute, l.cfg.WindowMinutes)
-}
-
-// WindowStats returns the tenant's per-window accrual totals sorted by
-// window — lines without the per-pricer bill map (Bills is nil), the recent
-// history GET /v3/tenants/{tenant}/forecast shows beside the admission
-// forecast (admission itself reads Summary) — keeping only the last lastN
-// windows (lastN <= 0 means all). ok is false for an unknown tenant.
-func (l *Ledger) WindowStats(tenant string, lastN int) ([]Line, bool) {
-	return l.shardFor(tenant).windowStats(tenant, lastN, l.cfg.WindowMinutes)
 }
 
 // Tenants returns up to limit tenant summaries sorted by name, starting

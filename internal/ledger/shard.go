@@ -172,34 +172,3 @@ func (sh *shard) statement(tenant string, fromMinute, toMinute, windowMinutes in
 	}
 	return st, true
 }
-
-// windowStats copies out the tenant's per-window totals (no bill maps)
-// under the shard lock, keeping only the last lastN windows when lastN > 0.
-func (sh *shard) windowStats(tenant string, lastN, windowMinutes int) ([]Line, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	a, ok := sh.accounts[tenant]
-	if !ok {
-		return nil, false
-	}
-	widxs := make([]int, 0, len(a.Windows))
-	for widx := range a.Windows {
-		widxs = append(widxs, widx)
-	}
-	sort.Ints(widxs)
-	if lastN > 0 && len(widxs) > lastN {
-		widxs = widxs[len(widxs)-lastN:]
-	}
-	stats := make([]Line, 0, len(widxs))
-	for _, widx := range widxs {
-		w := a.Windows[widx]
-		stats = append(stats, Line{
-			Window:      widx,
-			StartMinute: widx * windowMinutes,
-			Invocations: w.Invocations,
-			Commercial:  w.Commercial,
-			Billed:      w.Billed,
-		})
-	}
-	return stats, true
-}

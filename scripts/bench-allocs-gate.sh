@@ -17,9 +17,9 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 # workload ceiling
 ceilings="
-frames_durable   0.492
-ndjson_admission 0.452
-cluster_routed   1.477
+frames_durable   0.460
+ndjson_admission 0.418
+cluster_routed   1.360
 "
 
 bound="$(jq -r '.end_to_end[] | select(.name == "allocs_per_record") | .bound' "$root/BENCHMARK.json")"
