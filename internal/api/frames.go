@@ -4,8 +4,8 @@ package api
 // CRC-framed usage records, content-negotiated via Content-Type
 // (application/x-litmus-frames). It was added when NDJSON ingest was
 // decode-bound on encoding/json; with the schema's own NDJSON codec
-// (ndjson.go) the frame stream is ≈1.6× as fast to ingest as the same records
-// as NDJSON (BenchmarkUsageStreamBinary vs BenchmarkUsageStream, 185 vs 307 µs
+// (ndjson.go) the frame stream is ≈1.5× as fast to ingest as the same records
+// as NDJSON (BenchmarkUsageStreamBinary vs BenchmarkUsageStream, 186 vs 287 µs
 // per 512 records), well under half the bytes, and CRC-checked per record.
 // The frame decoder reuses one record, one probe and one string-intern table
 // across streams and carves keys from a KeyArena's shared chunks, so a warm

@@ -13,8 +13,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -415,6 +417,59 @@ func TestUsageNULTenant(t *testing.T) {
 				t.Fatalf("ledger after the replay = %+v", st)
 			}
 		})
+	}
+}
+
+// TestUsageFramesNonFinite: a frame carries raw float64 bits, so it can
+// carry NaN and ±Inf where an NDJSON line cannot. Pricing refuses them in
+// every field with core's message — before the admission gate, so a record
+// that can never bill takes no token — and the tenant gets no statement.
+func TestUsageFramesNonFinite(t *testing.T) {
+	// One token per tenant and no refill to speak of: the good record after
+	// the refused one is accepted only if the refused one took nothing.
+	_, ts := newTestServer(t, Config{AdmissionRate: 1e-6, AdmissionBurst: 1})
+	fields := map[string]func(*UsageRecord, float64){
+		"tPrivate":              func(r *UsageRecord, x float64) { r.TPrivate = x },
+		"tShared":               func(r *UsageRecord, x float64) { r.TShared = x },
+		"probe.tPrivate":        func(r *UsageRecord, x float64) { r.Probe.TPrivate = x },
+		"probe.tShared":         func(r *UsageRecord, x float64) { r.Probe.TShared = x },
+		"probe.machineL3Misses": func(r *UsageRecord, x float64) { r.Probe.MachineL3Misses = x },
+	}
+	for field, set := range fields {
+		for _, x := range []float64{math.NaN(), math.Inf(1)} {
+			tenant := fmt.Sprintf("%s=%v", field, x)
+			rec := frameRecord(tenant, 256, 1, "")
+			set(&rec, x)
+			want := "core: (Usage.Validate refuses it)"
+			if err := rec.Usage.Validate(); err != nil {
+				want = err.Error()
+			}
+			body, err := EncodeUsageStream(WireFrames, []UsageRecord{rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := postBody(t, ts.URL, "", WireFrames.ContentType(), body)
+			if out.Accepted != 0 || out.Rejected != 1 || len(out.Errors) != 1 ||
+				out.Errors[0].Error.Status != http.StatusBadRequest || out.Errors[0].Error.Message != want {
+				t.Errorf("%s: stream = %+v, want one 400 %q", tenant, out, want)
+				continue
+			}
+			resp, err := http.Get(ts.URL + "/v3/tenants/" + url.PathEscape(tenant) + "/statement")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s: statement status = %d, want 404", tenant, resp.StatusCode)
+			}
+			body, err = EncodeUsageStream(WireFrames, []UsageRecord{frameRecord(tenant, 256, 1, "")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out := postBody(t, ts.URL, "", WireFrames.ContentType(), body); out.Accepted != 1 {
+				t.Errorf("%s: the refused record took the tenant's only token: %+v", tenant, out)
+			}
+		}
 	}
 }
 

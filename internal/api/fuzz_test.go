@@ -165,6 +165,13 @@ var ndjsonAcceptSeeds = []string{
 	`{"tenant":"a","tPrivate":1E+2,"tShared":0.1e-7}`,
 	`{"tenant":"ténant","key":"ключ"}`,
 	`{"tenant":"a","probe":{"machineL3Misses":1.2e7,"tShared":0.008,"tPrivate":0.02}}`,
+	// The float reader's edges: 17 digits, the most a shortest form has; a
+	// halfway integer Eisel–Lemire leaves to strconv; 25 digits, past the
+	// 19 it holds; the least subnormal; an underflow to 0; a negative zero.
+	`{"tenant":"a","tPrivate":0.12345678901234567,"tShared":9007199254740993}`,
+	`{"tenant":"a","tPrivate":1234567890.123456789012345}`,
+	`{"tenant":"a","probe":{"tPrivate":5e-324,"tShared":1e-400,"machineL3Misses":-0}}`,
+	`{"tenant":"a","tShared":-0}`,
 }
 
 // FuzzNDJSONRecord is the differential test of the NDJSON codec against the

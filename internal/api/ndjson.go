@@ -13,7 +13,8 @@ package api
 //   - exact-case known keys, each at most once, in any order;
 //   - strings of valid UTF-8 without escapes or control bytes;
 //   - JSON-grammar numbers — integers without fraction or exponent for
-//     memoryMB and minute, anything strconv.ParseFloat takes for the floats;
+//     memoryMB and minute, anything jsonnum.ParseFloat (strconv.ParseFloat's
+//     bits, Eisel–Lemire first) takes for the floats;
 //   - probe as a flat object under the same rules.
 //
 // Anything else — null, a case-folded, unknown or repeated key, an escape,
@@ -244,21 +245,21 @@ func lineInt(b []byte) (v int, rest []byte, ok bool) {
 	if !ok || !integer {
 		return 0, nil, false
 	}
-	// The conversion to string — here and in lineFloat — does not allocate:
-	// strconv keeps no reference to its argument and numbers are short.
+	// The conversion to string does not allocate: strconv keeps no
+	// reference to its argument and numbers are short.
 	n, err := strconv.ParseInt(string(num), 10, 0)
 	return int(n), rest, err == nil
 }
 
-// lineFloat reads a number as encoding/json does, through ParseFloat; a
-// number ParseFloat refuses (1e999) is encoding/json's to report.
+// lineFloat reads a number as encoding/json does, to strconv.ParseFloat's
+// bits; a number strconv refuses (1e999) is encoding/json's to report.
 func lineFloat(b []byte) (v float64, rest []byte, ok bool) {
 	num, rest, _, ok := lineNumber(b)
 	if !ok {
 		return 0, nil, false
 	}
-	v, err := strconv.ParseFloat(string(num), 64)
-	return v, rest, err == nil
+	v, ok = jsonnum.ParseFloat(num)
+	return v, rest, ok
 }
 
 // appendUsageLine appends rec as the NDJSON line encoding/json would write

@@ -152,6 +152,19 @@ func TestNDJSONCodecTakesOurOwnLines(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("warm decode allocates %.0f objects, want 0", allocs)
 	}
+	// 25 digits are more than Eisel–Lemire takes: the float goes to
+	// strconv, and that path allocates nothing either.
+	line = []byte(`{"language":"py","memoryMB":512,"tPrivate":1234567890.123456789012345,"tShared":0.02,"tenant":"acme"}`)
+	if !dec.decode(line) || math.Float64bits(dec.rec.TPrivate) != math.Float64bits(1234567890.123456789012345) {
+		t.Fatalf("decoder took %s as %+v", line, dec.rec)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if !dec.decode(line) {
+			t.Fatal("refused")
+		}
+	}); allocs != 0 {
+		t.Errorf("warm decode of a line whose float takes strconv allocates %.0f objects, want 0", allocs)
+	}
 	full.Key = "run-1#12"
 	dst := make([]byte, 0, 512)
 	if allocs := testing.AllocsPerRun(200, func() {

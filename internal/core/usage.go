@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/platform"
 )
@@ -40,10 +41,15 @@ type Usage struct {
 // Total returns the billed occupancy TPrivate + TShared.
 func (u Usage) Total() float64 { return u.TPrivate + u.TShared }
 
-// Validate reports measurements no pricer can bill: non-positive memory or
-// private occupancy, negative shared occupancy, or (when present) a probe
-// with non-positive private time or negative shared/miss readings.
+// Validate reports measurements no pricer can bill: NaN or ±Inf in any
+// reading, non-positive memory or private occupancy, negative shared
+// occupancy, or (when present) a probe with non-positive private time or
+// negative shared/miss readings.
 func (u Usage) Validate() error {
+	if !finite(u.TPrivate) || !finite(u.TShared) ||
+		u.Probe != nil && !(finite(u.Probe.TPrivate) && finite(u.Probe.TShared) && finite(u.Probe.MachineL3Misses)) {
+		return fmt.Errorf("core: tPrivate, tShared and probe readings must be finite")
+	}
 	if u.MemoryMB <= 0 || u.TPrivate <= 0 || u.TShared < 0 {
 		return fmt.Errorf("core: memoryMB and tPrivate must be positive, tShared non-negative")
 	}
@@ -54,6 +60,8 @@ func (u Usage) Validate() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // UsageFromRecord adapts a simulator run record to the pricing input type.
 func UsageFromRecord(rec platform.RunRecord) Usage {

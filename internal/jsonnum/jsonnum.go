@@ -1,5 +1,7 @@
-// Package jsonnum writes a float64 as encoding/json does, for the hand-written
-// encoders (snapshot writer, NDJSON codec) that must match its bytes.
+// Package jsonnum writes and reads a float64 as encoding/json does, for the
+// hand-written codecs that must match it: AppendFloat writes its bytes (the
+// snapshot writer, the NDJSON encoder), ParseFloat reads its bits (the NDJSON
+// decoder).
 package jsonnum
 
 import (
