@@ -30,11 +30,13 @@
 //	         (or -auto-promote with -probe-interval, -probe-failures)
 //	         takes over after a failure; see internal/cluster.Follower
 //
-// -addr is the listen address in every mode; -version prints the build
-// identity and exits. A flag the selected mode would not read is refused at
-// startup (checkFlags). What is here is flags, calibration, the listener and
-// the drain (serve); what a node serves beside the API, promotion and the
-// auto-promote prober are internal/cluster's.
+// -addr is the listen address in every mode; -pprof <addr>, in every mode,
+// serves net/http/pprof on a listener of its own (never on -addr); -version
+// prints the build identity and exits. A flag the selected mode would not
+// read is refused at startup (checkFlags). What is here is flags,
+// calibration, the listeners and the drain (serve); what a node serves
+// beside the API, promotion and the auto-promote prober are
+// internal/cluster's.
 package main
 
 import (
@@ -45,6 +47,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"slices"
@@ -84,6 +87,7 @@ func main() {
 		autoProm   = flag.Bool("auto-promote", false, "with -follow: promote automatically after -probe-failures consecutive failed primary health probes")
 		probeEvery = flag.Duration("probe-interval", 2*time.Second, "with -follow -auto-promote: primary health-probe interval")
 		probeFails = flag.Int("probe-failures", 5, "with -follow -auto-promote: consecutive probe failures before promotion")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address, a listener of its own in every mode (empty = off)")
 	)
 	flag.Parse()
 
@@ -105,6 +109,13 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("pricingd: %v", err)
+	}
+	if *pprofAddr != "" {
+		pln, err := servePprof(*pprofAddr)
+		if err != nil {
+			log.Fatalf("pricingd: -pprof: %v", err)
+		}
+		log.Printf("pricingd: pprof on %s", pln.Addr())
 	}
 
 	if *clusterArg != "" {
@@ -178,7 +189,7 @@ func main() {
 // What each mode reads: routerFlags are all a -cluster router looks at,
 // standbyIgnored what a -follow standby would drop, probeFlags its prober's.
 var (
-	routerFlags    = map[string]bool{"cluster": true, "addr": true, "max-body": true}
+	routerFlags    = map[string]bool{"cluster": true, "addr": true, "max-body": true, "pprof": true}
 	standbyIgnored = map[string]bool{"data-dir": true, "fsync": true, "snapshot-every": true, "shards": true, "window-min": true}
 	probeFlags     = map[string]bool{"auto-promote": true, "probe-interval": true, "probe-failures": true}
 )
@@ -191,7 +202,7 @@ func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeF
 	for _, name := range set {
 		switch {
 		case router && !routerFlags[name]:
-			return fmt.Errorf("-%s has no effect with -cluster: a router prices and bills nothing, it reads only -addr and -max-body", name)
+			return fmt.Errorf("-%s has no effect with -cluster: a router prices and bills nothing, it reads only -addr, -max-body and -pprof", name)
 		case standby && standbyIgnored[name]:
 			return fmt.Errorf("-%s has no effect with -follow: a standby is volatile and takes its ledger's shape from the primary", name)
 		case probeFlags[name] && !standby:
@@ -231,6 +242,29 @@ func serve(ctx context.Context, ln net.Listener, handler http.Handler, cleanup f
 		}
 		return nil
 	}
+}
+
+// servePprof serves net/http/pprof's handlers on a listener of its own at
+// addr, for the life of the process. The API's handler never mounts them:
+// profiles and the command line are for whoever can reach addr.
+func servePprof(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	go func() {
+		if err := s.Serve(ln); !errors.Is(err, net.ErrClosed) {
+			log.Printf("pricingd: pprof: %v", err)
+		}
+	}()
+	return ln, nil
 }
 
 // runRouter serves the thin cluster router: every request is routed to the

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -51,6 +53,9 @@ func TestCheckFlags(t *testing.T) {
 		{name: "router", set: []string{"cluster", "addr", "max-body"}},
 		{name: "standby", set: []string{"follow", "addr", "tables", "max-tenants", "admission-rate"}},
 		{name: "auto-promoting standby", set: []string{"follow", "auto-promote", "probe-interval", "probe-failures"}, autoPromote: true},
+		{name: "-pprof on a durable node", set: []string{"pprof", "data-dir"}},
+		{name: "-pprof on a router", set: []string{"cluster", "pprof"}},
+		{name: "-pprof on a standby", set: []string{"follow", "pprof", "auto-promote"}, autoPromote: true},
 
 		{name: "router ignores -follow", set: []string{"cluster", "follow"}, want: []string{"-follow", "-cluster"}},
 		{name: "router ignores -tables", set: []string{"cluster", "tables"}, want: []string{"-tables", "-cluster"}},
@@ -207,6 +212,44 @@ func TestServeDrainsOnShutdown(t *testing.T) {
 	}
 	if err := reopened.Close(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPprofListener: -pprof's listener answers /debug/pprof/, and the API's
+// handler — a node's, as serve mounts it — does not.
+func TestPprofListener(t *testing.T) {
+	pln, err := servePprof("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pln.Close() })
+	srv, err := api.New(api.Config{Calibration: apitest.Calibration()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	apiSrv := httptest.NewServer(cluster.PrimaryHandler(srv, cluster.SourceConfig{}))
+	t.Cleanup(apiSrv.Close)
+
+	for _, c := range []struct {
+		base string
+		want int
+	}{
+		{"http://" + pln.Addr().String(), http.StatusOK},
+		{apiSrv.URL, http.StatusNotFound},
+	} {
+		resp, err := http.Get(c.base + "/debug/pprof/cmdline")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s/debug/pprof/cmdline: status %d, want %d", c.base, resp.StatusCode, c.want)
+		}
+		if c.want == http.StatusOK && !strings.Contains(string(body), os.Args[0]) {
+			t.Errorf("pprof cmdline %q does not name the process %q", body, os.Args[0])
+		}
 	}
 }
 

@@ -176,6 +176,21 @@ func TestAdmissionSameKeyInStreamIsDuplicate(t *testing.T) {
 	}
 }
 
+// An explicit key that spells the key an earlier keyless line of the same
+// stream derived (stream key "s", line 1 → "s#1") is that record's retry: a
+// Duplicate, not a second draw on the tenant's bucket, although the two are
+// still in one unflushed batch.
+func TestAdmissionExplicitKeySpellingDerivedKeyIsDuplicate(t *testing.T) {
+	client, _ := newAdmissionPair(t, 1)
+	resp, err := client.StreamUsage(context.Background(), "s", []UsageRecord{admRecord("alpha", ""), admRecord("alpha", "s#1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Accepted != 1 || resp.Duplicates != 1 || resp.Throttled != 0 || len(resp.Errors) != 0 || resp.RetryAfterSec != 0 {
+		t.Fatalf("derived then explicit s#1: %+v, want 1 accepted / 1 duplicate", resp)
+	}
+}
+
 // When every record in the stream is throttled the HTTP status is 429 with
 // a Retry-After header and the body still carries the full accounting; the
 // typed client returns that accounting as the delivery it is.

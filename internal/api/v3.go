@@ -50,7 +50,7 @@ func (s *Server) handleUsageStream(w http.ResponseWriter, r *http.Request) {
 	streamKey := r.Header.Get("Idempotency-Key")
 	src := NewRecordSource(RequestWire(r), r.Body, s.cfg.MaxBodyBytes, s.cfg.MaxStreamLines)
 	defer src.Release()
-	col := s.newUsageCollector()
+	col := s.newUsageCollector(streamKey)
 	for {
 		pos, rec, rej, ok := src.Next()
 		if !ok {
@@ -145,8 +145,12 @@ type usageCollector struct {
 	lines   []int
 	results []ledger.AccrualResult
 	// pending holds, under admission, the keys buffered records named
-	// themselves (derived keys cannot repeat in a stream); see add.
+	// themselves; a derived key repeats no other derived key, and an
+	// explicit key spelling one is found by derivedInBatch. See add.
 	pending map[pendingKey]bool
+	// streamKey is the stream's Idempotency-Key, the prefix of every key
+	// the stream derives.
+	streamKey string
 	// keys is where priceRecord derives keys; it outlives the stream with
 	// the pooled collector.
 	keys KeyArena
@@ -162,16 +166,16 @@ var collectorPool = sync.Pool{New: func() any {
 	return &usageCollector{pending: map[pendingKey]bool{}}
 }}
 
-func (s *Server) newUsageCollector() *usageCollector {
+func (s *Server) newUsageCollector(streamKey string) *usageCollector {
 	c := collectorPool.Get().(*usageCollector)
-	c.s = s
+	c.s, c.streamKey = s, streamKey
 	return c
 }
 
 // release clears everything the stream observed and returns the collector
 // to the pool. Callers must not touch the collector afterwards.
 func (c *usageCollector) release() {
-	c.s = nil
+	c.s, c.streamKey = nil, ""
 	c.resp = UsageStreamResponse{Errors: c.resp.Errors[:0]}
 	c.entries = c.entries[:0]
 	c.lines = c.lines[:0]
@@ -182,15 +186,16 @@ func (c *usageCollector) release() {
 // the next batched accrual. The gate runs here — after validation, before
 // accrual, in stream order — so both wire formats share one admission point
 // and a throttled record can never reach the ledger. A key the ledger
-// already recorded, or one a record still in this batch named (explicitKey),
-// bypasses the gate: it is a retry, not new load — it cannot bill again,
-// and if duplicates consumed tokens a whole-batch resend could livelock,
-// the already-billed head eating every refilled token before the formerly
-// throttled tail reached the bucket. Unkeyed records always pay.
+// already recorded, or one a record still in this batch named (explicitly,
+// or by inheriting it from the stream key), bypasses the gate: it is a
+// retry, not new load — it cannot bill again, and if duplicates consumed
+// tokens a whole-batch resend could livelock, the already-billed head
+// eating every refilled token before the formerly throttled tail reached
+// the bucket. Unkeyed records always pay.
 func (c *usageCollector) add(line int, entry ledger.Entry, explicitKey bool) {
 	if adm := c.s.admission; adm != nil {
 		pk := pendingKey{entry.Tenant, entry.Key}
-		if !c.pending[pk] && !c.s.ledger.Seen(entry.Tenant, entry.Key) {
+		if !c.pending[pk] && !(explicitKey && c.derivedInBatch(entry)) && !c.s.ledger.Seen(entry.Tenant, entry.Key) {
 			if ok, retryAfter := adm.Allow(entry.Tenant); !ok {
 				sec := retryAfter.Seconds()
 				if sec > c.resp.RetryAfterSec {
@@ -214,6 +219,23 @@ func (c *usageCollector) add(line int, entry ledger.Entry, explicitKey bool) {
 	if len(c.entries) >= accrueBatchSize {
 		c.flush()
 	}
+}
+
+// derivedInBatch reports whether a keyless record still in the batch
+// inherited the key e names explicitly. Derived keys stay out of pending, so
+// keyless records pay nothing for the rule; only an explicit key spelled
+// like a derived one — the stream key, '#', more — pays for the scan.
+func (c *usageCollector) derivedInBatch(e ledger.Entry) bool {
+	n := len(c.streamKey)
+	if n == 0 || len(e.Key) <= n || e.Key[n] != '#' || e.Key[:n] != c.streamKey {
+		return false
+	}
+	for i := range c.entries {
+		if c.entries[i].Key == e.Key && c.entries[i].Tenant == e.Tenant {
+			return true
+		}
+	}
+	return false
 }
 
 // reject accounts one record that will not be billed.

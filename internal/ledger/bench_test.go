@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"testing"
 )
@@ -100,11 +101,13 @@ func BenchmarkAccrueKeyed(b *testing.B) {
 	}
 }
 
-// keyedSizes are the full windows the steady-state benchmarks run on: one
-// whose 4096 keys fit in L2, and one shard's slice of the default budget
-// (DefaultMaxKeys/DefaultShards = 65 536 keys), the size a serving node's
-// windows run at. Each pool is larger than its budget, so every entry has
-// been forgotten by the time it comes round again.
+// keyedSizes are the full one-shard windows the steady-state benchmarks run
+// on: one whose 4096 keys fit in L2, and one shard's slice of the default
+// budget (DefaultMaxKeys/DefaultShards = 65 536 keys). A serving node runs
+// sixteen of the second, but one alone has a 1 MiB index that still fits in
+// L2; BenchmarkAccrueBatchKeyed runs all sixteen. Each pool is larger than
+// its budget, so every entry has been forgotten by the time it comes round
+// again.
 var keyedSizes = []struct {
 	suffix       string // of the sub-benchmarks' names
 	budget, pool int
@@ -261,6 +264,75 @@ func BenchmarkAccrueBatchDurable(b *testing.B) {
 			b.ReportMetric(float64(walWrites(l)-writesBefore)/float64(b.N), "writes/batch")
 		})
 	}
+}
+
+// BenchmarkAccrueBatchKeyed is the idempotency window at a serving node's
+// shape: a default ledger — DefaultShards windows of DefaultMaxKeys/
+// DefaultShards keys — already full and evicting, billed the way the usage
+// collector bills, 512-entry batches round-robin over 8 tenants, each record
+// under a fresh stream-style key. Each batch takes the next 8 of 64 tenants,
+// which span every shard, so the 16 MiB of index the windows hold together
+// is what a probe misses in, as on a node.
+func BenchmarkAccrueBatchKeyed(b *testing.B) {
+	const batchSize, perBatch = 512, 8
+	tenants := benchTenants(64)
+	l, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := make([]Entry, batchSize)
+	results := make([]AccrualResult, batchSize)
+	ends := make([]int, batchSize)
+	stream := 0
+	// batch bills the next stream, its keys carved from one string the way
+	// api.KeyArena carves them.
+	batch := func() {
+		stream++
+		var spelled []byte
+		for j := range entries {
+			spelled = append(strconv.AppendInt(append(spelled, "run-"...), int64(stream), 10), '#')
+			spelled = strconv.AppendInt(spelled, int64(j+1), 10)
+			ends[j] = len(spelled)
+		}
+		keys := string(spelled)
+		start := 0
+		for j := range entries {
+			tenant := tenants[(stream*perBatch+j%perBatch)%len(tenants)]
+			entries[j] = Entry{Tenant: tenant, Pricer: "litmus", Minute: stream % 64, Commercial: 2, Price: 1, Key: keys[start:ends[j]]}
+			start = ends[j]
+		}
+		l.AccrueBatch(entries, results)
+		if out := results[batchSize-1]; out.Err != nil || out.Outcome != Accrued {
+			b.Fatalf("stream %d: last record %+v", stream, out)
+		}
+	}
+	// Fill every window, and a block past full, so the timed batches find
+	// each one forgetting as it takes keys.
+	full := func() bool {
+		for _, sh := range l.Stats().Shards {
+			if sh.KeysTracked < DefaultMaxKeys/DefaultShards {
+				return false
+			}
+		}
+		return true
+	}
+	for !full() {
+		batch()
+	}
+	for range DefaultShards * 4096 / batchSize {
+		batch()
+	}
+	b.Run("evicting", func(b *testing.B) {
+		before := l.Stats().KeysEvicted
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batch()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/record")
+		b.ReportMetric(float64(l.Stats().KeysEvicted-before)/float64(b.N*batchSize), "evictions/record")
+	})
 }
 
 // BenchmarkRecover measures New's crash-recovery path: full WAL replay of

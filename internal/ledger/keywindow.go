@@ -4,8 +4,8 @@ package ledger
 // remembered and how it is saved are each written here, once. The store
 // (accrueLocked, apply, replay, restoreFrom, streamSnapshot, Seen, Stats)
 // goes through the calls below and never sees the index, the blocks or the
-// spelling of a key, so a different retention policy — ROADMAP item 3's
-// epoch buckets — replaces this file and has keywindow_test.go to pass.
+// spelling of a key, so a different retention policy — ROADMAP item 10's
+// time horizon — replaces this file and has keywindow_test.go to pass.
 //
 // A key belongs to its tenant: tenant B reusing (or guessing) tenant A's key
 // must still bill. The tenant also pins a key to the tenant's shard, so a
@@ -13,24 +13,39 @@ package ledger
 //
 // Retention is by count, not by time: a window remembers its newest budget
 // keys and forgets the oldest first, so how long a retry is still recognised
-// depends on how fast the shard's tenants send keys (the hole item 3 closes).
-// Every forgotten key is counted.
+// depends on how fast the shard's tenants send keys (the hole item 10
+// closes). Every forgotten key is counted.
 //
 // Representation. Every key a window takes gets the next sequence number,
 // and its spelling is appended to the window's newest block: a block holds a
 // fixed number of keys as one []byte of spellings back to back, a []uint32
 // of end offsets and a []uint64 of hashes — no pointers, so the GC never
 // scans a key, and a block that has filled up is never written again.
-// Forgetting the oldest key advances the head sequence number and drops its
-// block once the block's last key is gone. Membership is one open-addressed,
-// linear-probing index of 8-byte slots, each a 32-bit tag from the key's
-// hash beside the low 32 bits of its sequence number, kept at most half
-// full and grown by doubling; a slot's home is a function of its tag alone,
-// so growing and backward-shift deletion never read a key's bytes. A key
-// costs its spelling's bytes plus 4 B of end offset, 8 B of hash and, at
-// the index's load of ½, 16 B of slots — where a set of joined strings
-// with a FIFO beside it cost a 48 B string allocation, a map slot and a
-// FIFO entry, and one allocation per keyed record.
+// Membership is one open-addressed, linear-probing index of 8-byte slots,
+// each a 32-bit tag from the key's hash beside the low 32 bits of its
+// sequence number; a slot's home is a function of its tag alone, so growing
+// and backward-shift deletion never read a key's bytes.
+//
+// Forgetting is lazy. Forgetting the oldest key only advances the head
+// sequence number; its slot lingers, and a probe that meets a lingering
+// slot with its tag takes it for absent by one subtraction, before reading
+// any spelling. When a block's last key is forgotten, one sweep deletes the
+// block's slots by backward shift in ascending order of home — a counting
+// pass over the top bits of each home, sized to the block, orders them —
+// and drops the block: each block of forgotten keys walks the index front
+// to back once, and no key is forgotten by a random probe of its own. The
+// index holds the live keys and at most one block's lingering
+// slots; it doubles to keep the live keys at most half of it and all its
+// slots at most three quarters, so every probe chain ends.
+//
+// A keyed record is probed once: the lookup that decides Duplicate returns
+// the empty slot its chain ended at, and record inserts there unless a
+// sweep or a grow wrote the index in between (one record in a block's
+// worth). A key costs its spelling's bytes plus 4 B of end offset, 8 B of
+// hash and, at the index's load of ½, 16 B of slots; in time, one probe
+// into the index and a 1/4096 share of its block's sweep — where a set of
+// joined strings with a FIFO beside it cost a 48 B string allocation, a map
+// slot and a FIFO entry, and one allocation per keyed record.
 
 import (
 	"hash/maphash"
@@ -141,8 +156,22 @@ type keyWindow struct {
 	blockShift uint
 	// slots is the membership index: tag<<32 | low 32 bits of the sequence
 	// number, 0 for empty; len(slots) is a power of two, 64-slotShift its log.
+	// It holds one slot per key from base on, forgotten ones included.
 	slots     []uint64
 	slotShift uint
+	// writes counts the index's writes — inserts, sweeps and grows — so a
+	// probe can tell whether the slot it ended at still ends its chain.
+	// It starts at 1: the zero probe is never current.
+	writes uint64
+}
+
+// A probe is what one walk of a key's chain learned: whether the key is
+// remembered and, if not, the empty slot the chain ended at, which is where
+// insert puts the key for as long as writes has not moved.
+type probe struct {
+	found  bool
+	slot   uint64
+	writes uint64
 }
 
 func newKeyWindow(budget int) keyWindow {
@@ -152,6 +181,7 @@ func newKeyWindow(budget int) keyWindow {
 		blockShift: uint(min(bits.Len(uint(budget-1)), maxBlockShift)),
 		slots:      make([]uint64, minSlots),
 		slotShift:  64 - uint(bits.TrailingZeros(minSlots)),
+		writes:     1,
 	}
 }
 
@@ -159,28 +189,54 @@ func newKeyWindow(budget int) keyWindow {
 // record would take it again.
 //
 //litmus:guarded-by caller holds sh.mu
-func (w *keyWindow) seen(k windowKey) bool {
+func (w *keyWindow) seen(k windowKey) bool { return w.lookup(k).found }
+
+// lookup walks k's probe chain once, from its home to the first empty slot:
+// a slot whose tag matches is k if its key is still remembered and its
+// spelling is k's. A key without a name is never found.
+//
+//litmus:guarded-by caller holds sh.mu
+func (w *keyWindow) lookup(k windowKey) probe {
 	if k.hash == 0 {
-		return false
+		return probe{}
 	}
-	return w.find(k)
+	tag, mask := tagOf(k.hash), uint64(len(w.slots)-1)
+	head, live := uint32(w.head), uint32(w.len())
+	for i := w.home(tag); ; i = (i + 1) & mask {
+		s := w.slots[i]
+		if s == 0 {
+			return probe{slot: i, writes: w.writes}
+		}
+		// A forgotten key's slot lingers until its block's sweep; its
+		// distance from head wraps past every live key's.
+		if uint32(s>>32) == tag && uint32(s)-head < live && k.spells(w.spelling(uint32(s))) {
+			return probe{found: true}
+		}
+	}
 }
 
 // record remembers k, evicting the oldest keys beyond the budget; a key
 // without a name and a key already remembered change nothing (no re-queue,
-// no eviction). The live path records only keys seen has just reported
-// absent; the check is what keeps replay of a damaged log from queueing a
-// key twice.
+// no eviction). at is k's lookup when the caller has just made one — the
+// live path records only keys its lookup reported absent — and the zero
+// probe otherwise; a probe the index has moved under is walked again. That
+// walk is what keeps replay of a damaged log from queueing a key twice.
 //
 //litmus:guarded-by caller holds sh.mu
-func (w *keyWindow) record(k windowKey) {
-	if k.hash == 0 || w.find(k) {
+func (w *keyWindow) record(k windowKey, at probe) {
+	if k.hash == 0 {
+		return
+	}
+	if at.writes != w.writes {
+		at = w.lookup(k)
+	}
+	if at.found {
 		return
 	}
 	for w.len() >= w.budget {
 		w.evictOldest()
 	}
-	w.insert(k)
+	w.insert(k, at)
 }
 
 // restore replaces the window with a snapshot's: its key list, oldest first,
@@ -193,11 +249,13 @@ func (w *keyWindow) record(k windowKey) {
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) restore(keys []string, evicted uint64) {
+	writes := w.writes
 	*w = newKeyWindow(w.budget)
-	w.head, w.tail, w.base = evicted, evicted, evicted
+	w.head, w.tail, w.base, w.writes = evicted, evicted, evicted, writes+1
 	for _, s := range keys {
-		if k := listedKey(s); !w.find(k) {
-			w.insert(k)
+		k := listedKey(s)
+		if at := w.lookup(k); !at.found {
+			w.insert(k, at)
 		}
 	}
 }
@@ -214,9 +272,10 @@ type keyView struct {
 // view holds is ever rewritten: the view copies the block headers, each cut
 // at the keys its block held; record appends past those lengths (or to a
 // fresh array, which leaves the old one as it was) and to new blocks;
-// eviction only moves head and lets go of a block; restore starts fresh
-// blocks. Whoever changes the representation owes this method a copy or the
-// same guarantee (keywindow_test.go holds it to that under -race).
+// eviction only moves head, and its sweep writes the index and lets go of a
+// block; restore starts fresh blocks. Whoever changes the representation
+// owes this method a copy or the same guarantee (keywindow_test.go holds it
+// to that under -race).
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) snapshotView() keyView {
@@ -269,25 +328,9 @@ func (w *keyWindow) spelling(low uint32) []byte {
 	return w.blocks[off>>w.blockShift].spelling(int(off & (1<<w.blockShift - 1)))
 }
 
-// find reports whether k is remembered: its probe chain runs from its home
-// to the first empty slot, and a slot whose tag matches is compared by
-// bytes.
-func (w *keyWindow) find(k windowKey) bool {
-	tag, mask := tagOf(k.hash), uint64(len(w.slots)-1)
-	for i := w.home(tag); ; i = (i + 1) & mask {
-		s := w.slots[i]
-		if s == 0 {
-			return false
-		}
-		if uint32(s>>32) == tag && k.spells(w.spelling(uint32(s))) {
-			return true
-		}
-	}
-}
-
-// insert appends k, which is not remembered, as the newest key.
-func (w *keyWindow) insert(k windowKey) {
-	if 2*(w.len()+1) > len(w.slots) {
+// insert appends k, which the probe at found absent, as the newest key.
+func (w *keyWindow) insert(k windowKey, at probe) {
+	if 2*(w.len()+1) > len(w.slots) || 4*(w.tail-w.base+1) > 3*uint64(len(w.slots)) {
 		w.grow()
 	}
 	if w.tail-w.base == uint64(len(w.blocks))<<w.blockShift {
@@ -301,8 +344,12 @@ func (w *keyWindow) insert(k windowKey) {
 	b.ends = append(b.ends, uint32(len(b.spellings)))
 	b.hashes = append(b.hashes, k.hash)
 	tag := tagOf(k.hash)
-	w.slots[w.vacancy(tag)] = uint64(tag)<<32 | uint64(uint32(w.tail))
+	if at.writes != w.writes {
+		at.slot = w.vacancy(tag)
+	}
+	w.slots[at.slot] = uint64(tag)<<32 | uint64(uint32(w.tail))
 	w.tail++
+	w.writes++
 }
 
 // newBlock sizes a block's offsets and hashes exactly and its spellings by
@@ -331,33 +378,61 @@ func (w *keyWindow) vacancy(tag uint32) uint64 {
 	return i
 }
 
-// evictOldest forgets the oldest key: its slot is found from the hash its
-// block kept and deleted by backward shift, and its block goes once empty.
+// evictOldest forgets the oldest key by moving head past it. Its slot
+// lingers until the key's block has no key left, and then sweep goes.
 func (w *keyWindow) evictOldest() {
-	tag := tagOf(w.blocks[0].hashes[w.head-w.base])
-	want := uint64(tag)<<32 | uint64(uint32(w.head))
-	mask := uint64(len(w.slots) - 1)
-	i := w.home(tag)
-	for w.slots[i] != want {
-		i = (i + 1) & mask
-	}
-	// Backward shift: each later slot of the chain moves into the hole
-	// unless that would put it before its home, and the last hole empties.
-	for j := (i + 1) & mask; w.slots[j] != 0; j = (j + 1) & mask {
-		s := w.slots[j]
-		if (j-w.home(uint32(s>>32)))&mask >= (j-i)&mask {
-			w.slots[i] = s
-			i = j
-		}
-	}
-	w.slots[i] = 0
 	w.head++
 	if w.head-w.base == 1<<w.blockShift {
-		n := copy(w.blocks, w.blocks[1:])
-		w.blocks[n] = keyBlock{}
-		w.blocks = w.blocks[:n]
-		w.base = w.head
+		w.sweep()
 	}
+}
+
+// sweep deletes the oldest block's slots, all of them forgotten, and drops
+// the block. The slots go in ascending order of home, so the deletions walk
+// the index front to back: one counting pass over the top bits of each
+// key's home, one bucket per key the block holds, orders the block.
+func (w *keyWindow) sweep() {
+	b := &w.blocks[0]
+	bucketBits := min(64-w.slotShift, w.blockShift)
+	shift := 64 - w.slotShift - bucketBits // home>>shift is the home's bucket
+	var counts [1<<maxBlockShift + 1]uint16
+	var order [1 << maxBlockShift]uint16
+	count := counts[:1<<bucketBits+1]
+	for _, h := range b.hashes {
+		count[w.home(tagOf(h))>>shift+1]++
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	for k, h := range b.hashes {
+		c := &count[w.home(tagOf(h))>>shift]
+		order[*c] = uint16(k)
+		*c++
+	}
+	mask := uint64(len(w.slots) - 1)
+	for _, k := range order[:len(b.hashes)] {
+		tag := tagOf(b.hashes[k])
+		want := uint64(tag)<<32 | uint64(uint32(w.base)+uint32(k))
+		i := w.home(tag)
+		for w.slots[i] != want {
+			i = (i + 1) & mask
+		}
+		// Backward shift: each later slot of the chain moves into the hole
+		// unless that would put it before its home, and the last hole empties.
+		for j := (i + 1) & mask; w.slots[j] != 0; j = (j + 1) & mask {
+			s := w.slots[j]
+			if (j-w.home(uint32(s>>32)))&mask >= (j-i)&mask {
+				w.slots[i] = s
+				i = j
+			}
+		}
+		w.slots[i] = 0
+	}
+	n := copy(w.blocks, w.blocks[1:])
+	w.blocks[n] = keyBlock{}
+	w.blocks = w.blocks[:n]
+	w.base = w.head
+	w.writes++
 }
 
 // grow doubles the index, re-placing every slot by its tag.
@@ -370,4 +445,5 @@ func (w *keyWindow) grow() {
 			w.slots[w.vacancy(uint32(s>>32))] = s
 		}
 	}
+	w.writes++
 }

@@ -2,11 +2,11 @@ package ledger
 
 // The idempotency window's conformance suite, written against keyWindow's
 // methods and never its fields: whatever replaces keywindow.go (ROADMAP item
-// 3's epoch buckets) passes this file unchanged, except where a test states
+// 10's time horizon) passes this file unchanged, except where a test states
 // the retention horizon — the ones named FIFO — and those it restates. Below
 // the suite, FuzzKeyWindow holds the window to refWindow, the set-and-FIFO
-// window it replaced; its colliding-hash mode aims at this representation's
-// index, and goes with it.
+// window it replaced; its colliding-hash mode, and the tests after it that
+// read the index, aim at this representation, and go with it.
 
 import (
 	"encoding/json"
@@ -61,7 +61,7 @@ func assertSameWindow(t *testing.T, label string, got, want *keyWindow) {
 func windowOf(budget int, keys ...windowKey) *keyWindow {
 	w := newKeyWindow(budget)
 	for _, k := range keys {
-		w.record(k)
+		w.record(k, probe{})
 	}
 	return &w
 }
@@ -79,7 +79,7 @@ func TestKeyWindowScopesKeysPerTenant(t *testing.T) {
 	}
 	// Keys may hold NULs; tenants may not (validateEntry), so the first NUL
 	// ends the tenant and these are three different pairs.
-	w.record(nameKey("a", "x\x00y"))
+	w.record(nameKey("a", "x\x00y"), probe{})
 	if w.seen(nameKey("a", "x")) || w.seen(nameKey("a", "x\x00")) || !w.seen(nameKey("a", "x\x00y")) {
 		t.Error("a key holding a NUL is not kept apart from its prefixes")
 	}
@@ -105,7 +105,7 @@ func TestKeyWindowFIFOEviction(t *testing.T) {
 	key := func(i int) windowKey { return nameKey("acme", fmt.Sprint("k", i)) }
 	w := windowOf(budget)
 	for i := 0; i < 10; i++ {
-		w.record(key(i))
+		w.record(key(i), probe{})
 		oldest := max(0, i+1-budget)
 		if w.len() != i+1-oldest || w.evicted() != uint64(oldest) {
 			t.Fatalf("after %d keys: len %d evicted %d, want %d and %d", i+1, w.len(), w.evicted(), i+1-oldest, oldest)
@@ -124,7 +124,7 @@ func TestKeyWindowFIFOEviction(t *testing.T) {
 		}
 	}
 	// An evicted key is taken again like a new one.
-	w.record(key(0))
+	w.record(key(0), probe{})
 	if !w.seen(key(0)) || w.seen(key(7)) || w.evicted() != 8 {
 		t.Errorf("re-recording an evicted key: seen %v, oldest still seen %v, evicted %d", w.seen(key(0)), w.seen(key(7)), w.evicted())
 	}
@@ -137,10 +137,10 @@ func TestKeyWindowFIFORerecordIsANoOp(t *testing.T) {
 	a, b, c, d := nameKey("t", "a"), nameKey("t", "b"), nameKey("t", "c"), nameKey("t", "d")
 	w := windowOf(3, a, b, c)
 	for _, k := range []windowKey{a, c, a, b} {
-		w.record(k)
+		w.record(k, probe{})
 		assertSameWindow(t, fmt.Sprintf("after re-recording %q", spelling(k)), w, windowOf(3, a, b, c))
 	}
-	w.record(d)
+	w.record(d, probe{})
 	want := windowOf(3, a, b, c, d)
 	assertSameWindow(t, "after a new key", w, want)
 	if w.seen(a) || w.evicted() != 1 {
@@ -187,9 +187,9 @@ func TestKeyWindowRestore(t *testing.T) {
 	if err := json.Unmarshal(out, &again); err != nil || !slices.Equal(again, written) {
 		t.Fatalf("round trip %s decodes to %q (%v), want %q", out, again, err, written)
 	}
-	w.record(legacy) // remembered: no re-queue
-	w.record(nameKey("acme", "k3"))
-	w.record(nameKey("acme", "k4"))
+	w.record(legacy, probe{}) // remembered: no re-queue
+	w.record(nameKey("acme", "k3"), probe{})
+	w.record(nameKey("acme", "k4"), probe{})
 	want := []windowKey{nameKey("ünï", "k-\u2028"), nameKey("acme", "k2"), nameKey("acme", "k3"), nameKey("acme", "k4")}
 	wantList := []string{spelling(want[0]), spelling(want[1]), spelling(want[2]), spelling(want[3])}
 	if got := viewKeys(w.snapshotView()); !slices.Equal(got, wantList) || w.evicted() != 9 || w.seen(legacy) {
@@ -199,7 +199,7 @@ func TestKeyWindowRestore(t *testing.T) {
 	if w.len() != 0 || w.evicted() != 0 || w.snapshotView().len() != 0 || w.seen(want[3]) {
 		t.Fatalf("restore of an empty list left len %d evicted %d", w.len(), w.evicted())
 	}
-	w.record(want[3])
+	w.record(want[3], probe{})
 	if !w.seen(want[3]) {
 		t.Fatal("a window restored empty does not record")
 	}
@@ -217,8 +217,8 @@ func TestKeyWindowRestoreCollapsesDuplicates(t *testing.T) {
 	if got := viewKeys(w.snapshotView()); !slices.Equal(got, []string{a, b, c}) || w.len() != 3 || w.evicted() != 5 {
 		t.Fatalf("restored %q, len %d, evicted %d; want [a b c], 3 and 5", got, w.len(), w.evicted())
 	}
-	w.record(nameKey("t", "d"))
-	want.record(nameKey("t", "d"))
+	w.record(nameKey("t", "d"), probe{})
+	want.record(nameKey("t", "d"), probe{})
 	if w.seen(nameKey("t", "a")) || !w.seen(nameKey("t", "b")) || w.evicted() != 6 {
 		t.Fatalf("after a new key: a seen %v, b seen %v, evicted %d", w.seen(nameKey("t", "a")), w.seen(nameKey("t", "b")), w.evicted())
 	}
@@ -234,7 +234,7 @@ func TestKeyWindowRestoreBudgetSized(t *testing.T) {
 	const budget = 5000
 	recorded := windowOf(budget)
 	for i := 0; i < 3*budget/2; i++ {
-		recorded.record(nameKey(fmt.Sprint("tenant-", i%97), fmt.Sprint("run-7#", i)))
+		recorded.record(nameKey(fmt.Sprint("tenant-", i%97), fmt.Sprint("run-7#", i)), probe{})
 	}
 	list := viewKeys(recorded.snapshotView())
 	if len(list) != budget {
@@ -249,8 +249,8 @@ func TestKeyWindowRestoreBudgetSized(t *testing.T) {
 		}
 	}
 	k := nameKey("late", "comer")
-	w.record(k)
-	recorded.record(k)
+	w.record(k, probe{})
+	recorded.record(k, probe{})
 	assertSameWindow(t, "restored, then one more key", w, recorded)
 }
 
@@ -263,7 +263,7 @@ func TestKeyWindowSequenceWrap(t *testing.T) {
 	w := windowOf(budget)
 	w.restore(nil, start)
 	for i := 0; i < 4*budget; i++ {
-		w.record(key(i))
+		w.record(key(i), probe{})
 		oldest := max(0, i+1-budget)
 		if w.len() != i+1-oldest || w.evicted() != start+uint64(oldest) {
 			t.Fatalf("after %d keys: len %d evicted %d, want %d and %d", i+1, w.len(), w.evicted(), i+1-oldest, start+uint64(oldest))
@@ -295,7 +295,7 @@ func TestKeyWindowSnapshotViewOutlivesTheLock(t *testing.T) {
 	w := windowOf(budget)
 	next := 0
 	for ; next < budget/2; next++ {
-		w.record(key(next))
+		w.record(key(next), probe{})
 	}
 	var wg sync.WaitGroup
 	for round := 0; round < 8; round++ {
@@ -321,7 +321,7 @@ func TestKeyWindowSnapshotViewOutlivesTheLock(t *testing.T) {
 		// budget (eviction from the front of the array the view may share).
 		for i := 0; i < 3*budget; i++ {
 			mu.Lock()
-			w.record(key(next))
+			w.record(key(next), probe{})
 			next++
 			mu.Unlock()
 		}
@@ -348,7 +348,7 @@ func TestKeyWindowViewAcrossBlocks(t *testing.T) {
 	w := windowOf(budget)
 	next := 0
 	for ; next < budget+budget/3; next++ {
-		w.record(key(next))
+		w.record(key(next), probe{})
 	}
 	mu.Lock()
 	view := w.snapshotView()
@@ -379,7 +379,7 @@ func TestKeyWindowViewAcrossBlocks(t *testing.T) {
 	}
 	for i := 0; i < 2*budget; i++ {
 		mu.Lock()
-		w.record(key(next))
+		w.record(key(next), probe{})
 		next++
 		mu.Unlock()
 	}
@@ -523,7 +523,7 @@ func FuzzKeyWindow(f *testing.F) {
 			w.restore(nil, evicted)
 			for _, s := range list {
 				tenant, k, _ := strings.Cut(s, "\x00")
-				w.record(name(tenant, k))
+				w.record(name(tenant, k), probe{})
 			}
 		}
 		type held struct {
@@ -536,7 +536,7 @@ func FuzzKeyWindow(f *testing.F) {
 			switch op % 6 {
 			case 0, 1:
 				k := key(arg)
-				w.record(k)
+				w.record(k, probe{})
 				ref.record(spelling(k))
 			case 2:
 				k := key(arg)
@@ -570,4 +570,141 @@ func FuzzKeyWindow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// assertIndexHolds fails unless the index holds one slot for every key from
+// base on — the remembered ones and the forgotten ones still lingering until
+// their block's sweep — and nothing else.
+func assertIndexHolds(t *testing.T, label string, w *keyWindow) {
+	t.Helper()
+	n := 0
+	for _, s := range w.slots {
+		if s != 0 {
+			n++
+		}
+	}
+	if uint64(n) != w.tail-w.base {
+		t.Fatalf("%s: index holds %d slots, want tail−base = %d", label, n, w.tail-w.base)
+	}
+}
+
+// TestKeyWindowProductionBlocks runs a window at a budget whose blocks are
+// the 4096 keys a serving shard's are, so forgotten slots linger for up to
+// a block's worth of forgets (FuzzKeyWindow's budgets keep it below 16),
+// against refWindow: five budgets of fresh keys, re-records of keys just
+// forgotten and of keys still remembered, seen on both sides of head just
+// before and just after every sweep, and a restore from snapshotView with
+// a block half forgotten.
+func TestKeyWindowProductionBlocks(t *testing.T) {
+	const budget, fresh = 5000, 5 * 5000
+	w, ref := windowOf(budget), newRefWindow(budget)
+	if w.blockShift != maxBlockShift {
+		t.Fatalf("budget %d gets blocks of %d keys, want %d", budget, 1<<w.blockShift, 1<<maxBlockShift)
+	}
+	var bySeq []windowKey // every key the window took, by sequence number
+	// aroundHead checks seen for the keys on either side of head.
+	aroundHead := func(label string) {
+		t.Helper()
+		for seq := max(w.head, 4) - 4; seq < min(w.head+4, w.tail); seq++ {
+			k := bySeq[seq]
+			if got, want := w.seen(k), ref.seen(spelling(k)); got != want {
+				t.Fatalf("%s: seen(%q), head %d, seq %d = %v, the reference says %v", label, spelling(k), w.head, seq, got, want)
+			}
+		}
+		if got := viewKeys(w.snapshotView()); !slices.Equal(got, ref.fifo) {
+			t.Fatalf("%s: view of %d keys differs from the reference's %d", label, len(got), len(ref.fifo))
+		}
+	}
+	sweeps, restored := 0, false
+	record := func(k windowKey) {
+		t.Helper()
+		label := fmt.Sprintf("sequence number %d", len(bySeq))
+		if !w.seen(k) {
+			bySeq = append(bySeq, k)
+		}
+		if w.head-w.base == 1<<w.blockShift-1 && w.len() == budget {
+			aroundHead(label + ", before a sweep")
+		}
+		base := w.base
+		w.record(k, probe{})
+		ref.record(spelling(k))
+		if w.len() != len(ref.set) || w.evicted() != ref.evictions {
+			t.Fatalf("%s: len %d evicted %d, the reference's %d and %d", label, w.len(), w.evicted(), len(ref.set), ref.evictions)
+		}
+		assertIndexHolds(t, label, w)
+		if w.base != base {
+			sweeps++
+			aroundHead(label + ", after a sweep")
+		}
+	}
+	for i := 0; i < fresh; i++ {
+		record(nameKey(fmt.Sprint("tenant-", i%7), fmt.Sprint("run-3#", i)))
+		switch {
+		case i%5 == 0 && w.evicted() > 0:
+			record(bySeq[w.head-1]) // just forgotten: taken again
+		case i%5 == 2:
+			record(bySeq[w.head]) // remembered: a no-op
+		}
+		if !restored && sweeps == 2 && w.head-w.base == 1<<(w.blockShift-1) {
+			ref.restore(viewKeys(w.snapshotView()), w.evicted())
+			w.restore(slices.Clone(ref.fifo), w.evicted())
+			restored = true
+			bySeq = slices.Clone(bySeq[:w.head]) // the window names its keys from here on
+			for seq := w.head; seq < w.tail; seq++ {
+				bySeq = append(bySeq, listedKey(ref.fifo[seq-w.head]))
+			}
+			assertIndexHolds(t, "after the restore", w)
+			aroundHead("after the restore")
+		}
+	}
+	if sweeps < 4 || !restored {
+		t.Fatalf("%d sweeps, restored %v: the run did not cover the cycle", sweeps, restored)
+	}
+	for _, s := range ref.fifo {
+		if !w.seen(listedKey(s)) {
+			t.Fatalf("remembered key %q is not seen", s)
+		}
+	}
+}
+
+// TestKeyWindowIndexLoad: at a budget of exactly one block, forgotten slots
+// lingering until the sweep would fill the index the live keys keep half
+// empty; it grows instead, so its load stays at most ¾ and chains short.
+func TestKeyWindowIndexLoad(t *testing.T) {
+	const budget = 1 << maxBlockShift
+	w := windowOf(budget)
+	for i := 0; i < 3*budget; i++ {
+		w.record(nameKey("t", fmt.Sprint("k", i)), probe{})
+		if 4*(w.tail-w.base) > 3*uint64(len(w.slots)) {
+			t.Fatalf("after %d keys: %d slots in use of %d", i+1, w.tail-w.base, len(w.slots))
+		}
+	}
+	assertIndexHolds(t, "after three budgets", w)
+}
+
+// TestKeyWindowProbeHandOff holds record to the probe it is handed: a
+// current one is used as is, one the index moved under is walked again, and
+// a found one records nothing. The keys share one hash, so they share a
+// chain, and a stale slot reused would overwrite the other key.
+func TestKeyWindowProbeHandOff(t *testing.T) {
+	a := windowKey{tenant: "t", key: "a", hash: 1<<40 | 1}
+	b, c := a, a
+	b.key, c.key = "b", "c"
+	w := windowOf(4)
+	at := w.lookup(a)
+	w.record(b, w.lookup(b))
+	w.record(a, at) // stale: b took the slot at named
+	if !w.seen(a) || !w.seen(b) || w.len() != 2 {
+		t.Fatalf("after a stale probe: seen a %v, b %v, len %d", w.seen(a), w.seen(b), w.len())
+	}
+	w.record(a, w.lookup(a)) // found: nothing changes
+	at = w.lookup(c)
+	w.record(c, at)
+	if !w.seen(c) || w.len() != 3 {
+		t.Fatalf("after a current probe: seen c %v, len %d", w.seen(c), w.len())
+	}
+	assertIndexHolds(t, "after the hand-offs", w)
+	if got, want := viewKeys(w.snapshotView()), []string{spelling(b), spelling(a), spelling(c)}; !slices.Equal(got, want) {
+		t.Fatalf("view %q, want %q", got, want)
+	}
 }

@@ -404,7 +404,8 @@ func (l *Ledger) accrueLocked(sh *shard, e *Entry) (Outcome, uint64, error) {
 	// on cross-shard state (the tenant cap).
 	outcome := Accrued
 	reserved := false
-	if sh.dedup.seen(key) {
+	at := sh.dedup.lookup(key)
+	if at.found {
 		outcome = Duplicate
 	}
 	if outcome == Accrued && sh.accounts[e.Tenant] == nil {
@@ -432,7 +433,7 @@ func (l *Ledger) accrueLocked(sh *shard, e *Entry) (Outcome, uint64, error) {
 			return Dropped, 0, fmt.Errorf("%w: %v", ErrDurability, err)
 		}
 	}
-	sh.apply(*e, key, outcome, l.cfg.WindowMinutes)
+	sh.apply(*e, key, at, outcome, l.cfg.WindowMinutes)
 	return outcome, watermark, nil
 }
 
