@@ -23,17 +23,25 @@ bench:
 paper:
 	@go run ./cmd/litmusbench -all -seed 7 -scale 0.12
 
-# Coverage gate for the billing subsystem: every test in internal/ledger/...
-# (unit, durability, crash harness) counts toward internal/ledger coverage,
-# which must stay >= $(COVER_MIN)%. The profile lands in cover_ledger.out
-# (CI uploads it as an artifact).
+# Coverage gates for the billing subsystem and the service that bills into
+# it: every test in internal/ledger/... (unit, durability, crash harness)
+# counts toward internal/ledger coverage, which must stay >= $(COVER_MIN)%,
+# and every test in internal/api/... toward internal/api coverage, which must
+# stay >= $(COVER_API_MIN)%. The profiles land in cover_ledger.out and
+# cover_api.out (CI uploads them as artifacts).
 COVER_MIN := 90
+COVER_API_MIN := 90
+# cover_check,<profile>,<package>,<floor> fails unless the profile's total
+# reaches the floor.
+cover_check = total=$$(go tool cover -func=$(1) | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
+	echo "$(2) coverage: $$total% (floor $(3)%)"; \
+	awk -v t="$$total" -v min=$(3) 'BEGIN { exit (t+0 >= min) ? 0 : 1 }' || \
+	{ echo "$(2) coverage $$total% is below $(3)%"; exit 1; }
 cover:
 	go test -covermode=atomic -coverpkg=./internal/ledger -coverprofile=cover_ledger.out ./internal/ledger/...
-	@total=$$(go tool cover -func=cover_ledger.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/ledger coverage: $$total% (floor $(COVER_MIN)%)"; \
-	awk -v t="$$total" -v min=$(COVER_MIN) 'BEGIN { exit (t+0 >= min) ? 0 : 1 }' || \
-	{ echo "coverage $$total% is below $(COVER_MIN)%"; exit 1; }
+	@$(call cover_check,cover_ledger.out,internal/ledger,$(COVER_MIN))
+	go test -covermode=atomic -coverpkg=./internal/api -coverprofile=cover_api.out ./internal/api/...
+	@$(call cover_check,cover_api.out,internal/api,$(COVER_API_MIN))
 
 # Process-level crash-recovery smoke: SIGKILL a durable pricingd mid-run and
 # prove the restarted daemon serves identical statements.

@@ -97,7 +97,8 @@ func main() {
 	}
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := checkFlags(set, *autoProm, *probeEvery, *probeFails); err != nil {
+	adm := api.Config{AdmissionRate: *admRate, AdmissionBurst: *admBurst, AdmissionBudget: *admBudget, AdmissionWindow: *fcWindow}
+	if err := checkFlags(set, *autoProm, *probeEvery, *probeFails, adm); err != nil {
 		log.Fatalf("pricingd: %v", err)
 	}
 	// SIGINT/SIGTERM end ctx: serve drains, the standby's loops stop.
@@ -139,10 +140,10 @@ func main() {
 		DataDir:         *dataDir,
 		Fsync:           *fsync,
 		SnapshotEvery:   *snapEvery,
-		AdmissionRate:   *admRate,
-		AdmissionBurst:  *admBurst,
-		AdmissionBudget: *admBudget,
-		AdmissionWindow: *fcWindow,
+		AdmissionRate:   adm.AdmissionRate,
+		AdmissionBurst:  adm.AdmissionBurst,
+		AdmissionBudget: adm.AdmissionBudget,
+		AdmissionWindow: adm.AdmissionWindow,
 	}
 	if *shareK > 1 {
 		sharing, err := measureSharing(*scale, *seed)
@@ -187,17 +188,21 @@ func main() {
 }
 
 // What each mode reads: routerFlags are all a -cluster router looks at,
-// standbyIgnored what a -follow standby would drop, probeFlags its prober's.
+// standbyIgnored what a -follow standby would drop, probeFlags its prober's,
+// admissionFlags what only a positive -admission-rate turns on.
 var (
 	routerFlags    = map[string]bool{"cluster": true, "addr": true, "max-body": true, "pprof": true}
 	standbyIgnored = map[string]bool{"data-dir": true, "fsync": true, "snapshot-every": true, "shards": true, "window-min": true}
 	probeFlags     = map[string]bool{"auto-promote": true, "probe-interval": true, "probe-failures": true}
+	admissionFlags = map[string]bool{"admission-burst": true, "admission-budget": true, "forecast-window": true}
 )
 
 // checkFlags refuses, naming both, a flag given on the command line (set, in
 // flag.Visit's order) together with a mode that would silently ignore it,
-// and probe settings no prober can run with.
-func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeFails int) error {
+// probe settings no prober can run with, and admission settings (adm's
+// Admission* fields) that are negative or that no admission controller
+// reads.
+func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeFails int, adm api.Config) error {
 	router, standby := slices.Contains(set, "cluster"), slices.Contains(set, "follow")
 	for _, name := range set {
 		switch {
@@ -209,10 +214,16 @@ func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeF
 			return fmt.Errorf("-%s needs -follow: only a standby probes its primary", name)
 		case probeFlags[name] && !autoPromote && name != "auto-promote":
 			return fmt.Errorf("-%s needs -auto-promote: nothing probes the primary without it", name)
+		case admissionFlags[name] && !(adm.AdmissionRate > 0):
+			return fmt.Errorf("-%s needs a positive -admission-rate: admission control is off without one", name)
 		}
 	}
 	if autoPromote && (probeEvery <= 0 || probeFails <= 0) {
 		return fmt.Errorf("-probe-interval %v and -probe-failures %d must both be positive with -auto-promote", probeEvery, probeFails)
+	}
+	if adm.AdmissionRate < 0 || adm.AdmissionBurst < 0 || adm.AdmissionBudget < 0 || adm.AdmissionWindow < 0 {
+		return fmt.Errorf("-admission-rate %v, -admission-burst %v, -admission-budget %v and -forecast-window %v must not be negative (0 is each one's default)",
+			adm.AdmissionRate, adm.AdmissionBurst, adm.AdmissionBudget, adm.AdmissionWindow)
 	}
 	return nil
 }

@@ -42,11 +42,13 @@ func TestCheckFlags(t *testing.T) {
 		}
 	}
 
+	const on = 100 // a positive -admission-rate
 	for _, c := range []struct {
 		name        string
 		set         []string
 		autoPromote bool
-		want        []string // substrings of the refusal; nil = accepted
+		adm         api.Config // the admission flags' values
+		want        []string   // substrings of the refusal; nil = accepted
 	}{
 		{name: "node defaults"},
 		{name: "durable node with admission", set: []string{"addr", "tables", "data-dir", "fsync", "snapshot-every", "admission-rate", "shards"}},
@@ -70,9 +72,30 @@ func TestCheckFlags(t *testing.T) {
 		{name: "-probe-failures without -follow", set: []string{"data-dir", "probe-failures"}, want: []string{"-probe-failures", "-follow"}},
 		{name: "-probe-interval without -auto-promote", set: []string{"follow", "probe-interval"}, want: []string{"-probe-interval", "-auto-promote"}},
 		{name: "-probe-failures with -auto-promote=false", set: []string{"follow", "auto-promote", "probe-failures"}, want: []string{"-probe-failures", "-auto-promote"}},
+
+		{name: "every admission flag", set: []string{"admission-rate", "admission-burst", "admission-budget", "forecast-window"},
+			adm: api.Config{AdmissionRate: on, AdmissionBurst: 1000, AdmissionBudget: 5, AdmissionWindow: time.Second}},
+		{name: "admission flags on a standby", set: []string{"follow", "admission-rate", "admission-burst"}, adm: api.Config{AdmissionRate: on}},
+		{name: "-admission-rate 0 says off", set: []string{"admission-rate"}},
+		{name: "-admission-burst without -admission-rate", set: []string{"admission-burst"}, adm: api.Config{AdmissionBurst: 1000},
+			want: []string{"-admission-burst", "-admission-rate", "positive"}},
+		{name: "-admission-budget without -admission-rate", set: []string{"admission-budget"}, adm: api.Config{AdmissionBudget: 5},
+			want: []string{"-admission-budget", "-admission-rate", "positive"}},
+		{name: "-forecast-window without -admission-rate", set: []string{"data-dir", "forecast-window"}, adm: api.Config{AdmissionWindow: time.Second},
+			want: []string{"-forecast-window", "-admission-rate", "positive"}},
+		{name: "-admission-burst with -admission-rate 0", set: []string{"admission-rate", "admission-burst"}, adm: api.Config{AdmissionBurst: 1000},
+			want: []string{"-admission-burst", "-admission-rate"}},
+		{name: "negative -admission-rate", set: []string{"admission-rate"}, adm: api.Config{AdmissionRate: -1},
+			want: []string{"-admission-rate -1", "negative"}},
+		{name: "negative -admission-burst", set: []string{"admission-rate", "admission-burst"}, adm: api.Config{AdmissionRate: on, AdmissionBurst: -2},
+			want: []string{"-admission-burst -2", "negative"}},
+		{name: "negative -admission-budget", set: []string{"admission-rate", "admission-budget"}, adm: api.Config{AdmissionRate: on, AdmissionBudget: -0.5},
+			want: []string{"-admission-budget -0.5", "negative"}},
+		{name: "negative -forecast-window", set: []string{"admission-rate", "forecast-window"}, adm: api.Config{AdmissionRate: on, AdmissionWindow: -time.Second},
+			want: []string{"-forecast-window -1s", "negative"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			check(t, checkFlags(c.set, c.autoPromote, every, fails), c.want)
+			check(t, checkFlags(c.set, c.autoPromote, every, fails, c.adm), c.want)
 		})
 	}
 
@@ -91,7 +114,7 @@ func TestCheckFlags(t *testing.T) {
 		{"negative interval", -time.Second, fails, []string{"-probe-interval", "positive"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			check(t, checkFlags(prober, true, c.every, c.fails), c.want)
+			check(t, checkFlags(prober, true, c.every, c.fails, api.Config{}), c.want)
 		})
 	}
 }

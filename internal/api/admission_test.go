@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/api/apitest"
+	"repro/internal/ledger"
 )
 
 // admClock is a manual wall clock shared with an injected controller.
@@ -307,5 +310,193 @@ func TestHealthzAdmissionBlock(t *testing.T) {
 	t.Cleanup(plainTS.Close)
 	if h := getHealth(plainTS.URL); h.Admission != nil {
 		t.Fatalf("healthz grew an admission block with the limiter off: %+v", h.Admission)
+	}
+}
+
+// perRecordGate is the reference the collector's flush-time gate is held to:
+// the admission gate run on each record as it arrives — pending keys, then an
+// admitted record of the batch with the explicit key's spelling, then
+// Ledger.Seen, then Allow — with the admitted records billed every
+// accrueBatchSize priced records received, which is where the collector
+// flushes. It answers through WriteUsageResponse, as the handler does.
+func perRecordGate(s *Server, streamKey, body string) *httptest.ResponseRecorder {
+	pricers := s.snapshot()
+	src := NewRecordSource(WireNDJSON, strings.NewReader(body), s.cfg.MaxBodyBytes, s.cfg.MaxStreamLines)
+	defer src.Release()
+	var (
+		keys     KeyArena
+		resp     UsageStreamResponse
+		entries  []ledger.Entry
+		lines    []int
+		received int
+		pending  = map[pendingKey]bool{}
+	)
+	flush := func() {
+		s.bill(entries, make([]ledger.AccrualResult, len(entries)), func(i int, outcome ledger.Outcome, apiErr *Error) {
+			switch {
+			case apiErr != nil:
+				resp.Refuse(lines[i], *apiErr)
+			case outcome == ledger.Duplicate:
+				resp.Duplicates++
+			default:
+				resp.Accepted++
+			}
+		})
+		entries, lines, received = nil, nil, 0
+		clear(pending)
+	}
+	for {
+		pos, rec, rej, ok := src.Next()
+		if !ok {
+			break
+		}
+		resp.Lines++
+		var e ledger.Entry
+		if rej == nil {
+			e, rej = s.priceRecord(pricers, &keys, streamKey, pos, rec)
+		}
+		if rej != nil {
+			resp.Refuse(pos, *rej)
+			continue
+		}
+		received++
+		pk := pendingKey{e.Tenant, e.Key}
+		derived := false
+		for _, f := range entries {
+			derived = derived || (rec.Key != "" && f.Tenant == e.Tenant && f.Key == e.Key)
+		}
+		admitted := true
+		if !pending[pk] && !derived && !s.ledger.Seen(e.Tenant, e.Key) {
+			if ok, retryAfter := s.admission.Allow(e.Tenant); !ok {
+				admitted = false
+				resp.RetryAfterSec = max(resp.RetryAfterSec, retryAfter.Seconds())
+				resp.Refuse(pos, Error{
+					Status:        http.StatusTooManyRequests,
+					Message:       fmt.Sprintf("tenant %q over admission rate", e.Tenant),
+					RetryAfterSec: retryAfter.Seconds(),
+				})
+			}
+		}
+		if admitted {
+			if rec.Key != "" {
+				pending[pk] = true
+			}
+			entries = append(entries, e)
+			lines = append(lines, pos)
+		}
+		if received == accrueBatchSize {
+			flush()
+		}
+	}
+	flush()
+	resp.StreamError = src.Verdict()
+	w := httptest.NewRecorder()
+	WriteUsageResponse(w, &resp)
+	return w
+}
+
+// The gate runs once per batch at the flush, over one grouped probe; it must
+// answer every stream exactly as the per-record gate did — status,
+// Retry-After, every field of the body — and bill the same statements. Each
+// stream is accrueBatchSize+44 records long under 1-token buckets (one token
+// per tenant per stream, the manual clock moving a refill between streams),
+// and mixes keys billed by earlier streams, keys a 64-key window has
+// forgotten, explicit keys repeated inside a batch and across its boundary,
+// explicit keys spelling a derived key, keyless records with and without a
+// stream key, and records refused at pricing for a bad minute.
+func TestAdmissionFlushGateMatchesPerRecordGate(t *testing.T) {
+	clk := &admClock{t: time.Unix(1_700_000_000, 0)}
+	const rate = 0.0001 // one token per 10⁴ s
+	newServer := func() *Server {
+		led, err := ledger.New(ledger.Config{Shards: 4, MaxKeys: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl := admission.New(admission.Config{Rate: rate, Burst: 1, Manual: true, Now: clk.now})
+		srv, err := New(Config{Calibration: apitest.Calibration(), Ledger: led, Admission: ctrl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		return srv
+	}
+	got, ref := newServer(), newServer()
+
+	type keyed struct{ tenant, key string }
+	rng := rand.New(rand.NewPCG(37, 1))
+	var earlier []keyed // explicit keys of earlier streams, oldest first
+	var total UsageStreamResponse
+	for stream := 0; stream < 8; stream++ {
+		streamKey := ""
+		if stream%4 != 3 {
+			streamKey = fmt.Sprintf("s%d", stream)
+		}
+		var body strings.Builder
+		var sent []keyed      // this stream's explicit keys
+		var tenantOf []string // each line's tenant, from line 1
+		for line := 1; line <= accrueBatchSize+44; line++ {
+			r := keyed{tenant: fmt.Sprintf("t%d", rng.IntN(24))}
+			minute := 0
+			switch n := rng.IntN(10); {
+			case n == 0:
+				minute = -5 // refused at pricing
+			case n == 1 && len(earlier) > 0:
+				r = earlier[len(earlier)-1-rng.IntN(min(len(earlier), 30))] // recent: remembered, or throttled
+			case n == 2 && len(earlier) > 0:
+				r = earlier[rng.IntN(len(earlier))] // mostly forgotten
+			case n == 3 && len(sent) > 0:
+				r = sent[rng.IntN(len(sent))] // in this batch, or across its boundary
+			case n == 4 && streamKey != "" && line > 1:
+				q := 1 + rng.IntN(line-1) // the retry of line q, by its derived key
+				r = keyed{tenantOf[q-1], DerivedKey(streamKey, q)}
+			case n <= 6:
+				r.key = fmt.Sprintf("k%d-%d", stream, line)
+			}
+			tenantOf = append(tenantOf, r.tenant)
+			if r.key != "" {
+				sent = append(sent, r)
+			}
+			l := ndLine(r.tenant, 512, 0, r.key)
+			body.WriteString(strings.Replace(l, `"minute":0`, fmt.Sprintf(`"minute":%d`, minute), 1))
+			body.WriteByte('\n')
+		}
+		earlier = append(earlier, sent...)
+
+		req := httptest.NewRequest(http.MethodPost, "/v3/usage", strings.NewReader(body.String()))
+		req.Header.Set("Idempotency-Key", streamKey)
+		have := httptest.NewRecorder()
+		got.ServeHTTP(have, req)
+		want := perRecordGate(ref, streamKey, body.String())
+		if have.Code != want.Code || have.Header().Get("Retry-After") != want.Header().Get("Retry-After") || have.Body.String() != want.Body.String() {
+			t.Fatalf("stream %d: flush-time gate answered %d (Retry-After %q)\n%s\nthe per-record gate %d (Retry-After %q)\n%s",
+				stream, have.Code, have.Header().Get("Retry-After"), have.Body, want.Code, want.Header().Get("Retry-After"), want.Body)
+		}
+		var resp UsageStreamResponse
+		if err := json.Unmarshal(have.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		total.Accepted += resp.Accepted
+		total.Duplicates += resp.Duplicates
+		total.Throttled += resp.Throttled
+		total.Rejected += resp.Rejected
+		clk.advance(time.Duration(float64(time.Second) / rate))
+	}
+	for i := range 24 {
+		tenant := fmt.Sprintf("t%d", i)
+		a, _ := got.ledger.Statement(tenant, 0, -1)
+		b, _ := ref.ledger.Statement(tenant, 0, -1)
+		aj, _ := json.Marshal(a)
+		bj, _ := json.Marshal(b)
+		if string(aj) != string(bj) {
+			t.Errorf("tenant %s statements diverge:\nflush-time: %s\nper-record: %s", tenant, aj, bj)
+		}
+	}
+	st, refSt := got.ledger.Stats(), ref.ledger.Stats()
+	if fmt.Sprint(st) != fmt.Sprint(refSt) {
+		t.Errorf("ledger stats diverge:\nflush-time: %+v\nper-record: %+v", st, refSt)
+	}
+	if total.Accepted == 0 || total.Duplicates == 0 || total.Throttled == 0 || total.Rejected == 0 || st.KeysEvicted == 0 {
+		t.Errorf("the streams missed a case: %d accepted, %d duplicates, %d throttled, %d rejected, %d keys forgotten",
+			total.Accepted, total.Duplicates, total.Throttled, total.Rejected, st.KeysEvicted)
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/api/apitest"
 	"repro/internal/core"
+	"repro/internal/ledger"
 )
 
 // benchServer builds a server on the synthetic fixture for the ingest
@@ -71,6 +73,53 @@ func BenchmarkUsageStream(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(lines*b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkUsageStreamAdmission measures the /v3/usage NDJSON loop with
+// admission on, at a rate that never throttles, over a ledger whose key
+// window already holds more than ledger.DefaultMaxKeys keys: each stream
+// carries a fresh Idempotency-Key, so all 512 records are keyed and new, and
+// the gate's peek and the accrual's lookup miss into a node-sized index, as
+// they do on a production node after warm-up.
+func BenchmarkUsageStreamAdmission(b *testing.B) {
+	led, err := ledger.New(ledger.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill := make([]ledger.Entry, 4096)
+	results := make([]ledger.AccrualResult, len(fill))
+	for n := 0; n < ledger.DefaultMaxKeys*9/8; n += len(fill) {
+		for i := range fill {
+			fill[i] = ledger.Entry{Tenant: fmt.Sprintf("t%d", i%4096), Pricer: "litmus", Price: 1, Key: fmt.Sprintf("fill#%d", n+i)}
+		}
+		led.AccrueBatch(fill, results)
+	}
+	runtime.GC() // the fill's garbage is set-up, not the loop's
+	srv, err := New(Config{Calibration: apitest.Calibration(), Ledger: led, AdmissionRate: 1e6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = srv.Close() })
+	const lines = 512
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		sb.WriteString(benchRecord(fmt.Sprintf("t%d", i%8), 128+64*(i%8)))
+		sb.WriteByte('\n')
+	}
+	body := []byte(sb.String())
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v3/usage", bytes.NewReader(body))
+		req.Header.Set("Idempotency-Key", fmt.Sprintf("stream-%d", i))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/stream")
 }
 
 // benchUsageRecord is benchRecord as a typed record for the binary encoder:

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/ledger"
 )
@@ -23,7 +24,9 @@ import (
 // accrueBatchSize is the collector's flush threshold: priced results are
 // billed through ledger.AccrueBatch in runs of this size, so a durable
 // ledger pays one WAL write per touched shard per run — and under
-// fsync=always one group-committed fsync — instead of one per record.
+// fsync=always one group-committed fsync — instead of one per record. It
+// counts the priced records a batch received: under admission the gate runs
+// at the flush, so a batch bills this many less the ones it throttled.
 const accrueBatchSize = 256
 
 // handleUsageStream ingests a usage stream in either wire format — NDJSON or
@@ -131,22 +134,28 @@ func WriteUsageResponse(w http.ResponseWriter, resp *UsageStreamResponse) {
 }
 
 // usageCollector owns a usage stream's response accounting and its billing:
-// priced records are buffered and billed through the batched accrual funnel
-// (per accrueBatchSize records, one WAL write per shard they touch, fsynced
-// as a group under fsync=always), and counters, the
-// capped error list and dedup outcomes behave exactly as a per-record pass
-// would — the differential tests hold both wire formats to that.
+// priced records are buffered, passed through the admission gate and billed
+// through the batched accrual funnel (per accrueBatchSize records, one WAL
+// write per shard they touch, fsynced as a group under fsync=always), and
+// counters, the capped error list and dedup outcomes behave exactly as a
+// per-record pass would — the differential tests hold both wire formats to
+// that.
 type usageCollector struct {
 	s    *Server
 	resp UsageStreamResponse
 	// entries buffers the priced, not-yet-billed records; lines carries
-	// their 1-based stream positions in parallel.
-	entries []ledger.Entry
-	lines   []int
-	results []ledger.AccrualResult
-	// pending holds, under admission, the keys buffered records named
-	// themselves; a derived key repeats no other derived key, and an
-	// explicit key spelling one is found by derivedInBatch. See add.
+	// their 1-based stream positions in parallel, and explicit whether the
+	// record named its key itself rather than inheriting the stream's.
+	entries  []ledger.Entry
+	lines    []int
+	explicit []bool
+	results  []ledger.AccrualResult
+	// seen is the admission gate's scratch: whether the ledger already
+	// holds each buffered record's key.
+	seen []bool
+	// pending holds, while the gate walks a batch, the keys admitted records
+	// named themselves; a derived key repeats no other derived key, and an
+	// explicit key spelling one is found by derivedInBatch. See admit.
 	pending map[pendingKey]bool
 	// streamKey is the stream's Idempotency-Key, the prefix of every key
 	// the stream derives.
@@ -179,59 +188,79 @@ func (c *usageCollector) release() {
 	c.resp = UsageStreamResponse{Errors: c.resp.Errors[:0]}
 	c.entries = c.entries[:0]
 	c.lines = c.lines[:0]
+	c.explicit = c.explicit[:0]
 	collectorPool.Put(c)
 }
 
-// add passes one priced record through the admission gate and queues it for
-// the next batched accrual. The gate runs here — after validation, before
-// accrual, in stream order — so both wire formats share one admission point
-// and a throttled record can never reach the ledger. A key the ledger
-// already recorded, or one a record still in this batch named (explicitly,
-// or by inheriting it from the stream key), bypasses the gate: it is a
-// retry, not new load — it cannot bill again, and if duplicates consumed
-// tokens a whole-batch resend could livelock, the already-billed head
-// eating every refilled token before the formerly throttled tail reached
-// the bucket. Unkeyed records always pay.
+// add queues one priced record for the next batched accrual.
 func (c *usageCollector) add(line int, entry ledger.Entry, explicitKey bool) {
-	if adm := c.s.admission; adm != nil {
-		pk := pendingKey{entry.Tenant, entry.Key}
-		if !c.pending[pk] && !(explicitKey && c.derivedInBatch(entry)) && !c.s.ledger.Seen(entry.Tenant, entry.Key) {
-			if ok, retryAfter := adm.Allow(entry.Tenant); !ok {
-				sec := retryAfter.Seconds()
-				if sec > c.resp.RetryAfterSec {
-					c.resp.RetryAfterSec = sec
-				}
-				c.reject(line, &Error{
-					Status:        http.StatusTooManyRequests,
-					Message:       fmt.Sprintf("tenant %q over admission rate", entry.Tenant),
-					RetryAfterSec: sec,
-				})
-				return
-			}
-		}
-		if explicitKey {
-			c.pending[pk] = true
-		}
-	}
 	c.resp.Lines++
 	c.entries = append(c.entries, entry)
 	c.lines = append(c.lines, line)
+	c.explicit = append(c.explicit, explicitKey)
 	if len(c.entries) >= accrueBatchSize {
 		c.flush()
 	}
 }
 
-// derivedInBatch reports whether a keyless record still in the batch
-// inherited the key e names explicitly. Derived keys stay out of pending, so
-// keyless records pay nothing for the rule; only an explicit key spelled
-// like a derived one — the stream key, '#', more — pays for the scan.
-func (c *usageCollector) derivedInBatch(e ledger.Entry) bool {
+// admit runs the admission gate over the buffered batch in stream order and
+// drops the throttled records, so a throttled record can never reach the
+// ledger. The gate runs here — after validation, before accrual — so both
+// wire formats share one admission point. A key the ledger already recorded,
+// or one an admitted record earlier in the batch named (explicitly, or by
+// inheriting it from the stream key), bypasses the gate: it is a retry, not
+// new load — it cannot bill again, and if duplicates consumed tokens a
+// whole-batch resend could livelock, the already-billed head eating every
+// refilled token before the formerly throttled tail reached the bucket.
+// Unkeyed records always pay. The ledger answers "already recorded" for the
+// whole batch from one grouped probe (ledger.SeenBatch): the stream bills
+// nothing between a record's arrival and its batch's flush, so each answer
+// is the one a per-record gate would have had.
+func (c *usageCollector) admit(adm *admission.Controller) {
+	n := len(c.entries)
+	if cap(c.seen) < n {
+		c.seen = make([]bool, n)
+	}
+	seen := c.seen[:n]
+	c.s.ledger.SeenBatch(c.entries, seen)
+	kept := 0
+	for i := range n {
+		entry, line := c.entries[i], c.lines[i]
+		pk := pendingKey{entry.Tenant, entry.Key}
+		if !seen[i] && !c.pending[pk] && !(c.explicit[i] && c.derivedInBatch(entry, kept)) {
+			if ok, retryAfter := adm.Allow(entry.Tenant); !ok {
+				sec := retryAfter.Seconds()
+				c.resp.RetryAfterSec = max(c.resp.RetryAfterSec, sec)
+				c.resp.Refuse(line, Error{
+					Status:        http.StatusTooManyRequests,
+					Message:       fmt.Sprintf("tenant %q over admission rate", entry.Tenant),
+					RetryAfterSec: sec,
+				})
+				continue
+			}
+		}
+		if c.explicit[i] {
+			c.pending[pk] = true
+		}
+		c.entries[kept], c.lines[kept] = entry, line
+		kept++
+	}
+	c.entries, c.lines = c.entries[:kept], c.lines[:kept]
+	clear(c.pending)
+}
+
+// derivedInBatch reports whether one of the first kept (admitted) records
+// of the batch, keyless, inherited the key e names explicitly. Derived keys
+// stay out of pending, so keyless records pay nothing for the rule; only an
+// explicit key spelled like a derived one — the stream key, '#', more —
+// pays for the scan.
+func (c *usageCollector) derivedInBatch(e ledger.Entry, kept int) bool {
 	n := len(c.streamKey)
 	if n == 0 || len(e.Key) <= n || e.Key[n] != '#' || e.Key[:n] != c.streamKey {
 		return false
 	}
-	for i := range c.entries {
-		if c.entries[i].Key == e.Key && c.entries[i].Tenant == e.Tenant {
+	for _, f := range c.entries[:kept] {
+		if f.Key == e.Key && f.Tenant == e.Tenant {
 			return true
 		}
 	}
@@ -256,9 +285,13 @@ func (c *usageCollector) fold(line int, outcome ledger.Outcome, apiErr *Error) {
 	}
 }
 
-// flush bills the buffered records in order through Server.bill and folds
-// each outcome into the response.
+// flush gates the buffered records, bills the admitted ones in order
+// through Server.bill and folds each outcome into the response.
 func (c *usageCollector) flush() {
+	if adm := c.s.admission; adm != nil && len(c.entries) > 0 {
+		c.admit(adm)
+	}
+	c.explicit = c.explicit[:0]
 	if len(c.entries) == 0 {
 		return
 	}
@@ -270,7 +303,6 @@ func (c *usageCollector) flush() {
 	})
 	c.entries = c.entries[:0]
 	c.lines = c.lines[:0]
-	clear(c.pending)
 }
 
 // --- GET /v3/tenants ---------------------------------------------------------

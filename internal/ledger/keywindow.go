@@ -2,10 +2,10 @@ package ledger
 
 // keywindow.go is the idempotency window: what a key is, how long it is
 // remembered and how it is saved are each written here, once. The store
-// (accrueLocked, apply, replay, restoreFrom, streamSnapshot, Seen, Stats)
-// goes through the calls below and never sees the index, the blocks or the
-// spelling of a key, so a different retention policy — ROADMAP item 10's
-// time horizon — replaces this file and has keywindow_test.go to pass.
+// (accrueLocked, apply, replay, restoreFrom, streamSnapshot, probe, Seen,
+// Stats) goes through the calls below and never sees the index, the blocks
+// or the spelling of a key, so a different retention policy — ROADMAP item
+// 10's time horizon — replaces this file and has keywindow_test.go to pass.
 //
 // A key belongs to its tenant: tenant B reusing (or guessing) tenant A's key
 // must still bill. The tenant also pins a key to the tenant's shard, so a
@@ -46,6 +46,11 @@ package ledger
 // into the index and a 1/4096 share of its block's sweep — where a set of
 // joined strings with a FIFO beside it cost a 48 B string allocation, a map
 // slot and a FIFO entry, and one allocation per keyed record.
+//
+// The index has a second reader, under the same lock: a batch's probe pass
+// (Ledger.probe) loads the home slots of a chunk's keys back to back with
+// touch, before the lookups that decide them, so the cache misses those
+// lookups would pay one at a time overlap instead.
 
 import (
 	"hash/maphash"
@@ -190,6 +195,20 @@ func newKeyWindow(budget int) keyWindow {
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) seen(k windowKey) bool { return w.lookup(k).found }
+
+// touch loads the home slot of each key keys[i], i in idx, and returns the
+// loaded words folded together, for the caller to keep where the compiler
+// cannot drop the loads. No load depends on another, so their cache misses
+// overlap, where the lookups that follow would each stall on their own.
+//
+//litmus:guarded-by caller holds sh.mu
+func (w *keyWindow) touch(keys *[probeChunk]windowKey, idx []uint8) uint64 {
+	var sum uint64
+	for _, i := range idx {
+		sum ^= w.slots[w.home(tagOf(keys[i].hash))]
+	}
+	return sum
+}
 
 // lookup walks k's probe chain once, from its home to the first empty slot:
 // a slot whose tag matches is k if its key is still remembered and its

@@ -235,6 +235,9 @@ type Ledger struct {
 	// promoteMu makes RestoreSnapshot, which locks the shards one at a time,
 	// atomic against Promote.
 	promoteMu sync.Mutex
+
+	// passes recycles the batch paths' probePass scratch.
+	passes sync.Pool
 }
 
 // New builds a ledger from cfg. With cfg.Dir set it opens (or creates) the
@@ -298,23 +301,26 @@ func (l *Ledger) MaxTenants() int { return l.cfg.MaxTenants }
 // Shards returns the lock-stripe count.
 func (l *Ledger) Shards() int { return len(l.shards) }
 
-// shardFor picks the shard owning a tenant: FNV-1a over the name, written
-// out inline so the hot path allocates nothing.
-func (l *Ledger) shardFor(tenant string) *shard {
+// shardFor picks the shard owning a tenant.
+func (l *Ledger) shardFor(tenant string) *shard { return l.shards[l.shardIndex(tenant)] }
+
+// shardIndex is the index of the shard owning a tenant: FNV-1a over the
+// name, written out inline so the hot path allocates nothing.
+func (l *Ledger) shardIndex(tenant string) uint32 {
 	const offset32, prime32 = 2166136261, 16777619
 	h := uint32(offset32)
 	for i := 0; i < len(tenant); i++ {
 		h ^= uint32(tenant[i])
 		h *= prime32
 	}
-	return l.shards[h%uint32(len(l.shards))]
+	return h % uint32(len(l.shards))
 }
 
 // Seen reports whether the tenant has already recorded an entry under the
-// given idempotency key — the read-only peek behind admission-gate retry
-// bypass: a key the ledger already holds cannot bill again, so re-sending
-// it is not new load. A key evicted from the bounded dedup window reports
-// false, exactly as Accrue would re-bill it.
+// given idempotency key: a key the ledger already holds cannot bill again,
+// so re-sending it is not new load. A key evicted from the bounded dedup
+// window reports false, exactly as Accrue would re-bill it. SeenBatch
+// answers the same question for a batch.
 func (l *Ledger) Seen(tenant, key string) bool {
 	if tenant == "" || key == "" {
 		return false
@@ -325,6 +331,97 @@ func (l *Ledger) Seen(tenant, key string) bool {
 	ok := sh.dedup.seen(k)
 	sh.mu.Unlock()
 	return ok
+}
+
+// SeenBatch sets seen[i] to what Seen(entries[i].Tenant, entries[i].Key)
+// would report — the read-only peek behind the admission gate's retry
+// bypass — from one grouped probe per chunk of entries (see probe). seen
+// must have at least len(entries) slots.
+func (l *Ledger) SeenBatch(entries []Entry, seen []bool) {
+	p := l.getProbePass()
+	defer l.passes.Put(p)
+	for lo := 0; lo < len(entries); lo += probeChunk {
+		chunk := entries[lo:min(lo+probeChunk, len(entries))]
+		l.probe(p, chunk, seen[lo:lo+len(chunk)])
+	}
+}
+
+// probeChunk is the most entries one probe pass takes: its indices fit a
+// byte, and a chunk's home slots fit a core's first-level cache.
+const probeChunk = 256
+
+// probePass is one chunk's probe state: each entry's key, hashed once, and
+// shard, found once, with the keyed entries' indices grouped by shard.
+type probePass struct {
+	keys  [probeChunk]windowKey // the zero key for an entry without one
+	shard [probeChunk]uint32
+	// order lists the keyed entries' indices grouped by shard in ascending
+	// order; shard s's are order[ends[s-1]:ends[s]] (from 0 for s = 0).
+	order [probeChunk]uint8
+	ends  []uint16 // len(l.shards)+1 counters while order is built
+}
+
+// getProbePass takes a pass from the ledger's pool, so the batch paths
+// allocate nothing in steady state.
+func (l *Ledger) getProbePass() *probePass {
+	if p, ok := l.passes.Get().(*probePass); ok {
+		return p
+	}
+	return &probePass{ends: make([]uint16, len(l.shards)+1)}
+}
+
+// probe is one chunk's probe pass: it hashes each keyed entry once, buckets
+// the entries by shard and then, under each touched shard's lock in turn,
+// loads every one of the shard's keys' home slots in one branch-free loop
+// (keyWindow.touch) — independent loads, whose cache misses overlap, where
+// the in-order work that follows would stall on each key's miss in turn.
+// With seen non-nil it also answers Seen for each entry while the slots are
+// warm; AccrueBatch passes nil and reuses the hashes and shards. A keyed
+// entry is one with a tenant and a key, as Seen counts them.
+func (l *Ledger) probe(p *probePass, entries []Entry, seen []bool) {
+	ends := p.ends
+	clear(ends)
+	for i := range entries {
+		e := &entries[i]
+		s := l.shardIndex(e.Tenant)
+		p.shard[i], p.keys[i] = s, windowKey{}
+		if e.Tenant != "" && e.Key != "" {
+			p.keys[i] = nameKey(e.Tenant, e.Key)
+			ends[s+1]++
+		}
+	}
+	// A counting sort: after the prefix sum ends[s] is where shard s's
+	// indices start, and placing them moves it to where they end.
+	for s := 1; s < len(ends); s++ {
+		ends[s] += ends[s-1]
+	}
+	for i := range entries {
+		if p.keys[i].hash != 0 {
+			c := &ends[p.shard[i]]
+			p.order[*c] = uint8(i)
+			*c++
+		}
+	}
+	if seen != nil {
+		clear(seen)
+	}
+	start := uint16(0)
+	for s, sh := range l.shards {
+		end := ends[s]
+		if end == start {
+			continue
+		}
+		idx := p.order[start:end]
+		sh.mu.Lock()
+		sh.probed ^= sh.dedup.touch(&p.keys, idx)
+		if seen != nil {
+			for _, i := range idx {
+				seen[i] = sh.dedup.seen(p.keys[i])
+			}
+		}
+		sh.mu.Unlock()
+		start = end
+	}
 }
 
 // Accrue bills one entry. It returns Duplicate when the entry's idempotency
@@ -349,8 +446,9 @@ func (l *Ledger) Accrue(e Entry) (Outcome, error) {
 		return Dropped, err
 	}
 	sh := l.shardFor(e.Tenant)
+	key := nameKey(e.Tenant, e.Key)
 	sh.mu.Lock()
-	outcome, watermark, err := l.accrueLocked(sh, &e)
+	outcome, watermark, err := l.accrueLocked(sh, &e, key)
 	sh.mu.Unlock()
 	if err != nil {
 		return Dropped, err
@@ -392,13 +490,13 @@ func (l *Ledger) commit(w *walFile, watermark uint64) error {
 // on dedup, the tenant cap or what a refused WAL append leaves behind. The
 // record is framed onto the shard's WAL buffer, not written: the schedule
 // owes a commit of the returned watermark (0 on a volatile ledger) before it
-// acknowledges. On error — the shard's log is closed or poisoned — nothing
-// was applied and nothing stays reserved.
+// acknowledges. key is nameKey(e.Tenant, e.Key), hashed by the caller. On
+// error — the shard's log is closed or poisoned — nothing was applied and
+// nothing stays reserved.
 //
 //litmus:guarded-by caller holds sh.mu
 //litmus:buffers
-func (l *Ledger) accrueLocked(sh *shard, e *Entry) (Outcome, uint64, error) {
-	key := nameKey(e.Tenant, e.Key)
+func (l *Ledger) accrueLocked(sh *shard, e *Entry, key windowKey) (Outcome, uint64, error) {
 	// Decide the outcome first: the WAL logs (entry, outcome) pairs, so
 	// replay can apply outcomes instead of re-deciding ones that depended
 	// on cross-shard state (the tenant cap).
@@ -505,7 +603,9 @@ type AccrualResult struct {
 // committed once — one write(2), and under FsyncAlways one fsync (group
 // commit) — before any result is returned. A multi-tenant stream interleaves
 // its shards, so it is the write that is per batch, not the lock: the shard
-// lock is held across consecutive same-shard entries only.
+// lock is held across consecutive same-shard entries only. Each chunk of
+// entries is probed first (see probe), so the in-order loop finds its keys'
+// home slots in cache and its keys already hashed.
 //
 // results must have at least len(entries) slots; slot i reports entry i. A
 // failed commit surfaces as a wrapped ErrDurability on every already-applied
@@ -535,38 +635,45 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 	var touched []*shard
 	var marks []uint64
 	appends := 0
-	for i := range entries {
-		e := &entries[i]
-		if err := validateEntry(*e); err != nil {
-			results[i] = AccrualResult{Outcome: Dropped, Err: err}
-			continue
-		}
-		sh := l.shardFor(e.Tenant)
-		if sh != cur {
-			unlock()
-			sh.mu.Lock()
-			cur = sh
-		}
-		outcome, watermark, err := l.accrueLocked(sh, e)
-		results[i] = AccrualResult{Outcome: outcome, Err: err}
-		if err != nil || sh.wal == nil {
-			continue
-		}
-		found := false
-		for j := range touched {
-			if touched[j] == sh {
-				marks[j] = watermark
-				found = true
-				break
+	p := l.getProbePass()
+	defer l.passes.Put(p)
+	for lo := 0; lo < len(entries); lo += probeChunk {
+		chunk := entries[lo:min(lo+probeChunk, len(entries))]
+		l.probe(p, chunk, nil)
+		for j := range chunk {
+			i, e := lo+j, &chunk[j]
+			if err := validateEntry(*e); err != nil {
+				results[i] = AccrualResult{Outcome: Dropped, Err: err}
+				continue
 			}
+			sh := l.shards[p.shard[j]]
+			if sh != cur {
+				unlock()
+				sh.mu.Lock()
+				cur = sh
+			}
+			outcome, watermark, err := l.accrueLocked(sh, e, p.keys[j])
+			results[i] = AccrualResult{Outcome: outcome, Err: err}
+			if err != nil || sh.wal == nil {
+				continue
+			}
+			found := false
+			for k := range touched {
+				if touched[k] == sh {
+					marks[k] = watermark
+					found = true
+					break
+				}
+			}
+			if !found {
+				touched = append(touched, sh)
+				marks = append(marks, watermark)
+			}
+			appends++
 		}
-		if !found {
-			touched = append(touched, sh)
-			marks = append(marks, watermark)
-		}
-		appends++
+		// The next chunk's probe takes the shard locks itself.
+		unlock()
 	}
-	unlock()
 	if appends == 0 {
 		return
 	}

@@ -3,6 +3,7 @@ package ledger
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 )
@@ -270,7 +271,16 @@ func TestConcurrentAccrual(t *testing.T) {
 				if i%2 == 0 {
 					key = fmt.Sprintf("shared/%s/%d", tenant, i)
 				}
-				l.Accrue(Entry{Tenant: tenant, Pricer: "litmus", Minute: i % 10, Commercial: 2, Price: 1, Key: key})
+				e := []Entry{{Tenant: tenant, Pricer: "litmus", Minute: i % 10, Commercial: 2, Price: 1, Key: key}}
+				// Odd workers bill through the batch path, whose probe pass
+				// reads the index beside the others' accruals; every
+				// worker peeks through the batched peek too.
+				if w%2 == 1 {
+					l.AccrueBatch(e, make([]AccrualResult, 1))
+				} else {
+					l.Accrue(e[0])
+				}
+				l.SeenBatch(e, make([]bool, 1))
 				l.Summary(tenant)
 				l.Tenants("", 10)
 				l.Statement(tenant, 0, -1)
@@ -434,4 +444,75 @@ func TestTenantsPaginationUnderConcurrentAccrue(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// SeenBatch answers exactly what Seen answers for each entry, on seeded
+// batches longer than one probe chunk that reach every shard: keyless
+// entries, an empty tenant, keys repeated inside the batch, keys never
+// billed, and billed keys on both sides of the eviction edge of a window
+// small enough to forget them.
+func TestSeenBatchMatchesSeen(t *testing.T) {
+	for _, cfg := range []Config{{Shards: 1, MaxKeys: 100}, {Shards: 8, MaxKeys: 256}, {Shards: 16}} {
+		t.Run(fmt.Sprintf("shards=%d,keys=%d", cfg.Shards, cfg.MaxKeys), func(t *testing.T) {
+			l := mustNew(t, cfg)
+			rng := rand.New(rand.NewPCG(7, uint64(cfg.Shards)))
+			tenant := func() string { return fmt.Sprintf("t%d", rng.IntN(64)) }
+			var billed []Entry
+			var found, forgotten int
+			for round := 0; round < 12; round++ {
+				for range 120 {
+					e := Entry{Tenant: tenant(), Price: 1, Key: fmt.Sprintf("k%d", len(billed))}
+					accrue(t, l, e)
+					billed = append(billed, e)
+				}
+				batch := make([]Entry, probeChunk+1+rng.IntN(2*probeChunk))
+				for i := range batch {
+					switch r := rng.IntN(8); {
+					case r == 0:
+						batch[i] = Entry{Tenant: tenant()}
+					case r == 1:
+						batch[i] = Entry{Key: billed[rng.IntN(len(billed))].Key}
+					case r == 2 && i > 0:
+						batch[i] = batch[rng.IntN(i)]
+					case r == 3:
+						batch[i] = Entry{Tenant: tenant(), Key: fmt.Sprintf("never%d", i)}
+					default:
+						// The newest keys, reaching back past the smaller
+						// windows' budgets: some remembered, some just
+						// forgotten.
+						batch[i] = billed[len(billed)-1-rng.IntN(min(len(billed), 400))]
+					}
+				}
+				// Stale answers, as a reused buffer holds: SeenBatch must
+				// overwrite each of the batch's and leave the one past it.
+				seen := make([]bool, len(batch)+1)
+				for i := range seen {
+					seen[i] = true
+				}
+				l.SeenBatch(batch, seen[:len(batch)])
+				shards := map[*shard]bool{}
+				for i, e := range batch {
+					if want := l.Seen(e.Tenant, e.Key); seen[i] != want {
+						t.Fatalf("round %d entry %d %+v: SeenBatch %v, Seen %v", round, i, e, seen[i], want)
+					}
+					shards[l.shardFor(e.Tenant)] = true
+					switch {
+					case seen[i]:
+						found++
+					case e.Tenant != "" && e.Key != "" && e.Key[0] == 'k':
+						forgotten++
+					}
+				}
+				if !seen[len(batch)] {
+					t.Fatal("SeenBatch wrote past the batch")
+				}
+				if len(shards) != cfg.Shards {
+					t.Fatalf("round %d reached %d of %d shards", round, len(shards), cfg.Shards)
+				}
+			}
+			if found == 0 || (cfg.MaxKeys > 0 && forgotten == 0) {
+				t.Errorf("%d keys found, %d billed keys forgotten: the batches missed a case", found, forgotten)
+			}
+		})
+	}
 }

@@ -23,6 +23,10 @@ type shard struct {
 	duplicates uint64
 	dropped    uint64
 
+	// probed folds in every word a probe pass touched, so the compiler
+	// cannot drop the loads; nothing reads it.
+	probed uint64
+
 	// wal is the shard's append-only log; nil on a volatile ledger. Set
 	// once before the ledger is published and immutable after, so readers
 	// need no lock; the walFile synchronises itself internally.

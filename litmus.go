@@ -91,7 +91,7 @@ const Scan = workload.Scan
 
 // WireFrames selects the length-prefixed CRC-framed binary encoding of the
 // /v3/usage stream on PricingClient.Wire (the default is NDJSON): the same
-// response, ≈1.5× the ingest throughput and well under half the bytes.
+// response, from fewer bytes on the wire.
 const WireFrames = api.WireFrames
 
 // --- Platform ----------------------------------------------------------------
