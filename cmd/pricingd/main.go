@@ -98,7 +98,8 @@ func main() {
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	adm := api.Config{AdmissionRate: *admRate, AdmissionBurst: *admBurst, AdmissionBudget: *admBudget, AdmissionWindow: *fcWindow}
-	if err := checkFlags(set, *autoProm, *probeEvery, *probeFails, adm); err != nil {
+	sizes := map[string]int64{"shards": int64(*shards), "max-tenants": int64(*maxTenants), "max-body": *maxBody, "window-min": int64(*windowMin)}
+	if err := checkFlags(set, *autoProm, *probeEvery, *probeFails, adm, sizes); err != nil {
 		log.Fatalf("pricingd: %v", err)
 	}
 	// SIGINT/SIGTERM end ctx: serve drains, the standby's loops stop.
@@ -170,7 +171,7 @@ func main() {
 			d.Dir, d.Fsync, d.Recovery.SnapshotGen, d.Recovery.RecordsReplayed, d.Recovery.TornBytesTruncated)
 	}
 	log.Printf("pricingd: serving on %s (tables: %d generators, share %d, ledger shards %d)",
-		*addr, len(cal.Generators), cal.SharePerCore, *shards)
+		*addr, len(cal.Generators), cal.SharePerCore, srv.Shards())
 
 	// Graceful shutdown: drain in-flight requests, then flush and close the
 	// ledger so even fsync=interval/never lose nothing on a clean stop. A
@@ -199,12 +200,16 @@ var (
 
 // checkFlags refuses, naming both, a flag given on the command line (set, in
 // flag.Visit's order) together with a mode that would silently ignore it,
-// probe settings no prober can run with, and admission settings (adm's
+// probe settings no prober can run with, admission settings (adm's
 // Admission* fields) that are negative or that no admission controller
-// reads.
-func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeFails int, adm api.Config) error {
+// reads, and a size (sizes, by flag name) below 1, which the server would
+// quietly replace with its default.
+func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeFails int, adm api.Config, sizes map[string]int64) error {
 	router, standby := slices.Contains(set, "cluster"), slices.Contains(set, "follow")
 	for _, name := range set {
+		if v, ok := sizes[name]; ok && v < 1 {
+			return fmt.Errorf("-%s %d must be at least 1", name, v)
+		}
 		switch {
 		case router && !routerFlags[name]:
 			return fmt.Errorf("-%s has no effect with -cluster: a router prices and bills nothing, it reads only -addr, -max-body and -pprof", name)

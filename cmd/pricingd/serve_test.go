@@ -47,8 +47,9 @@ func TestCheckFlags(t *testing.T) {
 		name        string
 		set         []string
 		autoPromote bool
-		adm         api.Config // the admission flags' values
-		want        []string   // substrings of the refusal; nil = accepted
+		adm         api.Config       // the admission flags' values
+		sizes       map[string]int64 // the size flags' values, by name
+		want        []string         // substrings of the refusal; nil = accepted
 	}{
 		{name: "node defaults"},
 		{name: "durable node with admission", set: []string{"addr", "tables", "data-dir", "fsync", "snapshot-every", "admission-rate", "shards"}},
@@ -93,9 +94,18 @@ func TestCheckFlags(t *testing.T) {
 			want: []string{"-admission-budget -0.5", "negative"}},
 		{name: "negative -forecast-window", set: []string{"admission-rate", "forecast-window"}, adm: api.Config{AdmissionRate: on, AdmissionWindow: -time.Second},
 			want: []string{"-forecast-window -1s", "negative"}},
+
+		// A size below 1 used to become the default while the log printed it.
+		{name: "one shard, one tenant, one byte, one minute", set: []string{"max-body", "max-tenants", "shards", "window-min"},
+			sizes: map[string]int64{"shards": 1, "max-tenants": 1, "max-body": 1, "window-min": 1}},
+		{name: "-shards 0", set: []string{"shards"}, sizes: map[string]int64{"shards": 0}, want: []string{"-shards 0", "at least 1"}},
+		{name: "-max-tenants 0", set: []string{"max-tenants"}, sizes: map[string]int64{"max-tenants": 0}, want: []string{"-max-tenants 0", "at least 1"}},
+		{name: "negative -max-body on a router", set: []string{"cluster", "max-body"}, sizes: map[string]int64{"max-body": -1},
+			want: []string{"-max-body -1", "at least 1"}},
+		{name: "-window-min 0", set: []string{"data-dir", "window-min"}, sizes: map[string]int64{"window-min": 0}, want: []string{"-window-min 0", "at least 1"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			check(t, checkFlags(c.set, c.autoPromote, every, fails, c.adm), c.want)
+			check(t, checkFlags(c.set, c.autoPromote, every, fails, c.adm, c.sizes), c.want)
 		})
 	}
 
@@ -114,7 +124,7 @@ func TestCheckFlags(t *testing.T) {
 		{"negative interval", -time.Second, fails, []string{"-probe-interval", "positive"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			check(t, checkFlags(prober, true, c.every, c.fails, api.Config{}), c.want)
+			check(t, checkFlags(prober, true, c.every, c.fails, api.Config{}, nil), c.want)
 		})
 	}
 }

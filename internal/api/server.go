@@ -323,6 +323,9 @@ func (s *Server) Durability() ledger.DurabilityStats {
 	return s.ledger.Durability()
 }
 
+// Shards is the ledger's lock-stripe count: Config.Shards, or its default.
+func (s *Server) Shards() int { return s.ledger.Shards() }
+
 // --- shared plumbing -------------------------------------------------------
 
 // WriteJSON writes v as a JSON response body under the given status: the one

@@ -165,6 +165,46 @@ func TestAcknowledgedMeansWritten(t *testing.T) {
 	}
 }
 
+// TestAccrueBatchDurableAllocs: a warm durable batch — its tenants' accounts
+// and windows exist, their WAL buffers have grown — allocates nothing. Its
+// scratch, the per-shard commit watermarks included, comes from the ledger's
+// pool, and each of its 8 shards is still written. Under -race it is skipped:
+// the race detector makes sync.Pool drop a quarter of what is put back.
+func TestAccrueBatchDurableAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	l, err := New(Config{Shards: 16, Dir: t.TempDir(), Fsync: FsyncInterval, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, l)
+	tenants := tenantsOnShards(l)[:8]
+	entries := make([]Entry, 256)
+	for i := range entries {
+		entries[i] = Entry{Tenant: tenants[i%len(tenants)], Pricer: "litmus", Minute: 3, Commercial: 2, Price: 1}
+	}
+	results := make([]AccrualResult, len(entries))
+	batch := func() {
+		l.AccrueBatch(entries, results)
+		for i, r := range results {
+			if r.Outcome != Accrued || r.Err != nil {
+				t.Fatalf("entry %d: %v, %v", i, r.Outcome, r.Err)
+			}
+		}
+	}
+	batch()
+	before := walWrites(l)
+	if allocs := testing.AllocsPerRun(50, batch); allocs != 0 {
+		t.Errorf("a warm durable batch allocates %.1f times, want 0", allocs)
+	}
+	// The syncer may flush a batch's shard before its commit does, so a
+	// batch can cost more writes, never fewer.
+	if got := walWrites(l) - before; got < 8*51 {
+		t.Errorf("%d WAL writes over 51 batches, want one per shard per batch (%d)", got, 8*51)
+	}
+}
+
 // TestWALBytesUnchanged pins the log format and order across the group
 // write: a fixed accrual sequence through both schedules leaves, per shard,
 // exactly the frames a per-record writer appends in apply order. The digest

@@ -38,19 +38,15 @@ package ledger
 // slots; it doubles to keep the live keys at most half of it and all its
 // slots at most three quarters, so every probe chain ends.
 //
-// A keyed record is probed once: the lookup that decides Duplicate returns
-// the empty slot its chain ended at, and record inserts there unless a
-// sweep or a grow wrote the index in between (one record in a block's
-// worth). A key costs its spelling's bytes plus 4 B of end offset, 8 B of
-// hash and, at the index's load of ½, 16 B of slots; in time, one probe
-// into the index and a 1/4096 share of its block's sweep — where a set of
-// joined strings with a FIFO beside it cost a 48 B string allocation, a map
-// slot and a FIFO entry, and one allocation per keyed record.
-//
-// The index has a second reader, under the same lock: a batch's probe pass
-// (Ledger.probe) loads the home slots of a chunk's keys back to back with
-// touch, before the lookups that decide them, so the cache misses those
-// lookups would pay one at a time overlap instead.
+// A batch's probe pass (Ledger.probe) first loads the home slots of a
+// chunk's keys back to back with touch, under the shard lock, so their cache
+// misses overlap; then, per record, seen decides Duplicate and record checks,
+// evicts and inserts, both walking a chain already in cache. A key costs its
+// spelling's bytes plus 4 B of end offset, 8 B of hash and, at the index's
+// load of ½, 16 B of slots; in time, one probe into the index and a 1/4096
+// share of its block's sweep — where a set of joined strings with a FIFO
+// beside it cost a 48 B string allocation, a map slot and a FIFO entry, and
+// one allocation per keyed record.
 
 import (
 	"hash/maphash"
@@ -164,19 +160,6 @@ type keyWindow struct {
 	// It holds one slot per key from base on, forgotten ones included.
 	slots     []uint64
 	slotShift uint
-	// writes counts the index's writes — inserts, sweeps and grows — so a
-	// probe can tell whether the slot it ended at still ends its chain.
-	// It starts at 1: the zero probe is never current.
-	writes uint64
-}
-
-// A probe is what one walk of a key's chain learned: whether the key is
-// remembered and, if not, the empty slot the chain ended at, which is where
-// insert puts the key for as long as writes has not moved.
-type probe struct {
-	found  bool
-	slot   uint64
-	writes uint64
 }
 
 func newKeyWindow(budget int) keyWindow {
@@ -186,20 +169,13 @@ func newKeyWindow(budget int) keyWindow {
 		blockShift: uint(min(bits.Len(uint(budget-1)), maxBlockShift)),
 		slots:      make([]uint64, minSlots),
 		slotShift:  64 - uint(bits.TrailingZeros(minSlots)),
-		writes:     1,
 	}
 }
-
-// seen reports whether k is remembered. An evicted key is not, exactly as
-// record would take it again.
-//
-//litmus:guarded-by caller holds sh.mu
-func (w *keyWindow) seen(k windowKey) bool { return w.lookup(k).found }
 
 // touch loads the home slot of each key keys[i], i in idx, and returns the
 // loaded words folded together, for the caller to keep where the compiler
 // cannot drop the loads. No load depends on another, so their cache misses
-// overlap, where the lookups that follow would each stall on their own.
+// overlap, where the walks that follow would each stall on their own.
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) touch(keys *[probeChunk]windowKey, idx []uint8) uint64 {
@@ -210,52 +186,45 @@ func (w *keyWindow) touch(keys *[probeChunk]windowKey, idx []uint8) uint64 {
 	return sum
 }
 
-// lookup walks k's probe chain once, from its home to the first empty slot:
-// a slot whose tag matches is k if its key is still remembered and its
-// spelling is k's. A key without a name is never found.
+// seen reports whether k is remembered, walking k's probe chain from its
+// home to the first empty slot: a slot whose tag matches is k if its key is
+// still remembered and its spelling is k's. A key without a name is never
+// found, and an evicted key is not, exactly as record would take it again.
 //
 //litmus:guarded-by caller holds sh.mu
-func (w *keyWindow) lookup(k windowKey) probe {
+func (w *keyWindow) seen(k windowKey) bool {
 	if k.hash == 0 {
-		return probe{}
+		return false
 	}
 	tag, mask := tagOf(k.hash), uint64(len(w.slots)-1)
 	head, live := uint32(w.head), uint32(w.len())
 	for i := w.home(tag); ; i = (i + 1) & mask {
 		s := w.slots[i]
 		if s == 0 {
-			return probe{slot: i, writes: w.writes}
+			return false
 		}
 		// A forgotten key's slot lingers until its block's sweep; its
 		// distance from head wraps past every live key's.
 		if uint32(s>>32) == tag && uint32(s)-head < live && k.spells(w.spelling(uint32(s))) {
-			return probe{found: true}
+			return true
 		}
 	}
 }
 
 // record remembers k, evicting the oldest keys beyond the budget; a key
 // without a name and a key already remembered change nothing (no re-queue,
-// no eviction). at is k's lookup when the caller has just made one — the
-// live path records only keys its lookup reported absent — and the zero
-// probe otherwise; a probe the index has moved under is walked again. That
-// walk is what keeps replay of a damaged log from queueing a key twice.
+// no eviction). That check is what keeps replay of a damaged log from
+// queueing a key twice.
 //
 //litmus:guarded-by caller holds sh.mu
-func (w *keyWindow) record(k windowKey, at probe) {
-	if k.hash == 0 {
-		return
-	}
-	if at.writes != w.writes {
-		at = w.lookup(k)
-	}
-	if at.found {
+func (w *keyWindow) record(k windowKey) {
+	if k.hash == 0 || w.seen(k) {
 		return
 	}
 	for w.len() >= w.budget {
 		w.evictOldest()
 	}
-	w.insert(k, at)
+	w.insert(k)
 }
 
 // restore replaces the window with a snapshot's: its key list, oldest first,
@@ -268,13 +237,11 @@ func (w *keyWindow) record(k windowKey, at probe) {
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) restore(keys []string, evicted uint64) {
-	writes := w.writes
 	*w = newKeyWindow(w.budget)
-	w.head, w.tail, w.base, w.writes = evicted, evicted, evicted, writes+1
+	w.head, w.tail, w.base = evicted, evicted, evicted
 	for _, s := range keys {
-		k := listedKey(s)
-		if at := w.lookup(k); !at.found {
-			w.insert(k, at)
+		if k := listedKey(s); !w.seen(k) {
+			w.insert(k)
 		}
 	}
 }
@@ -347,8 +314,9 @@ func (w *keyWindow) spelling(low uint32) []byte {
 	return w.blocks[off>>w.blockShift].spelling(int(off & (1<<w.blockShift - 1)))
 }
 
-// insert appends k, which the probe at found absent, as the newest key.
-func (w *keyWindow) insert(k windowKey, at probe) {
+// insert appends k, which seen found absent, as the newest key, in the
+// first empty slot of its chain.
+func (w *keyWindow) insert(k windowKey) {
 	if 2*(w.len()+1) > len(w.slots) || 4*(w.tail-w.base+1) > 3*uint64(len(w.slots)) {
 		w.grow()
 	}
@@ -363,12 +331,8 @@ func (w *keyWindow) insert(k windowKey, at probe) {
 	b.ends = append(b.ends, uint32(len(b.spellings)))
 	b.hashes = append(b.hashes, k.hash)
 	tag := tagOf(k.hash)
-	if at.writes != w.writes {
-		at.slot = w.vacancy(tag)
-	}
-	w.slots[at.slot] = uint64(tag)<<32 | uint64(uint32(w.tail))
+	w.slots[w.vacancy(tag)] = uint64(tag)<<32 | uint64(uint32(w.tail))
 	w.tail++
-	w.writes++
 }
 
 // newBlock sizes a block's offsets and hashes exactly and its spellings by
@@ -451,7 +415,6 @@ func (w *keyWindow) sweep() {
 	w.blocks[n] = keyBlock{}
 	w.blocks = w.blocks[:n]
 	w.base = w.head
-	w.writes++
 }
 
 // grow doubles the index, re-placing every slot by its tag.
@@ -464,5 +427,4 @@ func (w *keyWindow) grow() {
 			w.slots[w.vacancy(uint32(s>>32))] = s
 		}
 	}
-	w.writes++
 }

@@ -61,7 +61,7 @@ func assertSameWindow(t *testing.T, label string, got, want *keyWindow) {
 func windowOf(budget int, keys ...windowKey) *keyWindow {
 	w := newKeyWindow(budget)
 	for _, k := range keys {
-		w.record(k, probe{})
+		w.record(k)
 	}
 	return &w
 }
@@ -79,7 +79,7 @@ func TestKeyWindowScopesKeysPerTenant(t *testing.T) {
 	}
 	// Keys may hold NULs; tenants may not (validateEntry), so the first NUL
 	// ends the tenant and these are three different pairs.
-	w.record(nameKey("a", "x\x00y"), probe{})
+	w.record(nameKey("a", "x\x00y"))
 	if w.seen(nameKey("a", "x")) || w.seen(nameKey("a", "x\x00")) || !w.seen(nameKey("a", "x\x00y")) {
 		t.Error("a key holding a NUL is not kept apart from its prefixes")
 	}
@@ -105,7 +105,7 @@ func TestKeyWindowFIFOEviction(t *testing.T) {
 	key := func(i int) windowKey { return nameKey("acme", fmt.Sprint("k", i)) }
 	w := windowOf(budget)
 	for i := 0; i < 10; i++ {
-		w.record(key(i), probe{})
+		w.record(key(i))
 		oldest := max(0, i+1-budget)
 		if w.len() != i+1-oldest || w.evicted() != uint64(oldest) {
 			t.Fatalf("after %d keys: len %d evicted %d, want %d and %d", i+1, w.len(), w.evicted(), i+1-oldest, oldest)
@@ -124,7 +124,7 @@ func TestKeyWindowFIFOEviction(t *testing.T) {
 		}
 	}
 	// An evicted key is taken again like a new one.
-	w.record(key(0), probe{})
+	w.record(key(0))
 	if !w.seen(key(0)) || w.seen(key(7)) || w.evicted() != 8 {
 		t.Errorf("re-recording an evicted key: seen %v, oldest still seen %v, evicted %d", w.seen(key(0)), w.seen(key(7)), w.evicted())
 	}
@@ -137,10 +137,10 @@ func TestKeyWindowFIFORerecordIsANoOp(t *testing.T) {
 	a, b, c, d := nameKey("t", "a"), nameKey("t", "b"), nameKey("t", "c"), nameKey("t", "d")
 	w := windowOf(3, a, b, c)
 	for _, k := range []windowKey{a, c, a, b} {
-		w.record(k, probe{})
+		w.record(k)
 		assertSameWindow(t, fmt.Sprintf("after re-recording %q", spelling(k)), w, windowOf(3, a, b, c))
 	}
-	w.record(d, probe{})
+	w.record(d)
 	want := windowOf(3, a, b, c, d)
 	assertSameWindow(t, "after a new key", w, want)
 	if w.seen(a) || w.evicted() != 1 {
@@ -187,9 +187,9 @@ func TestKeyWindowRestore(t *testing.T) {
 	if err := json.Unmarshal(out, &again); err != nil || !slices.Equal(again, written) {
 		t.Fatalf("round trip %s decodes to %q (%v), want %q", out, again, err, written)
 	}
-	w.record(legacy, probe{}) // remembered: no re-queue
-	w.record(nameKey("acme", "k3"), probe{})
-	w.record(nameKey("acme", "k4"), probe{})
+	w.record(legacy) // remembered: no re-queue
+	w.record(nameKey("acme", "k3"))
+	w.record(nameKey("acme", "k4"))
 	want := []windowKey{nameKey("ünï", "k-\u2028"), nameKey("acme", "k2"), nameKey("acme", "k3"), nameKey("acme", "k4")}
 	wantList := []string{spelling(want[0]), spelling(want[1]), spelling(want[2]), spelling(want[3])}
 	if got := viewKeys(w.snapshotView()); !slices.Equal(got, wantList) || w.evicted() != 9 || w.seen(legacy) {
@@ -199,7 +199,7 @@ func TestKeyWindowRestore(t *testing.T) {
 	if w.len() != 0 || w.evicted() != 0 || w.snapshotView().len() != 0 || w.seen(want[3]) {
 		t.Fatalf("restore of an empty list left len %d evicted %d", w.len(), w.evicted())
 	}
-	w.record(want[3], probe{})
+	w.record(want[3])
 	if !w.seen(want[3]) {
 		t.Fatal("a window restored empty does not record")
 	}
@@ -217,8 +217,8 @@ func TestKeyWindowRestoreCollapsesDuplicates(t *testing.T) {
 	if got := viewKeys(w.snapshotView()); !slices.Equal(got, []string{a, b, c}) || w.len() != 3 || w.evicted() != 5 {
 		t.Fatalf("restored %q, len %d, evicted %d; want [a b c], 3 and 5", got, w.len(), w.evicted())
 	}
-	w.record(nameKey("t", "d"), probe{})
-	want.record(nameKey("t", "d"), probe{})
+	w.record(nameKey("t", "d"))
+	want.record(nameKey("t", "d"))
 	if w.seen(nameKey("t", "a")) || !w.seen(nameKey("t", "b")) || w.evicted() != 6 {
 		t.Fatalf("after a new key: a seen %v, b seen %v, evicted %d", w.seen(nameKey("t", "a")), w.seen(nameKey("t", "b")), w.evicted())
 	}
@@ -234,7 +234,7 @@ func TestKeyWindowRestoreBudgetSized(t *testing.T) {
 	const budget = 5000
 	recorded := windowOf(budget)
 	for i := 0; i < 3*budget/2; i++ {
-		recorded.record(nameKey(fmt.Sprint("tenant-", i%97), fmt.Sprint("run-7#", i)), probe{})
+		recorded.record(nameKey(fmt.Sprint("tenant-", i%97), fmt.Sprint("run-7#", i)))
 	}
 	list := viewKeys(recorded.snapshotView())
 	if len(list) != budget {
@@ -249,8 +249,8 @@ func TestKeyWindowRestoreBudgetSized(t *testing.T) {
 		}
 	}
 	k := nameKey("late", "comer")
-	w.record(k, probe{})
-	recorded.record(k, probe{})
+	w.record(k)
+	recorded.record(k)
 	assertSameWindow(t, "restored, then one more key", w, recorded)
 }
 
@@ -263,7 +263,7 @@ func TestKeyWindowSequenceWrap(t *testing.T) {
 	w := windowOf(budget)
 	w.restore(nil, start)
 	for i := 0; i < 4*budget; i++ {
-		w.record(key(i), probe{})
+		w.record(key(i))
 		oldest := max(0, i+1-budget)
 		if w.len() != i+1-oldest || w.evicted() != start+uint64(oldest) {
 			t.Fatalf("after %d keys: len %d evicted %d, want %d and %d", i+1, w.len(), w.evicted(), i+1-oldest, start+uint64(oldest))
@@ -295,7 +295,7 @@ func TestKeyWindowSnapshotViewOutlivesTheLock(t *testing.T) {
 	w := windowOf(budget)
 	next := 0
 	for ; next < budget/2; next++ {
-		w.record(key(next), probe{})
+		w.record(key(next))
 	}
 	var wg sync.WaitGroup
 	for round := 0; round < 8; round++ {
@@ -321,7 +321,7 @@ func TestKeyWindowSnapshotViewOutlivesTheLock(t *testing.T) {
 		// budget (eviction from the front of the array the view may share).
 		for i := 0; i < 3*budget; i++ {
 			mu.Lock()
-			w.record(key(next), probe{})
+			w.record(key(next))
 			next++
 			mu.Unlock()
 		}
@@ -348,7 +348,7 @@ func TestKeyWindowViewAcrossBlocks(t *testing.T) {
 	w := windowOf(budget)
 	next := 0
 	for ; next < budget+budget/3; next++ {
-		w.record(key(next), probe{})
+		w.record(key(next))
 	}
 	mu.Lock()
 	view := w.snapshotView()
@@ -379,7 +379,7 @@ func TestKeyWindowViewAcrossBlocks(t *testing.T) {
 	}
 	for i := 0; i < 2*budget; i++ {
 		mu.Lock()
-		w.record(key(next), probe{})
+		w.record(key(next))
 		next++
 		mu.Unlock()
 	}
@@ -523,7 +523,7 @@ func FuzzKeyWindow(f *testing.F) {
 			w.restore(nil, evicted)
 			for _, s := range list {
 				tenant, k, _ := strings.Cut(s, "\x00")
-				w.record(name(tenant, k), probe{})
+				w.record(name(tenant, k))
 			}
 		}
 		type held struct {
@@ -536,7 +536,7 @@ func FuzzKeyWindow(f *testing.F) {
 			switch op % 6 {
 			case 0, 1:
 				k := key(arg)
-				w.record(k, probe{})
+				w.record(k)
 				ref.record(spelling(k))
 			case 2:
 				k := key(arg)
@@ -626,7 +626,7 @@ func TestKeyWindowProductionBlocks(t *testing.T) {
 			aroundHead(label + ", before a sweep")
 		}
 		base := w.base
-		w.record(k, probe{})
+		w.record(k)
 		ref.record(spelling(k))
 		if w.len() != len(ref.set) || w.evicted() != ref.evictions {
 			t.Fatalf("%s: len %d evicted %d, the reference's %d and %d", label, w.len(), w.evicted(), len(ref.set), ref.evictions)
@@ -674,37 +674,10 @@ func TestKeyWindowIndexLoad(t *testing.T) {
 	const budget = 1 << maxBlockShift
 	w := windowOf(budget)
 	for i := 0; i < 3*budget; i++ {
-		w.record(nameKey("t", fmt.Sprint("k", i)), probe{})
+		w.record(nameKey("t", fmt.Sprint("k", i)))
 		if 4*(w.tail-w.base) > 3*uint64(len(w.slots)) {
 			t.Fatalf("after %d keys: %d slots in use of %d", i+1, w.tail-w.base, len(w.slots))
 		}
 	}
 	assertIndexHolds(t, "after three budgets", w)
-}
-
-// TestKeyWindowProbeHandOff holds record to the probe it is handed: a
-// current one is used as is, one the index moved under is walked again, and
-// a found one records nothing. The keys share one hash, so they share a
-// chain, and a stale slot reused would overwrite the other key.
-func TestKeyWindowProbeHandOff(t *testing.T) {
-	a := windowKey{tenant: "t", key: "a", hash: 1<<40 | 1}
-	b, c := a, a
-	b.key, c.key = "b", "c"
-	w := windowOf(4)
-	at := w.lookup(a)
-	w.record(b, w.lookup(b))
-	w.record(a, at) // stale: b took the slot at named
-	if !w.seen(a) || !w.seen(b) || w.len() != 2 {
-		t.Fatalf("after a stale probe: seen a %v, b %v, len %d", w.seen(a), w.seen(b), w.len())
-	}
-	w.record(a, w.lookup(a)) // found: nothing changes
-	at = w.lookup(c)
-	w.record(c, at)
-	if !w.seen(c) || w.len() != 3 {
-		t.Fatalf("after a current probe: seen c %v, len %d", w.seen(c), w.len())
-	}
-	assertIndexHolds(t, "after the hand-offs", w)
-	if got, want := viewKeys(w.snapshotView()), []string{spelling(b), spelling(a), spelling(c)}; !slices.Equal(got, want) {
-		t.Fatalf("view %q, want %q", got, want)
-	}
 }

@@ -359,6 +359,9 @@ type probePass struct {
 	// order; shard s's are order[ends[s-1]:ends[s]] (from 0 for s = 0).
 	order [probeChunk]uint8
 	ends  []uint16 // len(l.shards)+1 counters while order is built
+	// marks is AccrueBatch's commit watermark for each shard, 0 for a shard
+	// the batch appended nothing to (an append always leaves one above 0).
+	marks []uint64
 }
 
 // getProbePass takes a pass from the ledger's pool, so the batch paths
@@ -367,7 +370,7 @@ func (l *Ledger) getProbePass() *probePass {
 	if p, ok := l.passes.Get().(*probePass); ok {
 		return p
 	}
-	return &probePass{ends: make([]uint16, len(l.shards)+1)}
+	return &probePass{ends: make([]uint16, len(l.shards)+1), marks: make([]uint64, len(l.shards))}
 }
 
 // probe is one chunk's probe pass: it hashes each keyed entry once, buckets
@@ -502,8 +505,7 @@ func (l *Ledger) accrueLocked(sh *shard, e *Entry, key windowKey) (Outcome, uint
 	// on cross-shard state (the tenant cap).
 	outcome := Accrued
 	reserved := false
-	at := sh.dedup.lookup(key)
-	if at.found {
+	if sh.dedup.seen(key) {
 		outcome = Duplicate
 	}
 	if outcome == Accrued && sh.accounts[e.Tenant] == nil {
@@ -531,7 +533,7 @@ func (l *Ledger) accrueLocked(sh *shard, e *Entry, key windowKey) (Outcome, uint
 			return Dropped, 0, fmt.Errorf("%w: %v", ErrDurability, err)
 		}
 	}
-	sh.apply(*e, key, at, outcome, l.cfg.WindowMinutes)
+	sh.apply(*e, key, outcome, l.cfg.WindowMinutes)
 	return outcome, watermark, nil
 }
 
@@ -599,13 +601,15 @@ type AccrualResult struct {
 // identical to calling Accrue once per entry — same outcomes, same errors,
 // same tenant-cap admission order, same dedup decisions — but amortises the
 // durability cost over the batch: records are framed onto their shards' WAL
-// buffers under the shard locks as usual, and each touched shard is then
-// committed once — one write(2), and under FsyncAlways one fsync (group
-// commit) — before any result is returned. A multi-tenant stream interleaves
-// its shards, so it is the write that is per batch, not the lock: the shard
-// lock is held across consecutive same-shard entries only. Each chunk of
-// entries is probed first (see probe), so the in-order loop finds its keys'
-// home slots in cache and its keys already hashed.
+// buffers under the shard locks as usual, and each shard appended to is then
+// committed once, in shard order — one write(2), and under FsyncAlways one
+// fsync (group commit) — before any result is returned. A multi-tenant
+// stream interleaves its shards, so it is the write that is per batch, not
+// the lock: the shard lock is held across consecutive same-shard entries
+// only. Each chunk of entries is probed first (see probe), so the in-order
+// loop finds its keys' home slots in cache and its keys already hashed. The
+// batch's scratch — the probe pass and each shard's commit watermark — comes
+// from the ledger's pool, so a warm batch allocates nothing of its own.
 //
 // results must have at least len(entries) slots; slot i reports entry i. A
 // failed commit surfaces as a wrapped ErrDurability on every already-applied
@@ -629,11 +633,6 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 			cur = nil
 		}
 	}
-	// touched/marks track each appended-to shard's max watermark for the
-	// deferred commit; a batch rarely spans more than a few shards, so a
-	// linear scan beats a map.
-	var touched []*shard
-	var marks []uint64
 	appends := 0
 	p := l.getProbePass()
 	defer l.passes.Put(p)
@@ -657,18 +656,7 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 			if err != nil || sh.wal == nil {
 				continue
 			}
-			found := false
-			for k := range touched {
-				if touched[k] == sh {
-					marks[k] = watermark
-					found = true
-					break
-				}
-			}
-			if !found {
-				touched = append(touched, sh)
-				marks = append(marks, watermark)
-			}
+			p.marks[p.shard[j]] = watermark
 			appends++
 		}
 		// The next chunk's probe takes the shard locks itself.
@@ -678,8 +666,13 @@ func (l *Ledger) AccrueBatch(entries []Entry, results []AccrualResult) {
 		return
 	}
 	l.dur.noteAppend(appends)
-	for j, sh := range touched {
-		err := l.commit(sh.wal, marks[j])
+	for s, mark := range p.marks {
+		if mark == 0 {
+			continue
+		}
+		p.marks[s] = 0
+		sh := l.shards[s]
+		err := l.commit(sh.wal, mark)
 		if err == nil {
 			continue
 		}

@@ -85,7 +85,7 @@ func (l *Ledger) replay(sh *shard, rec WALRecord) {
 	if rec.Outcome == Accrued && sh.accounts[e.Tenant] == nil {
 		l.tenants.Add(1)
 	}
-	sh.apply(e, nameKey(e.Tenant, e.Key), probe{}, rec.Outcome, l.cfg.WindowMinutes)
+	sh.apply(e, nameKey(e.Tenant, e.Key), rec.Outcome, l.cfg.WindowMinutes)
 }
 
 // ApplyReplica applies one replicated WAL record to a replica (see replay).

@@ -47,12 +47,10 @@ func newShard(maxKeys int) *shard {
 // is the single state-transition function shared by the live accrual step
 // (accrueLocked) and the replay step (Ledger.replay), so a recovered or
 // replicated shard is bit-identical to the shard that logged the records.
-// at is the window's lookup of key that decided the outcome, so the key is
-// recorded without a second walk of its chain; replay, which decides
-// nothing, passes the zero probe. Callers hold mu.
+// Callers hold mu.
 //
 //litmus:guarded-by caller holds mu
-func (sh *shard) apply(e Entry, key windowKey, at probe, outcome Outcome, windowMinutes int) {
+func (sh *shard) apply(e Entry, key windowKey, outcome Outcome, windowMinutes int) {
 	switch outcome {
 	case Duplicate:
 		sh.duplicates++
@@ -69,7 +67,7 @@ func (sh *shard) apply(e Entry, key windowKey, at probe, outcome Outcome, window
 	}
 	// Record the key only for entries that actually bill, so a retry after
 	// a drop is not mistaken for a duplicate.
-	sh.dedup.record(key, at)
+	sh.dedup.record(key)
 	widx := e.Minute / windowMinutes
 	w := acct.Windows[widx]
 	if w == nil {

@@ -17,7 +17,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 # workload ceiling
 ceilings="
-frames_durable   0.460
+frames_durable   0.427
 ndjson_admission 0.418
 cluster_routed   1.360
 "
