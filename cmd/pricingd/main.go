@@ -99,7 +99,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	adm := api.Config{AdmissionRate: *admRate, AdmissionBurst: *admBurst, AdmissionBudget: *admBudget, AdmissionWindow: *fcWindow}
 	sizes := map[string]int64{"shards": int64(*shards), "max-tenants": int64(*maxTenants), "max-body": *maxBody, "window-min": int64(*windowMin)}
-	if err := checkFlags(set, *autoProm, *probeEvery, *probeFails, adm, sizes); err != nil {
+	if err := checkFlags(set, *dataDir, *autoProm, *probeEvery, *probeFails, adm, sizes); err != nil {
 		log.Fatalf("pricingd: %v", err)
 	}
 	// SIGINT/SIGTERM end ctx: serve drains, the standby's loops stop.
@@ -190,21 +190,24 @@ func main() {
 
 // What each mode reads: routerFlags are all a -cluster router looks at,
 // standbyIgnored what a -follow standby would drop, probeFlags its prober's,
-// admissionFlags what only a positive -admission-rate turns on.
+// admissionFlags what only a positive -admission-rate turns on, durableFlags
+// what only a -data-dir ledger reads.
 var (
 	routerFlags    = map[string]bool{"cluster": true, "addr": true, "max-body": true, "pprof": true}
 	standbyIgnored = map[string]bool{"data-dir": true, "fsync": true, "snapshot-every": true, "shards": true, "window-min": true}
 	probeFlags     = map[string]bool{"auto-promote": true, "probe-interval": true, "probe-failures": true}
 	admissionFlags = map[string]bool{"admission-burst": true, "admission-budget": true, "forecast-window": true}
+	durableFlags   = map[string]bool{"fsync": true, "snapshot-every": true}
 )
 
 // checkFlags refuses, naming both, a flag given on the command line (set, in
 // flag.Visit's order) together with a mode that would silently ignore it,
 // probe settings no prober can run with, admission settings (adm's
 // Admission* fields) that are negative or that no admission controller
-// reads, and a size (sizes, by flag name) below 1, which the server would
-// quietly replace with its default.
-func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeFails int, adm api.Config, sizes map[string]int64) error {
+// reads, WAL settings without a dataDir to keep the WAL in, and a size
+// (sizes, by flag name) below 1, which the server would quietly replace
+// with its default.
+func checkFlags(set []string, dataDir string, autoPromote bool, probeEvery time.Duration, probeFails int, adm api.Config, sizes map[string]int64) error {
 	router, standby := slices.Contains(set, "cluster"), slices.Contains(set, "follow")
 	for _, name := range set {
 		if v, ok := sizes[name]; ok && v < 1 {
@@ -221,6 +224,8 @@ func checkFlags(set []string, autoPromote bool, probeEvery time.Duration, probeF
 			return fmt.Errorf("-%s needs -auto-promote: nothing probes the primary without it", name)
 		case admissionFlags[name] && !(adm.AdmissionRate > 0):
 			return fmt.Errorf("-%s needs a positive -admission-rate: admission control is off without one", name)
+		case durableFlags[name] && dataDir == "":
+			return fmt.Errorf("-%s needs -data-dir: without one the ledger is volatile and bills die with the process", name)
 		}
 	}
 	if autoPromote && (probeEvery <= 0 || probeFails <= 0) {

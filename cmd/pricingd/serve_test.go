@@ -46,13 +46,14 @@ func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
 		name        string
 		set         []string
+		dataDir     string // -data-dir's value
 		autoPromote bool
 		adm         api.Config       // the admission flags' values
 		sizes       map[string]int64 // the size flags' values, by name
 		want        []string         // substrings of the refusal; nil = accepted
 	}{
 		{name: "node defaults"},
-		{name: "durable node with admission", set: []string{"addr", "tables", "data-dir", "fsync", "snapshot-every", "admission-rate", "shards"}},
+		{name: "durable node with admission", set: []string{"addr", "tables", "data-dir", "fsync", "snapshot-every", "admission-rate", "shards"}, dataDir: "d"},
 		{name: "router", set: []string{"cluster", "addr", "max-body"}},
 		{name: "standby", set: []string{"follow", "addr", "tables", "max-tenants", "admission-rate"}},
 		{name: "auto-promoting standby", set: []string{"follow", "auto-promote", "probe-interval", "probe-failures"}, autoPromote: true},
@@ -73,6 +74,13 @@ func TestCheckFlags(t *testing.T) {
 		{name: "-probe-failures without -follow", set: []string{"data-dir", "probe-failures"}, want: []string{"-probe-failures", "-follow"}},
 		{name: "-probe-interval without -auto-promote", set: []string{"follow", "probe-interval"}, want: []string{"-probe-interval", "-auto-promote"}},
 		{name: "-probe-failures with -auto-promote=false", set: []string{"follow", "auto-promote", "probe-failures"}, want: []string{"-probe-failures", "-auto-promote"}},
+
+		// A WAL setting without a WAL used to serve a volatile ledger silently.
+		{name: "-fsync and -snapshot-every with -data-dir", set: []string{"fsync", "data-dir", "snapshot-every"}, dataDir: "d"},
+		{name: "-fsync without -data-dir", set: []string{"fsync"}, want: []string{"-fsync", "-data-dir"}},
+		{name: "-snapshot-every without -data-dir", set: []string{"addr", "snapshot-every"}, want: []string{"-snapshot-every", "-data-dir"}},
+		{name: "-fsync with an empty -data-dir", set: []string{"data-dir", "fsync"}, want: []string{"-fsync", "-data-dir"}},
+		{name: "-snapshot-every with an empty -data-dir", set: []string{"snapshot-every", "data-dir"}, want: []string{"-snapshot-every", "-data-dir"}},
 
 		{name: "every admission flag", set: []string{"admission-rate", "admission-burst", "admission-budget", "forecast-window"},
 			adm: api.Config{AdmissionRate: on, AdmissionBurst: 1000, AdmissionBudget: 5, AdmissionWindow: time.Second}},
@@ -105,7 +113,7 @@ func TestCheckFlags(t *testing.T) {
 		{name: "-window-min 0", set: []string{"data-dir", "window-min"}, sizes: map[string]int64{"window-min": 0}, want: []string{"-window-min 0", "at least 1"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			check(t, checkFlags(c.set, c.autoPromote, every, fails, c.adm, c.sizes), c.want)
+			check(t, checkFlags(c.set, c.dataDir, c.autoPromote, every, fails, c.adm, c.sizes), c.want)
 		})
 	}
 
@@ -124,7 +132,7 @@ func TestCheckFlags(t *testing.T) {
 		{"negative interval", -time.Second, fails, []string{"-probe-interval", "positive"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			check(t, checkFlags(prober, true, c.every, c.fails, api.Config{}, nil), c.want)
+			check(t, checkFlags(prober, "", true, c.every, c.fails, api.Config{}, nil), c.want)
 		})
 	}
 }

@@ -380,35 +380,70 @@ func BenchmarkRecover(b *testing.B) {
 }
 
 // BenchmarkSnapshot measures one compacting snapshot of a populated
-// 8-shard store (the background snapshotter's unit of work). The accruals
-// are keyed and run past each shard's slice of the key budget, so the
-// snapshot carries what a serving node's does: full, evicting key FIFOs
-// beside the accounts.
+// 8-shard store (the background snapshotter's unit of work) and New's
+// recovery from it. The accruals are keyed and run past each shard's slice
+// of the key budget, and each tenant bills a run of minutes, so the snapshot
+// carries what a serving node's does: full, evicting key FIFOs beside
+// accounts that hold many windows each.
 func BenchmarkSnapshot(b *testing.B) {
+	const minWindows = 16
 	tenants := benchTenants(1024)
-	l, err := New(Config{Shards: 8, MaxKeys: 16_000, Dir: b.TempDir(), Fsync: FsyncNever, SnapshotEvery: -1})
+	cfg := Config{Shards: 8, MaxKeys: 16_000, Dir: b.TempDir(), Fsync: FsyncNever, SnapshotEvery: -1}
+	l, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer mustClose(b, l)
 	entries := make([]Entry, 250)
 	results := make([]AccrualResult, len(entries))
 	for i := 0; i < 20_000; i += len(entries) {
 		for j := range entries {
 			n := i + j
-			entries[j] = Entry{Tenant: tenants[n%len(tenants)], Pricer: "litmus", Minute: n % 64, Commercial: 2, Price: 1, Key: fmt.Sprintf("run-7#%d", n)}
+			entries[j] = Entry{Tenant: tenants[n%len(tenants)], Pricer: "litmus", Minute: n / len(tenants), Commercial: 2, Price: 1, Key: fmt.Sprintf("run-7#%d", n)}
 		}
 		l.AccrueBatch(entries, results)
 	}
 	if st := l.Stats(); st.KeysEvicted == 0 || st.Accrued != 20_000 {
 		b.Fatalf("population = %+v", st)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for _, sh := range l.shards {
+		sh.mu.Lock()
+		for name, a := range sh.accounts {
+			if len(a.Windows) < minWindows {
+				b.Fatalf("population: %s holds %d windows, want at least %d", name, len(a.Windows), minWindows)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := l.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(l.Durability().LastSnapshotBytes), "bytes/snapshot")
+	})
+	if l.Durability().Snapshots == 0 { // only recover was selected
 		if err := l.Snapshot(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(l.Durability().LastSnapshotBytes), "bytes/snapshot")
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("recover", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rec := r.Durability().Recovery; rec.SnapshotGen == 0 || rec.RecordsReplayed != 0 {
+				b.Fatalf("recovery = %+v, want a snapshot and no tail", rec)
+			}
+			b.StopTimer()
+			mustClose(b, r)
+			b.StartTimer()
+		}
+	})
 }

@@ -47,8 +47,9 @@
 //
 // The durable store has one description. Its shape is Meta (durable.go),
 // embedded in meta.json and in every snapshot document and served to
-// followers. Its state is the account and window types below, whose JSON
-// tags are the snapshot document's. Its directory is a Listing with one Find
+// followers. Its state is the account and window types below, which the
+// snapshot document spells as accountDoc and windowDoc (snapshot.go, whose
+// clone is the one translation). Its directory is a Listing with one Find
 // verdict per segment (listing.go), which only the process owning the
 // directory reads; no segment path is kept in memory. And a ledger is
 // rebuilt from bytes — crash
@@ -63,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,22 +199,50 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// window accumulates one statement window of one account. The JSON tags are
-// the snapshot document's: the live state is the on-disk state, so capture
-// and restore copy it (see clone in snapshot.go) instead of translating it.
+// window accumulates one statement window of one account. A node holds one
+// per tenant per window for as long as it runs, so it is kept small: the
+// per-pricer bills are a sorted slice, not a map. The snapshot document
+// spells it as windowDoc; clone (snapshot.go) is the one translation.
 type window struct {
-	Invocations int64              `json:"invocations"`
-	Commercial  float64            `json:"commercial"`
-	Billed      float64            `json:"billed"`
-	Bills       map[string]float64 `json:"bills,omitempty"`
+	Invocations int64
+	Commercial  float64
+	Billed      float64
+	Bills       pricerBills
 }
 
-// account accumulates one tenant; tagged like window.
+// account accumulates one tenant; accountDoc is its snapshot spelling.
 type account struct {
-	Invocations int64           `json:"invocations"`
-	Commercial  float64         `json:"commercial"`
-	Billed      float64         `json:"billed"`
-	Windows     map[int]*window `json:"windows,omitempty"`
+	Invocations int64
+	Commercial  float64
+	Billed      float64
+	Windows     map[int]*window
+}
+
+// pricerBills is a window's billed amount per pricer, sorted by pricer. A
+// window sees one pricer or a few, so a scan beats a hash; the order makes
+// a window's value independent of the order its pricers arrived in, so a
+// recovered or replicated window equals the live one.
+type pricerBills []pricerBill
+
+type pricerBill struct {
+	pricer string
+	billed float64
+}
+
+// add bills v to pricer, inserting the pricer in order on first sight.
+func (b *pricerBills) add(pricer string, v float64) {
+	s := *b
+	i := 0
+	for ; i < len(s); i++ {
+		if s[i].pricer == pricer {
+			s[i].billed += v
+			return
+		}
+		if s[i].pricer > pricer {
+			break
+		}
+	}
+	*b = slices.Insert(s, i, pricerBill{pricer, v})
 }
 
 // Ledger is the concurrency-safe, lock-striped billing store. The zero
@@ -505,10 +535,10 @@ func (l *Ledger) accrueLocked(sh *shard, e *Entry, key windowKey) (Outcome, uint
 	// on cross-shard state (the tenant cap).
 	outcome := Accrued
 	reserved := false
+	var acct *account
 	if sh.dedup.seen(key) {
 		outcome = Duplicate
-	}
-	if outcome == Accrued && sh.accounts[e.Tenant] == nil {
+	} else if acct = sh.accounts[e.Tenant]; acct == nil {
 		// The cap check is add-then-check on the global atomic: two shards
 		// racing for the last slot cannot both win, so the cap is exact —
 		// a sharded ledger admits exactly the tenants a serialized one
@@ -533,7 +563,7 @@ func (l *Ledger) accrueLocked(sh *shard, e *Entry, key windowKey) (Outcome, uint
 			return Dropped, 0, fmt.Errorf("%w: %v", ErrDurability, err)
 		}
 	}
-	sh.apply(*e, key, outcome, l.cfg.WindowMinutes)
+	sh.apply(acct, e, key, outcome, l.cfg.WindowMinutes)
 	return outcome, watermark, nil
 }
 

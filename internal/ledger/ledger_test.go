@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -166,6 +167,55 @@ func TestTenantCapObservable(t *testing.T) {
 	}
 	// Existing tenants keep accruing at the cap.
 	accrue(t, l, Entry{Tenant: "a", Price: 1})
+}
+
+// TestWindowBillsOrder: a window's per-pricer bills are kept sorted, so the
+// order pricers arrive in cannot tell two windows apart — what lets a
+// recovered or replicated window equal the live one.
+func TestWindowBillsOrder(t *testing.T) {
+	var a, b pricerBills
+	for _, p := range []string{"litmus", "commercial", "zeta", "litmus", "alpha"} {
+		a.add(p, 1)
+	}
+	for _, p := range []string{"alpha", "zeta", "litmus", "commercial", "litmus"} {
+		b.add(p, 1)
+	}
+	want := pricerBills{{"alpha", 1}, {"commercial", 1}, {"litmus", 2}, {"zeta", 1}}
+	if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
+		t.Fatalf("bills %v and %v, want %v", a, b, want)
+	}
+}
+
+// TestNewWindowAllocs pins what a window costs: billing a fresh minute of an
+// existing account allocates the window and its bills slice, nothing else,
+// and billing a window again allocates nothing.
+func TestNewWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	l := mustNew(t, Config{Shards: 1})
+	e := Entry{Tenant: "acme", Pricer: "litmus", Commercial: 2, Price: 1}
+	// Give the account's window map room for every measured minute, so the
+	// runs below count the window, not the map's growth.
+	for e.Minute = 0; e.Minute < 256; e.Minute++ {
+		accrue(t, l, e)
+	}
+	sh := l.shardFor(e.Tenant)
+	sh.mu.Lock()
+	clear(sh.accounts[e.Tenant].Windows)
+	sh.mu.Unlock()
+	bill := func() {
+		if o, err := l.Accrue(e); o != Accrued || err != nil {
+			t.Fatalf("minute %d: %v, %v", e.Minute, o, err)
+		}
+	}
+	fresh := func() { e.Minute++; bill() }
+	if allocs := testing.AllocsPerRun(100, fresh); allocs != 2 {
+		t.Errorf("billing a new window allocates %v times, want 2 (the window and its bills)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, bill); allocs != 0 {
+		t.Errorf("billing an existing window allocates %v times, want 0", allocs)
+	}
 }
 
 func TestStatementWindows(t *testing.T) {

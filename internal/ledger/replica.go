@@ -82,10 +82,11 @@ func (l *Ledger) restore(doc *snapshotDoc) {
 //litmus:guarded-by caller holds sh.mu
 func (l *Ledger) replay(sh *shard, rec WALRecord) {
 	e := rec.Entry
-	if rec.Outcome == Accrued && sh.accounts[e.Tenant] == nil {
+	acct := sh.accounts[e.Tenant]
+	if rec.Outcome == Accrued && acct == nil {
 		l.tenants.Add(1)
 	}
-	sh.apply(e, nameKey(e.Tenant, e.Key), rec.Outcome, l.cfg.WindowMinutes)
+	sh.apply(acct, &e, nameKey(e.Tenant, e.Key), rec.Outcome, l.cfg.WindowMinutes)
 }
 
 // ApplyReplica applies one replicated WAL record to a replica (see replay).

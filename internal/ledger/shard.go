@@ -47,10 +47,11 @@ func newShard(maxKeys int) *shard {
 // is the single state-transition function shared by the live accrual step
 // (accrueLocked) and the replay step (Ledger.replay), so a recovered or
 // replicated shard is bit-identical to the shard that logged the records.
-// Callers hold mu.
+// acct is sh.accounts[e.Tenant], which both callers have already read; nil
+// opens the account. Callers hold mu.
 //
 //litmus:guarded-by caller holds mu
-func (sh *shard) apply(e Entry, key windowKey, outcome Outcome, windowMinutes int) {
+func (sh *shard) apply(acct *account, e *Entry, key windowKey, outcome Outcome, windowMinutes int) {
 	switch outcome {
 	case Duplicate:
 		sh.duplicates++
@@ -59,7 +60,6 @@ func (sh *shard) apply(e Entry, key windowKey, outcome Outcome, windowMinutes in
 		sh.dropped++
 		return
 	}
-	acct := sh.accounts[e.Tenant]
 	if acct == nil {
 		acct = &account{Windows: make(map[int]*window)}
 		sh.accounts[e.Tenant] = acct
@@ -71,7 +71,7 @@ func (sh *shard) apply(e Entry, key windowKey, outcome Outcome, windowMinutes in
 	widx := e.Minute / windowMinutes
 	w := acct.Windows[widx]
 	if w == nil {
-		w = &window{Bills: make(map[string]float64)}
+		w = &window{}
 		acct.Windows[widx] = w
 	}
 	acct.Invocations++
@@ -80,7 +80,7 @@ func (sh *shard) apply(e Entry, key windowKey, outcome Outcome, windowMinutes in
 	w.Invocations++
 	w.Commercial += e.Commercial
 	w.Billed += e.Price
-	w.Bills[e.Pricer] += e.Price
+	w.Bills.add(e.Pricer, e.Price)
 	sh.accrued++
 }
 
@@ -156,8 +156,8 @@ func (sh *shard) statement(tenant string, fromMinute, toMinute, windowMinutes in
 	for _, widx := range widxs {
 		w := a.Windows[widx]
 		bills := make(map[string]float64, len(w.Bills))
-		for pricer, v := range w.Bills {
-			bills[pricer] = v
+		for _, b := range w.Bills {
+			bills[b.pricer] = b.billed
 		}
 		st.Lines = append(st.Lines, Line{
 			Window:      widx,

@@ -52,33 +52,50 @@ type shardSnapshot struct {
 	// Keys is the idempotency window's key list, oldest first (keywindow.go
 	// owns the spelling), so recovery restores not just which keys dedup but
 	// which ones age out next.
-	Keys     []string            `json:"keys,omitempty"`
-	Accounts map[string]*account `json:"accounts,omitempty"`
+	Keys     []string               `json:"keys,omitempty"`
+	Accounts map[string]*accountDoc `json:"accounts,omitempty"`
 }
 
-// clone deep-copies a decoded account into live state. The maps it returns
-// are never nil, whatever the document left out (omitempty drops empty maps,
-// and a JSON null decodes to a nil account or window).
-func (a *account) clone() *account {
-	var c account
-	if a != nil {
-		c = *a
+// accountDoc is an account as the document spells it.
+type accountDoc struct {
+	Invocations int64              `json:"invocations"`
+	Commercial  float64            `json:"commercial"`
+	Billed      float64            `json:"billed"`
+	Windows     map[int]*windowDoc `json:"windows,omitempty"`
+}
+
+// windowDoc is a window as the document spells it: its bills are a JSON
+// object keyed by pricer.
+type windowDoc struct {
+	Invocations int64              `json:"invocations"`
+	Commercial  float64            `json:"commercial"`
+	Billed      float64            `json:"billed"`
+	Bills       map[string]float64 `json:"bills,omitempty"`
+}
+
+// clone builds live state from a decoded account. Its Windows map is never
+// nil, whatever the document left out (omitempty drops empty maps, and a
+// JSON null decodes to a nil account or window); a window's bills come out
+// sorted by pricer, as apply keeps them.
+func (a *accountDoc) clone() *account {
+	if a == nil {
+		a = &accountDoc{}
 	}
-	windows := c.Windows
-	c.Windows = make(map[int]*window, len(windows))
-	for widx, w := range windows {
-		var cw window
+	c := &account{Invocations: a.Invocations, Commercial: a.Commercial, Billed: a.Billed, Windows: make(map[int]*window, len(a.Windows))}
+	for widx, w := range a.Windows {
+		cw := &window{}
 		if w != nil {
-			cw = *w
+			cw.Invocations, cw.Commercial, cw.Billed = w.Invocations, w.Commercial, w.Billed
+			if len(w.Bills) > 0 {
+				cw.Bills = make(pricerBills, 0, len(w.Bills))
+			}
+			for pricer, v := range w.Bills {
+				cw.Bills.add(pricer, v)
+			}
 		}
-		bills := cw.Bills
-		cw.Bills = make(map[string]float64, len(bills))
-		for pricer, v := range bills {
-			cw.Bills[pricer] = v
-		}
-		c.Windows[widx] = &cw
+		c.Windows[widx] = cw
 	}
-	return &c
+	return c
 }
 
 // restoreFrom replaces the shard's state with a snapshot's; callers hold mu.
@@ -281,15 +298,13 @@ func (sh *shard) encode(w *snapshotWriter) {
 				w.float(win.Billed)
 				if len(win.Bills) > 0 {
 					w.raw(`,"bills":{`)
-					firstBill := true
-					for pricer, v := range win.Bills {
-						if !firstBill {
+					for i, b := range win.Bills {
+						if i > 0 {
 							w.raw(",")
 						}
-						firstBill = false
-						w.str(pricer)
+						w.str(b.pricer)
 						w.raw(":")
-						w.float(v)
+						w.float(b.billed)
 					}
 					w.raw("}")
 				}

@@ -31,10 +31,10 @@ func oracleSnapshot(t *testing.T, l *Ledger, gen uint64) []byte {
 			Dropped:     sh.dropped,
 			KeysEvicted: sh.dedup.evicted(),
 			Keys:        viewKeys(sh.dedup.snapshotView()),
-			Accounts:    make(map[string]*account, len(sh.accounts)),
+			Accounts:    make(map[string]*accountDoc, len(sh.accounts)),
 		}
 		for name, a := range sh.accounts {
-			ss.Accounts[name] = a.clone()
+			ss.Accounts[name] = docOf(a)
 		}
 		sh.mu.Unlock()
 		doc.ShardStates[i] = ss
@@ -44,6 +44,26 @@ func oracleSnapshot(t *testing.T, l *Ledger, gen uint64) []byte {
 		t.Fatalf("oracle: %v", err)
 	}
 	return data
+}
+
+// docOf spells a live account as the snapshot document does, the inverse
+// of clone.
+func docOf(a *account) *accountDoc {
+	d := &accountDoc{Invocations: a.Invocations, Commercial: a.Commercial, Billed: a.Billed}
+	if len(a.Windows) > 0 {
+		d.Windows = make(map[int]*windowDoc, len(a.Windows))
+	}
+	for widx, w := range a.Windows {
+		wd := &windowDoc{Invocations: w.Invocations, Commercial: w.Commercial, Billed: w.Billed}
+		if len(w.Bills) > 0 {
+			wd.Bills = make(map[string]float64, len(w.Bills))
+		}
+		for _, b := range w.Bills {
+			wd.Bills[b.pricer] = b.billed
+		}
+		d.Windows[widx] = wd
+	}
+	return d
 }
 
 // restored parses a snapshot document and restores it into a fresh volatile
