@@ -5,11 +5,11 @@ package cluster_test
 // follower replicates a primary's WAL.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -83,9 +83,12 @@ func BenchmarkClientStreamUsage(b *testing.B) {
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkRouterStreamUsage posts the same 256-line NDJSON batch per
-// iteration through the thin router, which scatters lines to their owners
-// and merges the accounting.
+// BenchmarkRouterStreamUsage posts one usage stream per iteration through
+// the thin router, which scatters its records to their owners and merges the
+// accounting: ndjson is a 256-line NDJSON batch over 64 tenants, frames the
+// cluster_routed benchmark's shape (512 keyless frames over 8 tenants at the
+// default BatchSize). Each iteration carries a fresh Idempotency-Key, so
+// every record bills.
 func BenchmarkRouterStreamUsage(b *testing.B) {
 	cc, err := cluster.NewClient(benchNodes(b, 3), 0)
 	if err != nil {
@@ -94,30 +97,44 @@ func BenchmarkRouterStreamUsage(b *testing.B) {
 	router := httptest.NewServer(cluster.NewRouter(cc, cluster.RouterConfig{}))
 	b.Cleanup(router.Close)
 
-	const batch = 256
-	var sb strings.Builder
-	for i := 0; i < batch; i++ {
-		sb.WriteString(usageLine(fmt.Sprintf("tenant-%03d", i%64), 128+(i%4)*64, i%7, ""))
-		sb.WriteByte('\n')
+	ndjson := make([]api.UsageRecord, 256)
+	for i := range ndjson {
+		ndjson[i] = usageRecord(b, fmt.Sprintf("tenant-%03d", i%64), 128+(i%4)*64, i%7, "")
 	}
-	body := sb.String()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req, err := http.NewRequest(http.MethodPost, router.URL+"/v3/usage", strings.NewReader(body))
+	frames := make([]api.UsageRecord, 512)
+	for i := range frames {
+		frames[i] = usageRecord(b, fmt.Sprintf("tenant-%d", i%8), 128+(i%4)*64, i%7, "")
+	}
+	for _, bc := range []struct {
+		name    string
+		wire    api.WireFormat
+		records []api.UsageRecord
+	}{{"ndjson", api.WireNDJSON, ndjson}, {"frames", api.WireFrames, frames}} {
+		body, err := api.EncodeUsageStream(bc.wire, bc.records)
 		if err != nil {
 			b.Fatal(err)
 		}
-		req.Header.Set("Idempotency-Key", fmt.Sprintf("bench-%d", i))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req, err := http.NewRequest(http.MethodPost, router.URL+"/v3/usage", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				req.Header.Set("Content-Type", bc.wire.ContentType())
+				req.Header.Set("Idempotency-Key", fmt.Sprintf("bench-%s-%d", bc.name, i))
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Fatalf("status %d", resp.StatusCode)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(bc.records))/b.Elapsed().Seconds(), "records/s")
+		})
 	}
-	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkFollowerCatchUp measures replication throughput: a durable

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"sort"
+	"sync"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -27,6 +29,13 @@ type Client struct {
 	clients map[string]*api.Client
 	//litmus:unguarded immutable after NewClient
 	nodes []Node
+	// byName lists the indices of nodes in node-name order, the order a
+	// scatter flushes its tail batches in.
+	//litmus:unguarded immutable after NewClient
+	byName []int
+	// forwards holds idle *usageForward scatters, so a stream reuses the
+	// owner bodies and line lists an earlier stream grew.
+	forwards sync.Pool
 	//litmus:unguarded set by SetWire before the client is shared
 	wire api.WireFormat
 }
@@ -39,9 +48,11 @@ func NewClient(nodes []Node, vnodes int) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{ring: ring, clients: make(map[string]*api.Client, len(nodes)), nodes: ring.Nodes()}
-	for _, n := range c.nodes {
+	for i, n := range c.nodes {
 		c.clients[n.Name] = api.NewClient(n.URL)
+		c.byName = append(c.byName, i)
 	}
+	sort.Slice(c.byName, func(a, b int) bool { return c.nodes[c.byName[a]].Name < c.nodes[c.byName[b]].Name })
 	return c, nil
 }
 
@@ -123,11 +134,12 @@ func (c *Client) StreamUsage(ctx context.Context, key string, records []api.Usag
 		rec = records[i]
 		f.add(&rec, i+1)
 	}
-	resp := f.finish("")
-	if f.failed != nil {
-		return *resp, fmt.Errorf("cluster: %w", f.failed)
+	resp, failed := *f.finish(""), f.failed
+	f.release()
+	if failed != nil {
+		return resp, fmt.Errorf("cluster: %w", failed)
 	}
-	return *resp, nil
+	return resp, nil
 }
 
 // Tenants fetches one page of the cluster-wide tenant listing: each node

@@ -148,12 +148,18 @@ func ringHash(key string) uint64 {
 // Owner returns the node owning a tenant: the first ring point at or after
 // the tenant's hash, wrapping at the top.
 func (r *Ring) Owner(tenant string) Node {
+	return r.nodes[r.ownerIndex(tenant)]
+}
+
+// ownerIndex is Owner as an index into Nodes(), for callers that keep
+// per-node state in a slice.
+func (r *Ring) ownerIndex(tenant string) int {
 	h := ringHash(tenant)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
-	return r.nodes[r.points[i].node]
+	return r.points[i].node
 }
 
 // Nodes returns the ring's members in their configured order.

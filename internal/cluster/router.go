@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"sync"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -38,7 +39,9 @@ import (
 // throttled its whole sub-stream is merged like any other answer, and an
 // unreachable owner mid-stream surfaces as Dropped lines plus a
 // StreamError in the merged response — never an opaque 502 that would
-// hide what other nodes already billed.
+// hide what other nodes already billed. The scatter's state — each owner's
+// encoded body and line list — is pooled per Client and reused by the next
+// stream; an owner body past 1 MiB (maxPooledBody) is not kept.
 type Router struct {
 	//litmus:unguarded immutable after NewRouter
 	client *Client
@@ -92,8 +95,13 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 
 // --- GET /healthz -------------------------------------------------------------
 
+// healthProbeTimeout bounds each node's health probe: a node that accepts
+// the connection and never answers is reported down after this long instead
+// of hanging the cluster's /healthz.
+const healthProbeTimeout = time.Second
+
 // RouterHealth is the router's /healthz body: the cluster is OK when every
-// node answers its own health probe.
+// node answers its own health probe within healthProbeTimeout.
 type RouterHealth struct {
 	OK    bool         `json:"ok"`
 	Nodes []NodeHealth `json:"nodes"`
@@ -106,15 +114,26 @@ type NodeHealth struct {
 	Err  string `json:"err,omitempty"`
 }
 
+// handleHealth probes every node at once, each under healthProbeTimeout, so
+// the answer takes as long as the slowest probe, never longer than that.
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := RouterHealth{OK: true}
-	for _, n := range rt.client.nodes {
-		nh := NodeHealth{Name: n.Name, OK: true}
-		if err := rt.client.clients[n.Name].Health(r.Context()); err != nil {
-			nh.OK, nh.Err = false, err.Error()
-			resp.OK = false
-		}
-		resp.Nodes = append(resp.Nodes, nh)
+	resp := RouterHealth{OK: true, Nodes: make([]NodeHealth, len(rt.client.nodes))}
+	var wg sync.WaitGroup
+	for i, n := range rt.client.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(r.Context(), healthProbeTimeout)
+			defer cancel()
+			resp.Nodes[i] = NodeHealth{Name: n.Name, OK: true}
+			if err := rt.client.clients[n.Name].Health(ctx); err != nil {
+				resp.Nodes[i].OK, resp.Nodes[i].Err = false, err.Error()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, nh := range resp.Nodes {
+		resp.OK = resp.OK && nh.OK
 	}
 	status := http.StatusOK
 	if !resp.OK {
@@ -127,10 +146,17 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // ownerBatch accumulates one owner node's pending lines during a scatter:
 // the records already encoded in the stream's wire format, ready to post.
+// Both slices keep their capacity from one stream to the next.
 type ownerBatch struct {
 	body  []byte
 	lines []int // 1-based physical line (or frame) numbers of the encoded records
 }
+
+// maxPooledBody is the largest owner body a released scatter keeps: one
+// oversized stream (a large Client.StreamUsage, a router with a huge
+// BatchSize) must not pin its buffer for every stream after it. A batch
+// whose body grew past it gives back its line list too.
+const maxPooledBody = 1 << 20
 
 // usageForward is the cluster's one usage scatter, driven by the router's
 // read loop and by Client.StreamUsage alike: add partitions and encodes,
@@ -138,6 +164,11 @@ type ownerBatch struct {
 // line numbering, finish flushes the tails and renders the merged response
 // in a single node's shape (counters summed, errors in line order and
 // capped).
+//
+// A forward comes from its Client's pool (newUsageForward) and goes back to
+// it once its response has been written or copied (release), keeping its
+// key arena's chunk and each owner batch's capacity, for an owner body of
+// up to 1 MiB (maxPooledBody).
 type usageForward struct {
 	c         *Client
 	ctx       context.Context
@@ -145,16 +176,34 @@ type usageForward struct {
 	streamKey string
 	batchSize int // records per owner before a mid-stream flush; 0 flushes only at finish
 	resp      api.UsageStreamResponse
-	batches   map[string]*ownerBatch
+	batches   []ownerBatch // indexed like c.nodes
 	failed    error        // the first forward that failed
 	keys      api.KeyArena // derived keys; each lives until its record is encoded
 }
 
 func (c *Client) newUsageForward(ctx context.Context, wire api.WireFormat, streamKey string, batchSize int) *usageForward {
-	return &usageForward{
-		c: c, ctx: ctx, wire: wire, streamKey: streamKey, batchSize: batchSize,
-		batches: map[string]*ownerBatch{},
+	f, _ := c.forwards.Get().(*usageForward)
+	if f == nil {
+		f = &usageForward{batches: make([]ownerBatch, len(c.nodes))}
 	}
+	f.c, f.ctx, f.wire, f.streamKey, f.batchSize = c, ctx, wire, streamKey, batchSize
+	return f
+}
+
+// release returns f, finished, to its client's pool: finish left every
+// batch empty, and a batch past maxPooledBody gives its buffers up. The
+// response is reset to its zero value, never truncated: a caller's copy of
+// it (Client.StreamUsage) shares its Errors array.
+func (f *usageForward) release() {
+	c := f.c
+	for i := range f.batches {
+		if cap(f.batches[i].body) > maxPooledBody {
+			f.batches[i] = ownerBatch{}
+		}
+	}
+	f.resp = api.UsageStreamResponse{}
+	f.c, f.ctx, f.streamKey, f.failed = nil, nil, "", nil
+	c.forwards.Put(f)
 }
 
 // add partitions one record to its owner's batch, flushing at the batch
@@ -165,12 +214,8 @@ func (c *Client) newUsageForward(ctx context.Context, wire api.WireFormat, strea
 // like a single node whose stream died mid-way, the caller stops reading and
 // reports what every node accepted so far).
 func (f *usageForward) add(rec *api.UsageRecord, lineNo int) bool {
-	name := f.c.ring.Owner(rec.Tenant).Name
-	b := f.batches[name]
-	if b == nil {
-		b = &ownerBatch{}
-		f.batches[name] = b
-	}
+	node := f.c.ring.ownerIndex(rec.Tenant)
+	b := &f.batches[node]
 	// Derived BEFORE partitioning, from the PHYSICAL position, so the
 	// cluster and a single node agree on every derived key; the sub-streams
 	// go out keyless.
@@ -186,7 +231,7 @@ func (f *usageForward) add(rec *api.UsageRecord, lineNo int) bool {
 	b.body = body
 	b.lines = append(b.lines, lineNo)
 	if f.batchSize > 0 && len(b.lines) >= f.batchSize {
-		return f.flush(name)
+		return f.flush(node)
 	}
 	return true
 }
@@ -206,11 +251,12 @@ func (f *usageForward) reject(line int, apiErr *api.Error) {
 // merged partial accounting — mirroring a single node's mid-stream failure
 // semantics — rather than an opaque 502 that would hide what other nodes
 // already billed and invite a double-billing full retry.
-func (f *usageForward) flush(name string) bool {
-	b := f.batches[name]
+func (f *usageForward) flush(node int) bool {
+	b := &f.batches[node]
 	if len(b.lines) == 0 {
 		return true
 	}
+	name := f.c.nodes[node].Name
 	resp, err := f.c.clients[name].StreamUsageBody(f.ctx, "", f.wire.ContentType(), b.body)
 	if err != nil {
 		err = fmt.Errorf("forwarding to node %s: %w", name, err)
@@ -258,17 +304,13 @@ func (f *usageForward) fold(lines []int, resp api.UsageStreamResponse, node stri
 	}
 }
 
-// finish flushes the tail batches, in node order for a deterministic
+// finish flushes the tail batches, in node-name order for a deterministic
 // response, and renders the merged accounting. streamErr is the reader's
-// own verdict; a node's or a failed forward's, folded earlier, wins.
+// own verdict; a node's or a failed forward's, folded earlier, wins. The
+// response lives in f: it is valid until release.
 func (f *usageForward) finish(streamErr string) *api.UsageStreamResponse {
-	names := make([]string, 0, len(f.batches))
-	for name := range f.batches {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f.flush(name)
+	for _, node := range f.c.byName {
+		f.flush(node)
 	}
 	resp := &f.resp
 	if resp.StreamError == "" {
@@ -308,6 +350,7 @@ func (rt *Router) handleUsage(w http.ResponseWriter, r *http.Request) {
 	// terminal rule: the merged accounting decides Retry-After and the 429
 	// exactly as a single node's would.
 	api.WriteUsageResponse(w, f.finish(src.Verdict()))
+	f.release()
 }
 
 // --- GET /v3/tenants ----------------------------------------------------------

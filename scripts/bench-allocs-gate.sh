@@ -19,7 +19,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 ceilings="
 frames_durable   0.427
 ndjson_admission 0.418
-cluster_routed   1.360
+cluster_routed   1.208
 "
 
 bound="$(jq -r '.end_to_end[] | select(.name == "allocs_per_record") | .bound' "$root/BENCHMARK.json")"
