@@ -2,8 +2,9 @@
 // the system flows through one sanctioned pricing path, so no subsystem can
 // side-door money into the ledger.
 //
-// Calls to (*ledger.Ledger).Accrue and its batched counterpart
-// (*ledger.Ledger).AccrueBatch are permitted only from:
+// Calls to (*ledger.Ledger).AccrueBatch, the ledger's one accrual schedule,
+// and to (*ledger.Ledger).Accrue, its one-entry form (which still bills, so
+// it is gated alike), are permitted only from:
 //
 //   - the ledger subsystem itself (repro/internal/ledger and its
 //     subpackages — WAL replay and the differential/crash harnesses);
@@ -45,11 +46,11 @@ import (
 // Analyzer is the onepath analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "onepath",
-	Doc:  "ledger.Accrue and ledger.ApplyReplica are called only from the sanctioned billing paths",
+	Doc:  "ledger.AccrueBatch (and its one-entry form Accrue) and ledger.ApplyReplica are called only from the sanctioned billing paths",
 	Run:  run,
 }
 
-// ledgerPath is the package whose Accrue is protected; sanctionedFunc the
+// ledgerPath is the package whose accrual methods are protected; sanctionedFunc the
 // one function outside it allowed to bill, a method of *sanctionedRecv in
 // apiPath; admissionPath the package for which every escape hatch is closed.
 const (
@@ -156,7 +157,7 @@ func admissionPkg(p string) bool {
 	return strings.HasSuffix(p, "/"+suffix) || strings.Contains(p, "/"+suffix+"/")
 }
 
-// isLedgerMethod reports whether sel selects the Accrue method of
+// isLedgerMethod reports whether sel selects a method of
 // repro/internal/ledger.Ledger.
 func isLedgerMethod(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	pkg, name, _ := analysis.NamedType(pass.TypesInfo.TypeOf(sel.X))

@@ -69,14 +69,37 @@ func (c *Client) owner(tenant string) *api.Client {
 	return c.clients[c.ring.Owner(tenant).Name]
 }
 
-// Health probes every node; the cluster is healthy only when all are.
+// Health probes every node at once (probeNodes); the cluster is healthy
+// only when all are. The error names the first node, in node order, that
+// failed its probe, and comes back within healthProbeTimeout even when a
+// node accepts the connection and never answers.
 func (c *Client) Health(ctx context.Context) error {
-	for _, n := range c.nodes {
-		if err := c.clients[n.Name].Health(ctx); err != nil {
-			return fmt.Errorf("cluster: node %s: %w", n.Name, err)
+	for i, err := range c.probeNodes(ctx) {
+		if err != nil {
+			return fmt.Errorf("cluster: node %s: %w", c.nodes[i].Name, err)
 		}
 	}
 	return nil
+}
+
+// probeNodes probes every node's /healthz at once, each under
+// healthProbeTimeout, and returns each node's error in node order (nil for
+// a healthy node): it takes as long as the slowest probe, never longer
+// than the timeout. Client.Health and the router's /healthz both read it.
+func (c *Client) probeNodes(ctx context.Context) []error {
+	errs := make([]error, len(c.nodes))
+	var wg sync.WaitGroup
+	for i, n := range c.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
+			defer cancel()
+			errs[i] = c.clients[n.Name].Health(ctx)
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // Statement fetches a tenant's statement from its owner node.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -114,26 +113,16 @@ type NodeHealth struct {
 	Err  string `json:"err,omitempty"`
 }
 
-// handleHealth probes every node at once, each under healthProbeTimeout, so
-// the answer takes as long as the slowest probe, never longer than that.
+// handleHealth reports every node's probe (Client.probeNodes), so the
+// answer takes as long as the slowest probe, never longer than
+// healthProbeTimeout.
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	resp := RouterHealth{OK: true, Nodes: make([]NodeHealth, len(rt.client.nodes))}
-	var wg sync.WaitGroup
-	for i, n := range rt.client.nodes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), healthProbeTimeout)
-			defer cancel()
-			resp.Nodes[i] = NodeHealth{Name: n.Name, OK: true}
-			if err := rt.client.clients[n.Name].Health(ctx); err != nil {
-				resp.Nodes[i].OK, resp.Nodes[i].Err = false, err.Error()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, nh := range resp.Nodes {
-		resp.OK = resp.OK && nh.OK
+	for i, err := range rt.client.probeNodes(r.Context()) {
+		resp.Nodes[i] = NodeHealth{Name: rt.client.nodes[i].Name, OK: err == nil}
+		if err != nil {
+			resp.OK, resp.Nodes[i].Err = false, err.Error()
+		}
 	}
 	status := http.StatusOK
 	if !resp.OK {

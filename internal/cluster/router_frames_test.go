@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -632,6 +633,54 @@ func TestRouterHealthHungNodes(t *testing.T) {
 	}
 	if limit := cluster.HealthProbeTimeout + 750*time.Millisecond; elapsed > limit {
 		t.Errorf("/healthz took %v, want at most %v", elapsed, limit)
+	}
+}
+
+// TestClientHealthBlackHole: Client.Health probes the nodes at once, each
+// under HealthProbeTimeout, so a node that accepts connections and never
+// answers fails the call within that bound, by name. The caller's context
+// allows five times as long, only so that a probe without its own bound
+// fails this test instead of hanging it.
+func TestClientHealthBlackHole(t *testing.T) {
+	nodes := newCluster(t, 2)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for more connections than the probe opens: the accept loop must
+	// keep every one open, and a full channel would only park it.
+	held := make(chan net.Conn, 16)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held <- c // accepted, never read, never answered
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		for len(held) > 0 {
+			_ = (<-held).Close()
+		}
+	})
+	nodes = append(nodes, cluster.Node{Name: "blackhole", URL: "http://" + ln.Addr().String()})
+	cc, err := cluster.NewClient(nodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*cluster.HealthProbeTimeout)
+	defer cancel()
+	start := time.Now()
+	err = cc.Health(ctx)
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "node blackhole") {
+		t.Fatalf("Health = %v, want an error naming node blackhole", err)
+	}
+	if limit := cluster.HealthProbeTimeout + 750*time.Millisecond; elapsed > limit {
+		t.Errorf("Health took %v, want at most %v", elapsed, limit)
 	}
 }
 

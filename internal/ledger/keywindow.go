@@ -2,8 +2,8 @@ package ledger
 
 // keywindow.go is the idempotency window: what a key is, how long it is
 // remembered and how it is saved are each written here, once. The store
-// (accrueLocked, apply, replay, restoreFrom, streamSnapshot, probe, Seen,
-// Stats) goes through the calls below and never sees the index, the blocks
+// (accrueLocked, apply, replay, restoreFrom, streamSnapshot, probe, Stats)
+// goes through the calls below and never sees the index, the blocks
 // or the spelling of a key, so a different retention policy — ROADMAP item
 // 10's time horizon — replaces this file and has keywindow_test.go to pass.
 //

@@ -97,8 +97,8 @@ const (
 // pricing service maps the latter to 503, not 400).
 var ErrDurability = errors.New("ledger: durability failure")
 
-// ErrReplica is what Accrue and AccrueBatch answer for every entry, valid or
-// not, while the ledger is a replica (NewReplica until Promote); nothing
+// ErrReplica is what AccrueBatch answers for every entry, valid or not,
+// while the ledger is a replica (NewReplica until Promote); nothing
 // changes, counters included. The pricing service maps it to a 503.
 var ErrReplica = errors.New("ledger: replica: accruals go to the primary until promotion")
 
@@ -116,7 +116,9 @@ type Config struct {
 	// each shard FIFO-evicts beyond its ceil(MaxKeys/Shards) slice, so the
 	// retained total can overshoot MaxKeys by at most Shards-1 keys (every
 	// shard keeps at least one, so dedup works on every shard even for
-	// tiny budgets). 0 selects DefaultMaxKeys.
+	// tiny budgets). A tenant's keys live on its shard, the 32-bit FNV-1a
+	// hash of its name modulo Shards, oldest evicted first. 0 selects
+	// DefaultMaxKeys.
 	MaxKeys int
 	// Shards is the lock-stripe count tenants are hash-partitioned over.
 	// 0 selects DefaultShards; 1 yields a fully serialized ledger.
@@ -125,7 +127,7 @@ type Config struct {
 	// Dir, when non-empty, makes the ledger durable: every accrual is
 	// framed for a per-shard write-ahead log under Dir before it is applied
 	// and written there before it is acknowledged (one write per shard per
-	// Accrue or AccrueBatch call, then Fsync's policy), periodic snapshots
+	// AccrueBatch call, then Fsync's policy), periodic snapshots
 	// compact the logs, and New rebuilds the exact pre-crash store from the
 	// latest valid snapshot plus the WAL tail (truncating a torn final
 	// record). Empty Dir keeps the ledger purely in memory. Durability
@@ -151,7 +153,11 @@ type Config struct {
 }
 
 // Entry is one priced accrual: the amounts a pricer quoted for one
-// invocation, plus the attribution the ledger aggregates by.
+// invocation, plus the attribution the ledger aggregates by. An entry no
+// ledger could bill is refused with an error and changes nothing: one with
+// no tenant or a tenant holding a NUL byte, a negative or non-finite amount,
+// a minute outside [0, MaxMinute], strings totalling more than
+// MaxEntryBytes, or a tenant, pricer or key that is not valid UTF-8.
 type Entry struct {
 	// Tenant owns the accrual (required; it may not hold a NUL byte, which
 	// is what keeps one tenant's keys apart from another's — keywindow.go).
@@ -168,11 +174,12 @@ type Entry struct {
 	// Key, when non-empty, makes the accrual idempotent: a later entry
 	// from the same tenant with the same key is reported Duplicate and not
 	// billed again. Keys are scoped per tenant — one tenant's keys can
-	// never suppress another tenant's billing.
+	// never suppress another tenant's billing — and only an entry that
+	// bills records its key, so a retry after a drop or an error bills.
 	Key string
 }
 
-// Outcome reports what Accrue did with an entry.
+// Outcome reports what AccrueBatch did with an entry.
 type Outcome int
 
 const (
@@ -346,27 +353,22 @@ func (l *Ledger) shardIndex(tenant string) uint32 {
 	return h % uint32(len(l.shards))
 }
 
-// Seen reports whether the tenant has already recorded an entry under the
-// given idempotency key: a key the ledger already holds cannot bill again,
-// so re-sending it is not new load. A key evicted from the bounded dedup
-// window reports false, exactly as Accrue would re-bill it. SeenBatch
-// answers the same question for a batch.
+// Seen is SeenBatch for one (tenant, key) pair. It stays only because the
+// frozen benchmark harness (bench/replay.go) times it; ROADMAP item 5(b)
+// ports that caller and deletes it.
 func (l *Ledger) Seen(tenant, key string) bool {
-	if tenant == "" || key == "" {
-		return false
-	}
-	sh := l.shardFor(tenant)
-	k := nameKey(tenant, key)
-	sh.mu.Lock()
-	ok := sh.dedup.seen(k)
-	sh.mu.Unlock()
-	return ok
+	var seen [1]bool
+	l.SeenBatch([]Entry{{Tenant: tenant, Key: key}}, seen[:])
+	return seen[0]
 }
 
-// SeenBatch sets seen[i] to what Seen(entries[i].Tenant, entries[i].Key)
-// would report — the read-only peek behind the admission gate's retry
-// bypass — from one grouped probe per chunk of entries (see probe). seen
-// must have at least len(entries) slots.
+// SeenBatch sets seen[i] to whether entries[i]'s tenant has already recorded
+// an entry under its idempotency key: a key the ledger holds cannot bill
+// again, so re-sending it is not new load. An entry without a tenant or a
+// key, or whose key the bounded dedup window has evicted, reports false,
+// exactly as AccrueBatch would bill it. It is the read-only peek behind the
+// admission gate's retry bypass, made from one grouped probe per chunk of
+// entries (see probe). seen must have at least len(entries) slots.
 func (l *Ledger) SeenBatch(entries []Entry, seen []bool) {
 	p := l.getProbePass()
 	defer l.passes.Put(p)
@@ -408,9 +410,9 @@ func (l *Ledger) getProbePass() *probePass {
 // loads every one of the shard's keys' home slots in one branch-free loop
 // (keyWindow.touch) — independent loads, whose cache misses overlap, where
 // the in-order work that follows would stall on each key's miss in turn.
-// With seen non-nil it also answers Seen for each entry while the slots are
-// warm; AccrueBatch passes nil and reuses the hashes and shards. A keyed
-// entry is one with a tenant and a key, as Seen counts them.
+// With seen non-nil it also answers SeenBatch for each entry while the slots
+// are warm; AccrueBatch passes nil and reuses the hashes and shards. A keyed
+// entry is one with a tenant and a key.
 func (l *Ledger) probe(p *probePass, entries []Entry, seen []bool) {
 	ends := p.ends
 	clear(ends)
@@ -457,47 +459,13 @@ func (l *Ledger) probe(p *probePass, entries []Entry, seen []bool) {
 	}
 }
 
-// Accrue bills one entry. It returns Duplicate when the entry's idempotency
-// key was seen before (nothing billed), Dropped when the tenant cap blocks a
-// new account (nothing billed, drop counted), and an error only for entries
-// no ledger could bill — or, on a durable ledger, when the entry could not
-// be made durable (wrapped ErrDurability). Only the owning shard is locked,
-// so accruals for tenants on different shards proceed in parallel.
-//
-// On a durable ledger the entry and its outcome are framed onto the shard's
-// WAL buffer before any state changes and written — one write(2) — before
-// Accrue returns; with FsyncAlways it returns only after the record is on
-// stable storage, so an acknowledged accrual survives a crash. Between the
-// apply and the write a concurrent reader can observe the bill while its
-// bytes are still buffered, exactly as it can observe one not yet fsynced;
-// a crash there loses only bytes no acknowledgement covered.
+// Accrue is AccrueBatch for one entry. It stays only because the frozen
+// benchmark harness (bench/replay.go) bills through it; ROADMAP item 5(b)
+// ports those callers and deletes it.
 func (l *Ledger) Accrue(e Entry) (Outcome, error) {
-	if l.replica.Load() {
-		return Dropped, ErrReplica
-	}
-	if err := validateEntry(e); err != nil {
-		return Dropped, err
-	}
-	sh := l.shardFor(e.Tenant)
-	key := nameKey(e.Tenant, e.Key)
-	sh.mu.Lock()
-	outcome, watermark, err := l.accrueLocked(sh, &e, key)
-	sh.mu.Unlock()
-	if err != nil {
-		return Dropped, err
-	}
-	if sh.wal != nil {
-		// Count the append before the write and the fsync: the record is
-		// applied whether or not they succeed, so WALRecords and the snapshot
-		// cadence must see it either way.
-		l.dur.noteAppend(1)
-		if err := l.commit(sh.wal, watermark); err != nil {
-			// The record is applied but not known durable; surface the
-			// failing disk without undoing the bill.
-			return outcome, err
-		}
-	}
-	return outcome, nil
+	var r [1]AccrualResult
+	l.AccrueBatch([]Entry{e}, r[:])
+	return r[0].Outcome, r[0].Err
 }
 
 // commit is what stands between an applied record and its acknowledgement:
@@ -518,11 +486,9 @@ func (l *Ledger) commit(w *walFile, watermark uint64) error {
 }
 
 // accrueLocked is the accrual step — the one place a validated entry's
-// outcome is decided, logged and applied. Accrue and AccrueBatch are two
-// schedules (when to lock, when to fsync) around it, so they cannot diverge
-// on dedup, the tenant cap or what a refused WAL append leaves behind. The
-// record is framed onto the shard's WAL buffer, not written: the schedule
-// owes a commit of the returned watermark (0 on a volatile ledger) before it
+// outcome is decided, logged and applied. The record is framed onto the
+// shard's WAL buffer, not written: AccrueBatch, its one caller, owes a
+// commit of the returned watermark (0 on a volatile ledger) before it
 // acknowledges. key is nameKey(e.Tenant, e.Key), hashed by the caller. On
 // error — the shard's log is closed or poisoned — nothing was applied and
 // nothing stays reserved.
@@ -567,9 +533,8 @@ func (l *Ledger) accrueLocked(sh *shard, e *Entry, key windowKey) (Outcome, uint
 	return outcome, watermark, nil
 }
 
-// validateEntry rejects entries no ledger could bill: the shared admission
-// gate of Accrue and AccrueBatch, so the two schedules cannot diverge on
-// which entries are billable.
+// validateEntry rejects the entries no ledger could bill, as Entry's doc
+// lists them.
 func validateEntry(e Entry) error {
 	if e.Tenant == "" {
 		return fmt.Errorf("ledger: accrual requires a tenant")
@@ -620,20 +585,31 @@ func validateEntry(e Entry) error {
 	return nil
 }
 
-// AccrualResult is one entry's outcome from AccrueBatch, carrying exactly
-// what the corresponding Accrue call would have returned.
+// AccrualResult is one entry's outcome from AccrueBatch.
 type AccrualResult struct {
 	Outcome Outcome
 	Err     error
 }
 
-// AccrueBatch bills entries strictly in order with per-entry semantics
-// identical to calling Accrue once per entry — same outcomes, same errors,
-// same tenant-cap admission order, same dedup decisions — but amortises the
-// durability cost over the batch: records are framed onto their shards' WAL
-// buffers under the shard locks as usual, and each shard appended to is then
-// committed once, in shard order — one write(2), and under FsyncAlways one
-// fsync (group commit) — before any result is returned. A multi-tenant
+// AccrueBatch bills entries strictly in order, each as if billed alone
+// after the ones before it. Entry i comes back Duplicate when its
+// idempotency key was billed before (nothing billed), Dropped when the
+// tenant cap blocks a new account (nothing billed, drop counted), with an
+// error for an entry no ledger could bill (see Entry) — or, on a durable
+// ledger, when it could not be made durable (wrapped ErrDurability) — and
+// Accrued otherwise. The batch size never changes an outcome, an error, a
+// bill or the tenant-cap admission order, and only the owning shards are
+// locked, so batches for tenants on different shards proceed in parallel.
+//
+// What a batch amortises is the durability cost: each entry and its outcome
+// are framed onto its shard's WAL buffer under the shard lock before any
+// state changes, and each shard appended to is then committed once, in
+// shard order — one write(2), and under FsyncAlways one fsync (group
+// commit) — before any result is returned, so an acknowledged accrual
+// survives a crash as the fsync mode promises. Between the apply and the
+// write a concurrent reader can observe a bill whose bytes are still
+// buffered, exactly as it can observe one not yet fsynced; a crash there
+// loses only bytes no acknowledgement covered. A multi-tenant
 // stream interleaves its shards, so it is the write that is per batch, not
 // the lock: the shard lock is held across consecutive same-shard entries
 // only. Each chunk of entries is probed first (see probe), so the in-order
@@ -865,7 +841,8 @@ type Stats struct {
 	// Tenants is the current account count; MaxTenants the cap.
 	Tenants    int
 	MaxTenants int
-	// Accrued / Duplicates / Dropped count Accrue outcomes since creation.
+	// Accrued / Duplicates / Dropped count AccrueBatch outcomes since
+	// creation.
 	Accrued    uint64
 	Duplicates uint64
 	Dropped    uint64

@@ -496,11 +496,24 @@ func TestTenantsPaginationUnderConcurrentAccrue(t *testing.T) {
 	wg.Wait()
 }
 
-// SeenBatch answers exactly what Seen answers for each entry, on seeded
-// batches longer than one probe chunk that reach every shard: keyless
-// entries, an empty tenant, keys repeated inside the batch, keys never
-// billed, and billed keys on both sides of the eviction edge of a window
-// small enough to forget them.
+// windowHolds reads one (tenant, key) pair straight from its shard's
+// window, without a probe pass: what SeenBatch's grouped probes must
+// answer.
+func windowHolds(l *Ledger, tenant, key string) bool {
+	if tenant == "" || key == "" {
+		return false
+	}
+	sh := l.shardFor(tenant)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.dedup.seen(nameKey(tenant, key))
+}
+
+// SeenBatch answers exactly what the window holds for each entry, and Seen
+// what SeenBatch does, on seeded batches longer than one probe chunk that
+// reach every shard: keyless entries, an empty tenant, keys repeated inside
+// the batch, keys never billed, and billed keys on both sides of the
+// eviction edge of a window small enough to forget them.
 func TestSeenBatchMatchesSeen(t *testing.T) {
 	for _, cfg := range []Config{{Shards: 1, MaxKeys: 100}, {Shards: 8, MaxKeys: 256}, {Shards: 16}} {
 		t.Run(fmt.Sprintf("shards=%d,keys=%d", cfg.Shards, cfg.MaxKeys), func(t *testing.T) {
@@ -542,8 +555,9 @@ func TestSeenBatchMatchesSeen(t *testing.T) {
 				l.SeenBatch(batch, seen[:len(batch)])
 				shards := map[*shard]bool{}
 				for i, e := range batch {
-					if want := l.Seen(e.Tenant, e.Key); seen[i] != want {
-						t.Fatalf("round %d entry %d %+v: SeenBatch %v, Seen %v", round, i, e, seen[i], want)
+					if want := windowHolds(l, e.Tenant, e.Key); seen[i] != want || l.Seen(e.Tenant, e.Key) != want {
+						t.Fatalf("round %d entry %d %+v: SeenBatch %v, Seen %v, the window holds it: %v",
+							round, i, e, seen[i], l.Seen(e.Tenant, e.Key), want)
 					}
 					shards[l.shardFor(e.Tenant)] = true
 					switch {

@@ -1,9 +1,10 @@
 package ledgertest
 
-// Differential proof for AccrueBatch: billing a stream through the batched
-// group-commit funnel must be observationally identical to one Accrue call
-// per entry — outcomes, errors, dedup decisions, tenant-cap admission order
-// and every ledger observable — whatever the batch size.
+// AccrueBatch against the model: billing a stream through the batched
+// group-commit funnel must give, whatever the batch size, the outcome and
+// the kind of error the model gives each entry — dedup decisions and
+// tenant-cap admission order included — and every ledger observable the
+// model holds.
 
 import (
 	"errors"
@@ -13,25 +14,6 @@ import (
 
 	"repro/internal/ledger"
 )
-
-// flatten returns the stream's entries in DriveSequential's round-robin
-// order, so batch and sequential drives see one identical entry sequence.
-func flatten(s *Stream) []ledger.Entry {
-	entries := make([]ledger.Entry, 0, s.Len())
-	for i := 0; ; i++ {
-		done := true
-		for _, sub := range s.Workers {
-			if i >= len(sub) {
-				continue
-			}
-			done = false
-			entries = append(entries, sub[i])
-		}
-		if done {
-			return entries
-		}
-	}
-}
 
 // salt injects invalid entries into the sequence: validation failures
 // mid-batch must not disturb the entries around them.
@@ -55,11 +37,11 @@ func salt(entries []ledger.Entry) []ledger.Entry {
 }
 
 func TestAccrueBatchMatchesSequential(t *testing.T) {
-	// The durable rows take the WAL branch of the shared accrual step: an
-	// open log (append, then apply) and a closed one, where every append
-	// fails — each billable entry must come back ErrDurability with nothing
-	// applied (40 new tenants against a cap of 25 each reserve and release
-	// a slot on the way), through both schedules alike.
+	// The durable rows take the WAL branch of the accrual step: an open log
+	// (append, then apply) and a closed one, where every append fails — each
+	// billable entry must come back ErrDurability with nothing applied (40
+	// new tenants against a cap of 25 each reserve and release a slot on the
+	// way), at every batch size, as the model's refusing log does.
 	walCfg := ledger.Config{Shards: 4, MaxTenants: 25, Fsync: ledger.FsyncNever, SnapshotEvery: -1}
 	for _, c := range []struct {
 		cfg             ledger.Config
@@ -92,30 +74,27 @@ func TestAccrueBatchMatchesSequential(t *testing.T) {
 				}
 				return l
 			}
-			valid := flatten(Generate(23, GenConfig{Workers: 4, PerWorker: 200, Tenants: 40, KeyEvery: 2}))
+			valid := Generate(23, GenConfig{Workers: 4, PerWorker: 200, Tenants: 40, KeyEvery: 2}).sequence()
 			entries := salt(valid)
-
-			seq := open()
-			seqOut := make([]ledger.AccrualResult, len(entries))
+			m := newModel(c.cfg)
+			m.failWrites = c.closed
+			want := m.drive(entries)
 			billed, failed := 0, 0
-			for i, e := range entries {
-				seqOut[i].Outcome, seqOut[i].Err = seq.Accrue(e)
+			for _, r := range want {
 				switch {
-				case seqOut[i].Err == nil:
+				case r.Err == nil:
 					billed++
-				case errors.Is(seqOut[i].Err, ledger.ErrDurability):
+				case errors.Is(r.Err, ledger.ErrDurability):
 					failed++
 				}
 			}
-			if c.closed {
-				if st := seq.Stats(); billed != 0 || failed < len(valid) || st.Tenants != 0 {
-					t.Fatalf("closed ledger: %d entries acknowledged, %d of %d valid ones failed with ErrDurability, %d tenants",
-						billed, failed, len(valid), st.Tenants)
-				}
-			} else if failed != 0 {
-				t.Fatalf("%d entries failed with ErrDurability on an open ledger", failed)
+			if c.closed && (billed != 0 || failed < len(valid)) {
+				t.Fatalf("closed log: %d entries acknowledged, %d of %d valid ones failed with ErrDurability", billed, failed, len(valid))
+			} else if !c.closed && failed != 0 {
+				t.Fatalf("%d entries failed with ErrDurability on an open log", failed)
 			}
 
+			var first []ledger.AccrualResult // batch size 1: Accrue's schedule
 			for _, batchSize := range []int{1, 7, 256, len(entries)} {
 				l := open()
 				got := make([]ledger.AccrualResult, len(entries))
@@ -123,13 +102,18 @@ func TestAccrueBatchMatchesSequential(t *testing.T) {
 					hi := min(lo+batchSize, len(entries))
 					l.AccrueBatch(entries[lo:hi], got[lo:hi])
 				}
+				if err := diffResults(got, want); err != nil {
+					t.Fatalf("batch %d: %v", batchSize, err)
+				}
+				if first == nil {
+					first = got
+				}
 				for i := range got {
-					if got[i].Outcome != seqOut[i].Outcome || fmt.Sprint(got[i].Err) != fmt.Sprint(seqOut[i].Err) {
-						t.Fatalf("batch %d entry %d = %v/%v, sequential = %v/%v",
-							batchSize, i, got[i].Outcome, got[i].Err, seqOut[i].Outcome, seqOut[i].Err)
+					if fmt.Sprint(got[i].Err) != fmt.Sprint(first[i].Err) {
+						t.Fatalf("batch %d entry %d: error %v, one-entry batches say %v", batchSize, i, got[i].Err, first[i].Err)
 					}
 				}
-				if err := Diff(seq, l); err != nil {
+				if err := Diff(m, l); err != nil {
 					t.Errorf("batch %d: %v", batchSize, err)
 				}
 			}

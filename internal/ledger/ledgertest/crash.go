@@ -1,10 +1,10 @@
 // crash.go is the crash-consistency half of the harness: helpers to build a
 // durable ledger from a deterministic stream, clone its data directory with
 // a WAL truncated at an arbitrary offset (simulating a kill at that point in
-// the write stream), and derive the ground-truth oracle — a fresh volatile
-// ledger fed exactly the acknowledged records that survive in the cloned
-// directory's logs. The kill-at-every-offset tests recover every clone and
-// Diff it against its oracle: whatever byte the crash landed on, the
+// the write stream) and list the offsets worth cutting at. The
+// kill-at-every-offset tests recover every clone and Diff it against its
+// oracle, the model fed exactly the acknowledged records that survive in
+// the clone's logs (crash_test.go): whatever byte the crash landed on, the
 // recovered store must equal a store that never crashed and was fed the
 // surviving prefix.
 package ledgertest
@@ -83,42 +83,6 @@ func CloneDirTruncated(src, dst string, truncate map[string]int64) error {
 		}
 	}
 	return nil
-}
-
-// OracleFromWAL decodes every WAL segment under dir — in (shard, seq)
-// order, taking each shard's longest valid prefix — and feeds the surviving
-// entries into a fresh volatile ledger with the same billing configuration.
-// That ledger is the ground truth a recovery of dir must match: the
-// acknowledged prefix, billed by a store that never crashed.
-//
-// It also re-decides every logged outcome and fails if the log disagrees —
-// the WAL can only ever contain outcomes a live ledger would produce.
-// (Entries here never race the tenant cap, so outcomes are per-shard
-// deterministic and the shard feeding order cannot matter.)
-func OracleFromWAL(dir string, cfg ledger.Config) (*ledger.Ledger, int, error) {
-	oracle, err := ledger.New(Volatile(cfg))
-	if err != nil {
-		return nil, 0, err
-	}
-	listing, err := ledger.ReadListing(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	total := 0
-	for _, seg := range listing.Segments {
-		recs, _, _ := ledger.DecodeWALFile(seg.Path) // the torn tail, if any, was never acknowledged
-		for i, rec := range recs {
-			got, err := oracle.Accrue(rec.Entry)
-			if err != nil {
-				return nil, 0, fmt.Errorf("%s record %d: oracle rejected %+v: %v", seg.Path, i, rec.Entry, err)
-			}
-			if got != rec.Outcome {
-				return nil, 0, fmt.Errorf("%s record %d: logged outcome %v, oracle decided %v", seg.Path, i, rec.Outcome, got)
-			}
-			total++
-		}
-	}
-	return oracle, total, nil
 }
 
 // Offsets returns the crash points to test for one WAL segment: offset 0,

@@ -27,6 +27,39 @@ func crashStream(seed int64) *Stream {
 	return Generate(seed, GenConfig{Workers: 3, PerWorker: 30, Tenants: 12, Minutes: 16, KeyEvery: 3, KeySpace: 8})
 }
 
+// oracleFromWAL decodes every WAL segment under dir — in (shard, seq)
+// order, taking each shard's longest valid prefix — and feeds the surviving
+// entries to a fresh model configured like cfg. That model is the ground
+// truth a recovery of dir must match: the acknowledged prefix, billed by a
+// store that never crashed.
+//
+// It also re-decides every logged outcome and fails if the log disagrees —
+// the WAL can only ever contain outcomes a live ledger would produce.
+// (Entries here never race the tenant cap, so outcomes are per-shard
+// deterministic and the shard feeding order cannot matter.)
+func oracleFromWAL(dir string, cfg ledger.Config) (*model, int, error) {
+	oracle := newModel(cfg)
+	listing, err := ledger.ReadListing(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	total := 0
+	for _, seg := range listing.Segments {
+		recs, _, _ := ledger.DecodeWALFile(seg.Path) // the torn tail, if any, was never acknowledged
+		for i, rec := range recs {
+			got, err := oracle.accrue(rec.Entry)
+			if err != nil {
+				return nil, 0, fmt.Errorf("%s record %d: the model refused %+v: %v", seg.Path, i, rec.Entry, err)
+			}
+			if got != rec.Outcome {
+				return nil, 0, fmt.Errorf("%s record %d: logged outcome %v, the model decided %v", seg.Path, i, rec.Outcome, got)
+			}
+			total++
+		}
+	}
+	return oracle, total, nil
+}
+
 // recoverAndDiff opens a ledger over dir and proves it equal to the oracle
 // built from dir's surviving WAL records.
 func recoverAndDiff(t *testing.T, dir string, cfg ledger.Config, wantRecovered int) {
@@ -37,7 +70,7 @@ func recoverAndDiff(t *testing.T, dir string, cfg ledger.Config, wantRecovered i
 		t.Fatalf("recover %s: %v", dir, err)
 	}
 	defer mustClose(t, recovered)
-	oracle, n, err := OracleFromWAL(dir, cfg)
+	oracle, n, err := oracleFromWAL(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +222,15 @@ func TestKillAtEveryOffsetAfterSnapshot(t *testing.T) {
 }
 
 // TestRecoveredEqualsVolatile is the durability half of the equivalence
-// guarantee: a durable ledger, closed and recovered, must be
-// Diff-identical to a volatile ledger fed the same entries — and must keep
-// billing identically afterwards, dedup state included.
+// guarantee: a durable ledger, closed and recovered, must be Diff-identical
+// to a volatile ledger fed the same entries, both must equal the model —
+// and both must keep billing as the model does afterwards, dedup state
+// included.
 func TestRecoveredEqualsVolatile(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		stream := Generate(17, GenConfig{Workers: 4, PerWorker: 200, Tenants: 24, Minutes: 32})
 		cfg := ledger.Config{Shards: shards}
+		m, want := modelOf(cfg, stream.sequence())
 		volatile := mustNew(t, cfg)
 		stream.DriveSequential(volatile)
 
@@ -206,10 +241,9 @@ func TestRecoveredEqualsVolatile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		volatileOut := Generate(17, GenConfig{Workers: 4, PerWorker: 200, Tenants: 24, Minutes: 32}).DriveSequential(mustNew(t, cfg))
-		for i := range durableOut {
-			if durableOut[i] != volatileOut[i] {
-				t.Fatalf("shards=%d: durable outcome %d = %v, volatile = %v", shards, i, durableOut[i], volatileOut[i])
+		for i, o := range outcomesOf(want) {
+			if durableOut[i] != o {
+				t.Fatalf("shards=%d: durable outcome %d = %v, model = %v", shards, i, durableOut[i], o)
 			}
 		}
 
@@ -217,21 +251,28 @@ func TestRecoveredEqualsVolatile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := Diff(m, volatile); err != nil {
+			t.Fatalf("shards=%d: volatile != model: %v", shards, err)
+		}
 		if err := Diff(volatile, recovered); err != nil {
 			t.Fatalf("shards=%d: recovered != volatile: %v", shards, err)
 		}
 		// Keep billing on both: retries of already-billed keys must dedup on
 		// the recovered store exactly as on the never-crashed one.
 		tail := Generate(18, GenConfig{Workers: 2, PerWorker: 100, Tenants: 24, Minutes: 32, KeyEvery: 2, KeySpace: 8})
+		tailWant := outcomesOf(m.drive(tail.sequence()))
 		a := tail.DriveSequential(volatile)
 		b := tail.DriveSequential(recovered)
 		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("shards=%d: post-recovery outcome %d = %v, volatile = %v", shards, i, b[i], a[i])
+			if a[i] != tailWant[i] || b[i] != tailWant[i] {
+				t.Fatalf("shards=%d: post-recovery outcome %d = %v, volatile = %v, model = %v", shards, i, b[i], a[i], tailWant[i])
 			}
 		}
-		if err := Diff(volatile, recovered); err != nil {
+		if err := Diff(m, recovered); err != nil {
 			t.Fatalf("shards=%d: post-recovery ingest diverged: %v", shards, err)
+		}
+		if err := Diff(volatile, recovered); err != nil {
+			t.Fatalf("shards=%d: post-recovery ingest diverged from volatile: %v", shards, err)
 		}
 		mustClose(t, recovered)
 	}

@@ -6,9 +6,9 @@ import (
 	"repro/internal/ledger"
 )
 
-// shardCounts are the configurations every differential case compares
-// against the 1-shard baseline.
-var shardCounts = []int{2, 8, 64}
+// shardCounts are the configurations every differential case holds to the
+// model.
+var shardCounts = []int{1, 2, 8, 64}
 
 func mustNew(t *testing.T, cfg ledger.Config) *ledger.Ledger {
 	t.Helper()
@@ -19,79 +19,77 @@ func mustNew(t *testing.T, cfg ledger.Config) *ledger.Ledger {
 	return l
 }
 
-// TestShardEquivalenceSequential drives one fixed interleaving into a
-// 1-shard and an N-shard ledger: every Accrue outcome and every observable
-// must match bit for bit, for arbitrary float amounts — same entries, same
-// order, so even non-associative float sums line up exactly.
+// driveAgainstModel bills stream sequentially into a ledger built from cfg
+// and holds it to the model fed the same sequence: every outcome and every
+// observable must match bit for bit, for arbitrary float amounts — same
+// entries, same order, so even non-associative float sums line up exactly.
+// It returns the model's results.
+func driveAgainstModel(t *testing.T, cfg ledger.Config, stream *Stream) []ledger.AccrualResult {
+	t.Helper()
+	m, want := modelOf(cfg, stream.sequence())
+	l := mustNew(t, cfg)
+	out := stream.DriveSequential(l)
+	for i, o := range outcomesOf(want) {
+		if out[i] != o {
+			t.Fatalf("shards %d: outcome %d = %v, model = %v", cfg.Shards, i, out[i], o)
+		}
+	}
+	if err := Diff(m, l); err != nil {
+		t.Errorf("shards %d: %v", cfg.Shards, err)
+	}
+	return want
+}
+
+// TestShardEquivalenceSequential drives one fixed interleaving into ledgers
+// of every shard count, each held to the model: the shard count can never
+// change a bill.
 func TestShardEquivalenceSequential(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		stream := Generate(seed, GenConfig{Workers: 4, PerWorker: 300, Tenants: 37, Minutes: 48})
-		base := mustNew(t, ledger.Config{Shards: 1})
-		baseOut := stream.DriveSequential(base)
 		for _, shards := range shardCounts {
-			l := mustNew(t, ledger.Config{Shards: shards})
-			out := stream.DriveSequential(l)
-			for i := range out {
-				if out[i] != baseOut[i] {
-					t.Fatalf("seed %d shards %d: outcome %d = %v, 1-shard = %v",
-						seed, shards, i, out[i], baseOut[i])
-				}
-			}
-			if err := Diff(base, l); err != nil {
-				t.Errorf("seed %d shards %d: %v", seed, shards, err)
-			}
+			driveAgainstModel(t, ledger.Config{Shards: shards}, stream)
 		}
 	}
 }
 
 // TestShardEquivalenceSequentialAtTenantCap repeats the sequential drive
 // with a tenant cap smaller than the tenant universe: drops are
-// order-determined, so the sharded ledger must admit — and reject — exactly
-// the tenants the serialized one does.
+// order-determined, so every sharded ledger must admit — and reject —
+// exactly the tenants the model does.
 func TestShardEquivalenceSequentialAtTenantCap(t *testing.T) {
 	stream := Generate(11, GenConfig{Workers: 4, PerWorker: 250, Tenants: 40, KeyEvery: 2})
-	base := mustNew(t, ledger.Config{Shards: 1, MaxTenants: 25})
-	baseOut := stream.DriveSequential(base)
-	dropped := 0
-	for _, out := range baseOut {
-		if out == ledger.Dropped {
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("cap case exercised no drops; shrink MaxTenants or grow Tenants")
-	}
 	for _, shards := range shardCounts {
-		l := mustNew(t, ledger.Config{Shards: shards, MaxTenants: 25})
-		out := stream.DriveSequential(l)
-		for i := range out {
-			if out[i] != baseOut[i] {
-				t.Fatalf("shards %d: outcome %d = %v, 1-shard = %v", shards, i, out[i], baseOut[i])
+		want := driveAgainstModel(t, ledger.Config{Shards: shards, MaxTenants: 25}, stream)
+		dropped := 0
+		for _, r := range want {
+			if r.Outcome == ledger.Dropped {
+				dropped++
 			}
 		}
-		if err := Diff(base, l); err != nil {
-			t.Errorf("shards %d: %v", shards, err)
+		if dropped == 0 {
+			t.Fatal("cap case exercised no drops; shrink MaxTenants or grow Tenants")
 		}
 	}
 }
 
 // TestShardEquivalenceConcurrent drives per-worker substreams from
-// concurrent goroutines, so the interleaving differs between ledgers and
-// across runs. Exact (dyadic) amounts make sums order-independent, and
-// keyed entries carry amounts determined by their key, so whichever writer
-// wins a key race bills the same value: statements, summaries, pagination
-// and the dedup counters must still match to the last bit.
+// concurrent goroutines in seeded batch sizes, so the interleaving differs
+// between ledgers and across runs. Exact (dyadic) amounts make sums
+// order-independent, and keyed entries carry amounts determined by their
+// key, so whichever writer wins a key race bills the same value:
+// statements, summaries, pagination and the dedup counters must still match
+// the model's sequential bill to the last bit.
 func TestShardEquivalenceConcurrent(t *testing.T) {
 	for _, seed := range []int64{3, 99} {
 		stream := Generate(seed, GenConfig{
 			Workers: 8, PerWorker: 400, Tenants: 37, Minutes: 48, Exact: true,
 		})
-		base := mustNew(t, ledger.Config{Shards: 1})
-		stream.DriveConcurrent(base)
 		for _, shards := range shardCounts {
-			l := mustNew(t, ledger.Config{Shards: shards})
+			cfg := ledger.Config{Shards: shards}
+			m, _ := modelOf(cfg, stream.sequence())
+			l := mustNew(t, cfg)
 			stream.DriveConcurrent(l)
-			if err := Diff(base, l); err != nil {
+			if err := Diff(m, l); err != nil {
 				t.Errorf("seed %d shards %d: %v", seed, shards, err)
 			}
 		}

@@ -1,22 +1,25 @@
-// Package ledgertest is the differential test harness behind the sharded
-// ledger's equivalence guarantee: it generates deterministic, replayable
-// entry streams, drives the same stream into differently-sharded ledgers —
-// sequentially or from concurrent writers — and proves every observable
-// equal, byte for byte.
+// Package ledgertest is the differential test harness behind the ledger's
+// billing guarantees: it generates deterministic, replayable entry streams,
+// drives them into ledgers — sequentially or from concurrent writers — and
+// compares every observable byte for byte (Diff).
 //
-// The harness is test support code kept out of _test files so benchmarks
-// and future packages (e.g. a persistent ledger backend) can reuse the
-// generator and the Diff oracle.
+// The harness is test support code kept out of _test files so the ledger's
+// replication and failover tests, and the api and cluster packages, can
+// reuse the generator and Diff. The oracle it holds the ledger to is not
+// exported: a pure sequential model in this package's tests (model_test.go)
+// restates the billing rules from the ledger's exported docs in plain maps
+// and shares no function with package ledger.
 //
 // Two drive modes cover the two halves of the guarantee:
 //
-//   - DriveSequential applies entries in one fixed order, so any float
+//   - DriveSequential bills entries in one fixed order, so any float
 //     amounts compare bit-identically (same additions, same order) and the
 //     per-entry Outcome sequences must match exactly.
-//   - DriveConcurrent applies per-worker substreams from goroutines, where
-//     accrual order differs run to run; streams generated with Exact use
-//     dyadic amounts whose partial sums are exactly representable, making
-//     totals order-independent so equality still holds to the last bit.
+//   - DriveConcurrent bills per-worker substreams from goroutines, in
+//     seeded batch sizes, where accrual order differs run to run; streams
+//     generated with Exact use dyadic amounts whose partial sums are
+//     exactly representable, making totals order-independent so equality
+//     still holds to the last bit.
 package ledgertest
 
 import (
@@ -81,6 +84,7 @@ func (c GenConfig) withDefaults() GenConfig {
 // substreams of equal length.
 type Stream struct {
 	Workers [][]ledger.Entry
+	seed    int64 // Generate's, which also draws DriveConcurrent's batch cuts
 }
 
 var pricers = []string{"litmus", "commercial", "litmus-method1"}
@@ -101,7 +105,7 @@ func amounts(r *rand.Rand, exact bool) (float64, float64) {
 // would.
 func Generate(seed int64, cfg GenConfig) *Stream {
 	cfg = cfg.withDefaults()
-	s := &Stream{Workers: make([][]ledger.Entry, cfg.Workers)}
+	s := &Stream{Workers: make([][]ledger.Entry, cfg.Workers), seed: seed}
 	for w := range s.Workers {
 		r := rand.New(rand.NewSource(seed + int64(w)*1_000_003))
 		sub := make([]ledger.Entry, cfg.PerWorker)
@@ -152,13 +156,10 @@ func (s *Stream) Len() int {
 	return n
 }
 
-// DriveSequential applies the substreams in one fixed round-robin
-// interleaving and returns the outcome of every Accrue in that order.
-// Driving two ledgers sequentially applies identical entries in an
-// identical order, so every observable — outcomes included — must match
-// exactly, whatever the amounts.
-func (s *Stream) DriveSequential(l *ledger.Ledger) []ledger.Outcome {
-	outcomes := make([]ledger.Outcome, 0, s.Len())
+// sequence returns the stream's entries in one fixed round-robin
+// interleaving of the substreams: the order DriveSequential bills them in.
+func (s *Stream) sequence() []ledger.Entry {
+	entries := make([]ledger.Entry, 0, s.Len())
 	for i := 0; ; i++ {
 		done := true
 		for _, sub := range s.Workers {
@@ -166,33 +167,67 @@ func (s *Stream) DriveSequential(l *ledger.Ledger) []ledger.Outcome {
 				continue
 			}
 			done = false
-			out, _ := l.Accrue(sub[i])
-			outcomes = append(outcomes, out)
+			entries = append(entries, sub[i])
 		}
 		if done {
-			return outcomes
+			return entries
 		}
 	}
 }
 
-// DriveConcurrent applies each substream from its own goroutine, in
-// substream order, and returns when all writers finish. Cross-worker
-// interleaving is whatever the scheduler produces.
+// DriveSequential bills sequence one entry per AccrueBatch call and returns
+// every entry's outcome in that order. Driving two ledgers sequentially
+// applies identical entries in an identical order, so every observable —
+// outcomes included — must match exactly, whatever the amounts.
+func (s *Stream) DriveSequential(l *ledger.Ledger) []ledger.Outcome {
+	entries := s.sequence()
+	results := make([]ledger.AccrualResult, len(entries))
+	outcomes := make([]ledger.Outcome, len(entries))
+	for i := range entries {
+		l.AccrueBatch(entries[i:i+1], results[i:i+1])
+		outcomes[i] = results[i].Outcome
+	}
+	return outcomes
+}
+
+// maxDriveBatch is the largest batch DriveConcurrent cuts: a production
+// collector's flush (api's usage batch) is 256 records.
+const maxDriveBatch = 256
+
+// DriveConcurrent bills each substream from its own goroutine, in substream
+// order, through AccrueBatch in batches of 1 to maxDriveBatch entries, and
+// returns when all writers finish. Batch sizes come from the stream's seed,
+// each under a cap of maxDriveBatch>>k for k uniform in 0..8, so short
+// batches are as common as long ones. Cross-worker interleaving is whatever
+// the scheduler produces.
 func (s *Stream) DriveConcurrent(l *ledger.Ledger) {
 	var wg sync.WaitGroup
-	for _, sub := range s.Workers {
+	for w, sub := range s.Workers {
 		wg.Add(1)
-		go func(sub []ledger.Entry) {
+		go func() {
 			defer wg.Done()
-			for _, e := range sub {
-				l.Accrue(e)
+			r := rand.New(rand.NewSource(s.seed*7919 + int64(w)))
+			results := make([]ledger.AccrualResult, len(sub))
+			for lo := 0; lo < len(sub); {
+				hi := min(lo+1+r.Intn(maxDriveBatch>>r.Intn(9)), len(sub))
+				l.AccrueBatch(sub[lo:hi], results[lo:hi])
+				lo = hi
 			}
-		}(sub)
+		}()
 	}
 	wg.Wait()
 }
 
-// Diff compares every observable of two quiescent ledgers and returns a
+// View is what Diff reads of a billing store: a *ledger.Ledger, or the
+// model this package's tests hold one to.
+type View interface {
+	Stats() ledger.Stats
+	Tenants(cursor string, limit int) ([]ledger.Summary, string)
+	Summary(tenant string) (ledger.Summary, bool)
+	Statement(tenant string, fromMinute, toMinute int) (ledger.Statement, bool)
+}
+
+// Diff compares every observable of two quiescent stores and returns a
 // description of the first divergence, or nil when they are equivalent:
 //
 //   - Stats scalars (accrued/duplicates/dropped, tenant and key counts) —
@@ -202,7 +237,7 @@ func (s *Stream) DriveConcurrent(l *ledger.Ledger) {
 //   - every tenant's Summary and Statement (full range plus subranges),
 //     compared as marshalled bytes — byte-identical, not just approximately
 //     equal.
-func Diff(a, b *ledger.Ledger) error {
+func Diff(a, b View) error {
 	return diff(a, b, true)
 }
 
@@ -214,11 +249,11 @@ func Diff(a, b *ledger.Ledger) error {
 // client has legitimately seen a different outcome *history* than a ledger
 // that never failed (the replayed records count as duplicates where the
 // originals accrued), but every bill must still be byte-identical.
-func DiffBills(a, b *ledger.Ledger) error {
+func DiffBills(a, b View) error {
 	return diff(a, b, false)
 }
 
-func diff(a, b *ledger.Ledger, strictCounters bool) error {
+func diff(a, b View, strictCounters bool) error {
 	sa, sb := a.Stats(), b.Stats()
 	sa.Shards, sb.Shards = nil, nil
 	if !strictCounters {
@@ -250,7 +285,7 @@ func diff(a, b *ledger.Ledger, strictCounters bool) error {
 
 // diffListing pages both ledgers in lockstep at one page size and returns
 // the (shared) tenant order.
-func diffListing(a, b *ledger.Ledger, pageSize int) ([]string, error) {
+func diffListing(a, b View, pageSize int) ([]string, error) {
 	var names []string
 	curA, curB := "", ""
 	for page := 0; ; page++ {
@@ -274,7 +309,7 @@ func diffListing(a, b *ledger.Ledger, pageSize int) ([]string, error) {
 }
 
 // diffTenant compares one tenant's Summary and Statements.
-func diffTenant(a, b *ledger.Ledger, tenant string) error {
+func diffTenant(a, b View, tenant string) error {
 	sumA, okA := a.Summary(tenant)
 	sumB, okB := b.Summary(tenant)
 	if okA != okB {

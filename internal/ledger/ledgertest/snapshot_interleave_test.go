@@ -9,18 +9,17 @@ import (
 
 // TestSnapshotDuringConcurrentIngest is the snapshot-vs-ingest interleaving
 // property: snapshots taken continuously while concurrent writers accrue
-// must perturb nothing — the live durable ledger stays Diff-identical to a
-// volatile ledger fed the same stream, and so does the store recovered from
-// whatever snapshot+tail layout the interleaving happened to leave on disk.
-// Exact (dyadic) amounts make the concurrent sums order-independent, the
-// same ground-truth trick the sharding differential tests use.
+// must perturb nothing — the live durable ledger stays Diff-identical to the
+// model fed the same stream, and so does the store recovered from whatever
+// snapshot+tail layout the interleaving happened to leave on disk. Exact
+// (dyadic) amounts make the concurrent sums order-independent, the same
+// ground-truth trick the sharding differential tests use.
 func TestSnapshotDuringConcurrentIngest(t *testing.T) {
 	for _, seed := range []int64{9, 41} {
 		gen := GenConfig{Workers: 8, PerWorker: 300, Tenants: 24, Minutes: 32, Exact: true}
 		stream := Generate(seed, gen)
 
-		volatile := mustNew(t, ledger.Config{Shards: 8})
-		stream.DriveConcurrent(volatile)
+		m, _ := modelOf(ledger.Config{Shards: 8}, stream.sequence())
 
 		dir := t.TempDir()
 		dcfg := ledger.Config{Shards: 8, Dir: dir, Fsync: ledger.FsyncNever, SnapshotEvery: -1}
@@ -49,7 +48,7 @@ func TestSnapshotDuringConcurrentIngest(t *testing.T) {
 		if snaps < 2 {
 			t.Logf("seed %d: only %d snapshots interleaved; weak run", seed, snaps)
 		}
-		if err := Diff(volatile, durable); err != nil {
+		if err := Diff(m, durable); err != nil {
 			t.Fatalf("seed %d: live durable ledger diverged under %d interleaved snapshots: %v", seed, snaps, err)
 		}
 		if err := durable.Close(); err != nil {
@@ -61,7 +60,7 @@ func TestSnapshotDuringConcurrentIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := recovered.Durability().Recovery
-		if err := Diff(volatile, recovered); err != nil {
+		if err := Diff(m, recovered); err != nil {
 			t.Fatalf("seed %d: recovery after %d interleaved snapshots (%+v) diverged: %v", seed, snaps, d, err)
 		}
 		mustClose(t, recovered)
@@ -72,13 +71,12 @@ func TestSnapshotDuringConcurrentIngest(t *testing.T) {
 
 // TestSnapshotEveryShardCount pins the background-snapshot path across the
 // acceptance shard counts: a durable ledger with automatic snapshots
-// enabled, driven concurrently, recovers Diff-identical to volatile.
+// enabled, driven concurrently, recovers Diff-identical to the model.
 func TestSnapshotEveryShardCount(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			stream := Generate(13, GenConfig{Workers: 4, PerWorker: 250, Tenants: 20, Exact: true})
-			volatile := mustNew(t, ledger.Config{Shards: shards})
-			stream.DriveConcurrent(volatile)
+			m, _ := modelOf(ledger.Config{Shards: shards}, stream.sequence())
 
 			dir := t.TempDir()
 			dcfg := ledger.Config{Shards: shards, Dir: dir, Fsync: ledger.FsyncNever, SnapshotEvery: 100}
@@ -96,7 +94,7 @@ func TestSnapshotEveryShardCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mustClose(t, recovered)
-			if err := Diff(volatile, recovered); err != nil {
+			if err := Diff(m, recovered); err != nil {
 				t.Fatalf("shards=%d: %v", shards, err)
 			}
 		})

@@ -94,7 +94,7 @@ func (l *Ledger) replay(sh *shard, rec WALRecord) {
 // so no record lands on a shard after that shard accepted an accrual.
 func (l *Ledger) ApplyReplica(rec WALRecord) error {
 	if rec.Entry.Tenant == "" {
-		// Accrue never acknowledges a tenantless entry, so a frame carrying
+		// AccrueBatch never acknowledges a tenantless entry, so a frame carrying
 		// one is corrupt upstream of the CRC — refuse rather than misroute.
 		return fmt.Errorf("ledger: replicated record has no tenant")
 	}

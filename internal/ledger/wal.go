@@ -20,7 +20,7 @@ type FsyncMode int
 
 const (
 	// FsyncAlways (the default) makes every acknowledged accrual durable
-	// before Accrue returns. Concurrent writers on one shard group-commit:
+	// before AccrueBatch returns. Concurrent writers on one shard group-commit:
 	// one fsync covers every record written before it started.
 	FsyncAlways FsyncMode = iota
 	// FsyncInterval syncs each shard's WAL on a background ticker
@@ -83,14 +83,14 @@ const (
 	// length field cannot make the decoder allocate or skip gigabytes.
 	maxWALPayload = 1 << 20
 	// MaxEntryBytes bounds an Entry's combined tenant+pricer+key length.
-	// Accrue rejects longer entries up front — the encoder could frame
+	// AccrueBatch rejects longer entries up front — the encoder could frame
 	// them, but the decoder (rightly) refuses oversized frames, and a
 	// record that cannot be replayed must never be acknowledged. The slack
 	// below maxWALPayload covers the fixed fields and varint overhead.
 	MaxEntryBytes = maxWALPayload - 64
 	// MaxMinute bounds Entry.Minute for the same reason: the decoder
-	// treats an implausibly large minute as corruption, so Accrue must
-	// never acknowledge one — a record the decoder rejects would poison
+	// treats an implausibly large minute as corruption, so AccrueBatch
+	// must never acknowledge one — a record the decoder rejects would poison
 	// every later record in its segment as a "torn tail". MaxInt32 keeps
 	// every accepted minute representable in int on 32-bit platforms.
 	MaxMinute = 1<<31 - 1
@@ -340,8 +340,8 @@ func (w *walFile) rotate(newSeq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
-		// close() ran; reopening a segment here would let Accrue succeed
-		// after Close returned.
+		// close() ran; reopening a segment here would let an accrual
+		// succeed after Close returned.
 		return fmt.Errorf("wal shard %d: rotate after close", w.shard)
 	}
 	if err := w.flushLocked(); err != nil {
