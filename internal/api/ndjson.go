@@ -26,10 +26,7 @@ package api
 
 import (
 	"bytes"
-	"math"
 	"strconv"
-	"strings"
-	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/jsonnum"
@@ -78,11 +75,11 @@ func (d *lineDecoder) decode(line []byte) bool {
 		switch string(key) {
 		case "abbr":
 			bit = seenAbbr
-			s, b, ok = lineString(b)
+			s, b, ok = jsonnum.SplitString(b)
 			rec.Abbr = d.abbr(s)
 		case "language":
 			bit = seenLanguage
-			s, b, ok = lineString(b)
+			s, b, ok = jsonnum.SplitString(b)
 			rec.Language = d.language(s)
 		case "memoryMB":
 			bit = seenMemoryMB
@@ -99,18 +96,18 @@ func (d *lineDecoder) decode(line []byte) bool {
 			rec.Probe = &d.probe
 		case "tenant":
 			bit = seenTenant
-			s, b, ok = lineString(b)
+			s, b, ok = jsonnum.SplitString(b)
 			rec.Tenant = d.tenant(s)
 		case "pricer":
 			bit = seenPricer
-			s, b, ok = lineString(b)
+			s, b, ok = jsonnum.SplitString(b)
 			rec.Pricer = d.pricer(s)
 		case "minute":
 			bit = seenMinute
 			rec.Minute, b, ok = lineInt(b)
 		case "key":
 			bit = seenKey
-			s, b, ok = lineString(b)
+			s, b, ok = jsonnum.SplitString(b)
 			rec.Key = d.key(s)
 		default:
 			return false
@@ -175,73 +172,10 @@ func lineKey(b []byte, open byte) (key, rest []byte, ok bool) {
 	return b[:end], b[end+2:], true
 }
 
-// lineString reads a quoted string that is its own decoding: no escapes, no
-// control bytes, valid UTF-8 (encoding/json would rewrite anything else).
-func lineString(b []byte) (s, rest []byte, ok bool) {
-	if len(b) == 0 || b[0] != '"' {
-		return nil, nil, false
-	}
-	b = b[1:]
-	ascii := true
-	for i, c := range b {
-		switch {
-		case c == '"':
-			s = b[:i]
-			return s, b[i+1:], ascii || utf8.Valid(s)
-		case c < 0x20 || c == '\\':
-			return nil, nil, false
-		case c >= utf8.RuneSelf:
-			ascii = false
-		}
-	}
-	return nil, nil, false
-}
-
-// lineNumber splits a JSON-grammar number off the head of b:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. integer reports that it
-// had neither fraction nor exponent.
-func lineNumber(b []byte) (num, rest []byte, integer, ok bool) {
-	digits := func(i int) int {
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i
-	}
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	n := digits(i)
-	if n == i || b[i] == '0' && n > i+1 {
-		return nil, nil, false, false
-	}
-	i = n
-	integer = true
-	if i < len(b) && b[i] == '.' {
-		n := digits(i + 1)
-		if n == i+1 {
-			return nil, nil, false, false
-		}
-		i, integer = n, false
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		j := i + 1
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
-		}
-		n := digits(j)
-		if n == j {
-			return nil, nil, false, false
-		}
-		i, integer = n, false
-	}
-	return b[:i], b[i:], integer, true
-}
-
 // lineInt reads an integer — no fraction, no exponent — that fits an int;
 // one that does not is encoding/json's to name in its error.
 func lineInt(b []byte) (v int, rest []byte, ok bool) {
-	num, rest, integer, ok := lineNumber(b)
+	num, rest, integer, ok := jsonnum.SplitNumber(b)
 	if !ok || !integer {
 		return 0, nil, false
 	}
@@ -254,7 +188,7 @@ func lineInt(b []byte) (v int, rest []byte, ok bool) {
 // lineFloat reads a number as encoding/json does, to strconv.ParseFloat's
 // bits; a number strconv refuses (1e999) is encoding/json's to report.
 func lineFloat(b []byte) (v float64, rest []byte, ok bool) {
-	num, rest, _, ok := lineNumber(b)
+	num, rest, _, ok := jsonnum.SplitNumber(b)
 	if !ok {
 		return 0, nil, false
 	}
@@ -267,11 +201,11 @@ func lineFloat(b []byte) (v float64, rest []byte, ok bool) {
 // reports false, with dst untouched, when that is not expressible without
 // encoding/json: a string it would escape or a float it refuses.
 func appendUsageLine(dst []byte, rec *UsageRecord) ([]byte, bool) {
-	if !plainString(rec.Abbr) || !plainString(rec.Language) || !plainString(rec.Tenant) ||
-		!plainString(rec.Pricer) || !plainString(rec.Key) || !finite(rec.TPrivate) || !finite(rec.TShared) {
+	if !jsonnum.PlainString(rec.Abbr) || !jsonnum.PlainString(rec.Language) || !jsonnum.PlainString(rec.Tenant) ||
+		!jsonnum.PlainString(rec.Pricer) || !jsonnum.PlainString(rec.Key) || !jsonnum.Finite(rec.TPrivate) || !jsonnum.Finite(rec.TShared) {
 		return dst, false
 	}
-	if p := rec.Probe; p != nil && !(finite(p.TPrivate) && finite(p.TShared) && finite(p.MachineL3Misses)) {
+	if p := rec.Probe; p != nil && !(jsonnum.Finite(p.TPrivate) && jsonnum.Finite(p.TShared) && jsonnum.Finite(p.MachineL3Misses)) {
 		return dst, false
 	}
 	dst = append(dst, '{')
@@ -304,24 +238,6 @@ func appendUsageLine(dst []byte, rec *UsageRecord) ([]byte, bool) {
 		dst = appendStringField(dst, `,"key":"`, rec.Key)
 	}
 	return append(dst, '}', '\n'), true
-}
-
-func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
-
-// plainString reports whether json.Encoder writes s between quotes as it
-// stands: no control byte, quote or backslash, none of the three bytes it
-// escapes for HTML's sake, valid UTF-8, and neither U+2028 nor U+2029.
-func plainString(s string) bool {
-	ascii := true
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			return false
-		case c >= utf8.RuneSelf:
-			ascii = false
-		}
-	}
-	return ascii || utf8.ValidString(s) && !strings.Contains(s, "\u2028") && !strings.Contains(s, "\u2029")
 }
 
 // appendStringField appends name — a key up to and including the value's

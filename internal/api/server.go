@@ -330,13 +330,58 @@ func (s *Server) Shards() int { return s.ledger.Shards() }
 
 // WriteJSON writes v as a JSON response body under the given status: the one
 // encoder every body of the surface — the node's and the router's — goes
-// through, so both escape and terminate a body identically.
+// through, so both escape and terminate a body identically. The body is
+// encoded before the status is written, so a value encoding/json refuses (a
+// total that overflowed to +Inf) answers 500 with the error envelope naming
+// it, not the status meant for the value and an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := getBody()
+	defer buf.release()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		log.Printf("api: encoding response: %v", err)
+		status = http.StatusInternalServerError
+		buf.b = buf.b[:0]
+		// The envelope holds an int and a string: encoding/json always
+		// writes it.
+		_ = json.NewEncoder(buf).Encode(errorEnvelope{Err: Error{Status: status, Message: fmt.Sprintf("encoding response: %v", err)}})
+	}
+	writeBody(w, status, buf.b)
+}
+
+// writeBody writes an encoded JSON body under status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("api: encoding response: %v", err)
+	if _, err := w.Write(body); err != nil {
+		log.Printf("api: writing response: %v", err)
 	}
+}
+
+// bodyBuf holds a response body while it is encoded. bodyBufs recycles them,
+// except one grown past maxPooledBody, which goes to the collector rather
+// than pin a rare large body's memory.
+type bodyBuf struct{ b []byte }
+
+const maxPooledBody = 1 << 20
+
+var bodyBufs = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+func getBody() *bodyBuf {
+	buf := bodyBufs.Get().(*bodyBuf)
+	buf.b = buf.b[:0]
+	return buf
+}
+
+func (buf *bodyBuf) Write(p []byte) (int, error) {
+	buf.b = append(buf.b, p...)
+	return len(p), nil
+}
+
+func (buf *bodyBuf) release() {
+	if cap(buf.b) > maxPooledBody {
+		buf.b = nil
+	}
+	bodyBufs.Put(buf)
 }
 
 // WriteError writes the structured error envelope.

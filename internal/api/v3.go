@@ -372,7 +372,15 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "no ledger for tenant %q", tenant)
 		return
 	}
-	WriteJSON(w, http.StatusOK, st)
+	buf := getBody()
+	defer buf.release()
+	if buf.b, ok = st.AppendJSON(buf.b); !ok {
+		// A string encoding/json escapes or a total it refuses: its bytes,
+		// or its 500, are encoding/json's to decide.
+		WriteJSON(w, http.StatusOK, st)
+		return
+	}
+	writeBody(w, http.StatusOK, buf.b)
 }
 
 // --- /v3/tables --------------------------------------------------------------

@@ -343,7 +343,7 @@ func TestV3Statement(t *testing.T) {
 		if line.Billed <= 0 || line.Billed >= line.Commercial {
 			t.Errorf("window %d not discounted: %+v", line.Window, line)
 		}
-		if math.Abs(line.Bills["litmus"]-line.Billed) > 1e-12 {
+		if math.Abs(line.Bills.Get("litmus")-line.Billed) > 1e-12 {
 			t.Errorf("window %d bills = %+v", line.Window, line.Bills)
 		}
 	}

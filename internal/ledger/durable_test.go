@@ -36,7 +36,7 @@ func assertSmall(t *testing.T, l *Ledger) {
 		t.Fatalf("acme summary = %+v, %v", sum, ok)
 	}
 	stmt, ok := l.Statement("acme", 0, -1)
-	if !ok || len(stmt.Lines) != 2 || stmt.Lines[0].Bills["litmus"] != 8 {
+	if !ok || len(stmt.Lines) != 2 || stmt.Lines[0].Bills.Get("litmus") != 8 {
 		t.Fatalf("acme statement = %+v, %v", stmt, ok)
 	}
 	// Recovered dedup state: the key must still suppress a replay.

@@ -64,7 +64,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -214,7 +213,7 @@ type window struct {
 	Invocations int64
 	Commercial  float64
 	Billed      float64
-	Bills       pricerBills
+	Bills       Bills
 }
 
 // account accumulates one tenant; accountDoc is its snapshot spelling.
@@ -223,33 +222,6 @@ type account struct {
 	Commercial  float64
 	Billed      float64
 	Windows     map[int]*window
-}
-
-// pricerBills is a window's billed amount per pricer, sorted by pricer. A
-// window sees one pricer or a few, so a scan beats a hash; the order makes
-// a window's value independent of the order its pricers arrived in, so a
-// recovered or replicated window equals the live one.
-type pricerBills []pricerBill
-
-type pricerBill struct {
-	pricer string
-	billed float64
-}
-
-// add bills v to pricer, inserting the pricer in order on first sight.
-func (b *pricerBills) add(pricer string, v float64) {
-	s := *b
-	i := 0
-	for ; i < len(s); i++ {
-		if s[i].pricer == pricer {
-			s[i].billed += v
-			return
-		}
-		if s[i].pricer > pricer {
-			break
-		}
-	}
-	*b = slices.Insert(s, i, pricerBill{pricer, v})
 }
 
 // Ledger is the concurrency-safe, lock-striped billing store. The zero
@@ -722,37 +694,6 @@ func summarize(tenant string, a *account) Summary {
 // Summary returns one tenant's aggregate bill.
 func (l *Ledger) Summary(tenant string) (Summary, bool) {
 	return l.shardFor(tenant).summary(tenant)
-}
-
-// Line is one statement window: the invocations billed in
-// [StartMinute, StartMinute+WindowMinutes) with commercial-vs-charged
-// totals and one billed line per pricer (Bills).
-type Line struct {
-	Window      int                `json:"window"`
-	StartMinute int                `json:"startMinute"`
-	Invocations int64              `json:"invocations"`
-	Commercial  float64            `json:"commercial"`
-	Billed      float64            `json:"billed"`
-	Bills       map[string]float64 `json:"bills"`
-}
-
-// Statement is a tenant's windowed bill over a minute range — the wire body
-// of GET /v3/tenants/{tenant}/statement.
-type Statement struct {
-	Tenant        string `json:"tenant"`
-	WindowMinutes int    `json:"windowMinutes"`
-	// FromMinute / ToMinute echo the requested range; ToMinute < 0 means
-	// open-ended.
-	FromMinute int `json:"fromMinute"`
-	ToMinute   int `json:"toMinute"`
-	// Totals aggregate the included windows only.
-	Invocations int64   `json:"invocations"`
-	Commercial  float64 `json:"commercial"`
-	Billed      float64 `json:"billed"`
-	Discount    float64 `json:"discount"`
-	// Lines holds the included windows sorted by window index; never nil,
-	// so an empty range encodes as [].
-	Lines []Line `json:"lines"`
 }
 
 // Statement returns the tenant's bill over trace minutes

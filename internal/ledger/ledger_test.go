@@ -173,14 +173,14 @@ func TestTenantCapObservable(t *testing.T) {
 // order pricers arrive in cannot tell two windows apart — what lets a
 // recovered or replicated window equal the live one.
 func TestWindowBillsOrder(t *testing.T) {
-	var a, b pricerBills
+	var a, b Bills
 	for _, p := range []string{"litmus", "commercial", "zeta", "litmus", "alpha"} {
 		a.add(p, 1)
 	}
 	for _, p := range []string{"alpha", "zeta", "litmus", "commercial", "litmus"} {
 		b.add(p, 1)
 	}
-	want := pricerBills{{"alpha", 1}, {"commercial", 1}, {"litmus", 2}, {"zeta", 1}}
+	want := Bills{{"alpha", 1}, {"commercial", 1}, {"litmus", 2}, {"zeta", 1}}
 	if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
 		t.Fatalf("bills %v and %v, want %v", a, b, want)
 	}
@@ -238,7 +238,7 @@ func TestStatementWindows(t *testing.T) {
 	if w0.Window != 0 || w0.StartMinute != 0 || w0.Invocations != 2 || w0.Commercial != 14 || w0.Billed != 12 {
 		t.Errorf("window 0 = %+v", w0)
 	}
-	if w0.Bills["litmus"] != 8 || w0.Bills["commercial"] != 4 {
+	if w0.Bills.Get("litmus") != 8 || w0.Bills.Get("commercial") != 4 {
 		t.Errorf("window 0 bills = %v", w0.Bills)
 	}
 	if w2.Window != 2 || w2.StartMinute != 4 || w2.Billed != 3 {

@@ -349,3 +349,52 @@ func jsonEqual(where string, a, b any) error {
 	}
 	return nil
 }
+
+// MapStatement spells a statement with each line's bills as a
+// map[string]float64 — the type a statement's bills had before
+// ledger.Bills. encoding/json's bytes for it are the reference that
+// Statement.AppendJSON and Bills' JSON methods are held to.
+type MapStatement struct {
+	Tenant        string    `json:"tenant"`
+	WindowMinutes int       `json:"windowMinutes"`
+	FromMinute    int       `json:"fromMinute"`
+	ToMinute      int       `json:"toMinute"`
+	Invocations   int64     `json:"invocations"`
+	Commercial    float64   `json:"commercial"`
+	Billed        float64   `json:"billed"`
+	Discount      float64   `json:"discount"`
+	Lines         []MapLine `json:"lines"`
+}
+
+// MapLine is a statement line of a MapStatement.
+type MapLine struct {
+	Window      int                `json:"window"`
+	StartMinute int                `json:"startMinute"`
+	Invocations int64              `json:"invocations"`
+	Commercial  float64            `json:"commercial"`
+	Billed      float64            `json:"billed"`
+	Bills       map[string]float64 `json:"bills"`
+}
+
+// MapOf spells st as a MapStatement: nil Lines and nil Bills stay nil, and
+// a pricer listed twice keeps its last amount, as a map assignment does.
+func MapOf(st *ledger.Statement) MapStatement {
+	m := MapStatement{
+		Tenant: st.Tenant, WindowMinutes: st.WindowMinutes, FromMinute: st.FromMinute, ToMinute: st.ToMinute,
+		Invocations: st.Invocations, Commercial: st.Commercial, Billed: st.Billed, Discount: st.Discount,
+	}
+	if st.Lines != nil {
+		m.Lines = make([]MapLine, 0, len(st.Lines))
+	}
+	for _, l := range st.Lines {
+		ml := MapLine{Window: l.Window, StartMinute: l.StartMinute, Invocations: l.Invocations, Commercial: l.Commercial, Billed: l.Billed}
+		if l.Bills != nil {
+			ml.Bills = make(map[string]float64, len(l.Bills))
+		}
+		for _, b := range l.Bills {
+			ml.Bills[b.Pricer] = b.Billed
+		}
+		m.Lines = append(m.Lines, ml)
+	}
+	return m
+}

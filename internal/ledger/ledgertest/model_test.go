@@ -248,13 +248,17 @@ func (m *model) Statement(tenant string, fromMinute, toMinute int) (ledger.State
 			continue
 		}
 		w := a.windows[widx]
+		bills := ledger.Bills{}
+		for _, pricer := range slices.Sorted(maps.Keys(w.bills)) {
+			bills = append(bills, ledger.Bill{Pricer: pricer, Billed: w.bills[pricer]})
+		}
 		st.Lines = append(st.Lines, ledger.Line{
 			Window:      widx,
 			StartMinute: first,
 			Invocations: w.invocations,
 			Commercial:  w.commercial,
 			Billed:      w.billed,
-			Bills:       maps.Clone(w.bills),
+			Bills:       bills,
 		})
 		st.Invocations += w.invocations
 		st.Commercial += w.commercial

@@ -227,7 +227,7 @@ func TestRestoreSnapshotFillsOmittedMaps(t *testing.T) {
 		if after, _ := standby.Summary(tenant); after.Invocations != before.Invocations+2 {
 			t.Errorf("tenant %q: invocations %d -> %d, want +2", tenant, before.Invocations, after.Invocations)
 		}
-		if st, _ := standby.Statement(tenant, 0, -1); len(st.Lines) != 1 || st.Lines[0].Bills["litmus"] != 2 {
+		if st, _ := standby.Statement(tenant, 0, -1); len(st.Lines) != 1 || st.Lines[0].Bills.Get("litmus") != 2 {
 			t.Errorf("tenant %q: statement %+v", tenant, st)
 		}
 	}

@@ -1,6 +1,8 @@
 package ledger
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -128,7 +130,8 @@ func (sh *shard) summary(tenant string) (Summary, bool) {
 	return summarize(tenant, a), true
 }
 
-// statement builds one tenant's windowed bill under the shard lock.
+// statement builds one tenant's windowed bill under the shard lock: one
+// array of lines, and one of bills that the lines share.
 func (sh *shard) statement(tenant string, fromMinute, toMinute, windowMinutes int) (Statement, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -142,34 +145,40 @@ func (sh *shard) statement(tenant string, fromMinute, toMinute, windowMinutes in
 		FromMinute:    fromMinute,
 		ToMinute:      toMinute,
 	}
-	widxs := make([]int, 0, len(a.Windows))
-	for widx := range a.Windows {
+	overlaps := func(widx int) bool {
 		start := widx * windowMinutes
 		end := start + windowMinutes - 1
-		if end < fromMinute || (toMinute >= 0 && start > toMinute) {
+		return end >= fromMinute && (toMinute < 0 || start <= toMinute)
+	}
+	lines, bills := 0, 0
+	for widx, w := range a.Windows {
+		if overlaps(widx) {
+			lines++
+			bills += len(w.Bills)
+		}
+	}
+	st.Lines = make([]Line, 0, lines)
+	all := make(Bills, 0, bills)
+	for widx, w := range a.Windows {
+		if !overlaps(widx) {
 			continue
 		}
-		widxs = append(widxs, widx)
-	}
-	sort.Ints(widxs)
-	st.Lines = make([]Line, 0, len(widxs))
-	for _, widx := range widxs {
-		w := a.Windows[widx]
-		bills := make(map[string]float64, len(w.Bills))
-		for _, b := range w.Bills {
-			bills[b.pricer] = b.billed
-		}
+		n := len(all)
+		all = append(all, w.Bills...)
 		st.Lines = append(st.Lines, Line{
 			Window:      widx,
 			StartMinute: widx * windowMinutes,
 			Invocations: w.Invocations,
 			Commercial:  w.Commercial,
 			Billed:      w.Billed,
-			Bills:       bills,
+			Bills:       all[n:len(all):len(all)],
 		})
-		st.Invocations += w.Invocations
-		st.Commercial += w.Commercial
-		st.Billed += w.Billed
+	}
+	slices.SortFunc(st.Lines, func(x, y Line) int { return cmp.Compare(x.Window, y.Window) })
+	for _, l := range st.Lines {
+		st.Invocations += l.Invocations
+		st.Commercial += l.Commercial
+		st.Billed += l.Billed
 	}
 	if st.Commercial > 0 {
 		st.Discount = 1 - st.Billed/st.Commercial

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -87,7 +86,7 @@ func (a *accountDoc) clone() *account {
 		if w != nil {
 			cw.Invocations, cw.Commercial, cw.Billed = w.Invocations, w.Commercial, w.Billed
 			if len(w.Bills) > 0 {
-				cw.Bills = make(pricerBills, 0, len(w.Bills))
+				cw.Bills = make(Bills, 0, len(w.Bills))
 			}
 			for pricer, v := range w.Bills {
 				cw.Bills.add(pricer, v)
@@ -302,9 +301,9 @@ func (sh *shard) encode(w *snapshotWriter) {
 						if i > 0 {
 							w.raw(",")
 						}
-						w.str(b.pricer)
+						w.str(b.Pricer)
 						w.raw(":")
-						w.float(b.billed)
+						w.float(b.Billed)
 					}
 					w.raw("}")
 				}
@@ -342,7 +341,7 @@ func (w *snapshotWriter) uint(v uint64) { w.buf = strconv.AppendUint(w.buf, v, 1
 // float writes f as encoding/json does; a value JSON cannot carry fails the
 // document instead.
 func (w *snapshotWriter) float(f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	if !jsonnum.Finite(f) {
 		if w.err == nil {
 			w.err = fmt.Errorf("%w %v", errSnapshotValue, f)
 		}

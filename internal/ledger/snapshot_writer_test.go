@@ -59,7 +59,7 @@ func docOf(a *account) *accountDoc {
 			wd.Bills = make(map[string]float64, len(w.Bills))
 		}
 		for _, b := range w.Bills {
-			wd.Bills[b.pricer] = b.billed
+			wd.Bills[b.Pricer] = b.Billed
 		}
 		d.Windows[widx] = wd
 	}

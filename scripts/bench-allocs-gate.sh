@@ -17,9 +17,9 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 # workload ceiling
 ceilings="
-frames_durable   0.427
-ndjson_admission 0.418
-cluster_routed   1.208
+frames_durable   0.345
+ndjson_admission 0.334
+cluster_routed   1.123
 "
 
 bound="$(jq -r '.end_to_end[] | select(.name == "allocs_per_record") | .bound' "$root/BENCHMARK.json")"
