@@ -353,7 +353,10 @@ func (r *UsageStreamResponse) AddError(line int, e Error) {
 }
 
 // TenantPage is one GET /v3/tenants page: summaries sorted by tenant name.
-// NextCursor, when non-empty, fetches the next page via ?cursor=.
+// NextCursor, when non-empty, fetches the next page via ?cursor=. A page
+// decoded from the listing's own bytes (ReadJSON) holds its names as
+// substrings of one copy of the body, so a page that is kept keeps the
+// whole body's bytes; copy the names out to keep a few of them alone.
 type TenantPage struct {
 	Tenants    []TenantSummary `json:"tenants"`
 	NextCursor string          `json:"nextCursor,omitempty"`

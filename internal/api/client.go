@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 )
@@ -116,9 +117,10 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 }
 
 // doRaw is the header-aware round trip behind do: it sends body verbatim
-// with the given headers, decodes a 2xx response into out (when non-nil),
-// surfaces structured service errors as *Error values, and returns the
-// response headers (ETag and friends) on success and on *Error failures.
+// with the given headers, decodes a 2xx response into out (when non-nil;
+// readAnswer, by hand for a page, a statement or a usage answer), surfaces
+// structured service errors as *Error values, and returns the response
+// headers (ETag and friends) on success and on *Error failures.
 func (c *Client) doRaw(ctx context.Context, method, path string, headers map[string]string, contentType string, body io.Reader, out any) (http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
@@ -137,8 +139,9 @@ func (c *Client) doRaw(ctx context.Context, method, path string, headers map[str
 		return nil, err
 	}
 	// Drain before closing: the transport only returns a connection to the
-	// idle pool when the body was read to EOF (json.Decoder stops at the
-	// value's end, leaving at least a trailing newline). Bounded, so a
+	// idle pool when the body was read to EOF, and readAnswer stops short of
+	// it when its decoder ends at the first value of a body longer than the
+	// pooled buffer (the error path reads a prefix only). Bounded, so a
 	// misbehaving server cannot pin the client on an endless body.
 	defer func() {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 256<<10))
@@ -168,14 +171,22 @@ func (c *Client) doRaw(ctx context.Context, method, path string, headers map[str
 	if out == nil {
 		return resp.Header, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := readAnswer(resp.Body, out); err != nil {
 		return resp.Header, fmt.Errorf("api: decoding response: %w", err)
 	}
 	return resp.Header, nil
 }
 
-// Health checks the service's liveness endpoint.
+// HealthProbeTimeout bounds every health probe: a service that accepts the
+// connection and never answers is reported down after this long instead of
+// hanging its caller.
+const HealthProbeTimeout = time.Second
+
+// Health checks the service's liveness endpoint, within HealthProbeTimeout
+// whatever ctx allows.
 func (c *Client) Health(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(ctx, HealthProbeTimeout)
+	defer cancel()
 	return c.Get(ctx, "/healthz", nil)
 }
 

@@ -71,7 +71,7 @@ func (c *Client) owner(tenant string) *api.Client {
 
 // Health probes every node at once (probeNodes); the cluster is healthy
 // only when all are. The error names the first node, in node order, that
-// failed its probe, and comes back within healthProbeTimeout even when a
+// failed its probe, and comes back within api.HealthProbeTimeout even when a
 // node accepts the connection and never answers.
 func (c *Client) Health(ctx context.Context) error {
 	for i, err := range c.probeNodes(ctx) {
@@ -83,9 +83,10 @@ func (c *Client) Health(ctx context.Context) error {
 }
 
 // probeNodes probes every node's /healthz at once, each under
-// healthProbeTimeout, and returns each node's error in node order (nil for
-// a healthy node): it takes as long as the slowest probe, never longer
-// than the timeout. Client.Health and the router's /healthz both read it.
+// api.HealthProbeTimeout (api.Client.Health's own deadline), and returns
+// each node's error in node order (nil for a healthy node): it takes as
+// long as the slowest probe, never longer than the timeout. Client.Health
+// and the router's /healthz both read it.
 func (c *Client) probeNodes(ctx context.Context) []error {
 	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
@@ -93,8 +94,6 @@ func (c *Client) probeNodes(ctx context.Context) []error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
-			defer cancel()
 			errs[i] = c.clients[n.Name].Health(ctx)
 		}()
 	}

@@ -23,6 +23,3 @@ func (c *Client) SetTransport(rt http.RoundTripper) {
 		nc.HTTPClient = &http.Client{Transport: rt}
 	}
 }
-
-// HealthProbeTimeout is how long the router's /healthz waits for one node.
-const HealthProbeTimeout = healthProbeTimeout

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -94,13 +93,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 
 // --- GET /healthz -------------------------------------------------------------
 
-// healthProbeTimeout bounds each node's health probe: a node that accepts
-// the connection and never answers is reported down after this long instead
-// of hanging the cluster's /healthz.
-const healthProbeTimeout = time.Second
-
 // RouterHealth is the router's /healthz body: the cluster is OK when every
-// node answers its own health probe within healthProbeTimeout.
+// node answers its own health probe within api.HealthProbeTimeout.
 type RouterHealth struct {
 	OK    bool         `json:"ok"`
 	Nodes []NodeHealth `json:"nodes"`
@@ -115,7 +109,7 @@ type NodeHealth struct {
 
 // handleHealth reports every node's probe (Client.probeNodes), so the
 // answer takes as long as the slowest probe, never longer than
-// healthProbeTimeout.
+// api.HealthProbeTimeout.
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	resp := RouterHealth{OK: true, Nodes: make([]NodeHealth, len(rt.client.nodes))}
 	for i, err := range rt.client.probeNodes(r.Context()) {

@@ -5,7 +5,10 @@
 // statement encoders), PlainString says when a string's bytes are its own
 // JSON (the NDJSON and statement encoders), SplitString finds a string token
 // that needs no unescaping, SplitNumber a number token, and ParseFloat reads
-// its bits (the NDJSON and bills decoders).
+// its bits (the NDJSON decoder). Cursor reads a whole value of one fixed
+// layout with them — literals, integers, floats, plain strings — for the
+// readers of the answers a client decodes: a tenant page, a statement and
+// its bills, a usage stream's accounting.
 package jsonnum
 
 import (

@@ -81,10 +81,13 @@ func (b Bills) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON reads what decoding into a fresh map[string]float64 reads —
 // a later duplicate pricer wins, null is nil Bills — and keeps it sorted.
 // An object without whitespace, escapes or numbers strconv refuses is read
-// here; anything else goes through that map, so every leniency and every
-// error stays encoding/json's.
+// here (billsReader); anything else goes through that map, so every
+// leniency and every error stays encoding/json's.
 func (b *Bills) UnmarshalJSON(data []byte) error {
-	if bills, ok := readBills(data); ok {
+	c := jsonnum.NewCursor(data)
+	// Every pricer is followed by a colon, so the colons bound the count.
+	r := billsReader{free: make(Bills, 0, bytes.Count(data, []byte{':'}))}
+	if bills := r.read(&c); c.Done() {
 		*b = bills
 		return nil
 	}
@@ -138,41 +141,59 @@ func (b Bills) appendJSON(dst []byte) ([]byte, bool) {
 	return append(dst, '}'), true
 }
 
-// readBills reads an object whose bytes are their own decoding: no
-// whitespace, keys of valid UTF-8 without escapes or control bytes,
-// JSON-grammar numbers strconv takes.
-func readBills(data []byte) (Bills, bool) {
-	if len(data) < 2 || data[0] != '{' {
-		return nil, false
+// billsReader is the one reader of bills objects whose bytes are their own
+// decoding: no whitespace, keys of valid UTF-8 without escapes or control
+// bytes, JSON-grammar numbers strconv takes. The objects one reader reads
+// share its arena, and a pricer name it has read before is not copied again.
+type billsReader struct {
+	// free is the arena's unused tail (length 0, never nil): the next object
+	// fills it from the front.
+	free Bills
+	// names interns the first pricer names read; a statement bills under one
+	// pricer or a few.
+	names [4]string
+	n     int
+}
+
+// read reads one object off c as a fresh map[string]float64 decodes it — a
+// later duplicate pricer wins — into Bills sorted by pricer, capped at
+// their length so an append to them cannot reach the next object's. It
+// fails c on anything else.
+func (r *billsReader) read(c *jsonnum.Cursor) Bills {
+	c.Lit("{")
+	bills := r.free[:0]
+	if c.OK() && !c.Is("}") {
+		for {
+			key := c.Str()
+			c.Lit(":")
+			v := c.Float()
+			if !c.OK() {
+				return nil
+			}
+			bills.set(r.intern(key), v)
+			if !c.Is(",") {
+				break
+			}
+		}
+		c.Lit("}")
 	}
-	// Every pricer is followed by a colon, so the colons bound the count.
-	bills := make(Bills, 0, bytes.Count(data, []byte{':'}))
-	rest := data[1:]
-	if rest[0] == '}' {
-		return bills, len(rest) == 1
+	n := len(bills)
+	r.free = bills[n:n]
+	return bills[:n:n]
+}
+
+func (r *billsReader) intern(name []byte) string {
+	for _, s := range r.names[:r.n] {
+		if s == string(name) {
+			return s
+		}
 	}
-	for {
-		key, after, ok := jsonnum.SplitString(rest)
-		if !ok || len(after) == 0 || after[0] != ':' {
-			return nil, false
-		}
-		num, after, _, ok := jsonnum.SplitNumber(after[1:])
-		if !ok || len(after) == 0 {
-			return nil, false
-		}
-		v, ok := jsonnum.ParseFloat(num)
-		if !ok {
-			return nil, false
-		}
-		bills.set(string(key), v)
-		switch {
-		case after[0] == '}':
-			return bills, len(after) == 1
-		case after[0] != ',' || len(after) == 1:
-			return nil, false
-		}
-		rest = after[1:]
+	s := string(name)
+	if r.n < len(r.names) {
+		r.names[r.n] = s
+		r.n++
 	}
+	return s
 }
 
 // Line is one statement window: the invocations billed in
@@ -259,4 +280,104 @@ func (st *Statement) AppendJSON(dst []byte) ([]byte, bool) {
 		dst = append(dst, '}')
 	}
 	return append(dst, "]}\n"...), true
+}
+
+// plainStatement is Statement without its methods: encoding/json's own
+// decoding of it.
+type plainStatement Statement
+
+// UnmarshalJSON reads the layout AppendJSON writes by hand (ReadJSON) and
+// hands anything else — whitespace, escapes, other key orders or spellings,
+// null, a receiver that already holds a statement — to encoding/json, so
+// every value and every error is the one encoding/json decodes.
+func (st *Statement) UnmarshalJSON(data []byte) error {
+	if st.ReadJSON(data) {
+		return nil
+	}
+	return jsonnum.Unalias[plainStatement, Statement](json.Unmarshal(data, (*plainStatement)(st)))
+}
+
+// ReadJSON decodes data into st, which must be the zero Statement, when data
+// is laid out as AppendJSON writes it (its newline aside): keys in that
+// order, no whitespace, strings that need no unescaping, numbers that fit
+// their fields. It reports whether it did; when it did not, st is
+// untouched. The lines share one array and their bills one arena, and a
+// pricer's name is one string however many lines bill it.
+func (st *Statement) ReadJSON(data []byte) bool {
+	if st.Tenant != "" || st.WindowMinutes != 0 || st.FromMinute != 0 || st.ToMinute != 0 || st.Invocations != 0 ||
+		st.Commercial != 0 || st.Billed != 0 || st.Discount != 0 || st.Lines != nil {
+		return false
+	}
+	c := jsonnum.NewCursor(data)
+	var s Statement
+	c.Lit(`{"tenant":`)
+	s.Tenant = string(c.Str())
+	c.Lit(`,"windowMinutes":`)
+	s.WindowMinutes = c.Int()
+	c.Lit(`,"fromMinute":`)
+	s.FromMinute = c.Int()
+	c.Lit(`,"toMinute":`)
+	s.ToMinute = c.Int()
+	c.Lit(`,"invocations":`)
+	s.Invocations = c.Int64()
+	c.Lit(`,"commercial":`)
+	s.Commercial = c.Float()
+	c.Lit(`,"billed":`)
+	s.Billed = c.Float()
+	c.Lit(`,"discount":`)
+	s.Discount = c.Float()
+	c.Lit(`,"lines":`)
+	if !c.Is("null") {
+		s.Lines = readLines(&c, data)
+	}
+	c.Lit("}")
+	if !c.Done() {
+		return false
+	}
+	*st = s
+	return true
+}
+
+// readLines reads a statement's lines array off c; data is the whole
+// statement, whose counts size the lines array and the bills arena.
+func readLines(c *jsonnum.Cursor, data []byte) []Line {
+	c.Lit("[")
+	if !c.OK() {
+		return nil
+	}
+	n := bytes.Count(data, []byte(`{"window":`))
+	lines := make([]Line, 0, n)
+	// A line holds six keys and the statement nine; every other colon
+	// follows a pricer (one inside a name only overcounts).
+	r := billsReader{free: make(Bills, 0, max(0, bytes.Count(data, []byte{':'})-9-6*n))}
+	if c.Is("]") {
+		return lines
+	}
+	for {
+		var l Line
+		c.Lit(`{"window":`)
+		l.Window = c.Int()
+		c.Lit(`,"startMinute":`)
+		l.StartMinute = c.Int()
+		c.Lit(`,"invocations":`)
+		l.Invocations = c.Int64()
+		c.Lit(`,"commercial":`)
+		l.Commercial = c.Float()
+		c.Lit(`,"billed":`)
+		l.Billed = c.Float()
+		c.Lit(`,"bills":`)
+		if !c.Is("null") {
+			l.Bills = r.read(c)
+		}
+		c.Lit("}")
+		if !c.OK() {
+			return nil
+		}
+		lines = append(lines, l)
+		if !c.Is(",") {
+			break
+		}
+	}
+	c.Lit("]")
+	return lines
 }

@@ -111,6 +111,39 @@ func checkBillsDecode(t *testing.T, data []byte) {
 	}
 }
 
+// plainStatement is ledger.Statement without its methods: what encoding/json
+// decodes a statement to on its own.
+type plainStatement ledger.Statement
+
+// checkStatementDecode holds a whole-statement decode to encoding/json's
+// decode of the same bytes into plainStatement: json.Unmarshal through
+// Statement.UnmarshalJSON yields the same value (under %#v: float bits, nil
+// vs empty) and the same error, plainStatement's name put back to
+// Statement's, and ReadJSON takes only bytes encoding/json decodes without
+// error, to the same value. wantFast says data is AppendJSON's output,
+// which ReadJSON must take.
+func checkStatementDecode(t *testing.T, data []byte, wantFast bool) {
+	t.Helper()
+	var ref plainStatement
+	refErr := json.Unmarshal(data, &ref)
+	want := fmt.Sprintf("%#v", ledger.Statement(ref))
+	wantErr := strings.ReplaceAll(errText(refErr), "ledger_test.plainStatement", "ledger.Statement")
+	wantErr = strings.ReplaceAll(wantErr, "plainStatement.", "Statement.")
+	var got ledger.Statement
+	err := json.Unmarshal(data, &got)
+	if g := fmt.Sprintf("%#v", got); g != want || errText(err) != wantErr {
+		t.Fatalf("%q decodes to\n%s, %v\nencoding/json decodes\n%s, %s", data, g, err, want, wantErr)
+	}
+	var fast ledger.Statement
+	if fast.ReadJSON(bytes.TrimSuffix(data, []byte("\n"))) {
+		if g := fmt.Sprintf("%#v", fast); refErr != nil || g != want {
+			t.Fatalf("ReadJSON took %q to\n%s\nencoding/json decodes\n%s, %v", data, g, want, refErr)
+		}
+	} else if wantFast {
+		t.Fatalf("ReadJSON declined AppendJSON's %q", data)
+	}
+}
+
 func errText(err error) string {
 	if err == nil {
 		return ""
@@ -211,11 +244,32 @@ func TestBillsUnmarshalJSON(t *testing.T) {
 	}
 }
 
+func TestStatementDecode(t *testing.T) {
+	for _, doc := range append(statementDocs, billsDocs...) {
+		checkStatementDecode(t, []byte(doc), false)
+	}
+}
+
+// statementDocs are whole statements in spellings encoding/json accepts or
+// refuses that AppendJSON never writes.
+var statementDocs = []string{
+	`{"tenant":"t","windowMinutes":1,"fromMinute":0,"toMinute":-1,"invocations":1,"commercial":1,"billed":1,"discount":0,"lines":[{"window":0,"startMinute":0,"invocations":1,"commercial":1,"billed":1,"bills":{"b":1,"a":2,"b":3}}]}`,
+	`{"tenant":"t","windowMinutes":1,"fromMinute":0,"toMinute":-1,"invocations":1,"commercial":1,"billed":1,"discount":0,"lines":[{"window":0,"startMinute":0,"invocations":1,"commercial":1,"billed":1,"bills":{ "a" : 1 }}]}`,
+	`{"tenant":"a\u003cb","windowMinutes":1,"fromMinute":0,"toMinute":-1,"invocations":1,"commercial":1,"billed":1,"discount":0,"lines":[]}`,
+	`{"tenant":"t","windowMinutes":1e3,"fromMinute":0,"toMinute":-1,"invocations":1,"commercial":1,"billed":1,"discount":0,"lines":[]}`,
+	`{"tenant":"t","windowMinutes":1,"fromMinute":0,"toMinute":-1,"invocations":9223372036854775808,"commercial":1,"billed":1,"discount":0,"lines":null}`,
+	`{"tenant":"t","windowMinutes":1,"fromMinute":0,"toMinute":-1,"invocations":1,"commercial":1,"billed":1,"discount":0,"lines":[]}{"tenant":"u"}`,
+	`{"Tenant":"t","LINES":[{"Window":3,"bills":{"x":1}}],"tenant":"u"}`, `{"tenant":"t","tenant":"u"}`, `null`, `[]`, `"t"`,
+	`{"tenant":"t","lines":[1]}`, `{"tenant":"t","lines":[{"window":"0"}]}`, `{"lines":[{"bills":[]}]}`, ` {"tenant":"t"}`,
+}
+
 // FuzzStatementJSON runs both halves of the statement's hand-written JSON
 // against encoding/json: a statement generated from the inputs through
 // checkStatementJSON — the tenant as given, pricers split from one string on
 // '|', amounts, line count (0–6) and pricers per line (0–4) drawn from seed
-// — and the raw bytes through checkBillsDecode.
+// — with what its two encoders write decoded back through
+// checkStatementDecode, and the raw bytes through checkBillsDecode and, as a
+// whole statement, checkStatementDecode.
 func FuzzStatementJSON(f *testing.F) {
 	f.Add("acme", "litmus", uint64(1), []byte(`{"litmus":1.5}`))
 	f.Add("acme", "commercial|litmus|poppa", uint64(2), []byte(`{"b":1,"a":2}`))
@@ -227,10 +281,20 @@ func FuzzStatementJSON(f *testing.F) {
 	for i, doc := range billsDocs {
 		f.Add("t", "litmus|commercial", uint64(100+i), []byte(doc))
 	}
+	for i, doc := range statementDocs {
+		f.Add("t", "litmus", uint64(200+i), []byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, tenant, pricers string, seed uint64, bills []byte) {
 		st := genStatement(tenant, strings.Split(pricers, "|"), seed)
 		checkStatementJSON(t, st)
+		if body, ok := st.AppendJSON(nil); ok {
+			checkStatementDecode(t, body, true)
+		}
+		if body, err := encodeJSON(st); err == nil {
+			checkStatementDecode(t, body, false)
+		}
 		checkBillsDecode(t, bills)
+		checkStatementDecode(t, bills, false)
 	})
 }
 

@@ -17,9 +17,9 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 # workload ceiling
 ceilings="
-frames_durable   0.345
-ndjson_admission 0.334
-cluster_routed   1.123
+frames_durable   0.290
+ndjson_admission 0.280
+cluster_routed   0.944
 "
 
 bound="$(jq -r '.end_to_end[] | select(.name == "allocs_per_record") | .bound' "$root/BENCHMARK.json")"
