@@ -195,10 +195,12 @@ type HealthResponse struct {
 	Accrued           uint64 `json:"accrued"`
 	DroppedAccruals   uint64 `json:"droppedAccruals"`
 	DuplicateAccruals uint64 `json:"duplicateAccruals"`
-	// IdempotencyKeys is the retained dedup-key count; KeysEvicted counts
-	// keys aged out (a retry of an evicted key bills again).
-	IdempotencyKeys int    `json:"idempotencyKeys"`
-	KeysEvicted     uint64 `json:"keysEvicted"`
+	// IdempotencyKeys is the retained dedup-key count and
+	// IdempotencyKeyBytes the bytes the windows hold them in; KeysEvicted
+	// counts keys aged out (a retry of an evicted key bills again).
+	IdempotencyKeys     int    `json:"idempotencyKeys"`
+	IdempotencyKeyBytes int    `json:"idempotencyKeyBytes"`
+	KeysEvicted         uint64 `json:"keysEvicted"`
 	// Shards is the ledger's lock-stripe count; ShardHealth reports each
 	// stripe's occupancy, so hot-tenant skew saturating one shard is
 	// visible even while the aggregate counters look healthy.

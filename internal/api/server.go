@@ -418,21 +418,22 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.ledger.Stats()
 	v := Version()
 	resp := HealthResponse{
-		OK:                true,
-		Standby:           s.ledger.Replica(),
-		Version:           &v,
-		UptimeSec:         int64(time.Since(s.start) / time.Second),
-		Tenants:           st.Tenants,
-		MaxTenants:        st.MaxTenants,
-		Accrued:           st.Accrued,
-		DroppedAccruals:   st.Dropped,
-		DuplicateAccruals: st.Duplicates,
-		IdempotencyKeys:   st.KeysTracked,
-		KeysEvicted:       st.KeysEvicted,
-		Shards:            len(st.Shards),
-		ShardHealth:       st.Shards,
-		TablesETag:        s.tablesETag(),
-		Requests:          s.metrics.requestHealth(),
+		OK:                  true,
+		Standby:             s.ledger.Replica(),
+		Version:             &v,
+		UptimeSec:           int64(time.Since(s.start) / time.Second),
+		Tenants:             st.Tenants,
+		MaxTenants:          st.MaxTenants,
+		Accrued:             st.Accrued,
+		DroppedAccruals:     st.Dropped,
+		DuplicateAccruals:   st.Duplicates,
+		IdempotencyKeys:     st.KeysTracked,
+		IdempotencyKeyBytes: st.KeyBytes,
+		KeysEvicted:         st.KeysEvicted,
+		Shards:              len(st.Shards),
+		ShardHealth:         st.Shards,
+		TablesETag:          s.tablesETag(),
+		Requests:            s.metrics.requestHealth(),
 	}
 	if d := s.ledger.Durability(); d.Enabled {
 		resp.Durability = &d

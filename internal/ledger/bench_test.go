@@ -272,7 +272,8 @@ func BenchmarkAccrueBatchDurable(b *testing.B) {
 // collector bills, 512-entry batches round-robin over 8 tenants, each record
 // under a fresh stream-style key. Each batch takes the next 8 of 64 tenants,
 // which span every shard, so the 16 MiB of index the windows hold together
-// is what a probe misses in, as on a node.
+// is what a probe misses in, as on a node. bytes/key is Stats' KeyBytes over
+// KeysTracked: what a remembered key costs the windows.
 func BenchmarkAccrueBatchKeyed(b *testing.B) {
 	const batchSize, perBatch = 512, 8
 	tenants := benchTenants(64)
@@ -331,7 +332,9 @@ func BenchmarkAccrueBatchKeyed(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/record")
-		b.ReportMetric(float64(l.Stats().KeysEvicted-before)/float64(b.N*batchSize), "evictions/record")
+		st := l.Stats()
+		b.ReportMetric(float64(st.KeysEvicted-before)/float64(b.N*batchSize), "evictions/record")
+		b.ReportMetric(float64(st.KeyBytes)/float64(st.KeysTracked), "bytes/key")
 	})
 }
 

@@ -60,7 +60,22 @@ func checkGolden(t *testing.T, l *ledger.Ledger, recovery *ledger.RecoveryStats)
 			t.Errorf("%s differs from the recorded state:\n got: %s\nwant: %s", key, got, compact.Bytes())
 		}
 	}
-	check("stats", l.Stats())
+	// KeyBytes is how the windows hold their keys, which a change of
+	// representation moves, and the recorded state predates it; the rest
+	// of the stats is compared as the recorded state decodes.
+	st := l.Stats()
+	st.KeyBytes = 0
+	for i := range st.Shards {
+		st.Shards[i].KeyBytes = 0
+	}
+	var recorded ledger.Stats
+	if err := json.Unmarshal(want["stats"], &recorded); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(st)
+	if w, _ := json.Marshal(recorded); !bytes.Equal(got, w) {
+		t.Errorf("stats differ from the recorded state:\n got: %s\nwant: %s", got, w)
+	}
 	tenants, _ := l.Tenants("", 1000)
 	check("tenants", tenants)
 	statements := map[string]ledger.Statement{}

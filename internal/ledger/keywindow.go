@@ -17,14 +17,21 @@ package ledger
 // closes). Every forgotten key is counted.
 //
 // Representation. Every key a window takes gets the next sequence number,
-// and its spelling is appended to the window's newest block: a block holds a
-// fixed number of keys as one []byte of spellings back to back, a []uint32
-// of end offsets and a []uint64 of hashes — no pointers, so the GC never
+// and its spelling is appended to the window's newest block, front-coded:
+// a block holds a fixed number of keys as one []byte in which each key is
+// the length of the prefix it shares with the key before it, the length of
+// the rest and the rest (two uvarints and the suffix), every 16th key a
+// restart point that shares nothing; a []uint32 of restart offsets; and a
+// []uint32 of the keys' index tags. There are no pointers, so the GC never
 // scans a key, and a block that has filled up is never written again.
 // Membership is one open-addressed, linear-probing index of 8-byte slots,
 // each a 32-bit tag from the key's hash beside the low 32 bits of its
-// sequence number; a slot's home is a function of its tag alone, so growing
-// and backward-shift deletion never read a key's bytes.
+// sequence number; a slot's home is a function of its tag alone, so growing,
+// backward-shift deletion and sweep never read a key's bytes. A spelling is
+// decoded only when a probe meets its tag — a duplicate, or a one-in-2³²
+// collision — by walking at most 16 keys from a restart point into a buffer
+// the window owns; the window also keeps its newest key's spelling, which
+// the next key's shared prefix is measured against.
 //
 // Forgetting is lazy. Forgetting the oldest key only advances the head
 // sequence number; its slot lingers, and a probe that meets a lingering
@@ -42,13 +49,17 @@ package ledger
 // chunk's keys back to back with touch, under the shard lock, so their cache
 // misses overlap; then, per record, seen decides Duplicate and record checks,
 // evicts and inserts, both walking a chain already in cache. A key costs its
-// spelling's bytes plus 4 B of end offset, 8 B of hash and, at the index's
-// load of ½, 16 B of slots; in time, one probe into the index and a 1/4096
-// share of its block's sweep — where a set of joined strings with a FIFO
-// beside it cost a 48 B string allocation, a map slot and a FIFO entry, and
-// one allocation per keyed record.
+// suffix's bytes plus 2 B of lengths, 4 B of tag, ¼ B of restart offset and,
+// at the index's load of ½, 16 B of slots; in time, one probe into the index
+// and a 1/4096 share of its block's sweep — where a set of joined strings
+// with a FIFO beside it cost a 48 B string allocation, a map slot and a FIFO
+// entry, and one allocation per keyed record. A block's data is sized by the
+// block before it and, once full, cloned to its length. Derived keys (a stream key,
+// '#', a line number) share most of their spelling with the key before
+// them, so a key's suffix is a few bytes of its line number.
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"iter"
 	"math/bits"
@@ -106,22 +117,60 @@ func (k windowKey) spells(sp []byte) bool {
 // zero, so a zero slot is an empty one.
 func tagOf(hash uint64) uint32 { return uint32(hash>>32) | 1 }
 
-// keyBlock holds up to a window's block size of keys, oldest first. Its
-// offsets are 32-bit because a block's spellings stay below 4 GiB: a key is
-// bounded by one WAL frame (1 MiB) and a block holds at most
-// 1<<maxBlockShift of them.
+// keyBlock holds up to a window's block size of keys, oldest first,
+// front-coded. Its offsets are 32-bit because a block's last restart point
+// sits below 4 GiB: a key is bounded by one WAL frame (1 MiB) and a block
+// holds at most 1<<maxBlockShift of them.
 type keyBlock struct {
-	spellings []byte
-	ends      []uint32 // key i is spellings[ends[i-1]:ends[i]] (from 0 for i = 0)
-	hashes    []uint64 // key i's hash, to find its slot when it is forgotten
+	// data is key i as uvarint(bytes shared with key i−1), uvarint(bytes
+	// not shared), the bytes not shared; a restart point shares nothing.
+	data     []byte
+	restarts []uint32 // restarts[r] is the offset of key r*restartEvery
+	tags     []uint32 // key i's tag, to find its slot when it is forgotten
 }
 
-func (b *keyBlock) spelling(i int) []byte {
-	start := uint32(0)
-	if i > 0 {
-		start = b.ends[i-1]
+// next decodes the key at data[off:] onto prev, the key before it (any
+// bytes at a restart point), and returns it with the next key's offset.
+// Both lengths are almost always below 128, one byte each.
+func (b *keyBlock) next(prev []byte, off int) ([]byte, int) {
+	shared, size := uint64(b.data[off]), uint64(b.data[off+1])
+	if shared|size < 0x80 {
+		off += 2
+	} else {
+		var n int
+		shared, n = binary.Uvarint(b.data[off:])
+		off += n
+		size, n = binary.Uvarint(b.data[off:])
+		off += n
 	}
-	return b.spellings[start:b.ends[i]]
+	end := off + int(size)
+	return append(prev[:shared], b.data[off:end]...), end
+}
+
+// decode returns key i's spelling, decoded into buf from the restart point
+// at or before it.
+func (b *keyBlock) decode(buf []byte, i int) []byte {
+	off := int(b.restarts[i/restartEvery])
+	for j := i &^ (restartEvery - 1); ; j++ {
+		buf, off = b.next(buf, off)
+		if j == i {
+			return buf
+		}
+	}
+}
+
+// sharedPrefix is the length of the longest common prefix of a and b.
+func sharedPrefix(a, b []byte) int {
+	n, i := min(len(a), len(b)), 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 const (
@@ -129,6 +178,9 @@ const (
 	// cost a keyed record under a thousandth of one; a smaller budget gets
 	// blocks of the next power of two at or above it.
 	maxBlockShift = 12
+	// restartEvery is how many keys lie between restart points: decoding
+	// a key walks at most this many.
+	restartEvery = 16
 	// minSlots is the index's size when a window is created or restored.
 	minSlots = 8
 	// maxBudget keeps the distance from base to any remembered key below
@@ -160,6 +212,9 @@ type keyWindow struct {
 	// It holds one slot per key from base on, forgotten ones included.
 	slots     []uint64
 	slotShift uint
+	// last is the newest key's spelling; buf is where seen decodes a
+	// spelling and insert builds one.
+	last, buf []byte
 }
 
 func newKeyWindow(budget int) keyWindow {
@@ -205,7 +260,7 @@ func (w *keyWindow) seen(k windowKey) bool {
 		}
 		// A forgotten key's slot lingers until its block's sweep; its
 		// distance from head wraps past every live key's.
-		if uint32(s>>32) == tag && uint32(s)-head < live && k.spells(w.spelling(uint32(s))) {
+		if uint32(s>>32) == tag && uint32(s)-head < live && k.spells(w.decode(uint32(s))) {
 			return true
 		}
 	}
@@ -257,9 +312,11 @@ type keyView struct {
 // bulk of its document, beside live ingest. That is safe because no byte a
 // view holds is ever rewritten: the view copies the block headers, each cut
 // at the keys its block held; record appends past those lengths (or to a
-// fresh array, which leaves the old one as it was) and to new blocks;
-// eviction only moves head, and its sweep writes the index and lets go of a
-// block; restore starts fresh blocks. Whoever changes the representation
+// fresh array, which leaves the old one as it was — as does the clone a
+// full block's data moves to) and to new blocks, and a view decodes into a
+// buffer of its own, never the window's last or buf; eviction only moves
+// head, and its sweep writes the index and lets go of a block; restore
+// starts fresh blocks. Whoever changes the representation
 // owes this method a copy or the same guarantee (keywindow_test.go holds it
 // to that under -race).
 //
@@ -272,24 +329,31 @@ func (w *keyWindow) snapshotView() keyView {
 func (v keyView) len() int {
 	n := -v.first
 	for i := range v.blocks {
-		n += len(v.blocks[i].ends)
+		n += len(v.blocks[i].tags)
 	}
 	return n
 }
 
-// all yields each key's spelling, oldest first. The slices are the blocks'
-// own bytes: valid for as long as the view, and never to be written.
+// all yields each key's spelling, oldest first, decoded into a buffer of
+// the iterator's own: a slice is valid until the next one is yielded, and
+// never to be written.
 func (v keyView) all() iter.Seq[[]byte] {
 	return func(yield func([]byte) bool) {
-		j := v.first
+		var buf []byte
+		first := v.first
 		for bi := range v.blocks {
 			b := &v.blocks[bi]
-			for ; j < len(b.ends); j++ {
-				if !yield(b.spelling(j)) {
+			j, off := first&^(restartEvery-1), 0
+			if j < len(b.tags) {
+				off = int(b.restarts[j/restartEvery])
+			}
+			for ; j < len(b.tags); j++ {
+				buf, off = b.next(buf, off)
+				if j >= first && !yield(buf) {
 					return
 				}
 			}
-			j = 0
+			first = 0
 		}
 	}
 }
@@ -304,14 +368,30 @@ func (w *keyWindow) len() int { return int(w.tail - w.head) }
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) evicted() uint64 { return w.head }
 
+// bytes is what the window holds its keys in: each block's data, restarts
+// and tags by capacity, and the index. It is Stats' KeyBytes, /healthz
+// idempotencyKeyBytes.
+//
+//litmus:guarded-by caller holds sh.mu
+func (w *keyWindow) bytes() int {
+	n := 8 * len(w.slots)
+	for i := range w.blocks {
+		b := &w.blocks[i]
+		n += cap(b.data) + 4*cap(b.restarts) + 4*cap(b.tags)
+	}
+	return n
+}
+
 // home is the slot a key with this tag probes first.
 func (w *keyWindow) home(tag uint32) uint64 { return uint64(tag) * fibonacci >> w.slotShift }
 
-// spelling returns the bytes of the remembered key whose sequence number
-// ends in low.
-func (w *keyWindow) spelling(low uint32) []byte {
+// decode returns the spelling of the key whose sequence number ends in
+// low, decoded into the window's buffer: valid until the next decode or
+// insert.
+func (w *keyWindow) decode(low uint32) []byte {
 	off := uint64(low - uint32(w.base)) // the key's distance from base
-	return w.blocks[off>>w.blockShift].spelling(int(off & (1<<w.blockShift - 1)))
+	w.buf = w.blocks[off>>w.blockShift].decode(w.buf, int(off&(1<<w.blockShift-1)))
+	return w.buf
 }
 
 // insert appends k, which seen found absent, as the newest key, in the
@@ -324,30 +404,44 @@ func (w *keyWindow) insert(k windowKey) {
 		w.blocks = append(w.blocks, w.newBlock())
 	}
 	b := &w.blocks[len(w.blocks)-1]
-	b.spellings = append(b.spellings, k.tenant...)
+	sp := append(w.buf[:0], k.tenant...)
 	if k.key != "" {
-		b.spellings = append(append(b.spellings, 0), k.key...)
+		sp = append(append(sp, 0), k.key...)
 	}
-	b.ends = append(b.ends, uint32(len(b.spellings)))
-	b.hashes = append(b.hashes, k.hash)
+	shared := 0
+	if len(b.tags)%restartEvery == 0 {
+		b.restarts = append(b.restarts, uint32(len(b.data)))
+	} else {
+		shared = sharedPrefix(w.last, sp)
+	}
+	b.data = binary.AppendUvarint(b.data, uint64(shared))
+	b.data = binary.AppendUvarint(b.data, uint64(len(sp)-shared))
+	b.data = append(b.data, sp[shared:]...)
+	w.last, w.buf = sp, w.last
 	tag := tagOf(k.hash)
+	b.tags = append(b.tags, tag)
+	if len(b.tags) == 1<<w.blockShift {
+		// The block is full and never written again: its data drops the
+		// slack newBlock gave it, at one copy per block.
+		b.data = slices.Clone(b.data)
+	}
 	w.slots[w.vacancy(tag)] = uint64(tag)<<32 | uint64(uint32(w.tail))
 	w.tail++
 }
 
-// newBlock sizes a block's offsets and hashes exactly and its spellings by
-// the block before it, so a block is three allocations. A window's first
-// block grows by append instead: a window that never fills one (a small
-// shard, a test's) costs what it holds.
+// newBlock sizes a block's restarts and tags exactly and its data by the
+// block before it, so a block is three allocations. A window's first block
+// grows by append instead: a window that never fills one (a small shard, a
+// test's) costs what it holds.
 func (w *keyWindow) newBlock() keyBlock {
 	if len(w.blocks) == 0 {
 		return keyBlock{}
 	}
-	n, last := 1<<w.blockShift, len(w.blocks[len(w.blocks)-1].spellings)
+	n, last := 1<<w.blockShift, len(w.blocks[len(w.blocks)-1].data)
 	return keyBlock{
-		spellings: make([]byte, 0, last+last/8),
-		ends:      make([]uint32, 0, n),
-		hashes:    make([]uint64, 0, n),
+		data:     make([]byte, 0, last+last/8),
+		restarts: make([]uint32, 0, (n+restartEvery-1)/restartEvery),
+		tags:     make([]uint32, 0, n),
 	}
 }
 
@@ -381,20 +475,20 @@ func (w *keyWindow) sweep() {
 	var counts [1<<maxBlockShift + 1]uint16
 	var order [1 << maxBlockShift]uint16
 	count := counts[:1<<bucketBits+1]
-	for _, h := range b.hashes {
-		count[w.home(tagOf(h))>>shift+1]++
+	for _, tag := range b.tags {
+		count[w.home(tag)>>shift+1]++
 	}
 	for i := 1; i < len(count); i++ {
 		count[i] += count[i-1]
 	}
-	for k, h := range b.hashes {
-		c := &count[w.home(tagOf(h))>>shift]
+	for k, tag := range b.tags {
+		c := &count[w.home(tag)>>shift]
 		order[*c] = uint16(k)
 		*c++
 	}
 	mask := uint64(len(w.slots) - 1)
-	for _, k := range order[:len(b.hashes)] {
-		tag := tagOf(b.hashes[k])
+	for _, k := range order[:len(b.tags)] {
+		tag := b.tags[k]
 		want := uint64(tag)<<32 | uint64(uint32(w.base)+uint32(k))
 		i := w.home(tag)
 		for w.slots[i] != want {

@@ -11,7 +11,9 @@ package ledger
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -440,11 +442,53 @@ func (w *refWindow) restore(keys []string, evicted uint64) {
 // Fuzz inputs name keys from a tiny alphabet, so keys repeat, collide on
 // their spelling and get evicted: the legacy pair ("a\x00b", "k") and
 // ("a", "b\x00k") spell one key, NULs sit inside keys, and the long keys put
-// a spelling on both sides of maphash's 128-byte chunk.
+// a spelling on both sides of maphash's 128-byte chunk. For front coding,
+// keys extend and truncate one another ("k", "k1", "k12"), a NUL sits where
+// one key's shared prefix ends ("k", "k\x00", "k\x001"), a key shares a
+// prefix of 128 bytes or more with the one before it, so a length takes two
+// uvarint bytes, and a byte from 128 up names one of 128 derived keys: the
+// stream prefix fuzzDerived, then a line number, enough to fill blocks of
+// 16 keys and more, across their restart points.
 var (
 	fuzzTenants = []string{"a", "a\x00b", "b", "ünï"}
-	fuzzKeys    = []string{"", "k", "b\x00k", "x\x00y", "\x00", "k2", strings.Repeat("r", 126), strings.Repeat("s", 140)}
+	fuzzKeys    = []string{
+		"", "k", "b\x00k", "x\x00y", "\x00", "k2", strings.Repeat("r", 126), strings.Repeat("s", 140),
+		"k1", "k12", "k\x00", "k\x001", fuzzDerived + "1", fuzzDerived + "12", strings.Repeat("s", 140) + "#1", strings.Repeat("r", 126) + "\x00",
+	}
+	fuzzDerived = "tenant-0042/stream-0123456789abcdef#"
 )
+
+// fuzzKey is the (tenant, key) pair a program byte names.
+func fuzzKey(b byte) (tenant, key string) {
+	tenant = fuzzTenants[int(b)%len(fuzzTenants)]
+	if b >= 128 {
+		return tenant, fuzzDerived + strconv.Itoa(int(b)-128)
+	}
+	return tenant, fuzzKeys[int(b)/len(fuzzTenants)%len(fuzzKeys)]
+}
+
+// fuzzProgram is a FuzzKeyWindow program at the given budget and mode that
+// records every derived key in order, holds a view open from the fifth key
+// on and another from the sixtieth, probes keys behind and ahead of the
+// window as it goes, and restores once from the window's own view: with a
+// budget of 40, 128 keys fill two blocks of 64, cross three restart points
+// in each and forget the first block while both views are open.
+func fuzzProgram(budget, mode byte) []byte {
+	prog := []byte{budget - 1, mode}
+	for i := 0; i < 128; i++ {
+		prog = append(prog, 0, byte(128+i))
+		switch i {
+		case 5, 60:
+			prog = append(prog, 5, 0)
+		case 90:
+			prog = append(prog, 3, 0)
+		}
+		if i%7 == 0 {
+			prog = append(prog, 2, byte(128+i/2), 2, byte(128+min(i+3, 127)))
+		}
+	}
+	return prog
+}
 
 // collidingTags are two distinct tags whose home is the last slot of every
 // index up to 1024 slots: keys carrying them share one probe chain, which
@@ -482,7 +526,7 @@ func collidingKey(tenant, key string) windowKey {
 // FuzzKeyWindow drives keyWindow and refWindow with one random program —
 // record, seen, restore from either window's view, views held across later
 // writes, len and evicted — and requires them to agree at every step. The
-// first byte picks the budget; the second picks the hash (maphash, or the
+// first byte picks the budget, 1 to 64; the second picks the hash (maphash, or the
 // colliding hand-picked ones: tag collisions, chains that wrap the table,
 // backward shift across the wrap) and whether the count of forgotten keys
 // starts just below 2³².
@@ -491,11 +535,16 @@ func FuzzKeyWindow(f *testing.F) {
 	f.Add([]byte{5, 1, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 1, 2, 0, 29, 0, 30, 0, 31, 3, 0, 0, 8, 0, 9})
 	f.Add([]byte{2, 3, 0, 6, 0, 26, 0, 30, 1, 6, 5, 0, 0, 7, 0, 11, 4, 0, 0, 15, 0, 19, 1, 26})
 	f.Add([]byte{12, 2, 0, 9, 0, 5, 0, 13, 0, 17, 0, 21, 0, 25, 0, 29, 0, 6, 0, 10, 0, 14, 0, 18, 5, 0, 0, 22, 0, 26, 0, 30, 1, 9, 3, 0})
+	f.Add([]byte{9, 0, 0, 4, 0, 32, 0, 36, 5, 0, 0, 40, 0, 44, 0, 60, 0, 48, 0, 52, 0, 56, 2, 32, 2, 36, 2, 40, 0, 28, 0, 24})
+	f.Add(fuzzProgram(40, 0))
+	f.Add(fuzzProgram(40, 1))
+	f.Add(fuzzProgram(16, 2))
+	f.Add(fuzzProgram(64, 3))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) < 2 {
 			return
 		}
-		budget := 1 + int(prog[0]%16)
+		budget := 1 + int(prog[0]%64)
 		collide := prog[1]&1 != 0
 		var start uint64
 		if prog[1]&2 != 0 {
@@ -505,9 +554,7 @@ func FuzzKeyWindow(f *testing.F) {
 		if collide {
 			name = collidingKey
 		}
-		key := func(b byte) windowKey {
-			return name(fuzzTenants[int(b)%len(fuzzTenants)], fuzzKeys[int(b)/len(fuzzTenants)%len(fuzzKeys)])
-		}
+		key := func(b byte) windowKey { return name(fuzzKey(b)) }
 		w, ref := newKeyWindow(budget), newRefWindow(budget)
 		w.restore(nil, start)
 		ref.restore(nil, start)
@@ -590,7 +637,7 @@ func assertIndexHolds(t *testing.T, label string, w *keyWindow) {
 
 // TestKeyWindowProductionBlocks runs a window at a budget whose blocks are
 // the 4096 keys a serving shard's are, so forgotten slots linger for up to
-// a block's worth of forgets (FuzzKeyWindow's budgets keep it below 16),
+// a block's worth of forgets (FuzzKeyWindow's budgets keep it at 64 or below),
 // against refWindow: five budgets of fresh keys, re-records of keys just
 // forgotten and of keys still remembered, seen on both sides of head just
 // before and just after every sweep, and a restore from snapshotView with
@@ -680,4 +727,88 @@ func TestKeyWindowIndexLoad(t *testing.T) {
 		}
 	}
 	assertIndexHolds(t, "after three budgets", w)
+}
+
+// windowBytesPerKey is what w holds per remembered key: keyWindow.bytes
+// (every block's data, restarts and tags by capacity, and the index) over
+// the keys it remembers.
+func windowBytesPerKey(w *keyWindow) float64 { return float64(w.bytes()) / float64(w.len()) }
+
+// fillProduction records keys from next into a window of one serving
+// shard's budget (64 Ki keys, 4096-key blocks) until it has forgotten two
+// budgets of them, so it holds what a node's shard holds in steady state,
+// and returns the window and the mean length of the spellings it took.
+func fillProduction(t *testing.T, next func() windowKey) (*keyWindow, float64) {
+	t.Helper()
+	w := windowOf(DefaultMaxKeys / DefaultShards)
+	if w.budget != 1<<16 || w.blockShift != maxBlockShift {
+		t.Fatalf("budget %d, blocks of %d keys; want 64 Ki and %d", w.budget, 1<<w.blockShift, 1<<maxBlockShift)
+	}
+	spelled, n := 0, 0
+	for w.evicted() < 2*uint64(w.budget) {
+		k := next()
+		w.record(k)
+		spelled += len(spelling(k))
+		n++
+	}
+	return w, float64(spelled) / float64(n)
+}
+
+// TestKeyWindowBytesPerKey pins what a remembered key costs, counted from
+// the window's own slices so no host or runtime enters the figure. Derived
+// keys are spelled as api.KeyArena spells them, <stream key>#<line>, over
+// the benchmark's traffic: 512-record streams round-robin over 8 of 4096
+// tenants, of which this window, one of DefaultShards, takes those its
+// shard owns. Random 36-byte keys under random tenants share nothing, which
+// is front coding's worst case; they may cost no more than the layout that
+// kept every spelling whole with a 4 B end offset, an 8 B hash and 16 B of
+// slots beside it.
+func TestKeyWindowBytesPerKey(t *testing.T) {
+	owner := &Ledger{shards: make([]*shard, DefaultShards)}
+	rng := rand.New(rand.NewPCG(1, 2))
+	t.Run("derived", func(t *testing.T) {
+		var pending []windowKey
+		stream := 0
+		w, spelled := fillProduction(t, func() windowKey {
+			for len(pending) == 0 {
+				stream++
+				var tenants [8]string
+				for i := range tenants {
+					tenants[i] = fmt.Sprintf("t%04d", rng.IntN(4096))
+				}
+				for line := 1; line <= 512; line++ {
+					if tenant := tenants[line%len(tenants)]; owner.shardIndex(tenant) == 0 {
+						pending = append(pending, nameKey(tenant, fmt.Sprintf("s1-%d#%d", stream, line)))
+					}
+				}
+			}
+			k := pending[0]
+			pending = pending[1:]
+			return k
+		})
+		const ceiling = 31 // bytes per key: 30.5 measured, 46.9 with whole spellings
+		got := windowBytesPerKey(w)
+		t.Logf("derived keys: %.1f B per key, spellings of %.1f B", got, spelled)
+		if got > ceiling {
+			t.Errorf("a derived key costs %.1f B, over the %d B ceiling", got, ceiling)
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		w, spelled := fillProduction(t, func() windowKey {
+			var tenant [8]byte
+			var key [36]byte
+			for i := range tenant {
+				tenant[i] = 'a' + byte(rng.IntN(26))
+			}
+			for i := range key {
+				key[i] = byte(rng.Uint32())
+			}
+			return nameKey(string(tenant[:]), string(key[:]))
+		})
+		got, ceiling := windowBytesPerKey(w), spelled+28
+		t.Logf("random keys: %.1f B per key, spellings of %.1f B", got, spelled)
+		if got > ceiling {
+			t.Errorf("a random key costs %.1f B, over the old layout's %.1f B", got, ceiling)
+		}
+	})
 }

@@ -770,9 +770,10 @@ func MergePages(parts [][]Summary, more bool, limit int) ([]Summary, string) {
 // ShardStats is one shard's occupancy snapshot.
 type ShardStats struct {
 	// Tenants is the shard's account count; KeysTracked its retained
-	// idempotency keys.
+	// idempotency keys and KeyBytes the bytes its window holds them in.
 	Tenants     int `json:"tenants"`
 	KeysTracked int `json:"keys"`
+	KeyBytes    int `json:"keyBytes"`
 }
 
 // Stats is the ledger's observability snapshot: saturation against the
@@ -792,6 +793,10 @@ type Stats struct {
 	// evicted key bills again — watch this counter).
 	KeysTracked int
 	KeysEvicted uint64
+	// KeyBytes is what the shards' idempotency windows hold their keys in:
+	// key blocks by capacity and index slots. It is representation, not
+	// billing state: two ledgers holding the same keys may differ in it.
+	KeyBytes int
 	// Shards holds each lock stripe's occupancy, so hot-tenant skew is
 	// visible per shard.
 	Shards []ShardStats
@@ -807,7 +812,7 @@ func (l *Ledger) Stats() Stats {
 	}
 	for i, sh := range l.shards {
 		sh.mu.Lock()
-		ss := ShardStats{Tenants: len(sh.accounts), KeysTracked: sh.dedup.len()}
+		ss := ShardStats{Tenants: len(sh.accounts), KeysTracked: sh.dedup.len(), KeyBytes: sh.dedup.bytes()}
 		st.Accrued += sh.accrued
 		st.Duplicates += sh.duplicates
 		st.Dropped += sh.dropped
@@ -816,6 +821,7 @@ func (l *Ledger) Stats() Stats {
 		st.Shards[i] = ss
 		st.Tenants += ss.Tenants
 		st.KeysTracked += ss.KeysTracked
+		st.KeyBytes += ss.KeyBytes
 	}
 	return st
 }

@@ -256,6 +256,7 @@ func DiffBills(a, b View) error {
 func diff(a, b View, strictCounters bool) error {
 	sa, sb := a.Stats(), b.Stats()
 	sa.Shards, sb.Shards = nil, nil
+	sa.KeyBytes, sb.KeyBytes = 0, 0 // how keys are held, not which
 	if !strictCounters {
 		sa.Accrued, sb.Accrued = 0, 0
 		sa.Duplicates, sb.Duplicates = 0, 0
