@@ -167,8 +167,8 @@ func main() {
 		log.Fatalf("pricingd: %v", err)
 	}
 	if d := srv.Durability(); d.Enabled {
-		log.Printf("pricingd: durable ledger at %s (fsync %s): recovered snapshot gen %d + %d WAL records (%d torn bytes truncated)",
-			d.Dir, d.Fsync, d.Recovery.SnapshotGen, d.Recovery.RecordsReplayed, d.Recovery.TornBytesTruncated)
+		log.Printf("pricingd: durable ledger at %s (fsync %s): recovered snapshot gen %d + %d WAL records (%d torn bytes truncated) in %.1f + %.1f ms",
+			d.Dir, d.Fsync, d.Recovery.SnapshotGen, d.Recovery.RecordsReplayed, d.Recovery.TornBytesTruncated, d.Recovery.SnapshotLoadMs, d.Recovery.WALReplayMs)
 	}
 	log.Printf("pricingd: serving on %s (tables: %d generators, share %d, ledger shards %d)",
 		*addr, len(cal.Generators), cal.SharePerCore, srv.Shards())

@@ -26,10 +26,10 @@ type durable struct {
 	snapMu      sync.Mutex
 	gen         uint64
 	lastSnapGen atomic.Uint64
-	// snapBuf is the snapshot writer's buffer, kept between snapshots
+	// snapW is the snapshot writer, its buffers kept between snapshots
 	// (guarded by snapMu). snapSink, nil outside tests, wraps the writer a
 	// snapshot streams into, so a test can fail the disk mid-document.
-	snapBuf  []byte
+	snapW    snapshotWriter
 	snapSink func(io.Writer) io.Writer
 
 	wals []*walFile
@@ -74,6 +74,10 @@ type RecoveryStats struct {
 	// write the crash interrupted.
 	TornSegments       int   `json:"tornSegments,omitempty"`
 	TornBytesTruncated int64 `json:"tornBytesTruncated,omitempty"`
+	// SnapshotLoadMs / WALReplayMs are New's time to ready: reading and
+	// decoding snapshots (skipped ones included), then replaying the WAL.
+	SnapshotLoadMs float64 `json:"snapshotLoadMs"`
+	WALReplayMs    float64 `json:"walReplayMs"`
 }
 
 // DurabilityStats is the durable store's observability snapshot.
@@ -237,11 +241,11 @@ func (l *Ledger) openDurable() error {
 	// --- latest valid snapshot -------------------------------------------
 	// With every snapshot invalid, SnapshotsSkipped ends at their count and
 	// Archive's full WAL history replays from empty.
+	start := time.Now()
 	for _, gen := range ls.snapshots {
 		data, err := os.ReadFile(snapshotPath(dir, gen))
-		var doc *snapshotDoc
 		if err == nil {
-			doc, err = parseSnapshot(data, snapshotName(gen), meta.Meta)
+			_, err = l.loadSnapshot(data, snapshotName(gen))
 		}
 		if err != nil {
 			// A committed snapshot should never be unreadable (it was
@@ -255,14 +259,15 @@ func (l *Ledger) openDurable() error {
 			d.recovery.SnapshotsSkipped++
 			continue
 		}
-		l.restore(doc)
 		d.gen = gen
 		d.recovery.SnapshotGen = gen
 		d.recovery.Recovered = true
 		break
 	}
+	d.recovery.SnapshotLoadMs = float64(time.Since(start)) / float64(time.Millisecond)
 
 	// --- WAL tail replay --------------------------------------------------
+	start = time.Now()
 	perShard := make(map[int][]SegmentInfo)
 	for _, seg := range ls.Segments {
 		if seg.Shard < 0 || seg.Shard >= len(l.shards) {
@@ -326,6 +331,7 @@ func (l *Ledger) openDurable() error {
 	// Make the freshly created segments' dirents durable before any record
 	// is acknowledged into them.
 	syncDir(dir)
+	d.recovery.WALReplayMs = float64(time.Since(start)) / float64(time.Millisecond)
 	d.lastSnapGen.Store(d.recovery.SnapshotGen)
 
 	l.dur = d

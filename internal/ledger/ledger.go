@@ -47,14 +47,13 @@
 //
 // The durable store has one description. Its shape is Meta (durable.go),
 // embedded in meta.json and in every snapshot document and served to
-// followers. Its state is the account and window types below, which the
-// snapshot document spells as accountDoc and windowDoc (snapshot.go, whose
-// clone is the one translation). Its directory is a Listing with one Find
+// followers. Its state is the account and window types below, whose JSON
+// tags are the snapshot document's spelling: recovery decodes a snapshot
+// straight into them (snapshot.go). Its directory is a Listing with one Find
 // verdict per segment (listing.go), which only the process owning the
 // directory reads; no segment path is kept in memory. And a ledger is
-// rebuilt from bytes — crash
-// recovery, a standby's bootstrap, a standby's WAL tail — through one
-// restore/replay pair (replica.go).
+// rebuilt from bytes — crash recovery, a standby's bootstrap, a standby's
+// WAL tail — through one restore/replay pair (replica.go).
 //
 // The ledger never prices anything. Callers quote through core.Pricer and
 // accrue the result, so aggregation cannot change a price.
@@ -207,21 +206,21 @@ func (o Outcome) String() string {
 
 // window accumulates one statement window of one account. A node holds one
 // per tenant per window for as long as it runs, so it is kept small: the
-// per-pricer bills are a sorted slice, not a map. The snapshot document
-// spells it as windowDoc; clone (snapshot.go) is the one translation.
+// per-pricer bills are a sorted slice, not a map. The tags are the snapshot
+// document's; its bills are the {"pricer":billed} object Bills reads.
 type window struct {
-	Invocations int64
-	Commercial  float64
-	Billed      float64
-	Bills       Bills
+	Invocations int64   `json:"invocations"`
+	Commercial  float64 `json:"commercial"`
+	Billed      float64 `json:"billed"`
+	Bills       Bills   `json:"bills,omitempty"`
 }
 
-// account accumulates one tenant; accountDoc is its snapshot spelling.
+// account accumulates one tenant, tagged as the snapshot document spells it.
 type account struct {
-	Invocations int64
-	Commercial  float64
-	Billed      float64
-	Windows     map[int]*window
+	Invocations int64           `json:"invocations"`
+	Commercial  float64         `json:"commercial"`
+	Billed      float64         `json:"billed"`
+	Windows     map[int]*window `json:"windows,omitempty"`
 }
 
 // Ledger is the concurrency-safe, lock-striped billing store. The zero

@@ -58,13 +58,14 @@ func (l *Ledger) Promote() bool {
 // longer, a replica.
 var errNotReplica = errors.New("ledger: replication input on a ledger that is not a replica (standbys are volatile ledgers from NewReplica, until Promote)")
 
-// restore replaces every shard's state with doc's, each under its own lock,
-// and recounts the tenant cap's occupancy from what was loaded.
-func (l *Ledger) restore(doc *snapshotDoc) {
+// restore replaces every shard's state with a decoded document's, one state
+// per shard in shard order, each under its own lock, and recounts the tenant
+// cap's occupancy from what was loaded.
+func (l *Ledger) restore(states []shardSnapshot) {
 	total := 0
 	for i, sh := range l.shards {
 		sh.mu.Lock()
-		sh.restoreFrom(doc.ShardStates[i])
+		sh.restoreFrom(states[i])
 		total += len(sh.accounts)
 		sh.mu.Unlock()
 	}
@@ -131,13 +132,9 @@ func (l *Ledger) RestoreSnapshot(data []byte) (uint64, error) {
 	if !l.replica.Load() {
 		return 0, errNotReplica
 	}
-	doc := &snapshotDoc{ShardStates: make([]shardSnapshot, len(l.shards))}
-	if data != nil {
-		var err error
-		if doc, err = parseSnapshot(data, "snapshot", l.meta()); err != nil {
-			return 0, err
-		}
+	if data == nil {
+		l.restore(make([]shardSnapshot, len(l.shards)))
+		return 0, nil
 	}
-	l.restore(doc)
-	return doc.Gen, nil
+	return l.loadSnapshot(data, "snapshot")
 }

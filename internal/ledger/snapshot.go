@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 
@@ -21,11 +22,12 @@ import (
 // representation that parses back to the identical bits, so a recovered
 // bill is byte-identical, not approximately equal.
 //
-// The document is read by reflection (parseSnapshot: cold, once per start
-// or bootstrap) and written by hand (Snapshot: every SnapshotEvery accruals,
-// beside live ingest) — snapshotDoc and shardSnapshot below are the schema
-// both sides follow, and the snapshot writer tests hold the writer to what
-// json.Marshal of them would decode to.
+// The document is read by reflection straight into live state (loadSnapshot:
+// cold, once per start or bootstrap) and written by hand, accounts by name
+// and windows by index (Snapshot: every SnapshotEvery accruals, beside live
+// ingest). snapshotDoc, shardSnapshot and the account and window tags are the
+// schema both sides follow; the writer tests hold the writer to a map-typed
+// copy of it.
 
 // snapshotHeader opens the document; the writer marshals it as declared, so
 // Meta's fields are still typed in one place.
@@ -51,53 +53,12 @@ type shardSnapshot struct {
 	// Keys is the idempotency window's key list, oldest first (keywindow.go
 	// owns the spelling), so recovery restores not just which keys dedup but
 	// which ones age out next.
-	Keys     []string               `json:"keys,omitempty"`
-	Accounts map[string]*accountDoc `json:"accounts,omitempty"`
+	Keys     []string            `json:"keys,omitempty"`
+	Accounts map[string]*account `json:"accounts,omitempty"`
 }
 
-// accountDoc is an account as the document spells it.
-type accountDoc struct {
-	Invocations int64              `json:"invocations"`
-	Commercial  float64            `json:"commercial"`
-	Billed      float64            `json:"billed"`
-	Windows     map[int]*windowDoc `json:"windows,omitempty"`
-}
-
-// windowDoc is a window as the document spells it: its bills are a JSON
-// object keyed by pricer.
-type windowDoc struct {
-	Invocations int64              `json:"invocations"`
-	Commercial  float64            `json:"commercial"`
-	Billed      float64            `json:"billed"`
-	Bills       map[string]float64 `json:"bills,omitempty"`
-}
-
-// clone builds live state from a decoded account. Its Windows map is never
-// nil, whatever the document left out (omitempty drops empty maps, and a
-// JSON null decodes to a nil account or window); a window's bills come out
-// sorted by pricer, as apply keeps them.
-func (a *accountDoc) clone() *account {
-	if a == nil {
-		a = &accountDoc{}
-	}
-	c := &account{Invocations: a.Invocations, Commercial: a.Commercial, Billed: a.Billed, Windows: make(map[int]*window, len(a.Windows))}
-	for widx, w := range a.Windows {
-		cw := &window{}
-		if w != nil {
-			cw.Invocations, cw.Commercial, cw.Billed = w.Invocations, w.Commercial, w.Billed
-			if len(w.Bills) > 0 {
-				cw.Bills = make(Bills, 0, len(w.Bills))
-			}
-			for pricer, v := range w.Bills {
-				cw.Bills.add(pricer, v)
-			}
-		}
-		c.Windows[widx] = cw
-	}
-	return c
-}
-
-// restoreFrom replaces the shard's state with a snapshot's; callers hold mu.
+// restoreFrom replaces the shard's state with a decoded snapshot's, adopting
+// its accounts as loadSnapshot left them. Callers hold mu.
 //
 //litmus:guarded-by caller holds sh.mu
 func (sh *shard) restoreFrom(ss shardSnapshot) {
@@ -105,34 +66,61 @@ func (sh *shard) restoreFrom(ss shardSnapshot) {
 	sh.duplicates = ss.Duplicates
 	sh.dropped = ss.Dropped
 	sh.dedup.restore(ss.Keys, ss.KeysEvicted)
-	sh.accounts = make(map[string]*account, len(ss.Accounts))
-	sh.names = sh.names[:0]
-	for name, a := range ss.Accounts {
-		sh.accounts[name] = a.clone()
-		sh.names = append(sh.names, name)
+	sh.accounts = ss.Accounts
+	if sh.accounts == nil {
+		sh.accounts = make(map[string]*account)
 	}
-	sort.Strings(sh.names)
+	sh.names = slices.Sorted(maps.Keys(sh.accounts))
 }
 
-// parseSnapshot decodes one snapshot document and validates it against the
-// ledger's shape; name labels errors (a file name, or the transfer source
-// when the bytes arrived over replication).
-func parseSnapshot(data []byte, name string, want Meta) (*snapshotDoc, error) {
+// loadSnapshot decodes one snapshot document, checks it against the ledger's
+// shape and each account against the shard its name hashes to, restores it
+// and returns its generation; a refused document changes nothing. name
+// labels errors (a file name, or the transfer source when the bytes arrived
+// over replication).
+func (l *Ledger) loadSnapshot(data []byte, name string) (uint64, error) {
 	var doc snapshotDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", name, err)
+		return 0, fmt.Errorf("parsing %s: %w", name, err)
 	}
 	if doc.Version != 1 {
-		return nil, fmt.Errorf("%s: unknown snapshot version %d", name, doc.Version)
+		return 0, fmt.Errorf("%s: unknown snapshot version %d", name, doc.Version)
 	}
-	if doc.Meta != want {
-		return nil, want.mismatch(name, doc.Meta)
+	if want := l.meta(); doc.Meta != want {
+		return 0, want.mismatch(name, doc.Meta)
 	}
-	if len(doc.ShardStates) != want.Shards {
-		return nil, fmt.Errorf("%s: snapshot holds %d shard states, its header says %d", name, len(doc.ShardStates), want.Shards)
+	if len(doc.ShardStates) != len(l.shards) {
+		return 0, fmt.Errorf("%s: snapshot holds %d shard states, its header says %d", name, len(doc.ShardStates), len(l.shards))
 	}
-	return &doc, nil
+	// Refuse an account no ledger could have written: unnamed (accrual
+	// requires a tenant), or in a shard its name does not hash to, where
+	// lookups would miss it and an accrual would open a second. Fill in what
+	// omitempty or a JSON null left out: an account, its windows, a window.
+	for i, ss := range doc.ShardStates {
+		for tenant, a := range ss.Accounts {
+			if tenant == "" || l.shardIndex(tenant) != uint32(i) {
+				return 0, fmt.Errorf("%s: shard %d, account %q: %w", name, i, tenant, errSnapshotAccount)
+			}
+			if a == nil {
+				a = &account{}
+				ss.Accounts[tenant] = a
+			}
+			if a.Windows == nil {
+				a.Windows = make(map[int]*window)
+			}
+			for widx, w := range a.Windows {
+				if w == nil {
+					a.Windows[widx] = &window{}
+				}
+			}
+		}
+	}
+	l.restore(doc.ShardStates)
+	return doc.Gen, nil
 }
+
+// errSnapshotAccount marks an account loadSnapshot refuses.
+var errSnapshotAccount = errors.New("account is unnamed or in a shard its name does not hash to")
 
 // Snapshot compacts the durable store: it streams every shard's state into
 // snapshot-<gen>.json.tmp, rotating each shard's WAL segment as it goes, and
@@ -169,15 +157,15 @@ func (l *Ledger) Snapshot() error {
 	d.sinceSnap.Store(0)
 
 	takenUnix := time.Now().Unix()
-	w := snapshotWriter{buf: d.snapBuf[:0]}
+	w := &d.snapW
+	w.buf, w.n, w.err = w.buf[:0], 0, nil
 	err := writeAtomic(snapshotPath(d.dir, gen), func(f io.Writer) error {
 		w.w = f
 		if d.snapSink != nil {
 			w.w = d.snapSink(f)
 		}
-		return l.streamSnapshot(&w, gen, takenUnix)
+		return l.streamSnapshot(w, gen, takenUnix)
 	})
-	d.snapBuf = w.buf
 	if err != nil {
 		if errors.Is(err, errSnapshotValue) {
 			return fmt.Errorf("ledger: encoding snapshot: %w", err)
@@ -250,7 +238,8 @@ func (l *Ledger) streamSnapshot(w *snapshotWriter, gen uint64, takenUnix int64) 
 // encode appends the shard's counters and accounts — everything but the key
 // FIFO, and without the closing brace — as the head of a shardSnapshot
 // object. Callers hold mu; this is the snapshot's whole hold on ingest, so
-// it walks the live maps once, in map order, and allocates nothing.
+// it walks the live state once, accounts by name and windows by index, and
+// allocates nothing once the writer's window scratch has grown.
 //
 //litmus:guarded-by caller holds sh.mu
 func (sh *shard) encode(w *snapshotWriter) {
@@ -266,12 +255,11 @@ func (sh *shard) encode(w *snapshotWriter) {
 		return
 	}
 	w.raw(`,"accounts":{`)
-	first := true
-	for name, a := range sh.accounts {
-		if !first {
+	for i, name := range sh.names {
+		if i > 0 {
 			w.raw(",")
 		}
-		first = false
+		a := sh.accounts[name]
 		w.str(name)
 		w.raw(`:{"invocations":`)
 		w.int(a.Invocations)
@@ -281,12 +269,17 @@ func (sh *shard) encode(w *snapshotWriter) {
 		w.float(a.Billed)
 		if len(a.Windows) > 0 {
 			w.raw(`,"windows":{`)
-			firstWindow := true
-			for widx, win := range a.Windows {
-				if !firstWindow {
+			idxs := w.windows[:0]
+			for widx := range a.Windows {
+				idxs = append(idxs, widx)
+			}
+			slices.Sort(idxs)
+			w.windows = idxs
+			for j, widx := range idxs {
+				if j > 0 {
 					w.raw(",")
 				}
-				firstWindow = false
+				win := a.Windows[widx]
 				w.raw(`"`)
 				w.int(int64(widx))
 				w.raw(`":{"invocations":`)
@@ -332,6 +325,8 @@ type snapshotWriter struct {
 	buf []byte
 	n   int64 // bytes written
 	err error
+	// windows is encode's scratch: one account's window indexes, in order.
+	windows []int
 }
 
 func (w *snapshotWriter) raw(s string)  { w.buf = append(w.buf, s...) }

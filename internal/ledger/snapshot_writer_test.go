@@ -2,8 +2,8 @@ package ledger
 
 // Tests for the streamed snapshot writer. The document is written by hand
 // from live state and read by reflection; the writer the hand-written one
-// replaced — capture every shard into a shardSnapshot, json.Marshal the
-// document — survives here, and only here, as the oracle.
+// replaced — capture every shard into a map-typed copy of the schema,
+// json.Marshal the document — survives here, and only here, as the oracle.
 
 import (
 	"bytes"
@@ -15,17 +15,48 @@ import (
 	"testing"
 )
 
+// oracleDoc is the snapshot document spelled with plain maps, sharing no
+// code with the writer or with Bills: a window's bills are a
+// map[string]float64.
+type oracleDoc struct {
+	snapshotHeader
+	ShardStates []oracleShard `json:"shardStates"`
+}
+
+type oracleShard struct {
+	Accrued     uint64                 `json:"accrued"`
+	Duplicates  uint64                 `json:"duplicates"`
+	Dropped     uint64                 `json:"dropped"`
+	KeysEvicted uint64                 `json:"keysEvicted"`
+	Keys        []string               `json:"keys,omitempty"`
+	Accounts    map[string]*accountDoc `json:"accounts,omitempty"`
+}
+
+type accountDoc struct {
+	Invocations int64              `json:"invocations"`
+	Commercial  float64            `json:"commercial"`
+	Billed      float64            `json:"billed"`
+	Windows     map[int]*windowDoc `json:"windows,omitempty"`
+}
+
+type windowDoc struct {
+	Invocations int64              `json:"invocations"`
+	Commercial  float64            `json:"commercial"`
+	Billed      float64            `json:"billed"`
+	Bills       map[string]float64 `json:"bills,omitempty"`
+}
+
 // oracleSnapshot is the pre-streaming writer: deep-copy each shard under its
 // lock, then reflect the whole document into one buffer.
 func oracleSnapshot(t *testing.T, l *Ledger, gen uint64) []byte {
 	t.Helper()
-	doc := snapshotDoc{
+	doc := oracleDoc{
 		snapshotHeader: snapshotHeader{Version: 1, Gen: gen, Meta: l.meta()},
-		ShardStates:    make([]shardSnapshot, len(l.shards)),
+		ShardStates:    make([]oracleShard, len(l.shards)),
 	}
 	for i, sh := range l.shards {
 		sh.mu.Lock()
-		ss := shardSnapshot{
+		ss := oracleShard{
 			Accrued:     sh.accrued,
 			Duplicates:  sh.duplicates,
 			Dropped:     sh.dropped,
@@ -46,8 +77,7 @@ func oracleSnapshot(t *testing.T, l *Ledger, gen uint64) []byte {
 	return data
 }
 
-// docOf spells a live account as the snapshot document does, the inverse
-// of clone.
+// docOf spells a live account as the oracle's document does.
 func docOf(a *account) *accountDoc {
 	d := &accountDoc{Invocations: a.Invocations, Commercial: a.Commercial, Billed: a.Billed}
 	if len(a.Windows) > 0 {
@@ -66,16 +96,14 @@ func docOf(a *account) *accountDoc {
 	return d
 }
 
-// restored parses a snapshot document and restores it into a fresh volatile
-// ledger of l's shape — what crash recovery and a standby's bootstrap do.
+// restored loads a snapshot document into a fresh volatile ledger of l's
+// shape — what crash recovery and a standby's bootstrap do.
 func restored(t *testing.T, l *Ledger, data []byte) *Ledger {
 	t.Helper()
-	doc, err := parseSnapshot(data, "snapshot", l.meta())
-	if err != nil {
-		t.Fatalf("parseSnapshot: %v\n%s", err, data)
-	}
 	r := mustNew(t, Config{Shards: len(l.shards), WindowMinutes: l.cfg.WindowMinutes, MaxKeys: l.cfg.MaxKeys, MaxTenants: l.cfg.MaxTenants})
-	r.restore(doc)
+	if _, err := r.loadSnapshot(data, "snapshot"); err != nil {
+		t.Fatalf("loadSnapshot: %v\n%s", err, data)
+	}
 	return r
 }
 
@@ -267,4 +295,51 @@ func TestSnapshotRefusesOverflowedTotal(t *testing.T) {
 	if _, err := os.Stat(snapshotPath(dir, 2) + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
+}
+
+// TestSnapshotBytesRoundTrip: a snapshot that New recovers and snapshots
+// again comes back byte for byte, shard states and all — equal states write
+// equal bytes, whatever order the maps behind them iterate in. Most tenants
+// bill a run of windows without gaps; "sparse" bills a few far apart.
+func TestSnapshotBytesRoundTrip(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Shards: 2, MaxKeys: 64, WindowMinutes: 1, Fsync: FsyncNever, SnapshotEvery: -1}
+	l := mustNew(t, cfg)
+	for i := range 300 {
+		accrue(t, l, Entry{
+			Tenant:     fmt.Sprintf("tenant-%d", i%17),
+			Pricer:     []string{"litmus", "commercial", "ideal"}[i%3],
+			Minute:     i / 17,
+			Commercial: 2,
+			Price:      float64(i) / 7,
+			Key:        fmt.Sprint("k", i),
+		})
+	}
+	for i, minute := range []int{0, 123456, 7, 1000, 99, 31, 1<<31 - 1} {
+		accrue(t, l, Entry{Tenant: "sparse", Pricer: "litmus", Minute: minute, Commercial: 1, Price: float64(i)})
+	}
+	first := snapshotStates(t, l)
+	mustClose(t, l)
+	r := mustNew(t, cfg)
+	defer mustClose(t, r)
+	if second := snapshotStates(t, r); !bytes.Equal(first, second) {
+		t.Fatalf("the recovered ledger's snapshot differs:\nfirst:  %s\nsecond: %s", first, second)
+	}
+}
+
+// snapshotStates snapshots l and returns the document from its shard states
+// on: everything but the header, whose generation and time always move.
+func snapshotStates(t *testing.T, l *Ledger) []byte {
+	t.Helper()
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snapshotPath(l.dur.dir, l.Durability().LastSnapshotGen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(`"shardStates":`))
+	if i < 0 {
+		t.Fatalf("no shard states in %s", data)
+	}
+	return data[i:]
 }

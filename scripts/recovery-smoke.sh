@@ -95,7 +95,7 @@ NDJSON
 echo "$replay" | grep -q '"duplicates":3' || { echo "replay double-billed: $replay" >&2; exit 1; }
 
 # field NAME prints the first numeric JSON field NAME of stdin (0 if none).
-field() { grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2 | grep . || echo 0; }
+field() { grep -o "\"$1\":[0-9.eE+-]*" | head -1 | cut -d: -f2 | grep . || echo 0; }
 
 echo "==> SIGKILL $pid; leg 2: a fresh data dir snapshotting every 2 accruals"
 kill -9 "$pid"
@@ -137,6 +137,7 @@ start -snapshot-every 2
 
 health=$(curl -fsS "http://$addr/healthz")
 [ "$(echo "$health" | field snapshotGen)" -ge 1 ] || { echo "recovery loaded no snapshot: $health" >&2; exit 1; }
+echo "==> time to ready: snapshot load $(echo "$health" | field snapshotLoadMs) ms + WAL replay $(echo "$health" | field walReplayMs) ms"
 stmt_after=$(curl -fsS "http://$addr/v3/tenants/acme/statement")
 tenants_after=$(curl -fsS "http://$addr/v3/tenants")
 if [ "$stmt_before" != "$stmt_after" ]; then
