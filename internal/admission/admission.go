@@ -57,12 +57,10 @@ type Config struct {
 	// Stats supplies the cumulative bills for price-aware mode.
 	Stats Stats
 
-	// Now is the clock; nil means time.Now. Tests inject a manual clock.
+	// Now is the clock; nil means time.Now and a background ticker ending
+	// each ForecastWindow. A caller that injects a clock also drives the
+	// window boundaries, by calling Tick: no ticker starts.
 	Now func() time.Time
-
-	// Manual disables the background ticker; tests drive window boundaries
-	// by calling Tick directly.
-	Manual bool
 }
 
 // headroom is the slack multiplied onto the forecast when sizing a refill
@@ -132,7 +130,8 @@ func New(cfg Config) *Controller {
 	if cfg.ForecastWindow <= 0 {
 		cfg.ForecastWindow = 2 * time.Second
 	}
-	if cfg.Now == nil {
+	manual := cfg.Now != nil
+	if !manual {
 		cfg.Now = time.Now
 	}
 	c := &Controller{
@@ -141,7 +140,7 @@ func New(cfg Config) *Controller {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	if cfg.Manual {
+	if manual {
 		close(c.done)
 	} else {
 		go c.run()

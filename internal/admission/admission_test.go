@@ -19,7 +19,6 @@ func newManual(t *testing.T, cfg Config) (*Controller, *manualClock) {
 	t.Helper()
 	clk := &manualClock{t: time.Unix(1_700_000_000, 0)}
 	cfg.Now = clk.now
-	cfg.Manual = true
 	c := New(cfg)
 	if c == nil {
 		t.Fatal("New returned nil for a positive rate")

@@ -38,7 +38,7 @@ func TestSqueezeAgainstRealLedgerAndRecovery(t *testing.T) {
 	c := admission.New(admission.Config{
 		Rate: 50, Burst: 100, ForecastWindow: time.Second, MinRate: 0.1,
 		Budget: 60, Stats: led,
-		Manual: true, Now: clk.now,
+		Now: clk.now,
 	})
 	if c == nil {
 		t.Fatal("New returned nil for a positive rate")

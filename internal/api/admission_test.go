@@ -30,7 +30,7 @@ func newAdmissionPair(t *testing.T, burst float64) (*Client, *admClock) {
 	t.Helper()
 	clk := &admClock{t: time.Unix(1_700_000_000, 0)}
 	ctrl := admission.New(admission.Config{
-		Rate: 0.0001, Burst: burst, Manual: true, Now: clk.now,
+		Rate: 0.0001, Burst: burst, Now: clk.now,
 	})
 	srv, err := New(Config{Calibration: apitest.Calibration(), Admission: ctrl})
 	if err != nil {
@@ -412,7 +412,7 @@ func TestAdmissionFlushGateMatchesPerRecordGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctrl := admission.New(admission.Config{Rate: rate, Burst: 1, Manual: true, Now: clk.now})
+		ctrl := admission.New(admission.Config{Rate: rate, Burst: 1, Now: clk.now})
 		srv, err := New(Config{Calibration: apitest.Calibration(), Ledger: led, Admission: ctrl})
 		if err != nil {
 			t.Fatal(err)

@@ -3,10 +3,10 @@ package api
 // The binary ingest wire format for POST /v3/usage: length-prefixed,
 // CRC-framed usage records, content-negotiated via Content-Type
 // (application/x-litmus-frames). It was added when NDJSON ingest was
-// decode-bound on encoding/json; with the schema's own NDJSON codec
-// (ndjson.go) the frame stream is ≈1.5× as fast to ingest as the same records
-// as NDJSON (BenchmarkUsageStreamBinary vs BenchmarkUsageStream, 186 vs 287 µs
-// per 512 records), well under half the bytes, and CRC-checked per record.
+// decode-bound on encoding/json; against the schema's own NDJSON codec
+// (ndjson.go) it is still faster to ingest (README's wire-format section
+// has the measurement), well under half the bytes, and CRC-checked per
+// record.
 // The frame decoder reuses one record, one probe and one string-intern table
 // across streams and carves keys from a KeyArena's shared chunks, so a warm
 // decode allocates nothing per record, keyed or not.
@@ -46,10 +46,6 @@ const (
 	usageFrameVersion = 1
 	frameFlagProbe    = 1 << 0
 )
-
-// ErrFrameTooLarge marks a frame whose declared payload length exceeds the
-// reader's limit; the stream cannot be resynced past it.
-var ErrFrameTooLarge = frame.ErrTooLarge
 
 // AppendUsageFrame appends rec's framed binary encoding to dst and returns
 // the extended slice.

@@ -17,6 +17,8 @@ import (
 	"io"
 	"net/http"
 	"sync"
+
+	"repro/internal/frame"
 )
 
 // RecordSource yields the records of one usage stream in stream order.
@@ -172,7 +174,7 @@ func (fs *frameSource) Next() (int, *UsageRecord, *Error, bool) {
 		return 0, nil, nil, false
 	}
 	// The frame past the byte cap is refused, and the stream ends at it.
-	if errors.Is(err, ErrFrameTooLarge) {
+	if errors.Is(err, frame.ErrTooLarge) {
 		fs.frame++
 		fs.streamErr = fmt.Sprintf("frame %d exceeds %d bytes", fs.frame, fs.fr.MaxPayload())
 		return fs.frame, nil, &Error{Status: http.StatusBadRequest, Message: fs.streamErr}, true

@@ -55,7 +55,7 @@ func TestWireGolden(t *testing.T) {
 	}
 	now := time.Unix(1_700_000_000, 0)
 	ctrl := admission.New(admission.Config{
-		Rate: 0.0001, Burst: 2, Budget: 1e-9, Stats: led, Manual: true,
+		Rate: 0.0001, Burst: 2, Budget: 1e-9, Stats: led,
 		Now: func() time.Time { return now },
 	})
 	srv, err := New(Config{Calibration: apitest.Calibration(), Ledger: led, Admission: ctrl})

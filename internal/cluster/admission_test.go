@@ -33,7 +33,7 @@ func (c *admClock) now() time.Time { return c.t }
 func newAdmissionNode(t *testing.T, clk *admClock, burst float64) *httptest.Server {
 	t.Helper()
 	ctrl := admission.New(admission.Config{
-		Rate: 0.0001, Burst: burst, Manual: true, Now: clk.now,
+		Rate: 0.0001, Burst: burst, Now: clk.now,
 	})
 	t.Cleanup(ctrl.Close)
 	srv, err := api.New(api.Config{

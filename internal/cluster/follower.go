@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/frame"
 	"repro/internal/ledger"
 )
 
@@ -233,16 +232,15 @@ func (f *Follower) tailAll(ctx context.Context) error {
 // tailShard pulls one shard's WAL frames forever: stream from the current
 // position, apply every complete frame, and move to the next segment when
 // the primary ends a stream with X-Wal-Next. It returns only on ctx
-// cancellation, errResync, or corrupt bytes (also errResync — the snapshot
+// cancellation, errResync, or damaged bytes (also errResync — the snapshot
 // is authority).
 func (f *Follower) tailShard(ctx context.Context, shard int) error {
-	var tail []byte // undecoded remainder of the current segment
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		pos := f.getPos(shard)
-		n, status, next, err := f.pullOnce(ctx, shard, pos, &tail)
+		n, status, next, err := f.pullOnce(ctx, shard, pos)
 		if err != nil && ctx.Err() == nil && !errors.Is(err, errResync) {
 			f.setErr(err)
 		}
@@ -254,11 +252,6 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 		case status == http.StatusGone:
 			return errResync
 		case next != 0:
-			// The primary read the sealed segment to its end, which is a
-			// frame boundary: leftover bytes are corruption.
-			if len(tail) != 0 {
-				return errResync
-			}
 			f.setPos(shard, tailPos{Seq: next})
 			continue
 		}
@@ -270,16 +263,19 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 	}
 }
 
-// pullOnce opens one /cluster/wal stream at pos and applies frames until the
-// stream ends, advancing the shard position as complete frames decode. It
-// returns the bytes consumed (applied), the HTTP status, and the seq the
-// stream's X-Wal-Next trailer names — 0 unless the stream ended cleanly
-// with one, which only a sealed segment read to its end does.
+// pullOnce opens one /cluster/wal stream at pos, a record boundary, and
+// applies its frames through ledger.ReadWAL, moving the shard position to
+// the end of each record it applies — so the next pull, and the offset the
+// primary records as acked, is always a record boundary. It returns the
+// bytes applied, the HTTP status, and the seq the stream's X-Wal-Next
+// trailer names — 0 unless the stream ended cleanly on a frame boundary
+// with one, which only a sealed segment read to its end does. A stream that
+// ends inside a frame is not an error: the next pull asks for that frame
+// again from its start.
 //
 //litmus:allow-accrue the WAL tail applies the primary's already-decided outcomes; nothing is re-priced
-func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[]byte) (consumed int64, status int, next uint64, err error) {
-	u := fmt.Sprintf("%s/cluster/wal?shard=%d&seq=%d&off=%d",
-		f.client.BaseURL, shard, pos.Seq, pos.Off+int64(len(*tail)))
+func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos) (applied int64, status int, next uint64, err error) {
+	u := fmt.Sprintf("%s/cluster/wal?shard=%d&seq=%d&off=%d", f.client.BaseURL, shard, pos.Seq, pos.Off)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return 0, 0, 0, err
@@ -293,41 +289,33 @@ func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos, tail *[
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
 		return 0, resp.StatusCode, 0, nil
 	}
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			*tail = append(*tail, buf[:n]...)
-			recs, used, derr := ledger.DecodeWAL(*tail)
-			for _, rec := range recs {
-				if aerr := f.led.ApplyReplica(rec); aerr != nil {
-					return consumed, resp.StatusCode, 0, fmt.Errorf("%w (apply: %v)", errResync, aerr)
-				}
-			}
-			if used > 0 {
-				*tail = append((*tail)[:0], (*tail)[used:]...)
-				consumed += used
-				f.setPos(shard, tailPos{Seq: pos.Seq, Off: pos.Off + consumed})
-			}
-			// A tail that merely ends inside a frame waits for the next
-			// read; any other verdict is damage more bytes cannot repair.
-			if derr != nil && !errors.Is(derr, frame.ErrShort) {
-				return consumed, resp.StatusCode, 0, fmt.Errorf("%w (decode: %v)", errResync, derr)
-			}
+	applied, err = ledger.ReadWAL(resp.Body, func(rec ledger.WALRecord, end int64) error {
+		if aerr := f.led.ApplyReplica(rec); aerr != nil {
+			return fmt.Errorf("%w (apply: %v)", errResync, aerr)
 		}
-		if rerr == io.EOF {
-			// Trailers are read with the body's EOF, and only then.
-			if v := resp.Trailer.Get(walNextTrailer); v != "" {
-				if next, err = strconv.ParseUint(v, 10, 64); err != nil || next <= pos.Seq {
-					return consumed, resp.StatusCode, 0, fmt.Errorf("cluster: wal stream shard %d: bad %s trailer %q", shard, walNextTrailer, v)
-				}
-			}
-			return consumed, resp.StatusCode, next, nil
-		}
-		if rerr != nil {
-			return consumed, resp.StatusCode, 0, fmt.Errorf("cluster: wal stream shard %d: %w", shard, rerr)
+		f.setPos(shard, tailPos{Seq: pos.Seq, Off: pos.Off + end})
+		return nil
+	})
+	// Trailers are read with the body's EOF, and only then.
+	trailer := resp.Trailer.Get(walNextTrailer)
+	switch {
+	case errors.Is(err, errResync):
+		return applied, resp.StatusCode, 0, err
+	case errors.Is(err, ledger.ErrWALDamaged),
+		errors.Is(err, io.ErrUnexpectedEOF) && trailer != "":
+		// Damage more bytes cannot repair — a sealed segment read to its
+		// end stops on a frame boundary, so a torn one is damaged too.
+		return applied, resp.StatusCode, 0, fmt.Errorf("%w (decode: %v)", errResync, err)
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return applied, resp.StatusCode, 0, nil
+	case err != nil:
+		return applied, resp.StatusCode, 0, fmt.Errorf("cluster: wal stream shard %d: %w", shard, err)
+	case trailer != "":
+		if next, err = strconv.ParseUint(trailer, 10, 64); err != nil || next <= pos.Seq {
+			return applied, resp.StatusCode, 0, fmt.Errorf("cluster: wal stream shard %d: bad %s trailer %q", shard, walNextTrailer, trailer)
 		}
 	}
+	return applied, resp.StatusCode, next, nil
 }
 
 // Promote is the whole promotion: it stops the tailers, waits until every

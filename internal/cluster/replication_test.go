@@ -8,6 +8,7 @@ package cluster_test
 // against a single-ledger oracle).
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -17,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -596,12 +598,13 @@ func TestFailoverEndToEnd(t *testing.T) {
 }
 
 // TestFollowerTailShortVersusCorrupt pins what the follower does with WAL
-// bytes it cannot decode yet, on the frame codec's own verdict: a tail that
-// ends inside a frame is kept and completed by the next pull, while a frame
-// that is all there and fails its CRC — or declares an impossible length —
-// cannot be repaired by more bytes and forces a re-bootstrap. The proxy
-// damages only each shard's first non-empty pull, so either way the standby
-// must end up identical to the primary.
+// bytes it cannot decode yet, on ledger.ReadWAL's verdict: a stream that
+// ends inside a frame is torn, and the next pull asks for that frame again
+// from its start, while a frame that is all there and fails its CRC — or
+// declares an impossible length — is damaged: more bytes cannot repair it,
+// and it forces a re-bootstrap. The proxy damages only each shard's first
+// non-empty pull, so either way the standby must end up identical to the
+// primary.
 func TestFollowerTailShortVersusCorrupt(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -666,6 +669,87 @@ func TestFollowerTailShortVersusCorrupt(t *testing.T) {
 				t.Errorf("snapshot fetched %d times (resync %v), want resync %v; status %+v", snapshots, resynced, c.resync, f.Status())
 			}
 		})
+	}
+}
+
+// TestFollowerPullsAtRecordBoundaries: every /cluster/wal offset a standby
+// requests is a record boundary of its segment, even after a pull that
+// ends mid-frame. The source records the requested offset as the standby's
+// acked position (/cluster/status ackedOff and lagBytes), so a request past
+// the records the standby applied would report it further along than it
+// is. The proxy cuts each shard's first non-empty pull 3 bytes short.
+func TestFollowerPullsAtRecordBoundaries(t *testing.T) {
+	led, ts := newPrimary(t, primaryCfg(t.TempDir()))
+	streamRecords(t, ts.URL, "run-A", testRecords(t, 16, 240))
+
+	type pull struct {
+		shard int
+		seq   uint64
+		off   int64
+	}
+	var mu sync.Mutex
+	var pulls []pull
+	cut := map[string]bool{}
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/cluster/wal" {
+			forward(w, r, ts.URL)
+			return
+		}
+		var p pull
+		if _, err := fmt.Sscanf(r.URL.RawQuery, "shard=%d&seq=%d&off=%d", &p.shard, &p.seq, &p.off); err != nil {
+			t.Errorf("unparsed pull %q: %v", r.URL.RawQuery, err)
+		}
+		resp, err := http.Get(ts.URL + r.URL.RequestURI())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		mu.Lock()
+		pulls = append(pulls, p)
+		if shard := r.URL.Query().Get("shard"); len(body) > 3 && !cut[shard] {
+			cut[shard] = true
+			body = body[:len(body)-3]
+		}
+		mu.Unlock()
+		w.WriteHeader(resp.StatusCode)
+		_, _ = w.Write(body)
+	}))
+	t.Cleanup(proxy.Close)
+
+	f, _ := newFollower(t, proxy.URL)
+	waitCaughtUp(t, f, led)
+	if err := ledgertest.Diff(led, f.Ledger()); err != nil {
+		t.Fatalf("standby diverged: %v", err)
+	}
+	list, err := ledger.ReadListing(led.Durability().Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundaries := map[pull]bool{}
+	for _, seg := range list.Segments {
+		boundaries[pull{seg.Shard, seg.Seq, 0}] = true
+		data, err := os.ReadFile(seg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ledger.ReadWAL(bytes.NewReader(data), func(_ ledger.WALRecord, end int64) error {
+			boundaries[pull{seg.Shard, seg.Seq, end}] = true
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", seg.Path, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(cut) == 0 {
+		t.Fatal("no WAL pull was cut")
+	}
+	for _, p := range pulls {
+		if !boundaries[p] {
+			t.Errorf("pull of shard %d seq %d asked for offset %d, inside a record", p.shard, p.seq, p.off)
+		}
 	}
 }
 

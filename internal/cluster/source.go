@@ -34,15 +34,18 @@ import (
 //	                        primary-side replication gauge)
 //
 // The WAL files are append-only and every frame is CRC-sealed, so serving
-// raw file bytes while the primary appends is safe: a reader can at worst
-// see a half-written final frame, which the follower's incremental decoder
-// treats as "not yet complete" and finishes on the next read. Nothing here
-// locks the ledger — replication rides entirely on the WAL's own framing.
+// raw file bytes while the primary appends is safe: a stream can at worst
+// end inside a half-written final frame. The follower walks each stream
+// with ledger.ReadWAL, applies only whole frames, and asks for a torn one
+// again, from its start, on the next pull. Nothing here locks the ledger —
+// replication rides entirely on the WAL's own framing.
 //
-// Acked offsets are inferred from the pull protocol itself: a follower
-// requesting (seq Q, off O) has durably applied everything before (Q, O),
-// so the last position requested of a listed segment is the replication
-// watermark — no explicit ack round-trip needed. A refused pull (404, 410)
+// Acked offsets are inferred from the pull protocol itself: a follower only
+// ever requests a record boundary (seq Q, off O), the end of the last
+// record it applied, so the last position requested of a listed segment is
+// what the standby holds in memory — no explicit ack round-trip needed. The
+// standby is volatile: the position says what it applied, not that it is
+// durable anywhere but in the primary's own WAL. A refused pull (404, 410)
 // is not a position.
 type Source struct {
 	//litmus:unguarded immutable after NewSource

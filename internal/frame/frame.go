@@ -7,8 +7,8 @@
 // where payloadLen counts the payload bytes and the CRC (IEEE) covers the
 // payload. What a payload means is its owner's schema (ledger.WALRecord,
 // api.UsageRecord); this package knows only where a frame starts and ends,
-// whether its bytes are intact, and — when they are not — whether more bytes
-// could still complete it (ErrShort) or it is damaged for good.
+// and what a frame header declares; Reader walks a stream of them and
+// Checksum lets the owner tell an intact payload from a damaged one.
 package frame
 
 import (
@@ -23,17 +23,10 @@ import (
 // HeaderLen is the byte length of the [payloadLen][crc32] frame header.
 const HeaderLen = 8
 
-// Split's verdicts on a frame it does not return.
-var (
-	// ErrShort: the bytes end inside the header or payload. A reader that
-	// can receive more bytes waits; one at end of input has a torn tail.
-	ErrShort = errors.New("short frame")
-	// ErrTooLarge: the header declares a payload over the caller's limit,
-	// so the length field cannot be trusted to find the next frame.
-	ErrTooLarge = errors.New("frame payload exceeds limit")
-	// ErrChecksum: the whole declared frame is present and its CRC fails.
-	ErrChecksum = errors.New("frame crc mismatch")
-)
+// ErrTooLarge marks a frame whose header declares a payload over the
+// reader's limit, so the length field cannot be trusted to find the next
+// frame.
+var ErrTooLarge = errors.New("frame payload exceeds limit")
 
 // Begin opens a frame at the end of dst: it appends the header placeholder
 // the payload is then appended after. Seal closes it.
@@ -52,27 +45,6 @@ func Seal(dst []byte, start int) []byte {
 
 // Checksum is the CRC a frame header carries for payload.
 func Checksum(payload []byte) uint32 { return crc32.ChecksumIEEE(payload) }
-
-// Split takes the first frame off b: its verified payload (aliasing b) and
-// the frame's total length. A frame it cannot return comes back as an error
-// wrapping ErrShort, ErrTooLarge or ErrChecksum, with size 0.
-func Split(b []byte, maxPayload int) (payload []byte, size int, err error) {
-	if len(b) < HeaderLen {
-		return nil, 0, fmt.Errorf("%w: %d header bytes", ErrShort, len(b))
-	}
-	length := binary.LittleEndian.Uint32(b)
-	if int64(length) > int64(maxPayload) {
-		return nil, 0, fmt.Errorf("%w: declares %d bytes (max %d)", ErrTooLarge, length, maxPayload)
-	}
-	if len(b)-HeaderLen < int(length) {
-		return nil, 0, fmt.Errorf("%w: %d of %d payload bytes", ErrShort, len(b)-HeaderLen, length)
-	}
-	payload = b[HeaderLen : HeaderLen+int(length)]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
-		return nil, 0, ErrChecksum
-	}
-	return payload, HeaderLen + int(length), nil
-}
 
 // Reader walks a stream frame by frame, reusing one payload buffer. Next's
 // result is valid until the following Next.
@@ -96,18 +68,21 @@ func NewReader(r io.Reader, maxPayload int64) *Reader {
 func (fr *Reader) MaxPayload() int { return fr.max }
 
 // Reset prepares the reader for a new stream, keeping its buffered window
-// and spill buffer (the usage frame source pools its reader — the 64KB
-// window is the ingest path's largest allocation). Reset(nil) detaches it.
+// and spill buffer (the usage frame source and ledger.ReadWAL pool their
+// readers — the 64KB window is the largest allocation of the ingest path and
+// of a WAL walk). Reset(nil) detaches it.
 func (fr *Reader) Reset(r io.Reader) {
 	fr.br.Reset(r)
 }
 
 // Next returns the next frame's payload and declared CRC. It returns io.EOF
-// at a clean frame boundary; an oversized declared length comes back
-// wrapping ErrTooLarge, and a torn header or payload as a descriptive
-// error — in both cases the stream cannot continue. The CRC is NOT verified
-// here: the caller compares it with Checksum(payload), so a corrupt payload
-// rejects one frame without desyncing the offset.
+// at a clean frame boundary. Any other error ends the stream, and is one of
+// three verdicts: a stream that ends inside a frame is torn ("torn frame
+// header/payload: …", wrapping io.ErrUnexpectedEOF); an oversized declared
+// length wraps ErrTooLarge; and a failed read wraps the reader's own
+// error. The CRC is NOT verified here: the caller compares it with
+// Checksum(payload), so a corrupt payload rejects one frame without
+// desyncing the offset.
 func (fr *Reader) Next() ([]byte, uint32, error) {
 	hdr, err := fr.br.Peek(HeaderLen)
 	if err != nil {
@@ -117,7 +92,7 @@ func (fr *Reader) Next() ([]byte, uint32, error) {
 			}
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, 0, fmt.Errorf("torn frame header: %v", err)
+		return nil, 0, fmt.Errorf("torn frame header: %w", err)
 	}
 	length := binary.LittleEndian.Uint32(hdr[:4])
 	crc := binary.LittleEndian.Uint32(hdr[4:])
@@ -137,7 +112,10 @@ func (fr *Reader) Next() ([]byte, uint32, error) {
 	}
 	buf := fr.buf[:length]
 	if _, err := io.ReadFull(fr.br, buf); err != nil {
-		return nil, 0, fmt.Errorf("torn frame payload: %v", err)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header was read: the frame is torn
+		}
+		return nil, 0, fmt.Errorf("torn frame payload: %w", err)
 	}
 	return buf, crc, nil
 }

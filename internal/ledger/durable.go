@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -284,31 +285,43 @@ func (l *Ledger) openDurable() error {
 		w := &walFile{shard: si, dir: dir, syncs: &d.syncs}
 		shardSegs := perShard[si] // already sorted by seq
 		for i, seg := range shardSegs {
-			recs, off, derr := DecodeWALFile(seg.Path)
-			if derr != nil {
-				if i != len(shardSegs)-1 {
-					// Only the final segment can legitimately be torn (a
-					// crash mid-append); damage below it means acknowledged
-					// history is gone.
-					return fmt.Errorf("ledger: segment %s is corrupt below the WAL tail: %v", seg.Path, derr)
-				}
+			f, err := os.Open(seg.Path)
+			if err != nil {
+				return fmt.Errorf("ledger: reading segment %s: %w", seg.Path, err)
+			}
+			var recs uint64
+			off, werr := ReadWAL(f, func(rec WALRecord, _ int64) error {
+				owner := l.shardFor(rec.Entry.Tenant)
+				owner.mu.Lock()
+				l.replay(owner, rec)
+				owner.mu.Unlock()
+				recs++
+				return nil
+			})
+			_ = f.Close() // read-only: nothing buffered to lose
+			switch {
+			case werr == nil:
+			case !errors.Is(werr, io.ErrUnexpectedEOF) && !errors.Is(werr, ErrWALDamaged):
+				// A failed read says nothing about the bytes on disk:
+				// truncating would erase acknowledged records.
+				return fmt.Errorf("ledger: reading segment %s: %w", seg.Path, werr)
+			case i != len(shardSegs)-1:
+				// Only the final segment can legitimately be torn (a crash
+				// mid-append); damage below it means acknowledged history
+				// is gone.
+				return fmt.Errorf("ledger: segment %s is corrupt below the WAL tail: %v", seg.Path, werr)
+			default:
 				if err := os.Truncate(seg.Path, off); err != nil {
 					return fmt.Errorf("ledger: truncating torn tail of %s: %w", seg.Path, err)
 				}
 				d.recovery.TornSegments++
 				d.recovery.TornBytesTruncated += seg.Size - off
 			}
-			for _, rec := range recs {
-				owner := l.shardFor(rec.Entry.Tenant)
-				owner.mu.Lock()
-				l.replay(owner, rec)
-				owner.mu.Unlock()
-			}
-			if len(recs) > 0 {
+			if recs > 0 {
 				d.recovery.Recovered = true
 			}
 			d.recovery.SegmentsReplayed++
-			d.recovery.RecordsReplayed += uint64(len(recs))
+			d.recovery.RecordsReplayed += recs
 			d.recovery.BytesReplayed += off
 		}
 		seq := d.gen

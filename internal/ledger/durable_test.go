@@ -192,6 +192,32 @@ func TestDurableTornTailTruncated(t *testing.T) {
 	assertSmall(t, r)
 }
 
+// TestDurableUnreadableSegmentRefused: a last segment recovery cannot read
+// is not a torn tail. New must fail naming it instead of truncating, which
+// would erase acknowledged records and report success. (A directory in the
+// segment's place is the read error a test can provoke; ReadWAL's own test
+// covers a read failing after any number of bytes.)
+func TestDurableUnreadableSegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, Shards: 1, Fsync: FsyncNever}
+	mustClose(t, mustNew(t, cfg))
+	seg := segmentPath(dir, 0, 0)
+	if err := os.Remove(seg); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(seg, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := New(cfg)
+	if err == nil {
+		mustClose(t, l)
+		t.Fatal("New recovered past an unreadable segment")
+	}
+	if !strings.Contains(err.Error(), "reading segment "+seg) {
+		t.Fatalf("New: %v; want a read error naming %s", err, seg)
+	}
+}
+
 func TestDurableMetaMismatchRefused(t *testing.T) {
 	dir := t.TempDir()
 	l := mustNew(t, Config{Dir: dir, Shards: 4})
@@ -345,7 +371,7 @@ func TestDurableArchiveKeepsHistory(t *testing.T) {
 	// Every record of history is decodable: 4 accruals + 1 duplicate.
 	total := 0
 	for _, seg := range segs {
-		recs, _, err := DecodeWALFile(seg.Path)
+		recs, _, err := ReadSegment(seg.Path)
 		if err != nil {
 			t.Fatalf("%s: %v", seg.Path, err)
 		}

@@ -108,7 +108,7 @@ func TestFailoverAtEveryReplicationOffset(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("want 1 segment for a 1-shard ledger, got %d", len(segs))
 	}
-	recs, _, err := ledger.DecodeWALFile(segs[0].Path)
+	recs, _, err := ledger.ReadSegment(segs[0].Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFailoverMultiShardCuts(t *testing.T) {
 	segs := listing.Segments
 	byShard := make([][]ledger.WALRecord, cfg.Shards)
 	for _, seg := range segs {
-		recs, _, derr := ledger.DecodeWALFile(seg.Path)
+		recs, _, derr := ledger.ReadSegment(seg.Path)
 		if derr != nil {
 			t.Fatal(derr)
 		}

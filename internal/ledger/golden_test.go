@@ -151,7 +151,7 @@ func TestBootstrapStandbyFromParentWrittenDirectory(t *testing.T) {
 	for _, seg := range ls.Segments {
 		// A follower applies each segment's longest valid prefix; the torn
 		// record was never acknowledged.
-		recs, _, derr := ledger.DecodeWALFile(seg.Path)
+		recs, _, derr := ledger.ReadSegment(seg.Path)
 		if derr != nil {
 			torn++
 		}

@@ -520,7 +520,7 @@ func TestGroupWriteConcurrent(t *testing.T) {
 			records := 0
 			var frame []byte
 			for _, seg := range segs { // (shard, seq) order
-				recs, _, err := DecodeWALFile(seg.Path)
+				recs, _, err := ReadSegment(seg.Path)
 				if err != nil {
 					t.Fatalf("%s does not decode whole: %v", seg.Path, err)
 				}

@@ -90,33 +90,26 @@ func CloneDirTruncated(src, dst string, truncate map[string]int64) error {
 // offsets (a kill mid-frame). The final boundary — the intact file — is
 // included, so the no-crash case rides along.
 func Offsets(path string, tornPerRecord int) ([]int64, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	recs, valid, derr := ledger.DecodeWAL(data)
-	if derr != nil {
-		return nil, fmt.Errorf("%s: not a clean log: %v", path, derr)
-	}
+	defer f.Close() //litmus:close-ok read-only; nothing buffered to lose
 	offsets := []int64{0}
 	prev := int64(0)
-	// Re-walk the boundaries by re-encoding each record: the encoding is
-	// canonical, so the frame sizes reproduce the file's layout.
-	var buf []byte
-	for _, rec := range recs {
-		buf = ledger.AppendWALRecord(buf[:0], rec)
-		next := prev + int64(len(buf))
+	_, err = ledger.ReadWAL(f, func(_ ledger.WALRecord, next int64) error {
 		for t := 1; t <= tornPerRecord; t++ {
-			cut := prev + int64(t)*int64(len(buf))/int64(tornPerRecord+1)
+			cut := prev + int64(t)*(next-prev)/int64(tornPerRecord+1)
 			if cut > prev && cut < next {
 				offsets = append(offsets, cut)
 			}
 		}
 		offsets = append(offsets, next)
 		prev = next
-	}
-	if prev != valid {
-		return nil, fmt.Errorf("%s: boundary walk ended at %d, file has %d valid bytes", path, prev, valid)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: not a clean log: %v", path, err)
 	}
 	return offsets, nil
 }

@@ -3,6 +3,7 @@ package ledgertest
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -16,6 +17,22 @@ func mustClose(t testing.TB, l *ledger.Ledger) {
 	if err := l.Close(); err != nil {
 		t.Errorf("ledger close: %v", err)
 	}
+}
+
+// readSegment reads one WAL segment's records through ledger.ReadWAL,
+// returning them with its verdict.
+func readSegment(path string) ([]ledger.WALRecord, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() //litmus:close-ok read-only; nothing buffered to lose
+	var recs []ledger.WALRecord
+	_, err = ledger.ReadWAL(f, func(rec ledger.WALRecord, _ int64) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, err
 }
 
 // crashStream is the workload behind the kill-at-every-offset tests: small
@@ -45,7 +62,7 @@ func oracleFromWAL(dir string, cfg ledger.Config) (*model, int, error) {
 	}
 	total := 0
 	for _, seg := range listing.Segments {
-		recs, _, _ := ledger.DecodeWALFile(seg.Path) // the torn tail, if any, was never acknowledged
+		recs, _ := readSegment(seg.Path) // the torn tail, if any, was never acknowledged
 		for i, rec := range recs {
 			got, err := oracle.accrue(rec.Entry)
 			if err != nil {
@@ -107,7 +124,7 @@ func TestKillAtEveryOffset(t *testing.T) {
 			}
 			clones := 0
 			for _, seg := range segs {
-				full, _, err := ledger.DecodeWALFile(seg.Path)
+				full, err := readSegment(seg.Path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +140,7 @@ func TestKillAtEveryOffset(t *testing.T) {
 					}
 					// The clone's surviving records must be a prefix of the
 					// shard's acknowledged sequence.
-					surv, _, _ := ledger.DecodeWALFile(filepath.Join(dst, name))
+					surv, _ := readSegment(filepath.Join(dst, name))
 					for i, rec := range surv {
 						if rec != full[i] {
 							t.Fatalf("%s cut %d: record %d is not the acknowledged prefix", name, cut, i)

@@ -25,7 +25,7 @@ func replayFrames(t *testing.T, dir string, standby *ledger.Ledger, fromSeq uint
 		if seg.Seq < fromSeq {
 			continue
 		}
-		recs, _, derr := ledger.DecodeWALFile(seg.Path)
+		recs, _, derr := ledger.ReadSegment(seg.Path)
 		if derr != nil {
 			t.Fatalf("decode %s: %v", seg.Path, derr)
 		}

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -75,8 +76,8 @@ type WALRecord struct {
 //	tenant uvarint-len+bytes | pricer uvarint-len+bytes | key uvarint-len+bytes
 //
 // A record whose frame runs past the file, whose CRC mismatches, or whose
-// payload does not parse exactly marks the torn/corrupt tail: it and
-// everything after it are discarded (and truncated on recovery).
+// payload does not parse exactly marks the torn/damaged tail: it and
+// everything after it are discarded (and truncated on recovery; see ReadWAL).
 const (
 	walVersion = 1
 	// maxWALPayload bounds a frame's declared payload length, so a corrupted
@@ -153,39 +154,54 @@ func decodeWALPayload(b []byte) (WALRecord, error) {
 	return rec, nil
 }
 
-// DecodeWAL scans framed records from data. It returns the records of the
-// longest valid prefix, the byte length of that prefix, and the error that
-// stopped the scan — nil when data ends exactly on a frame boundary, and
-// wrapping frame.ErrShort when data merely ends inside a frame (a tail more
-// bytes could complete; anything else is damage). It never panics on corrupt
-// or truncated input, and a record is only ever returned when its full
-// frame, CRC and payload parse — the decoder cannot invent an accrual from
-// damaged bytes.
-func DecodeWAL(data []byte) ([]WALRecord, int64, error) {
-	var recs []WALRecord
-	off := 0
-	for off < len(data) {
-		payload, size, err := frame.Split(data[off:], maxWALPayload)
-		if err != nil {
-			return recs, int64(off), fmt.Errorf("offset %d: %w", off, err)
+// ErrWALDamaged is ReadWAL's verdict on a frame that is all there yet cannot
+// be trusted: a declared length over the WAL's payload cap, a CRC mismatch,
+// or a payload that does not parse exactly. More bytes cannot repair it.
+var ErrWALDamaged = errors.New("damaged WAL frame")
+
+// walReaders pools ReadWAL's frame readers, whose 64 KiB window is the
+// walk's one real allocation, across segments and replication pulls.
+var walReaders = sync.Pool{New: func() any { return frame.NewReader(nil, maxWALPayload) }}
+
+// ReadWAL walks the framed records of r — a segment file, or a replication
+// stream of one from a record boundary — calling apply with each record and
+// the offset just past its frame. It returns the valid prefix (the end of
+// the last record applied) and the verdict that stopped the walk: nil at a
+// frame boundary at the end of r; torn, wrapping io.ErrUnexpectedEOF, when r
+// ends inside a frame; damaged, wrapping ErrWALDamaged; or, as returned,
+// the reader's own error or apply's. It never panics on corrupt or
+// truncated input, and a record reaches apply only when its full frame, CRC
+// and payload check — the walk cannot invent an accrual from damaged bytes.
+func ReadWAL(r io.Reader, apply func(rec WALRecord, end int64) error) (int64, error) {
+	fr := walReaders.Get().(*frame.Reader)
+	fr.Reset(r)
+	defer func() {
+		fr.Reset(nil) // a pooled reader must not pin r
+		walReaders.Put(fr)
+	}()
+	var off int64
+	for {
+		payload, crc, err := fr.Next()
+		switch {
+		case err == io.EOF:
+			return off, nil
+		case errors.Is(err, frame.ErrTooLarge):
+			return off, fmt.Errorf("%w at offset %d: %v", ErrWALDamaged, off, err)
+		case err != nil:
+			return off, fmt.Errorf("offset %d: %w", off, err)
+		case frame.Checksum(payload) != crc:
+			return off, fmt.Errorf("%w at offset %d: crc mismatch", ErrWALDamaged, off)
 		}
 		rec, err := decodeWALPayload(payload)
 		if err != nil {
-			return recs, int64(off), fmt.Errorf("corrupt record at offset %d: %v", off, err)
+			return off, fmt.Errorf("%w at offset %d: %v", ErrWALDamaged, off, err)
 		}
-		recs = append(recs, rec)
-		off += size
+		end := off + frame.HeaderLen + int64(len(payload))
+		if err := apply(rec, end); err != nil {
+			return off, err
+		}
+		off = end
 	}
-	return recs, int64(off), nil
-}
-
-// DecodeWALFile decodes one segment file (see DecodeWAL).
-func DecodeWALFile(path string) ([]WALRecord, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return DecodeWAL(data)
 }
 
 // walFile is one shard's append-only log. A record is in one of three
