@@ -38,11 +38,6 @@ type Config struct {
 	// back-to-back after an idle period. Default 2*Rate, floor 1.
 	Burst float64
 
-	// MinRate is the floor the forecaster (and the price-aware squeeze) can
-	// shrink a tenant's refill rate to. Default Rate/10, floor a tiny
-	// positive rate so Retry-After stays finite.
-	MinRate float64
-
 	// ForecastWindow is the observation-window width: arrivals are counted
 	// per window, and at each window boundary the forecaster re-sizes the
 	// refill rates. Default 2s.
@@ -62,6 +57,11 @@ type Config struct {
 	// window boundaries, by calling Tick: no ticker starts.
 	Now func() time.Time
 }
+
+// minRate is the floor the forecaster (and the price-aware squeeze) can
+// shrink a tenant's refill rate to: Rate/10, and never below a tiny positive
+// rate, so Retry-After stays finite.
+func (cfg *Config) minRate() float64 { return max(cfg.Rate/10, 1e-6) }
 
 // headroom is the slack multiplied onto the forecast when sizing a refill
 // rate, so a tenant tracking its own recent rate is not throttled by
@@ -120,12 +120,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.Burst < 1 {
 		cfg.Burst = 1
-	}
-	if cfg.MinRate <= 0 {
-		cfg.MinRate = cfg.Rate / 10
-	}
-	if cfg.MinRate < 1e-6 {
-		cfg.MinRate = 1e-6
 	}
 	if cfg.ForecastWindow <= 0 {
 		cfg.ForecastWindow = 2 * time.Second
@@ -205,10 +199,10 @@ func (c *Controller) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 // Tick closes one observation window: per tenant, record the window's
 // actual arrival rate, score the previous forecast, observe, forecast the
 // next window, and set the refill rate to forecast*(1+headroom) clamped to
-// [MinRate, Rate]. In price-aware mode tenants projected over Budget are
+// [Rate/10, Rate]. In price-aware mode tenants projected over Budget are
 // squeezed proportionally (Budget/projected) before the clamp floor.
 //
-// Tick also forgets a tenant that has not arrived for Burst/MinRate seconds
+// Tick also forgets a tenant that has not arrived for Burst/minRate seconds
 // and is not squeezed: at any refill the clamp allows, that long an idle
 // stretch has filled its bucket, so a fresh bucket decides the tenant's next
 // Burst records exactly as the kept one would, and the refill it had learned
@@ -219,7 +213,8 @@ func (c *Controller) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 // ledger's tenant cap bounds how many there can be).
 func (c *Controller) Tick() {
 	winSec := c.cfg.ForecastWindow.Seconds()
-	idleHorizonSec := c.cfg.Burst / c.cfg.MinRate
+	minRate := c.cfg.minRate()
+	idleHorizonSec := c.cfg.Burst / minRate
 	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -264,8 +259,8 @@ func (c *Controller) Tick() {
 				}
 			}
 		}
-		if target < c.cfg.MinRate {
-			target = c.cfg.MinRate
+		if target < minRate {
+			target = minRate
 		}
 		b.refill = target
 		if !b.squeezed && now.Sub(b.last).Seconds() >= idleHorizonSec {

@@ -75,10 +75,10 @@ func TestAllowRefills(t *testing.T) {
 
 // Tick re-sizes the refill rate from the forecast: a tenant arriving well
 // under the ceiling gets a refill near its own rate (plus headroom), never
-// the full ceiling; an idle stretch shrinks it to MinRate; and the refill
+// the full ceiling; an idle stretch shrinks it to the floor, Rate/10; and the refill
 // never exceeds Rate however fast the tenant arrives.
 func TestTickResizesRefill(t *testing.T) {
-	c, clk := newManual(t, Config{Rate: 100, Burst: 200, ForecastWindow: time.Second, MinRate: 1})
+	c, clk := newManual(t, Config{Rate: 100, Burst: 300, ForecastWindow: time.Second}) // idle horizon 30 s
 	// Two windows at 10 records/sec.
 	for w := 0; w < 2; w++ {
 		for i := 0; i < 10; i++ {
@@ -103,8 +103,8 @@ func TestTickResizesRefill(t *testing.T) {
 		clk.advance(time.Second)
 		c.Tick()
 	}
-	if f, _ = c.Forecast("t"); f.RefillPerSec != 1 {
-		t.Fatalf("refill after idle = %v, want MinRate 1", f.RefillPerSec)
+	if f, _ = c.Forecast("t"); f.RefillPerSec != 10 {
+		t.Fatalf("refill after idle = %v, want the floor Rate/10 = 10", f.RefillPerSec)
 	}
 	// A tenant arriving far over the ceiling is clamped to Rate.
 	for w := 0; w < 3; w++ {
@@ -135,7 +135,7 @@ func (s *fakeStats) Summary(tenant string) (ledger.Summary, bool) {
 func TestPriceAwareSqueeze(t *testing.T) {
 	stats := &fakeStats{billed: map[string]float64{"rich": 5, "poor": 90}}
 	c, clk := newManual(t, Config{
-		Rate: 100, Burst: 200, ForecastWindow: time.Second, MinRate: 0.5,
+		Rate: 100, Burst: 200, ForecastWindow: time.Second,
 		Budget: 100, Stats: stats,
 	})
 	tick := func() {
@@ -172,7 +172,7 @@ func TestPriceAwareSqueeze(t *testing.T) {
 	}
 }
 
-// Tick forgets tenants idle past Burst/MinRate seconds — a stream of unique
+// Tick forgets tenants idle past Burst/(Rate/10) seconds — a stream of unique
 // tenant names must not grow the map without bound — but not a tenant that
 // keeps arriving (its counters and learned refill survive) and not a
 // squeezed one (its low refill is the budget being enforced). The
@@ -180,7 +180,7 @@ func TestPriceAwareSqueeze(t *testing.T) {
 func TestTickForgetsIdleTenants(t *testing.T) {
 	stats := &fakeStats{billed: map[string]float64{"squeezed": 500}}
 	c, clk := newManual(t, Config{
-		Rate: 100, Burst: 20, ForecastWindow: time.Second, MinRate: 2, // idle horizon 10 s
+		Rate: 20, Burst: 20, ForecastWindow: time.Second, // idle horizon 20/2 = 10 s
 		Budget: 100, Stats: stats,
 	})
 	const oneShots = 10_000

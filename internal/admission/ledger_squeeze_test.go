@@ -36,7 +36,7 @@ func TestSqueezeAgainstRealLedgerAndRecovery(t *testing.T) {
 	}
 	clk := &manualClock{t: time.Unix(1_700_000_000, 0)}
 	c := admission.New(admission.Config{
-		Rate: 50, Burst: 100, ForecastWindow: time.Second, MinRate: 0.1,
+		Rate: 20, Burst: 100, ForecastWindow: time.Second, // floor 2, under the squeezed refill
 		Budget: 60, Stats: led,
 		Now: clk.now,
 	})

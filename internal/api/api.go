@@ -53,6 +53,11 @@
 // TenantPageLimit and UsageStreamResponse's refusal rule — is exported so
 // the cluster router, which speaks this same surface, answers with the
 // node's code rather than a re-spelling of it.
+//
+// Every request one pricingd process makes of another — the typed calls,
+// the router's forwards and proxy, a follower's snapshot and WAL pulls — is
+// one Client.Do round trip, and a refusal is read one way, ReadError's:
+// the error envelope when the body is one, otherwise its text as it came.
 package api
 
 import (

@@ -93,81 +93,83 @@ var defaultHTTPClient = &http.Client{Transport: DefaultTransport()}
 
 // Get performs GET path and decodes the 2xx JSON body into out (when
 // non-nil) — the round trip behind every typed read here, exported for
-// routes this package does not know (the follower's /cluster/*).
+// routes this package does not know (the follower's /cluster/meta).
 func (c *Client) Get(ctx context.Context, path string, out any) error {
-	return c.do(ctx, http.MethodGet, path, nil, out)
-}
-
-// do performs one round trip: marshals in (when non-nil), decodes a 2xx
-// response into out (when non-nil), and surfaces structured service errors
-// as *Error values.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	var contentType string
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("api: encoding request: %w", err)
-		}
-		body = bytes.NewReader(data)
-		contentType = "application/json"
-	}
-	_, err := c.doRaw(ctx, method, path, nil, contentType, body, out)
+	_, err := c.doRaw(ctx, http.MethodGet, path, nil, out)
 	return err
 }
 
-// doRaw is the header-aware round trip behind do: it sends body verbatim
-// with the given headers, decodes a 2xx response into out (when non-nil;
-// readAnswer, by hand for a page, a statement or a usage answer), surfaces
-// structured service errors as *Error values, and returns the response
-// headers (ETag and friends) on success and on *Error failures.
-func (c *Client) doRaw(ctx context.Context, method, path string, headers map[string]string, contentType string, body io.Reader, out any) (http.Header, error) {
+// Do performs one round trip, method on BaseURL+path (escaped, query
+// included) with body sent as it is and each header name, value pair that
+// has a value set, and returns the response whatever its status. Every
+// request one pricingd process makes of another goes through it. The
+// caller closes the body, or hands a non-2xx answer to ReadError.
+func (c *Client) Do(ctx context.Context, method, path string, body io.Reader, header ...string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
 		return nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	for k, v := range headers {
-		if v != "" {
-			req.Header.Set(k, v)
+	for i := 0; i+1 < len(header); i += 2 {
+		if header[i+1] != "" {
+			req.Header.Set(header[i], header[i+1])
 		}
 	}
-	resp, err := c.HTTPClient.Do(req)
+	return c.HTTPClient.Do(req)
+}
+
+// maxErrorBody bounds what ReadError reads of an answer, and then what it
+// drains: a misbehaving peer cannot pin the caller on an endless body.
+const maxErrorBody = 256 << 10
+
+// ReadError turns a non-2xx answer into an *Error: the service's envelope
+// when the body is one, otherwise the text as it came (a proxy's page, a
+// Source's refusal). It reads at most 256 KiB, drains as much again so the
+// connection goes back to the idle pool, and closes the body.
+func ReadError(resp *http.Response) *Error {
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+	drain(resp.Body)
+	var envelope errorEnvelope
+	if json.Unmarshal(data, &envelope) == nil && envelope.Err.Message != "" {
+		if envelope.Err.Status == 0 {
+			envelope.Err.Status = resp.StatusCode
+		}
+		return &envelope.Err
+	}
+	return &Error{Status: resp.StatusCode, Message: strings.TrimSpace(string(data))}
+}
+
+// drain reads what is left of body, bounded, and closes it: the transport
+// returns a connection to the idle pool only when its body was read to EOF.
+func drain(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxErrorBody))
+	body.Close()
+}
+
+// doRaw is the typed call: Do's round trip, a 2xx response decoded into out
+// (when non-nil; readAnswer, by hand for a page, a statement or a usage
+// answer), any other answer surfaced through ReadError, and the response
+// headers (ETag and friends) returned on success and on *Error failures.
+func (c *Client) doRaw(ctx context.Context, method, path string, body io.Reader, out any, header ...string) (http.Header, error) {
+	resp, err := c.Do(ctx, method, path, body, header...)
 	if err != nil {
 		return nil, err
 	}
-	// Drain before closing: the transport only returns a connection to the
-	// idle pool when the body was read to EOF, and readAnswer stops short of
-	// it when its decoder ends at the first value of a body longer than the
-	// pooled buffer (the error path reads a prefix only). Bounded, so a
-	// misbehaving server cannot pin the client on an endless body.
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 256<<10))
-		resp.Body.Close()
-	}()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 256<<10))
-		var envelope errorEnvelope
-		if json.Unmarshal(data, &envelope) == nil && envelope.Err.Message != "" {
-			if envelope.Err.Status == 0 {
-				envelope.Err.Status = resp.StatusCode
-			}
-			return resp.Header, &envelope.Err
-		}
+		apiErr := ReadError(resp)
 		// An all-throttled /v3/usage stream answers 429 with the full
 		// UsageStreamResponse as the body (not the error envelope). The
 		// service processed every record of it, so it is a delivery: the
 		// throttle is in the accounting (Throttled, RetryAfterSec).
 		if usr, ok := out.(*UsageStreamResponse); ok && resp.StatusCode == http.StatusTooManyRequests &&
-			json.Unmarshal(data, usr) == nil && usr.Lines > 0 {
+			json.Unmarshal([]byte(apiErr.Message), usr) == nil && usr.Lines > 0 {
 			return resp.Header, nil
 		}
-		// Not the service's envelope (a proxy's page, a torn body): surface
-		// the text as it came.
-		return resp.Header, &Error{Status: resp.StatusCode, Message: strings.TrimSpace(string(data))}
+		return resp.Header, apiErr
 	}
+	// Drained, not just closed: readAnswer stops short of EOF when its
+	// decoder ends at the first value of a body longer than the pooled
+	// buffer.
+	defer drain(resp.Body)
 	if out == nil {
 		return resp.Header, nil
 	}
@@ -193,7 +195,11 @@ func (c *Client) Health(ctx context.Context) error {
 // Quote prices one invocation (POST /v2/quote).
 func (c *Client) Quote(ctx context.Context, req QuoteRequest) (QuoteResponse, error) {
 	var resp QuoteResponse
-	err := c.do(ctx, http.MethodPost, "/v2/quote", req, &resp)
+	data, err := json.Marshal(req)
+	if err != nil {
+		return resp, fmt.Errorf("api: encoding request: %w", err)
+	}
+	_, err = c.doRaw(ctx, http.MethodPost, "/v2/quote", bytes.NewReader(data), &resp, "Content-Type", "application/json")
 	return resp, err
 }
 
@@ -266,8 +272,8 @@ func AppendUsageRecord(dst []byte, wire WireFormat, rec *UsageRecord) ([]byte, e
 // delivery rule is StreamUsage's.
 func (c *Client) StreamUsageBody(ctx context.Context, key, contentType string, body []byte) (UsageStreamResponse, error) {
 	var resp UsageStreamResponse
-	_, err := c.doRaw(ctx, http.MethodPost, "/v3/usage",
-		map[string]string{"Idempotency-Key": key}, contentType, bytes.NewReader(body), &resp)
+	_, err := c.doRaw(ctx, http.MethodPost, "/v3/usage", bytes.NewReader(body), &resp,
+		"Content-Type", contentType, "Idempotency-Key", key)
 	if err != nil {
 		return UsageStreamResponse{}, err
 	}
@@ -329,7 +335,7 @@ func (c *Client) Statement(ctx context.Context, tenant string, fromMinute, toMin
 // lost-update-safe read-modify-write.
 func (c *Client) TablesWithETag(ctx context.Context) (*core.Calibration, string, error) {
 	var cal core.Calibration
-	hdr, err := c.doRaw(ctx, http.MethodGet, "/v3/tables", nil, "", nil, &cal)
+	hdr, err := c.doRaw(ctx, http.MethodGet, "/v3/tables", nil, &cal)
 	if err != nil {
 		return nil, "", err
 	}
@@ -347,8 +353,8 @@ func (c *Client) SwapTablesIfMatch(ctx context.Context, cal *core.Calibration, i
 		return TablesStatus{}, "", fmt.Errorf("api: encoding tables: %w", err)
 	}
 	var status TablesStatus
-	hdr, err := c.doRaw(ctx, http.MethodPut, "/v3/tables",
-		map[string]string{"If-Match": ifMatch}, "application/json", bytes.NewReader(data), &status)
+	hdr, err := c.doRaw(ctx, http.MethodPut, "/v3/tables", bytes.NewReader(data), &status,
+		"Content-Type", "application/json", "If-Match", ifMatch)
 	etag := ""
 	if hdr != nil {
 		etag = hdr.Get("ETag")

@@ -3,11 +3,14 @@ package api
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/api/apitest"
@@ -278,6 +281,42 @@ func TestClientNonJSONErrorBody(t *testing.T) {
 				t.Errorf("message = %q", apiErr.Message)
 			}
 		})
+	}
+}
+
+// TestDoAndReadError: Do sets the header pairs that carry a value and
+// returns the answer whatever its status; ReadError keeps at most 256 KiB of
+// a refusal's text, and drains the rest of the body, so the next round trip
+// rides the same connection.
+func TestDoAndReadError(t *testing.T) {
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, sent := r.Header["If-Match"]; sent || r.Header.Get("Idempotency-Key") != "k1" {
+			http.Error(w, "headers "+fmt.Sprint(r.Header), http.StatusBadRequest)
+			return
+		}
+		http.Error(w, strings.Repeat("x", 300<<10), http.StatusServiceUnavailable)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	for i := 0; i < 3; i++ {
+		resp, err := c.Do(context.Background(), http.MethodGet, "/anything", nil, "Idempotency-Key", "k1", "If-Match", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		apiErr := ReadError(resp)
+		if apiErr.Status != http.StatusServiceUnavailable || apiErr.Message != strings.Repeat("x", 256<<10) {
+			t.Fatalf("ReadError = %d, %.40q (%d bytes); want 503 and the first 256 KiB", apiErr.Status, apiErr.Message, len(apiErr.Message))
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("3 refused round trips opened %d connections, want 1", n)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestServerRecoversLedger(t *testing.T) {
 	}
 
 	var health HealthResponse
-	if _, err := client2.doRaw(ctx, "GET", "/healthz", nil, "", nil, &health); err != nil {
+	if _, err := client2.doRaw(ctx, "GET", "/healthz", nil, &health); err != nil {
 		t.Fatal(err)
 	}
 	d := health.Durability
@@ -146,7 +146,7 @@ func TestHealthzVolatileOmitsDurability(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	var health HealthResponse
-	if _, err := NewClient(ts.URL).doRaw(context.Background(), "GET", "/healthz", nil, "", nil, &health); err != nil {
+	if _, err := NewClient(ts.URL).doRaw(context.Background(), "GET", "/healthz", nil, &health); err != nil {
 		t.Fatal(err)
 	}
 	if health.Durability != nil {

@@ -40,7 +40,7 @@ func TestHealthzRequestMetrics(t *testing.T) {
 	}
 
 	var h HealthResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
+	if err := c.Get(ctx, "/healthz", &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Requests == nil {
@@ -91,7 +91,7 @@ func TestHealthzRequestMetricsConcurrent(t *testing.T) {
 	wg.Wait()
 
 	var h HealthResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
+	if err := c.Get(ctx, "/healthz", &h); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Requests.Endpoints["/v2/quote"]; got.Requests != n || got.Errors != 0 {

@@ -97,7 +97,6 @@ type Server struct {
 	// every swap; it backs the /v3/tables ETag.
 	mu        sync.RWMutex
 	cal       *core.Calibration
-	models    *core.Models
 	pricers   map[string]core.Pricer
 	tablesGen uint64
 
@@ -173,7 +172,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		cal:       cfg.Calibration,
-		models:    models,
 		tablesGen: 1,
 		ledger:    led,
 		start:     time.Now(),
@@ -630,7 +628,6 @@ func (s *Server) swapTables(cal *core.Calibration, models *core.Models, ifMatch 
 		return s.etagLocked(), false
 	}
 	s.cal = cal
-	s.models = models
 	s.pricers = s.buildPricers(models)
 	s.tablesGen++
 	return s.etagLocked(), true

@@ -186,3 +186,43 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 	}
 	b.ReportMetric(float64(uint64(b.N)*want)/b.Elapsed().Seconds(), "records/s")
 }
+
+// BenchmarkFollowerBootstrap measures a standby's start from a primary that
+// holds a snapshot: each iteration bootstraps a fresh follower, which reads
+// the snapshot body and restores it, and tails nothing.
+func BenchmarkFollowerBootstrap(b *testing.B) {
+	dir := b.TempDir()
+	led, err := ledger.New(ledger.Config{
+		MaxTenants: 1 << 16, WindowMinutes: 2, MaxKeys: 1 << 16, Shards: 3,
+		Dir: dir, Fsync: ledger.FsyncNever, SnapshotEvery: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = led.Close() })
+	srv, err := api.New(api.Config{Calibration: apitest.Calibration(), Ledger: led})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(cluster.PrimaryHandler(srv, cluster.SourceConfig{}))
+	b.Cleanup(ts.Close)
+	if _, err := api.NewClient(ts.URL).StreamUsage(context.Background(), "bench", testRecords(b, 512, 16384)); err != nil {
+		b.Fatal(err)
+	}
+	if err := led.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	want := led.Stats().Accrued
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := cluster.NewFollower(ts.URL, cluster.FollowerConfig{})
+		if err := f.Bootstrap(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		if got := f.Ledger().Stats().Accrued; got != want {
+			b.Fatalf("standby holds %d records after bootstrap, want %d", got, want)
+		}
+	}
+}

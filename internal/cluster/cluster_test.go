@@ -750,6 +750,63 @@ func TestRouterProxyReusesConnections(t *testing.T) {
 	}
 }
 
+// TestRouterProxyRelaysRefusals: the router's proxy hands a node's refusal
+// back as the node wrote it — status, body bytes, ETag and Content-Type —
+// and carries the request's conditional headers to the node. The stub node
+// answers a statement read with a 404 envelope, and a tables read whose
+// If-Match is stale with a 412 in plain text.
+func TestRouterProxyRelaysRefusals(t *testing.T) {
+	type answer struct {
+		status            int
+		etag, ctype, body string
+	}
+	answers := map[string]answer{
+		"/v3/tenants/ghost/statement": {http.StatusNotFound, `"s3"`, "application/json",
+			`{"error":{"status":404,"message":"unknown tenant \"ghost\""}}` + "\n"},
+		"/v3/tables": {http.StatusPreconditionFailed, `"t8"`, "text/plain; charset=utf-8",
+			"table version mismatch: If-Match \"t7\" but current version is \"t8\"\n"},
+	}
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		a, ok := answers[r.URL.Path]
+		if !ok || (r.URL.Path == "/v3/tables" && r.Header.Get("If-Match") != `"t7"`) {
+			http.Error(w, "unscripted request "+r.URL.String(), http.StatusTeapot)
+			return
+		}
+		w.Header().Set("ETag", a.etag)
+		w.Header().Set("Content-Type", a.ctype)
+		w.WriteHeader(a.status)
+		_, _ = io.WriteString(w, a.body)
+	}))
+	t.Cleanup(node.Close)
+	cc, err := cluster.NewClient([]cluster.Node{{Name: "node0", URL: node.URL}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(cluster.NewRouter(cc, cluster.RouterConfig{}))
+	t.Cleanup(router.Close)
+
+	for path, want := range answers {
+		req, err := http.NewRequest(http.MethodGet, router.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("If-Match", `"t7"`)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := answer{resp.StatusCode, resp.Header.Get("ETag"), resp.Header.Get("Content-Type"), string(body)}
+		if got != want {
+			t.Errorf("GET %s through the router:\n got  %+v\n want %+v", path, got, want)
+		}
+	}
+}
+
 // checkErrorSurfaces asserts router and single-node error replies match.
 func checkErrorSurfaces(t *testing.T, routerURL, singleURL string) {
 	t.Helper()

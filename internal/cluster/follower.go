@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -64,10 +63,10 @@ type tailPos struct {
 // idempotent client replay (RunID#seq keys) that closes the unreplicated
 // tail.
 type Follower struct {
-	// client speaks to the primary. Its HTTPClient also carries the snapshot
-	// and WAL streams: api.DefaultTransport's idle pool holds a connection per
-	// shard tailer, and it sets no overall request Timeout, which would cut
-	// the long-lived tails short.
+	// client speaks to the primary: the meta read is its Get, the snapshot
+	// and WAL streams its Do. api.DefaultTransport's idle pool holds a
+	// connection per shard tailer, and the client sets no overall request
+	// Timeout, which would cut the long-lived tails short.
 	//
 	//litmus:unguarded immutable after NewFollower
 	client *api.Client
@@ -115,20 +114,17 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 }
 
 // resync (re)loads the standby from the primary's newest snapshot and
-// resets every shard's tail position to the snapshot generation. With no
-// snapshot yet, the standby restarts empty at generation 0. Callers must
-// ensure no tailer is applying concurrently.
+// resets every shard's tail position to the snapshot's generation, which the
+// document itself names. With no snapshot yet, the standby restarts empty at
+// generation 0. Callers must ensure no tailer is applying concurrently.
 func (f *Follower) resync(ctx context.Context) error {
-	data, gen, ok, err := f.fetchSnapshot(ctx)
+	data, err := f.fetchSnapshot(ctx)
 	if err != nil {
 		return err
 	}
-	if ok {
-		if _, err := f.led.RestoreSnapshot(data); err != nil {
-			return fmt.Errorf("cluster: restoring primary snapshot: %w", err)
-		}
-	} else if _, err := f.led.RestoreSnapshot(nil); err != nil {
-		return fmt.Errorf("cluster: resetting standby: %w", err)
+	gen, err := f.led.RestoreSnapshot(data)
+	if err != nil {
+		return fmt.Errorf("cluster: restoring primary snapshot: %w", err)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -139,38 +135,39 @@ func (f *Follower) resync(ctx context.Context) error {
 	return nil
 }
 
-// fetchSnapshot pulls the primary's newest snapshot; ok is false when the
-// primary has none yet.
-func (f *Follower) fetchSnapshot(ctx context.Context) (data []byte, gen uint64, ok bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.client.BaseURL+"/cluster/snapshot", nil)
+// maxPresize bounds the Content-Length fetchSnapshot sizes one buffer by: a
+// larger declared length (a damaged proxy's, say) is not trusted with one
+// allocation, and that body is read by growing.
+const maxPresize = 1 << 30
+
+// fetchSnapshot pulls the primary's newest snapshot document; nil when the
+// primary has none yet (404). A committed snapshot's length is known, and
+// the Source sends it, so the body is read into one buffer of that length
+// rather than grown by doubling; without the header it is grown.
+func (f *Follower) fetchSnapshot(ctx context.Context) ([]byte, error) {
+	resp, err := f.client.Do(ctx, http.MethodGet, "/cluster/snapshot", nil)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, fmt.Errorf("cluster: fetching snapshot: %w", err)
 	}
-	resp, err := f.client.HTTPClient.Do(req)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("cluster: fetching snapshot: %w", err)
+	if resp.StatusCode != http.StatusOK {
+		apiErr := api.ReadError(resp)
+		if resp.StatusCode == http.StatusNotFound {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("cluster: fetching snapshot: %w", apiErr)
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		return nil, 0, false, nil
-	case http.StatusOK:
-	default:
-		// The source puts its reason in the body; a capped slice of it.
-		reason := resp.Status
-		if msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512)); len(bytes.TrimSpace(msg)) > 0 {
-			reason += ": " + string(bytes.TrimSpace(msg))
-		}
-		return nil, 0, false, fmt.Errorf("cluster: fetching snapshot: %s", reason)
+	var data []byte
+	if resp.ContentLength >= 0 && resp.ContentLength <= maxPresize {
+		data = make([]byte, resp.ContentLength)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(resp.Body)
 	}
-	if _, err := fmt.Sscanf(resp.Header.Get("X-Snapshot-Gen"), "%d", &gen); err != nil {
-		return nil, 0, false, fmt.Errorf("cluster: snapshot response has no generation header")
-	}
-	data, err = io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("cluster: reading snapshot body: %w", err)
+		return nil, fmt.Errorf("cluster: reading snapshot body: %w", err)
 	}
-	return data, gen, true, nil
+	return data, nil
 }
 
 // Ledger returns the standby ledger (valid after Bootstrap).
@@ -200,6 +197,9 @@ func (f *Follower) Run(ctx context.Context) {
 		if errors.Is(err, errResync) {
 			if err = f.resync(ctx); err == nil {
 				continue
+			}
+			if ctx.Err() != nil {
+				return
 			}
 			f.setErr(err)
 		}
@@ -240,7 +240,7 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 			return ctx.Err()
 		}
 		pos := f.getPos(shard)
-		n, status, next, err := f.pullOnce(ctx, shard, pos)
+		n, next, err := f.pullOnce(ctx, shard, pos)
 		if err != nil && ctx.Err() == nil && !errors.Is(err, errResync) {
 			f.setErr(err)
 		}
@@ -248,8 +248,6 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 		case ctx.Err() != nil:
 			return ctx.Err()
 		case errors.Is(err, errResync):
-			return errResync
-		case status == http.StatusGone:
 			return errResync
 		case next != 0:
 			f.setPos(shard, tailPos{Seq: next})
@@ -267,28 +265,31 @@ func (f *Follower) tailShard(ctx context.Context, shard int) error {
 // applies its frames through ledger.ReadWAL, moving the shard position to
 // the end of each record it applies — so the next pull, and the offset the
 // primary records as acked, is always a record boundary. It returns the
-// bytes applied, the HTTP status, and the seq the stream's X-Wal-Next
-// trailer names — 0 unless the stream ended cleanly on a frame boundary
-// with one, which only a sealed segment read to its end does. A stream that
-// ends inside a frame is not an error: the next pull asks for that frame
-// again from its start.
+// bytes applied and the seq the stream's X-Wal-Next trailer names — 0
+// unless the stream ended cleanly on a frame boundary with one, which only
+// a sealed segment read to its end does. A stream that ends inside a frame
+// is not an error: the next pull asks for that frame again from its start.
+// Of the refusals, a 404 (a segment not created yet) is a quiet wait, a 410
+// (a position compacted away) is errResync, and any other is its *api.Error.
 //
 //litmus:allow-accrue the WAL tail applies the primary's already-decided outcomes; nothing is re-priced
-func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos) (applied int64, status int, next uint64, err error) {
-	u := fmt.Sprintf("%s/cluster/wal?shard=%d&seq=%d&off=%d", f.client.BaseURL, shard, pos.Seq, pos.Off)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos) (applied int64, next uint64, err error) {
+	path := fmt.Sprintf("/cluster/wal?shard=%d&seq=%d&off=%d", shard, pos.Seq, pos.Off)
+	resp, err := f.client.Do(ctx, http.MethodGet, path, nil)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, fmt.Errorf("cluster: pulling wal shard %d: %w", shard, err)
 	}
-	resp, err := f.client.HTTPClient.Do(req)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("cluster: pulling wal shard %d: %w", shard, err)
+	if resp.StatusCode != http.StatusOK {
+		apiErr := api.ReadError(resp)
+		switch resp.StatusCode {
+		case http.StatusNotFound:
+			return 0, 0, nil
+		case http.StatusGone:
+			return 0, 0, errResync
+		}
+		return 0, 0, fmt.Errorf("cluster: pulling wal shard %d: %w", shard, apiErr)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
-		return 0, resp.StatusCode, 0, nil
-	}
 	applied, err = ledger.ReadWAL(resp.Body, func(rec ledger.WALRecord, end int64) error {
 		if aerr := f.led.ApplyReplica(rec); aerr != nil {
 			return fmt.Errorf("%w (apply: %v)", errResync, aerr)
@@ -300,22 +301,22 @@ func (f *Follower) pullOnce(ctx context.Context, shard int, pos tailPos) (applie
 	trailer := resp.Trailer.Get(walNextTrailer)
 	switch {
 	case errors.Is(err, errResync):
-		return applied, resp.StatusCode, 0, err
+		return applied, 0, err
 	case errors.Is(err, ledger.ErrWALDamaged),
 		errors.Is(err, io.ErrUnexpectedEOF) && trailer != "":
 		// Damage more bytes cannot repair — a sealed segment read to its
 		// end stops on a frame boundary, so a torn one is damaged too.
-		return applied, resp.StatusCode, 0, fmt.Errorf("%w (decode: %v)", errResync, err)
+		return applied, 0, fmt.Errorf("%w (decode: %v)", errResync, err)
 	case errors.Is(err, io.ErrUnexpectedEOF):
-		return applied, resp.StatusCode, 0, nil
+		return applied, 0, nil
 	case err != nil:
-		return applied, resp.StatusCode, 0, fmt.Errorf("cluster: wal stream shard %d: %w", shard, err)
+		return applied, 0, fmt.Errorf("cluster: wal stream shard %d: %w", shard, err)
 	case trailer != "":
 		if next, err = strconv.ParseUint(trailer, 10, 64); err != nil || next <= pos.Seq {
-			return applied, resp.StatusCode, 0, fmt.Errorf("cluster: wal stream shard %d: bad %s trailer %q", shard, walNextTrailer, trailer)
+			return applied, 0, fmt.Errorf("cluster: wal stream shard %d: bad %s trailer %q", shard, walNextTrailer, trailer)
 		}
 	}
-	return applied, resp.StatusCode, next, nil
+	return applied, next, nil
 }
 
 // Promote is the whole promotion: it stops the tailers, waits until every

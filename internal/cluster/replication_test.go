@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,6 +301,118 @@ func TestRefusedPullLeavesStatusUnchanged(t *testing.T) {
 	}
 	if _, after := get("/cluster/status"); after == before || src.AckedShards() != 1 {
 		t.Errorf("a live pull went unnoted: %s, %d acked shards", after, src.AckedShards())
+	}
+}
+
+// TestFollowerRefusedPulls: what a follower decides on each refusal of its
+// primary, in the Source's plain-text bodies and in the API's error
+// envelope alike. The stub primary has no WAL to give: /cluster/wal answers
+// every pull with the scripted status.
+//
+//   - /cluster/snapshot: a 404 is "no snapshot yet" and Bootstrap starts an
+//     empty standby; any other refusal fails Bootstrap, naming the status
+//     and the primary's reason.
+//   - /cluster/wal: a 404 (a segment not created yet) is a quiet wait, a 410
+//     (a position compacted away) re-bootstraps, and a 503 is retried with
+//     the refusal in lastErr. A wait and a retry ask again at the same
+//     position and fetch no snapshot.
+func TestFollowerRefusedPulls(t *testing.T) {
+	const reason = "listing snapshots: disk on fire"
+	bodies := map[string]func(w http.ResponseWriter, status int){
+		"text":     func(w http.ResponseWriter, status int) { http.Error(w, reason, status) },
+		"envelope": func(w http.ResponseWriter, status int) { api.WriteError(w, status, "%s", reason) },
+	}
+	type stub struct {
+		url              string
+		snapshots, pulls *atomic.Int64
+		positions        *sync.Map
+	}
+	newStub := func(t *testing.T, body func(http.ResponseWriter, int), snapshot, wal int) stub {
+		st := stub{snapshots: new(atomic.Int64), pulls: new(atomic.Int64), positions: new(sync.Map)}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/cluster/meta":
+				api.WriteJSON(w, http.StatusOK, map[string]int{
+					"shards": 2, "windowMinutes": 1, "maxKeys": 16, "protocol": cluster.Protocol})
+			case "/cluster/snapshot":
+				st.snapshots.Add(1)
+				body(w, snapshot)
+			case "/cluster/wal":
+				st.pulls.Add(1)
+				st.positions.Store(r.URL.RawQuery, true)
+				body(w, wal)
+			default:
+				http.NotFound(w, r)
+			}
+		}))
+		t.Cleanup(ts.Close)
+		st.url = ts.URL
+		return st
+	}
+
+	for kind, body := range bodies {
+		for _, status := range []int{http.StatusGone, http.StatusServiceUnavailable} {
+			t.Run(fmt.Sprintf("snapshot %d %s", status, kind), func(t *testing.T) {
+				st := newStub(t, body, status, http.StatusNotFound)
+				f := cluster.NewFollower(st.url, cluster.FollowerConfig{Poll: 2 * time.Millisecond})
+				err := f.Bootstrap(context.Background())
+				var apiErr *api.Error
+				if !errors.As(err, &apiErr) || apiErr.Status != status || apiErr.Message != reason {
+					t.Fatalf("Bootstrap = %v, want the primary's %d %q", err, status, reason)
+				}
+				if !strings.Contains(err.Error(), "fetching snapshot") {
+					t.Errorf("Bootstrap = %v, want it to name the snapshot fetch", err)
+				}
+			})
+		}
+		for _, c := range []struct {
+			status  int
+			resync  bool
+			lastErr []string // substrings; none means empty
+		}{
+			{http.StatusNotFound, false, nil},
+			{http.StatusGone, true, []string{"compacted"}},
+			{http.StatusServiceUnavailable, false, []string{"pulling wal shard", "503", reason}},
+		} {
+			t.Run(fmt.Sprintf("wal %d %s", c.status, kind), func(t *testing.T) {
+				st := newStub(t, body, http.StatusNotFound, c.status)
+				f := cluster.NewFollower(st.url, cluster.FollowerConfig{Poll: 2 * time.Millisecond})
+				if err := f.Bootstrap(context.Background()); err != nil {
+					t.Fatalf("Bootstrap over a primary with no snapshot: %v", err)
+				}
+				stop := runFollower(t, f)
+				deadline := time.Now().Add(10 * time.Second)
+				for st.pulls.Load() < 20 {
+					if time.Now().After(deadline) {
+						t.Fatalf("only %d pulls in 10 s", st.pulls.Load())
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+				stop()
+				if resynced := st.snapshots.Load() > 1; resynced != c.resync {
+					t.Errorf("snapshot fetched %d times (resync %v), want resync %v", st.snapshots.Load(), resynced, c.resync)
+				}
+				positions := 0
+				st.positions.Range(func(_, _ any) bool { positions++; return true })
+				if positions != 2 {
+					t.Errorf("pulls asked at %d positions, want each of the 2 shards' first", positions)
+				}
+				status := f.Status()
+				for _, sh := range status.Shards {
+					if sh.Seq != 0 || sh.Off != 0 {
+						t.Errorf("a refused pull moved shard %d to %+v", sh.Shard, sh)
+					}
+				}
+				if len(c.lastErr) == 0 && status.LastErr != "" {
+					t.Errorf("lastErr = %q, want none", status.LastErr)
+				}
+				for _, sub := range c.lastErr {
+					if !strings.Contains(status.LastErr, sub) {
+						t.Errorf("lastErr = %q, want it to name %q", status.LastErr, sub)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -56,16 +56,15 @@ type RouterConfig struct {
 	// the dependency).
 	BatchSize int
 	// MaxBodyBytes bounds one NDJSON line or binary frame payload (default
-	// api.DefaultMaxBodyBytes); MaxStreamLines bounds the physical lines or
-	// frames of one stream (default api.DefaultMaxStreamLines). Keep both
-	// aligned with the owner nodes' limits: the router enforces its own
-	// limits FIRST, and a router configured looser than a node does not
-	// widen what the cluster accepts — the owner still rejects the
-	// oversized record and aborts its sub-stream, which the scatter then
-	// accounts as Dropped tail lines naming the node's own stream error
-	// (the router-rejects-first contract; see TestRouterNodeLimitSkew).
-	MaxBodyBytes   int64
-	MaxStreamLines int
+	// api.DefaultMaxBodyBytes); a stream's physical lines or frames are
+	// bounded by api.DefaultMaxStreamLines. Keep both aligned with the owner
+	// nodes' limits: the router enforces its own limits FIRST, and a router
+	// configured looser than a node does not widen what the cluster accepts
+	// — the owner still rejects the oversized record and aborts its
+	// sub-stream, which the scatter then accounts as Dropped tail lines
+	// naming the node's own stream error (the router-rejects-first
+	// contract; see TestRouterNodeLimitSkew).
+	MaxBodyBytes int64
 }
 
 // NewRouter builds the cluster front over client.
@@ -75,9 +74,6 @@ func NewRouter(client *Client, cfg RouterConfig) *Router {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = api.DefaultMaxBodyBytes
-	}
-	if cfg.MaxStreamLines <= 0 {
-		cfg.MaxStreamLines = api.DefaultMaxStreamLines
 	}
 	rt := &Router{client: client, cfg: cfg, mux: http.NewServeMux()}
 	rt.mux.HandleFunc("/healthz", rt.handleHealth)
@@ -315,7 +311,7 @@ func (rt *Router) handleUsage(w http.ResponseWriter, r *http.Request) {
 	}
 	wire := api.RequestWire(r)
 	f := rt.client.newUsageForward(r.Context(), wire, r.Header.Get("Idempotency-Key"), rt.cfg.BatchSize)
-	src := api.NewRecordSource(wire, r.Body, rt.cfg.MaxBodyBytes, rt.cfg.MaxStreamLines)
+	src := api.NewRecordSource(wire, r.Body, rt.cfg.MaxBodyBytes, api.DefaultMaxStreamLines)
 	defer src.Release()
 	for {
 		pos, rec, rej, ok := src.Next()
@@ -367,27 +363,20 @@ func (rt *Router) proxyToOwner(w http.ResponseWriter, r *http.Request) {
 	rt.proxy(w, r, node)
 }
 
-// proxy relays one request to a node, on the connections of the node's
-// api.Client — the pool the usage forwards to that node already keep warm.
-// The path goes out as the client escaped it: a tenant named "team/a",
-// "q?x" or "50%off" reaches the node as the same one path segment.
+// proxy relays one request to a node through the node's api.Client.Do, on
+// the connections the usage forwards to that node already keep warm, and
+// relays the answer, whatever its status, byte for byte. The path goes out
+// as the client escaped it: a tenant named "team/a", "q?x" or "50%off"
+// reaches the node as the same one path segment.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, node Node) {
-	nc := rt.client.clients[node.Name]
-	u := nc.BaseURL + r.URL.EscapedPath()
+	path := r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
+		path += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, r.Body)
-	if err != nil {
-		api.WriteError(w, http.StatusBadGateway, "forwarding to node %s: %v", node.Name, err)
-		return
-	}
-	for _, h := range []string{"Content-Type", "If-Match", "If-None-Match", "Idempotency-Key", "Accept"} {
-		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
-		}
-	}
-	resp, err := nc.HTTPClient.Do(req)
+	resp, err := rt.client.clients[node.Name].Do(r.Context(), r.Method, path, r.Body,
+		"Content-Type", r.Header.Get("Content-Type"), "Accept", r.Header.Get("Accept"),
+		"If-Match", r.Header.Get("If-Match"), "If-None-Match", r.Header.Get("If-None-Match"),
+		"Idempotency-Key", r.Header.Get("Idempotency-Key"))
 	if err != nil {
 		api.WriteError(w, http.StatusBadGateway, "forwarding to node %s: %v", node.Name, err)
 		return

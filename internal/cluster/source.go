@@ -20,7 +20,10 @@ import (
 //	                        Protocol; the follower checks the one and
 //	                        builds its standby ledger from the other
 //	GET /cluster/snapshot — the newest snapshot document, raw bytes, with
-//	                        its generation in X-Snapshot-Gen (404: none yet)
+//	                        its Content-Length (404: none yet); the
+//	                        document names its generation. X-Snapshot-Gen
+//	                        repeats it for protocol-2 followers of earlier
+//	                        builds; this build does not read it
 //	GET /cluster/wal?shard=S&seq=Q&off=O — chunked stream of raw CRC-framed
 //	                        WAL bytes from offset O of segment (S, Q),
 //	                        tail-following the file while it grows; the

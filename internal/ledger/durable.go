@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -167,18 +168,65 @@ func (m Meta) mismatch(what string, got Meta) error {
 		what, got.Shards, got.WindowMinutes, got.MaxKeys, m.Shards, m.WindowMinutes, m.MaxKeys)
 }
 
+// Version is the disk format this build writes and reads: meta.json and
+// every snapshot document open with it. A data directory or a snapshot of
+// another version is refused with ErrVersion before anything in it is
+// decoded or changed.
+const Version = 1
+
+// ErrVersion marks a meta.json or snapshot document written in another disk
+// format Version.
+var ErrVersion = errors.New("ledger: disk format version mismatch")
+
+// checkVersion refuses the JSON document data, named name, when it is not
+// of this build's Version. It reads the document's fields only up to
+// "version", which both writers put first, so a document of another version
+// is refused as such even where the rest of it changed shape; a document with
+// no "version" field is version 0.
+func checkVersion(name string, data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return fmt.Errorf("ledger: corrupt %s: not a JSON object", name)
+	}
+	got := 0
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return fmt.Errorf("ledger: corrupt %s: %w", name, err)
+		}
+		if key == "version" {
+			if err := dec.Decode(&got); err != nil {
+				return fmt.Errorf("ledger: corrupt %s: version: %w", name, err)
+			}
+			break
+		}
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			return fmt.Errorf("ledger: corrupt %s: %w", name, err)
+		}
+	}
+	if got != Version {
+		return fmt.Errorf("%w: %s is version %d, this build reads version %d", ErrVersion, name, got, Version)
+	}
+	return nil
+}
+
 // metaFile is meta.json.
 type metaFile struct {
 	Version int `json:"version"`
 	Meta
 }
 
-// readMetaFile loads one meta.json. Read failures come back unwrapped so
-// os.IsNotExist still distinguishes a fresh directory from a broken one.
+// readMetaFile loads one meta.json, refusing another disk format Version.
+// Read failures come back unwrapped so os.IsNotExist still distinguishes a
+// fresh directory from a broken one.
 func readMetaFile(path string) (metaFile, error) {
 	var m metaFile
 	data, err := os.ReadFile(path)
 	if err != nil {
+		return m, err
+	}
+	if err := checkVersion(path, data); err != nil {
 		return m, err
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -204,14 +252,15 @@ func (l *Ledger) openDurable() error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("ledger: creating data dir: %w", err)
 	}
-	removeTempFiles(dir)
 
-	meta := metaFile{Version: 1, Meta: l.meta()}
+	meta := metaFile{Version: Version, Meta: l.meta()}
 	metaPath := filepath.Join(dir, "meta.json")
 	if got, err := readMetaFile(metaPath); err == nil {
-		if got != meta {
+		if got.Meta != meta.Meta {
 			return meta.mismatch("data dir "+dir, got.Meta)
 		}
+	} else if errors.Is(err, ErrVersion) {
+		return err
 	} else if os.IsNotExist(err) {
 		data, merr := json.Marshal(meta)
 		if merr != nil {
@@ -223,6 +272,7 @@ func (l *Ledger) openDurable() error {
 	} else {
 		return fmt.Errorf("ledger: reading %s: %w", metaPath, err)
 	}
+	removeTempFiles(dir)
 
 	d := &durable{
 		l:      l,
@@ -247,6 +297,9 @@ func (l *Ledger) openDurable() error {
 		data, err := os.ReadFile(snapshotPath(dir, gen))
 		if err == nil {
 			_, err = l.loadSnapshot(data, snapshotName(gen))
+		}
+		if errors.Is(err, ErrVersion) {
+			return err
 		}
 		if err != nil {
 			// A committed snapshot should never be unreadable (it was

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -238,6 +239,125 @@ func TestDurableMetaMismatchRefused(t *testing.T) {
 		t.Fatalf("MaxTenants change refused: %v", err)
 	}
 	mustClose(t, r)
+}
+
+// TestDiskVersionRefused: a meta.json or a snapshot of another disk format
+// Version is refused as that — ErrVersion, naming both versions — by
+// recovery (with Archive or without: older history cannot make a newer
+// format readable) and by RestoreSnapshot, before any file of the directory
+// changes. The last segment carries a torn tail that a recovery which got
+// past the check would truncate.
+func TestDiskVersionRefused(t *testing.T) {
+	build := func(archive bool) Config {
+		cfg := Config{Dir: t.TempDir(), Shards: 2, Fsync: FsyncNever, SnapshotEvery: -1, Archive: archive}
+		l := mustNew(t, cfg)
+		driveSmall(t, l)
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		accrue(t, l, Entry{Tenant: "tail", Pricer: "litmus", Minute: 2, Commercial: 1, Price: 1})
+		mustClose(t, l)
+		list, err := ReadListing(cfg.Dir)
+		if err != nil || len(list.Segments) == 0 {
+			t.Fatalf("listing: %+v, %v", list, err)
+		}
+		f, err := os.OpenFile(list.Segments[len(list.Segments)-1].Path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{42, 0, 0, 0, 7}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	bump := func(path string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bumped := strings.Replace(string(data), `"version":1`, `"version":2`, 1)
+		if bumped == string(data) {
+			t.Fatalf("%s names no version 1: %.60s", path, data)
+		}
+		if err := os.WriteFile(path, []byte(bumped), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func(dir string) map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(data)
+		}
+		return out
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("%s: err = %v, want ErrVersion", what, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "version 2") || !strings.Contains(msg, "version 1") {
+			t.Errorf("%s: %q does not name both versions", what, msg)
+		}
+	}
+
+	for _, c := range []struct {
+		name    string
+		archive bool
+		file    func(dir string) string
+	}{
+		{"meta.json", false, func(dir string) string { return filepath.Join(dir, "meta.json") }},
+		{"snapshot", false, func(dir string) string { return snapshotPath(dir, 1) }},
+		{"snapshot with archive", true, func(dir string) string { return snapshotPath(dir, 1) }},
+	} {
+		cfg := build(c.archive)
+		bump(c.file(cfg.Dir))
+		before := files(cfg.Dir)
+		l, err := New(cfg)
+		if err == nil {
+			mustClose(t, l)
+		}
+		refused(c.name, err)
+		if after := files(cfg.Dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the refused directory changed", c.name)
+		}
+	}
+
+	// RestoreSnapshot refuses the document and keeps the state it had.
+	cfg := build(false)
+	data, err := os.ReadFile(snapshotPath(cfg.Dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := ReadMeta(cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplica(meta, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, r)
+	if _, err := r.RestoreSnapshot(data); err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.RestoreSnapshot([]byte(strings.Replace(string(data), `"version":1`, `"version":2`, 1)))
+	refused("RestoreSnapshot", err)
+	if st := r.Stats(); st.Tenants != 2 || st.Accrued != 3 {
+		t.Errorf("a refused snapshot changed the standby: %+v", st)
+	}
 }
 
 func TestDurableCorruptSnapshot(t *testing.T) {

@@ -79,12 +79,12 @@ func (sh *shard) restoreFrom(ss shardSnapshot) {
 // labels errors (a file name, or the transfer source when the bytes arrived
 // over replication).
 func (l *Ledger) loadSnapshot(data []byte, name string) (uint64, error) {
+	if err := checkVersion(name, data); err != nil {
+		return 0, err
+	}
 	var doc snapshotDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return 0, fmt.Errorf("parsing %s: %w", name, err)
-	}
-	if doc.Version != 1 {
-		return 0, fmt.Errorf("%s: unknown snapshot version %d", name, doc.Version)
 	}
 	if want := l.meta(); doc.Meta != want {
 		return 0, want.mismatch(name, doc.Meta)
@@ -182,12 +182,12 @@ func (l *Ledger) Snapshot() error {
 	return nil
 }
 
-// streamSnapshot writes the version-1 document for generation gen through w,
+// streamSnapshot writes the Version document for generation gen through w,
 // shard by shard, rotating each shard's segment onto gen. A shard is locked
 // only while its counters and accounts are encoded and its segment rotated;
 // its keys and every write happen outside the lock.
 func (l *Ledger) streamSnapshot(w *snapshotWriter, gen uint64, takenUnix int64) error {
-	head, err := json.Marshal(snapshotHeader{Version: 1, Gen: gen, TakenUnix: takenUnix, Meta: l.meta()})
+	head, err := json.Marshal(snapshotHeader{Version: Version, Gen: gen, TakenUnix: takenUnix, Meta: l.meta()})
 	if err != nil {
 		return err
 	}
