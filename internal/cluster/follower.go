@@ -29,8 +29,9 @@ type FollowerConfig struct {
 	// MaxTenants is the standby ledger's post-promotion tenant cap (see
 	// ledger.NewReplica); pass the primary's value to keep admission identical.
 	MaxTenants int
-	// Poll is the pause between reconnect attempts when a stream ends or
-	// the primary is briefly unreachable (default 50ms).
+	// Poll is the pause between reconnect attempts when a stream ends, the
+	// primary is briefly unreachable or a re-bootstrap from its snapshot
+	// has just run (default 50ms).
 	Poll time.Duration
 }
 
@@ -194,14 +195,12 @@ func (f *Follower) Run(ctx context.Context) {
 			return
 		}
 		f.setErr(err)
+		// A re-bootstrap pauses like any failed round: a primary that
+		// answers 410 to every pull is not fetched a snapshot in a loop.
 		if errors.Is(err, errResync) {
-			if err = f.resync(ctx); err == nil {
-				continue
+			if err = f.resync(ctx); err != nil && ctx.Err() == nil {
+				f.setErr(err)
 			}
-			if ctx.Err() != nil {
-				return
-			}
-			f.setErr(err)
 		}
 		if !sleepCtx(ctx, f.cfg.Poll) {
 			return

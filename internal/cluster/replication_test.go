@@ -375,13 +375,15 @@ func TestFollowerRefusedPulls(t *testing.T) {
 			{http.StatusServiceUnavailable, false, []string{"pulling wal shard", "503", reason}},
 		} {
 			t.Run(fmt.Sprintf("wal %d %s", c.status, kind), func(t *testing.T) {
+				const poll = 10 * time.Millisecond
 				st := newStub(t, body, http.StatusNotFound, c.status)
-				f := cluster.NewFollower(st.url, cluster.FollowerConfig{Poll: 2 * time.Millisecond})
+				f := cluster.NewFollower(st.url, cluster.FollowerConfig{Poll: poll})
 				if err := f.Bootstrap(context.Background()); err != nil {
 					t.Fatalf("Bootstrap over a primary with no snapshot: %v", err)
 				}
+				start := time.Now()
 				stop := runFollower(t, f)
-				deadline := time.Now().Add(10 * time.Second)
+				deadline := start.Add(10 * time.Second)
 				for st.pulls.Load() < 20 {
 					if time.Now().After(deadline) {
 						t.Fatalf("only %d pulls in 10 s", st.pulls.Load())
@@ -389,8 +391,14 @@ func TestFollowerRefusedPulls(t *testing.T) {
 					time.Sleep(2 * time.Millisecond)
 				}
 				stop()
+				elapsed := time.Since(start)
 				if resynced := st.snapshots.Load() > 1; resynced != c.resync {
 					t.Errorf("snapshot fetched %d times (resync %v), want resync %v", st.snapshots.Load(), resynced, c.resync)
+				}
+				// Every re-bootstrap is followed by a poll's pause, so Run
+				// fetches at most one snapshot per poll, and one at once.
+				if fetched, most := st.snapshots.Load()-1, int64((elapsed+poll-1)/poll)+1; fetched > most {
+					t.Errorf("Run fetched the snapshot %d times in %v at a %v poll, want at most %d", fetched, elapsed.Round(time.Millisecond), poll, most)
 				}
 				positions := 0
 				st.positions.Range(func(_, _ any) bool { positions++; return true })

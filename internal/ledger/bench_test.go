@@ -104,8 +104,8 @@ func BenchmarkAccrueKeyed(b *testing.B) {
 // keyedSizes are the full one-shard windows the steady-state benchmarks run
 // on: one whose 4096 keys fit in L2, and one shard's slice of the default
 // budget (DefaultMaxKeys/DefaultShards = 65 536 keys). A serving node runs
-// sixteen of the second, but one alone has a 1 MiB index that still fits in
-// L2; BenchmarkAccrueBatchKeyed runs all sixteen. Each pool is larger than
+// sixteen of the second, but one alone has a 512 KiB index that still fits
+// in L2; BenchmarkAccrueBatchKeyed runs all sixteen. Each pool is larger than
 // its budget, so every entry has been forgotten by the time it comes round
 // again.
 var keyedSizes = []struct {
@@ -271,7 +271,7 @@ func BenchmarkAccrueBatchDurable(b *testing.B) {
 // DefaultShards keys — already full and evicting, billed the way the usage
 // collector bills, 512-entry batches round-robin over 8 tenants, each record
 // under a fresh stream-style key. Each batch takes the next 8 of 64 tenants,
-// which span every shard, so the 16 MiB of index the windows hold together
+// which span every shard, so the 8 MiB of index the windows hold together
 // is what a probe misses in, as on a node. bytes/key is Stats' KeyBytes over
 // KeysTracked: what a remembered key costs the windows.
 func BenchmarkAccrueBatchKeyed(b *testing.B) {

@@ -24,33 +24,39 @@ package ledger
 // restart point that shares nothing; a []uint32 of restart offsets; and a
 // []uint32 of the keys' index tags. There are no pointers, so the GC never
 // scans a key, and a block that has filled up is never written again.
-// Membership is one open-addressed, linear-probing index of 8-byte slots,
-// each a 32-bit tag from the key's hash beside the low 32 bits of its
-// sequence number; a slot's home is a function of its tag alone, so growing,
-// backward-shift deletion and sweep never read a key's bytes. A spelling is
-// decoded only when a probe meets its tag — a duplicate, or a one-in-2³²
-// collision — by walking at most 16 keys from a restart point into a buffer
-// the window owns; the window also keeps its newest key's spelling, which
-// the next key's shared prefix is measured against.
+// Membership is one open-addressed, linear-probing index of 4-byte slots,
+// each the low S bits of a key's sequence number under the top 32−S bits of
+// its 32-bit tag (one of them forced set, so a slot is never 0). S is fixed
+// when the window is made, with 2^S above the most keys the index can hold,
+// so the low bits still name one key. The full tag stays in the key's block,
+// where the sequence number finds it: a slot's home is a function of the
+// full tag, so growing and the backward shift read it from there, and never
+// a key's bytes. A probe compares the partial tag first, reads the full tag
+// only for a live key whose partial tag matches, and decodes a spelling only
+// when that matches too — a duplicate, or a one-in-2³¹ collision — by
+// walking at most 16 keys from a restart point into a buffer the window
+// owns; the window also keeps its newest key's spelling, which the next
+// key's shared prefix is measured against.
 //
 // Forgetting is lazy. Forgetting the oldest key only advances the head
 // sequence number; its slot lingers, and a probe that meets a lingering
-// slot with its tag takes it for absent by one subtraction, before reading
-// any spelling. When a block's last key is forgotten, one sweep deletes the
-// block's slots by backward shift in ascending order of home — a counting
-// pass over the top bits of each home, sized to the block, orders them —
-// and drops the block: each block of forgotten keys walks the index front
-// to back once, and no key is forgotten by a random probe of its own. The
-// index holds the live keys and at most one block's lingering
-// slots; it doubles to keep the live keys at most half of it and all its
-// slots at most three quarters, so every probe chain ends.
+// slot with its partial tag takes it for absent by one subtraction, before
+// reading its full tag or any spelling. When a block's last key is
+// forgotten, one sweep deletes the block's slots by backward shift in
+// ascending order of home — a counting pass over the top bits of each home,
+// sized to the block, orders them — and drops the block: each block of
+// forgotten keys walks the index front to back once, and no key is
+// forgotten by a random probe of its own. The index holds the live keys and
+// at most one block's lingering slots; it doubles to keep the live keys at
+// most half of it and all its slots at most three quarters, so every probe
+// chain ends.
 //
 // A batch's probe pass (Ledger.probe) first loads the home slots of a
 // chunk's keys back to back with touch, under the shard lock, so their cache
 // misses overlap; then, per record, seen decides Duplicate and record checks,
 // evicts and inserts, both walking a chain already in cache. A key costs its
 // suffix's bytes plus 2 B of lengths, 4 B of tag, ¼ B of restart offset and,
-// at the index's load of ½, 16 B of slots; in time, one probe into the index
+// at the index's load of ½, 8 B of slots; in time, one probe into the index
 // and a 1/4096 share of its block's sweep — where a set of joined strings
 // with a FIFO beside it cost a 48 B string allocation, a map slot and a FIFO
 // entry, and one allocation per keyed record. A block's data is sized by the
@@ -126,7 +132,7 @@ type keyBlock struct {
 	// not shared), the bytes not shared; a restart point shares nothing.
 	data     []byte
 	restarts []uint32 // restarts[r] is the offset of key r*restartEvery
-	tags     []uint32 // key i's tag, to find its slot when it is forgotten
+	tags     []uint32 // key i's full tag: its home, and the probe's last check
 }
 
 // next decodes the key at data[off:] onto prev, the key before it (any
@@ -183,10 +189,11 @@ const (
 	restartEvery = 16
 	// minSlots is the index's size when a window is created or restored.
 	minSlots = 8
-	// maxBudget keeps the distance from base to any remembered key below
-	// 2³², so the low 32 bits of a sequence number, all a slot keeps of it,
-	// name one key. It binds only a budget no machine has the memory to fill.
-	maxBudget = 1 << 31
+	// maxBudget keeps a slot's sequence bits, which must count past a
+	// budget and a block, at 31 or fewer, so at least one bit of tag is
+	// left above them. It binds only a budget no machine has the memory to
+	// fill.
+	maxBudget = 1 << 30
 	// fibonacci is 2⁶⁴/φ: a tag times it, top bits taken, is the tag's home.
 	fibonacci = 0x9e3779b97f4a7c15
 )
@@ -207,11 +214,17 @@ type keyWindow struct {
 	blocks     []keyBlock
 	base       uint64
 	blockShift uint
-	// slots is the membership index: tag<<32 | low 32 bits of the sequence
-	// number, 0 for empty; len(slots) is a power of two, 64-slotShift its log.
-	// It holds one slot per key from base on, forgotten ones included.
-	slots     []uint64
+	// slots is the membership index: the tag's bits above seqMask, the
+	// lowest of them set, over the sequence number's bits under it; 0 for
+	// empty. len(slots) is a power of two, 64-slotShift its log. It holds
+	// one slot per key from base on, forgotten ones included.
+	slots     []uint32
 	slotShift uint
+	// seqMask is 2^S−1 for a slot's S sequence bits: 2^S exceeds the most
+	// keys the index holds, a budget (or a longer restored list) and a
+	// block of lingering ones, so a forgotten key's distance from head
+	// wraps past every live key's.
+	seqMask uint32
 	// last is the newest key's spelling; buf is where seen decodes a
 	// spelling and insert builds one.
 	last, buf []byte
@@ -219,12 +232,22 @@ type keyWindow struct {
 
 func newKeyWindow(budget int) keyWindow {
 	budget = int(min(uint64(max(budget, 1)), maxBudget))
+	blockShift := uint(min(bits.Len(uint(budget-1)), maxBlockShift))
 	return keyWindow{
 		budget:     budget,
-		blockShift: uint(min(bits.Len(uint(budget-1)), maxBlockShift)),
-		slots:      make([]uint64, minSlots),
+		blockShift: blockShift,
+		slots:      make([]uint32, minSlots),
 		slotShift:  64 - uint(bits.TrailingZeros(minSlots)),
+		seqMask:    seqMaskFor(budget, blockShift),
 	}
+}
+
+// seqMaskFor is the sequence mask of an index that holds up to n live keys
+// beside a block of 1<<blockShift lingering ones: its 2^S exceeds both
+// together. S stops at 31, which a budget reaches only at maxBudget and a
+// restored list only past 2³¹ keys.
+func seqMaskFor(n int, blockShift uint) uint32 {
+	return 1<<min(bits.Len(uint(n)+1<<blockShift), 31) - 1
 }
 
 // touch loads the home slot of each key keys[i], i in idx, and returns the
@@ -236,23 +259,24 @@ func newKeyWindow(budget int) keyWindow {
 func (w *keyWindow) touch(keys *[probeChunk]windowKey, idx []uint8) uint64 {
 	var sum uint64
 	for _, i := range idx {
-		sum ^= w.slots[w.home(tagOf(keys[i].hash))]
+		sum ^= uint64(w.slots[w.home(tagOf(keys[i].hash))])
 	}
 	return sum
 }
 
 // seen reports whether k is remembered, walking k's probe chain from its
-// home to the first empty slot: a slot whose tag matches is k if its key is
-// still remembered and its spelling is k's. A key without a name is never
-// found, and an evicted key is not, exactly as record would take it again.
+// home to the first empty slot: a slot whose partial tag matches is k if its
+// key is still remembered, its full tag is k's and its spelling is k's. A
+// key without a name is never found, and an evicted key is not, exactly as
+// record would take it again.
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) seen(k windowKey) bool {
 	if k.hash == 0 {
 		return false
 	}
-	tag, mask := tagOf(k.hash), uint64(len(w.slots)-1)
-	head, live := uint32(w.head), uint32(w.len())
+	tag, mask, seqMask := tagOf(k.hash), uint64(len(w.slots)-1), w.seqMask
+	partial, head, live := w.partial(tag), uint32(w.head), uint32(w.len())
 	for i := w.home(tag); ; i = (i + 1) & mask {
 		s := w.slots[i]
 		if s == 0 {
@@ -260,7 +284,7 @@ func (w *keyWindow) seen(k windowKey) bool {
 		}
 		// A forgotten key's slot lingers until its block's sweep; its
 		// distance from head wraps past every live key's.
-		if uint32(s>>32) == tag && uint32(s)-head < live && k.spells(w.decode(uint32(s))) {
+		if s&^seqMask == partial && (s-head)&seqMask < live && w.tag(s) == tag && k.spells(w.decode(s)) {
 			return true
 		}
 	}
@@ -288,11 +312,13 @@ func (w *keyWindow) record(k windowKey) {
 // as the same spelling — and copied, so the window owns its bytes. An entry
 // already taken collapses into the first, as record would collapse it (no
 // window writes such a list). Nothing is evicted here: a list longer than
-// the budget is trimmed by the next record.
+// the budget is trimmed by the next record, and until then the index's
+// sequence bits count past the list's length.
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) restore(keys []string, evicted uint64) {
 	*w = newKeyWindow(w.budget)
+	w.seqMask = seqMaskFor(max(w.budget, len(keys)), w.blockShift)
 	w.head, w.tail, w.base = evicted, evicted, evicted
 	for _, s := range keys {
 		if k := listedKey(s); !w.seen(k) {
@@ -374,7 +400,7 @@ func (w *keyWindow) evicted() uint64 { return w.head }
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) bytes() int {
-	n := 8 * len(w.slots)
+	n := 4 * len(w.slots)
 	for i := range w.blocks {
 		b := &w.blocks[i]
 		n += cap(b.data) + 4*cap(b.restarts) + 4*cap(b.tags)
@@ -385,11 +411,28 @@ func (w *keyWindow) bytes() int {
 // home is the slot a key with this tag probes first.
 func (w *keyWindow) home(tag uint32) uint64 { return uint64(tag) * fibonacci >> w.slotShift }
 
-// decode returns the spelling of the key whose sequence number ends in
-// low, decoded into the window's buffer: valid until the next decode or
-// insert.
-func (w *keyWindow) decode(low uint32) []byte {
-	off := uint64(low - uint32(w.base)) // the key's distance from base
+// partial is what a slot keeps of tag: its bits above the sequence bits,
+// the lowest of them set so that no slot is 0.
+func (w *keyWindow) partial(tag uint32) uint32 { return (tag | (w.seqMask + 1)) &^ w.seqMask }
+
+// slot is the index entry of the key with this tag and sequence number.
+func (w *keyWindow) slot(tag uint32, seq uint64) uint32 {
+	return w.partial(tag) | uint32(seq)&w.seqMask
+}
+
+// offset is the distance from base of the key whose slot is s.
+func (w *keyWindow) offset(s uint32) uint32 { return (s - uint32(w.base)) & w.seqMask }
+
+// tag is the full tag of the key whose slot is s, read from its block.
+func (w *keyWindow) tag(s uint32) uint32 {
+	off := w.offset(s)
+	return w.blocks[off>>w.blockShift].tags[off&(1<<w.blockShift-1)]
+}
+
+// decode returns the spelling of the key whose slot is s, decoded into the
+// window's buffer: valid until the next decode or insert.
+func (w *keyWindow) decode(s uint32) []byte {
+	off := w.offset(s)
 	w.buf = w.blocks[off>>w.blockShift].decode(w.buf, int(off&(1<<w.blockShift-1)))
 	return w.buf
 }
@@ -425,7 +468,7 @@ func (w *keyWindow) insert(k windowKey) {
 		// slack newBlock gave it, at one copy per block.
 		b.data = slices.Clone(b.data)
 	}
-	w.slots[w.vacancy(tag)] = uint64(tag)<<32 | uint64(uint32(w.tail))
+	w.slots[w.vacancy(tag)] = w.slot(tag, w.tail)
 	w.tail++
 }
 
@@ -467,7 +510,9 @@ func (w *keyWindow) evictOldest() {
 // sweep deletes the oldest block's slots, all of them forgotten, and drops
 // the block. The slots go in ascending order of home, so the deletions walk
 // the index front to back: one counting pass over the top bits of each
-// key's home, one bucket per key the block holds, orders the block.
+// key's home, one bucket per key the block holds, orders the block. The
+// backward shift reads each slot it passes over's full tag from its block,
+// for its home.
 func (w *keyWindow) sweep() {
 	b := &w.blocks[0]
 	bucketBits := min(64-w.slotShift, w.blockShift)
@@ -486,24 +531,29 @@ func (w *keyWindow) sweep() {
 		order[*c] = uint16(k)
 		*c++
 	}
-	mask := uint64(len(w.slots) - 1)
+	slots, blocks, mask := w.slots, w.blocks, uint64(len(w.slots)-1)
+	base, seqMask, blockShift, slotShift := uint32(w.base), w.seqMask, w.blockShift, w.slotShift
+	keyMask := uint32(1)<<blockShift - 1
 	for _, k := range order[:len(b.tags)] {
 		tag := b.tags[k]
-		want := uint64(tag)<<32 | uint64(uint32(w.base)+uint32(k))
+		want := w.slot(tag, w.base+uint64(k))
 		i := w.home(tag)
-		for w.slots[i] != want {
+		for slots[i] != want {
 			i = (i + 1) & mask
 		}
 		// Backward shift: each later slot of the chain moves into the hole
-		// unless that would put it before its home, and the last hole empties.
-		for j := (i + 1) & mask; w.slots[j] != 0; j = (j + 1) & mask {
-			s := w.slots[j]
-			if (j-w.home(uint32(s>>32)))&mask >= (j-i)&mask {
-				w.slots[i] = s
+		// unless that would put it before its home, and the last hole
+		// empties. home is w.home(w.tag(s)), on the locals above.
+		for j := (i + 1) & mask; slots[j] != 0; j = (j + 1) & mask {
+			s := slots[j]
+			off := (s - base) & seqMask
+			home := uint64(blocks[off>>blockShift].tags[off&keyMask]) * fibonacci >> slotShift
+			if (j-home)&mask >= (j-i)&mask {
+				slots[i] = s
 				i = j
 			}
 		}
-		w.slots[i] = 0
+		slots[i] = 0
 	}
 	n := copy(w.blocks, w.blocks[1:])
 	w.blocks[n] = keyBlock{}
@@ -511,14 +561,16 @@ func (w *keyWindow) sweep() {
 	w.base = w.head
 }
 
-// grow doubles the index, re-placing every slot by its tag.
+// grow doubles the index and places again the slot of every key from base
+// on, taking the keys' tags from their blocks in sequence order.
 func (w *keyWindow) grow() {
-	old := w.slots
-	w.slots = make([]uint64, 2*len(old))
+	w.slots = make([]uint32, 2*len(w.slots))
 	w.slotShift--
-	for _, s := range old {
-		if s != 0 {
-			w.slots[w.vacancy(uint32(s>>32))] = s
+	seq := w.base
+	for i := range w.blocks {
+		for _, tag := range w.blocks[i].tags {
+			w.slots[w.vacancy(tag)] = w.slot(tag, seq)
+			seq++
 		}
 	}
 }

@@ -490,46 +490,93 @@ func fuzzProgram(budget, mode byte) []byte {
 	return prog
 }
 
-// collidingTags are two distinct tags whose home is the last slot of every
-// index up to 1024 slots: keys carrying them share one probe chain, which
-// wraps the table.
-var collidingTags = func() [2]uint32 {
-	var tags [2]uint32
-	probe := keyWindow{slotShift: 64 - 10}
-	found := 0
-	for tag := uint32(1); found < len(tags); tag += 2 {
-		if probe.home(tag) == 1023 {
-			tags[found] = tag
-			found++
+// collidingTags are three distinct tags whose home is the last slot of every
+// index up to 256 slots, the most a FuzzKeyWindow window grows to: keys
+// carrying them share one probe chain, which wraps the table. The first two
+// keep that home up to 1024 slots. The first and the third differ only in
+// bits 1 to 7, which a slot of seven or more sequence bits does not keep of
+// a tag (the seventh is forced set), so at a budget from twinBudget on their
+// slots' partial tags are equal too. No pair does that at every budget:
+// two tags that differ only in a few low bits have homes a fixed fraction
+// of the table apart.
+var collidingTags = func() [3]uint32 {
+	last := func(tag uint32, log uint) bool {
+		probe := keyWindow{slotShift: 64 - log}
+		return probe.home(tag) == 1<<log-1
+	}
+	var tags [3]uint32
+	for tag := uint32(1); tags[2] == 0; tag += 2 {
+		for d := uint32(2); d < 1<<8 && tags[2] == 0 && last(tag, 10); d += 2 {
+			if last(tag^d, 8) {
+				tags[0], tags[2] = tag, tag^d
+			}
+		}
+	}
+	for tag := uint32(1); tags[1] == 0; tag += 2 {
+		if last(tag, 10) && tag != tags[0] && tag != tags[2] {
+			tags[1] = tag
 		}
 	}
 	return tags
 }()
 
+// twinBudget is the smallest budget whose slots keep seven or more
+// sequence bits, where collidingTags[0] and [2] are partial twins.
+const twinBudget = 32
+
 // collidingKey is nameKey with a hand-picked hash that is still a function
 // of the spelling: one class per spelling, by its length — two share a tag
-// and the whole hash, one shares only the tag's home, one hashes normally.
+// and the whole hash, one shares only the tag's home, one shares the home
+// and (from twinBudget on) the slot's partial tag with the first two but not
+// the full tag, and one hashes normally.
 func collidingKey(tenant, key string) windowKey {
 	k := nameKey(tenant, key)
 	if k.hash == 0 {
 		return k
 	}
-	switch len(spelling(k)) % 4 {
+	switch len(spelling(k)) % 5 {
 	case 0, 1:
 		k.hash = uint64(collidingTags[0])<<32 | 1
 	case 2:
 		k.hash = uint64(collidingTags[1])<<32 | 1
+	case 3:
+		k.hash = uint64(collidingTags[2])<<32 | 1
 	}
 	return k
+}
+
+// twinProgram is a colliding FuzzKeyWindow program at budget 40 that records
+// keys tagged collidingTags[0] and keys tagged its partial twin by turns,
+// probing each class right after the other is recorded, until both have
+// filled blocks and been swept: every probe of one class walks past slots
+// of the other whose partial tag matches and whose full tag does not.
+func twinProgram() []byte {
+	var first, twin []byte
+	for b := range 256 {
+		k := collidingKey(fuzzKey(byte(b)))
+		switch {
+		case k.hash == 0:
+		case tagOf(k.hash) == collidingTags[0]:
+			first = append(first, byte(b))
+		case tagOf(k.hash) == collidingTags[2]:
+			twin = append(twin, byte(b))
+		}
+	}
+	prog := []byte{40 - 1, 1}
+	for i := range min(len(first), len(twin), 24) {
+		prog = append(prog, 0, first[i], 2, twin[i], 0, twin[i], 2, first[i])
+	}
+	return prog
 }
 
 // FuzzKeyWindow drives keyWindow and refWindow with one random program —
 // record, seen, restore from either window's view, views held across later
 // writes, len and evicted — and requires them to agree at every step. The
 // first byte picks the budget, 1 to 64; the second picks the hash (maphash, or the
-// colliding hand-picked ones: tag collisions, chains that wrap the table,
-// backward shift across the wrap) and whether the count of forgotten keys
-// starts just below 2³².
+// colliding hand-picked ones: tag collisions, partial tags that match over
+// full ones that do not, chains that wrap the table, backward shift across
+// the wrap) and whether the count of forgotten keys starts just below 2³²,
+// which wraps a slot's few sequence bits many times over.
 func FuzzKeyWindow(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 5, 0, 9, 1, 5, 0, 13, 0, 17, 2, 0, 5, 0, 3, 0, 4, 0, 0, 21})
 	f.Add([]byte{5, 1, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 1, 2, 0, 29, 0, 30, 0, 31, 3, 0, 0, 8, 0, 9})
@@ -540,6 +587,7 @@ func FuzzKeyWindow(f *testing.F) {
 	f.Add(fuzzProgram(40, 1))
 	f.Add(fuzzProgram(16, 2))
 	f.Add(fuzzProgram(64, 3))
+	f.Add(twinProgram())
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) < 2 {
 			return
@@ -714,6 +762,74 @@ func TestKeyWindowProductionBlocks(t *testing.T) {
 	}
 }
 
+// TestKeyWindowPartialTagTwins: from twinBudget on a slot keeps the same
+// partial tag of collidingTags[0] and of its twin, so only the full tag,
+// read from the block, tells their keys apart — here a key spelled as a
+// remembered one but carrying the twin's tag, which its spelling would let
+// through.
+func TestKeyWindowPartialTagTwins(t *testing.T) {
+	if w := newKeyWindow(twinBudget - 1); w.partial(collidingTags[0]) == w.partial(collidingTags[2]) {
+		t.Errorf("budget %d: collidingTags[0] and [2] are partial twins already", twinBudget-1)
+	}
+	for _, budget := range []int{twinBudget, 40, 64, 5000, DefaultMaxKeys / DefaultShards, maxBudget} {
+		w := newKeyWindow(budget)
+		if w.partial(collidingTags[0]) != w.partial(collidingTags[2]) {
+			t.Fatalf("budget %d: partial tags %#x and %#x differ", budget, w.partial(collidingTags[0]), w.partial(collidingTags[2]))
+		}
+	}
+	a := nameKey("acme", "k")
+	a.hash = uint64(collidingTags[0])<<32 | 1
+	impostor := a
+	impostor.hash = uint64(collidingTags[2])<<32 | 1
+	if prog := twinProgram(); len(prog) < 2+8*8 || prog[0] < twinBudget-1 {
+		t.Errorf("twinProgram runs %d turns at budget %d", (len(prog)-2)/8, int(prog[0])+1)
+	}
+	w := windowOf(twinBudget, a)
+	if !w.seen(a) || w.seen(impostor) {
+		t.Fatalf("seen(a) %v, seen(a's spelling under the twin tag) %v; want true and false", w.seen(a), w.seen(impostor))
+	}
+	w.record(impostor)
+	if w.len() != 2 || !w.seen(a) || !w.seen(impostor) {
+		t.Fatalf("after recording the twin: len %d, seen %v and %v", w.len(), w.seen(a), w.seen(impostor))
+	}
+}
+
+// TestKeyWindowRestoreLongerThanBudget restores a list far longer than the
+// budget, whose sequence numbers a slot sized by the budget alone could not
+// tell apart: every key is remembered until the next record trims the list
+// to the budget, oldest first.
+func TestKeyWindowRestoreLongerThanBudget(t *testing.T) {
+	const budget, n = 3, 5000
+	var list []string
+	for i := range n {
+		list = append(list, spelling(nameKey(fmt.Sprint("t", i%7), fmt.Sprint("k", i))))
+	}
+	w, ref := windowOf(budget), newRefWindow(budget)
+	w.restore(list, 11)
+	ref.restore(list, 11)
+	assertIndexHolds(t, "restored", w)
+	if w.len() != n {
+		t.Fatalf("restored %d keys of %d", w.len(), n)
+	}
+	for _, s := range list {
+		if !w.seen(listedKey(s)) {
+			t.Fatalf("restored key %q is not seen", s)
+		}
+	}
+	k := nameKey("late", "comer")
+	w.record(k)
+	ref.record(spelling(k))
+	assertIndexHolds(t, "after one record", w)
+	if got := viewKeys(w.snapshotView()); !slices.Equal(got, ref.fifo) || w.evicted() != ref.evictions {
+		t.Fatalf("view %q evicted %d, the reference's %q and %d", got, w.evicted(), ref.fifo, ref.evictions)
+	}
+	for _, s := range list {
+		if got, want := w.seen(listedKey(s)), ref.seen(s); got != want {
+			t.Fatalf("seen(%q) = %v, the reference says %v", s, got, want)
+		}
+	}
+}
+
 // TestKeyWindowIndexLoad: at a budget of exactly one block, forgotten slots
 // lingering until the sweep would fill the index the live keys keep half
 // empty; it grows instead, so its load stays at most ¾ and chains short.
@@ -786,7 +902,7 @@ func TestKeyWindowBytesPerKey(t *testing.T) {
 			pending = pending[1:]
 			return k
 		})
-		const ceiling = 31 // bytes per key: 30.5 measured, 46.9 with whole spellings
+		const ceiling = 23 // bytes per key: 22.5 measured; 30.5 with 8 B slots, 46.9 with whole spellings too
 		got := windowBytesPerKey(w)
 		t.Logf("derived keys: %.1f B per key, spellings of %.1f B", got, spelled)
 		if got > ceiling {

@@ -114,8 +114,10 @@ type Config struct {
 	// each shard FIFO-evicts beyond its ceil(MaxKeys/Shards) slice, so the
 	// retained total can overshoot MaxKeys by at most Shards-1 keys (every
 	// shard keeps at least one, so dedup works on every shard even for
-	// tiny budgets). A tenant's keys live on its shard, the 32-bit FNV-1a
-	// hash of its name modulo Shards, oldest evicted first. 0 selects
+	// tiny budgets). A shard's slice is clamped to 2³⁰ keys, which leaves
+	// its index at least one bit of each key's tag beside the sequence
+	// number. A tenant's keys live on its shard, the 32-bit FNV-1a hash of
+	// its name modulo Shards, oldest evicted first. 0 selects
 	// DefaultMaxKeys.
 	MaxKeys int
 	// Shards is the lock-stripe count tenants are hash-partitioned over.

@@ -7,7 +7,10 @@
 # A performance claim is only as good as the runs behind it, so a perf_opt
 # PR commits them: BENCH_<n>.json must parse and hold pr == n, gomaxprocs,
 # the claim's workload, metric, pair count and change-better count, and a
-# non-empty list of runs (BENCH_43.json's schema). Any other tag passes.
+# non-empty list of runs (BENCH_43.json's schema). The claim must also be
+# met, and won by the change in at least nine pairs of ten: a gain that
+# loses more than one pair in ten is not told apart from the runs' spread.
+# Any other tag passes.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -42,6 +45,8 @@ done <<'EOF'
 .claim.pairs | type == "number"
 .claim.change_better | type == "number"
 .runs | type == "array" and length > 0
+.claim.met == true
+.claim.change_better * 10 >= .claim.pairs * 9
 EOF
 [ "$status" -eq 0 ] && echo "bench-record-check: PR $n [perf_opt] commits $record"
 exit "$status"
