@@ -104,7 +104,7 @@ func BenchmarkAccrueKeyed(b *testing.B) {
 // keyedSizes are the full one-shard windows the steady-state benchmarks run
 // on: one whose 4096 keys fit in L2, and one shard's slice of the default
 // budget (DefaultMaxKeys/DefaultShards = 65 536 keys). A serving node runs
-// sixteen of the second, but one alone has a 512 KiB index that still fits
+// sixteen of the second, but one alone has a 363 KiB index that still fits
 // in L2; BenchmarkAccrueBatchKeyed runs all sixteen. Each pool is larger than
 // its budget, so every entry has been forgotten by the time it comes round
 // again.
@@ -271,23 +271,61 @@ func BenchmarkAccrueBatchDurable(b *testing.B) {
 // DefaultShards keys — already full and evicting, billed the way the usage
 // collector bills, 512-entry batches round-robin over 8 tenants, each record
 // under a fresh stream-style key. Each batch takes the next 8 of 64 tenants,
-// which span every shard, so the 8 MiB of index the windows hold together
-// is what a probe misses in, as on a node. bytes/key is Stats' KeyBytes over
-// KeysTracked: what a remembered key costs the windows.
+// which span every shard, so the 5.9 MB of index the windows hold together
+// is what a probe misses in, as on a node. evicting_shards=1 holds the same
+// budget in one shard: one window of 1 Mi keys, whose slots keep 21
+// sequence bits and so the narrowest partial tag a default budget gives.
+// bytes/key is Stats' KeyBytes over KeysTracked: what a remembered key
+// costs the windows.
 func BenchmarkAccrueBatchKeyed(b *testing.B) {
-	const batchSize, perBatch = 512, 8
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"evicting", Config{}},
+		{"evicting_shards=1", Config{Shards: 1}},
+	} {
+		var batch func(b *testing.B)
+		var l *Ledger
+		b.Run(bc.name, func(b *testing.B) {
+			if l == nil {
+				l, batch = keyedBatches(b, bc.cfg)
+			}
+			before := l.Stats().KeysEvicted
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch(b)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keyedBatch), "ns/record")
+			st := l.Stats()
+			b.ReportMetric(float64(st.KeysEvicted-before)/float64(b.N*keyedBatch), "evictions/record")
+			b.ReportMetric(float64(st.KeyBytes)/float64(st.KeysTracked), "bytes/key")
+		})
+	}
+}
+
+// keyedBatch is the records in one of BenchmarkAccrueBatchKeyed's batches.
+const keyedBatch = 512
+
+// keyedBatches returns a ledger of cfg whose every window is full, and a
+// block past full, and the function that bills its next batch, so each
+// batch finds every window forgetting as it takes keys.
+func keyedBatches(b *testing.B, cfg Config) (*Ledger, func(*testing.B)) {
+	const perBatch = 8
 	tenants := benchTenants(64)
-	l, err := New(Config{})
+	l, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	entries := make([]Entry, batchSize)
-	results := make([]AccrualResult, batchSize)
-	ends := make([]int, batchSize)
+	entries := make([]Entry, keyedBatch)
+	results := make([]AccrualResult, keyedBatch)
+	ends := make([]int, keyedBatch)
 	stream := 0
 	// batch bills the next stream, its keys carved from one string the way
 	// api.KeyArena carves them.
-	batch := func() {
+	batch := func(b *testing.B) {
 		stream++
 		var spelled []byte
 		for j := range entries {
@@ -303,39 +341,25 @@ func BenchmarkAccrueBatchKeyed(b *testing.B) {
 			start = ends[j]
 		}
 		l.AccrueBatch(entries, results)
-		if out := results[batchSize-1]; out.Err != nil || out.Outcome != Accrued {
+		if out := results[keyedBatch-1]; out.Err != nil || out.Outcome != Accrued {
 			b.Fatalf("stream %d: last record %+v", stream, out)
 		}
 	}
-	// Fill every window, and a block past full, so the timed batches find
-	// each one forgetting as it takes keys.
 	full := func() bool {
 		for _, sh := range l.Stats().Shards {
-			if sh.KeysTracked < DefaultMaxKeys/DefaultShards {
+			if sh.KeysTracked < DefaultMaxKeys/len(l.shards) {
 				return false
 			}
 		}
 		return true
 	}
 	for !full() {
-		batch()
+		batch(b)
 	}
-	for range DefaultShards * 4096 / batchSize {
-		batch()
+	for range len(l.shards) * 4096 / keyedBatch {
+		batch(b)
 	}
-	b.Run("evicting", func(b *testing.B) {
-		before := l.Stats().KeysEvicted
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			batch()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/record")
-		st := l.Stats()
-		b.ReportMetric(float64(st.KeysEvicted-before)/float64(b.N*batchSize), "evictions/record")
-		b.ReportMetric(float64(st.KeyBytes)/float64(st.KeysTracked), "bytes/key")
-	})
+	return l, batch
 }
 
 // BenchmarkRecover measures New's crash-recovery path: full WAL replay of

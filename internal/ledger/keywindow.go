@@ -21,48 +21,61 @@ package ledger
 // a block holds a fixed number of keys as one []byte in which each key is
 // the length of the prefix it shares with the key before it, the length of
 // the rest and the rest (two uvarints and the suffix), every 16th key a
-// restart point that shares nothing; a []uint32 of restart offsets; and a
-// []uint32 of the keys' index tags. There are no pointers, so the GC never
-// scans a key, and a block that has filled up is never written again.
-// Membership is one open-addressed, linear-probing index of 4-byte slots,
-// each the low S bits of a key's sequence number under the top 32−S bits of
-// its 32-bit tag (one of them forced set, so a slot is never 0). S is fixed
-// when the window is made, with 2^S above the most keys the index can hold,
-// so the low bits still name one key. The full tag stays in the key's block,
-// where the sequence number finds it: a slot's home is a function of the
-// full tag, so growing and the backward shift read it from there, and never
-// a key's bytes. A probe compares the partial tag first, reads the full tag
-// only for a live key whose partial tag matches, and decodes a spelling only
-// when that matches too — a duplicate, or a one-in-2³¹ collision — by
-// walking at most 16 keys from a restart point into a buffer the window
-// owns; the window also keeps its newest key's spelling, which the next
-// key's shared prefix is measured against.
+// restart point that shares nothing, and a []uint32 of restart offsets.
+// There are no pointers, so the GC never scans a key, and a block that has
+// filled up is never written again. Membership is one open-addressed index
+// of 4-byte slots, each three fields: the top bits of the key's hash, its
+// partial tag (the lowest of them forced set, so a slot is never 0); the
+// key's displacement from its home slot, in dispBits bits; and the low S
+// bits of its sequence number, which name one key because 2^S is above the
+// most keys the index can hold. A displacement too long for its field is
+// kept exactly in a side map, far, keyed by the sequence bits. The index is
+// sized once, when the window is made (or restored from a list longer than
+// its budget), to hold the budget and a sweep's worth of lingering keys —
+// one block, or a sixteenth of a budget over 64 Ki keys — at most ¾ full;
+// a key's home is its hash's low 32 bits reduced to the index's length by
+// a multiply and a shift. Probing is linear, and the slots of a chain lie
+// in order of home (Robin Hood order): a key's slot goes after every slot
+// whose home is at or before its own, and the slots after it move one on. As every slot carries its own home, no home is ever derived
+// again, and nothing keeps a key's hash: a probe compares each slot with
+// what the key's would be at that distance from its home — partial tag and
+// displacement — and stops at an empty slot or one nearer its home than the
+// key would be. Only for a live key whose slot matches, a duplicate or
+// about one slot in 2^(T−1) of those a probe passes at the key's own home
+// for a tag of T bits, does it decode the spelling, walking at most 16 keys
+// from a restart point into a buffer the window owns. The window also keeps
+// its newest key's spelling, which the next key's shared prefix is measured
+// against.
 //
 // Forgetting is lazy. Forgetting the oldest key only advances the head
 // sequence number; its slot lingers, and a probe that meets a lingering
-// slot with its partial tag takes it for absent by one subtraction, before
-// reading its full tag or any spelling. When a block's last key is
-// forgotten, one sweep deletes the block's slots by backward shift in
-// ascending order of home — a counting pass over the top bits of each home,
-// sized to the block, orders them — and drops the block: each block of
-// forgotten keys walks the index front to back once, and no key is
-// forgotten by a random probe of its own. The index holds the live keys and
-// at most one block's lingering slots; it doubles to keep the live keys at
-// most half of it and all its slots at most three quarters, so every probe
-// chain ends.
+// slot takes it for absent by one subtraction, before decoding any
+// spelling. When a sweep's worth of keys are forgotten, one sweep walks the
+// index once, from an empty slot round to it, testing each slot, and at
+// each forgotten one empties it and shifts the slots after it back: each to
+// the first free slot at or after its home, which its displacement names,
+// until one stays where it is. It reads no block and no spelling, and no key
+// is forgotten by a random probe of its own; then it drops the forgotten
+// keys' blocks. The index holds the live keys and at most a sweep's worth of
+// lingering slots, under ¾ of it, so every probe chain ends. The lingering
+// keys' blocks stay too, so a view of the remembered keys starts at the
+// block that holds the oldest of them, not at the first block.
 //
 // A batch's probe pass (Ledger.probe) first loads the home slots of a
 // chunk's keys back to back with touch, under the shard lock, so their cache
 // misses overlap; then, per record, seen decides Duplicate and record checks,
 // evicts and inserts, both walking a chain already in cache. A key costs its
-// suffix's bytes plus 2 B of lengths, 4 B of tag, ¼ B of restart offset and,
-// at the index's load of ½, 8 B of slots; in time, one probe into the index
-// and a 1/4096 share of its block's sweep — where a set of joined strings
-// with a FIFO beside it cost a 48 B string allocation, a map slot and a FIFO
-// entry, and one allocation per keyed record. A block's data is sized by the
-// block before it and, once full, cloned to its length. Derived keys (a stream key,
-// '#', a line number) share most of their spelling with the key before
-// them, so a key's suffix is a few bytes of its line number.
+// suffix's bytes plus 2 B of lengths, ¼ B of restart offset and its share of
+// the index: 4 B of slot over a load of at most ¾, 5.7 B at one serving
+// shard's 64 Ki-key budget. In time it costs one probe into the index, the
+// slots its insert moves on, and its share of a sweep, which reads the
+// index's slots in order, about 23 per forgotten key at any budget from
+// 64 Ki keys up — where a set of joined strings with a FIFO beside it cost
+// a 48 B string allocation, a map slot and a FIFO entry, and one
+// allocation per keyed record. A block's data is sized by the block before it and, once
+// full, cloned to its length. Derived keys (a stream key, '#', a line
+// number) share most of their spelling with the key before them, so a
+// key's suffix is a few bytes of its line number.
 
 import (
 	"encoding/binary"
@@ -119,10 +132,6 @@ func (k windowKey) spells(sp []byte) bool {
 	return len(sp) == n+1+len(k.key) && sp[n] == 0 && string(sp[:n]) == k.tenant && string(sp[n+1:]) == k.key
 }
 
-// tagOf is the index tag of a key with the given hash: 32 bits of it, never
-// zero, so a zero slot is an empty one.
-func tagOf(hash uint64) uint32 { return uint32(hash>>32) | 1 }
-
 // keyBlock holds up to a window's block size of keys, oldest first,
 // front-coded. Its offsets are 32-bit because a block's last restart point
 // sits below 4 GiB: a key is bounded by one WAL frame (1 MiB) and a block
@@ -132,7 +141,7 @@ type keyBlock struct {
 	// not shared), the bytes not shared; a restart point shares nothing.
 	data     []byte
 	restarts []uint32 // restarts[r] is the offset of key r*restartEvery
-	tags     []uint32 // key i's full tag: its home, and the probe's last check
+	n        int      // the keys the block holds
 }
 
 // next decodes the key at data[off:] onto prev, the key before it (any
@@ -180,22 +189,29 @@ func sharedPrefix(a, b []byte) int {
 }
 
 const (
-	// maxBlockShift caps a block at 4096 keys, so its three allocations
-	// cost a keyed record under a thousandth of one; a smaller budget gets
+	// maxBlockShift caps a block at 4096 keys, so its two allocations cost
+	// a keyed record under a thousandth of one; a smaller budget gets
 	// blocks of the next power of two at or above it.
 	maxBlockShift = 12
 	// restartEvery is how many keys lie between restart points: decoding
 	// a key walks at most this many.
 	restartEvery = 16
-	// minSlots is the index's size when a window is created or restored.
-	minSlots = 8
+	// dispBits is the width of a slot's displacement field. A field holds
+	// a displacement below farDisp; farDisp itself says the displacement is
+	// in the window's far map. In Robin Hood order at the index's load of
+	// ¾, a serving shard's slots were measured 1.55 slots from home on
+	// average and 19 at most, so far holds what only colliding hashes
+	// build.
+	dispBits = 5
+	farDisp  = 1<<dispBits - 1
 	// maxBudget keeps a slot's sequence bits, which must count past a
-	// budget and a block, at 31 or fewer, so at least one bit of tag is
-	// left above them. It binds only a budget no machine has the memory to
-	// fill.
-	maxBudget = 1 << 30
-	// fibonacci is 2⁶⁴/φ: a tag times it, top bits taken, is the tag's home.
-	fibonacci = 0x9e3779b97f4a7c15
+	// budget and a sweep's worth of lingering keys, at 26 or fewer, so at
+	// least one bit of tag is left above them and the displacement. A
+	// window of it holds about 540 MB of derived keys; New clamps a larger
+	// slice to it (Config.MaxKeys), and restore keeps the newest maxBudget
+	// entries of a longer list, which only a build with a higher clamp
+	// writes.
+	maxBudget = 1 << 25
 )
 
 // keyWindow is one shard's bounded memory of the keys it billed. It has no
@@ -214,41 +230,64 @@ type keyWindow struct {
 	blocks     []keyBlock
 	base       uint64
 	blockShift uint
-	// slots is the membership index: the tag's bits above seqMask, the
-	// lowest of them set, over the sequence number's bits under it; 0 for
-	// empty. len(slots) is a power of two, 64-slotShift its log. It holds
-	// one slot per key from base on, forgotten ones included.
-	slots     []uint32
-	slotShift uint
+	// 1<<sweepShift forgotten keys linger before a sweep forgets them for
+	// good: the power of two at or above a sixteenth of the budget, or one
+	// block if that is more, so that a sweep's pass over the index costs a
+	// forgotten key about the same number of slot reads at any budget.
+	sweepShift uint
+	// slots is the membership index: a key's partial tag over its
+	// displacement from home over its sequence number's bits under seqMask;
+	// 0 for empty. It holds one slot per key from base on, forgotten ones
+	// included, and is never more than ¾ full.
+	slots []uint32
 	// seqMask is 2^S−1 for a slot's S sequence bits: 2^S exceeds the most
 	// keys the index holds, a budget (or a longer restored list) and a
-	// block of lingering ones, so a forgotten key's distance from head
-	// wraps past every live key's.
+	// sweep's worth of lingering ones, so a forgotten key's distance from
+	// head wraps past every live key's, and the bits name one slot.
 	seqMask uint32
+	// far maps the sequence bits of each slot whose displacement field
+	// holds farDisp to its displacement.
+	far map[uint32]uint32
 	// last is the newest key's spelling; buf is where seen decodes a
 	// spelling and insert builds one.
 	last, buf []byte
 }
 
-func newKeyWindow(budget int) keyWindow {
-	budget = int(min(uint64(max(budget, 1)), maxBudget))
-	blockShift := uint(min(bits.Len(uint(budget-1)), maxBlockShift))
-	return keyWindow{
-		budget:     budget,
-		blockShift: blockShift,
-		slots:      make([]uint32, minSlots),
-		slotShift:  64 - uint(bits.TrailingZeros(minSlots)),
-		seqMask:    seqMaskFor(budget, blockShift),
-	}
+// shardBudget is one shard's slice of a budget of maxKeys over shards: the
+// ceiling of their quotient, computed so that no budget overflows it, kept
+// from 1 to maxBudget.
+func shardBudget(maxKeys, shards int) int {
+	return min(max(maxKeys/shards+min(maxKeys%shards, 1), 1), maxBudget)
 }
 
-// seqMaskFor is the sequence mask of an index that holds up to n live keys
-// beside a block of 1<<blockShift lingering ones: its 2^S exceeds both
-// together. S stops at 31, which a budget reaches only at maxBudget and a
-// restored list only past 2³¹ keys.
-func seqMaskFor(n int, blockShift uint) uint32 {
-	return 1<<min(bits.Len(uint(n)+1<<blockShift), 31) - 1
+// newKeyWindow returns an empty window for a budget from 1 to maxBudget,
+// its index made.
+func newKeyWindow(budget int) keyWindow {
+	w := keyWindow{budget: budget}
+	w.blockShift = uint(min(bits.Len(uint(budget-1)), maxBlockShift))
+	w.sweepShift = uint(max(int(w.blockShift), bits.Len(uint(budget-1))-4))
+	w.size(budget)
+	return w
 }
+
+// size gives the window an empty index for up to n live keys beside a
+// sweep's worth of lingering ones, at most ¾ full, and the sequence mask
+// that tells them apart. It reuses the index it has when that is the length
+// wanted.
+func (w *keyWindow) size(n int) {
+	held := n + 1<<w.sweepShift
+	w.seqMask = seqMaskFor(held)
+	if slots := held + (held+2)/3; len(w.slots) == slots {
+		clear(w.slots)
+	} else {
+		w.slots = make([]uint32, slots)
+	}
+	w.far = nil
+}
+
+// seqMaskFor is the sequence mask of an index that holds up to held keys:
+// its 2^S exceeds held.
+func seqMaskFor(held int) uint32 { return 1<<bits.Len(uint(held)) - 1 }
 
 // touch loads the home slot of each key keys[i], i in idx, and returns the
 // loaded words folded together, for the caller to keep where the compiler
@@ -259,33 +298,43 @@ func seqMaskFor(n int, blockShift uint) uint32 {
 func (w *keyWindow) touch(keys *[probeChunk]windowKey, idx []uint8) uint64 {
 	var sum uint64
 	for _, i := range idx {
-		sum ^= uint64(w.slots[w.home(tagOf(keys[i].hash))])
+		sum ^= uint64(w.slots[w.home(keys[i].hash)])
 	}
 	return sum
 }
 
 // seen reports whether k is remembered, walking k's probe chain from its
-// home to the first empty slot: a slot whose partial tag matches is k if its
-// key is still remembered, its full tag is k's and its spelling is k's. A
-// key without a name is never found, and an evicted key is not, exactly as
-// record would take it again.
+// home: a slot holding k's partial tag at k's distance from home is k if
+// its key is still remembered and its spelling is k's. Slots lie in order
+// of home, so the walk ends at an empty slot or at one nearer its home than
+// k would be. A key without a name is never found, and an evicted key is
+// not, exactly as record would take it again.
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) seen(k windowKey) bool {
 	if k.hash == 0 {
 		return false
 	}
-	tag, mask, seqMask := tagOf(k.hash), uint64(len(w.slots)-1), w.seqMask
-	partial, head, live := w.partial(tag), uint32(w.head), uint32(w.len())
-	for i := w.home(tag); ; i = (i + 1) & mask {
-		s := w.slots[i]
-		if s == 0 {
+	slots, seqMask := w.slots, w.seqMask
+	step := seqMask + 1 // one more displacement
+	far := farDisp * step
+	// want is the slot k would be at i, its sequence bits aside.
+	want, head, live := w.partial(k.hash), uint32(w.head), uint32(w.len())
+	for i := w.home(k.hash); ; {
+		s := slots[i]
+		if s == 0 || s&far < want&far {
 			return false
 		}
-		// A forgotten key's slot lingers until its block's sweep; its
+		// A forgotten key's slot lingers until the next sweep; its
 		// distance from head wraps past every live key's.
-		if s&^seqMask == partial && (s-head)&seqMask < live && w.tag(s) == tag && k.spells(w.decode(s)) {
+		if s&^seqMask == want && (s-head)&seqMask < live && k.spells(w.decode(s)) {
 			return true
+		}
+		if want&far != far {
+			want += step
+		}
+		if i++; i == len(slots) {
+			i = 0
 		}
 	}
 }
@@ -312,13 +361,18 @@ func (w *keyWindow) record(k windowKey) {
 // as the same spelling — and copied, so the window owns its bytes. An entry
 // already taken collapses into the first, as record would collapse it (no
 // window writes such a list). Nothing is evicted here: a list longer than
-// the budget is trimmed by the next record, and until then the index's
-// sequence bits count past the list's length.
+// the budget is trimmed by the next record, and until then the index is
+// sized for the list. Only a list longer than maxBudget, which no window
+// of this build writes, loses its oldest entries here, counted as
+// forgotten.
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) restore(keys []string, evicted uint64) {
-	*w = newKeyWindow(w.budget)
-	w.seqMask = seqMaskFor(max(w.budget, len(keys)), w.blockShift)
+	if over := len(keys) - maxBudget; over > 0 {
+		keys, evicted = keys[over:], evicted+uint64(over)
+	}
+	*w = keyWindow{budget: w.budget, blockShift: w.blockShift, sweepShift: w.sweepShift, slots: w.slots}
+	w.size(max(w.budget, len(keys)))
 	w.head, w.tail, w.base = evicted, evicted, evicted
 	for _, s := range keys {
 		if k := listedKey(s); !w.seen(k) {
@@ -329,33 +383,36 @@ func (w *keyWindow) restore(keys []string, evicted uint64) {
 
 // keyView is the remembered keys, oldest first, as snapshotView took them.
 type keyView struct {
-	blocks []keyBlock // copies of the window's block headers
-	first  int        // the oldest key's index in blocks[0]
+	blocks []keyBlock // copies of the headers of the blocks holding them
+	first  int        // the oldest key's index in blocks[0], below its n
 }
 
 // snapshotView returns the remembered keys as a view the caller may keep
 // reading after it releases the shard lock — the snapshot writes it, the
-// bulk of its document, beside live ingest. That is safe because no byte a
-// view holds is ever rewritten: the view copies the block headers, each cut
-// at the keys its block held; record appends past those lengths (or to a
-// fresh array, which leaves the old one as it was — as does the clone a
-// full block's data moves to) and to new blocks, and a view decodes into a
-// buffer of its own, never the window's last or buf; eviction only moves
-// head, and its sweep writes the index and lets go of a block; restore
-// starts fresh blocks. Whoever changes the representation
-// owes this method a copy or the same guarantee (keywindow_test.go holds it
-// to that under -race).
+// bulk of its document, beside live ingest. Forgotten keys linger in the
+// blocks for up to a sweep's worth, several blocks in a window over 64 Ki
+// keys, so the view starts at the block holding head. Reading it later is
+// safe because no byte a view holds is ever rewritten: the view copies the
+// block headers, each cut at the keys its block held; record appends past
+// those lengths (or to a fresh array, which leaves the old one as it was —
+// as does the clone a full block's data moves to) and to new blocks, and a
+// view decodes into a buffer of its own, never the window's last or buf;
+// eviction only moves head, and its sweep writes the index alone and lets
+// go of blocks; restore starts fresh blocks. Whoever changes the representation owes
+// this method a copy or the same guarantee (keywindow_test.go holds it to
+// that under -race).
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) snapshotView() keyView {
-	return keyView{blocks: slices.Clone(w.blocks), first: int(w.head - w.base)}
+	gone := int(w.head - w.base)
+	return keyView{blocks: slices.Clone(w.blocks[gone>>w.blockShift:]), first: gone & (1<<w.blockShift - 1)}
 }
 
 // len is the number of keys the view holds.
 func (v keyView) len() int {
 	n := -v.first
 	for i := range v.blocks {
-		n += len(v.blocks[i].tags)
+		n += v.blocks[i].n
 	}
 	return n
 }
@@ -370,10 +427,10 @@ func (v keyView) all() iter.Seq[[]byte] {
 		for bi := range v.blocks {
 			b := &v.blocks[bi]
 			j, off := first&^(restartEvery-1), 0
-			if j < len(b.tags) {
+			if j < b.n {
 				off = int(b.restarts[j/restartEvery])
 			}
-			for ; j < len(b.tags); j++ {
+			for ; j < b.n; j++ {
 				buf, off = b.next(buf, off)
 				if j >= first && !yield(buf) {
 					return
@@ -394,40 +451,37 @@ func (w *keyWindow) len() int { return int(w.tail - w.head) }
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) evicted() uint64 { return w.head }
 
-// bytes is what the window holds its keys in: each block's data, restarts
-// and tags by capacity, and the index. It is Stats' KeyBytes, /healthz
-// idempotencyKeyBytes.
+// bytes is what the window holds its keys in: each block's data and
+// restarts by capacity, the index, and the far map at 16 B an entry, about
+// what a Go map spends on a pair of uint32s. It is Stats' KeyBytes,
+// /healthz idempotencyKeyBytes.
 //
 //litmus:guarded-by caller holds sh.mu
 func (w *keyWindow) bytes() int {
-	n := 4 * len(w.slots)
+	n := 4*len(w.slots) + 16*len(w.far)
 	for i := range w.blocks {
 		b := &w.blocks[i]
-		n += cap(b.data) + 4*cap(b.restarts) + 4*cap(b.tags)
+		n += cap(b.data) + 4*cap(b.restarts)
 	}
 	return n
 }
 
-// home is the slot a key with this tag probes first.
-func (w *keyWindow) home(tag uint32) uint64 { return uint64(tag) * fibonacci >> w.slotShift }
+// home is the slot a key with this hash probes first: the hash's low 32
+// bits, times the index's length, over 2³².
+func (w *keyWindow) home(hash uint64) int {
+	return int(uint64(uint32(hash)) * uint64(len(w.slots)) >> 32)
+}
 
-// partial is what a slot keeps of tag: its bits above the sequence bits,
-// the lowest of them set so that no slot is 0.
-func (w *keyWindow) partial(tag uint32) uint32 { return (tag | (w.seqMask + 1)) &^ w.seqMask }
-
-// slot is the index entry of the key with this tag and sequence number.
-func (w *keyWindow) slot(tag uint32, seq uint64) uint32 {
-	return w.partial(tag) | uint32(seq)&w.seqMask
+// partial is what a slot keeps of a key's hash, its partial tag: the bits
+// above the sequence bits and the displacement, the lowest of them set so
+// that no slot is 0.
+func (w *keyWindow) partial(hash uint64) uint32 {
+	low := (w.seqMask + 1) << dispBits
+	return (uint32(hash>>32) | low) &^ (low - 1)
 }
 
 // offset is the distance from base of the key whose slot is s.
 func (w *keyWindow) offset(s uint32) uint32 { return (s - uint32(w.base)) & w.seqMask }
-
-// tag is the full tag of the key whose slot is s, read from its block.
-func (w *keyWindow) tag(s uint32) uint32 {
-	off := w.offset(s)
-	return w.blocks[off>>w.blockShift].tags[off&(1<<w.blockShift-1)]
-}
 
 // decode returns the spelling of the key whose slot is s, decoded into the
 // window's buffer: valid until the next decode or insert.
@@ -437,12 +491,10 @@ func (w *keyWindow) decode(s uint32) []byte {
 	return w.buf
 }
 
-// insert appends k, which seen found absent, as the newest key, in the
-// first empty slot of its chain.
+// insert appends k, which seen found absent, as the newest key. Its slot
+// goes where seen's walk for it ended, after every slot whose home is at
+// or before k's, and the rest of that chain moves one slot on.
 func (w *keyWindow) insert(k windowKey) {
-	if 2*(w.len()+1) > len(w.slots) || 4*(w.tail-w.base+1) > 3*uint64(len(w.slots)) {
-		w.grow()
-	}
 	if w.tail-w.base == uint64(len(w.blocks))<<w.blockShift {
 		w.blocks = append(w.blocks, w.newBlock())
 	}
@@ -452,7 +504,7 @@ func (w *keyWindow) insert(k windowKey) {
 		sp = append(append(sp, 0), k.key...)
 	}
 	shared := 0
-	if len(b.tags)%restartEvery == 0 {
+	if b.n%restartEvery == 0 {
 		b.restarts = append(b.restarts, uint32(len(b.data)))
 	} else {
 		shared = sharedPrefix(w.last, sp)
@@ -461,21 +513,85 @@ func (w *keyWindow) insert(k windowKey) {
 	b.data = binary.AppendUvarint(b.data, uint64(len(sp)-shared))
 	b.data = append(b.data, sp[shared:]...)
 	w.last, w.buf = sp, w.last
-	tag := tagOf(k.hash)
-	b.tags = append(b.tags, tag)
-	if len(b.tags) == 1<<w.blockShift {
+	if b.n++; b.n == 1<<w.blockShift {
 		// The block is full and never written again: its data drops the
 		// slack newBlock gave it, at one copy per block.
 		b.data = slices.Clone(b.data)
 	}
-	w.slots[w.vacancy(tag)] = w.slot(tag, w.tail)
+	seq := uint32(w.tail) & w.seqMask
 	w.tail++
+	i, d := w.home(k.hash), uint32(0)
+	for s := w.slots[i]; s != 0 && w.disp(s, d) >= d; s = w.slots[i] {
+		if i++; i == len(w.slots) {
+			i = 0
+		}
+		d++
+	}
+	if w.slots[i] != 0 {
+		w.shiftOn(i)
+	}
+	w.place(i, w.partial(k.hash)|seq, d)
 }
 
-// newBlock sizes a block's restarts and tags exactly and its data by the
-// block before it, so a block is three allocations. A window's first block
-// grows by append instead: a window that never fills one (a small shard, a
-// test's) costs what it holds.
+// disp is the displacement of the slot s, exact where it is below d or d
+// is below farDisp: what insert's walk compares.
+func (w *keyWindow) disp(s, d uint32) uint32 {
+	f := s >> bits.Len32(w.seqMask) & farDisp
+	if f == farDisp && d >= farDisp {
+		return w.far[s&w.seqMask]
+	}
+	return f
+}
+
+// place writes slot i as s, whose displacement field is empty, at
+// displacement d from its home: in the field, or from farDisp on in far.
+func (w *keyWindow) place(i int, s, d uint32) {
+	if d >= farDisp {
+		w.keepFar(s&w.seqMask, d)
+		d = farDisp
+	}
+	w.slots[i] = s | d*(w.seqMask+1)
+}
+
+// keepFar records d as the displacement of the slot with sequence bits seq.
+func (w *keyWindow) keepFar(seq, d uint32) {
+	if w.far == nil {
+		w.far = make(map[uint32]uint32)
+	}
+	w.far[seq] = d
+}
+
+// shiftOn moves the slots from i to the first empty slot after it one slot
+// on, each one farther from its home.
+func (w *keyWindow) shiftOn(i int) {
+	slots, n, seqMask := w.slots, len(w.slots), w.seqMask
+	step := seqMask + 1
+	far, near := farDisp*step, (farDisp-1)*step
+	e := i
+	for slots[e] != 0 {
+		if e++; e == n {
+			e = 0
+		}
+	}
+	for e != i {
+		prev := e - 1
+		if e == 0 {
+			prev = n - 1
+		}
+		s := slots[prev]
+		if f := s & far; f == far {
+			w.far[s&seqMask]++
+		} else if s += step; f == near {
+			w.keepFar(s&seqMask, farDisp)
+		}
+		slots[e], e = s, prev
+	}
+}
+
+// newBlock sizes a block's restarts exactly and its data by the block
+// before it, so a block is two allocations. A window's first block grows by
+// append instead: a window that never fills one (a small shard, a test's)
+// costs what it holds.
 func (w *keyWindow) newBlock() keyBlock {
 	if len(w.blocks) == 0 {
 		return keyBlock{}
@@ -484,93 +600,105 @@ func (w *keyWindow) newBlock() keyBlock {
 	return keyBlock{
 		data:     make([]byte, 0, last+last/8),
 		restarts: make([]uint32, 0, (n+restartEvery-1)/restartEvery),
-		tags:     make([]uint32, 0, n),
 	}
-}
-
-// vacancy returns the first empty slot of the chain from tag's home.
-func (w *keyWindow) vacancy(tag uint32) uint64 {
-	mask := uint64(len(w.slots) - 1)
-	i := w.home(tag)
-	for w.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	return i
 }
 
 // evictOldest forgets the oldest key by moving head past it. Its slot
-// lingers until the key's block has no key left, and then sweep goes.
+// lingers until a sweep's worth of keys from base on are forgotten, and
+// then sweep goes.
 func (w *keyWindow) evictOldest() {
 	w.head++
-	if w.head-w.base == 1<<w.blockShift {
+	if w.head-w.base == 1<<w.sweepShift {
 		w.sweep()
 	}
 }
 
-// sweep deletes the oldest block's slots, all of them forgotten, and drops
-// the block. The slots go in ascending order of home, so the deletions walk
-// the index front to back: one counting pass over the top bits of each
-// key's home, one bucket per key the block holds, orders the block. The
-// backward shift reads each slot it passes over's full tag from its block,
-// for its home.
+// sweep deletes the slots of the keys from base to head, all of them
+// forgotten, and drops their blocks, in one pass over the index from past
+// an empty slot round to it, so no chain runs across the pass's ends. Until
+// the pass meets a forgotten slot there is nothing to move, and it only
+// tests each slot; from there compact moves the chain's later slots back
+// into the holes.
 func (w *keyWindow) sweep() {
-	b := &w.blocks[0]
-	bucketBits := min(64-w.slotShift, w.blockShift)
-	shift := 64 - w.slotShift - bucketBits // home>>shift is the home's bucket
-	var counts [1<<maxBlockShift + 1]uint16
-	var order [1 << maxBlockShift]uint16
-	count := counts[:1<<bucketBits+1]
-	for _, tag := range b.tags {
-		count[w.home(tag)>>shift+1]++
-	}
-	for i := 1; i < len(count); i++ {
-		count[i] += count[i-1]
-	}
-	for k, tag := range b.tags {
-		c := &count[w.home(tag)>>shift]
-		order[*c] = uint16(k)
-		*c++
-	}
-	slots, blocks, mask := w.slots, w.blocks, uint64(len(w.slots)-1)
-	base, seqMask, blockShift, slotShift := uint32(w.base), w.seqMask, w.blockShift, w.slotShift
-	keyMask := uint32(1)<<blockShift - 1
-	for _, k := range order[:len(b.tags)] {
-		tag := b.tags[k]
-		want := w.slot(tag, w.base+uint64(k))
-		i := w.home(tag)
-		for slots[i] != want {
-			i = (i + 1) & mask
+	slots, n := w.slots, len(w.slots)
+	base, seqMask, gone := uint32(w.base), w.seqMask, uint32(1)<<w.sweepShift
+	i := slices.Index(slots, 0) + 1 // the slot the pass is at
+	for left := n; left > 0; {      // the slots the pass has still to pass
+		if i == n {
+			i = 0
 		}
-		// Backward shift: each later slot of the chain moves into the hole
-		// unless that would put it before its home, and the last hole
-		// empties. home is w.home(w.tag(s)), on the locals above.
-		for j := (i + 1) & mask; slots[j] != 0; j = (j + 1) & mask {
-			s := slots[j]
-			off := (s - base) & seqMask
-			home := uint64(blocks[off>>blockShift].tags[off&keyMask]) * fibonacci >> slotShift
-			if (j-home)&mask >= (j-i)&mask {
-				slots[i] = s
-				i = j
+		end := min(n, i+left)
+		j := i
+		for j < end && (slots[j]-base)&seqMask >= gone {
+			j++
+		}
+		left -= j - i
+		switch {
+		case j == end:
+			i = j
+		case slots[j] == 0: // an empty slot whose zero bits look forgotten
+			i, left = j+1, left-1
+		default:
+			passed := w.compact(j)
+			left -= passed
+			if i = j + passed; i > n {
+				i -= n
 			}
 		}
-		slots[i] = 0
 	}
-	n := copy(w.blocks, w.blocks[1:])
-	w.blocks[n] = keyBlock{}
-	w.blocks = w.blocks[:n]
+	m := copy(w.blocks, w.blocks[1<<(w.sweepShift-w.blockShift):])
+	clear(w.blocks[m:])
+	w.blocks = w.blocks[:m]
 	w.base = w.head
 }
 
-// grow doubles the index and places again the slot of every key from base
-// on, taking the keys' tags from their blocks in sequence order.
-func (w *keyWindow) grow() {
-	w.slots = make([]uint32, 2*len(w.slots))
-	w.slotShift--
-	seq := w.base
-	for i := range w.blocks {
-		for _, tag := range w.blocks[i].tags {
-			w.slots[w.vacancy(tag)] = w.slot(tag, seq)
-			seq++
+// compact empties the forgotten slots in the chain from i, one of them,
+// and moves every other slot after i back to the first free slot at
+// or after its home — its displacement names the home — its displacement
+// shrinking by as much: a backward shift, reading no block. Slots lie in
+// order of home, so it stops at the first slot that stays where it is, or
+// the empty one that ends the chain, and returns how many slots it passed.
+func (w *keyWindow) compact(i int) int {
+	slots, n := w.slots, len(w.slots)
+	base, seqMask, gone := uint32(w.base), w.seqMask, uint32(1)<<w.sweepShift
+	shift := uint(bits.Len32(seqMask))
+	// Positions count from i, and position c is slot i+c mod n. free is
+	// the first position a moved slot may take.
+	at := func(c int) int {
+		if c += i; c >= n {
+			c -= n
 		}
+		return c
+	}
+	free := 0
+	for c := 0; ; c++ {
+		j := at(c)
+		s := slots[j]
+		if s == 0 {
+			return c + 1
+		}
+		f := s >> shift & farDisp
+		if (s-base)&seqMask < gone {
+			slots[j] = 0
+			if f == farDisp {
+				delete(w.far, s&seqMask)
+			}
+			continue
+		}
+		d := f
+		if f == farDisp {
+			d = w.far[s&seqMask]
+		}
+		home := c - int(d)
+		to := max(home, free)
+		if to == c {
+			return c + 1
+		}
+		if f == farDisp && to-home < farDisp {
+			delete(w.far, s&seqMask)
+		}
+		slots[j] = 0
+		w.place(at(to), s&^(farDisp<<shift), uint32(to-home))
+		free = to + 1
 	}
 }

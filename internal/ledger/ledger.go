@@ -114,11 +114,16 @@ type Config struct {
 	// each shard FIFO-evicts beyond its ceil(MaxKeys/Shards) slice, so the
 	// retained total can overshoot MaxKeys by at most Shards-1 keys (every
 	// shard keeps at least one, so dedup works on every shard even for
-	// tiny budgets). A shard's slice is clamped to 2³⁰ keys, which leaves
-	// its index at least one bit of each key's tag beside the sequence
-	// number. A tenant's keys live on its shard, the 32-bit FNV-1a hash of
-	// its name modulo Shards, oldest evicted first. 0 selects
-	// DefaultMaxKeys.
+	// tiny budgets). A shard's slice is clamped to 2²⁵ keys (about 540 MB
+	// of derived keys), so a larger MaxKeys remembers at most 2²⁵ keys a
+	// shard: a slot of its index holds a key's sequence number, its
+	// displacement from home and its tag in 32 bits, and the tag keeps at
+	// least one. New sizes each shard's index once, at ¾ load, for its
+	// slice and the forgotten keys that linger until a sweep — a block of
+	// up to 4096, or a sixteenth of a slice over 64 Ki keys: 5.9 MB for
+	// the default budget, in sixteen shards or in one. A tenant's keys live
+	// on its shard, the 32-bit FNV-1a hash of its name modulo Shards,
+	// oldest evicted first. 0 selects DefaultMaxKeys.
 	MaxKeys int
 	// Shards is the lock-stripe count tenants are hash-partitioned over.
 	// 0 selects DefaultShards; 1 yields a fully serialized ledger.
@@ -277,10 +282,9 @@ func New(cfg Config) (*Ledger, error) {
 	if cfg.Fsync < FsyncAlways || cfg.Fsync > FsyncNever {
 		return nil, fmt.Errorf("ledger: unknown fsync mode %d", cfg.Fsync)
 	}
-	perShardKeys := max(1, (cfg.MaxKeys+cfg.Shards-1)/cfg.Shards)
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
-		shards[i] = newShard(perShardKeys)
+		shards[i] = newShard(shardBudget(cfg.MaxKeys, cfg.Shards))
 	}
 	l := &Ledger{cfg: cfg, shards: shards}
 	if cfg.Dir != "" {
